@@ -67,6 +67,7 @@ from .companion import (
     companion_distribution,
     ma1_companion_spec,
     parametric_companion_spec,
+    rational_acvf,
     resampling_companion_spec,
 )
 from .spectral import (
@@ -81,6 +82,7 @@ from .spectral import (
     linear_process_spectral_density,
     periodogram,
     ratio_statistic,
+    rational_spectral_density,
 )
 from .asymptotics import (
     KurtosisSpec,
@@ -98,7 +100,6 @@ from .asymptotics import (
 from .statistics import (
     AcfStatistic,
     AcvfStatistic,
-    GeneralizedMeanStatistic,
     IntegratedPeriodogramStatistic,
     MeanStatistic,
     RatioStatistic,

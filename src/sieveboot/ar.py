@@ -138,10 +138,15 @@ def invert_ar_polynomial(a, L: int) -> MAInversion:
     return MAInversion(alpha=alpha, L=L, decay_bound=decay)
 
 
-def _poly_roots(a: np.ndarray) -> np.ndarray:
-    """Roots of A(z) = 1 - sum a_k z^k via companion-matrix eigenvalues."""
-    coeffs = np.concatenate([[1.0], -np.asarray(a, dtype=float)])
-    return np.polynomial.polynomial.polyroots(coeffs)
+def _reciprocal_roots(a: np.ndarray) -> np.ndarray:
+    """Reciprocals 1/z of the roots of A(z) = 1 - sum a_k z^k.
+
+    They are the roots of the monic z^p - sum a_k z^(p-k), whose companion
+    matrix holds the a_k themselves; the roots of A would come from one
+    scaled by 1/a_p, whose rounding swamps roots near the circle when a_p is
+    small.
+    """
+    return np.roots(np.concatenate([[1.0], -np.asarray(a, dtype=float)]))
 
 
 def min_modulus_on_disk(a, radius: float = 1.0) -> float:
@@ -157,8 +162,7 @@ def min_modulus_on_disk(a, radius: float = 1.0) -> float:
     a = np.trim_zeros(np.asarray(a, dtype=float), "b")
     if a.size == 0:
         return 1.0
-    roots = _poly_roots(a)
-    if np.min(np.abs(roots)) <= radius * (1.0 + 1e-12):
+    if np.max(np.abs(_reciprocal_roots(a))) * radius * (1.0 + 1e-12) >= 1.0:
         return 0.0
     # |A(r e^{i theta})|^2 is a trigonometric polynomial; its derivative in
     # theta vanishes where P(w) = sum_m m t_m w^{m+p} has a root on |w| = 1.
@@ -167,6 +171,11 @@ def min_modulus_on_disk(a, radius: float = 1.0) -> float:
     t = np.correlate(q, q, mode="full")  # t[m + p] = sum_k q_k q_{k+m}
     m = np.arange(-p, p + 1)
     deriv = m * t
+    # P is antipalindromic; dropping both end terms when they are negligible
+    # removes a root near 0 and one near infinity, keeps those on the circle,
+    # and keeps the companion matrix of P finite.
+    while deriv.size > 2 and abs(deriv[0]) <= 1e-14 * np.abs(deriv).max():
+        deriv = deriv[1:-1]
     if np.allclose(deriv, 0.0):
         thetas = np.array([0.0, np.pi])
     else:

@@ -152,15 +152,15 @@ def ratio_statistic_variance(f: Callable, phi: WeightFunction) -> float:
 
 
 def spectral_estimator_variance(f_lambda: float, at_boundary: bool, kernel: KernelSpec) -> float:
-    """Limit of n h Var(f_n(lambda)): (1 + boundary) f^2 (2 pi)^-1 int K^2.
+    """Limit of n h Var(f_n(lambda)) as h -> 0: (1 + boundary) 2 pi f^2 int K^2.
 
-    Stated under this package's unit-mass kernel normalization; use for
-    relative or ratio assertions only.
+    The estimate integrates the periodogram against K_h over the full circle,
+    with this package's unit-mass kernel; the variance doubles at 0 and pi.
     """
     if f_lambda < 0:
         raise ValueError("spectral density value must be nonnegative")
     factor = 2.0 if at_boundary else 1.0
-    return float(factor * f_lambda ** 2 * kernel.l2_norm_sq / (2.0 * np.pi))
+    return float(factor * 2.0 * np.pi * f_lambda ** 2 * kernel.l2_norm_sq)
 
 
 def spectral_estimator_bias(second_derivative: float, kernel: KernelSpec, regime: str) -> float:

@@ -21,6 +21,7 @@ from .experiment import (
     ExperimentConfig,
     compute_targets,
     list_presets,
+    load_json,
     preset_config,
     run_experiment,
 )
@@ -79,16 +80,8 @@ def _run_and_exit(config: ExperimentConfig, out_dir) -> int:
     return 0 if report.all_as_expected else 1
 
 
-def _load_json_or_path(text: str):
-    text = text.strip()
-    if text.startswith("{"):
-        return json.loads(text)
-    with open(text) as fh:
-        return json.load(fh)
-
-
 def _cmd_asymptotics(args) -> int:
-    model = model_from_json(_load_json_or_path(args.model))
+    model = model_from_json(load_json(args.model))
     stat_doc = args.statistic.strip()
     stat_cfg = json.loads(stat_doc) if stat_doc.startswith("{") else {"name": stat_doc}
     statistic = statistic_from_config(stat_cfg)
@@ -110,12 +103,10 @@ def main(argv=None) -> int:
                 print(name)
             return 0
         if args.command == "run":
-            with open(args.config) as fh:
-                doc = json.load(fh)
             overrides = {}
             if args.seed is not None:
                 overrides["seed"] = args.seed
-            config = ExperimentConfig.from_json(doc, **overrides)
+            config = ExperimentConfig.from_json(args.config, **overrides)
             return _run_and_exit(config, args.out)
         if args.command == "preset":
             overrides = {}
@@ -125,7 +116,7 @@ def main(argv=None) -> int:
             return _run_and_exit(config, args.out)
         if args.command == "asymptotics":
             return _cmd_asymptotics(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

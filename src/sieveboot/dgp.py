@@ -25,6 +25,7 @@ __all__ = [
     "LinearModel",
     "ARModel",
     "Arch1Model",
+    "MA1_WOLD_FILTER",
     "VE_FILTER_LAG",
     "derive_seed",
     "rng_from",
@@ -39,8 +40,12 @@ __all__ = [
     "model_from_json",
 ]
 
-# Truncation lag of the geometric filter producing the Wold innovations of the
-# MA(1) example; the neglected tail mass is (1/2)^60 < 1e-18.
+# The Wold innovations of the MA(1) example are ve = [(1 - 2z) / (1 - z/2)] e,
+# an all-pass filter with constant gain 2, as (numerator, denominator).
+MA1_WOLD_FILTER = ((1.0, -2.0), (1.0, -0.5))
+
+# Transient of that filter started from zero state: pre-sample innovations
+# missing from ve_t weigh at most (1/2)^t, below 1e-18 after 60 steps.
 VE_FILTER_LAG = 60
 
 _FAMILIES = ("gaussian", "centered_exponential", "centered_uniform")
@@ -203,9 +208,9 @@ def ma1_example(n: int, seed: SeedLike, innovations: InnovationSpec | None = Non
     """The noninvertible MA(1) worked example.
 
     Returns (X, e, ve) where ve_t = e_t - (3/2) sum_{j>=1} (1/2)^{j-1} e_{t-j}
-    is the Wold innovation of X, computed with the filter truncated at lag
-    ``VE_FILTER_LAG``. Because only one pre-sample innovation is drawn (so that
-    X matches ``simulate_linear`` with b = (-2) seed-for-seed), the first
+    is the Wold innovation of X, computed with the exact recursive filter
+    ``MA1_WOLD_FILTER``. Because only one pre-sample innovation is drawn (so
+    that X matches ``simulate_linear`` with b = (-2) seed-for-seed), the first
     ``VE_FILTER_LAG`` values of ve are burn-in and must be excluded from
     moment checks.
     """
@@ -213,10 +218,7 @@ def ma1_example(n: int, seed: SeedLike, innovations: InnovationSpec | None = Non
     q = model.q
     e_full = draw_innovations(model.innovations, n + q, seed)
     x = lfilter(np.concatenate([[1.0], model.b]), [1.0], e_full)[q:]
-    c = np.empty(VE_FILTER_LAG + 1)
-    c[0] = 1.0
-    c[1:] = -1.5 * 0.5 ** np.arange(VE_FILTER_LAG)
-    ve = lfilter(c, [1.0], e_full)[q:]
+    ve = lfilter(*MA1_WOLD_FILTER, e_full)[q:]
     return (
         Series(x, origin="ma1-example"),
         Series(e_full[q:], origin="innovations"),

@@ -38,7 +38,7 @@ from .companion import (
     parametric_companion_spec,
     resampling_companion_spec,
 )
-from .ar import invert_ar_polynomial, min_modulus_on_disk
+from .ar import min_modulus_on_disk
 from .series import ecdf, kolmogorov_distance, ks_critical_value
 from .sieve import KEY_DATA, KEY_TRUTH, OrderRule, bootstrap_distribution
 from .statistics import (
@@ -56,6 +56,7 @@ from .statistics import (
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
+    "load_json",
     "Report",
     "run_experiment",
     "list_presets",
@@ -63,6 +64,14 @@ __all__ = [
 ]
 
 _METHODS = ("bootstrap", "oracle", "truth")
+_DK_PAIRS = ("bootstrap_truth", "bootstrap_oracle", "oracle_truth")
+# Fields each check kind requires besides "id" and "kind".
+_CHECK_FIELDS = {
+    "var_close": ("method", "target_id", "tol"),
+    "var_ratio": ("num", "den", "lo", "hi"),
+    "dk_le": ("pair", "bound"),
+    "dk_gt": ("pair", "bound"),
+}
 _COMPANION_RECORD_LENGTH = 10 ** 6
 _KEY_COMPANION_RECORD = 5
 _TARGET_TRUNC = 200  # lags carried for theoretical ACVF-based targets
@@ -70,6 +79,16 @@ _TARGET_TRUNC = 200  # lags carried for theoretical ACVF-based targets
 
 class ConfigError(ValueError):
     """Invalid experiment configuration, with field diagnostics."""
+
+
+def load_json(doc):
+    """A JSON document given as text starting with '{', or the path of a file
+    holding one; anything else (a mapping) is returned as it is."""
+    if isinstance(doc, str) and doc.lstrip().startswith("{"):
+        return json.loads(doc)
+    if isinstance(doc, (str, Path)):
+        return json.loads(Path(doc).read_text())
+    return doc
 
 
 @dataclass(frozen=True)
@@ -97,9 +116,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(doc, **overrides) -> "ExperimentConfig":
-        if isinstance(doc, (str, Path)):
-            doc = json.loads(Path(doc).read_text()) if Path(str(doc)).exists() else json.loads(doc)
-        doc = dict(doc)
+        doc = dict(load_json(doc))
         doc.update(overrides)
         allowed = {"name", "dgp", "statistic", "n", "B", "M", "R",
                    "order_rule", "seed", "outputs", "checks", "expect",
@@ -196,27 +213,26 @@ def _is_ma1_example(model) -> bool:
 
 
 def companion_spec_for(model, seed) -> CompanionSpec:
-    """Companion process for models whose AR(infinity) form is known."""
+    """Companion process, as an exact rational filter, for models whose
+    AR(infinity) form is known."""
     record_seed = dgp.derive_seed(seed, _KEY_COMPANION_RECORD)
     if _is_ma1_example(model):
         return ma1_companion_spec(model.innovations, _COMPANION_RECORD_LENGTH, record_seed)
     if isinstance(model, dgp.LinearModel):
-        if model.q == 0:
-            return parametric_companion_spec(np.zeros(0), model.innovations)
-        minus_b = -np.asarray(model.b, dtype=float)
-        if min_modulus_on_disk(minus_b, 1.0) <= 0:
+        if min_modulus_on_disk(-np.asarray(model.b, dtype=float), 1.0) <= 0:
             raise ValueError("companion construction requires an invertible MA "
                              "(or the built-in b = (-2,) worked example)")
-        # invertible MA: Wold innovations are the e's; a_j = -[1/B(z)]_j.
-        inv = invert_ar_polynomial(minus_b, dgp.VE_FILTER_LAG)
-        return parametric_companion_spec(-inv.alpha[1:], model.innovations)
+        # invertible MA: the Wold innovations are the e's and X is its own companion.
+        return parametric_companion_spec(np.concatenate([[1.0], model.b]), [1.0],
+                                         model.innovations)
     if isinstance(model, dgp.ARModel):
-        return parametric_companion_spec(np.asarray(model.a, dtype=float), model.innovations)
+        return parametric_companion_spec([1.0], np.concatenate([[1.0], -np.asarray(model.a)]),
+                                         model.innovations)
     if isinstance(model, dgp.Arch1Model):
-        # White noise in the Wold sense: zero AR coefficients, innovations
-        # share the marginal law of X, approximated by a long record.
+        # White noise in the Wold sense: the trivial filter, innovations
+        # sharing the marginal law of X, approximated by a long record.
         record = dgp.simulate_arch1(model, _COMPANION_RECORD_LENGTH, record_seed)
-        return resampling_companion_spec(np.zeros(0), record.values)
+        return resampling_companion_spec([1.0], [1.0], record.values)
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
@@ -262,6 +278,34 @@ def compute_targets(model, statistic, config) -> dict:
     return targets
 
 
+def _validate_checks(checks, targets: dict) -> None:
+    """Reject, naming the check, any check that could not be evaluated: an
+    unknown kind, a missing field, an unknown method or pair, or a target the
+    model and statistic do not produce."""
+    for i, check in enumerate(checks):
+        cid = check.get("id")
+        if cid is None:
+            raise ConfigError(f"check #{i} has no id")
+        kind = check.get("kind")
+        if kind not in _CHECK_FIELDS:
+            raise ConfigError(f"check {cid!r}: unknown kind {kind!r}; "
+                              f"known: {', '.join(_CHECK_FIELDS)}")
+        missing = [f for f in _CHECK_FIELDS[kind] if f not in check]
+        if missing:
+            raise ConfigError(f"check {cid!r}: missing fields {missing}")
+        for f in ("method", "num", "den"):
+            if f in _CHECK_FIELDS[kind] and check[f] not in _METHODS:
+                raise ConfigError(f"check {cid!r}: unknown {f} {check[f]!r}; "
+                                  f"known: {', '.join(_METHODS)}")
+        if "pair" in _CHECK_FIELDS[kind] and check["pair"] not in _DK_PAIRS:
+            raise ConfigError(f"check {cid!r}: unknown pair {check['pair']!r}; "
+                              f"known: {', '.join(_DK_PAIRS)}")
+        if kind == "var_close" and check["target_id"] not in targets:
+            raise ConfigError(f"check {cid!r}: target {check['target_id']!r} is not produced "
+                              f"for this model and statistic; available: "
+                              f"{', '.join(targets) or 'none'}")
+
+
 def _evaluate_check(check: dict, variances: dict, dk: dict, targets: dict) -> dict:
     out = dict(check)
     kind = check["kind"]
@@ -277,11 +321,9 @@ def _evaluate_check(check: dict, variances: dict, dk: dict, targets: dict) -> di
     elif kind == "dk_le":
         value = dk[check["pair"]]
         out.update(value=value, passed=bool(value <= check["bound"]))
-    elif kind == "dk_gt":
+    else:  # dk_gt
         value = dk[check["pair"]]
         out.update(value=value, passed=bool(value > check["bound"]))
-    else:
-        raise ConfigError(f"unknown check kind {kind!r}")
     return out
 
 
@@ -293,11 +335,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     rule = OrderRule(**config.order_rule)
     seed = config.seed
     n = config.n
+    targets = compute_targets(model, statistic, config)
+    _validate_checks(config.checks, targets)
+    spec = companion_spec_for(model, seed)
 
     data = simulate_model(model, n, dgp.derive_seed(seed, KEY_DATA))
     boot = bootstrap_distribution(data, statistic, config.B, rule, seed)
-
-    spec = companion_spec_for(model, seed)
     oracle = companion_distribution(spec, statistic, n, config.M, seed)
 
     theta = true_center(statistic, model, n)
@@ -315,7 +358,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         "bootstrap_oracle": kolmogorov_distance(laws["bootstrap"], laws["oracle"]),
         "oracle_truth": kolmogorov_distance(laws["oracle"], laws["truth"]),
     }
-    targets = compute_targets(model, statistic, config)
     checks = []
     expect = dict(config.expect)
     for check in config.checks:

@@ -16,7 +16,7 @@ from scipy.signal import lfilter
 from . import dgp
 from .ar import ARFit, residuals, yule_walker_fit
 from .series import DegenerateSeriesError, EmpiricalLaw, Series, ecdf, sample_acvf
-from .statistics import Statistic, statistic_from_config
+from .statistics import statistic_from_config
 
 __all__ = [
     "OrderRule",
@@ -30,9 +30,9 @@ __all__ = [
 ]
 
 # Spawn-key namespaces for derived seeds (shared convention with the oracle
-# and truth engines): 0 bootstrap replications, 1 oracle, 2 truth, 3 auxiliary
-# centering runs, 9 the observed data realization.
-KEY_BOOT, KEY_ORACLE, KEY_TRUTH, KEY_AUX, KEY_DATA = 0, 1, 2, 3, 9
+# and truth engines): 0 bootstrap replications, 1 oracle, 2 truth, 9 the
+# observed data realization.
+KEY_BOOT, KEY_ORACLE, KEY_TRUTH, KEY_DATA = 0, 1, 2, 9
 
 
 @dataclass(frozen=True)
@@ -127,32 +127,21 @@ class BootstrapResult:
     p_used: int
 
 
-def _auxiliary_center(model: SieveModel, statistic: Statistic, n: int,
-                      seed: dgp.SeedLike, B0: int = 500) -> float:
-    """Estimate theta* for statistics without a closed-form model value by
-    averaging the statistic over long (20 n) bootstrap paths."""
-    vals = np.empty(B0)
-    for b in range(B0):
-        x = generate_bootstrap_series(model, 20 * n, dgp.derive_seed(seed, KEY_AUX, b))
-        vals[b] = statistic.evaluate(x)
-    return float(np.mean(vals))
-
-
 def bootstrap_distribution(s: Series, d, B: int, rule: OrderRule,
                            seed: dgp.SeedLike) -> BootstrapResult:
     """Step 3: the AR-sieve bootstrap law of the scaled statistic.
 
-    theta* is the exact model quantity of the bootstrap process (fitted
-    coefficients, residual-law innovation variance) when available.
+    theta* is the exact model quantity of the bootstrap process: the filter
+    1 / (1 - sum a_k z^k) of the fitted coefficients, driven by the residual
+    law.
     """
     if B < 100:
         raise ValueError("B must be at least 100")
     statistic = statistic_from_config(d)
     model = fit_sieve(s, rule)
     n = s.n
-    theta = statistic.model_center(model.fit.a, model.residual_variance, n)
-    if theta is None:
-        theta = _auxiliary_center(model, statistic, n, seed)
+    theta = statistic.model_center([1.0], np.concatenate([[1.0], -model.fit.a]),
+                                   model.residual_variance, n)
     rate = statistic.rate(n)
     vals = np.empty(B)
     for b in range(B):

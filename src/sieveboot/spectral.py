@@ -28,6 +28,7 @@ __all__ = [
     "integrated_periodogram",
     "ratio_statistic",
     "kernel_spectral_estimate",
+    "rational_spectral_density",
     "ar_spectral_density",
     "linear_process_spectral_density",
 ]
@@ -163,28 +164,29 @@ def kernel_spectral_estimate(s: Series, k: KernelSpec, lam: float) -> float:
     return float(np.dot(weights, i_full) * (2.0 * np.pi / n))
 
 
-def ar_spectral_density(fit: ARFit, lam) -> np.ndarray | float:
-    """f_AR(lambda) = (sigma2 / 2 pi) |1 - sum a_j e^{-i j lambda}|^-2."""
+def _transfer(c: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """c(e^{-i lambda}) = c_0 + sum_j c_j e^{-i j lambda}."""
+    j = np.arange(1, c.size)
+    return c[0] + np.exp(-1j * np.outer(lam, j)) @ c[1:]
+
+
+def rational_spectral_density(num, den, sigma2: float, lam) -> np.ndarray | float:
+    """f(lambda) = (sigma2 / 2 pi) |num(e^{-i lambda})|^2 / |den(e^{-i lambda})|^2,
+    the spectral density of the process [num(z) / den(z)] eps."""
     scalar = np.isscalar(lam) or np.ndim(lam) == 0
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if fit.p == 0:
-        out = np.full_like(lam, fit.sigma2 / (2.0 * np.pi))
-    else:
-        j = np.arange(1, fit.p + 1)
-        transfer = 1.0 - np.exp(-1j * np.outer(lam, j)) @ fit.a
-        out = fit.sigma2 / (2.0 * np.pi) / np.abs(transfer) ** 2
+    num = np.atleast_1d(np.asarray(num, dtype=float))
+    den = np.atleast_1d(np.asarray(den, dtype=float))
+    out = sigma2 / (2.0 * np.pi) * np.abs(_transfer(num, lam)) ** 2 / np.abs(_transfer(den, lam)) ** 2
     return float(out[0]) if scalar else out
+
+
+def ar_spectral_density(fit: ARFit, lam) -> np.ndarray | float:
+    """f_AR(lambda) = (sigma2 / 2 pi) |1 - sum a_j e^{-i j lambda}|^-2."""
+    return rational_spectral_density([1.0], np.concatenate([[1.0], -fit.a]), fit.sigma2, lam)
 
 
 def linear_process_spectral_density(b, sigma2: float, lam) -> np.ndarray | float:
     """f(lambda) = (sigma2 / 2 pi) |1 + sum b_j e^{-i j lambda}|^2."""
-    scalar = np.isscalar(lam) or np.ndim(lam) == 0
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    b = np.asarray(b, dtype=float)
-    if b.size == 0:
-        out = np.full_like(lam, sigma2 / (2.0 * np.pi))
-    else:
-        j = np.arange(1, b.size + 1)
-        transfer = 1.0 + np.exp(-1j * np.outer(lam, j)) @ b
-        out = sigma2 / (2.0 * np.pi) * np.abs(transfer) ** 2
-    return float(out[0]) if scalar else out
+    return rational_spectral_density(np.concatenate([[1.0], np.asarray(b, dtype=float)]), [1.0],
+                                     sigma2, lam)

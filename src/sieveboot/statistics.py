@@ -2,10 +2,11 @@
 Monte Carlo truth runs.
 
 Each statistic knows three things: how to evaluate itself on a path, the exact
-centering value implied by an autoregressive model (coefficients a, innovation
-variance sigma2) -- used for bootstrap and companion laws -- and its scaling
-rate c_n. Frequency-domain centers are computed with the same Fourier-grid
-quadrature as the statistic itself, so discretization cancels.
+centering value implied by a rational filter X = [num(z) / den(z)] eps with
+innovation variance sigma2 -- the fitted sieve, the companion process or the
+data-generating model -- and its scaling rate c_n. Frequency-domain centers
+are computed with the same Fourier-grid quadrature as the statistic itself,
+so discretization cancels.
 """
 from __future__ import annotations
 
@@ -15,25 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dgp
-from .ar import ARFit
-from .companion import ar_model_acvf
-from .series import (
-    ACVF,
-    Series,
-    StatisticDescriptor,
-    generalized_mean_statistic,
-    sample_acf,
-    sample_acvf,
-    sample_mean,
-)
+from .companion import rational_acvf
+from .series import ACVF, Series, sample_acf, sample_acvf, sample_mean
 from .spectral import (
     KernelSpec,
     WeightFunction,
-    ar_spectral_density,
     cosine_weight,
     fourier_quadrature,
     kernel_spectral_estimate,
-    linear_process_spectral_density,
+    rational_spectral_density,
 )
 
 __all__ = [
@@ -44,8 +35,8 @@ __all__ = [
     "IntegratedPeriodogramStatistic",
     "RatioStatistic",
     "SpectralDensityStatistic",
-    "GeneralizedMeanStatistic",
     "statistic_from_config",
+    "second_order_filter",
     "theoretical_acvf",
     "theoretical_spectral_density",
     "true_center",
@@ -63,9 +54,9 @@ class Statistic:
     def evaluate(self, s: Series) -> float:
         raise NotImplementedError
 
-    def model_center(self, a, sigma2: float, n: int):
-        """Exact statistic value for the AR model (a, sigma2), or None if the
-        engine must estimate it by auxiliary simulation."""
+    def model_center(self, num, den, sigma2: float, n: int) -> float:
+        """Exact statistic value for the process [num(z) / den(z)] eps with
+        Var(eps) = sigma2."""
         raise NotImplementedError
 
 
@@ -76,7 +67,7 @@ class MeanStatistic(Statistic):
     def evaluate(self, s: Series) -> float:
         return sample_mean(s)
 
-    def model_center(self, a, sigma2, n):
+    def model_center(self, num, den, sigma2, n):
         return 0.0
 
 
@@ -92,8 +83,8 @@ class AcvfStatistic(Statistic):
     def evaluate(self, s: Series) -> float:
         return sample_acvf(s, self.h, centered=True)[self.h]
 
-    def model_center(self, a, sigma2, n):
-        return ar_model_acvf(a, sigma2, self.h)[self.h]
+    def model_center(self, num, den, sigma2, n):
+        return rational_acvf(num, den, sigma2, self.h)[self.h]
 
 
 @dataclass
@@ -110,8 +101,8 @@ class AcfStatistic(Statistic):
     def evaluate(self, s: Series) -> float:
         return float(sample_acf(s, self.h)[self.h])
 
-    def model_center(self, a, sigma2, n):
-        gamma = ar_model_acvf(a, sigma2, self.h)
+    def model_center(self, num, den, sigma2, n):
+        gamma = rational_acvf(num, den, sigma2, self.h)
         return gamma[self.h] / gamma[0]
 
 
@@ -133,10 +124,10 @@ class IntegratedPeriodogramStatistic(Statistic):
 
         return integrated_periodogram(s, self.phi)
 
-    def model_center(self, a, sigma2, n):
+    def model_center(self, num, den, sigma2, n):
         freqs, w = fourier_quadrature(n)
-        fit = ARFit(p=len(np.atleast_1d(a)), a=np.atleast_1d(a), sigma2=sigma2, source="theoretical")
-        return _grid_functional(ar_spectral_density(fit, freqs), self.phi, freqs, w)
+        fv = rational_spectral_density(num, den, sigma2, freqs)
+        return _grid_functional(fv, self.phi, freqs, w)
 
 
 @dataclass
@@ -153,10 +144,9 @@ class RatioStatistic(Statistic):
 
         return ratio_statistic(s, self.phi)
 
-    def model_center(self, a, sigma2, n):
+    def model_center(self, num, den, sigma2, n):
         freqs, w = fourier_quadrature(n)
-        fit = ARFit(p=len(np.atleast_1d(a)), a=np.atleast_1d(a), sigma2=sigma2, source="theoretical")
-        fv = ar_spectral_density(fit, freqs)
+        fv = rational_spectral_density(num, den, sigma2, freqs)
         return _grid_functional(fv, self.phi, freqs, w) / float(np.dot(w, fv))
 
 
@@ -178,37 +168,14 @@ class SpectralDensityStatistic(Statistic):
     def evaluate(self, s: Series) -> float:
         return kernel_spectral_estimate(s, self.kernel, self.lam)
 
-    def model_center(self, a, sigma2, n):
-        fit = ARFit(p=len(np.atleast_1d(a)), a=np.atleast_1d(a), sigma2=sigma2, source="theoretical")
-        return ar_spectral_density(fit, self.lam)
-
-
-@dataclass
-class GeneralizedMeanStatistic(Statistic):
-    """Wrapper for an arbitrary generalized-mean descriptor.
-
-    No closed-form model center exists in general; returning None makes the
-    engines fall back to auxiliary long-path simulation.
-    """
-
-    descriptor: StatisticDescriptor = None
-
-    def __post_init__(self):
-        self.name = self.descriptor.name
-
-    def evaluate(self, s: Series) -> float:
-        return generalized_mean_statistic(s, self.descriptor)
-
-    def model_center(self, a, sigma2, n):
-        return None
+    def model_center(self, num, den, sigma2, n):
+        return rational_spectral_density(num, den, sigma2, self.lam)
 
 
 def statistic_from_config(cfg) -> Statistic:
     """Build a statistic from a config mapping {name, lag?, lambda?, bandwidth?}."""
     if isinstance(cfg, Statistic):
         return cfg
-    if isinstance(cfg, StatisticDescriptor):
-        return GeneralizedMeanStatistic(descriptor=cfg)
     cfg = dict(cfg)
     name = cfg.pop("name")
     if name == "mean":
@@ -232,57 +199,31 @@ def statistic_from_config(cfg) -> Statistic:
     return stat
 
 
+def second_order_filter(model):
+    """(num, den, sigma2): a rational filter [num(z) / den(z)] eps with the
+    autocovariances of a DGP model. ARCH(1) is white noise in this sense."""
+    if isinstance(model, dgp.LinearModel):
+        return (np.concatenate([[1.0], np.asarray(model.b, dtype=float)]), np.ones(1),
+                model.innovations.scale ** 2)
+    if isinstance(model, dgp.ARModel):
+        return (np.ones(1), np.concatenate([[1.0], -np.asarray(model.a, dtype=float)]),
+                model.innovations.scale ** 2)
+    if isinstance(model, dgp.Arch1Model):
+        return np.ones(1), np.ones(1), model.omega / (1.0 - model.alpha1)
+    raise TypeError(f"unsupported model type {type(model).__name__}")
+
+
 def theoretical_acvf(model, maxlag: int) -> ACVF:
     """Exact autocovariances of a DGP model."""
-    if isinstance(model, dgp.LinearModel):
-        b = np.concatenate([[1.0], np.asarray(model.b, dtype=float)])
-        sigma2 = model.innovations.scale ** 2
-        gamma = np.array([
-            sigma2 * np.dot(b[: b.size - h], b[h:]) if h < b.size else 0.0
-            for h in range(maxlag + 1)
-        ])
-        return ACVF(gamma=gamma, kind="theoretical")
-    if isinstance(model, dgp.ARModel):
-        return ar_model_acvf(np.asarray(model.a), model.innovations.scale ** 2, maxlag)
-    if isinstance(model, dgp.Arch1Model):
-        gamma = np.zeros(maxlag + 1)
-        gamma[0] = model.omega / (1.0 - model.alpha1)
-        return ACVF(gamma=gamma, kind="theoretical")
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    return rational_acvf(*second_order_filter(model), maxlag)
 
 
 def theoretical_spectral_density(model):
     """Exact spectral density of a DGP model, as a callable of frequency."""
-    if isinstance(model, dgp.LinearModel):
-        b = np.asarray(model.b, dtype=float)
-        sigma2 = model.innovations.scale ** 2
-        return lambda lam: linear_process_spectral_density(b, sigma2, lam)
-    if isinstance(model, dgp.ARModel):
-        fit = ARFit(p=model.p, a=np.asarray(model.a), sigma2=model.innovations.scale ** 2,
-                    source="theoretical")
-        return lambda lam: ar_spectral_density(fit, lam)
-    if isinstance(model, dgp.Arch1Model):
-        level = model.omega / (1.0 - model.alpha1) / (2.0 * np.pi)
-        return lambda lam: np.full_like(np.asarray(lam, dtype=float), level) if np.ndim(lam) else level
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    num, den, sigma2 = second_order_filter(model)
+    return lambda lam: rational_spectral_density(num, den, sigma2, lam)
 
 
 def true_center(statistic: Statistic, model, n: int) -> float:
     """Exact population value of the statistic under the true DGP."""
-    if isinstance(statistic, MeanStatistic):
-        return 0.0
-    if isinstance(statistic, AcvfStatistic):
-        return theoretical_acvf(model, statistic.h)[statistic.h]
-    if isinstance(statistic, AcfStatistic):
-        gamma = theoretical_acvf(model, statistic.h)
-        return gamma[statistic.h] / gamma[0]
-    freqs, w = fourier_quadrature(n)
-    f = theoretical_spectral_density(model)
-    fv = np.asarray(f(freqs), dtype=float)
-    if isinstance(statistic, IntegratedPeriodogramStatistic):
-        return _grid_functional(fv, statistic.phi, freqs, w)
-    if isinstance(statistic, RatioStatistic):
-        return _grid_functional(fv, statistic.phi, freqs, w) / float(np.dot(w, fv))
-    if isinstance(statistic, SpectralDensityStatistic):
-        return float(f(statistic.lam))
-    raise TypeError(f"no analytic center for {statistic.name}")
+    return statistic.model_center(*second_order_filter(model), n)

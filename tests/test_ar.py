@@ -111,6 +111,11 @@ class TestMinModulus:
         # root at 0.5: positive minimum on the disk of radius 0.3
         assert min_modulus_on_disk(np.array([2.0]), 0.3) == pytest.approx(0.4)
 
+    def test_tiny_trailing_coefficient_is_no_root_in_disk(self):
+        # 1 - 0.5 z - c z^2 with tiny c has roots near 2 and near -1/(2c)
+        for c in (1e-20, 1.7e-51, 1e-300):
+            assert min_modulus_on_disk(np.array([0.5, c]), 1.0) == pytest.approx(0.5)
+
     def test_matches_dense_grid(self):
         rng = np.random.default_rng(21)
         for trial in range(25):

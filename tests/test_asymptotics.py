@@ -104,10 +104,14 @@ class TestFrequencyDomain:
 
     def test_spectral_variance_boundary_doubling(self):
         k = KernelSpec(bandwidth=0.4)
-        interior = spectral_estimator_variance(1.7, False, k)
-        boundary = spectral_estimator_variance(1.7, True, k)
-        assert boundary == pytest.approx(2.0 * interior)
-        assert interior == pytest.approx(1.7 ** 2 * 3.0 / (5 * np.pi) / (2 * np.pi))
+        assert spectral_estimator_variance(1.7, True, k) == pytest.approx(
+            2.0 * spectral_estimator_variance(1.7, False, k))
+        # MA(1) worked example, f = (5 - 4 cos l) / (2 pi): 2 pi f^2 int K^2 with
+        # int K^2 = 3 / (5 pi) is 7.5 / pi^2 at pi/2 and, doubled, 48.6 / pi^2 at pi
+        interior = spectral_estimator_variance(5.0 / (2 * np.pi), False, k)
+        boundary = spectral_estimator_variance(9.0 / (2 * np.pi), True, k)
+        assert interior == pytest.approx(0.760, abs=5e-4)
+        assert boundary == pytest.approx(4.924, abs=5e-4)
 
     def test_spectral_bias_regimes(self):
         k = KernelSpec(bandwidth=0.4)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from sieveboot.companion import (
     CompanionSpec,
@@ -8,10 +11,12 @@ from sieveboot.companion import (
     companion_distribution,
     ma1_companion_spec,
     parametric_companion_spec,
+    rational_acvf,
     resampling_companion_spec,
 )
 from sieveboot.ar import InversionError, true_ar_coefficients_ma1
-from sieveboot.dgp import InnovationSpec
+from sieveboot.dgp import ARModel, InnovationSpec, LinearModel, default_burnin, draw_innovations
+from sieveboot.experiment import companion_spec_for
 from sieveboot.series import sample_acvf
 from sieveboot.statistics import AcvfStatistic, MeanStatistic
 
@@ -19,18 +24,20 @@ from sieveboot.statistics import AcvfStatistic, MeanStatistic
 class TestSpec:
     def test_unstable_coefficients_rejected(self):
         with pytest.raises(InversionError):
-            parametric_companion_spec(np.array([1.5]), InnovationSpec())
+            parametric_companion_spec([1.0], [1.0, -1.5], InnovationSpec())
+        with pytest.raises(InversionError):
+            parametric_companion_spec([1.0, -2.0], [1.0], InnovationSpec())
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ValueError):
-            CompanionSpec(a=np.zeros(0), innovation_source="mystery", payload=None)
+            CompanionSpec(num=[1.0], den=[1.0], innovation_source="mystery", payload=None)
 
     def test_innovation_variance_parametric(self):
-        spec = parametric_companion_spec(np.zeros(0), InnovationSpec(scale=2.0))
+        spec = parametric_companion_spec([1.0], [1.0], InnovationSpec(scale=2.0))
         assert spec.innovation_variance == 4.0
 
     def test_innovation_variance_record(self):
-        spec = resampling_companion_spec(np.zeros(0), np.array([1.0, -1.0, 1.0, -1.0]))
+        spec = resampling_companion_spec([1.0], [1.0], np.array([1.0, -1.0, 1.0, -1.0]))
         assert spec.innovation_variance == pytest.approx(1.0)
 
 
@@ -51,6 +58,78 @@ class TestModelAcvf:
         assert np.allclose(g.gamma, [5.0, -2.0, 0.0, 0.0, 0.0], atol=1e-10)
 
 
+# Reciprocal roots strictly inside the unit disk: prod_i (1 - r_i z) = np.poly(r)
+# then has every root outside the closed unit disk.
+reciprocal_roots = st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=3)
+scales = st.floats(0.2, 3.0)
+families = st.sampled_from(["gaussian", "centered_exponential", "centered_uniform"])
+
+
+def _ar_acvf_by_yule_walker(a, sigma2, maxlag):
+    """gamma(0..maxlag) of a causal AR(p) from the exact (p+1)-equation
+    Yule-Walker system, then the AR recursion."""
+    p = a.size
+    m = np.eye(p + 1)
+    for h in range(p + 1):
+        for k in range(1, p + 1):
+            m[h, abs(h - k)] -= a[k - 1]
+    gamma = list(np.linalg.solve(m, np.eye(p + 1)[0] * sigma2))
+    for h in range(p + 1, maxlag + 1):
+        gamma.append(sum(a[k - 1] * gamma[h - k] for k in range(1, p + 1)))
+    return np.array(gamma[: maxlag + 1])
+
+
+class TestRationalFilterProperties:
+    """The companion process shares the second-order structure of the model."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(reciprocal_roots, scales)
+    def test_invertible_ma_companion_acvf(self, roots, scale):
+        b = np.poly(roots)[1:]
+        spec = companion_spec_for(LinearModel(b=tuple(b), innovations=InnovationSpec(scale=scale)), 0)
+        got = rational_acvf(spec.num, spec.den, spec.innovation_variance, 6).gamma
+        c = np.concatenate([[1.0], b])
+        want = scale ** 2 * np.correlate(c, c, "full")[b.size:]
+        assert np.allclose(got[: want.size], want, rtol=1e-12, atol=1e-12)
+        assert np.all(got[want.size:] == 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(reciprocal_roots, scales)
+    def test_stable_ar_companion_acvf(self, roots, scale):
+        a = -np.poly(roots)[1:]
+        spec = companion_spec_for(ARModel(a=tuple(a), innovations=InnovationSpec(scale=scale)), 0)
+        got = rational_acvf(spec.num, spec.den, spec.innovation_variance, 8).gamma
+        want = _ar_acvf_by_yule_walker(a, scale ** 2, 8)
+        assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * want[0])
+
+    def test_ma1_example_companion_acvf(self):
+        spec = ma1_companion_spec(record_length=1000, seed=0)
+        got = rational_acvf(spec.num, spec.den, 4.0, 5).gamma
+        assert np.array_equal(got, [5.0, -2.0, 0.0, 0.0, 0.0, 0.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-0.9, 0.9), max_size=3), st.integers(1, 300),
+           st.integers(0, 2 ** 32 - 1), families)
+    def test_finite_filter_path_is_a_hand_fir(self, roots, n, seed, family):
+        num = np.atleast_1d(np.poly(roots))
+        q = num.size - 1
+        innovations = InnovationSpec(family)
+        spec = parametric_companion_spec(num, [1.0], innovations)
+        x = build_companion(spec, n, seed).values
+        e = draw_innovations(innovations, n + q, seed)
+        want = np.convolve(e, num)[q: n + q]
+        assert x.size == n
+        assert np.allclose(x, want, rtol=0.0, atol=1e-12 * max(1.0, np.abs(e).max()))
+        assert np.array_equal(build_companion(spec, n, seed).values, x)
+
+    def test_recursive_filter_path_keeps_its_burnin(self):
+        den = np.array([1.0, -0.5, 0.2])
+        spec = parametric_companion_spec([1.0], den, InnovationSpec())
+        burnin = default_burnin(2)
+        want = lfilter([1.0], den, draw_innovations(InnovationSpec(), 300 + burnin, 11))[burnin:]
+        assert np.array_equal(build_companion(spec, 300, 11).values, want)
+
+
 @pytest.fixture(scope="module")
 def spec():
     return ma1_companion_spec(InnovationSpec("centered_exponential"), 200_000, seed=3)
@@ -58,7 +137,9 @@ def spec():
 
 class TestMa1Companion:
     def test_coefficients(self, spec):
-        assert np.allclose(spec.a, true_ar_coefficients_ma1(60))
+        # the companion of X = e - 2 e_{-1} is exactly the MA(1) (1 - z/2) eps
+        assert np.array_equal(spec.num, [1.0, -0.5])
+        assert np.array_equal(spec.den, [1.0])
 
     def test_record_moments(self, spec):
         record = np.asarray(spec.payload)
@@ -83,17 +164,17 @@ class TestMa1Companion:
 
 class TestDistribution:
     def test_mean_statistic_centered_near_zero(self):
-        spec = parametric_companion_spec(np.array([0.5]), InnovationSpec())
+        spec = parametric_companion_spec([1.0], [1.0, -0.5], InnovationSpec())
         res = companion_distribution(spec, MeanStatistic(), n=400, M=400, seed=6)
         assert res.theta_tilde == 0.0
         assert abs(res.law.mean()) < 0.3
 
     def test_acvf_center_is_model_value(self):
-        spec = parametric_companion_spec(np.array([0.5]), InnovationSpec())
+        spec = parametric_companion_spec([1.0], [1.0, -0.5], InnovationSpec())
         res = companion_distribution(spec, AcvfStatistic(0), n=400, M=300, seed=7)
         assert res.theta_tilde == pytest.approx(1.0 / 0.75)
 
     def test_minimum_replications(self):
-        spec = parametric_companion_spec(np.zeros(0), InnovationSpec())
+        spec = parametric_companion_spec([1.0], [1.0], InnovationSpec())
         with pytest.raises(ValueError):
             companion_distribution(spec, MeanStatistic(), n=400, M=50, seed=8)

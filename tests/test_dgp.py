@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from scipy.signal import freqz
 
 from sieveboot.dgp import (
+    MA1_WOLD_FILTER,
     VE_FILTER_LAG,
     Arch1Model,
     ARModel,
@@ -89,6 +91,11 @@ class TestMa1Example:
         x, _, ve = ma1_example(5000, seed=6)
         recon = ve.values[1:] - 0.5 * ve.values[:-1]
         assert np.max(np.abs(x.values[1:] - recon)) < 1e-10
+
+    def test_wold_filter_is_all_pass_with_gain_two(self):
+        lam = np.linspace(0.0, np.pi, 257)
+        _, response = freqz(*MA1_WOLD_FILTER, worN=lam)
+        assert np.allclose(np.abs(response), 2.0, rtol=1e-12, atol=0.0)
 
     def test_ve_is_white_with_variance_four(self):
         _, _, ve = ma1_example(300_000, seed=7)

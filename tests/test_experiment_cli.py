@@ -1,9 +1,12 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sieveboot import experiment
+from sieveboot.ar import ConditioningError
 from sieveboot.cli import main
 from sieveboot.experiment import (
     ConfigError,
@@ -54,6 +57,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             preset_config("nonexistent")
 
+    def test_every_preset_loads_from_its_json_text(self):
+        for name in list_presets():
+            cfg = preset_config(name)
+            text = json.dumps(dataclasses.asdict(cfg))
+            assert ExperimentConfig.from_json(text) == cfg
+
+    def test_config_loads_from_path(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(TINY_CONFIG))
+        assert ExperimentConfig.from_json(path) == ExperimentConfig.from_json(str(path))
+        assert ExperimentConfig.from_json(path).name == "tiny"
+
     def test_preset_catalog(self):
         names = list_presets()
         assert "acvf0-ma1-exponential" in names
@@ -63,10 +78,10 @@ class TestConfig:
 
 class TestCompanionConstruction:
     def test_invertible_ma_coefficients(self):
-        # X_t = e_t + 0.5 e_{t-1} is invertible: a_j = -(-0.5)^j
+        # X_t = e_t + 0.5 e_{t-1} is invertible: its own companion, (1 + z/2) e
         spec = companion_spec_for(LinearModel(b=(0.5,)), seed=1)
-        want = -((-0.5) ** np.arange(1, 11))
-        assert np.allclose(spec.a[:10], want)
+        assert np.array_equal(spec.num, [1.0, 0.5])
+        assert np.array_equal(spec.den, [1.0])
         assert spec.innovation_source == "parametric"
 
     def test_noninvertible_ma_other_than_worked_example_rejected(self):
@@ -75,13 +90,71 @@ class TestCompanionConstruction:
 
     def test_ar_model_is_its_own_companion(self):
         spec = companion_spec_for(ARModel(a=(0.5, -0.2)), seed=1)
-        assert np.allclose(spec.a, [0.5, -0.2])
+        assert np.array_equal(spec.num, [1.0])
+        assert np.array_equal(spec.den, [1.0, -0.5, 0.2])
 
     def test_arch_companion_is_resampled_white_noise(self):
         spec = companion_spec_for(Arch1Model(omega=1.0, alpha1=0.3), seed=1)
-        assert spec.a.size == 0
+        assert np.array_equal(spec.num, [1.0])
+        assert np.array_equal(spec.den, [1.0])
         assert spec.innovation_source == "residual_resample"
         assert spec.innovation_variance == pytest.approx(1.0 / 0.7, rel=0.05)
+
+
+ARCH_ACVF_CONFIG = {
+    **TINY_CONFIG,
+    "name": "arch-acvf",
+    "dgp": {"family": "arch1", "coefficients": [1.0, 0.3]},
+    "checks": [
+        {"id": "truth-vs-linear", "kind": "var_close", "method": "truth",
+         "target_id": "acvf_variance_linear", "tol": 0.15},
+    ],
+}
+
+BAD_CHECKS = [
+    ({"id": "c1", "kind": "var_between", "method": "truth"}, "unknown kind"),
+    ({"id": "c1", "kind": "var_close", "method": "truth", "tol": 0.1}, "missing fields"),
+    ({"id": "c1", "kind": "var_close", "method": "bootstap",
+      "target_id": "acvf_variance_companion", "tol": 0.1}, "unknown method"),
+    ({"id": "c1", "kind": "var_ratio", "num": "truth", "den": "orcale",
+      "lo": 0.5, "hi": 2.0}, "unknown den"),
+    ({"id": "c1", "kind": "dk_le", "pair": "truth_bootstrap", "bound": 0.1}, "unknown pair"),
+    ({"kind": "dk_le", "pair": "bootstrap_truth", "bound": 0.1}, "no id"),
+]
+
+
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("a path was simulated before the config was validated")
+
+
+class TestFailFast:
+    def test_missing_target_rejected_before_simulation(self, monkeypatch):
+        monkeypatch.setattr(experiment, "simulate_model", _no_simulation)
+        with pytest.raises(ConfigError, match="truth-vs-linear.*acvf_variance_linear"):
+            run_experiment(ExperimentConfig.from_json(ARCH_ACVF_CONFIG))
+
+    @pytest.mark.parametrize("check, message", BAD_CHECKS)
+    def test_bad_check_rejected_before_simulation(self, monkeypatch, check, message):
+        monkeypatch.setattr(experiment, "simulate_model", _no_simulation)
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(ExperimentConfig.from_json({**TINY_CONFIG, "checks": [check]}))
+
+    def test_cli_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiment, "simulate_model", _no_simulation)
+        cfg_path = tmp_path / "arch.json"
+        cfg_path.write_text(json.dumps(ARCH_ACVF_CONFIG))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "truth-vs-linear" in err
+        assert "Traceback" not in err
+
+    def test_cli_maps_arithmetic_errors_to_exit_2(self, capsys, monkeypatch):
+        def ill_conditioned(*args, **kwargs):
+            raise ConditioningError("prediction variance collapsed at order 3")
+
+        monkeypatch.setattr("sieveboot.cli.run_experiment", ill_conditioned)
+        assert main(["preset", "mean-ma1-exponential"]) == 2
+        assert "prediction variance collapsed" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
