@@ -45,6 +45,7 @@ from .dgp import (
     ma1_model,
     model_from_json,
     model_to_json,
+    replicate,
     simulate_ar,
     simulate_arch1,
     simulate_linear,
@@ -106,9 +107,6 @@ from .statistics import (
     SpectralDensityStatistic,
     Statistic,
     statistic_from_config,
-    theoretical_acvf,
-    theoretical_spectral_density,
-    true_center,
 )
 from .experiment import (
     ConfigError,

@@ -85,8 +85,7 @@ def _cmd_asymptotics(args) -> int:
     stat_doc = args.statistic.strip()
     stat_cfg = json.loads(stat_doc) if stat_doc.startswith("{") else {"name": stat_doc}
     statistic = statistic_from_config(stat_cfg)
-    config = ExperimentConfig(name="asymptotics", dgp={}, statistic=stat_cfg)
-    targets = compute_targets(model, statistic, config)
+    targets = compute_targets(model, statistic)
     if not targets:
         print(f"no closed-form targets for statistic {statistic.name!r} under this model")
         return 1

@@ -7,6 +7,8 @@ A companion process is carried as the exact rational filter
 X = [num(z) / den(z)] eps, with num and den polynomials in the backshift z
 starting at 1 and with no root in the closed unit disk; num(z) / den(z) is
 then the MA(infinity) form of the AR(infinity) process den(z) / num(z) X = eps.
+The sieve bootstrap process is itself such a companion: the fitted filter
+1 / (1 - sum a_k z^k) driven by residuals resampled i.i.d.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from scipy.signal import lfilter
 
 from . import dgp
 from .ar import InversionError, invert_ar_polynomial, min_modulus_on_disk
-from .series import ACVF, EmpiricalLaw, Series, ecdf
+from .series import ACVF, EmpiricalLaw, Series
 
 __all__ = [
     "CompanionSpec",
@@ -71,6 +73,13 @@ class CompanionSpec:
             return float(self.payload.scale ** 2)
         record = np.asarray(self.payload, dtype=float)
         return float(np.mean(record ** 2) - np.mean(record) ** 2)
+
+    @property
+    def filter(self):
+        return self.num, self.den, self.innovation_variance
+
+    def simulate(self, n: int, seed: dgp.SeedLike) -> Series:
+        return build_companion(self, n, seed)
 
 
 @dataclass(frozen=True)
@@ -161,8 +170,7 @@ def build_companion(spec: CompanionSpec, n: int, seed: dgp.SeedLike) -> Series:
     p, q = spec.den.size - 1, spec.num.size - 1
     burnin = dgp.default_burnin(p) if p else q
     eps = _draw_companion_innovations(spec, n + burnin, seed)
-    x = lfilter(spec.num, spec.den, eps)[burnin:]
-    return Series(x, origin="companion")
+    return Series(lfilter(spec.num, spec.den, eps)[burnin:])
 
 
 def companion_distribution(spec: CompanionSpec, statistic, n: int, M: int, seed: dgp.SeedLike) -> OracleResult:
@@ -174,11 +182,5 @@ def companion_distribution(spec: CompanionSpec, statistic, n: int, M: int, seed:
     """
     if M < 200:
         raise ValueError("M must be at least 200")
-    theta = statistic.model_center(spec.num, spec.den, spec.innovation_variance, n)
-    rate = statistic.rate(n)
-    vals = np.empty(M)
-    for i in range(M):
-        x = build_companion(spec, n, dgp.derive_seed(seed, 1, i))
-        vals[i] = statistic.evaluate(x)
-    return OracleResult(law=ecdf(rate * (vals - theta)), M=M, theta_tilde=float(theta),
-                        statistic=statistic.name)
+    law, theta = dgp.replicate(spec, statistic, n, M, seed, dgp.KEY_ORACLE)
+    return OracleResult(law=law, M=M, theta_tilde=theta, statistic=statistic.name)

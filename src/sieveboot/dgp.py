@@ -1,5 +1,12 @@
 """Data-generating processes: linear MA/AR models, the noninvertible MA(1)
-worked example with its Wold innovations, and ARCH(1).
+worked example with its Wold innovations, and ARCH(1); and the one
+replication loop, ``replicate``, shared by the bootstrap, the oracle and the
+truth.
+
+Process protocol: a process -- a DGP model here, a ``CompanionSpec`` or a
+fitted ``SieveModel`` -- has ``filter``, the rational filter
+(num, den, sigma2) of X = [num(z) / den(z)] eps with Var(eps) = sigma2 that
+carries its second-order structure, and ``simulate(n, seed)``, one path.
 
 Seeding: every simulator is deterministic given (model, n, seed). Distinct
 replications must use distinct derived seeds; the canonical derivation rule is
@@ -17,7 +24,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .ar import min_modulus_on_disk
-from .series import Series
+from .series import Series, ecdf
 
 __all__ = [
     "StabilityError",
@@ -28,6 +35,7 @@ __all__ = [
     "MA1_WOLD_FILTER",
     "VE_FILTER_LAG",
     "derive_seed",
+    "replicate",
     "rng_from",
     "draw_innovations",
     "simulate_linear",
@@ -59,6 +67,11 @@ _RAW_FOURTH_RATIO = {
 
 SeedLike = Union[int, np.random.SeedSequence]
 
+# Spawn-key namespaces of derived seeds: bootstrap replications, oracle
+# replications, truth replications, the companion's innovation record and the
+# observed data realization.
+KEY_BOOT, KEY_ORACLE, KEY_TRUTH, KEY_COMPANION_RECORD, KEY_DATA = 0, 1, 2, 5, 9
+
 
 class StabilityError(ValueError):
     """Raised when an AR polynomial has a root in the closed unit disk."""
@@ -73,6 +86,17 @@ def derive_seed(base: SeedLike, *indices: int) -> np.random.SeedSequence:
         entropy = int(base)
         key = tuple(indices)
     return np.random.SeedSequence(entropy=entropy, spawn_key=key)
+
+
+def replicate(process, statistic, n: int, count: int, seed: SeedLike, key: int):
+    """(law, theta): the law of rate(n) (T - theta) over ``count`` paths of
+    ``process``, path i simulated from ``derive_seed(seed, key, i)``, where
+    theta is the statistic's exact value under ``process.filter``."""
+    theta = statistic.model_center(*process.filter, n)
+    vals = np.empty(count)
+    for i in range(count):
+        vals[i] = statistic.evaluate(process.simulate(n, derive_seed(seed, key, i)))
+    return ecdf(statistic.rate(n) * (vals - theta)), float(theta)
 
 
 def rng_from(seed: SeedLike) -> np.random.Generator:
@@ -121,6 +145,13 @@ class LinearModel:
     def q(self) -> int:
         return len(self.b)
 
+    @property
+    def filter(self):
+        return np.concatenate([[1.0], self.b]), np.ones(1), self.innovations.scale ** 2
+
+    def simulate(self, n: int, seed: SeedLike) -> Series:
+        return simulate_linear(self, n, seed)[0]
+
 
 @dataclass(frozen=True)
 class ARModel:
@@ -139,6 +170,14 @@ class ARModel:
     def p(self) -> int:
         return len(self.a)
 
+    @property
+    def filter(self):
+        den = np.concatenate([[1.0], -np.asarray(self.a)])
+        return np.ones(1), den, self.innovations.scale ** 2
+
+    def simulate(self, n: int, seed: SeedLike) -> Series:
+        return simulate_ar(self, n, seed)
+
 
 @dataclass(frozen=True)
 class Arch1Model:
@@ -154,6 +193,14 @@ class Arch1Model:
             raise ValueError("alpha1 must lie in [0, 1)")
         if 3.0 * self.alpha1 ** 2 >= 1.0:
             raise ValueError("finite fourth moment requires 3*alpha1^2 < 1")
+
+    @property
+    def filter(self):
+        """White noise in the second-order sense, with the stationary variance."""
+        return np.ones(1), np.ones(1), self.omega / (1.0 - self.alpha1)
+
+    def simulate(self, n: int, seed: SeedLike) -> Series:
+        return simulate_arch1(self, n, seed)
 
 
 def draw_innovations(spec: InnovationSpec, n: int, seed: SeedLike) -> np.ndarray:
@@ -182,10 +229,7 @@ def simulate_linear(model: LinearModel, n: int, seed: SeedLike):
     q = model.q
     e_full = draw_innovations(model.innovations, n + q, seed)
     x = lfilter(np.concatenate([[1.0], model.b]), [1.0], e_full)[q:]
-    return (
-        Series(x, origin=f"linear(b={model.b}, {model.innovations.family})"),
-        Series(e_full[q:], origin="innovations"),
-    )
+    return Series(x), Series(e_full[q:])
 
 
 def simulate_ar(model: ARModel, n: int, seed: SeedLike, burnin: int | None = None) -> Series:
@@ -196,7 +240,7 @@ def simulate_ar(model: ARModel, n: int, seed: SeedLike, burnin: int | None = Non
         raise ValueError("burnin must be nonnegative")
     e = draw_innovations(model.innovations, n + burnin, seed)
     x = lfilter([1.0], np.concatenate([[1.0], -np.asarray(model.a)]), e)[burnin:]
-    return Series(x, origin=f"ar(p={model.p}, {model.innovations.family})")
+    return Series(x)
 
 
 def ma1_model(innovations: InnovationSpec | None = None) -> LinearModel:
@@ -219,11 +263,7 @@ def ma1_example(n: int, seed: SeedLike, innovations: InnovationSpec | None = Non
     e_full = draw_innovations(model.innovations, n + q, seed)
     x = lfilter(np.concatenate([[1.0], model.b]), [1.0], e_full)[q:]
     ve = lfilter(*MA1_WOLD_FILTER, e_full)[q:]
-    return (
-        Series(x, origin="ma1-example"),
-        Series(e_full[q:], origin="innovations"),
-        Series(ve, origin="wold-innovations"),
-    )
+    return Series(x), Series(e_full[q:]), Series(ve)
 
 
 def simulate_arch1(model: Arch1Model, n: int, seed: SeedLike, burnin: int | None = None) -> Series:
@@ -239,7 +279,7 @@ def simulate_arch1(model: Arch1Model, n: int, seed: SeedLike, burnin: int | None
         xt = math.sqrt(omega + alpha1 * prev_sq) * z[t]
         x[t] = xt
         prev_sq = xt * xt
-    return Series(x[burnin:], origin="arch1")
+    return Series(x[burnin:])
 
 
 def model_to_json(model) -> str:

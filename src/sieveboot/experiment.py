@@ -6,9 +6,11 @@ law over fresh companion paths, and the truth law over fresh DGP paths --
 plus the closed-form asymptotic targets, then reports variances, pairwise
 Kolmogorov distances and pass/fail flags.
 
-Every replication consumes a seed derived from (base seed, method key,
-replication index), so results are independent of execution order or batching
-and bit-identical across re-runs.
+All three laws come from ``dgp.replicate`` over a process -- the fitted
+sieve, the companion spec and the DGP model -- so every replication consumes
+a seed derived from (base seed, method key, replication index), and results
+are independent of execution order or batching and bit-identical across
+re-runs.
 """
 from __future__ import annotations
 
@@ -16,21 +18,13 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import dgp
-from .asymptotics import (
-    KurtosisSpec,
-    acvf_asymptotic_variance,
-    bartlett_variance,
-    ma1_companion_kurtosis,
-    mean_asymptotic_variance,
-    ratio_statistic_variance,
-    spectral_estimator_variance,
-)
+from .asymptotics import ma1_companion_kurtosis
 from .companion import (
     CompanionSpec,
     companion_distribution,
@@ -39,19 +33,9 @@ from .companion import (
     resampling_companion_spec,
 )
 from .ar import min_modulus_on_disk
-from .series import ecdf, kolmogorov_distance, ks_critical_value
-from .sieve import KEY_DATA, KEY_TRUTH, OrderRule, bootstrap_distribution
-from .statistics import (
-    AcfStatistic,
-    AcvfStatistic,
-    MeanStatistic,
-    RatioStatistic,
-    SpectralDensityStatistic,
-    statistic_from_config,
-    theoretical_acvf,
-    theoretical_spectral_density,
-    true_center,
-)
+from .series import kolmogorov_distance, ks_critical_value
+from .sieve import OrderRule, bootstrap_distribution
+from .statistics import statistic_from_config
 
 __all__ = [
     "ConfigError",
@@ -73,8 +57,10 @@ _CHECK_FIELDS = {
     "dk_gt": ("pair", "bound"),
 }
 _COMPANION_RECORD_LENGTH = 10 ** 6
-_KEY_COMPANION_RECORD = 5
-_TARGET_TRUNC = 200  # lags carried for theoretical ACVF-based targets
+# JSON kind of each annotated config field type, and how errors name it.
+_FIELD_KINDS = {"str": (str, "a string"), "dict": (dict, "an object"), "int": (int, "an integer"),
+                "tuple": ((list, tuple), "a list"), "bool": (bool, "true or false")}
+_FLOORS = {"n": 100, "B": 200, "M": 200, "R": 200, "seed": 0}
 
 
 class ConfigError(ValueError):
@@ -102,33 +88,49 @@ class ExperimentConfig:
     R: int = 2000
     order_rule: dict = field(default_factory=lambda: {"mode": "aic_capped"})
     seed: int = 20110
-    outputs: str | None = None
     checks: tuple = ()
     expect: dict = field(default_factory=dict)
     bootstrap_valid: bool = True
 
     def __post_init__(self):
-        if self.n < 100:
-            raise ConfigError(f"n must be >= 100, got {self.n}")
-        for label, v in (("B", self.B), ("M", self.M), ("R", self.R)):
-            if v < 200:
-                raise ConfigError(f"{label} must be >= 200, got {v}")
+        """Reject malformed values before anything is simulated; run_experiment
+        validates the checks themselves against the targets."""
+        for f in fields(self):
+            kind, noun = _FIELD_KINDS[f.type]
+            value = getattr(self, f.name)
+            if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+                raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
+        for label, floor in _FLOORS.items():
+            if getattr(self, label) < floor:
+                raise ConfigError(f"{label} must be >= {floor}, got {getattr(self, label)}")
+        extra = set(self.order_rule) - {"mode", "fixed_p"}
+        if extra:
+            raise ConfigError(f"order_rule: unknown keys {sorted(extra)}; known: mode, fixed_p")
+        try:
+            OrderRule(**self.order_rule)
+        except ValueError as exc:
+            raise ConfigError(f"order_rule: {exc}") from exc
+        for i, check in enumerate(self.checks):
+            if not isinstance(check, dict):
+                raise ConfigError(f"check #{i} must be an object, got {check!r}")
+        object.__setattr__(self, "checks", tuple(dict(c) for c in self.checks))
+        ids = {c.get("id") for c in self.checks}
+        for cid, flag in self.expect.items():
+            if cid not in ids:
+                raise ConfigError(f"expect names no check: {cid!r}")
+            if not isinstance(flag, bool):
+                raise ConfigError(f"expect {cid!r} must be true or false, got {flag!r}")
 
     @staticmethod
     def from_json(doc, **overrides) -> "ExperimentConfig":
         doc = dict(load_json(doc))
         doc.update(overrides)
-        allowed = {"name", "dgp", "statistic", "n", "B", "M", "R",
-                   "order_rule", "seed", "outputs", "checks", "expect",
-                   "bootstrap_valid"}
-        extra = set(doc) - allowed
+        extra = set(doc) - {f.name for f in fields(ExperimentConfig)}
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
         missing = {"name", "dgp", "statistic"} - set(doc)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
-        if "checks" in doc:
-            doc["checks"] = tuple(dict(c) for c in doc["checks"])
         return ExperimentConfig(**doc)
 
 
@@ -197,25 +199,14 @@ class Report:
         return rows
 
 
-def simulate_model(model, n: int, seed) :
-    """Fresh realization of a DGP model."""
-    if isinstance(model, dgp.LinearModel):
-        return dgp.simulate_linear(model, n, seed)[0]
-    if isinstance(model, dgp.ARModel):
-        return dgp.simulate_ar(model, n, seed)
-    if isinstance(model, dgp.Arch1Model):
-        return dgp.simulate_arch1(model, n, seed)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
 def _is_ma1_example(model) -> bool:
-    return isinstance(model, dgp.LinearModel) and model.b == (-2.0,)
+    return getattr(model, "b", None) == (-2.0,)
 
 
 def companion_spec_for(model, seed) -> CompanionSpec:
     """Companion process, as an exact rational filter, for models whose
     AR(infinity) form is known."""
-    record_seed = dgp.derive_seed(seed, _KEY_COMPANION_RECORD)
+    record_seed = dgp.derive_seed(seed, dgp.KEY_COMPANION_RECORD)
     if _is_ma1_example(model):
         return ma1_companion_spec(model.innovations, _COMPANION_RECORD_LENGTH, record_seed)
     if isinstance(model, dgp.LinearModel):
@@ -249,33 +240,9 @@ def _innovation_kurtoses(model):
     return None, None
 
 
-def compute_targets(model, statistic, config) -> dict:
+def compute_targets(model, statistic) -> dict:
     """Analytic targets, recomputed from the asymptotics module at run time."""
-    targets = {}
-    gamma = theoretical_acvf(model, _TARGET_TRUNC)
-    kappa_e, kappa_eps = _innovation_kurtoses(model)
-    if isinstance(statistic, MeanStatistic):
-        targets["mean_long_run_variance"] = mean_asymptotic_variance(gamma)
-    elif isinstance(statistic, AcvfStatistic):
-        if kappa_e is not None:
-            targets["acvf_variance_linear"] = acvf_asymptotic_variance(
-                gamma, statistic.h, KurtosisSpec(kappa_e))
-        if kappa_eps is not None:
-            targets["acvf_variance_companion"] = acvf_asymptotic_variance(
-                gamma, statistic.h, KurtosisSpec(kappa_eps))
-    elif isinstance(statistic, AcfStatistic):
-        targets["bartlett_variance"] = bartlett_variance(
-            gamma.gamma / gamma.gamma[0], statistic.h)
-    elif isinstance(statistic, RatioStatistic):
-        f = theoretical_spectral_density(model)
-        targets["ratio_statistic_variance"] = ratio_statistic_variance(f, statistic.phi)
-    elif isinstance(statistic, SpectralDensityStatistic):
-        f = theoretical_spectral_density(model)
-        boundary = statistic.lam < 1e-9 or abs(statistic.lam - math.pi) < 1e-9
-        targets["specdens_nh_variance"] = spectral_estimator_variance(
-            float(f(statistic.lam)), boundary, statistic.kernel)
-        targets["spectral_density_value"] = float(f(statistic.lam))
-    return targets
+    return statistic.targets(*model.filter, *_innovation_kurtoses(model))
 
 
 def _validate_checks(checks, targets: dict) -> None:
@@ -335,21 +302,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     rule = OrderRule(**config.order_rule)
     seed = config.seed
     n = config.n
-    targets = compute_targets(model, statistic, config)
+    targets = compute_targets(model, statistic)
     _validate_checks(config.checks, targets)
     spec = companion_spec_for(model, seed)
 
-    data = simulate_model(model, n, dgp.derive_seed(seed, KEY_DATA))
+    data = model.simulate(n, dgp.derive_seed(seed, dgp.KEY_DATA))
     boot = bootstrap_distribution(data, statistic, config.B, rule, seed)
     oracle = companion_distribution(spec, statistic, n, config.M, seed)
-
-    theta = true_center(statistic, model, n)
-    rate = statistic.rate(n)
-    vals = np.empty(config.R)
-    for r in range(config.R):
-        x = simulate_model(model, n, dgp.derive_seed(seed, KEY_TRUTH, r))
-        vals[r] = statistic.evaluate(x)
-    truth_law = ecdf(rate * (vals - theta))
+    truth_law, _ = dgp.replicate(model, statistic, n, config.R, seed, dgp.KEY_TRUTH)
 
     laws = {"bootstrap": boot.law, "oracle": oracle.law, "truth": truth_law}
     variances = {m: laws[m].variance() for m in _METHODS}

@@ -6,8 +6,8 @@ autocovariance (Toeplitz) matrices positive semidefinite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -37,11 +37,9 @@ class DegenerateSeriesError(ValueError):
 
 @dataclass(frozen=True)
 class Series:
-    """A finite real-valued sample path with provenance metadata."""
+    """A finite real-valued sample path."""
 
     values: np.ndarray
-    origin: str = ""
-    seed: Optional[int] = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)

@@ -2,19 +2,22 @@
 
 Fit a Yule-Walker autoregression of slowly growing order, resample the
 centered residuals i.i.d., regenerate series from the fitted recursion, and
-collect the law of the scaled, model-centered statistic.
+collect the law of the scaled, model-centered statistic. The bootstrap
+process is the residual-resampling companion process of the fitted filter
+1 / (1 - sum a_k z^k).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import dgp
 from .ar import ARFit, residuals, yule_walker_fit
+from .companion import CompanionSpec, build_companion, resampling_companion_spec
 from .series import DegenerateSeriesError, EmpiricalLaw, Series, ecdf, sample_acvf
 from .statistics import statistic_from_config
 
@@ -29,11 +32,6 @@ __all__ = [
     "bootstrap_distribution",
 ]
 
-# Spawn-key namespaces for derived seeds (shared convention with the oracle
-# and truth engines): 0 bootstrap replications, 1 oracle, 2 truth, 9 the
-# observed data realization.
-KEY_BOOT, KEY_ORACLE, KEY_TRUTH, KEY_DATA = 0, 1, 2, 9
-
 
 @dataclass(frozen=True)
 class OrderRule:
@@ -45,8 +43,8 @@ class OrderRule:
     def __post_init__(self):
         if self.mode not in ("fixed", "aic_capped"):
             raise ValueError(f"unknown order rule mode {self.mode!r}")
-        if self.mode == "fixed" and (self.fixed_p is None or self.fixed_p < 1):
-            raise ValueError("fixed mode requires fixed_p >= 1")
+        if self.mode == "fixed" and (not isinstance(self.fixed_p, int) or self.fixed_p < 1):
+            raise ValueError("fixed mode requires an integer fixed_p >= 1")
 
 
 def order_cap(n: int) -> int:
@@ -85,10 +83,23 @@ class SieveModel:
 
     @property
     def residual_variance(self) -> float:
-        """Second moment of the (exactly centered) residual law; this is the
-        innovation variance of the bootstrap process and is used for all
-        model-implied centering quantities."""
+        """Second moment of the (exactly centered) residual law, the
+        innovation variance of the bootstrap process."""
         return float(np.mean(self.residual_law.sample ** 2))
+
+    @cached_property
+    def bootstrap_process(self) -> CompanionSpec:
+        """The fitted filter 1 / (1 - sum a_k z^k) driven by i.i.d. draws
+        from the residual law."""
+        return resampling_companion_spec([1.0], np.concatenate([[1.0], -self.fit.a]),
+                                         self.residual_law.sample)
+
+    @property
+    def filter(self):
+        return self.bootstrap_process.filter
+
+    def simulate(self, n: int, seed: dgp.SeedLike) -> Series:
+        return generate_bootstrap_series(self, n, seed)
 
 
 def fit_sieve(s: Series, rule: OrderRule) -> SieveModel:
@@ -104,16 +115,9 @@ def fit_sieve(s: Series, rule: OrderRule) -> SieveModel:
     return SieveModel(fit=fit, residual_law=ecdf(res), n=s.n, p=p)
 
 
-def generate_bootstrap_series(m: SieveModel, n: int, seed: dgp.SeedLike,
-                              burnin: int | None = None) -> Series:
+def generate_bootstrap_series(m: SieveModel, n: int, seed: dgp.SeedLike) -> Series:
     """One bootstrap path: i.i.d. residual draws drive the fitted recursion."""
-    if burnin is None:
-        burnin = dgp.default_burnin(m.p)
-    rng = dgp.rng_from(seed)
-    resid = m.residual_law.sample
-    e_star = resid[rng.integers(0, resid.size, n + burnin)]
-    x = lfilter([1.0], np.concatenate([[1.0], -m.fit.a]), e_star)[burnin:]
-    return Series(x, origin="sieve-bootstrap")
+    return build_companion(m.bootstrap_process, n, seed)
 
 
 @dataclass(frozen=True)
@@ -139,13 +143,6 @@ def bootstrap_distribution(s: Series, d, B: int, rule: OrderRule,
         raise ValueError("B must be at least 100")
     statistic = statistic_from_config(d)
     model = fit_sieve(s, rule)
-    n = s.n
-    theta = statistic.model_center([1.0], np.concatenate([[1.0], -model.fit.a]),
-                                   model.residual_variance, n)
-    rate = statistic.rate(n)
-    vals = np.empty(B)
-    for b in range(B):
-        x = generate_bootstrap_series(model, n, dgp.derive_seed(seed, KEY_BOOT, b))
-        vals[b] = statistic.evaluate(x)
-    return BootstrapResult(law=ecdf(rate * (vals - theta)), theta_star=float(theta),
-                           B=B, statistic=statistic.name, p_used=model.p)
+    law, theta = dgp.replicate(model, statistic, s.n, B, seed, dgp.KEY_BOOT)
+    return BootstrapResult(law=law, theta_star=theta, B=B, statistic=statistic.name,
+                           p_used=model.p)

@@ -1,12 +1,13 @@
 """Statistics shared by the bootstrap engine, the companion oracle and the
 Monte Carlo truth runs.
 
-Each statistic knows three things: how to evaluate itself on a path, the exact
+Each statistic knows four things: how to evaluate itself on a path, the exact
 centering value implied by a rational filter X = [num(z) / den(z)] eps with
 innovation variance sigma2 -- the fitted sieve, the companion process or the
-data-generating model -- and its scaling rate c_n. Frequency-domain centers
-are computed with the same Fourier-grid quadrature as the statistic itself,
-so discretization cancels.
+data-generating model -- its scaling rate c_n, and the closed-form asymptotic
+variances of its law under such a filter. Frequency-domain centers are
+computed with the same Fourier-grid quadrature as the statistic itself, so
+discretization cancels.
 """
 from __future__ import annotations
 
@@ -15,9 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dgp
+from .asymptotics import (
+    KurtosisSpec,
+    acvf_asymptotic_variance,
+    bartlett_variance,
+    mean_asymptotic_variance,
+    ratio_statistic_variance,
+    spectral_estimator_variance,
+)
 from .companion import rational_acvf
-from .series import ACVF, Series, sample_acf, sample_acvf, sample_mean
+from .series import Series, sample_acf, sample_acvf, sample_mean
 from .spectral import (
     KernelSpec,
     WeightFunction,
@@ -36,15 +44,13 @@ __all__ = [
     "RatioStatistic",
     "SpectralDensityStatistic",
     "statistic_from_config",
-    "second_order_filter",
-    "theoretical_acvf",
-    "theoretical_spectral_density",
-    "true_center",
 ]
+
+_TARGET_TRUNC = 200  # lags carried for theoretical ACVF-based targets
 
 
 class Statistic:
-    """Protocol base; subclasses set ``name`` and override the three hooks."""
+    """Protocol base; subclasses set ``name`` and override the hooks."""
 
     name: str = ""
 
@@ -59,6 +65,12 @@ class Statistic:
         Var(eps) = sigma2."""
         raise NotImplementedError
 
+    def targets(self, num, den, sigma2: float, kappa_e, kappa_eps) -> dict:
+        """Closed-form asymptotic variances of the scaled statistic under the
+        process [num(z) / den(z)] eps, by target id. kappa_e and kappa_eps are
+        the raw- and Wold-innovation excess kurtoses, None where unknown."""
+        return {}
+
 
 @dataclass
 class MeanStatistic(Statistic):
@@ -69,6 +81,10 @@ class MeanStatistic(Statistic):
 
     def model_center(self, num, den, sigma2, n):
         return 0.0
+
+    def targets(self, num, den, sigma2, kappa_e, kappa_eps):
+        gamma = rational_acvf(num, den, sigma2, _TARGET_TRUNC)
+        return {"mean_long_run_variance": mean_asymptotic_variance(gamma)}
 
 
 @dataclass
@@ -85,6 +101,17 @@ class AcvfStatistic(Statistic):
 
     def model_center(self, num, den, sigma2, n):
         return rational_acvf(num, den, sigma2, self.h)[self.h]
+
+    def targets(self, num, den, sigma2, kappa_e, kappa_eps):
+        gamma = rational_acvf(num, den, sigma2, _TARGET_TRUNC)
+        out = {}
+        if kappa_e is not None:
+            out["acvf_variance_linear"] = acvf_asymptotic_variance(
+                gamma, self.h, KurtosisSpec(kappa_e))
+        if kappa_eps is not None:
+            out["acvf_variance_companion"] = acvf_asymptotic_variance(
+                gamma, self.h, KurtosisSpec(kappa_eps))
+        return out
 
 
 @dataclass
@@ -104,6 +131,10 @@ class AcfStatistic(Statistic):
     def model_center(self, num, den, sigma2, n):
         gamma = rational_acvf(num, den, sigma2, self.h)
         return gamma[self.h] / gamma[0]
+
+    def targets(self, num, den, sigma2, kappa_e, kappa_eps):
+        gamma = rational_acvf(num, den, sigma2, _TARGET_TRUNC).gamma
+        return {"bartlett_variance": bartlett_variance(gamma / gamma[0], self.h)}
 
 
 def _grid_functional(f_vals: np.ndarray, phi: WeightFunction, freqs: np.ndarray, w: np.ndarray) -> float:
@@ -149,6 +180,10 @@ class RatioStatistic(Statistic):
         fv = rational_spectral_density(num, den, sigma2, freqs)
         return _grid_functional(fv, self.phi, freqs, w) / float(np.dot(w, fv))
 
+    def targets(self, num, den, sigma2, kappa_e, kappa_eps):
+        return {"ratio_statistic_variance": ratio_statistic_variance(
+            lambda lam: rational_spectral_density(num, den, sigma2, lam), self.phi)}
+
 
 @dataclass
 class SpectralDensityStatistic(Statistic):
@@ -171,13 +206,19 @@ class SpectralDensityStatistic(Statistic):
     def model_center(self, num, den, sigma2, n):
         return rational_spectral_density(num, den, sigma2, self.lam)
 
+    def targets(self, num, den, sigma2, kappa_e, kappa_eps):
+        f = float(rational_spectral_density(num, den, sigma2, self.lam))
+        boundary = self.lam < 1e-9 or abs(self.lam - math.pi) < 1e-9
+        return {"specdens_nh_variance": spectral_estimator_variance(f, boundary, self.kernel),
+                "spectral_density_value": f}
+
 
 def statistic_from_config(cfg) -> Statistic:
     """Build a statistic from a config mapping {name, lag?, lambda?, bandwidth?}."""
     if isinstance(cfg, Statistic):
         return cfg
     cfg = dict(cfg)
-    name = cfg.pop("name")
+    name = cfg.pop("name", None)
     if name == "mean":
         stat = MeanStatistic()
     elif name == "acvf":
@@ -197,33 +238,3 @@ def statistic_from_config(cfg) -> Statistic:
     if cfg:
         raise ValueError(f"unknown statistic keys: {sorted(cfg)}")
     return stat
-
-
-def second_order_filter(model):
-    """(num, den, sigma2): a rational filter [num(z) / den(z)] eps with the
-    autocovariances of a DGP model. ARCH(1) is white noise in this sense."""
-    if isinstance(model, dgp.LinearModel):
-        return (np.concatenate([[1.0], np.asarray(model.b, dtype=float)]), np.ones(1),
-                model.innovations.scale ** 2)
-    if isinstance(model, dgp.ARModel):
-        return (np.ones(1), np.concatenate([[1.0], -np.asarray(model.a, dtype=float)]),
-                model.innovations.scale ** 2)
-    if isinstance(model, dgp.Arch1Model):
-        return np.ones(1), np.ones(1), model.omega / (1.0 - model.alpha1)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
-def theoretical_acvf(model, maxlag: int) -> ACVF:
-    """Exact autocovariances of a DGP model."""
-    return rational_acvf(*second_order_filter(model), maxlag)
-
-
-def theoretical_spectral_density(model):
-    """Exact spectral density of a DGP model, as a callable of frequency."""
-    num, den, sigma2 = second_order_filter(model)
-    return lambda lam: rational_spectral_density(num, den, sigma2, lam)
-
-
-def true_center(statistic: Statistic, model, n: int) -> float:
-    """Exact population value of the statistic under the true DGP."""
-    return statistic.model_center(*second_order_filter(model), n)

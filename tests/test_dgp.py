@@ -5,6 +5,7 @@ import pytest
 from scipy.signal import freqz
 
 from sieveboot.dgp import (
+    KEY_TRUTH,
     MA1_WOLD_FILTER,
     VE_FILTER_LAG,
     Arch1Model,
@@ -18,11 +19,15 @@ from sieveboot.dgp import (
     ma1_model,
     model_from_json,
     model_to_json,
+    replicate,
     rng_from,
     simulate_ar,
     simulate_arch1,
     simulate_linear,
 )
+from sieveboot.companion import parametric_companion_spec
+from sieveboot.sieve import OrderRule, fit_sieve
+from sieveboot.statistics import AcvfStatistic
 
 
 class TestSeeding:
@@ -152,3 +157,26 @@ class TestJson:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             model_from_json({"family": "garch"})
+
+
+# One process of each kind in the process protocol: DGP models, a companion
+# spec and a fitted sieve.
+PROCESSES = {
+    "linear": lambda: ma1_model(InnovationSpec("centered_exponential")),
+    "arch1": lambda: Arch1Model(omega=1.0, alpha1=0.3),
+    "companion": lambda: parametric_companion_spec([1.0, 0.5], [1.0, -0.3],
+                                                   InnovationSpec("centered_uniform")),
+    "sieve": lambda: fit_sieve(simulate_ar(ARModel(a=(0.6,)), 400, 3), OrderRule()),
+}
+
+
+class TestReplicate:
+    @pytest.mark.parametrize("kind", sorted(PROCESSES))
+    def test_law_is_the_per_path_seed_loop(self, kind):
+        # the seed contract: path i of a law is simulated from derive_seed(seed, key, i)
+        process, statistic, n = PROCESSES[kind](), AcvfStatistic(1), 300
+        law, theta = replicate(process, statistic, n, 7, 11, KEY_TRUTH)
+        assert theta == statistic.model_center(*process.filter, n)
+        vals = np.array([statistic.evaluate(process.simulate(n, derive_seed(11, KEY_TRUTH, i)))
+                         for i in range(7)])
+        assert np.array_equal(law.sample, np.sort(statistic.rate(n) * (vals - theta)))

@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sieveboot import experiment
 from sieveboot.ar import ConditioningError
 from sieveboot.cli import main
+from sieveboot.companion import CompanionSpec
 from sieveboot.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -17,6 +17,7 @@ from sieveboot.experiment import (
     run_experiment,
 )
 from sieveboot.dgp import Arch1Model, ARModel, InnovationSpec, LinearModel
+from sieveboot.sieve import SieveModel
 
 SMALL = dict(n=200, B=200, M=200, R=200)
 
@@ -120,6 +121,25 @@ BAD_CHECKS = [
       "lo": 0.5, "hi": 2.0}, "unknown den"),
     ({"id": "c1", "kind": "dk_le", "pair": "truth_bootstrap", "bound": 0.1}, "unknown pair"),
     ({"kind": "dk_le", "pair": "bootstrap_truth", "bound": 0.1}, "no id"),
+    (1, "check #0 must be an object"),
+]
+
+# Malformed config values, as overrides of TINY_CONFIG, and the field each
+# rejection names.
+BAD_VALUES = [
+    ({"order_rule": {"bogus": 1}}, "order_rule: unknown keys"),
+    ({"order_rule": {"mode": "fixed", "fixed_p": "2"}}, "order_rule: .*integer fixed_p"),
+    ({"order_rule": {"mode": "bic"}}, "order_rule: unknown order rule mode"),
+    ({"n": "2000"}, "n must be an integer"),
+    ({"n": 2000.0}, "n must be an integer"),
+    ({"B": True}, "B must be an integer"),
+    ({"M": 300.5}, "M must be an integer"),
+    ({"R": None}, "R must be an integer"),
+    ({"seed": "5"}, "seed must be an integer"),
+    ({"seed": False}, "seed must be an integer"),
+    ({"checks": 1}, "checks must be a list"),
+    ({"expect": {"nonexistent-check": False}}, "expect names no check: 'nonexistent-check'"),
+    ({"expect": {"boot-var": "no"}}, "expect 'boot-var' must be true or false"),
 ]
 
 
@@ -127,20 +147,44 @@ def _no_simulation(*args, **kwargs):
     raise AssertionError("a path was simulated before the config was validated")
 
 
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Fail on any DGP, companion or bootstrap path simulated meanwhile."""
+    for process in (LinearModel, ARModel, Arch1Model, CompanionSpec, SieveModel):
+        monkeypatch.setattr(process, "simulate", _no_simulation)
+
+
 class TestFailFast:
-    def test_missing_target_rejected_before_simulation(self, monkeypatch):
-        monkeypatch.setattr(experiment, "simulate_model", _no_simulation)
+    def test_missing_target_rejected_before_simulation(self, no_simulation):
         with pytest.raises(ConfigError, match="truth-vs-linear.*acvf_variance_linear"):
             run_experiment(ExperimentConfig.from_json(ARCH_ACVF_CONFIG))
 
     @pytest.mark.parametrize("check, message", BAD_CHECKS)
-    def test_bad_check_rejected_before_simulation(self, monkeypatch, check, message):
-        monkeypatch.setattr(experiment, "simulate_model", _no_simulation)
+    def test_bad_check_rejected_before_simulation(self, no_simulation, check, message):
         with pytest.raises(ConfigError, match=message):
             run_experiment(ExperimentConfig.from_json({**TINY_CONFIG, "checks": [check]}))
 
-    def test_cli_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(experiment, "simulate_model", _no_simulation)
+    @pytest.mark.parametrize("override, message", BAD_VALUES)
+    def test_bad_value_rejected_before_simulation(self, no_simulation, override, message):
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(ExperimentConfig.from_json({**TINY_CONFIG, **override}))
+
+    @pytest.mark.parametrize("override, field", [
+        ({"order_rule": {"bogus": 1}}, "order_rule"),
+        ({"n": "2000"}, "n must be"),
+        ({"checks": [1]}, "check #0"),
+        ({"expect": {"nonexistent-check": False}}, "nonexistent-check"),
+        ({"statistic": {}}, "unknown statistic"),
+    ])
+    def test_cli_rejects_malformed_values_with_one_error_line(self, tmp_path, capsys,
+                                                              no_simulation, override, field):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({**TINY_CONFIG, **override}))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+
+    def test_cli_exits_2_without_traceback(self, tmp_path, capsys, no_simulation):
         cfg_path = tmp_path / "arch.json"
         cfg_path.write_text(json.dumps(ARCH_ACVF_CONFIG))
         assert main(["run", "--config", str(cfg_path)]) == 2

@@ -40,7 +40,7 @@ class TestSeries:
             Series(np.ones((2, 2)))
 
     def test_basic(self):
-        s = Series([1, 2, 3], origin="test")
+        s = Series([1, 2, 3])
         assert s.n == 3
         assert s.values.dtype == float
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
-from sieveboot.dgp import ARModel, ma1_model, simulate_ar, simulate_linear
+from sieveboot.dgp import (ARModel, default_burnin, ma1_model, rng_from, simulate_ar,
+                           simulate_linear)
 from sieveboot.series import Series
 from sieveboot.sieve import (
     BootstrapResult,
@@ -81,9 +83,20 @@ class TestGeneration:
 
     def test_values_drawn_from_residual_support(self):
         m = fit_sieve(ar1_data(500, seed=5), OrderRule(mode="fixed", fixed_p=1))
-        x = generate_bootstrap_series(m, 200, seed=6, burnin=0)
-        # with zero burn-in the first value is a raw residual draw
-        assert np.min(np.abs(m.residual_law.sample - x.values[0])) < 1e-12
+        x = generate_bootstrap_series(m, 200, seed=6).values
+        # inverting the fitted AR(1) recursion recovers the resampled residuals
+        e = x[1:] - m.fit.a[0] * x[:-1]
+        gap = np.abs(e[:, None] - m.residual_law.sample[None, :]).min(axis=1)
+        assert gap.max() < 1e-12
+
+    def test_path_is_the_fitted_recursion_on_resampled_residuals(self):
+        m = fit_sieve(ar1_data(600, seed=14), OrderRule())
+        burnin = default_burnin(m.p)
+        resid = m.residual_law.sample
+        e_star = resid[rng_from(15).integers(0, resid.size, 300 + burnin)]
+        want = lfilter([1.0], np.concatenate([[1.0], -m.fit.a]), e_star)[burnin:]
+        assert np.array_equal(generate_bootstrap_series(m, 300, seed=15).values, want)
+        assert m.filter[2] == pytest.approx(m.residual_variance, rel=1e-14)
 
 
 class TestBootstrapDistribution:
