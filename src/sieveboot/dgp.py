@@ -7,18 +7,26 @@ Process protocol: a process -- a DGP model here, a ``CompanionSpec`` or a
 fitted ``SieveModel`` -- has ``filter``, the rational filter
 (num, den, sigma2) of X = [num(z) / den(z)] eps with Var(eps) = sigma2 that
 carries its second-order structure, and ``simulate(n, seed)``, one path.
+A process may also have ``simulate_batch(n, seeds)``, which returns the
+paths ``simulate(n, s)`` for s in seeds, in order and bit for bit, but
+computes them together; ``Arch1Model`` has it and steps all its paths one
+time step at a time. ``replicate`` then passes it the same derived seeds in
+consecutive chunks of ``max(1, BATCH_VALUES // n)`` paths, a block of about
+``BATCH_VALUES`` values, and still evaluates the statistic once per path.
 
 Seeding: every simulator is deterministic given (model, n, seed). Distinct
 replications must use distinct derived seeds; the canonical derivation rule is
 ``derive_seed(base_seed, *indices)`` which builds a ``numpy`` SeedSequence with
-the indices as spawn key. The whole package uses this rule.
+the indices as spawn key. The whole package uses this rule. Path i of a law
+comes from ``derive_seed(seed, key, i)`` whether or not it is simulated in a
+batch, so a law does not depend on the chunk size.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 from scipy.signal import lfilter
@@ -34,6 +42,7 @@ __all__ = [
     "Arch1Model",
     "MA1_WOLD_FILTER",
     "VE_FILTER_LAG",
+    "BATCH_VALUES",
     "derive_seed",
     "replicate",
     "rng_from",
@@ -65,7 +74,19 @@ _RAW_FOURTH_RATIO = {
     "centered_uniform": 9.0 / 5.0,
 }
 
+# Keys a model document may hold, per family.
+_MODEL_KEYS = {
+    "linear": {"family", "coefficients", "innovation"},
+    "ar": {"family", "coefficients", "innovation"},
+    "arch1": {"family", "coefficients"},
+}
+
 SeedLike = Union[int, np.random.SeedSequence]
+
+# Values in the block of paths one simulate_batch call computes; it bounds
+# the memory of a chunk while spreading each time step's overhead over many
+# paths.
+BATCH_VALUES = 1 << 19
 
 # Spawn-key namespaces of derived seeds: bootstrap replications, oracle
 # replications, truth replications, the companion's innovation record and the
@@ -91,11 +112,22 @@ def derive_seed(base: SeedLike, *indices: int) -> np.random.SeedSequence:
 def replicate(process, statistic, n: int, count: int, seed: SeedLike, key: int):
     """(law, theta): the law of rate(n) (T - theta) over ``count`` paths of
     ``process``, path i simulated from ``derive_seed(seed, key, i)``, where
-    theta is the statistic's exact value under ``process.filter``."""
+    theta is the statistic's exact value under ``process.filter``.
+
+    A process with ``simulate_batch`` gets those seeds in consecutive chunks
+    of ``max(1, BATCH_VALUES // n)``; any other is simulated path by path.
+    """
     theta = statistic.model_center(*process.filter, n)
     vals = np.empty(count)
-    for i in range(count):
-        vals[i] = statistic.evaluate(process.simulate(n, derive_seed(seed, key, i)))
+    if hasattr(process, "simulate_batch"):
+        rows = max(1, BATCH_VALUES // n)
+        for lo in range(0, count, rows):
+            seeds = [derive_seed(seed, key, i) for i in range(lo, min(lo + rows, count))]
+            for i, path in enumerate(process.simulate_batch(n, seeds), lo):
+                vals[i] = statistic.evaluate(path)
+    else:
+        for i in range(count):
+            vals[i] = statistic.evaluate(process.simulate(n, derive_seed(seed, key, i)))
     return ecdf(statistic.rate(n) * (vals - theta)), float(theta)
 
 
@@ -115,8 +147,8 @@ class InnovationSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown innovation family {self.family!r}")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
 
     @property
     def raw_fourth_ratio(self) -> float:
@@ -162,6 +194,8 @@ class ARModel:
 
     def __post_init__(self):
         a = tuple(float(v) for v in self.a)
+        if not all(math.isfinite(v) for v in a):
+            raise ValueError("AR coefficients must be finite")
         object.__setattr__(self, "a", a)
         if a and min_modulus_on_disk(np.asarray(a), 1.0) <= 0:
             raise StabilityError("AR polynomial has a root in the closed unit disk")
@@ -187,8 +221,8 @@ class Arch1Model:
     alpha1: float = 0.0
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
+        if not (math.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
         if not 0 <= self.alpha1 < 1:
             raise ValueError("alpha1 must lie in [0, 1)")
         if 3.0 * self.alpha1 ** 2 >= 1.0:
@@ -201,6 +235,12 @@ class Arch1Model:
 
     def simulate(self, n: int, seed: SeedLike) -> Series:
         return simulate_arch1(self, n, seed)
+
+    def simulate_batch(self, n: int, seeds) -> Iterator[Series]:
+        """The paths ``simulate(n, s)`` for s in ``seeds``, stepped together;
+        each is copied out of the time-major block as it is consumed."""
+        block = simulate_arch1(self, n, list(seeds))
+        return (Series(block[:, j].copy()) for j in range(block.shape[1]))
 
 
 def draw_innovations(spec: InnovationSpec, n: int, seed: SeedLike) -> np.ndarray:
@@ -266,20 +306,34 @@ def ma1_example(n: int, seed: SeedLike, innovations: InnovationSpec | None = Non
     return Series(x), Series(e_full[q:]), Series(ve)
 
 
-def simulate_arch1(model: Arch1Model, n: int, seed: SeedLike, burnin: int | None = None) -> Series:
-    """ARCH(1) recursion with standard normal multipliers."""
+def simulate_arch1(model: Arch1Model, n: int, seed, burnin: int | None = None):
+    """ARCH(1) recursion x_t = sqrt(omega + alpha1 x_{t-1}^2) z_t from zero
+    state, z_t standard normal drawn from ``rng_from(seed)``; the first
+    ``burnin`` values are dropped.
+
+    ``seed`` is one seed, giving one path as a ``Series``, or a list of
+    seeds, giving a time-major (n, len(seed)) array whose column j is the
+    path of seed[j]. The columns advance together one time step at a time,
+    each element through the same IEEE operations as a path of its own, so
+    a column equals the single path of its seed bit for bit.
+    """
     if burnin is None:
         burnin = default_burnin(1)
-    rng = rng_from(seed)
-    z = rng.standard_normal(n + burnin)
-    omega, alpha1 = model.omega, model.alpha1
-    x = np.empty(n + burnin)
-    prev_sq = 0.0
-    for t in range(n + burnin):
-        xt = math.sqrt(omega + alpha1 * prev_sq) * z[t]
-        x[t] = xt
-        prev_sq = xt * xt
-    return Series(x[burnin:])
+    seeds = seed if isinstance(seed, list) else [seed]
+    x = np.empty((n + burnin, len(seeds)))
+    for j, s in enumerate(seeds):
+        x[:, j] = rng_from(s).standard_normal(n + burnin)
+    var = np.empty(len(seeds))
+    prev = np.zeros(len(seeds))
+    for row in x:  # z_t is overwritten by x_t
+        np.multiply(prev, prev, out=var)
+        var *= model.alpha1
+        var += model.omega
+        np.sqrt(var, out=var)
+        row *= var
+        prev = row
+    x = x[burnin:]
+    return x if isinstance(seed, list) else Series(x[:, 0])
 
 
 def model_to_json(model) -> str:
@@ -297,24 +351,42 @@ def model_to_json(model) -> str:
     return json.dumps(doc)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def model_from_json(doc):
-    """Inverse of :func:`model_to_json`; accepts a JSON string or a dict."""
+    """Inverse of :func:`model_to_json`; accepts a JSON string or a dict.
+
+    Raises ValueError, naming the field, on an unknown family or key,
+    coefficients that are not a list of numbers ([omega, alpha1] for arch1),
+    an innovation that is not an object of family and scale, or a value the
+    model's constructor rejects.
+    """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    known = {"family", "coefficients", "innovation", "burnin"}
-    extra = set(doc) - known
-    if extra:
-        raise ValueError(f"unknown model keys: {sorted(extra)}")
+    if not isinstance(doc, dict):
+        raise ValueError(f"model must be an object, got {doc!r}")
     family = doc.get("family")
+    if not isinstance(family, str) or family not in _MODEL_KEYS:
+        raise ValueError(f"unknown model family {family!r}; known: {', '.join(_MODEL_KEYS)}")
+    extra = set(doc) - _MODEL_KEYS[family]
+    if extra:
+        raise ValueError(f"unknown keys for model family {family!r}: {sorted(extra)}")
     coeffs = doc.get("coefficients", [])
-    innov = doc.get("innovation", {})
-    spec = InnovationSpec(family=innov.get("family", "gaussian"),
-                          scale=float(innov.get("scale", 1.0)))
-    if family == "linear":
-        return LinearModel(b=tuple(coeffs), innovations=spec)
-    if family == "ar":
-        return ARModel(a=tuple(coeffs), innovations=spec)
+    if not isinstance(coeffs, list) or not all(_is_number(v) for v in coeffs):
+        raise ValueError(f"coefficients must be a list of numbers, got {coeffs!r}")
+    coeffs = tuple(float(v) for v in coeffs)
     if family == "arch1":
-        omega, alpha1 = coeffs
-        return Arch1Model(omega=float(omega), alpha1=float(alpha1))
-    raise ValueError(f"unknown model family {family!r}")
+        if len(coeffs) != 2:
+            raise ValueError(f"arch1 coefficients must be [omega, alpha1], got {list(coeffs)}")
+        return Arch1Model(*coeffs)
+    innov = doc.get("innovation", {})
+    if not isinstance(innov, dict) or set(innov) - {"family", "scale"}:
+        raise ValueError(f"innovation must be an object with keys family, scale; got {innov!r}")
+    scale = innov.get("scale", 1.0)
+    if not _is_number(scale):
+        raise ValueError(f"innovation scale must be a number, got {scale!r}")
+    spec = InnovationSpec(family=innov.get("family", "gaussian"), scale=float(scale))
+    return (LinearModel(b=coeffs, innovations=spec) if family == "linear"
+            else ARModel(a=coeffs, innovations=spec))

@@ -57,6 +57,7 @@ _CHECK_FIELDS = {
     "dk_gt": ("pair", "bound"),
 }
 _COMPANION_RECORD_LENGTH = 10 ** 6
+_ARCH_RECORD_CHAINS = 100
 # JSON kind of each annotated config field type, and how errors name it.
 _FIELD_KINDS = {"str": (str, "a string"), "dict": (dict, "an object"), "int": (int, "an integer"),
                 "tuple": ((list, tuple), "a list"), "bool": (bool, "true or false")}
@@ -100,6 +101,10 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
                 raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
+        try:
+            dgp.model_from_json(self.dgp)
+        except ValueError as exc:
+            raise ConfigError(f"dgp: {exc}") from exc
         for label, floor in _FLOORS.items():
             if getattr(self, label) < floor:
                 raise ConfigError(f"{label} must be >= {floor}, got {getattr(self, label)}")
@@ -221,9 +226,11 @@ def companion_spec_for(model, seed) -> CompanionSpec:
                                          model.innovations)
     if isinstance(model, dgp.Arch1Model):
         # White noise in the Wold sense: the trivial filter, innovations
-        # sharing the marginal law of X, approximated by a long record.
-        record = dgp.simulate_arch1(model, _COMPANION_RECORD_LENGTH, record_seed)
-        return resampling_companion_spec([1.0], [1.0], record.values)
+        # sharing the marginal law of X, approximated by a long record made
+        # of independent chains stepped together, one after another.
+        seeds = [dgp.derive_seed(record_seed, j) for j in range(_ARCH_RECORD_CHAINS)]
+        chains = dgp.simulate_arch1(model, _COMPANION_RECORD_LENGTH // _ARCH_RECORD_CHAINS, seeds)
+        return resampling_companion_spec([1.0], [1.0], chains.T.ravel())
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 

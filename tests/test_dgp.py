@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from scipy.signal import freqz
 
+from sieveboot import dgp
 from sieveboot.dgp import (
     KEY_TRUTH,
     MA1_WOLD_FILTER,
@@ -26,6 +28,7 @@ from sieveboot.dgp import (
     simulate_linear,
 )
 from sieveboot.companion import parametric_companion_spec
+from sieveboot.experiment import companion_spec_for
 from sieveboot.sieve import OrderRule, fit_sieve
 from sieveboot.statistics import AcvfStatistic
 
@@ -138,6 +141,36 @@ class TestArch1:
         with pytest.raises(ValueError):
             Arch1Model(omega=1.0, alpha1=0.8)
 
+    def test_paths_are_the_scalar_recursion_whatever_the_chunk(self):
+        model, n = Arch1Model(omega=1.0, alpha1=0.3), 150
+        seeds = [derive_seed(4, KEY_TRUTH, i) for i in range(12)]
+        reference = [_arch1_reference(model, n, s) for s in seeds]
+        for seed, ref in zip(seeds[:3], reference):
+            assert np.array_equal(model.simulate(n, seed).values, ref)
+        for chunk in (1, 7, len(seeds)):
+            paths = [path.values for lo in range(0, len(seeds), chunk)
+                     for path in model.simulate_batch(n, seeds[lo:lo + chunk])]
+            assert len(paths) == len(seeds)
+            assert all(np.array_equal(p, r) for p, r in zip(paths, reference))
+
+    def test_companion_record_depends_only_on_the_seed(self):
+        model = Arch1Model(omega=1.0, alpha1=0.3)
+        record = companion_spec_for(model, seed=3).payload
+        assert record.shape == (10 ** 6,) and np.all(np.isfinite(record))
+        assert np.unique(record).size == record.size  # no chain repeats another
+        assert np.array_equal(record, companion_spec_for(model, seed=3).payload)
+        assert not np.array_equal(record, companion_spec_for(model, seed=4).payload)
+
+
+def _arch1_reference(model, n, seed, burnin=1000):
+    """The ARCH(1) recursion one path at a time, in Python floats."""
+    z = rng_from(seed).standard_normal(n + burnin)
+    x, prev_sq = np.empty(n + burnin), 0.0
+    for t in range(n + burnin):
+        x[t] = math.sqrt(model.omega + model.alpha1 * prev_sq) * z[t]
+        prev_sq = x[t] * x[t]
+    return x[burnin:]
+
 
 class TestJson:
     @pytest.mark.parametrize("model", [
@@ -171,10 +204,15 @@ PROCESSES = {
 
 
 class TestReplicate:
-    @pytest.mark.parametrize("kind", sorted(PROCESSES))
-    def test_law_is_the_per_path_seed_loop(self, kind):
+    # (kind, paths per batch); arch1 at 3 takes chunks of 3, 3 and 1 paths
+    @pytest.mark.parametrize("kind, rows", [pytest.param(kind, None, id=kind)
+                                            for kind in sorted(PROCESSES)]
+                             + [pytest.param("arch1", 3, id="arch1-chunks-of-3")])
+    def test_law_is_the_per_path_seed_loop(self, monkeypatch, kind, rows):
         # the seed contract: path i of a law is simulated from derive_seed(seed, key, i)
         process, statistic, n = PROCESSES[kind](), AcvfStatistic(1), 300
+        if rows is not None:
+            monkeypatch.setattr(dgp, "BATCH_VALUES", rows * n)
         law, theta = replicate(process, statistic, n, 7, 11, KEY_TRUTH)
         assert theta == statistic.model_center(*process.filter, n)
         vals = np.array([statistic.evaluate(process.simulate(n, derive_seed(11, KEY_TRUTH, i)))

@@ -124,6 +124,21 @@ BAD_CHECKS = [
     (1, "check #0 must be an object"),
 ]
 
+# Malformed model documents and the field each rejection names.
+BAD_MODELS = [
+    ({"family": "linear", "coefficients": 5}, "coefficients"),
+    ({"family": "linear", "coefficients": [-2.0], "burnin": 500}, "burnin"),
+    ({"family": "linear", "coefficients": [-2.0],
+      "innovation": {"family": "gaussian", "shape": 2.0}}, "innovation"),
+    ({"family": "arch1", "coefficients": [1.0, 0.3],
+      "innovation": {"family": "gaussian"}}, "innovation"),
+    ({"family": "arch1", "coefficients": [1.0, 0.3, 0.1]}, "omega, alpha1"),
+    ({"family": "arch1", "coefficients": [float("nan"), 0.3]}, "omega"),
+    ({"family": "arch1", "coefficients": [float("inf"), 0.3]}, "omega"),
+    ({"family": "linear", "coefficients": [-2.0],
+      "innovation": {"family": "gaussian", "scale": float("nan")}}, "scale"),
+]
+
 # Malformed config values, as overrides of TINY_CONFIG, and the field each
 # rejection names.
 BAD_VALUES = [
@@ -140,7 +155,7 @@ BAD_VALUES = [
     ({"checks": 1}, "checks must be a list"),
     ({"expect": {"nonexistent-check": False}}, "expect names no check: 'nonexistent-check'"),
     ({"expect": {"boot-var": "no"}}, "expect 'boot-var' must be true or false"),
-]
+] + [({"dgp": doc}, f"dgp: .*{field}") for doc, field in BAD_MODELS]
 
 
 def _no_simulation(*args, **kwargs):
@@ -175,12 +190,18 @@ class TestFailFast:
         ({"checks": [1]}, "check #0"),
         ({"expect": {"nonexistent-check": False}}, "nonexistent-check"),
         ({"statistic": {}}, "unknown statistic"),
-    ])
+    ] + [({"dgp": doc}, field) for doc, field in BAD_MODELS])
     def test_cli_rejects_malformed_values_with_one_error_line(self, tmp_path, capsys,
                                                               no_simulation, override, field):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({**TINY_CONFIG, **override}))
         assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+
+    @pytest.mark.parametrize("doc, field", BAD_MODELS)
+    def test_cli_asymptotics_rejects_bad_models_with_one_error_line(self, capsys, doc, field):
+        assert main(["asymptotics", "--model", json.dumps(doc), "--statistic", "mean"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
 
