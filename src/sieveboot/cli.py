@@ -83,7 +83,7 @@ def _run_and_exit(config: ExperimentConfig, out_dir) -> int:
 def _cmd_asymptotics(args) -> int:
     model = model_from_json(load_json(args.model))
     stat_doc = args.statistic.strip()
-    stat_cfg = json.loads(stat_doc) if stat_doc.startswith("{") else {"name": stat_doc}
+    stat_cfg = json.loads(stat_doc) if stat_doc.startswith(("{", "[")) else {"name": stat_doc}
     statistic = statistic_from_config(stat_cfg)
     targets = compute_targets(model, statistic)
     if not targets:

@@ -69,9 +69,9 @@ class ConfigError(ValueError):
 
 
 def load_json(doc):
-    """A JSON document given as text starting with '{', or the path of a file
-    holding one; anything else (a mapping) is returned as it is."""
-    if isinstance(doc, str) and doc.lstrip().startswith("{"):
+    """A JSON document given as text starting with '{' or '[', or the path of
+    a file holding one; anything else (a mapping) is returned as it is."""
+    if isinstance(doc, str) and doc.lstrip().startswith(("{", "[")):
         return json.loads(doc)
     if isinstance(doc, (str, Path)):
         return json.loads(Path(doc).read_text())
@@ -105,6 +105,10 @@ class ExperimentConfig:
             dgp.model_from_json(self.dgp)
         except ValueError as exc:
             raise ConfigError(f"dgp: {exc}") from exc
+        try:
+            statistic_from_config(self.statistic)
+        except ValueError as exc:
+            raise ConfigError(f"statistic: {exc}") from exc
         for label, floor in _FLOORS.items():
             if getattr(self, label) < floor:
                 raise ConfigError(f"{label} must be >= {floor}, got {getattr(self, label)}")
@@ -128,8 +132,10 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(doc, **overrides) -> "ExperimentConfig":
-        doc = dict(load_json(doc))
-        doc.update(overrides)
+        doc = load_json(doc)
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config must be an object, got {doc!r}")
+        doc = {**doc, **overrides}
         extra = set(doc) - {f.name for f in fields(ExperimentConfig)}
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")

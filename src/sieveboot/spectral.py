@@ -6,10 +6,17 @@ Fourier frequencies 2*pi*j/n, j = 1..floor(n/2), with spacing 2*pi/n and the
 endpoint pi (present for even n) weighted by one half. The half weight is what
 makes M(I_n, 2cos(.h)) track the non-centered sample autocovariance even when
 spectral mass concentrates at pi.
+
+Every array that depends on the path length alone -- frequency grids,
+quadrature weights, weighted quadrature vectors and kernel weights -- is built
+once per key in a small least-recently-used cache and returned read-only, so a
+statistic evaluated on many paths of one length pays one FFT, one squared
+modulus and one or two dot products per path.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -25,6 +32,7 @@ __all__ = [
     "constant_weight",
     "periodogram",
     "fourier_quadrature",
+    "weighted_quadrature",
     "integrated_periodogram",
     "ratio_statistic",
     "kernel_spectral_estimate",
@@ -32,6 +40,13 @@ __all__ = [
     "ar_spectral_density",
     "linear_process_spectral_density",
 ]
+
+_CACHE_SIZE = 16  # keys kept per cache; an entry holds O(n) values
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -100,49 +115,76 @@ class KernelSpec:
         return np.pi ** 2 / 5.0
 
 
-def periodogram(s: Series) -> Periodogram:
-    """I_n(lambda) = (2 pi n)^-1 |sum_t X_t e^{-i lambda t}|^2 at Fourier frequencies."""
-    n = s.n
-    if n < 2:
+@lru_cache(maxsize=_CACHE_SIZE)
+def _frequencies(n: int) -> np.ndarray:
+    """Fourier frequencies 2*pi*j/n, j = 0..n//2 (read-only)."""
+    return _read_only(2.0 * np.pi * np.arange(n // 2 + 1) / n)
+
+
+def _ordinates(s: Series) -> np.ndarray:
+    """Periodogram ordinates at the frequencies of :func:`_frequencies`."""
+    if s.n < 2:
         raise ValueError("periodogram requires n >= 2")
     dft = np.fft.rfft(s.values)
-    values = np.abs(dft) ** 2 / (2.0 * np.pi * n)
-    freqs = 2.0 * np.pi * np.arange(n // 2 + 1) / n
-    return Periodogram(freqs=freqs, values=values, n=n)
+    return np.abs(dft) ** 2 / (2.0 * np.pi * s.n)
 
 
+def periodogram(s: Series) -> Periodogram:
+    """I_n(lambda) = (2 pi n)^-1 |sum_t X_t e^{-i lambda t}|^2 at Fourier frequencies."""
+    return Periodogram(freqs=_frequencies(s.n), values=_ordinates(s), n=s.n)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def fourier_quadrature(n: int):
-    """(frequencies in (0, pi], weights) for the package's quadrature rule."""
+    """(frequencies in (0, pi], weights) for the package's quadrature rule;
+    both arrays are shared between callers and read-only."""
     m = n // 2
     freqs = 2.0 * np.pi * np.arange(1, m + 1) / n
     w = np.full(m, 2.0 * np.pi / n)
     if n % 2 == 0:
         w[-1] *= 0.5
-    return freqs, w
+    return _read_only(freqs), _read_only(w)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def weighted_quadrature(phi: WeightFunction, n: int) -> np.ndarray:
+    """Quadrature weights times phi on the grid of :func:`fourier_quadrature`
+    (read-only): M(g, phi) is its dot product with g on that grid."""
+    freqs, w = fourier_quadrature(n)
+    return _read_only(w * phi(freqs))
 
 
 def integrated_periodogram(s: Series, phi: WeightFunction) -> float:
     """Quadrature approximation of M(I_n, phi) = int_0^pi phi I_n."""
-    pg = periodogram(s)
-    freqs, w = fourier_quadrature(s.n)
-    return float(np.dot(w * phi(freqs), pg.values[1:]))
+    return float(np.dot(weighted_quadrature(phi, s.n), _ordinates(s)[1:]))
 
 
 def ratio_statistic(s: Series, phi: WeightFunction) -> float:
     """R(I_n, phi) = M(I_n, phi) / M(I_n, 1)."""
-    pg = periodogram(s)
-    freqs, w = fourier_quadrature(s.n)
-    denom = float(np.dot(w, pg.values[1:]))
+    values = _ordinates(s)[1:]
+    _, w = fourier_quadrature(s.n)
+    denom = float(np.dot(w, values))
     if denom <= 0:
         raise DegenerateSeriesError("total periodogram mass is zero")
-    return float(np.dot(w * phi(freqs), pg.values[1:])) / denom
+    return float(np.dot(weighted_quadrature(phi, s.n), values)) / denom
 
 
-def _full_circle_periodogram(pg: Periodogram) -> np.ndarray:
-    """Ordinates at all n Fourier frequencies via the even symmetry I(-l)=I(l)."""
-    n = pg.n
+@lru_cache(maxsize=_CACHE_SIZE)
+def _even_fold(n: int) -> np.ndarray:
+    """Index of I_n(2 pi j / n) among the ordinates j = 0..n//2, for j = 0..n-1,
+    by the even symmetry I(-l) = I(l) (read-only)."""
     j = np.arange(n)
-    return pg.values[np.minimum(j, n - j)]
+    return _read_only(np.minimum(j, n - j))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _kernel_weights(k: KernelSpec, lam: float, n: int) -> np.ndarray:
+    """K_h(lambda - mu_j) at all n Fourier frequencies mu_j, the difference
+    wrapped to (-pi, pi] (read-only)."""
+    mu = 2.0 * np.pi * np.arange(n) / n
+    d = np.angle(np.exp(1j * (lam - mu)))
+    h = k.bandwidth
+    return _read_only(k.kernel(d / h) / h)
 
 
 def kernel_spectral_estimate(s: Series, k: KernelSpec, lam: float) -> float:
@@ -151,17 +193,14 @@ def kernel_spectral_estimate(s: Series, k: KernelSpec, lam: float) -> float:
     The periodogram is extended evenly across 0 and pi (equivalently, treated
     as the 2*pi-periodic even function it is), so mass leaking past the
     boundaries folds back; this produces the boundary variance doubling.
+    The kernel weights are built once per (kernel, lambda, n) and the fold
+    index once per n, so each path costs one FFT, one gather and one dot.
     """
     if not 0 <= lam <= np.pi:
         raise ValueError("lambda must lie in [0, pi]")
     n = s.n
-    pg = periodogram(s)
-    i_full = _full_circle_periodogram(pg)
-    mu = 2.0 * np.pi * np.arange(n) / n
-    d = np.angle(np.exp(1j * (lam - mu)))  # wrapped to (-pi, pi]
-    h = k.bandwidth
-    weights = k.kernel(d / h) / h
-    return float(np.dot(weights, i_full) * (2.0 * np.pi / n))
+    i_full = _ordinates(s)[_even_fold(n)]
+    return float(np.dot(_kernel_weights(k, lam, n), i_full) * (2.0 * np.pi / n))
 
 
 def _transfer(c: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ discretization cancels.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .asymptotics import (
     KurtosisSpec,
     acvf_asymptotic_variance,
     bartlett_variance,
+    integrated_periodogram_variance,
     mean_asymptotic_variance,
     ratio_statistic_variance,
     spectral_estimator_variance,
@@ -31,8 +33,11 @@ from .spectral import (
     WeightFunction,
     cosine_weight,
     fourier_quadrature,
+    integrated_periodogram,
     kernel_spectral_estimate,
     rational_spectral_density,
+    ratio_statistic,
+    weighted_quadrature,
 )
 
 __all__ = [
@@ -47,6 +52,30 @@ __all__ = [
 ]
 
 _TARGET_TRUNC = 200  # lags carried for theoretical ACVF-based targets
+
+
+def _lag(h, floor: int) -> int:
+    """h as a lag, rejected unless it is an integer (not a bool) >= floor."""
+    if isinstance(h, bool) or not isinstance(h, numbers.Integral) or h < floor:
+        raise ValueError(f"lag must be an integer >= {floor}, got {h!r}")
+    return int(h)
+
+
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _kurtosis_targets(variance, prefix: str, kappa_e, kappa_eps) -> dict:
+    """{prefix}_linear and {prefix}_companion: variance(KurtosisSpec(kappa))
+    at the raw- and Wold-innovation kurtoses, where known."""
+    out = {}
+    if kappa_e is not None:
+        out[f"{prefix}_linear"] = variance(KurtosisSpec(kappa_e))
+    if kappa_eps is not None:
+        out[f"{prefix}_companion"] = variance(KurtosisSpec(kappa_eps))
+    return out
 
 
 class Statistic:
@@ -94,6 +123,7 @@ class AcvfStatistic(Statistic):
     h: int = 0
 
     def __post_init__(self):
+        self.h = _lag(self.h, 0)
         self.name = f"acvf-lag-{self.h}"
 
     def evaluate(self, s: Series) -> float:
@@ -104,14 +134,8 @@ class AcvfStatistic(Statistic):
 
     def targets(self, num, den, sigma2, kappa_e, kappa_eps):
         gamma = rational_acvf(num, den, sigma2, _TARGET_TRUNC)
-        out = {}
-        if kappa_e is not None:
-            out["acvf_variance_linear"] = acvf_asymptotic_variance(
-                gamma, self.h, KurtosisSpec(kappa_e))
-        if kappa_eps is not None:
-            out["acvf_variance_companion"] = acvf_asymptotic_variance(
-                gamma, self.h, KurtosisSpec(kappa_eps))
-        return out
+        return _kurtosis_targets(lambda kappa: acvf_asymptotic_variance(gamma, self.h, kappa),
+                                 "acvf_variance", kappa_e, kappa_eps)
 
 
 @dataclass
@@ -121,8 +145,7 @@ class AcfStatistic(Statistic):
     h: int = 1
 
     def __post_init__(self):
-        if self.h < 1:
-            raise ValueError("acf statistic requires h >= 1")
+        self.h = _lag(self.h, 1)
         self.name = f"acf-lag-{self.h}"
 
     def evaluate(self, s: Series) -> float:
@@ -137,10 +160,6 @@ class AcfStatistic(Statistic):
         return {"bartlett_variance": bartlett_variance(gamma / gamma[0], self.h)}
 
 
-def _grid_functional(f_vals: np.ndarray, phi: WeightFunction, freqs: np.ndarray, w: np.ndarray) -> float:
-    return float(np.dot(w * phi(freqs), f_vals))
-
-
 @dataclass
 class IntegratedPeriodogramStatistic(Statistic):
     """M(I_n, phi) on the Fourier-frequency quadrature grid."""
@@ -151,14 +170,18 @@ class IntegratedPeriodogramStatistic(Statistic):
         self.name = f"intper[{self.phi.name}]"
 
     def evaluate(self, s: Series) -> float:
-        from .spectral import integrated_periodogram
-
         return integrated_periodogram(s, self.phi)
 
     def model_center(self, num, den, sigma2, n):
-        freqs, w = fourier_quadrature(n)
-        fv = rational_spectral_density(num, den, sigma2, freqs)
-        return _grid_functional(fv, self.phi, freqs, w)
+        fv = rational_spectral_density(num, den, sigma2, fourier_quadrature(n)[0])
+        return float(np.dot(weighted_quadrature(self.phi, n), fv))
+
+    def targets(self, num, den, sigma2, kappa_e, kappa_eps):
+        def f(lam):
+            return rational_spectral_density(num, den, sigma2, lam)
+
+        return _kurtosis_targets(lambda kappa: integrated_periodogram_variance(f, self.phi, kappa),
+                                 "intper_variance", kappa_e, kappa_eps)
 
 
 @dataclass
@@ -171,14 +194,12 @@ class RatioStatistic(Statistic):
         self.name = f"ratio[{self.phi.name}]"
 
     def evaluate(self, s: Series) -> float:
-        from .spectral import ratio_statistic
-
         return ratio_statistic(s, self.phi)
 
     def model_center(self, num, den, sigma2, n):
         freqs, w = fourier_quadrature(n)
         fv = rational_spectral_density(num, den, sigma2, freqs)
-        return _grid_functional(fv, self.phi, freqs, w) / float(np.dot(w, fv))
+        return float(np.dot(weighted_quadrature(self.phi, n), fv)) / float(np.dot(w, fv))
 
     def targets(self, num, den, sigma2, kappa_e, kappa_eps):
         return {"ratio_statistic_variance": ratio_statistic_variance(
@@ -193,6 +214,9 @@ class SpectralDensityStatistic(Statistic):
     kernel: KernelSpec = None
 
     def __post_init__(self):
+        self.lam = _number(self.lam, "lambda")
+        if not 0 <= self.lam <= math.pi:
+            raise ValueError(f"lambda must lie in [0, pi], got {self.lam!r}")
         if self.kernel is None:
             self.kernel = KernelSpec()
         self.name = f"specdens[{self.lam:.4f},h={self.kernel.bandwidth}]"
@@ -214,24 +238,31 @@ class SpectralDensityStatistic(Statistic):
 
 
 def statistic_from_config(cfg) -> Statistic:
-    """Build a statistic from a config mapping {name, lag?, lambda?, bandwidth?}."""
+    """Build a statistic from a config mapping {name, lag?, lambda?, bandwidth?}.
+
+    Raises ValueError, naming the field, on an unknown name or key, a lag that
+    is not an integer (>= 1 for acf, >= 0 otherwise), or a lambda outside
+    [0, pi] or a bandwidth outside (0, pi], NaN included.
+    """
     if isinstance(cfg, Statistic):
         return cfg
+    if not isinstance(cfg, dict):
+        raise ValueError(f"statistic must be an object, got {cfg!r}")
     cfg = dict(cfg)
     name = cfg.pop("name", None)
     if name == "mean":
         stat = MeanStatistic()
     elif name == "acvf":
-        stat = AcvfStatistic(h=int(cfg.pop("lag", 0)))
+        stat = AcvfStatistic(h=cfg.pop("lag", 0))
     elif name == "acf":
-        stat = AcfStatistic(h=int(cfg.pop("lag", 1)))
+        stat = AcfStatistic(h=cfg.pop("lag", 1))
     elif name == "ratio-cos":
-        stat = RatioStatistic(phi=cosine_weight(int(cfg.pop("lag", 1))))
+        stat = RatioStatistic(phi=cosine_weight(_lag(cfg.pop("lag", 1), 0)))
     elif name == "intper-cos":
-        stat = IntegratedPeriodogramStatistic(phi=cosine_weight(int(cfg.pop("lag", 1))))
+        stat = IntegratedPeriodogramStatistic(phi=cosine_weight(_lag(cfg.pop("lag", 1), 0)))
     elif name == "specdens":
-        lam = float(cfg.pop("lambda", math.pi / 2))
-        bandwidth = float(cfg.pop("bandwidth", 0.3))
+        lam = cfg.pop("lambda", math.pi / 2)
+        bandwidth = _number(cfg.pop("bandwidth", 0.3), "bandwidth")
         stat = SpectralDensityStatistic(lam=lam, kernel=KernelSpec(bandwidth=bandwidth))
     else:
         raise ValueError(f"unknown statistic {name!r}")

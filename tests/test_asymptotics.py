@@ -16,8 +16,11 @@ from sieveboot.asymptotics import (
     spectral_estimator_variance,
     vm_matrix,
 )
+from sieveboot.dgp import Arch1Model, InnovationSpec, LinearModel
+from sieveboot.experiment import compute_targets
 from sieveboot.series import ACVF
 from sieveboot.spectral import KernelSpec, constant_weight, cosine_weight
+from sieveboot.statistics import statistic_from_config
 
 MA1 = ACVF(np.array([5.0, -2.0, 0.0]), kind="theoretical")
 
@@ -120,6 +123,41 @@ class TestFrequencyDomain:
             2.0 * (np.pi ** 2 / 5) / (4 * np.pi))
         with pytest.raises(ValueError):
             spectral_estimator_bias(2.0, k, "oversmoothed")
+
+
+class TestIntegratedPeriodogramTargets:
+    # X = e - 2 e_{-1}: (kappa_e, kappa_eps) = (6, 2.4) under centered
+    # exponential noise and (0, 0) under Gaussian noise. With phi = 2cos(.h),
+    # kappa (int phi f)^2 + 2 pi int phi^2 f^2 = 4 kappa gamma(h)^2 + 66 at
+    # h = 0 and 4 kappa + 37 at h = 1, the lag-h acvf variances.
+    @pytest.mark.parametrize("lag, linear, companion, gaussian", [
+        (0, 216.0, 126.0, 66.0),
+        (1, 61.0, 46.6, 37.0),
+    ])
+    def test_ma1_values(self, lag, linear, companion, gaussian):
+        stat = statistic_from_config({"name": "intper-cos", "lag": lag})
+        exponential = compute_targets(
+            LinearModel(b=(-2.0,), innovations=InnovationSpec("centered_exponential")), stat)
+        normal = compute_targets(LinearModel(b=(-2.0,)), stat)
+        assert exponential["intper_variance_linear"] == pytest.approx(linear, rel=1e-6)
+        assert exponential["intper_variance_companion"] == pytest.approx(companion, rel=1e-6)
+        assert normal["intper_variance_linear"] == pytest.approx(gaussian, rel=1e-6)
+        assert normal["intper_variance_companion"] == pytest.approx(gaussian, rel=1e-6)
+
+    def test_equal_the_acvf_targets(self):
+        # M(I_n, 2cos(.h)) and the lag-h sample autocovariance share their limit law
+        model = LinearModel(b=(0.5, -0.3), innovations=InnovationSpec("centered_exponential"))
+        for lag in (0, 1, 2):
+            intper = compute_targets(model, statistic_from_config({"name": "intper-cos", "lag": lag}))
+            acvf = compute_targets(model, statistic_from_config({"name": "acvf", "lag": lag}))
+            for kind in ("linear", "companion"):
+                assert intper[f"intper_variance_{kind}"] == pytest.approx(
+                    acvf[f"acvf_variance_{kind}"], rel=1e-6)
+
+    def test_no_kurtosis_no_targets(self):
+        # ARCH(1) has no closed-form kurtosis pair, so no kurtosis-dependent target
+        stat = statistic_from_config({"name": "intper-cos", "lag": 1})
+        assert compute_targets(Arch1Model(omega=1.0, alpha1=0.3), stat) == {}
 
 
 class TestVarMatrix:

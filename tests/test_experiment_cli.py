@@ -139,6 +139,20 @@ BAD_MODELS = [
       "innovation": {"family": "gaussian", "scale": float("nan")}}, "scale"),
 ]
 
+# Malformed statistic documents and the field each rejection names.
+BAD_STATISTICS = [
+    ({"name": "specdens", "lambda": float("nan"), "bandwidth": 0.4}, "lambda"),
+    ({"name": "specdens", "lambda": 4.0}, "lambda"),
+    ({"name": "specdens", "lambda": "1.0"}, "lambda"),
+    ({"name": "specdens", "bandwidth": float("nan")}, "bandwidth"),
+    ({"name": "acvf", "lag": -1}, "lag"),
+    ({"name": "acvf", "lag": 1.7}, "lag"),
+    ({"name": "acvf", "lag": True}, "lag"),
+    ({"name": "acf", "lag": 0}, "lag"),
+    ({"name": "ratio-cos", "lag": -1}, "lag"),
+    ({"name": "intper-cos", "lag": 2.0}, "lag"),
+]
+
 # Malformed config values, as overrides of TINY_CONFIG, and the field each
 # rejection names.
 BAD_VALUES = [
@@ -155,7 +169,8 @@ BAD_VALUES = [
     ({"checks": 1}, "checks must be a list"),
     ({"expect": {"nonexistent-check": False}}, "expect names no check: 'nonexistent-check'"),
     ({"expect": {"boot-var": "no"}}, "expect 'boot-var' must be true or false"),
-] + [({"dgp": doc}, f"dgp: .*{field}") for doc, field in BAD_MODELS]
+] + [({"dgp": doc}, f"dgp: .*{field}") for doc, field in BAD_MODELS] + [
+    ({"statistic": doc}, f"statistic: .*{field}") for doc, field in BAD_STATISTICS]
 
 
 def _no_simulation(*args, **kwargs):
@@ -190,7 +205,8 @@ class TestFailFast:
         ({"checks": [1]}, "check #0"),
         ({"expect": {"nonexistent-check": False}}, "nonexistent-check"),
         ({"statistic": {}}, "unknown statistic"),
-    ] + [({"dgp": doc}, field) for doc, field in BAD_MODELS])
+    ] + [({"dgp": doc}, field) for doc, field in BAD_MODELS]
+      + [({"statistic": doc}, field) for doc, field in BAD_STATISTICS])
     def test_cli_rejects_malformed_values_with_one_error_line(self, tmp_path, capsys,
                                                               no_simulation, override, field):
         cfg_path = tmp_path / "bad.json"
@@ -199,11 +215,24 @@ class TestFailFast:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
 
-    @pytest.mark.parametrize("doc, field", BAD_MODELS)
+    @pytest.mark.parametrize("doc, field", BAD_MODELS + [([1], "model must be an object")])
     def test_cli_asymptotics_rejects_bad_models_with_one_error_line(self, capsys, doc, field):
         assert main(["asymptotics", "--model", json.dumps(doc), "--statistic", "mean"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+
+    @pytest.mark.parametrize("doc, field",
+                             BAD_STATISTICS + [([1], "statistic must be an object")])
+    def test_cli_asymptotics_rejects_bad_statistics_with_one_error_line(self, capsys, doc, field):
+        assert main(["asymptotics", "--model", json.dumps(TINY_CONFIG["dgp"]),
+                     "--statistic", json.dumps(doc)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+
+    def test_cli_run_rejects_a_config_that_is_not_an_object(self, capsys):
+        assert main(["run", "--config", "[1]"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0] == "error: config must be an object, got [1]"
 
     def test_cli_exits_2_without_traceback(self, tmp_path, capsys, no_simulation):
         cfg_path = tmp_path / "arch.json"
@@ -262,6 +291,35 @@ class TestRunExperiment:
         base = run_experiment(ExperimentConfig.from_json(TINY_CONFIG))
         assert not np.array_equal(rep.laws["bootstrap"].sample,
                                   base.laws["bootstrap"].sample)
+
+
+# M(I_n, 2cos(.)) under X = e - 2 e_{-1} with centered exponential noise: the
+# truth law has limit variance 61.0 (raw kurtosis 6) and the companion law 46.6
+# (Wold kurtosis 2.4). A sample variance of R near-normal draws has relative
+# standard error sqrt(2 / R) = 0.032 at R = M = 2000, so tol = 0.15 allows four
+# standard errors (0.126) plus 0.024 for the O(1/n) finite-sample bias at
+# n = 1000. The bootstrap law runs at the minimum B and is not checked.
+INTPER_CONFIG = {
+    "name": "intper-cos1-ma1-exponential",
+    "dgp": {"family": "linear", "coefficients": [-2.0],
+            "innovation": {"family": "centered_exponential", "scale": 1.0}},
+    "statistic": {"name": "intper-cos", "lag": 1},
+    "checks": [
+        {"id": "truth-vs-linear", "kind": "var_close", "method": "truth",
+         "target_id": "intper_variance_linear", "tol": 0.15},
+        {"id": "oracle-vs-companion", "kind": "var_close", "method": "oracle",
+         "target_id": "intper_variance_companion", "tol": 0.15},
+    ],
+    "n": 1000, "B": 200, "M": 2000, "R": 2000, "seed": 31,
+}
+
+
+def test_intper_laws_match_their_kurtosis_targets():
+    rep = run_experiment(ExperimentConfig.from_json(INTPER_CONFIG))
+    assert rep.targets["intper_variance_linear"] == pytest.approx(61.0, rel=1e-6)
+    assert rep.targets["intper_variance_companion"] == pytest.approx(46.6, rel=1e-6)
+    for check in rep.checks:
+        assert check["passed"], check
 
 
 class TestCli:

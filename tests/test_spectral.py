@@ -5,6 +5,7 @@ import pytest
 
 from sieveboot.ar import ARFit, true_ar_coefficients_ma1
 from sieveboot.dgp import ma1_model, simulate_linear
+from sieveboot import spectral
 from sieveboot.series import Series, sample_acvf
 from sieveboot.spectral import (
     KernelSpec,
@@ -16,8 +17,11 @@ from sieveboot.spectral import (
     kernel_spectral_estimate,
     linear_process_spectral_density,
     periodogram,
+    rational_spectral_density,
     ratio_statistic,
+    weighted_quadrature,
 )
+from sieveboot.statistics import statistic_from_config
 
 
 def rand_series(n=512, seed=0):
@@ -48,6 +52,7 @@ class TestPeriodogram:
 class TestQuadrature:
     def test_grid_covers_zero_pi(self):
         freqs, w = fourier_quadrature(10)
+        assert fourier_quadrature(10)[1] is w  # the cached arrays themselves
         assert freqs[0] == pytest.approx(2 * np.pi / 10)
         assert freqs[-1] == pytest.approx(np.pi)
         # total weight: half circle, with the endpoint half-weighted
@@ -100,6 +105,118 @@ class TestKernel:
     def test_frequency_range_enforced(self):
         with pytest.raises(ValueError):
             kernel_spectral_estimate(rand_series(64), KernelSpec(), 3.5)
+
+
+# The per-path expressions the cached arrays replaced, kept verbatim as the
+# reference every cached statistic must reproduce bit for bit.
+def _inline_ordinates(s):
+    dft = np.fft.rfft(s.values)
+    return np.abs(dft) ** 2 / (2.0 * np.pi * s.n)
+
+
+def _inline_quadrature(n):
+    m = n // 2
+    freqs = 2.0 * np.pi * np.arange(1, m + 1) / n
+    w = np.full(m, 2.0 * np.pi / n)
+    if n % 2 == 0:
+        w[-1] *= 0.5
+    return freqs, w
+
+
+def _inline_kernel_estimate(s, k, lam):
+    n = s.n
+    j = np.arange(n)
+    i_full = _inline_ordinates(s)[np.minimum(j, n - j)]
+    mu = 2.0 * np.pi * np.arange(n) / n
+    d = np.angle(np.exp(1j * (lam - mu)))
+    h = k.bandwidth
+    weights = k.kernel(d / h) / h
+    return float(np.dot(weights, i_full) * (2.0 * np.pi / n))
+
+
+def _inline_integrated(s, phi):
+    freqs, w = _inline_quadrature(s.n)
+    return float(np.dot(w * phi(freqs), _inline_ordinates(s)[1:]))
+
+
+def _inline_ratio(s, phi):
+    values = _inline_ordinates(s)[1:]
+    freqs, w = _inline_quadrature(s.n)
+    return float(np.dot(w * phi(freqs), values)) / float(np.dot(w, values))
+
+
+def _read_only_arrays(n, k, lam, phi):
+    return [*fourier_quadrature(n), weighted_quadrature(phi, n), spectral._frequencies(n),
+            spectral._even_fold(n), spectral._kernel_weights(k, lam, n),
+            periodogram(rand_series(n)).freqs]
+
+
+class TestCachedArrays:
+    @pytest.mark.parametrize("n", [63, 64, 2000])
+    @pytest.mark.parametrize("lam", [0.0, np.pi / 2, np.pi])
+    def test_kernel_estimate_is_the_inline_expression(self, n, lam):
+        for bandwidth in (0.3, 0.4):
+            stat = statistic_from_config({"name": "specdens", "lambda": lam,
+                                          "bandwidth": bandwidth})
+            for seed in range(3):
+                s = rand_series(n, seed)
+                want = _inline_kernel_estimate(s, stat.kernel, lam)
+                assert kernel_spectral_estimate(s, stat.kernel, lam) == want
+                assert stat.evaluate(s) == want
+
+    @pytest.mark.parametrize("n", [63, 64, 2000])
+    def test_frequency_statistics_are_the_inline_expressions(self, n):
+        for lag in (0, 1, 3):
+            ratio = statistic_from_config({"name": "ratio-cos", "lag": lag})
+            intper = statistic_from_config({"name": "intper-cos", "lag": lag})
+            for seed in range(3):
+                s = rand_series(n, seed)
+                assert ratio.evaluate(s) == _inline_ratio(s, ratio.phi)
+                assert intper.evaluate(s) == _inline_integrated(s, intper.phi)
+        s = rand_series(n, 9)
+        assert periodogram(s).values.tolist() == _inline_ordinates(s).tolist()
+
+    @pytest.mark.parametrize("n", [63, 64, 2000])
+    def test_model_centers_are_the_inline_expressions(self, n):
+        num, den, sigma2 = [1.0, -2.0], [1.0], 1.0
+        freqs, w = _inline_quadrature(n)
+        fv = rational_spectral_density(num, den, sigma2, freqs)
+        for lag in (0, 1, 3):
+            ratio = statistic_from_config({"name": "ratio-cos", "lag": lag})
+            intper = statistic_from_config({"name": "intper-cos", "lag": lag})
+            weighted = float(np.dot(w * ratio.phi(freqs), fv))
+            assert ratio.model_center(num, den, sigma2, n) == weighted / float(np.dot(w, fv))
+            assert intper.model_center(num, den, sigma2, n) == float(
+                np.dot(w * intper.phi(freqs), fv))
+
+    def test_cached_arrays_are_read_only(self):
+        arrays = _read_only_arrays(64, KernelSpec(bandwidth=0.4), np.pi / 2, cosine_weight(1))
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_repeated_keys_share_an_entry(self):
+        k, phi = KernelSpec(bandwidth=0.4), cosine_weight(2)
+        first = _read_only_arrays(128, k, np.pi / 3, phi)
+        again = _read_only_arrays(128, KernelSpec(bandwidth=0.4), np.pi / 3, phi)
+        # every cached array comes back as the same object; each periodogram's
+        # values stay its own
+        assert all(a is b for a, b in zip(first, again))
+        assert periodogram(rand_series(128)).values is not periodogram(rand_series(128)).values
+
+    def test_lengths_and_bandwidths_never_share_an_entry(self):
+        k, phi = KernelSpec(bandwidth=0.4), cosine_weight(1)
+        by_length = [_read_only_arrays(n, k, np.pi / 2, phi) for n in (63, 64)]
+        for a, b in zip(*by_length):
+            assert a.size != b.size
+        narrow = spectral._kernel_weights(KernelSpec(bandwidth=0.3), np.pi / 2, 64)
+        wide = spectral._kernel_weights(KernelSpec(bandwidth=0.4), np.pi / 2, 64)
+        assert narrow is not wide and not np.array_equal(narrow, wide)
+        other = spectral._kernel_weights(k, np.pi / 4, 64)
+        assert not np.array_equal(other, wide)
+        assert not np.array_equal(weighted_quadrature(cosine_weight(2), 64),
+                                  weighted_quadrature(phi, 64))
 
 
 class TestModelDensities:
