@@ -13,7 +13,7 @@ The sieve bootstrap process is itself such a companion: the fitted filter
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 from scipy.signal import lfilter
@@ -78,8 +78,22 @@ class CompanionSpec:
     def filter(self):
         return self.num, self.den, self.innovation_variance
 
+    @property
+    def burnin(self) -> int:
+        """Leading outputs dropped from each path: q pre-sample innovations
+        make a finite filter of order q exact; a recursive filter starts from
+        zero state and drops ``dgp.default_burnin(p)``."""
+        p, q = self.den.size - 1, self.num.size - 1
+        return dgp.default_burnin(p) if p else q
+
     def simulate(self, n: int, seed: dgp.SeedLike) -> Series:
         return build_companion(self, n, seed)
+
+    def simulate_batch(self, n: int, seeds) -> Iterator[Series]:
+        """The paths ``simulate(n, s)`` for s in ``seeds``, filtered a block
+        of paths at a time."""
+        return dgp.batch_paths(lambda block: build_companion(self, n, block), seeds,
+                               n + self.burnin)
 
 
 @dataclass(frozen=True)
@@ -153,24 +167,33 @@ def ar_model_acvf(a, sigma2: float, maxlag: int) -> ACVF:
                          sigma2, maxlag)
 
 
-def _draw_companion_innovations(spec: CompanionSpec, n: int, seed: dgp.SeedLike) -> np.ndarray:
+def _draw_companion_innovations(spec: CompanionSpec, seed: dgp.SeedLike, out: np.ndarray) -> None:
+    """Fill ``out`` with i.i.d. innovations drawn from ``rng_from(seed)``."""
     if spec.innovation_source == "parametric":
-        return dgp.draw_innovations(spec.payload, n, seed)
-    record = np.asarray(spec.payload, dtype=float)
-    return record[dgp.rng_from(seed).integers(0, record.size, n)]
+        out[:] = dgp.draw_innovations(spec.payload, out.size, seed)
+    else:
+        record = np.asarray(spec.payload, dtype=float)
+        np.take(record, dgp.rng_from(seed).integers(0, record.size, out.size), out=out)
 
 
-def build_companion(spec: CompanionSpec, n: int, seed: dgp.SeedLike) -> Series:
-    """One companion path of length n, deterministic given seed.
+def build_companion(spec: CompanionSpec, n: int, seed):
+    """Companion paths of length n, deterministic given their seeds.
 
-    A finite filter (trivial den) of order q is exact after q pre-sample
-    innovations, so n + q are drawn and the first q outputs dropped; a
-    recursive filter starts from zero state and drops a burn-in.
+    ``seed`` is one seed, giving one path as a ``Series``, or a list of
+    seeds, giving a (len(seed), n) array whose row j is the path of seed[j].
+    Each row of innovations is drawn from its own seed, ``spec.burnin``
+    leading values included, and the whole block goes through one
+    ``lfilter`` call along its rows. That call filters each row exactly as it
+    filters a lone path, so a row equals the single path of its seed bit for
+    bit.
     """
-    p, q = spec.den.size - 1, spec.num.size - 1
-    burnin = dgp.default_burnin(p) if p else q
-    eps = _draw_companion_innovations(spec, n + burnin, seed)
-    return Series(lfilter(spec.num, spec.den, eps)[burnin:])
+    seeds = seed if isinstance(seed, list) else [seed]
+    burnin = spec.burnin
+    eps = np.empty((len(seeds), n + burnin))
+    for row, s in zip(eps, seeds):
+        _draw_companion_innovations(spec, s, row)
+    x = lfilter(spec.num, spec.den, eps, axis=1)[:, burnin:]
+    return x if isinstance(seed, list) else Series(x[0])
 
 
 def companion_distribution(spec: CompanionSpec, statistic, n: int, M: int, seed: dgp.SeedLike) -> OracleResult:

@@ -9,10 +9,14 @@ fitted ``SieveModel`` -- has ``filter``, the rational filter
 carries its second-order structure, and ``simulate(n, seed)``, one path.
 A process may also have ``simulate_batch(n, seeds)``, which returns the
 paths ``simulate(n, s)`` for s in seeds, in order and bit for bit, but
-computes them together; ``Arch1Model`` has it and steps all its paths one
-time step at a time. ``replicate`` then passes it the same derived seeds in
-consecutive chunks of ``max(1, BATCH_VALUES // n)`` paths, a block of about
-``BATCH_VALUES`` values, and still evaluates the statistic once per path.
+computes them together. ``Arch1Model`` has it and steps all its paths one
+time step at a time. ``CompanionSpec`` and ``SieveModel`` have it and draw
+each path's innovations into one block of rows, then filter the block with
+one ``lfilter`` call; ``batch_paths`` keeps such a block, burn-in included,
+to about ``BATCH_VALUES`` values. ``replicate`` passes these processes the
+same derived seeds in consecutive chunks of ``max(1, BATCH_VALUES // n)``
+paths and still evaluates the statistic once per path. The DGP's linear
+models are simulated path by path.
 
 Seeding: every simulator is deterministic given (model, n, seed). Distinct
 replications must use distinct derived seeds; the canonical derivation rule is
@@ -43,6 +47,7 @@ __all__ = [
     "MA1_WOLD_FILTER",
     "VE_FILTER_LAG",
     "BATCH_VALUES",
+    "batch_paths",
     "derive_seed",
     "replicate",
     "rng_from",
@@ -129,6 +134,18 @@ def replicate(process, statistic, n: int, count: int, seed: SeedLike, key: int):
         for i in range(count):
             vals[i] = statistic.evaluate(process.simulate(n, derive_seed(seed, key, i)))
     return ecdf(statistic.rate(n) * (vals - theta)), float(theta)
+
+
+def batch_paths(simulate_block, seeds, width: int) -> Iterator[Series]:
+    """The rows of ``simulate_block(block)`` for consecutive blocks of
+    ``seeds``, as ``Series``. A block has at most ``max(1, BATCH_VALUES //
+    width)`` seeds, so that it holds about ``BATCH_VALUES`` values when each
+    path is simulated ``width`` values long. Each row is copied out as it is
+    yielded, so no path pins its block while the next block is built."""
+    seeds = list(seeds)
+    rows = max(1, BATCH_VALUES // width)
+    for lo in range(0, len(seeds), rows):
+        yield from (Series(row.copy()) for row in simulate_block(seeds[lo:lo + rows]))
 
 
 def rng_from(seed: SeedLike) -> np.random.Generator:

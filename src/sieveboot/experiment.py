@@ -309,20 +309,29 @@ def _evaluate_check(check: dict, variances: dict, dk: dict, targets: dict) -> di
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) -> Report:
     """Run one full three-way comparison and (optionally) persist the report."""
-    t0 = time.time()
+    t0 = time.perf_counter()
+    stages = {}
+
+    def timed(stage, fn, *args):
+        start = time.perf_counter()
+        out = fn(*args)
+        stages[stage] = time.perf_counter() - start
+        return out
+
     model = dgp.model_from_json(config.dgp)
     statistic = statistic_from_config(config.statistic)
     rule = OrderRule(**config.order_rule)
     seed = config.seed
     n = config.n
-    targets = compute_targets(model, statistic)
+    targets = timed("targets", compute_targets, model, statistic)
     _validate_checks(config.checks, targets)
-    spec = companion_spec_for(model, seed)
+    spec = timed("companion", companion_spec_for, model, seed)
 
-    data = model.simulate(n, dgp.derive_seed(seed, dgp.KEY_DATA))
-    boot = bootstrap_distribution(data, statistic, config.B, rule, seed)
-    oracle = companion_distribution(spec, statistic, n, config.M, seed)
-    truth_law, _ = dgp.replicate(model, statistic, n, config.R, seed, dgp.KEY_TRUTH)
+    data = timed("data", model.simulate, n, dgp.derive_seed(seed, dgp.KEY_DATA))
+    boot = timed("bootstrap", bootstrap_distribution, data, statistic, config.B, rule, seed)
+    oracle = timed("oracle", companion_distribution, spec, statistic, n, config.M, seed)
+    truth_law, _ = timed("truth", dgp.replicate, model, statistic, n, config.R, seed,
+                         dgp.KEY_TRUTH)
 
     laws = {"bootstrap": boot.law, "oracle": oracle.law, "truth": truth_law}
     variances = {m: laws[m].variance() for m in _METHODS}
@@ -358,7 +367,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         checks=checks,
         bootstrap_verdict=verdict,
         laws=laws,
-        runtime={"seconds": time.time() - t0},
+        runtime={"seconds": time.perf_counter() - t0, "stages": stages},
     )
     if out_dir is not None:
         write_report(report, out_dir)

@@ -73,8 +73,12 @@ class WeightFunction:
         return self.phi(np.asarray(lam, dtype=float))
 
 
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def cosine_weight(h: int) -> WeightFunction:
-    """phi(lambda) = 2 cos(lambda h); M(I_n, phi) approximates c(h)."""
+    """phi(lambda) = 2 cos(lambda h); M(I_n, phi) approximates c(h).
+
+    A lag gets one WeightFunction, which hashes by identity, so statistics
+    built for the same lag share their ``weighted_quadrature`` entry."""
     return WeightFunction(phi=lambda lam: 2.0 * np.cos(lam * h), name=f"2cos({h}l)")
 
 

@@ -27,7 +27,13 @@ from sieveboot.dgp import (
     simulate_arch1,
     simulate_linear,
 )
-from sieveboot.companion import parametric_companion_spec
+from sieveboot import companion, sieve
+from sieveboot.companion import (
+    build_companion,
+    ma1_companion_spec,
+    parametric_companion_spec,
+    resampling_companion_spec,
+)
 from sieveboot.experiment import companion_spec_for
 from sieveboot.sieve import OrderRule, fit_sieve
 from sieveboot.statistics import AcvfStatistic
@@ -203,6 +209,21 @@ PROCESSES = {
 }
 
 
+# Processes simulated a block of paths at a time through one lfilter call:
+# each innovation source, with a finite (FIR) filter and a recursive (IIR) one.
+_RECORD = np.random.default_rng(2).exponential(1.0, 5000) - 1.0
+BLOCK_PROCESSES = {
+    "parametric-fir": lambda: parametric_companion_spec(
+        [1.0, 0.5, -0.2], [1.0], InnovationSpec("centered_exponential")),
+    "parametric-iir": PROCESSES["companion"],
+    "resample-fir": lambda: resampling_companion_spec([1.0, 0.4], [1.0], _RECORD),
+    "resample-iir": lambda: resampling_companion_spec([1.0], [1.0, -0.5, 0.2], _RECORD),
+    "exact-ma1-fir": lambda: ma1_companion_spec(InnovationSpec("centered_exponential"),
+                                                10 ** 4, 6),
+    "sieve-iir": PROCESSES["sieve"],
+}
+
+
 class TestReplicate:
     # (kind, paths per batch); arch1 at 3 takes chunks of 3, 3 and 1 paths
     @pytest.mark.parametrize("kind, rows", [pytest.param(kind, None, id=kind)
@@ -218,3 +239,42 @@ class TestReplicate:
         vals = np.array([statistic.evaluate(process.simulate(n, derive_seed(11, KEY_TRUTH, i)))
                          for i in range(7)])
         assert np.array_equal(law.sample, np.sort(statistic.rate(n) * (vals - theta)))
+
+    @pytest.mark.parametrize("kind", sorted(BLOCK_PROCESSES))
+    def test_law_is_the_same_whatever_the_block(self, monkeypatch, kind):
+        process, statistic, n, count = BLOCK_PROCESSES[kind](), AcvfStatistic(1), 120, 15
+        spec = getattr(process, "bootstrap_process", process)
+        blocks = []
+
+        def recorded(block_spec, n, seed):
+            blocks.append(len(seed) if isinstance(seed, list) else None)
+            return build_companion(block_spec, n, seed)
+
+        monkeypatch.setattr(companion, "build_companion", recorded)
+        monkeypatch.setattr(sieve, "build_companion", recorded)
+        per_path = np.array([statistic.evaluate(process.simulate(n, derive_seed(11, KEY_TRUTH, i)))
+                             for i in range(count)])
+        theta = statistic.model_center(*process.filter, n)
+        want = np.sort(statistic.rate(n) * (per_path - theta))
+        for rows in (1, 7, count):
+            blocks.clear()
+            monkeypatch.setattr(dgp, "BATCH_VALUES", rows * (n + spec.burnin))
+            law, _ = replicate(process, statistic, n, count, 11, KEY_TRUTH)
+            assert np.array_equal(law.sample, want)
+            assert sum(blocks) == count and max(blocks) == rows
+
+    @pytest.mark.parametrize("kind", sorted(BLOCK_PROCESSES))
+    def test_a_row_of_a_block_is_the_path_of_its_seed(self, kind):
+        spec = BLOCK_PROCESSES[kind]()
+        spec = getattr(spec, "bootstrap_process", spec)
+        seeds = [derive_seed(5, KEY_TRUTH, i) for i in range(4)]
+        block = build_companion(spec, 90, seeds)
+        assert block.shape == (4, 90)
+        for row, seed in zip(block, seeds):
+            assert np.array_equal(row, build_companion(spec, 90, seed).values)
+        assert np.array_equal(build_companion(spec, 90, [seeds[2]])[0], block[2])
+
+    def test_paths_are_copied_out_of_their_block(self):
+        spec = BLOCK_PROCESSES["parametric-iir"]()
+        paths = list(spec.simulate_batch(50, [derive_seed(5, KEY_TRUTH, i) for i in range(3)]))
+        assert all(path.values.base is None for path in paths)

@@ -279,6 +279,15 @@ class TestRunExperiment:
             law = np.loadtxt(out / "laws" / f"{method}.csv")
             assert law.size == count
 
+    def test_runtime_has_stage_timings_within_the_total(self, report):
+        _, out = report
+        runtime = json.loads((out / "report.json").read_text())["runtime"]
+        assert set(runtime) == {"seconds", "stages"}
+        stages = runtime["stages"]
+        assert set(stages) == {"companion", "data", "bootstrap", "oracle", "truth", "targets"}
+        assert all(t >= 0 for t in stages.values())
+        assert sum(stages.values()) <= runtime["seconds"]
+
     def test_deterministic_rerun(self, report, tmp_path):
         _, out = report
         cfg = ExperimentConfig.from_json(TINY_CONFIG)

@@ -205,6 +205,17 @@ class TestCachedArrays:
         assert all(a is b for a, b in zip(first, again))
         assert periodogram(rand_series(128)).values is not periodogram(rand_series(128)).values
 
+    def test_statistics_of_one_lag_share_an_entry(self):
+        weighted_quadrature.cache_clear()
+        stats = [statistic_from_config({"name": "ratio-cos", "lag": 1}) for _ in range(3)]
+        s = rand_series(96, seed=4)
+        for stat in stats:
+            for _ in range(2):
+                stat.evaluate(s)
+        assert stats[0].phi is stats[1].phi is stats[2].phi
+        info = weighted_quadrature.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (5, 1, 1)
+
     def test_lengths_and_bandwidths_never_share_an_entry(self):
         k, phi = KernelSpec(bandwidth=0.4), cosine_weight(1)
         by_length = [_read_only_arrays(n, k, np.pi / 2, phi) for n in (63, 64)]
