@@ -117,10 +117,13 @@ def ma1_companion_spec(
     Draws a long record of exact Wold innovations (fresh e filtered to ve) and
     resamples i.i.d. from it. Consecutive ve values are uncorrelated but not
     independent, so resampling -- not the filtered path itself -- realizes the
-    i.i.d. requirement of the companion recursion.
+    i.i.d. requirement of the companion recursion. The record is the ve of
+    ``dgp.ma1_example(record_length + VE_FILTER_LAG, seed, innovations)``
+    past its filter transient, without the X path that builds.
     """
-    _, _, ve = dgp.ma1_example(record_length + dgp.VE_FILTER_LAG, seed, innovations)
-    record = ve.values[dgp.VE_FILTER_LAG:]
+    burnin = 1 + dgp.VE_FILTER_LAG  # ma1_example's pre-sample draw and transient
+    e = dgp.draw_innovations(innovations or dgp.InnovationSpec(), record_length + burnin, seed)
+    record = lfilter(*dgp.MA1_WOLD_FILTER, e)[burnin:]
     return CompanionSpec(num=[1.0, -0.5], den=[1.0], innovation_source="exact_ma1_filter",
                          payload=record)
 

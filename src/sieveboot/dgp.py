@@ -13,17 +13,23 @@ computes them together. ``Arch1Model`` has it and steps all its paths one
 time step at a time. ``CompanionSpec`` and ``SieveModel`` have it and draw
 each path's innovations into one block of rows, then filter the block with
 one ``lfilter`` call; ``batch_paths`` keeps such a block, burn-in included,
-to about ``BATCH_VALUES`` values. ``replicate`` passes these processes the
-same derived seeds in consecutive chunks of ``max(1, BATCH_VALUES // n)``
-paths and still evaluates the statistic once per path. The DGP's linear
-models are simulated path by path.
+to about ``BATCH_VALUES`` values. ``replicate`` runs over consecutive chunks
+of ``max(1, BATCH_VALUES // n)`` paths: it derives the chunk's seeds, hands
+them to ``simulate_batch`` or, for the DGP's linear models, to ``simulate``
+one by one, and evaluates the statistic once per path.
 
 Seeding: every simulator is deterministic given (model, n, seed). Distinct
 replications must use distinct derived seeds; the canonical derivation rule is
 ``derive_seed(base_seed, *indices)`` which builds a ``numpy`` SeedSequence with
 the indices as spawn key. The whole package uses this rule. Path i of a law
 comes from ``derive_seed(seed, key, i)`` whether or not it is simulated in a
-batch, so a law does not depend on the chunk size.
+batch, so a law does not depend on the chunk size. ``replicate`` gets those
+seeds from ``derive_seeds(seed, key, lo, hi)``, which runs numpy's
+SeedSequence hash over a whole chunk of indices at once, as uint32 array
+arithmetic, and returns one ``PathSeed`` per path: the four uint64 words that
+path's SeedSequence gives PCG64. ``rng_from`` of a ``PathSeed`` is therefore
+the generator of ``derive_seed(seed, key, i)`` bit for bit, built without
+a SeedSequence per path.
 """
 from __future__ import annotations
 
@@ -49,6 +55,8 @@ __all__ = [
     "BATCH_VALUES",
     "batch_paths",
     "derive_seed",
+    "derive_seeds",
+    "PathSeed",
     "replicate",
     "rng_from",
     "draw_innovations",
@@ -103,15 +111,112 @@ class StabilityError(ValueError):
     """Raised when an AR polynomial has a root in the closed unit disk."""
 
 
+def _entropy_and_key(base: SeedLike, indices) -> tuple:
+    if isinstance(base, np.random.SeedSequence):
+        return base.entropy, tuple(base.spawn_key) + tuple(indices)
+    return int(base), tuple(indices)
+
+
 def derive_seed(base: SeedLike, *indices: int) -> np.random.SeedSequence:
     """Child seed for a replication index (or any integer key path)."""
-    if isinstance(base, np.random.SeedSequence):
-        entropy = base.entropy
-        key = tuple(base.spawn_key) + tuple(indices)
-    else:
-        entropy = int(base)
-        key = tuple(indices)
+    entropy, key = _entropy_and_key(base, indices)
     return np.random.SeedSequence(entropy=entropy, spawn_key=key)
+
+
+class PathSeed(np.random.bit_generator.ISeedSequence):
+    """The seed of one path: the four uint64 words that its ``SeedSequence``
+    gives a PCG64 generator, so ``default_rng(path_seed)`` is that
+    sequence's generator bit for bit."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a PathSeed holds only the 4 uint64 words that PCG64 requests, "
+                             f"not {n_words} of {np.dtype(dtype)}")
+        return self.state
+
+
+# numpy's SeedSequence hash (numpy.random.bit_generator): the hash constants
+# and multipliers of its entropy pool and of its output, and those of the
+# function that mixes two pool words.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(value) -> list:
+    """A nonnegative int, or a sequence of them, as numpy's SeedSequence
+    splits it: 32-bit words, least significant first, one word for 0."""
+    if not isinstance(value, (int, np.integer)):
+        return [w for v in value for w in _uint32_words(v)]
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"seed words must be nonnegative, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+# The hash below takes each word as a Python int or as a uint32 array, one
+# element per sequence: words that all the sequences share are hashed once,
+# in Python ints, and the per-sequence words elementwise.
+
+class _HashMix:
+    """SeedSequence's hashmix, with its running hash constant."""
+
+    def __init__(self, init: int, mult: int):
+        self.const, self.mult = init, mult
+
+    def __call__(self, value):
+        self.const, xor = self.const * self.mult & _MASK32, self.const
+        value = (value ^ xor) * self.const & _MASK32
+        return value ^ value >> 16
+
+
+def _mix(x, y):
+    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return result ^ result >> 16
+
+
+def _pcg64_states(words: list) -> np.ndarray:
+    """(k, 4) uint64: ``generate_state(4, np.uint64)`` of the k
+    SeedSequences whose assembled entropy is ``words``; at least one word is
+    a uint32 array of length k."""
+    hashmix = _HashMix(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    hashmix = _HashMix(_INIT_B, _MULT_B)
+    out = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
+    return np.stack([out[j] | out[j + 1] << 32 for j in range(0, len(out), 2)], axis=1)
+
+
+def derive_seeds(base: SeedLike, key: int, lo: int, hi: int) -> list:
+    """[PathSeed] of ``derive_seed(base, key, i)`` for i in range(lo, hi),
+    hashed together: numpy's SeedSequence mixing, written as uint32
+    arithmetic over all the indices at once. Indices are below 2^32, the
+    one-word indices of any law."""
+    if not 0 <= lo <= hi <= 1 << 32:
+        raise ValueError(f"indices must satisfy 0 <= lo <= hi <= 2^32, got {lo}, {hi}")
+    entropy, key = _entropy_and_key(base, (key,))
+    run = _uint32_words(entropy)
+    head = run + [0] * (_POOL_SIZE - len(run)) + _uint32_words(key)
+    states = _pcg64_states(head + [np.arange(lo, hi, dtype=np.uint32)])
+    states.flags.writeable = False
+    return list(map(PathSeed, states))
 
 
 def replicate(process, statistic, n: int, count: int, seed: SeedLike, key: int):
@@ -119,20 +224,20 @@ def replicate(process, statistic, n: int, count: int, seed: SeedLike, key: int):
     ``process``, path i simulated from ``derive_seed(seed, key, i)``, where
     theta is the statistic's exact value under ``process.filter``.
 
-    A process with ``simulate_batch`` gets those seeds in consecutive chunks
-    of ``max(1, BATCH_VALUES // n)``; any other is simulated path by path.
+    The seeds are derived in consecutive chunks of ``max(1, BATCH_VALUES //
+    n)`` paths; a process with ``simulate_batch`` gets each chunk in one
+    call, any other is simulated path by path.
     """
     theta = statistic.model_center(*process.filter, n)
     vals = np.empty(count)
-    if hasattr(process, "simulate_batch"):
-        rows = max(1, BATCH_VALUES // n)
-        for lo in range(0, count, rows):
-            seeds = [derive_seed(seed, key, i) for i in range(lo, min(lo + rows, count))]
-            for i, path in enumerate(process.simulate_batch(n, seeds), lo):
-                vals[i] = statistic.evaluate(path)
-    else:
-        for i in range(count):
-            vals[i] = statistic.evaluate(process.simulate(n, derive_seed(seed, key, i)))
+    rows = max(1, BATCH_VALUES // n)
+    simulate_batch = getattr(process, "simulate_batch", None)
+    for lo in range(0, count, rows):
+        seeds = derive_seeds(seed, key, lo, min(lo + rows, count))
+        paths = (simulate_batch(n, seeds) if simulate_batch is not None
+                 else (process.simulate(n, s) for s in seeds))
+        for i, path in enumerate(paths, lo):
+            vals[i] = statistic.evaluate(path)
     return ecdf(statistic.rate(n) * (vals - theta)), float(theta)
 
 
@@ -149,9 +254,10 @@ def batch_paths(simulate_block, seeds, width: int) -> Iterator[Series]:
 
 
 def rng_from(seed: SeedLike) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(np.random.SeedSequence(int(seed)))
+    """The PCG64 generator of a SeedSequence, a PathSeed or an int."""
+    if not isinstance(seed, np.random.bit_generator.ISeedSequence):
+        seed = np.random.SeedSequence(int(seed))
+    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -268,10 +374,12 @@ def draw_innovations(spec: InnovationSpec, n: int, seed: SeedLike) -> np.ndarray
     if spec.family == "gaussian":
         e = rng.standard_normal(n)
     elif spec.family == "centered_exponential":
-        e = rng.exponential(1.0, n) - 1.0
+        e = rng.exponential(1.0, n)
+        e -= 1.0
     else:  # centered_uniform, variance 1 on [-sqrt(3), sqrt(3)]
         e = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), n)
-    return spec.scale * e
+    e *= spec.scale
+    return e
 
 
 def default_burnin(order: int) -> int:
@@ -282,10 +390,12 @@ def simulate_linear(model: LinearModel, n: int, seed: SeedLike):
     """Simulate the finite MA; returns (X, e) with e the aligned innovations.
 
     q pre-sample innovations are drawn so that X_1 already uses a full window.
+    The filter is the full convolution cut to the outputs that see all q + 1
+    taps, the values scipy's FIR ``lfilter`` gives from its ``np.convolve``.
     """
     q = model.q
     e_full = draw_innovations(model.innovations, n + q, seed)
-    x = lfilter(np.concatenate([[1.0], model.b]), [1.0], e_full)[q:]
+    x = np.convolve(np.concatenate([[1.0], model.b]), e_full)[q:n + q]
     return Series(x), Series(e_full[q:])
 
 

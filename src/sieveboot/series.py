@@ -45,7 +45,7 @@ class Series:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size < 1:
             raise ValueError("series must be a nonempty 1-d array")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("series values must be finite")
         object.__setattr__(self, "values", values)
 

@@ -27,7 +27,7 @@ from .asymptotics import (
     spectral_estimator_variance,
 )
 from .companion import rational_acvf
-from .series import Series, sample_acf, sample_acvf, sample_mean
+from .series import DegenerateSeriesError, Series
 from .spectral import (
     KernelSpec,
     WeightFunction,
@@ -78,6 +78,16 @@ def _kurtosis_targets(variance, prefix: str, kappa_e, kappa_eps) -> dict:
     return out
 
 
+def _centered(s: Series, maxlag: int) -> np.ndarray:
+    """The path less its mean, with the arithmetic and the check of
+    ``sample_acvf``, so that a lag-h product over it divided by n is
+    ``sample_acvf(s, h)[h]`` bit for bit."""
+    v = s.values
+    if not 0 <= maxlag < v.size:
+        raise ValueError(f"maxlag must satisfy 0 <= maxlag < n, got {maxlag} with n={v.size}")
+    return v - np.add.reduce(v) / v.size
+
+
 class Statistic:
     """Protocol base; subclasses set ``name`` and override the hooks."""
 
@@ -106,7 +116,7 @@ class MeanStatistic(Statistic):
     name: str = "mean"
 
     def evaluate(self, s: Series) -> float:
-        return sample_mean(s)
+        return float(np.add.reduce(s.values) / s.n)  # sample_mean's arithmetic
 
     def model_center(self, num, den, sigma2, n):
         return 0.0
@@ -127,7 +137,8 @@ class AcvfStatistic(Statistic):
         self.name = f"acvf-lag-{self.h}"
 
     def evaluate(self, s: Series) -> float:
-        return sample_acvf(s, self.h, centered=True)[self.h]
+        x = _centered(s, self.h)
+        return float(np.dot(x[: x.size - self.h], x[self.h:]) / x.size)
 
     def model_center(self, num, den, sigma2, n):
         return rational_acvf(num, den, sigma2, self.h)[self.h]
@@ -149,7 +160,12 @@ class AcfStatistic(Statistic):
         self.name = f"acf-lag-{self.h}"
 
     def evaluate(self, s: Series) -> float:
-        return float(sample_acf(s, self.h)[self.h])
+        x = _centered(s, self.h)
+        n = x.size
+        gamma0 = np.dot(x, x) / n
+        if gamma0 <= 0:
+            raise DegenerateSeriesError("sample variance is zero; acf undefined")
+        return float(np.dot(x[: n - self.h], x[self.h:]) / n / gamma0)
 
     def model_center(self, num, den, sigma2, n):
         gamma = rational_acvf(num, den, sigma2, self.h)

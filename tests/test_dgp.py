@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.signal import freqz
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import freqz, lfilter
 
 from sieveboot import dgp
 from sieveboot.dgp import (
@@ -14,8 +16,10 @@ from sieveboot.dgp import (
     ARModel,
     InnovationSpec,
     LinearModel,
+    PathSeed,
     StabilityError,
     derive_seed,
+    derive_seeds,
     draw_innovations,
     ma1_example,
     ma1_model,
@@ -55,6 +59,51 @@ class TestSeeding:
         assert a.entropy == b.entropy and tuple(a.spawn_key) == tuple(b.spawn_key)
 
 
+# Bases of derived seeds: ints of one, two and five 32-bit words, and
+# SeedSequences that carry a spawn key (nested bases included).
+seed_ints = st.one_of(st.just(0), st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64),
+                      st.integers(2 ** 128, 2 ** 160))
+seed_bases = st.one_of(
+    seed_ints,
+    st.builds(lambda entropy, key: np.random.SeedSequence(entropy, spawn_key=tuple(key)),
+              seed_ints, st.lists(seed_ints, min_size=1, max_size=3)))
+
+
+class TestDeriveSeeds:
+    @settings(max_examples=150, deadline=None)
+    @given(seed_bases, seed_ints, st.one_of(st.integers(0, 50), st.integers(2 ** 32 - 9, 2 ** 32 - 4)),
+           st.integers(0, 4))
+    def test_each_path_seed_is_its_seed_sequence(self, base, key, lo, count):
+        seeds = derive_seeds(base, key, lo, lo + count)
+        assert len(seeds) == count
+        for i, path_seed in enumerate(seeds, lo):
+            sequence = derive_seed(base, key, i)
+            assert np.array_equal(path_seed.generate_state(4, np.uint64),
+                                  sequence.generate_state(4, np.uint64))
+            assert np.array_equal(rng_from(path_seed).standard_normal(3),
+                                  rng_from(sequence).standard_normal(3))
+            assert np.array_equal(rng_from(path_seed).integers(0, 1 << 62, 3),
+                                  np.random.default_rng(sequence).integers(0, 1 << 62, 3))
+
+    def test_a_range_past_zero_is_the_tail_of_the_range_from_zero(self):
+        whole = derive_seeds(11, KEY_TRUTH, 0, 9)
+        tail = derive_seeds(11, KEY_TRUTH, 4, 9)
+        assert all(np.array_equal(a.state, b.state) for a, b in zip(whole[4:], tail))
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64),
+                                                (8, np.uint64), (4, np.int64)])
+    def test_path_seed_serves_only_pcg64(self, n_words, dtype):
+        path_seed = derive_seeds(3, 0, 0, 1)[0]
+        with pytest.raises(ValueError):
+            path_seed.generate_state(n_words, dtype)
+        assert isinstance(path_seed, PathSeed)
+
+    @pytest.mark.parametrize("key, lo, hi", [(0, -1, 2), (-1, 0, 2), (0, 3, 2), (0, 0, 2 ** 32 + 1)])
+    def test_indices_out_of_range_rejected(self, key, lo, hi):
+        with pytest.raises(ValueError):
+            derive_seeds(3, key, lo, hi)
+
+
 class TestInnovations:
     @pytest.mark.parametrize("family,raw4", [
         ("gaussian", 3.0),
@@ -90,6 +139,15 @@ class TestLinear:
             assert x.values[t] == pytest.approx(want, abs=1e-12)
         assert np.allclose(e.values, e_full[2:])
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_is_the_fir_lfilter_bit_for_bit(self, q):
+        b = tuple(np.random.default_rng(q).uniform(-3.0, 3.0, q))
+        model = LinearModel(b=b, innovations=InnovationSpec("centered_exponential", 1.7))
+        x, e = simulate_linear(model, 300, seed=q)
+        e_full = draw_innovations(model.innovations, 300 + q, seed=q)
+        assert np.array_equal(x.values, lfilter(np.concatenate([[1.0], b]), [1.0], e_full)[q:])
+        assert np.array_equal(e.values, e_full[q:])
+
     def test_ma1_variance(self):
         x, _ = simulate_linear(ma1_model(), 200_000, seed=4)
         assert x.values.var() == pytest.approx(5.0, rel=0.03)
@@ -110,6 +168,13 @@ class TestMa1Example:
         lam = np.linspace(0.0, np.pi, 257)
         _, response = freqz(*MA1_WOLD_FILTER, worN=lam)
         assert np.allclose(np.abs(response), 2.0, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("innovations", [None, InnovationSpec("centered_uniform", 2.5)])
+    def test_companion_record_is_the_wold_innovations_past_their_transient(self, innovations):
+        seed = derive_seed(3, 5)
+        record = ma1_companion_spec(innovations, 5000, seed).payload
+        _, _, ve = ma1_example(5000 + VE_FILTER_LAG, seed, innovations)
+        assert np.array_equal(record, ve.values[VE_FILTER_LAG:])
 
     def test_ve_is_white_with_variance_four(self):
         _, _, ve = ma1_example(300_000, seed=7)
@@ -225,18 +290,21 @@ BLOCK_PROCESSES = {
 
 
 class TestReplicate:
-    # (kind, paths per batch); arch1 at 3 takes chunks of 3, 3 and 1 paths
-    @pytest.mark.parametrize("kind, rows", [pytest.param(kind, None, id=kind)
-                                            for kind in sorted(PROCESSES)]
-                             + [pytest.param("arch1", 3, id="arch1-chunks-of-3")])
-    def test_law_is_the_per_path_seed_loop(self, monkeypatch, kind, rows):
+    # (kind, paths per batch, base seed); arch1 at 3 takes chunks of 3, 3 and
+    # 1 paths; the last two cases take a nested base and one of two words.
+    @pytest.mark.parametrize("kind, rows, base", [pytest.param(kind, None, 11, id=kind)
+                                                  for kind in sorted(PROCESSES)]
+                             + [pytest.param("arch1", 3, 11, id="arch1-chunks-of-3"),
+                                pytest.param("linear", 3, derive_seed(11, 3), id="nested-base"),
+                                pytest.param("companion", None, 2 ** 40 + 11, id="wide-base")])
+    def test_law_is_the_per_path_seed_loop(self, monkeypatch, kind, rows, base):
         # the seed contract: path i of a law is simulated from derive_seed(seed, key, i)
         process, statistic, n = PROCESSES[kind](), AcvfStatistic(1), 300
         if rows is not None:
             monkeypatch.setattr(dgp, "BATCH_VALUES", rows * n)
-        law, theta = replicate(process, statistic, n, 7, 11, KEY_TRUTH)
+        law, theta = replicate(process, statistic, n, 7, base, KEY_TRUTH)
         assert theta == statistic.model_center(*process.filter, n)
-        vals = np.array([statistic.evaluate(process.simulate(n, derive_seed(11, KEY_TRUTH, i)))
+        vals = np.array([statistic.evaluate(process.simulate(n, derive_seed(base, KEY_TRUTH, i)))
                          for i in range(7)])
         assert np.array_equal(law.sample, np.sort(statistic.rate(n) * (vals - theta)))
 
