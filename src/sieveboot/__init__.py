@@ -13,7 +13,6 @@ from .series import (
     DegenerateSeriesError,
     EmpiricalLaw,
     Series,
-    StatisticDescriptor,
     ecdf,
     kolmogorov_distance,
     ks_critical_value,
@@ -63,7 +62,6 @@ from .sieve import (
 from .companion import (
     CompanionSpec,
     OracleResult,
-    ar_model_acvf,
     build_companion,
     companion_distribution,
     ma1_companion_spec,
@@ -75,28 +73,23 @@ from .spectral import (
     KernelSpec,
     Periodogram,
     WeightFunction,
-    ar_spectral_density,
     cosine_weight,
     fourier_quadrature,
     integrated_periodogram,
     kernel_spectral_estimate,
-    linear_process_spectral_density,
     periodogram,
     ratio_statistic,
     rational_spectral_density,
 )
 from .asymptotics import (
     KurtosisSpec,
-    VarMatrix,
     acvf_asymptotic_variance,
     bartlett_variance,
     integrated_periodogram_variance,
     ma1_companion_kurtosis,
     mean_asymptotic_variance,
     ratio_statistic_variance,
-    spectral_estimator_bias,
     spectral_estimator_variance,
-    vm_matrix,
 )
 from .statistics import (
     AcfStatistic,

@@ -21,7 +21,6 @@ __all__ = [
     "levinson_durbin",
     "yule_walker_fit",
     "true_ar_coefficients_ma1",
-    "innovation_variance_limit",
     "invert_ar_polynomial",
     "min_modulus_on_disk",
     "baxter_gap",
@@ -111,13 +110,6 @@ def true_ar_coefficients_ma1(L: int = 60) -> np.ndarray:
     MA(1) worked example X_t = e_t - 2 e_{t-1}, truncated at lag L."""
     j = np.arange(1, L + 1)
     return -(0.5 ** j)
-
-
-def innovation_variance_limit(acvf: ACVF, a) -> float:
-    """gamma(0) - sum_k a_k gamma(k) for a (truncated) coefficient sequence."""
-    a = np.asarray(a, dtype=float)
-    k = min(a.size, acvf.maxlag)
-    return float(acvf.gamma[0] - np.dot(a[:k], acvf.gamma[1 : k + 1]))
 
 
 def invert_ar_polynomial(a, L: int) -> MAInversion:

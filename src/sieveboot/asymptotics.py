@@ -17,7 +17,6 @@ from .spectral import KernelSpec, WeightFunction
 
 __all__ = [
     "KurtosisSpec",
-    "VarMatrix",
     "ma1_companion_kurtosis",
     "acvf_asymptotic_variance",
     "bartlett_variance",
@@ -25,8 +24,6 @@ __all__ = [
     "integrated_periodogram_variance",
     "ratio_statistic_variance",
     "spectral_estimator_variance",
-    "spectral_estimator_bias",
-    "vm_matrix",
 ]
 
 # Fixed quadrature grid (midpoint rule) for all frequency-domain integrals.
@@ -42,22 +39,6 @@ class KurtosisSpec:
     def __post_init__(self):
         if self.excess < -2.0:
             raise ValueError("excess kurtosis cannot be below -2")
-
-
-@dataclass(frozen=True)
-class VarMatrix:
-    """Asymptotic covariance of scaled sample autocovariances at lags 0..M."""
-
-    M: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.shape != (self.M + 1, self.M + 1):
-            raise ValueError("entries must be (M+1) x (M+1)")
-        if not np.allclose(entries, entries.T):
-            raise ValueError("entries must be symmetric")
-        object.__setattr__(self, "entries", entries)
 
 
 def _quad_grid():
@@ -76,10 +57,6 @@ def ma1_companion_kurtosis(raw_ratio_e: float) -> float:
     return 0.4 * raw_ratio_e - 1.2
 
 
-def _gamma_extended(acvf: ACVF) -> Callable[[int], float]:
-    return acvf.__getitem__
-
-
 def _truncation_lags(acvf: ACVF) -> int:
     g = np.abs(acvf.gamma)
     keep = np.nonzero(g >= 1e-12 * g[0])[0]
@@ -92,7 +69,7 @@ def acvf_asymptotic_variance(acvf: ACVF, h: int, kappa: KurtosisSpec) -> float:
     With kappa the innovation excess kurtosis this is the variance of
     sqrt(n)(gamma_hat(h) - gamma(h)) for a linear or companion process.
     """
-    g = _gamma_extended(acvf)
+    g = acvf.__getitem__
     K = _truncation_lags(acvf) + abs(h)
     total = kappa.excess * g(h) ** 2
     for k in range(-K, K + 1):
@@ -162,27 +139,3 @@ def spectral_estimator_variance(f_lambda: float, at_boundary: bool, kernel: Kern
     factor = 2.0 if at_boundary else 1.0
     return float(factor * 2.0 * np.pi * f_lambda ** 2 * kernel.l2_norm_sq)
 
-
-def spectral_estimator_bias(second_derivative: float, kernel: KernelSpec, regime: str) -> float:
-    """Limit of sqrt(nh) E(f_n - f): zero when undersmoothed, else the
-    curvature term (1/4 pi) f'' int u^2 K(u) du."""
-    if regime == "undersmoothed":
-        return 0.0
-    if regime == "optimal":
-        return float(second_derivative * kernel.second_moment / (4.0 * np.pi))
-    raise ValueError(f"unknown regime {regime!r}")
-
-
-def vm_matrix(acvf: ACVF, kappa: KurtosisSpec, M: int) -> VarMatrix:
-    """Joint asymptotic covariance of sqrt(n) gamma_hat(0..M):
-    V[i,j] = kappa gamma(i) gamma(j) + sum_k (gamma(k) gamma(k-i+j) + gamma(k+j) gamma(k-i))."""
-    g = _gamma_extended(acvf)
-    K = _truncation_lags(acvf) + M
-    entries = np.empty((M + 1, M + 1))
-    for i in range(M + 1):
-        for j in range(i, M + 1):
-            total = kappa.excess * g(i) * g(j)
-            for k in range(-K, K + 1):
-                total += g(k) * g(k - i + j) + g(k + j) * g(k - i)
-            entries[i, j] = entries[j, i] = total
-    return VarMatrix(M=M, entries=entries)

@@ -25,7 +25,6 @@ from .series import ACVF, EmpiricalLaw, Series
 __all__ = [
     "CompanionSpec",
     "OracleResult",
-    "ar_model_acvf",
     "rational_acvf",
     "build_companion",
     "companion_distribution",
@@ -34,7 +33,7 @@ __all__ = [
     "parametric_companion_spec",
 ]
 
-_SOURCES = ("exact_ma1_filter", "residual_resample", "parametric")
+_SOURCES = ("residual_resample", "parametric")
 
 
 def _filter_polynomial(c, label: str) -> np.ndarray:
@@ -51,7 +50,7 @@ def _filter_polynomial(c, label: str) -> np.ndarray:
 class CompanionSpec:
     """The rational filter num(z) / den(z) plus an i.i.d. innovation source.
 
-    For the resampling sources the payload is a long record whose values are
+    For the resampling source the payload is a long record whose values are
     drawn i.i.d. with replacement; for the parametric source it is an
     InnovationSpec.
     """
@@ -124,8 +123,7 @@ def ma1_companion_spec(
     burnin = 1 + dgp.VE_FILTER_LAG  # ma1_example's pre-sample draw and transient
     e = dgp.draw_innovations(innovations or dgp.InnovationSpec(), record_length + burnin, seed)
     record = lfilter(*dgp.MA1_WOLD_FILTER, e)[burnin:]
-    return CompanionSpec(num=[1.0, -0.5], den=[1.0], innovation_source="exact_ma1_filter",
-                         payload=record)
+    return resampling_companion_spec([1.0, -0.5], [1.0], record)
 
 
 def resampling_companion_spec(num, den, record) -> CompanionSpec:
@@ -162,12 +160,6 @@ def rational_acvf(num, den, sigma2: float, maxlag: int) -> ACVF:
     gamma = np.array([sigma2 * np.dot(psi[: psi.size - h], psi[h:]) if h < psi.size else 0.0
                       for h in range(maxlag + 1)])
     return ACVF(gamma=gamma, kind="theoretical")
-
-
-def ar_model_acvf(a, sigma2: float, maxlag: int) -> ACVF:
-    """Autocovariances of the AR model (a, sigma2): the filter 1 / (1 - sum a_k z^k)."""
-    return rational_acvf([1.0], np.concatenate([[1.0], -np.asarray(a, dtype=float)]),
-                         sigma2, maxlag)
 
 
 def _draw_companion_innovations(spec: CompanionSpec, seed: dgp.SeedLike, out: np.ndarray) -> None:

@@ -305,7 +305,7 @@ class LinearModel:
         return np.concatenate([[1.0], self.b]), np.ones(1), self.innovations.scale ** 2
 
     def simulate(self, n: int, seed: SeedLike) -> Series:
-        return simulate_linear(self, n, seed)[0]
+        return simulate_linear(self, n, seed)
 
 
 @dataclass(frozen=True)
@@ -386,8 +386,8 @@ def default_burnin(order: int) -> int:
     return max(1000, 50 * order)
 
 
-def simulate_linear(model: LinearModel, n: int, seed: SeedLike):
-    """Simulate the finite MA; returns (X, e) with e the aligned innovations.
+def simulate_linear(model: LinearModel, n: int, seed: SeedLike) -> Series:
+    """Simulate the finite MA X_t = e_t + sum_j b_j e_{t-j}.
 
     q pre-sample innovations are drawn so that X_1 already uses a full window.
     The filter is the full convolution cut to the outputs that see all q + 1
@@ -396,7 +396,7 @@ def simulate_linear(model: LinearModel, n: int, seed: SeedLike):
     q = model.q
     e_full = draw_innovations(model.innovations, n + q, seed)
     x = np.convolve(np.concatenate([[1.0], model.b]), e_full)[q:n + q]
-    return Series(x), Series(e_full[q:])
+    return Series(x)
 
 
 def simulate_ar(model: ARModel, n: int, seed: SeedLike, burnin: int | None = None) -> Series:

@@ -1,4 +1,4 @@
-"""Sample paths, moment statistics, empirical distributions and generalized means.
+"""Sample paths, moment statistics and empirical distributions.
 
 All estimators use the biased 1/n normalization, which keeps empirical
 autocovariance (Toeplitz) matrices positive semidefinite.
@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -16,18 +15,12 @@ __all__ = [
     "Series",
     "ACVF",
     "EmpiricalLaw",
-    "StatisticDescriptor",
     "sample_mean",
     "sample_acvf",
     "sample_acf",
     "ecdf",
     "kolmogorov_distance",
     "ks_critical_value",
-    "generalized_mean_statistic",
-    "mean_descriptor",
-    "product_lag_descriptor",
-    "acvf_lag_descriptor",
-    "acf_lag_descriptor",
 ]
 
 
@@ -108,25 +101,6 @@ class EmpiricalLaw:
         return float(np.mean(self.sample))
 
 
-@dataclass(frozen=True)
-class StatisticDescriptor:
-    """A statistic of the generalized-mean class.
-
-    ``g`` maps a window matrix of shape (k, m) to intermediate values of shape
-    (k, d); ``f`` maps the d-vector of averages to a scalar.
-    """
-
-    name: str
-    m: int
-    d: int
-    g: Callable[[np.ndarray], np.ndarray]
-    f: Callable[[np.ndarray], float]
-
-    def __post_init__(self):
-        if self.m < 1 or self.d < 1:
-            raise ValueError("descriptor requires m >= 1 and d >= 1")
-
-
 def sample_mean(s: Series) -> float:
     """Arithmetic mean of the sample path."""
     return float(np.mean(s.values))
@@ -183,70 +157,3 @@ def ks_critical_value(n1: int, n2: int, alpha: float = 0.001) -> float:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     c = math.sqrt(-math.log(alpha / 2.0) / 2.0)
     return c * math.sqrt((n1 + n2) / (n1 * n2))
-
-
-def generalized_mean_statistic(s: Series, d: StatisticDescriptor) -> float:
-    """f of the average of g over all length-m windows of the series."""
-    n = s.n
-    if n < d.m:
-        raise ValueError(f"series of length {n} shorter than window m={d.m}")
-    windows = np.lib.stride_tricks.sliding_window_view(s.values, d.m)
-    vals = np.asarray(d.g(windows), dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    return float(d.f(np.mean(vals, axis=0)))
-
-
-def mean_descriptor() -> StatisticDescriptor:
-    return StatisticDescriptor(
-        name="mean", m=1, d=1,
-        g=lambda w: w,
-        f=lambda u: float(u[0]),
-    )
-
-
-def product_lag_descriptor(h: int) -> StatisticDescriptor:
-    """Average of X_t X_{t+h} over windows (no centering correction)."""
-    return StatisticDescriptor(
-        name=f"product-lag-{h}", m=h + 1, d=1,
-        g=lambda w: w[:, 0] * w[:, h],
-        f=lambda u: float(u[0]),
-    )
-
-
-def _second_moment_g(h: int) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda w: np.column_stack([w[:, 0] * w[:, h], w[:, 0], w[:, 0] ** 2])
-
-
-def acvf_lag_descriptor(h: int) -> StatisticDescriptor:
-    """Generalized-mean version of the lag-h autocovariance.
-
-    Differs from the exact centered estimator by O(1/n): the running means of
-    X_t and X_t X_{t+h} use n-h terms instead of n, and the mean correction is
-    the square of a single running mean.
-    """
-    if h < 1:
-        raise ValueError("acvf descriptor requires h >= 1")
-    return StatisticDescriptor(
-        name=f"acvf-lag-{h}", m=h + 1, d=3,
-        g=_second_moment_g(h),
-        f=lambda u: float(u[0] - u[1] ** 2),
-    )
-
-
-def acf_lag_descriptor(h: int) -> StatisticDescriptor:
-    """Generalized-mean version of the lag-h autocorrelation."""
-    if h < 1:
-        raise ValueError("acf descriptor requires h >= 1")
-
-    def f(u):
-        denom = u[2] - u[1] ** 2
-        if denom <= 0:
-            raise DegenerateSeriesError("zero variance in acf descriptor")
-        return float((u[0] - u[1] ** 2) / denom)
-
-    return StatisticDescriptor(
-        name=f"acf-lag-{h}", m=h + 1, d=3,
-        g=_second_moment_g(h),
-        f=f,
-    )

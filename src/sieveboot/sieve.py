@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import dgp
-from .ar import ARFit, residuals, yule_walker_fit
+from .ar import ARFit, levinson_durbin, residuals, yule_walker_fit
 from .companion import CompanionSpec, build_companion, resampling_companion_spec
 from .series import DegenerateSeriesError, EmpiricalLaw, Series, ecdf, sample_acvf
 from .statistics import statistic_from_config
@@ -64,8 +64,6 @@ def select_order(s: Series, rule: OrderRule) -> int:
     acvf = sample_acvf(s, p_max, centered=True)
     if acvf.gamma[0] <= 0:
         raise DegenerateSeriesError("constant series")
-    from .ar import levinson_durbin
-
     _, sigma2s = levinson_durbin(acvf.gamma, p_max)
     orders = np.arange(1, p_max + 1)
     aic = n * np.log(sigma2s[1:]) + 2.0 * orders

@@ -21,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from .ar import ARFit
 from .series import DegenerateSeriesError, Series
 
 __all__ = [
@@ -37,8 +36,6 @@ __all__ = [
     "ratio_statistic",
     "kernel_spectral_estimate",
     "rational_spectral_density",
-    "ar_spectral_density",
-    "linear_process_spectral_density",
 ]
 
 _CACHE_SIZE = 16  # keys kept per cache; an entry holds O(n) values
@@ -112,11 +109,6 @@ class KernelSpec:
     def l2_norm_sq(self) -> float:
         """Integral of K^2 over the support: 3 / (5 pi)."""
         return 3.0 / (5.0 * np.pi)
-
-    @property
-    def second_moment(self) -> float:
-        """Integral of u^2 K(u) du: pi^2 / 5."""
-        return np.pi ** 2 / 5.0
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -223,13 +215,3 @@ def rational_spectral_density(num, den, sigma2: float, lam) -> np.ndarray | floa
     out = sigma2 / (2.0 * np.pi) * np.abs(_transfer(num, lam)) ** 2 / np.abs(_transfer(den, lam)) ** 2
     return float(out[0]) if scalar else out
 
-
-def ar_spectral_density(fit: ARFit, lam) -> np.ndarray | float:
-    """f_AR(lambda) = (sigma2 / 2 pi) |1 - sum a_j e^{-i j lambda}|^-2."""
-    return rational_spectral_density([1.0], np.concatenate([[1.0], -fit.a]), fit.sigma2, lam)
-
-
-def linear_process_spectral_density(b, sigma2: float, lam) -> np.ndarray | float:
-    """f(lambda) = (sigma2 / 2 pi) |1 + sum b_j e^{-i j lambda}|^2."""
-    return rational_spectral_density(np.concatenate([[1.0], np.asarray(b, dtype=float)]), [1.0],
-                                     sigma2, lam)

@@ -8,7 +8,6 @@ from sieveboot.ar import (
     InversionError,
     MAInversion,
     baxter_gap,
-    innovation_variance_limit,
     invert_ar_polynomial,
     levinson_durbin,
     min_modulus_on_disk,
@@ -16,6 +15,7 @@ from sieveboot.ar import (
     true_ar_coefficients_ma1,
     yule_walker_fit,
 )
+from sieveboot.companion import rational_acvf
 from sieveboot.series import ACVF, Series, sample_acvf
 
 MA1_GAMMA = np.concatenate([[5.0, -2.0], np.zeros(59)])  # gamma of X_t = e_t - 2 e_{t-1}
@@ -162,7 +162,7 @@ class TestBaxterAndResiduals:
         assert abs(res.mean()) < 1e-14
 
     def test_innovation_variance_limit(self):
-        g = ma1_acvf(40)
-        v = innovation_variance_limit(g, true_ar_coefficients_ma1(40))
+        gamma = rational_acvf([1.0, -2.0], [1.0], 1.0, 40).gamma
+        v = gamma[0] - np.dot(true_ar_coefficients_ma1(40), gamma[1:])
         # gamma(0) - sum a_k gamma(k) = 5 - (1/2)*2 = 4
         assert v == pytest.approx(4.0)

@@ -5,16 +5,13 @@ import pytest
 
 from sieveboot.asymptotics import (
     KurtosisSpec,
-    VarMatrix,
     acvf_asymptotic_variance,
     bartlett_variance,
     integrated_periodogram_variance,
     ma1_companion_kurtosis,
     mean_asymptotic_variance,
     ratio_statistic_variance,
-    spectral_estimator_bias,
     spectral_estimator_variance,
-    vm_matrix,
 )
 from sieveboot.dgp import Arch1Model, InnovationSpec, LinearModel
 from sieveboot.experiment import compute_targets
@@ -52,6 +49,10 @@ class TestAcvfVariance:
         assert acvf_asymptotic_variance(MA1, 0, KurtosisSpec(0.0)) == pytest.approx(66.0)
         assert acvf_asymptotic_variance(MA1, 0, KurtosisSpec(2.4)) == pytest.approx(126.0)
         assert acvf_asymptotic_variance(MA1, 0, KurtosisSpec(6.0)) == pytest.approx(216.0)
+
+    def test_ma1_lag1_gaussian(self):
+        # sum_k (gamma(k)^2 + gamma(k+1) gamma(k-1)) = 25 + 2*4 + 4 = 37
+        assert acvf_asymptotic_variance(MA1, 1, KurtosisSpec(0.0)) == pytest.approx(37.0)
 
     def test_white_noise_lag0(self):
         g = ACVF(np.array([2.0]))
@@ -116,14 +117,6 @@ class TestFrequencyDomain:
         assert interior == pytest.approx(0.760, abs=5e-4)
         assert boundary == pytest.approx(4.924, abs=5e-4)
 
-    def test_spectral_bias_regimes(self):
-        k = KernelSpec(bandwidth=0.4)
-        assert spectral_estimator_bias(2.0, k, "undersmoothed") == 0.0
-        assert spectral_estimator_bias(2.0, k, "optimal") == pytest.approx(
-            2.0 * (np.pi ** 2 / 5) / (4 * np.pi))
-        with pytest.raises(ValueError):
-            spectral_estimator_bias(2.0, k, "oversmoothed")
-
 
 class TestIntegratedPeriodogramTargets:
     # X = e - 2 e_{-1}: (kappa_e, kappa_eps) = (6, 2.4) under centered
@@ -158,21 +151,3 @@ class TestIntegratedPeriodogramTargets:
         # ARCH(1) has no closed-form kurtosis pair, so no kurtosis-dependent target
         stat = statistic_from_config({"name": "intper-cos", "lag": 1})
         assert compute_targets(Arch1Model(omega=1.0, alpha1=0.3), stat) == {}
-
-
-class TestVarMatrix:
-    def test_ma1_kappa0_entries(self):
-        V = vm_matrix(MA1, KurtosisSpec(0.0), 1)
-        assert V.entries[0, 0] == pytest.approx(66.0)   # 2 sum gamma(k)^2
-        assert V.entries[0, 1] == pytest.approx(-40.0)  # 2 sum gamma(k) gamma(k+1)
-        assert V.entries[1, 1] == pytest.approx(37.0)   # sum(g(k)^2 + g(k+1) g(k-1))
-
-    def test_diagonal_matches_scalar_formula(self):
-        k = KurtosisSpec(2.4)
-        V = vm_matrix(MA1, k, 2)
-        for h in range(3):
-            assert V.entries[h, h] == pytest.approx(acvf_asymptotic_variance(MA1, h, k))
-
-    def test_symmetry_enforced(self):
-        with pytest.raises(ValueError):
-            VarMatrix(M=1, entries=np.array([[1.0, 2.0], [3.0, 4.0]]))

@@ -6,7 +6,6 @@ from scipy.signal import lfilter
 
 from sieveboot.companion import (
     CompanionSpec,
-    ar_model_acvf,
     build_companion,
     companion_distribution,
     ma1_companion_spec,
@@ -43,18 +42,19 @@ class TestSpec:
 
 class TestModelAcvf:
     def test_ar1_closed_form(self):
-        g = ar_model_acvf(np.array([0.5]), 1.0, 5)
+        g = rational_acvf([1.0], [1.0, -0.5], 1.0, 5)
         want = 0.5 ** np.arange(6) / 0.75
         assert np.allclose(g.gamma, want, rtol=1e-10)
 
     def test_white_noise(self):
-        g = ar_model_acvf(np.zeros(0), 3.0, 2)
+        g = rational_acvf([1.0], [1.0], 3.0, 2)
         assert np.allclose(g.gamma, [3.0, 0.0, 0.0])
 
     def test_ma1_companion_acvf_matches_original_process(self):
         # the companion process shares all second-order properties with the
         # noninvertible MA(1): gamma(0)=5, gamma(1)=-2, gamma(h>=2)=0
-        g = ar_model_acvf(true_ar_coefficients_ma1(60), 4.0, 4)
+        den = np.concatenate([[1.0], -true_ar_coefficients_ma1(60)])
+        g = rational_acvf([1.0], den, 4.0, 4)
         assert np.allclose(g.gamma, [5.0, -2.0, 0.0, 0.0, 0.0], atol=1e-10)
 
 

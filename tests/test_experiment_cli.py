@@ -85,6 +85,15 @@ class TestCompanionConstruction:
         assert np.array_equal(spec.den, [1.0])
         assert spec.innovation_source == "parametric"
 
+    def test_worked_example_companion_resamples_its_wold_record(self):
+        # X_t = e_t - 2 e_{t-1}: the invertible (1 - z/2) eps, with eps drawn
+        # i.i.d. from a record of its Wold innovations, variance 4
+        spec = companion_spec_for(LinearModel(b=(-2.0,)), seed=1)
+        assert np.array_equal(spec.num, [1.0, -0.5])
+        assert np.array_equal(spec.den, [1.0])
+        assert spec.innovation_source == "residual_resample"
+        assert spec.innovation_variance == pytest.approx(4.0, rel=0.01)
+
     def test_noninvertible_ma_other_than_worked_example_rejected(self):
         with pytest.raises(ValueError):
             companion_spec_for(LinearModel(b=(0.1, -3.0)), seed=1)

@@ -10,17 +10,11 @@ from sieveboot.series import (
     DegenerateSeriesError,
     EmpiricalLaw,
     Series,
-    acf_lag_descriptor,
-    acvf_lag_descriptor,
     ecdf,
-    generalized_mean_statistic,
     kolmogorov_distance,
     ks_critical_value,
-    mean_descriptor,
-    product_lag_descriptor,
     sample_acf,
     sample_acvf,
-    sample_mean,
 )
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -139,32 +133,3 @@ class TestEmpiricalLaw:
         law = ecdf([1.0, 3.0])
         assert law.mean() == 2.0
         assert law.variance() == 1.0
-
-
-class TestGeneralizedMean:
-    def test_mean_descriptor_equals_mean(self):
-        s = rand_series(80, seed=7)
-        assert generalized_mean_statistic(s, mean_descriptor()) == pytest.approx(sample_mean(s))
-
-    def test_product_lag_descriptor(self):
-        s = rand_series(50, seed=8)
-        x = s.values
-        want = np.mean(x[:-2] * x[2:])
-        assert generalized_mean_statistic(s, product_lag_descriptor(2)) == pytest.approx(want)
-
-    def test_acvf_descriptor_close_to_exact_estimator(self):
-        # windowed version differs from the exact centered estimator by O(1/n)
-        s = rand_series(2000, seed=9)
-        approx = generalized_mean_statistic(s, acvf_lag_descriptor(1))
-        exact = sample_acvf(s, 1, centered=True)[1]
-        assert abs(approx - exact) < 5.0 / s.n
-
-    def test_acf_descriptor_close_to_exact_estimator(self):
-        s = rand_series(2000, seed=10)
-        approx = generalized_mean_statistic(s, acf_lag_descriptor(1))
-        exact = sample_acf(s, 1)[1]
-        assert abs(approx - exact) < 5.0 / s.n
-
-    def test_window_too_long_raises(self):
-        with pytest.raises(ValueError):
-            generalized_mean_statistic(Series([1.0, 2.0]), product_lag_descriptor(5))

@@ -119,7 +119,7 @@ class TestBootstrapDistribution:
         assert res.theta_star == pytest.approx(want, rel=1e-10)
 
     def test_deterministic_given_seed(self):
-        x, _ = simulate_linear(ma1_model(), 600, seed=11)
+        x = simulate_linear(ma1_model(), 600, seed=11)
         r1 = bootstrap_distribution(x, MeanStatistic(), B=150, rule=OrderRule(), seed=12)
         r2 = bootstrap_distribution(x, MeanStatistic(), B=150, rule=OrderRule(), seed=12)
         assert np.array_equal(r1.law.sample, r2.law.sample)

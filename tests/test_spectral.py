@@ -3,19 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from sieveboot.ar import ARFit, true_ar_coefficients_ma1
+from sieveboot.ar import true_ar_coefficients_ma1
 from sieveboot.dgp import ma1_model, simulate_linear
 from sieveboot import spectral
 from sieveboot.series import Series, sample_acvf
 from sieveboot.spectral import (
     KernelSpec,
-    ar_spectral_density,
     constant_weight,
     cosine_weight,
     fourier_quadrature,
     integrated_periodogram,
     kernel_spectral_estimate,
-    linear_process_spectral_density,
     periodogram,
     rational_spectral_density,
     ratio_statistic,
@@ -86,7 +84,7 @@ class TestKernel:
         mass = np.trapezoid(k.kernel(u), u)
         assert mass == pytest.approx(1.0, abs=1e-6)
         assert np.trapezoid(k.kernel(u) ** 2, u) == pytest.approx(k.l2_norm_sq, abs=1e-6)
-        assert np.trapezoid(u ** 2 * k.kernel(u), u) == pytest.approx(k.second_moment, abs=1e-5)
+        assert np.trapezoid(u ** 2 * k.kernel(u), u) == pytest.approx(np.pi ** 2 / 5.0, abs=1e-5)
 
     def test_bandwidth_validation(self):
         with pytest.raises(ValueError):
@@ -95,10 +93,10 @@ class TestKernel:
             KernelSpec(bandwidth=4.0)
 
     def test_estimate_recovers_ma1_density(self):
-        x, _ = simulate_linear(ma1_model(), 40_000, seed=6)
+        x = simulate_linear(ma1_model(), 40_000, seed=6)
         k = KernelSpec(bandwidth=0.15)
         for lam in (np.pi / 3, np.pi / 2, 2.4):
-            f_true = float(linear_process_spectral_density(np.array([-2.0]), 1.0, lam))
+            f_true = rational_spectral_density([1.0, -2.0], [1.0], 1.0, lam)
             f_hat = kernel_spectral_estimate(x, k, lam)
             assert f_hat == pytest.approx(f_true, rel=0.1)
 
@@ -232,28 +230,26 @@ class TestCachedArrays:
 
 class TestModelDensities:
     def test_ma1_density_values(self):
-        f = lambda lam: linear_process_spectral_density(np.array([-2.0]), 1.0, lam)
+        f = lambda lam: rational_spectral_density([1.0, -2.0], [1.0], 1.0, lam)
         assert f(0.0) == pytest.approx(1.0 / (2 * np.pi))
         assert f(np.pi) == pytest.approx(9.0 / (2 * np.pi))
         assert f(np.pi / 2) == pytest.approx(5.0 / (2 * np.pi))
 
     def test_ar_density_integrates_to_variance(self):
-        fit = ARFit(p=1, a=np.array([0.6]), sigma2=1.0, source="theoretical")
         lam = np.linspace(0, np.pi, 100_001)
-        integral = 2.0 * np.trapezoid(ar_spectral_density(fit, lam), lam)
+        integral = 2.0 * np.trapezoid(rational_spectral_density([1.0], [1.0, -0.6], 1.0, lam), lam)
         assert integral == pytest.approx(1.0 / (1 - 0.36), rel=1e-4)
 
     def test_ar_approximation_of_ma1_density(self):
         # long AR truncation reproduces the MA(1) spectral density
-        fit = ARFit(p=40, a=true_ar_coefficients_ma1(40), sigma2=4.0, source="theoretical")
+        den = np.concatenate([[1.0], -true_ar_coefficients_ma1(40)])
         for lam in (0.3, 1.0, 2.0, math.pi):
-            want = float(linear_process_spectral_density(np.array([-2.0]), 1.0, lam))
-            assert ar_spectral_density(fit, lam) == pytest.approx(want, rel=1e-8)
+            want = rational_spectral_density([1.0, -2.0], [1.0], 1.0, lam)
+            assert rational_spectral_density([1.0], den, 4.0, lam) == pytest.approx(want, rel=1e-8)
 
     def test_scalar_and_array_evaluation(self):
-        fit = ARFit(p=1, a=np.array([0.3]), sigma2=2.0, source="theoretical")
-        scalar = ar_spectral_density(fit, 1.0)
-        arr = ar_spectral_density(fit, np.array([1.0, 2.0]))
+        scalar = rational_spectral_density([1.0], [1.0, -0.3], 2.0, 1.0)
+        arr = rational_spectral_density([1.0], [1.0, -0.3], 2.0, np.array([1.0, 2.0]))
         assert isinstance(scalar, float)
         assert arr.shape == (2,)
         assert arr[0] == pytest.approx(scalar)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sieveboot.series import DegenerateSeriesError, Series, sample_acf, sample_acvf
+from sieveboot.series import DegenerateSeriesError, Series, sample_acf, sample_acvf, sample_mean
 from sieveboot.statistics import AcfStatistic, AcvfStatistic, MeanStatistic
 
 
@@ -23,7 +23,7 @@ class TestLeanEvaluate:
     @pytest.mark.parametrize("i", PATHS)
     def test_mean_is_np_mean(self, i):
         s = _paths()[i]
-        assert MeanStatistic().evaluate(s) == np.mean(s.values)
+        assert MeanStatistic().evaluate(s) == np.mean(s.values) == sample_mean(s)
 
     @pytest.mark.parametrize("h", range(4))
     @pytest.mark.parametrize("i", PATHS)
