@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import dgp
 from .ar import InversionError, invert_ar_polynomial, min_modulus_on_disk
@@ -122,7 +121,7 @@ def ma1_companion_spec(
     """
     burnin = 1 + dgp.VE_FILTER_LAG  # ma1_example's pre-sample draw and transient
     e = dgp.draw_innovations(innovations or dgp.InnovationSpec(), record_length + burnin, seed)
-    record = lfilter(*dgp.MA1_WOLD_FILTER, e)[burnin:]
+    record = dgp.filter_rows(*dgp.MA1_WOLD_FILTER, e)[burnin:]
     return resampling_companion_spec([1.0, -0.5], [1.0], record)
 
 
@@ -178,16 +177,16 @@ def build_companion(spec: CompanionSpec, n: int, seed):
     seeds, giving a (len(seed), n) array whose row j is the path of seed[j].
     Each row of innovations is drawn from its own seed, ``spec.burnin``
     leading values included, and the whole block goes through one
-    ``lfilter`` call along its rows. That call filters each row exactly as it
-    filters a lone path, so a row equals the single path of its seed bit for
-    bit.
+    ``dgp.filter_rows`` call (``lfilter`` bit for bit) along its rows. That
+    call filters each row exactly as it filters a lone path, so a row equals
+    the single path of its seed bit for bit.
     """
     seeds = seed if isinstance(seed, list) else [seed]
     burnin = spec.burnin
     eps = np.empty((len(seeds), n + burnin))
     for row, s in zip(eps, seeds):
         _draw_companion_innovations(spec, s, row)
-    x = lfilter(spec.num, spec.den, eps, axis=1)[:, burnin:]
+    x = dgp.filter_rows(spec.num, spec.den, eps)[:, burnin:]
     return x if isinstance(seed, list) else Series(x[0])
 
 

@@ -12,8 +12,9 @@ paths ``simulate(n, s)`` for s in seeds, in order and bit for bit, but
 computes them together. ``Arch1Model`` has it and steps all its paths one
 time step at a time. ``CompanionSpec`` and ``SieveModel`` have it and draw
 each path's innovations into one block of rows, then filter the block with
-one ``lfilter`` call; ``batch_paths`` keeps such a block, burn-in included,
-to about ``BATCH_VALUES`` values. ``replicate`` runs over consecutive chunks
+one ``filter_rows`` call, which is one ``lfilter`` call bit for bit;
+``batch_paths`` keeps such a block, burn-in included, to about
+``BATCH_VALUES`` values. ``replicate`` runs over consecutive chunks
 of ``max(1, BATCH_VALUES // n)`` paths: it derives the chunk's seeds, hands
 them to ``simulate_batch`` or, for the DGP's linear models, to ``simulate``
 one by one, and evaluates the statistic once per path.
@@ -33,13 +34,17 @@ a SeedSequence per path.
 """
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import json
 import math
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterator, Union
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .ar import min_modulus_on_disk
 from .series import Series, ecdf
@@ -66,6 +71,7 @@ __all__ = [
     "ma1_model",
     "simulate_arch1",
     "default_burnin",
+    "filter_rows",
     "model_to_json",
     "model_from_json",
 ]
@@ -270,8 +276,8 @@ class InnovationSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown innovation family {self.family!r}")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
+        if not (self.scale > 0 and math.isfinite(self.scale * self.scale)):
+            raise ValueError(f"scale must be positive with a finite square, got {self.scale!r}")
 
     @property
     def raw_fourth_ratio(self) -> float:
@@ -386,12 +392,77 @@ def default_burnin(order: int) -> int:
     return max(1000, 50 * order)
 
 
+# scipy's compiled filter kernel lives in this extension module. Loading it
+# from its file spares ``import scipy.signal``, which would load the whole
+# signal-processing package (and scipy.stats) for this one function.
+_SIGTOOLS = "scipy.signal._sigtools"
+
+
+def _sigtools_path() -> Path:
+    """The file of scipy's ``_sigtools`` extension, found without importing scipy."""
+    folder = Path(importlib.util.find_spec("scipy").origin).parent / "signal"
+    candidates = [folder / f"_sigtools{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    return next((path for path in candidates if path.is_file()), candidates[0])
+
+
+def _load_linear_filter(path: Path):
+    """``_linear_filter`` of the ``_sigtools`` extension at ``path``, or that
+    of ``scipy.signal`` itself when the file cannot be loaded."""
+    loader = importlib.machinery.ExtensionFileLoader(_SIGTOOLS, str(path))
+    previous = sys.modules.get(_SIGTOOLS)
+    try:
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_SIGTOOLS, loader))
+        loader.exec_module(module)
+    except ImportError:
+        module = None
+    finally:
+        # An extension module enters sys.modules as it loads; leave sys.modules
+        # as it was, so that a later ``import scipy.signal`` runs as usual.
+        if previous is None:
+            sys.modules.pop(_SIGTOOLS, None)
+        else:
+            sys.modules[_SIGTOOLS] = previous
+    if module is None:
+        from scipy.signal import _sigtools as module
+    return module._linear_filter
+
+
+@functools.cache
+def _linear_filter():
+    loaded = sys.modules.get(_SIGTOOLS)
+    return loaded._linear_filter if loaded is not None else _load_linear_filter(_sigtools_path())
+
+
+def filter_rows(b, a, x) -> np.ndarray:
+    """The rational filter [b(z) / a(z)] x along the last axis of x, from zero
+    state, with a[0] == 1: bit for bit ``scipy.signal.lfilter(b, a, x,
+    axis=-1)`` on float64 input, through the code that lfilter runs.
+
+    A finite filter (a == [1]) is lfilter's FIR branch, ``np.convolve(b, row)``
+    cut to the row's length, row by row. A recursive one is lfilter's IIR
+    branch, the compiled ``_linear_filter`` of scipy's ``_sigtools``.
+    """
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if a[0] != 1.0:
+        raise ValueError(f"the filter denominator must start with 1, got {a[0]!r}")
+    if a.size > 1:
+        return _linear_filter()(b, a, x, -1)
+    out = np.empty(x.shape)
+    width = x.shape[-1]
+    for dst, row in zip(out.reshape(-1, width), x.reshape(-1, width)):
+        dst[:] = np.convolve(b, row)[:width]
+    return out
+
+
 def simulate_linear(model: LinearModel, n: int, seed: SeedLike) -> Series:
     """Simulate the finite MA X_t = e_t + sum_j b_j e_{t-j}.
 
     q pre-sample innovations are drawn so that X_1 already uses a full window.
     The filter is the full convolution cut to the outputs that see all q + 1
-    taps, the values scipy's FIR ``lfilter`` gives from its ``np.convolve``.
+    taps, the values ``filter_rows`` (and scipy's FIR ``lfilter``) give
+    from its ``np.convolve``.
     """
     q = model.q
     e_full = draw_innovations(model.innovations, n + q, seed)
@@ -406,7 +477,7 @@ def simulate_ar(model: ARModel, n: int, seed: SeedLike, burnin: int | None = Non
     if burnin < 0:
         raise ValueError("burnin must be nonnegative")
     e = draw_innovations(model.innovations, n + burnin, seed)
-    x = lfilter([1.0], np.concatenate([[1.0], -np.asarray(model.a)]), e)[burnin:]
+    x = filter_rows([1.0], np.concatenate([[1.0], -np.asarray(model.a)]), e)[burnin:]
     return Series(x)
 
 
@@ -428,8 +499,8 @@ def ma1_example(n: int, seed: SeedLike, innovations: InnovationSpec | None = Non
     model = ma1_model(innovations)
     q = model.q
     e_full = draw_innovations(model.innovations, n + q, seed)
-    x = lfilter(np.concatenate([[1.0], model.b]), [1.0], e_full)[q:]
-    ve = lfilter(*MA1_WOLD_FILTER, e_full)[q:]
+    x = filter_rows(np.concatenate([[1.0], model.b]), [1.0], e_full)[q:]
+    ve = filter_rows(*MA1_WOLD_FILTER, e_full)[q:]
     return Series(x), Series(e_full[q:]), Series(ve)
 
 

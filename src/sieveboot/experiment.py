@@ -254,8 +254,21 @@ def _innovation_kurtoses(model):
 
 
 def compute_targets(model, statistic) -> dict:
-    """Analytic targets, recomputed from the asymptotics module at run time."""
-    return statistic.targets(*model.filter, *_innovation_kurtoses(model))
+    """Analytic targets, recomputed from the asymptotics module at run time.
+
+    Raises ValueError naming each target that is not finite, or the
+    statistic, as when the model's second moments overflow float64."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            targets = statistic.targets(*model.filter, *_innovation_kurtoses(model))
+    except OverflowError:
+        raise ValueError(f"targets of statistic {statistic.name!r} overflow float64 "
+                         "under this model") from None
+    bad = [tid for tid, value in targets.items() if not math.isfinite(value)]
+    if bad:
+        raise ValueError(f"targets not finite under this model (its second moments overflow "
+                         f"float64): {', '.join(bad)}")
+    return targets
 
 
 def _validate_checks(checks, targets: dict) -> None:

@@ -1,5 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -192,6 +198,83 @@ class TestAR:
         x = simulate_ar(model, 200_000, seed=8)
         g0 = x.values.var()
         assert g0 == pytest.approx(1.0 / (1 - 0.36), rel=0.03)
+
+
+
+def _bits(x):
+    return np.asarray(x).view(np.uint64)
+
+
+# The ways filter_rows may get scipy's compiled kernel: loaded from the
+# extension file, taken from an already imported scipy.signal, and the
+# fallback to scipy.signal when the file is missing.
+KERNEL_ROUTES = {
+    "extension-file": lambda: dgp._load_linear_filter(dgp._sigtools_path()),
+    "scipy-signal-loaded": lambda: (dgp._linear_filter.cache_clear(), dgp._linear_filter())[1],
+    "missing-file-fallback": lambda: dgp._load_linear_filter(
+        dgp._sigtools_path().with_name("_sigtools_missing.so")),
+}
+
+
+class TestFilterRows:
+    @pytest.mark.parametrize("route", KERNEL_ROUTES)
+    @settings(max_examples=40, deadline=None)
+    @given(taps=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=7),
+           # Reciprocal roots inside the disk: np.poly gives a stable denominator
+           # (order 0 is the FIR branch).
+           roots=st.lists(st.floats(-0.95, 0.95), max_size=6),
+           shape=st.sampled_from([(1,), (57,), (1, 40), (3, 1), (4, 123)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_is_lfilter_bit_for_bit(self, route, taps, roots, shape, seed):
+        den = np.poly(roots) if roots else np.ones(1)
+        x = np.random.default_rng(seed).standard_normal(shape)
+        kernel = KERNEL_ROUTES[route]()
+        with mock.patch.object(dgp, "_linear_filter", lambda: kernel):
+            got = dgp.filter_rows(taps, den, x)
+        assert got.shape == x.shape
+        assert np.array_equal(_bits(got), _bits(lfilter(taps, den, x, axis=-1)))
+
+    def test_routes_leave_sys_modules_as_they_were(self):
+        import scipy.signal._sigtools as sigtools
+
+        assert KERNEL_ROUTES["scipy-signal-loaded"]() is sigtools._linear_filter
+        assert KERNEL_ROUTES["missing-file-fallback"]() is sigtools._linear_filter
+        assert callable(KERNEL_ROUTES["extension-file"]())
+        assert sys.modules[dgp._SIGTOOLS] is sigtools
+
+    def test_a_block_filters_each_row_as_a_lone_path(self):
+        x = np.random.default_rng(4).standard_normal((5, 300))
+        for b, a in [([1.0, 0.5, -0.2], [1.0]), ([1.0, 0.3], [1.0, -0.5, 0.2])]:
+            block = dgp.filter_rows(b, a, x)
+            assert all(np.array_equal(_bits(block[j]), _bits(dgp.filter_rows(b, a, x[j])))
+                       for j in range(5))
+
+    def test_rejects_an_unnormalised_denominator(self):
+        with pytest.raises(ValueError, match="start with 1"):
+            dgp.filter_rows([1.0], [2.0, -0.5], np.ones(10))
+
+    def test_fresh_interpreter_filters_without_importing_scipy_signal(self):
+        # pytest has scipy.signal loaded, so the extension-file route of a
+        # fresh process is checked in a child interpreter.
+        code = textwrap.dedent("""
+            import json, sys
+            import numpy as np
+            from sieveboot import dgp
+            x = np.random.default_rng(3).standard_normal((4, 250))
+            filters = [([1.0, 0.4], [1.0, -0.6, 0.1]), ([1.0, -2.0], [1.0, -0.5]),
+                       ([1.0, 0.5, -0.2], [1.0])]
+            out = [dgp.filter_rows(b, a, x) for b, a in filters]
+            loaded = sorted(m for m in sys.modules if m.startswith("scipy.signal"))
+            from scipy.signal import lfilter
+            same = [bool(np.array_equal(y.view(np.uint64), lfilter(b, a, x).view(np.uint64)))
+                    for y, (b, a) in zip(out, filters)]
+            print(json.dumps({"loaded": loaded, "same": same}))
+        """)
+        src = str(Path(dgp.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        assert json.loads(done.stdout) == {"loaded": [], "same": [True, True, True]}
 
 
 class TestArch1:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,19 @@ BAD_MODELS = [
     ({"family": "arch1", "coefficients": [float("inf"), 0.3]}, "omega"),
     ({"family": "linear", "coefficients": [-2.0],
       "innovation": {"family": "gaussian", "scale": float("nan")}}, "scale"),
+    ({"family": "linear", "coefficients": [-2.0],
+      "innovation": {"family": "gaussian", "scale": 1e200}}, "scale"),
+]
+
+# Models whose second moments overflow float64, a statistic, and the target
+# (or, where the overflow stops the computation, the statistic) each
+# rejection names.
+OVERFLOWING_TARGETS = [
+    ({"family": "linear", "coefficients": [1e308]}, {"name": "mean"}, "mean_long_run_variance"),
+    ({"family": "linear", "coefficients": [1e200]}, {"name": "acf", "lag": 1}, "bartlett_variance"),
+    ({"family": "linear", "coefficients": [1e200]}, {"name": "acvf", "lag": 0},
+     "acvf_variance_linear, acvf_variance_companion"),
+    ({"family": "linear", "coefficients": [1e200]}, {"name": "acvf", "lag": 1}, "'acvf-lag-1'"),
 ]
 
 # Malformed statistic documents and the field each rejection names.
@@ -237,6 +251,22 @@ class TestFailFast:
                      "--statistic", json.dumps(doc)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+
+    @pytest.mark.parametrize("model, stat, name", OVERFLOWING_TARGETS)
+    def test_overflowing_targets_rejected_before_simulation(self, no_simulation, model, stat, name):
+        config = ExperimentConfig.from_json({**TINY_CONFIG, "dgp": model, "statistic": stat})
+        with pytest.raises(ValueError, match=name):
+            run_experiment(config)
+
+    @pytest.mark.parametrize("model, stat, name", OVERFLOWING_TARGETS)
+    def test_cli_asymptotics_rejects_overflowing_targets(self, capsys, model, stat, name):
+        assert main(["asymptotics", "--model", json.dumps(model),
+                     "--statistic", json.dumps(stat)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
+        assert not re.search(r"\b(inf|nan)\b", err[0], re.IGNORECASE)
 
     def test_cli_run_rejects_a_config_that_is_not_an_object(self, capsys):
         assert main(["run", "--config", "[1]"]) == 2

@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,3 +17,19 @@ def test_every_exported_name_resolves(name):
     # ``from sieveboot.<name> import *`` fails on an __all__ entry the module lacks
     module = importlib.import_module(f"sieveboot.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("args", [["-c", "import sieveboot"], ["-m", "sieveboot.cli", "list"]],
+                         ids=["import", "cli-list"])
+def test_fresh_process_loads_no_scipy_signal_or_stats(args):
+    # pytest itself has scipy.signal loaded, so a child interpreter reports
+    # each module it imports (-X importtime) and none may be scipy.signal or
+    # scipy.stats.
+    src = str(Path(sieveboot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "sieveboot" in imported
+    assert sorted(m for m in imported if m.startswith(("scipy.signal", "scipy.stats"))) == []
