@@ -30,7 +30,7 @@ from .ar import (
     levinson_durbin,
     min_modulus_on_disk,
     residuals,
-    true_ar_coefficients_ma1,
+    wold_factorization,
     yule_walker_fit,
 )
 from .dgp import (
@@ -64,7 +64,6 @@ from .companion import (
     OracleResult,
     build_companion,
     companion_distribution,
-    ma1_companion_spec,
     parametric_companion_spec,
     rational_acvf,
     resampling_companion_spec,
@@ -86,8 +85,6 @@ from .asymptotics import (
     acvf_asymptotic_variance,
     bartlett_variance,
     integrated_periodogram_variance,
-    ma1_companion_kurtosis,
-    mean_asymptotic_variance,
     ratio_statistic_variance,
     spectral_estimator_variance,
 )

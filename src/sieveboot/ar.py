@@ -7,6 +7,7 @@ roots of A_p lie strictly outside the closed unit disk.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +21,9 @@ __all__ = [
     "MAInversion",
     "levinson_durbin",
     "yule_walker_fit",
-    "true_ar_coefficients_ma1",
     "invert_ar_polynomial",
     "min_modulus_on_disk",
+    "wold_factorization",
     "baxter_gap",
     "residuals",
 ]
@@ -105,13 +106,6 @@ def yule_walker_fit(acvf: ACVF, p: int) -> ARFit:
     return ARFit(p=p, a=a, sigma2=float(sigma2s[p]), source=acvf.kind)
 
 
-def true_ar_coefficients_ma1(L: int = 60) -> np.ndarray:
-    """Exact AR(infinity) coefficients a_j = -(1/2)^j of the noninvertible
-    MA(1) worked example X_t = e_t - 2 e_{t-1}, truncated at lag L."""
-    j = np.arange(1, L + 1)
-    return -(0.5 ** j)
-
-
 def invert_ar_polynomial(a, L: int) -> MAInversion:
     """Power-series inverse of A(z) = 1 - sum a_k z^k up to lag L.
 
@@ -141,6 +135,48 @@ def _reciprocal_roots(a: np.ndarray) -> np.ndarray:
     return np.roots(np.concatenate([[1.0], -np.asarray(a, dtype=float)]))
 
 
+_ROOT_MARGIN = 1e-12  # a reciprocal root r with |r| (1 + margin) >= 1 is in the closed disk
+
+
+def wold_factorization(b, sigma2: float = 1.0):
+    """(b~, sigma2_eps, psi): reflect every root z_i of the MA polynomial
+    b(z) = 1 + b_1 z + ... + b_q z^q inside the unit disk to 1 / conj(z_i).
+
+    X = b(z) e, Var(e) = sigma2, is then b~(z) eps with b~ the Wold
+    polynomial and eps = [b(z) / b~(z)] e the Wold innovations: b / b~ is
+    all-pass with gain prod |z_i|^-1, so eps is white, not i.i.d. unless no
+    root flips, with variance sigma2_eps = sigma2 prod |z_i|^-2. psi is the
+    response of b / b~ over q + lag + 1 taps, lag the first t with
+    rho^t < 1e-18 for rho the largest flipped-root modulus: past psi.size - 1
+    outputs from zero state, b / b~ misses earlier inputs by weights below
+    that. With no root flipped, b comes back as it is, with psi = (1,).
+    Raises ValueError naming a root on the unit circle, where the spectral
+    density vanishes, or a flipped root so near it that lag > 10^4.
+    """
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if b[0] != 1.0:
+        raise ValueError(f"an MA polynomial must start with 1, got {b[0]!r}")
+    r = _reciprocal_roots(-b[1:])  # b(z) = prod_i (1 - r_i z), roots z_i = 1 / r_i
+    size = np.abs(r)
+    on_circle = (size * (1.0 + _ROOT_MARGIN) >= 1.0) & (size <= 1.0 + _ROOT_MARGIN)
+    if on_circle.any():
+        raise ValueError(f"MA polynomial has a root on the unit circle, z = "
+                         f"{1.0 / r[on_circle][0]:.6g}; its spectral density vanishes there, "
+                         "so it has no AR(infinity) form")
+    inside = size > 1.0
+    if not inside.any():
+        return b, sigma2, np.ones(1)
+    rho = 1.0 / size[inside].min()
+    lag = int(math.log(1e-18) / math.log(rho)) + 1
+    if lag > 10 ** 4:  # rho above 1e-18^(1 / 10^4), about 0.9959
+        raise ValueError(f"MA polynomial has a root of modulus {rho:.12g}, too close to the unit "
+                         f"circle: its Wold filter would take {lag} lags to settle")
+    num = np.poly(np.where(inside, 1.0 / np.conj(r), r)).real
+    taps = b.size + lag
+    psi = np.convolve(b, invert_ar_polynomial(-num[1:], taps - 1).alpha)[:taps]
+    return num, sigma2 * float(np.prod(size[inside] ** 2)), psi
+
+
 def min_modulus_on_disk(a, radius: float = 1.0) -> float:
     """Minimum of |A_p(z)| over the closed disk |z| <= radius.
 
@@ -154,7 +190,7 @@ def min_modulus_on_disk(a, radius: float = 1.0) -> float:
     a = np.trim_zeros(np.asarray(a, dtype=float), "b")
     if a.size == 0:
         return 1.0
-    if np.max(np.abs(_reciprocal_roots(a))) * radius * (1.0 + 1e-12) >= 1.0:
+    if np.max(np.abs(_reciprocal_roots(a))) * radius * (1.0 + _ROOT_MARGIN) >= 1.0:
         return 0.0
     # |A(r e^{i theta})|^2 is a trigonometric polynomial; its derivative in
     # theta vanishes where P(w) = sum_m m t_m w^{m+p} has a root on |w| = 1.

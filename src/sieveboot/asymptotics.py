@@ -17,10 +17,8 @@ from .spectral import KernelSpec, WeightFunction
 
 __all__ = [
     "KurtosisSpec",
-    "ma1_companion_kurtosis",
     "acvf_asymptotic_variance",
     "bartlett_variance",
-    "mean_asymptotic_variance",
     "integrated_periodogram_variance",
     "ratio_statistic_variance",
     "spectral_estimator_variance",
@@ -44,17 +42,6 @@ class KurtosisSpec:
 def _quad_grid():
     lam = (np.arange(_QUAD_POINTS) + 0.5) * np.pi / _QUAD_POINTS
     return lam, np.pi / _QUAD_POINTS
-
-
-def ma1_companion_kurtosis(raw_ratio_e: float) -> float:
-    """Excess kurtosis of the Wold innovations of the MA(1) worked example.
-
-    For X_t = e_t - 2 e_{t-1} the geometric filter gives
-    E eps^4/(E eps^2)^2 - 3 = (2/5) * (E e^4/sigma^4) - 6/5.
-    """
-    if raw_ratio_e < 1.0:
-        raise ValueError("fourth-moment ratio must be at least 1")
-    return 0.4 * raw_ratio_e - 1.2
 
 
 def _truncation_lags(acvf: ACVF) -> int:
@@ -95,11 +82,6 @@ def bartlett_variance(acf, h: int) -> float:
                   + rho(k - h) * rho(k + h)
                   - 4.0 * rh * rho(k) * rho(k + h))
     return float(total)
-
-
-def mean_asymptotic_variance(acvf: ACVF) -> float:
-    """Long-run variance gamma(0) + 2 sum_{h>=1} gamma(h)."""
-    return float(acvf.gamma[0] + 2.0 * np.sum(acvf.gamma[1:]))
 
 
 def integrated_periodogram_variance(f: Callable, phi: WeightFunction, kappa: KurtosisSpec) -> float:

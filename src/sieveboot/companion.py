@@ -13,7 +13,7 @@ The sieve bootstrap process is itself such a companion: the fitted filter
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "rational_acvf",
     "build_companion",
     "companion_distribution",
-    "ma1_companion_spec",
     "resampling_companion_spec",
     "parametric_companion_spec",
 ]
@@ -104,27 +103,6 @@ class OracleResult:
     statistic: str
 
 
-def ma1_companion_spec(
-    innovations: Optional[dgp.InnovationSpec] = None,
-    record_length: int = 10 ** 6,
-    seed: dgp.SeedLike = 0,
-) -> CompanionSpec:
-    """Companion spec for the noninvertible MA(1) example: the invertible
-    MA(1) (1 - z/2) eps.
-
-    Draws a long record of exact Wold innovations (fresh e filtered to ve) and
-    resamples i.i.d. from it. Consecutive ve values are uncorrelated but not
-    independent, so resampling -- not the filtered path itself -- realizes the
-    i.i.d. requirement of the companion recursion. The record is the ve of
-    ``dgp.ma1_example(record_length + VE_FILTER_LAG, seed, innovations)``
-    past its filter transient, without the X path that builds.
-    """
-    burnin = 1 + dgp.VE_FILTER_LAG  # ma1_example's pre-sample draw and transient
-    e = dgp.draw_innovations(innovations or dgp.InnovationSpec(), record_length + burnin, seed)
-    record = dgp.filter_rows(*dgp.MA1_WOLD_FILTER, e)[burnin:]
-    return resampling_companion_spec([1.0, -0.5], [1.0], record)
-
-
 def resampling_companion_spec(num, den, record) -> CompanionSpec:
     return CompanionSpec(num=num, den=den, innovation_source="residual_resample",
                          payload=np.asarray(record, dtype=float))
@@ -134,28 +112,37 @@ def parametric_companion_spec(num, den, innovations: dgp.InnovationSpec) -> Comp
     return CompanionSpec(num=num, den=den, innovation_source="parametric", payload=innovations)
 
 
-def rational_acvf(num, den, sigma2: float, maxlag: int) -> ACVF:
+def rational_acvf(num, den, sigma2: float, maxlag: int | None = None) -> ACVF:
     """Autocovariances gamma(h) = sigma2 sum_j psi_j psi_{j+h} of the process
-    [num(z) / den(z)] eps, psi being the filter's impulse response.
+    [num(z) / den(z)] eps, psi being the filter's impulse response, for
+    h = 0..maxlag.
 
     A trivial denominator gives the finite response psi = num exactly;
     otherwise 1 / den(z) is expanded until its tail contributes less than
-    1e-12 of its largest coefficient, capped at lag 10^4.
+    1e-12 of its largest coefficient, capped at lag 10^4. With maxlag None
+    gamma runs over every lag of psi, and an expansion that reaches the cap
+    with its tail still above 1e-12 raises ValueError.
     """
     num = np.atleast_1d(np.asarray(num, dtype=float))
     a = -np.atleast_1d(np.asarray(den, dtype=float))[1:]
     if a.size == 0:
-        psi = num
+        psi, settled = num, True
     else:
-        L = max(maxlag + 50, 200)
+        L = max((maxlag or 0) + 50, 200)
         while True:
             alpha = invert_ar_polynomial(a, L).alpha
             tail = np.abs(alpha[-50:]).max()
             head = np.abs(alpha).max()
-            if tail <= 1e-12 * head or L >= 10 ** 4:
+            settled = tail <= 1e-12 * head
+            if settled or L >= 10 ** 4:
                 break
             L = min(2 * L, 10 ** 4)
         psi = np.convolve(num, alpha)[: L + 1]
+    if maxlag is None:
+        if not settled:
+            raise ValueError(f"the impulse response of 1 / den(z) is still {tail / head:.3g} of "
+                             "its peak at lag 10^4: a root of den lies too near the unit circle")
+        maxlag = psi.size - 1
     gamma = np.array([sigma2 * np.dot(psi[: psi.size - h], psi[h:]) if h < psi.size else 0.0
                       for h in range(maxlag + 1)])
     return ACVF(gamma=gamma, kind="theoretical")

@@ -3,6 +3,11 @@ worked example with its Wold innovations, and ARCH(1); and the one
 replication loop, ``replicate``, shared by the bootstrap, the oracle and the
 truth.
 
+Model protocol: a DGP model is a process (below) with ``companion(seed)``,
+its companion process as a ``CompanionSpec``, and ``kurtoses``, the excess
+kurtoses (kappa_e, kappa_eps) of its i.i.d. noise and of its Wold
+innovations, None where no closed form applies.
+
 Process protocol: a process -- a DGP model here, a ``CompanionSpec`` or a
 fitted ``SieveModel`` -- has ``filter``, the rational filter
 (num, den, sigma2) of X = [num(z) / den(z)] eps with Var(eps) = sigma2 that
@@ -46,7 +51,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .ar import min_modulus_on_disk
+from .ar import min_modulus_on_disk, wold_factorization
 from .series import Series, ecdf
 
 __all__ = [
@@ -55,8 +60,7 @@ __all__ = [
     "LinearModel",
     "ARModel",
     "Arch1Model",
-    "MA1_WOLD_FILTER",
-    "VE_FILTER_LAG",
+    "COMPANION_RECORD_LENGTH",
     "BATCH_VALUES",
     "batch_paths",
     "derive_seed",
@@ -76,22 +80,10 @@ __all__ = [
     "model_from_json",
 ]
 
-# The Wold innovations of the MA(1) example are ve = [(1 - 2z) / (1 - z/2)] e,
-# an all-pass filter with constant gain 2, as (numerator, denominator).
-MA1_WOLD_FILTER = ((1.0, -2.0), (1.0, -0.5))
-
-# Transient of that filter started from zero state: pre-sample innovations
-# missing from ve_t weigh at most (1/2)^t, below 1e-18 after 60 steps.
-VE_FILTER_LAG = 60
-
 _FAMILIES = ("gaussian", "centered_exponential", "centered_uniform")
 
-# Raw fourth-moment ratios E e^4 / sigma^4 per innovation family.
-_RAW_FOURTH_RATIO = {
-    "gaussian": 3.0,
-    "centered_exponential": 9.0,
-    "centered_uniform": 9.0 / 5.0,
-}
+# Excess kurtoses E e^4 / sigma^4 - 3 per innovation family.
+_EXCESS_KURTOSIS = {"gaussian": 0.0, "centered_exponential": 6.0, "centered_uniform": -1.2}
 
 # Keys a model document may hold, per family.
 _MODEL_KEYS = {
@@ -111,6 +103,11 @@ BATCH_VALUES = 1 << 19
 # replications, truth replications, the companion's innovation record and the
 # observed data realization.
 KEY_BOOT, KEY_ORACLE, KEY_TRUTH, KEY_COMPANION_RECORD, KEY_DATA = 0, 1, 2, 5, 9
+
+# Values in the record of innovations that a companion process resamples, and
+# the number of independent ARCH(1) chains that make up an ARCH(1) record.
+COMPANION_RECORD_LENGTH = 10 ** 6
+_ARCH_RECORD_CHAINS = 100
 
 
 class StabilityError(ValueError):
@@ -280,13 +277,9 @@ class InnovationSpec:
             raise ValueError(f"scale must be positive with a finite square, got {self.scale!r}")
 
     @property
-    def raw_fourth_ratio(self) -> float:
-        """E e^4 / (E e^2)^2."""
-        return _RAW_FOURTH_RATIO[self.family]
-
-    @property
     def excess_kurtosis(self) -> float:
-        return self.raw_fourth_ratio - 3.0
+        """E e^4 / (E e^2)^2 - 3."""
+        return _EXCESS_KURTOSIS[self.family]
 
 
 @dataclass(frozen=True)
@@ -312,6 +305,28 @@ class LinearModel:
 
     def simulate(self, n: int, seed: SeedLike) -> Series:
         return simulate_linear(self, n, seed)
+
+    def companion(self, record_seed: SeedLike):
+        """The MA b~(z) eps of ``wold_factorization``. With no root flipped,
+        eps = e: the model is its own parametric companion. Otherwise eps =
+        [b(z) / b~(z)] e is white but not i.i.d., and is resampled from a
+        record of it filtered from fresh e, past the filter's transient."""
+        from .companion import parametric_companion_spec, resampling_companion_spec
+
+        b = self.filter[0]
+        num, _, psi = wold_factorization(b)
+        if psi.size == 1:
+            return parametric_companion_spec(b, [1.0], self.innovations)
+        e = draw_innovations(self.innovations, COMPANION_RECORD_LENGTH + psi.size - 1, record_seed)
+        return resampling_companion_spec(num, [1.0], filter_rows(b, num, e)[psi.size - 1:])
+
+    @property
+    def kurtoses(self):
+        """kappa_eps = kappa_e sum psi^4 / (sum psi^2)^2 over the all-pass
+        response psi from e to the Wold innovations."""
+        kappa = self.innovations.excess_kurtosis
+        psi = wold_factorization(self.filter[0])[2]
+        return kappa, float(kappa * np.sum(psi ** 4) / np.sum(psi ** 2) ** 2)
 
 
 @dataclass(frozen=True)
@@ -340,6 +355,16 @@ class ARModel:
 
     def simulate(self, n: int, seed: SeedLike) -> Series:
         return simulate_ar(self, n, seed)
+
+    def companion(self, record_seed: SeedLike):
+        """The model itself: a causal AR is driven by its Wold innovations."""
+        from .companion import parametric_companion_spec
+
+        return parametric_companion_spec(*self.filter[:2], self.innovations)
+
+    @property
+    def kurtoses(self):
+        return (self.innovations.excess_kurtosis,) * 2
 
 
 @dataclass(frozen=True)
@@ -370,6 +395,23 @@ class Arch1Model:
         each is copied out of the time-major block as it is consumed."""
         block = simulate_arch1(self, n, list(seeds))
         return (Series(block[:, j].copy()) for j in range(block.shape[1]))
+
+    def companion(self, record_seed: SeedLike):
+        """White noise in the Wold sense: the trivial filter, innovations
+        sharing the marginal law of X, resampled from a record made of
+        independent chains stepped together, one after another."""
+        from .companion import resampling_companion_spec
+
+        seeds = [derive_seed(record_seed, j) for j in range(_ARCH_RECORD_CHAINS)]
+        chains = simulate_arch1(self, COMPANION_RECORD_LENGTH // _ARCH_RECORD_CHAINS, seeds)
+        return resampling_companion_spec([1.0], [1.0], chains.T.ravel())
+
+    @property
+    def kurtoses(self):
+        """(None, 6 alpha1^2 / (1 - 3 alpha1^2)): X is not linear in i.i.d.
+        noise, and its companion is i.i.d. with the marginal law of X."""
+        alpha_sq = self.alpha1 ** 2
+        return None, 6.0 * alpha_sq / (1.0 - 3.0 * alpha_sq)
 
 
 def draw_innovations(spec: InnovationSpec, n: int, seed: SeedLike) -> np.ndarray:
@@ -490,17 +532,18 @@ def ma1_example(n: int, seed: SeedLike, innovations: InnovationSpec | None = Non
     """The noninvertible MA(1) worked example.
 
     Returns (X, e, ve) where ve_t = e_t - (3/2) sum_{j>=1} (1/2)^{j-1} e_{t-j}
-    is the Wold innovation of X, computed with the exact recursive filter
-    ``MA1_WOLD_FILTER``. Because only one pre-sample innovation is drawn (so
-    that X matches ``simulate_linear`` with b = (-2) seed-for-seed), the first
-    ``VE_FILTER_LAG`` values of ve are burn-in and must be excluded from
-    moment checks.
+    is the Wold innovation of X, computed with the exact recursive all-pass
+    filter (1 - 2z) / (1 - z/2) of ``wold_factorization``, of constant gain 2.
+    Because only one pre-sample innovation is drawn (so that X matches
+    ``simulate_linear`` with b = (-2) seed-for-seed), the first 60 values of
+    ve are burn-in and must be excluded from moment checks.
     """
     model = ma1_model(innovations)
     q = model.q
+    b = model.filter[0]
     e_full = draw_innovations(model.innovations, n + q, seed)
-    x = filter_rows(np.concatenate([[1.0], model.b]), [1.0], e_full)[q:]
-    ve = filter_rows(*MA1_WOLD_FILTER, e_full)[q:]
+    x = filter_rows(b, [1.0], e_full)[q:]
+    ve = filter_rows(b, wold_factorization(b)[0], e_full)[q:]
     return Series(x), Series(e_full[q:]), Series(ve)
 
 

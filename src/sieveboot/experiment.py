@@ -24,15 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dgp
-from .asymptotics import ma1_companion_kurtosis
-from .companion import (
-    CompanionSpec,
-    companion_distribution,
-    ma1_companion_spec,
-    parametric_companion_spec,
-    resampling_companion_spec,
-)
-from .ar import min_modulus_on_disk
+from .companion import CompanionSpec, companion_distribution
 from .series import kolmogorov_distance, ks_critical_value
 from .sieve import OrderRule, bootstrap_distribution
 from .statistics import statistic_from_config
@@ -56,8 +48,6 @@ _CHECK_FIELDS = {
     "dk_le": ("pair", "bound"),
     "dk_gt": ("pair", "bound"),
 }
-_COMPANION_RECORD_LENGTH = 10 ** 6
-_ARCH_RECORD_CHAINS = 100
 # JSON kind of each annotated config field type, and how errors name it.
 _FIELD_KINDS = {"str": (str, "a string"), "dict": (dict, "an object"), "int": (int, "an integer"),
                 "tuple": ((list, tuple), "a list"), "bool": (bool, "true or false")}
@@ -210,57 +200,20 @@ class Report:
         return rows
 
 
-def _is_ma1_example(model) -> bool:
-    return getattr(model, "b", None) == (-2.0,)
-
-
 def companion_spec_for(model, seed) -> CompanionSpec:
-    """Companion process, as an exact rational filter, for models whose
-    AR(infinity) form is known."""
-    record_seed = dgp.derive_seed(seed, dgp.KEY_COMPANION_RECORD)
-    if _is_ma1_example(model):
-        return ma1_companion_spec(model.innovations, _COMPANION_RECORD_LENGTH, record_seed)
-    if isinstance(model, dgp.LinearModel):
-        if min_modulus_on_disk(-np.asarray(model.b, dtype=float), 1.0) <= 0:
-            raise ValueError("companion construction requires an invertible MA "
-                             "(or the built-in b = (-2,) worked example)")
-        # invertible MA: the Wold innovations are the e's and X is its own companion.
-        return parametric_companion_spec(np.concatenate([[1.0], model.b]), [1.0],
-                                         model.innovations)
-    if isinstance(model, dgp.ARModel):
-        return parametric_companion_spec([1.0], np.concatenate([[1.0], -np.asarray(model.a)]),
-                                         model.innovations)
-    if isinstance(model, dgp.Arch1Model):
-        # White noise in the Wold sense: the trivial filter, innovations
-        # sharing the marginal law of X, approximated by a long record made
-        # of independent chains stepped together, one after another.
-        seeds = [dgp.derive_seed(record_seed, j) for j in range(_ARCH_RECORD_CHAINS)]
-        chains = dgp.simulate_arch1(model, _COMPANION_RECORD_LENGTH // _ARCH_RECORD_CHAINS, seeds)
-        return resampling_companion_spec([1.0], [1.0], chains.T.ravel())
-    raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
-def _innovation_kurtoses(model):
-    """(kappa_e, kappa_eps): raw-innovation and Wold-innovation excess kurtosis,
-    or None where no closed form applies."""
-    if _is_ma1_example(model):
-        raw = model.innovations.raw_fourth_ratio
-        return model.innovations.excess_kurtosis, ma1_companion_kurtosis(raw)
-    if isinstance(model, (dgp.LinearModel, dgp.ARModel)):
-        # invertible case: Wold innovations coincide with the i.i.d. errors
-        k = model.innovations.excess_kurtosis
-        return k, k
-    return None, None
+    """The model's companion, its record drawn from the companion-record key."""
+    return model.companion(dgp.derive_seed(seed, dgp.KEY_COMPANION_RECORD))
 
 
 def compute_targets(model, statistic) -> dict:
     """Analytic targets, recomputed from the asymptotics module at run time.
 
     Raises ValueError naming each target that is not finite, or the
-    statistic, as when the model's second moments overflow float64."""
+    statistic, as when the model's second moments overflow float64; an MA
+    root on the unit circle; or the targets whose ACVF has not decayed."""
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            targets = statistic.targets(*model.filter, *_innovation_kurtoses(model))
+            targets = statistic.targets(*model.filter, *model.kurtoses)
     except OverflowError:
         raise ValueError(f"targets of statistic {statistic.name!r} overflow float64 "
                          "under this model") from None

@@ -22,7 +22,6 @@ from .asymptotics import (
     acvf_asymptotic_variance,
     bartlett_variance,
     integrated_periodogram_variance,
-    mean_asymptotic_variance,
     ratio_statistic_variance,
     spectral_estimator_variance,
 )
@@ -51,8 +50,6 @@ __all__ = [
     "statistic_from_config",
 ]
 
-_TARGET_TRUNC = 200  # lags carried for theoretical ACVF-based targets
-
 
 def _lag(h, floor: int) -> int:
     """h as a lag, rejected unless it is an integer (not a bool) >= floor."""
@@ -70,12 +67,16 @@ def _number(value, name: str) -> float:
 def _kurtosis_targets(variance, prefix: str, kappa_e, kappa_eps) -> dict:
     """{prefix}_linear and {prefix}_companion: variance(KurtosisSpec(kappa))
     at the raw- and Wold-innovation kurtoses, where known."""
-    out = {}
-    if kappa_e is not None:
-        out[f"{prefix}_linear"] = variance(KurtosisSpec(kappa_e))
-    if kappa_eps is not None:
-        out[f"{prefix}_companion"] = variance(KurtosisSpec(kappa_eps))
-    return out
+    return {f"{prefix}_{kind}": variance(KurtosisSpec(kappa))
+            for kind, kappa in (("linear", kappa_e), ("companion", kappa_eps)) if kappa is not None}
+
+
+def _target_acvf(num, den, sigma2, *target_ids):
+    """``rational_acvf`` over every lag; its ValueError names the targets."""
+    try:
+        return rational_acvf(num, den, sigma2)
+    except ValueError as exc:
+        raise ValueError(f"{', '.join(target_ids)}: {exc}") from None
 
 
 def _centered(s: Series, maxlag: int) -> np.ndarray:
@@ -122,8 +123,8 @@ class MeanStatistic(Statistic):
         return 0.0
 
     def targets(self, num, den, sigma2, kappa_e, kappa_eps):
-        gamma = rational_acvf(num, den, sigma2, _TARGET_TRUNC)
-        return {"mean_long_run_variance": mean_asymptotic_variance(gamma)}
+        # the long-run variance sum_h gamma(h) = 2 pi f(0) = sigma2 num(1)^2 / den(1)^2
+        return {"mean_long_run_variance": float(sigma2 * np.sum(num) ** 2 / np.sum(den) ** 2)}
 
 
 @dataclass
@@ -144,7 +145,7 @@ class AcvfStatistic(Statistic):
         return rational_acvf(num, den, sigma2, self.h)[self.h]
 
     def targets(self, num, den, sigma2, kappa_e, kappa_eps):
-        gamma = rational_acvf(num, den, sigma2, _TARGET_TRUNC)
+        gamma = _target_acvf(num, den, sigma2, "acvf_variance_linear", "acvf_variance_companion")
         return _kurtosis_targets(lambda kappa: acvf_asymptotic_variance(gamma, self.h, kappa),
                                  "acvf_variance", kappa_e, kappa_eps)
 
@@ -172,7 +173,7 @@ class AcfStatistic(Statistic):
         return gamma[self.h] / gamma[0]
 
     def targets(self, num, den, sigma2, kappa_e, kappa_eps):
-        gamma = rational_acvf(num, den, sigma2, _TARGET_TRUNC).gamma
+        gamma = _target_acvf(num, den, sigma2, "bartlett_variance").gamma
         return {"bartlett_variance": bartlett_variance(gamma / gamma[0], self.h)}
 
 

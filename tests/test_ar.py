@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 from sieveboot.ar import (
@@ -12,7 +14,7 @@ from sieveboot.ar import (
     levinson_durbin,
     min_modulus_on_disk,
     residuals,
-    true_ar_coefficients_ma1,
+    wold_factorization,
     yule_walker_fit,
 )
 from sieveboot.companion import rational_acvf
@@ -81,7 +83,7 @@ class TestInversion:
     def test_ma1_example_inverse_is_short(self):
         # the AR(infinity) coefficients -(1/2)^j invert to the MA(1) filter
         # in the Wold innovations: alpha = (1, -1/2, 0, 0, ...)
-        inv = invert_ar_polynomial(true_ar_coefficients_ma1(50), 30)
+        inv = invert_ar_polynomial(-(0.5 ** np.arange(1, 51)), 30)
         want = np.zeros(31)
         want[0], want[1] = 1.0, -0.5
         assert np.max(np.abs(inv.alpha - want)) < 1e-12
@@ -131,7 +133,7 @@ class TestMinModulus:
 
 class TestBaxterAndResiduals:
     def test_baxter_ratio_bounded(self):
-        a_true = true_ar_coefficients_ma1(80)
+        a_true = -(0.5 ** np.arange(1, 81))  # the AR(infinity) coefficients -(1/2)^j
         ratios = []
         for p in (5, 10, 20, 40):
             fit = yule_walker_fit(ma1_acvf(p), p)
@@ -163,6 +165,85 @@ class TestBaxterAndResiduals:
 
     def test_innovation_variance_limit(self):
         gamma = rational_acvf([1.0, -2.0], [1.0], 1.0, 40).gamma
-        v = gamma[0] - np.dot(true_ar_coefficients_ma1(40), gamma[1:])
+        v = gamma[0] - np.dot(-(0.5 ** np.arange(1, 41)), gamma[1:])
         # gamma(0) - sum a_k gamma(k) = 5 - (1/2)*2 = 4
         assert v == pytest.approx(4.0)
+
+
+# Reciprocal roots r of b(z) = prod (1 - r z), kept 0.05 away from the unit
+# circle in modulus: real ones, and complex ones with their conjugates. A
+# modulus above 1 is a root 1/r inside the disk, which the factorization flips.
+moduli = st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 3.0))
+real_roots = st.lists(st.tuples(moduli, st.sampled_from([-1.0, 1.0])), max_size=3)
+complex_roots = st.lists(st.tuples(moduli, st.floats(0.1, np.pi - 0.1)), max_size=2)
+
+
+def _reciprocal_roots(reals, pairs):
+    roots = [s * m for m, s in reals]
+    for m, angle in pairs:
+        roots += [m * np.exp(1j * angle), m * np.exp(-1j * angle)]
+    return np.array(roots, dtype=complex)
+
+
+def _ma_polynomial(r):
+    return np.atleast_1d(np.poly(r).real)
+
+
+class TestWoldFactorization:
+    def test_worked_example(self):
+        num, sigma2, psi = wold_factorization([1.0, -2.0], 1.5)
+        assert np.array_equal(num, [1.0, -0.5]) and sigma2 == 6.0
+        # psi of (1 - 2z) / (1 - z/2): 1, then -(3/2) (1/2)^(j-1), over
+        # q + lag + 1 taps with lag = 60, the first t with (1/2)^t < 1e-18
+        want = np.concatenate([[1.0], -1.5 * 0.5 ** np.arange(61)])
+        assert np.array_equal(psi, want)
+
+    def test_invertible_polynomial_is_returned_as_it_is(self):
+        b = np.array([1.0, 0.5, -0.2])
+        num, sigma2, psi = wold_factorization(b, 2.0)
+        assert num is b and sigma2 == 2.0 and np.array_equal(psi, [1.0])
+
+    @pytest.mark.parametrize("b, root", [([1.0, 1.0], "z = -1"), ([1.0, -1.0], "z = 1"),
+                                         ([1.0, 0.0, 1.0], "z = 0-1j")])
+    def test_root_on_the_circle_rejected(self, b, root):
+        with pytest.raises(ValueError, match=f"root on the unit circle, {root};"):
+            wold_factorization(b)
+
+    def test_root_too_close_to_the_circle_rejected(self):
+        # rho = 1 / 1.001: (1 / 1.001)^t < 1e-18 only from t = 41468
+        with pytest.raises(ValueError, match="41468 lags"):
+            wold_factorization([1.0, -1.001])
+
+    def test_polynomial_must_start_with_one(self):
+        with pytest.raises(ValueError, match="start with 1"):
+            wold_factorization([2.0, 1.0])
+
+    @settings(max_examples=80, deadline=None)
+    @given(real_roots, complex_roots, st.floats(0.2, 3.0))
+    def test_flipping_keeps_the_acvf(self, reals, pairs, sigma2):
+        b = _ma_polynomial(_reciprocal_roots(reals, pairs))
+        num, sigma2_eps, _ = wold_factorization(b, sigma2)
+        want = rational_acvf(b, [1.0], sigma2).gamma
+        got = rational_acvf(num, [1.0], sigma2_eps).gamma
+        assert np.allclose(got, want, rtol=0.0, atol=1e-9 * want[0])
+
+    @settings(max_examples=80, deadline=None)
+    @given(real_roots, complex_roots)
+    def test_wold_polynomial_has_no_root_in_the_closed_disk(self, reals, pairs):
+        b = _ma_polynomial(_reciprocal_roots(reals, pairs))
+        num = wold_factorization(b)[0]
+        assert num[0] == 1.0
+        assert min_modulus_on_disk(-num[1:], 1.0) > 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(real_roots, complex_roots, st.floats(0.2, 3.0))
+    def test_allpass_gain_is_constant(self, reals, pairs, sigma2):
+        r = _reciprocal_roots(reals, pairs)
+        b = _ma_polynomial(r)
+        num, sigma2_eps, psi = wold_factorization(b, sigma2)
+        gain = np.prod(np.abs(r[np.abs(r) > 1.0]))  # prod |z_i|^-1 over flipped roots
+        z = np.exp(1j * np.linspace(0.0, np.pi, 129))
+        response = np.polyval(b[::-1], z) / np.polyval(num[::-1], z)
+        assert np.allclose(np.abs(response), gain, rtol=1e-9, atol=0.0)
+        assert sigma2_eps == pytest.approx(sigma2 * gain ** 2, rel=1e-9)
+        assert np.sum(psi ** 2) == pytest.approx(gain ** 2, rel=1e-9)

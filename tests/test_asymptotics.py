@@ -8,16 +8,14 @@ from sieveboot.asymptotics import (
     acvf_asymptotic_variance,
     bartlett_variance,
     integrated_periodogram_variance,
-    ma1_companion_kurtosis,
-    mean_asymptotic_variance,
     ratio_statistic_variance,
     spectral_estimator_variance,
 )
-from sieveboot.dgp import Arch1Model, InnovationSpec, LinearModel
+from sieveboot.dgp import Arch1Model, ARModel, InnovationSpec, LinearModel
 from sieveboot.experiment import compute_targets
 from sieveboot.series import ACVF
 from sieveboot.spectral import KernelSpec, constant_weight, cosine_weight
-from sieveboot.statistics import statistic_from_config
+from sieveboot.statistics import MeanStatistic, statistic_from_config
 
 MA1 = ACVF(np.array([5.0, -2.0, 0.0]), kind="theoretical")
 
@@ -29,13 +27,23 @@ def ma1_density(lam):
 
 class TestKurtosisTransfer:
     def test_values(self):
-        assert ma1_companion_kurtosis(3.0) == pytest.approx(0.0, abs=1e-12)
-        assert ma1_companion_kurtosis(9.0) == pytest.approx(2.4)
-        assert ma1_companion_kurtosis(1.8) == pytest.approx(-0.48)
+        # X = e - 2 e_{-1}: the all-pass response psi = (1, -3/2, -3/4, ...)
+        # has sum psi^2 = 4 and sum psi^4 = 32/5, so kappa_eps = (2/5) kappa_e,
+        # that is (2/5) E e^4 / sigma^4 - 6/5
+        for family, raw in (("gaussian", 3.0), ("centered_exponential", 9.0),
+                            ("centered_uniform", 1.8)):
+            kappa_e, kappa_eps = LinearModel(b=(-2.0,), innovations=InnovationSpec(family)).kurtoses
+            assert kappa_e == pytest.approx(raw - 3.0)
+            assert kappa_eps == pytest.approx(0.4 * raw - 1.2, abs=1e-12)
 
-    def test_invalid_ratio(self):
-        with pytest.raises(ValueError):
-            ma1_companion_kurtosis(0.5)
+    def test_worked_example_value_is_the_closed_form_bit_for_bit(self):
+        model = LinearModel(b=(-2.0,), innovations=InnovationSpec("centered_exponential"))
+        assert model.kurtoses == (6.0, 0.4 * 9.0 - 1.2)
+
+    def test_invertible_models_keep_the_raw_kurtosis(self):
+        exponential = InnovationSpec("centered_exponential")
+        assert LinearModel(b=(0.5, -0.2), innovations=exponential).kurtoses == (6.0, 6.0)
+        assert ARModel(a=(0.5,), innovations=exponential).kurtoses == (6.0, 6.0)
 
     def test_kurtosis_floor(self):
         with pytest.raises(ValueError):
@@ -80,12 +88,14 @@ class TestBartlett:
 
 class TestMeanVariance:
     def test_ma1_long_run_variance(self):
-        assert mean_asymptotic_variance(MA1) == pytest.approx(1.0)
+        # sigma2 num(1)^2 / den(1)^2 = 5 + 2 (-2), bit for bit
+        targets = MeanStatistic().targets([1.0, -2.0], [1.0], 1.0, None, None)
+        assert targets == {"mean_long_run_variance": 1.0}
 
     def test_ar1_long_run_variance(self):
         # gamma(h) = 0.5^h / 0.75: sum over all h gives (1/0.75)*(2/(1-0.5) - 1) = 4
-        g = ACVF(0.5 ** np.arange(60) / 0.75)
-        assert mean_asymptotic_variance(g) == pytest.approx(4.0, rel=1e-10)
+        targets = MeanStatistic().targets([1.0], [1.0, -0.5], 1.0, None, None)
+        assert targets["mean_long_run_variance"] == pytest.approx(4.0, rel=1e-15)
 
 
 class TestFrequencyDomain:
@@ -147,7 +157,111 @@ class TestIntegratedPeriodogramTargets:
                 assert intper[f"intper_variance_{kind}"] == pytest.approx(
                     acvf[f"acvf_variance_{kind}"], rel=1e-6)
 
-    def test_no_kurtosis_no_targets(self):
-        # ARCH(1) has no closed-form kurtosis pair, so no kurtosis-dependent target
+    def test_arch1_has_only_the_companion_target(self):
+        # ARCH(1) is not linear in i.i.d. noise, so it has no linear target; its
+        # companion is i.i.d. with excess kurtosis 6 alpha^2 / (1 - 3 alpha^2),
+        # and with phi = 2cos(.), int phi f = 2 gamma(1) = 0 leaves
+        # 2 pi int phi^2 f^2 = gamma(0)^2, gamma(0) = omega / (1 - alpha)
         stat = statistic_from_config({"name": "intper-cos", "lag": 1})
-        assert compute_targets(Arch1Model(omega=1.0, alpha1=0.3), stat) == {}
+        targets = compute_targets(Arch1Model(omega=1.0, alpha1=0.3), stat)
+        assert set(targets) == {"intper_variance_companion"}
+        assert targets["intper_variance_companion"] == pytest.approx(1.0 / 0.49, rel=1e-6)
+
+
+ACVF0 = statistic_from_config({"name": "acvf", "lag": 0})
+EXPONENTIAL = InnovationSpec("centered_exponential")
+
+
+class TestNoninvertibleMaTargets:
+    """Targets of finite MAs whose roots flip, derived here apart from the
+    factorization: kappa_eps from the all-pass responses, gamma by hand."""
+
+    def test_trailing_zero_coefficient_changes_nothing(self):
+        # [-2, 0] is the worked example's own process
+        want = {"acvf_variance_linear": 216.0, "acvf_variance_companion": 126.0}
+        for b in ((-2.0,), (-2.0, 0.0)):
+            assert compute_targets(LinearModel(b=b, innovations=EXPONENTIAL), ACVF0) == want
+
+    def test_second_order_ma_with_two_flipped_roots(self):
+        # 1 + 0.5 z - 3 z^2 = (1 - 1.5 z)(1 + 2 z); each factor flips to an
+        # all-pass (1 - r z) / (1 - z / r) with the geometric response
+        # 1, (1/r)^(j-1) (1/r - r), and psi is their convolution
+        j = np.arange(299)
+        responses = [np.concatenate([[1.0], (1.0 / r) ** j * (1.0 / r - r)]) for r in (1.5, -2.0)]
+        psi = np.convolve(*responses)[:300]
+        assert np.sum(psi ** 2) == pytest.approx(9.0, rel=1e-12)  # sigma_eps^2 = 1.5^2 2^2
+        kappa_eps = 6.0 * np.sum(psi ** 4) / np.sum(psi ** 2) ** 2
+        assert kappa_eps == pytest.approx(3.29495, abs=1e-5)
+        # gamma = (10.25, -1, -3): sum over all lags of 2 gamma(k)^2 is 250.125
+        gamma0_sq, sum_sq = 10.25 ** 2, 2.0 * (10.25 ** 2 + 2.0 * (1.0 + 9.0))
+        model = LinearModel(b=(0.5, -3.0), innovations=EXPONENTIAL)
+        targets = compute_targets(model, ACVF0)
+        assert targets["acvf_variance_linear"] == pytest.approx(6.0 * gamma0_sq + sum_sq,
+                                                                rel=1e-12)
+        assert targets["acvf_variance_linear"] == pytest.approx(880.5, rel=1e-12)
+        assert targets["acvf_variance_companion"] == pytest.approx(
+            kappa_eps * gamma0_sq + sum_sq, rel=1e-12)
+        assert targets["acvf_variance_companion"] == pytest.approx(596.30, abs=5e-3)
+
+    def test_root_on_the_circle_rejected(self):
+        with pytest.raises(ValueError, match="root on the unit circle, z = -1"):
+            compute_targets(LinearModel(b=(1.0,)), ACVF0)
+
+
+class TestArch1CompanionTarget:
+    def test_acvf_variance_companion(self):
+        # the companion is i.i.d. with the marginal law of X: variance
+        # omega / (1 - alpha) = 1 / 0.7 and excess kurtosis
+        # 6 alpha^2 / (1 - 3 alpha^2) = 0.54 / 0.73; the lag-0 sample
+        # autocovariance of i.i.d. noise has variance (kappa + 2) gamma(0)^2
+        want = (0.54 / 0.73 + 2.0) * (1.0 / 0.7) ** 2
+        assert want == pytest.approx(5.591, abs=5e-4)
+        targets = compute_targets(Arch1Model(omega=1.0, alpha1=0.3), ACVF0)
+        assert set(targets) == {"acvf_variance_companion"}
+        assert targets["acvf_variance_companion"] == pytest.approx(want, rel=1e-12)
+
+    def test_mean_target_is_the_stationary_variance(self):
+        targets = compute_targets(Arch1Model(omega=1.0, alpha1=0.3), MeanStatistic())
+        assert targets == {"mean_long_run_variance": 1.0 / 0.7}
+
+
+class TestPersistentTargets:
+    """AR(0.99): targets carried over the whole rational expansion, not a
+    fixed number of lags. gamma(0) = 1 / (1 - phi^2), rho(k) = phi^k."""
+
+    PHI = 0.99
+
+    def _targets(self, stat, phi=PHI):
+        return compute_targets(ARModel(a=(phi,)), statistic_from_config(stat))
+
+    def test_mean(self):
+        want = 1.0 / (1.0 - self.PHI) ** 2
+        assert want == pytest.approx(10000.0)
+        assert self._targets({"name": "mean"})["mean_long_run_variance"] == pytest.approx(
+            want, rel=1e-12)
+
+    def test_acvf_lag0(self):
+        # sum over all lags of 2 gamma(k)^2 = 2 gamma(0)^2 (1 + phi^2) / (1 - phi^2)
+        phi_sq = self.PHI ** 2
+        want = 2.0 * (1.0 + phi_sq) / (1.0 - phi_sq) ** 3
+        assert want == pytest.approx(502525.25, abs=5e-3)
+        got = self._targets({"name": "acvf", "lag": 0})
+        assert got["acvf_variance_linear"] == pytest.approx(want, rel=1e-9)
+        assert got["acvf_variance_companion"] == pytest.approx(want, rel=1e-9)
+
+    def test_acf_lag1_bartlett(self):
+        got = self._targets({"name": "acf", "lag": 1})["bartlett_variance"]
+        assert got == pytest.approx(1.0 - self.PHI ** 2, rel=1e-9)
+
+    @pytest.mark.parametrize("stat, names", [
+        ({"name": "acvf", "lag": 0}, "acvf_variance_linear, acvf_variance_companion"),
+        ({"name": "acf", "lag": 1}, "bartlett_variance"),
+    ])
+    def test_unsettled_expansion_rejected_naming_the_targets(self, stat, names):
+        # 0.999^(10^4) = 4.5e-5: the expansion stops at its cap unsettled
+        with pytest.raises(ValueError, match=f"^{names}: the impulse response"):
+            self._targets(stat, phi=0.999)
+
+    def test_mean_needs_no_expansion(self):
+        got = self._targets({"name": "mean"}, phi=0.999)["mean_long_run_variance"]
+        assert got == pytest.approx(1e6, rel=1e-9)

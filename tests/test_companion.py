@@ -8,13 +8,20 @@ from sieveboot.companion import (
     CompanionSpec,
     build_companion,
     companion_distribution,
-    ma1_companion_spec,
     parametric_companion_spec,
     rational_acvf,
     resampling_companion_spec,
 )
-from sieveboot.ar import InversionError, true_ar_coefficients_ma1
-from sieveboot.dgp import ARModel, InnovationSpec, LinearModel, default_burnin, draw_innovations
+from sieveboot.ar import InversionError
+from sieveboot.dgp import (
+    COMPANION_RECORD_LENGTH,
+    ARModel,
+    InnovationSpec,
+    LinearModel,
+    default_burnin,
+    draw_innovations,
+    ma1_model,
+)
 from sieveboot.experiment import companion_spec_for
 from sieveboot.series import sample_acvf
 from sieveboot.statistics import AcvfStatistic, MeanStatistic
@@ -53,7 +60,7 @@ class TestModelAcvf:
     def test_ma1_companion_acvf_matches_original_process(self):
         # the companion process shares all second-order properties with the
         # noninvertible MA(1): gamma(0)=5, gamma(1)=-2, gamma(h>=2)=0
-        den = np.concatenate([[1.0], -true_ar_coefficients_ma1(60)])
+        den = np.concatenate([[1.0], 0.5 ** np.arange(1, 61)])
         g = rational_acvf([1.0], den, 4.0, 4)
         assert np.allclose(g.gamma, [5.0, -2.0, 0.0, 0.0, 0.0], atol=1e-10)
 
@@ -103,7 +110,7 @@ class TestRationalFilterProperties:
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * want[0])
 
     def test_ma1_example_companion_acvf(self):
-        spec = ma1_companion_spec(record_length=1000, seed=0)
+        spec = ma1_model().companion(0)
         got = rational_acvf(spec.num, spec.den, 4.0, 5).gamma
         assert np.array_equal(got, [5.0, -2.0, 0.0, 0.0, 0.0, 0.0])
 
@@ -132,7 +139,7 @@ class TestRationalFilterProperties:
 
 @pytest.fixture(scope="module")
 def spec():
-    return ma1_companion_spec(InnovationSpec("centered_exponential"), 200_000, seed=3)
+    return ma1_model(InnovationSpec("centered_exponential")).companion(3)
 
 
 class TestMa1Companion:
@@ -143,7 +150,7 @@ class TestMa1Companion:
 
     def test_record_moments(self, spec):
         record = np.asarray(spec.payload)
-        assert record.size == 200_000
+        assert record.size == COMPANION_RECORD_LENGTH
         assert spec.innovation_variance == pytest.approx(4.0, rel=0.03)
         # exact kurtosis transfer: 0.4 * 9 - 1.2 = 2.4 excess
         excess = np.mean(record ** 4) / np.mean(record ** 2) ** 2 - 3.0

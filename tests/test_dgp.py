@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 from scipy.signal import freqz, lfilter
 
 from sieveboot import dgp
+from sieveboot.ar import wold_factorization
 from sieveboot.dgp import (
     KEY_TRUTH,
-    MA1_WOLD_FILTER,
-    VE_FILTER_LAG,
     Arch1Model,
     ARModel,
     InnovationSpec,
@@ -40,7 +39,6 @@ from sieveboot.dgp import (
 from sieveboot import companion, sieve
 from sieveboot.companion import (
     build_companion,
-    ma1_companion_spec,
     parametric_companion_spec,
     resampling_companion_spec,
 )
@@ -123,7 +121,7 @@ class TestInnovations:
         assert e.var() == pytest.approx(4.0, rel=0.02)
         ratio = np.mean(e ** 4) / np.mean(e ** 2) ** 2
         assert ratio == pytest.approx(raw4, rel=0.05)
-        assert spec.raw_fourth_ratio == raw4
+        assert spec.excess_kurtosis == raw4 - 3.0
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
@@ -170,19 +168,24 @@ class TestMa1Example:
 
     def test_wold_filter_is_all_pass_with_gain_two(self):
         lam = np.linspace(0.0, np.pi, 257)
-        _, response = freqz(*MA1_WOLD_FILTER, worN=lam)
+        num, sigma2, _ = wold_factorization([1.0, -2.0])
+        assert np.array_equal(num, [1.0, -0.5]) and sigma2 == 4.0
+        _, response = freqz([1.0, -2.0], num, worN=lam)
         assert np.allclose(np.abs(response), 2.0, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("innovations", [None, InnovationSpec("centered_uniform", 2.5)])
-    def test_companion_record_is_the_wold_innovations_past_their_transient(self, innovations):
+    @pytest.mark.parametrize("innovations",
+                             [InnovationSpec(), InnovationSpec("centered_uniform", 2.5)])
+    def test_companion_record_is_the_wold_innovations_past_their_transient(self, monkeypatch,
+                                                                          innovations):
+        monkeypatch.setattr(dgp, "COMPANION_RECORD_LENGTH", 5000)
         seed = derive_seed(3, 5)
-        record = ma1_companion_spec(innovations, 5000, seed).payload
-        _, _, ve = ma1_example(5000 + VE_FILTER_LAG, seed, innovations)
-        assert np.array_equal(record, ve.values[VE_FILTER_LAG:])
+        record = ma1_model(innovations).companion(seed).payload
+        _, _, ve = ma1_example(5000 + 60, seed, innovations)
+        assert np.array_equal(record, ve.values[60:])
 
     def test_ve_is_white_with_variance_four(self):
         _, _, ve = ma1_example(300_000, seed=7)
-        v = ve.values[VE_FILTER_LAG:]
+        v = ve.values[60:]
         assert v.var() == pytest.approx(4.0, rel=0.02)
         lag1 = np.mean(v[:-1] * v[1:]) - v.mean() ** 2
         assert abs(lag1) / v.var() < 0.01
@@ -364,8 +367,7 @@ BLOCK_PROCESSES = {
     "parametric-iir": PROCESSES["companion"],
     "resample-fir": lambda: resampling_companion_spec([1.0, 0.4], [1.0], _RECORD),
     "resample-iir": lambda: resampling_companion_spec([1.0], [1.0, -0.5, 0.2], _RECORD),
-    "exact-ma1-fir": lambda: ma1_companion_spec(InnovationSpec("centered_exponential"),
-                                                10 ** 4, 6),
+    "exact-ma1-fir": lambda: ma1_model(InnovationSpec("centered_exponential")).companion(6),
     "sieve-iir": PROCESSES["sieve"],
 }
 

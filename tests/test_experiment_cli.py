@@ -95,9 +95,17 @@ class TestCompanionConstruction:
         assert spec.innovation_source == "residual_resample"
         assert spec.innovation_variance == pytest.approx(4.0, rel=0.01)
 
-    def test_noninvertible_ma_other_than_worked_example_rejected(self):
-        with pytest.raises(ValueError):
-            companion_spec_for(LinearModel(b=(0.1, -3.0)), seed=1)
+    def test_any_noninvertible_ma_resamples_its_wold_record(self):
+        # 1 + 0.5 z - 3 z^2 = (1 - 1.5 z)(1 + 2 z): both roots flip, giving
+        # (1 - 2z/3)(1 + z/2) = 1 - z/6 - z^2/3 and Var(eps) = 1.5^2 2^2 = 9
+        spec = companion_spec_for(LinearModel(b=(0.5, -3.0)), seed=1)
+        assert np.allclose(spec.num, [1.0, -1.0 / 6.0, -1.0 / 3.0], rtol=0.0, atol=1e-15)
+        assert spec.innovation_source == "residual_resample"
+        assert spec.innovation_variance == pytest.approx(9.0, rel=0.01)
+
+    def test_ma_with_a_root_on_the_circle_rejected(self):
+        with pytest.raises(ValueError, match="root on the unit circle, z = -1"):
+            companion_spec_for(LinearModel(b=(1.0,)), seed=1)
 
     def test_ar_model_is_its_own_companion(self):
         spec = companion_spec_for(ARModel(a=(0.5, -0.2)), seed=1)
@@ -268,6 +276,21 @@ class TestFailFast:
         assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
         assert not re.search(r"\b(inf|nan)\b", err[0], re.IGNORECASE)
 
+    def test_cli_rejects_an_ma_root_on_the_circle_before_simulation(self, tmp_path, capsys,
+                                                                   no_simulation):
+        cfg_path = tmp_path / "unit-root.json"
+        cfg_path.write_text(json.dumps({**TINY_CONFIG, "dgp": {"family": "linear",
+                                                               "coefficients": [1.0]}}))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "root on the unit circle, z = -1" in err[0]
+
+    def test_cli_asymptotics_rejects_an_unsettled_expansion(self, capsys):
+        assert main(["asymptotics", "--model", '{"family": "ar", "coefficients": [0.999]}',
+                     "--statistic", '{"name": "acf", "lag": 1}']) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: bartlett_variance: ")
+
     def test_cli_run_rejects_a_config_that_is_not_an_object(self, capsys):
         assert main(["run", "--config", "[1]"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
@@ -370,6 +393,30 @@ def test_intper_laws_match_their_kurtosis_targets():
         assert check["passed"], check
 
 
+# X = e + 0.5 e_{-1} - 3 e_{-2} under centered exponential noise: both roots
+# lie inside the unit disk, and the companion target is 596.30 (Wold kurtosis
+# 3.29495). The oracle's sample variance over M = 2000 paths has a relative
+# standard error of about 0.032, so tol = 0.15 is some 4.7 of them.
+MA2_CONFIG = {
+    "name": "acvf0-ma2-exponential",
+    "dgp": {"family": "linear", "coefficients": [0.5, -3.0],
+            "innovation": {"family": "centered_exponential", "scale": 1.0}},
+    "statistic": {"name": "acvf", "lag": 0},
+    "checks": [
+        {"id": "oracle-vs-companion", "kind": "var_close", "method": "oracle",
+         "target_id": "acvf_variance_companion", "tol": 0.15},
+    ],
+    "n": 2000, "B": 200, "M": 2000, "R": 200, "seed": 1,
+}
+
+
+def test_second_order_noninvertible_ma_oracle_matches_its_companion_target(tmp_path, capsys):
+    cfg_path = tmp_path / "ma2.json"
+    cfg_path.write_text(json.dumps(MA2_CONFIG))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    assert "check oracle-vs-companion: pass" in capsys.readouterr().out
+
+
 class TestCli:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -402,6 +449,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "acvf_variance_companion = 66" in out
+
+    @pytest.mark.parametrize("coefficients, companion", [
+        ([-2.0], "126"), ([-2.0, 0.0], "126"), ([0.5, -3.0], "596.30")])
+    def test_asymptotics_of_noninvertible_mas(self, capsys, coefficients, companion):
+        model = {"family": "linear", "coefficients": coefficients,
+                 "innovation": {"family": "centered_exponential"}}
+        assert main(["asymptotics", "--model", json.dumps(model), "--statistic", "acvf"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith(f"acvf_variance_companion = {companion}")
 
     def test_asymptotics_mean(self, capsys):
         code = main(["asymptotics", "--model", json.dumps(TINY_CONFIG["dgp"]),
