@@ -24,7 +24,6 @@ from .ar import (
     ARFit,
     ConditioningError,
     InversionError,
-    MAInversion,
     baxter_gap,
     invert_ar_polynomial,
     levinson_durbin,

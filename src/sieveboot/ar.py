@@ -18,7 +18,6 @@ __all__ = [
     "ConditioningError",
     "InversionError",
     "ARFit",
-    "MAInversion",
     "levinson_durbin",
     "yule_walker_fit",
     "invert_ar_polynomial",
@@ -53,21 +52,6 @@ class ARFit:
         if self.sigma2 < 0:
             raise ValueError("innovation variance must be nonnegative")
         object.__setattr__(self, "a", a)
-
-
-@dataclass(frozen=True)
-class MAInversion:
-    """Truncated power-series inverse (1 - sum a_k z^k)^-1 = sum alpha_j z^j."""
-
-    alpha: np.ndarray
-    L: int
-    decay_bound: float
-
-    def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
-        if alpha.size != self.L + 1 or alpha[0] != 1.0:
-            raise ValueError("alpha must have length L+1 with alpha[0] = 1")
-        object.__setattr__(self, "alpha", alpha)
 
 
 def levinson_durbin(gamma: np.ndarray, p: int):
@@ -106,8 +90,9 @@ def yule_walker_fit(acvf: ACVF, p: int) -> ARFit:
     return ARFit(p=p, a=a, sigma2=float(sigma2s[p]), source=acvf.kind)
 
 
-def invert_ar_polynomial(a, L: int) -> MAInversion:
-    """Power-series inverse of A(z) = 1 - sum a_k z^k up to lag L.
+def invert_ar_polynomial(a, L: int) -> np.ndarray:
+    """alpha_0..alpha_L of the power-series inverse
+    (1 - sum a_k z^k)^-1 = sum alpha_j z^j.
 
     alpha_0 = 1 and alpha_j = sum_{k=1}^{min(j,p)} a_k alpha_{j-k}.
     """
@@ -120,8 +105,7 @@ def invert_ar_polynomial(a, L: int) -> MAInversion:
     for j in range(1, L + 1):
         k = min(j, p)
         alpha[j] = np.dot(a[:k], alpha[j - 1 :: -1][:k])
-    decay = float(np.abs(alpha[-1])) if L > 0 else 0.0
-    return MAInversion(alpha=alpha, L=L, decay_bound=decay)
+    return alpha
 
 
 def _reciprocal_roots(a: np.ndarray) -> np.ndarray:
@@ -173,7 +157,7 @@ def wold_factorization(b, sigma2: float = 1.0):
                          f"circle: its Wold filter would take {lag} lags to settle")
     num = np.poly(np.where(inside, 1.0 / np.conj(r), r)).real
     taps = b.size + lag
-    psi = np.convolve(b, invert_ar_polynomial(-num[1:], taps - 1).alpha)[:taps]
+    psi = np.convolve(b, invert_ar_polynomial(-num[1:], taps - 1))[:taps]
     return num, sigma2 * float(np.prod(size[inside] ** 2)), psi
 
 

@@ -13,13 +13,12 @@ The sieve bootstrap process is itself such a companion: the fitted filter
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from . import dgp
 from .ar import InversionError, invert_ar_polynomial, min_modulus_on_disk
-from .series import ACVF, EmpiricalLaw, Series
+from .series import ACVF, EmpiricalLaw
 
 __all__ = [
     "CompanionSpec",
@@ -83,14 +82,8 @@ class CompanionSpec:
         p, q = self.den.size - 1, self.num.size - 1
         return dgp.default_burnin(p) if p else q
 
-    def simulate(self, n: int, seed: dgp.SeedLike) -> Series:
-        return build_companion(self, n, seed)
-
-    def simulate_batch(self, n: int, seeds) -> Iterator[Series]:
-        """The paths ``simulate(n, s)`` for s in ``seeds``, filtered a block
-        of paths at a time."""
-        return dgp.batch_paths(lambda block: build_companion(self, n, block), seeds,
-                               n + self.burnin)
+    def simulate(self, n: int, seeds) -> np.ndarray:
+        return build_companion(self, n, seeds)
 
 
 @dataclass(frozen=True)
@@ -130,7 +123,7 @@ def rational_acvf(num, den, sigma2: float, maxlag: int | None = None) -> ACVF:
     else:
         L = max((maxlag or 0) + 50, 200)
         while True:
-            alpha = invert_ar_polynomial(a, L).alpha
+            alpha = invert_ar_polynomial(a, L)
             tail = np.abs(alpha[-50:]).max()
             head = np.abs(alpha).max()
             settled = tail <= 1e-12 * head
@@ -148,33 +141,33 @@ def rational_acvf(num, den, sigma2: float, maxlag: int | None = None) -> ACVF:
     return ACVF(gamma=gamma, kind="theoretical")
 
 
-def _draw_companion_innovations(spec: CompanionSpec, seed: dgp.SeedLike, out: np.ndarray) -> None:
-    """Fill ``out`` with i.i.d. innovations drawn from ``rng_from(seed)``."""
-    if spec.innovation_source == "parametric":
-        out[:] = dgp.draw_innovations(spec.payload, out.size, seed)
-    else:
-        record = np.asarray(spec.payload, dtype=float)
-        np.take(record, dgp.rng_from(seed).integers(0, record.size, out.size), out=out)
+def _draw_companion_innovations(spec: CompanionSpec, seeds, width: int) -> np.ndarray:
+    """(len(seeds), width): row j holds i.i.d. innovations drawn from
+    ``rng_from(seeds[j])``."""
+    eps = np.empty((len(seeds), width))
+    for row, s in zip(eps, seeds):
+        if spec.innovation_source == "parametric":
+            row[:] = dgp.draw_innovations(spec.payload, width, s)
+        else:
+            record = np.asarray(spec.payload, dtype=float)
+            np.take(record, dgp.rng_from(s).integers(0, record.size, width), out=row)
+    return eps
 
 
-def build_companion(spec: CompanionSpec, n: int, seed):
-    """Companion paths of length n, deterministic given their seeds.
+def build_companion(spec: CompanionSpec, n: int, seeds) -> np.ndarray:
+    """Companion paths of length n, deterministic given their seeds: a
+    C-contiguous (len(seeds), n) array whose row j is the path of seeds[j].
 
-    ``seed`` is one seed, giving one path as a ``Series``, or a list of
-    seeds, giving a (len(seed), n) array whose row j is the path of seed[j].
     Each row of innovations is drawn from its own seed, ``spec.burnin``
     leading values included, and the whole block goes through one
     ``dgp.filter_rows`` call (``lfilter`` bit for bit) along its rows. That
     call filters each row exactly as it filters a lone path, so a row equals
     the single path of its seed bit for bit.
     """
-    seeds = seed if isinstance(seed, list) else [seed]
     burnin = spec.burnin
-    eps = np.empty((len(seeds), n + burnin))
-    for row, s in zip(eps, seeds):
-        _draw_companion_innovations(spec, s, row)
-    x = dgp.filter_rows(spec.num, spec.den, eps)[:, burnin:]
-    return x if isinstance(seed, list) else Series(x[0])
+    # The innovation block is a temporary, freed before the rows are copied out.
+    x = dgp.filter_rows(spec.num, spec.den, _draw_companion_innovations(spec, seeds, n + burnin))
+    return np.ascontiguousarray(x[:, burnin:])
 
 
 def companion_distribution(spec: CompanionSpec, statistic, n: int, M: int, seed: dgp.SeedLike) -> OracleResult:

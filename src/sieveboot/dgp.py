@@ -11,25 +11,24 @@ innovations, None where no closed form applies.
 Process protocol: a process -- a DGP model here, a ``CompanionSpec`` or a
 fitted ``SieveModel`` -- has ``filter``, the rational filter
 (num, den, sigma2) of X = [num(z) / den(z)] eps with Var(eps) = sigma2 that
-carries its second-order structure, and ``simulate(n, seed)``, one path.
-A process may also have ``simulate_batch(n, seeds)``, which returns the
-paths ``simulate(n, s)`` for s in seeds, in order and bit for bit, but
-computes them together. ``Arch1Model`` has it and steps all its paths one
-time step at a time. ``CompanionSpec`` and ``SieveModel`` have it and draw
-each path's innovations into one block of rows, then filter the block with
-one ``filter_rows`` call, which is one ``lfilter`` call bit for bit;
-``batch_paths`` keeps such a block, burn-in included, to about
-``BATCH_VALUES`` values. ``replicate`` runs over consecutive chunks
-of ``max(1, BATCH_VALUES // n)`` paths: it derives the chunk's seeds, hands
-them to ``simulate_batch`` or, for the DGP's linear models, to ``simulate``
-one by one, and evaluates the statistic once per path.
+carries its second-order structure, and ``simulate(n, seeds)``, a
+C-contiguous (len(seeds), n) float array whose row j is the path of
+seeds[j]. A row does not depend on the other seeds, so a path is the same
+whatever block it is simulated in. The linear models fill the block one
+``simulate_linear`` or ``simulate_ar`` call per seed. ``Arch1Model`` steps
+all its paths one time step at a time. ``CompanionSpec`` and ``SieveModel``
+draw each path's innovations into one row of a block and filter the block
+with one ``filter_rows`` call, which is one ``lfilter`` call bit for bit.
+``replicate`` alone decides the block size: it runs over consecutive chunks
+of ``max(1, BATCH_VALUES // n)`` paths, derives the chunk's seeds, simulates
+them in one ``simulate`` call and evaluates the statistic once per row.
 
 Seeding: every simulator is deterministic given (model, n, seed). Distinct
 replications must use distinct derived seeds; the canonical derivation rule is
 ``derive_seed(base_seed, *indices)`` which builds a ``numpy`` SeedSequence with
 the indices as spawn key. The whole package uses this rule. Path i of a law
-comes from ``derive_seed(seed, key, i)`` whether or not it is simulated in a
-batch, so a law does not depend on the chunk size. ``replicate`` gets those
+comes from ``derive_seed(seed, key, i)`` whatever the chunk it is simulated
+in, so a law does not depend on the chunk size. ``replicate`` gets those
 seeds from ``derive_seeds(seed, key, lo, hi)``, which runs numpy's
 SeedSequence hash over a whole chunk of indices at once, as uint32 array
 arithmetic, and returns one ``PathSeed`` per path: the four uint64 words that
@@ -47,7 +46,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -62,7 +61,6 @@ __all__ = [
     "Arch1Model",
     "COMPANION_RECORD_LENGTH",
     "BATCH_VALUES",
-    "batch_paths",
     "derive_seed",
     "derive_seeds",
     "PathSeed",
@@ -94,9 +92,9 @@ _MODEL_KEYS = {
 
 SeedLike = Union[int, np.random.SeedSequence]
 
-# Values in the block of paths one simulate_batch call computes; it bounds
-# the memory of a chunk while spreading each time step's overhead over many
-# paths.
+# Values in the block of paths that one simulate call of replicate returns;
+# it bounds the memory of a chunk while spreading each call's and each time
+# step's overhead over many paths.
 BATCH_VALUES = 1 << 19
 
 # Spawn-key namespaces of derived seeds: bootstrap replications, oracle
@@ -227,33 +225,18 @@ def replicate(process, statistic, n: int, count: int, seed: SeedLike, key: int):
     ``process``, path i simulated from ``derive_seed(seed, key, i)``, where
     theta is the statistic's exact value under ``process.filter``.
 
-    The seeds are derived in consecutive chunks of ``max(1, BATCH_VALUES //
-    n)`` paths; a process with ``simulate_batch`` gets each chunk in one
-    call, any other is simulated path by path.
+    The paths are simulated in consecutive chunks of ``max(1, BATCH_VALUES
+    // n)``, one ``process.simulate`` call per chunk. Each block is built and
+    consumed in one statement, so it is freed before the next is built.
     """
     theta = statistic.model_center(*process.filter, n)
     vals = np.empty(count)
     rows = max(1, BATCH_VALUES // n)
-    simulate_batch = getattr(process, "simulate_batch", None)
     for lo in range(0, count, rows):
-        seeds = derive_seeds(seed, key, lo, min(lo + rows, count))
-        paths = (simulate_batch(n, seeds) if simulate_batch is not None
-                 else (process.simulate(n, s) for s in seeds))
-        for i, path in enumerate(paths, lo):
-            vals[i] = statistic.evaluate(path)
+        hi = min(lo + rows, count)
+        vals[lo:hi] = [statistic.evaluate(Series(path))
+                       for path in process.simulate(n, derive_seeds(seed, key, lo, hi))]
     return ecdf(statistic.rate(n) * (vals - theta)), float(theta)
-
-
-def batch_paths(simulate_block, seeds, width: int) -> Iterator[Series]:
-    """The rows of ``simulate_block(block)`` for consecutive blocks of
-    ``seeds``, as ``Series``. A block has at most ``max(1, BATCH_VALUES //
-    width)`` seeds, so that it holds about ``BATCH_VALUES`` values when each
-    path is simulated ``width`` values long. Each row is copied out as it is
-    yielded, so no path pins its block while the next block is built."""
-    seeds = list(seeds)
-    rows = max(1, BATCH_VALUES // width)
-    for lo in range(0, len(seeds), rows):
-        yield from (Series(row.copy()) for row in simulate_block(seeds[lo:lo + rows]))
 
 
 def rng_from(seed: SeedLike) -> np.random.Generator:
@@ -303,8 +286,8 @@ class LinearModel:
     def filter(self):
         return np.concatenate([[1.0], self.b]), np.ones(1), self.innovations.scale ** 2
 
-    def simulate(self, n: int, seed: SeedLike) -> Series:
-        return simulate_linear(self, n, seed)
+    def simulate(self, n: int, seeds) -> np.ndarray:
+        return _path_by_path(simulate_linear, self, n, seeds)
 
     def companion(self, record_seed: SeedLike):
         """The MA b~(z) eps of ``wold_factorization``. With no root flipped,
@@ -353,8 +336,8 @@ class ARModel:
         den = np.concatenate([[1.0], -np.asarray(self.a)])
         return np.ones(1), den, self.innovations.scale ** 2
 
-    def simulate(self, n: int, seed: SeedLike) -> Series:
-        return simulate_ar(self, n, seed)
+    def simulate(self, n: int, seeds) -> np.ndarray:
+        return _path_by_path(simulate_ar, self, n, seeds)
 
     def companion(self, record_seed: SeedLike):
         """The model itself: a causal AR is driven by its Wold innovations."""
@@ -387,14 +370,8 @@ class Arch1Model:
         """White noise in the second-order sense, with the stationary variance."""
         return np.ones(1), np.ones(1), self.omega / (1.0 - self.alpha1)
 
-    def simulate(self, n: int, seed: SeedLike) -> Series:
-        return simulate_arch1(self, n, seed)
-
-    def simulate_batch(self, n: int, seeds) -> Iterator[Series]:
-        """The paths ``simulate(n, s)`` for s in ``seeds``, stepped together;
-        each is copied out of the time-major block as it is consumed."""
-        block = simulate_arch1(self, n, list(seeds))
-        return (Series(block[:, j].copy()) for j in range(block.shape[1]))
+    def simulate(self, n: int, seeds) -> np.ndarray:
+        return simulate_arch1(self, n, seeds)
 
     def companion(self, record_seed: SeedLike):
         """White noise in the Wold sense: the trivial filter, innovations
@@ -404,7 +381,7 @@ class Arch1Model:
 
         seeds = [derive_seed(record_seed, j) for j in range(_ARCH_RECORD_CHAINS)]
         chains = simulate_arch1(self, COMPANION_RECORD_LENGTH // _ARCH_RECORD_CHAINS, seeds)
-        return resampling_companion_spec([1.0], [1.0], chains.T.ravel())
+        return resampling_companion_spec([1.0], [1.0], chains.ravel())
 
     @property
     def kurtoses(self):
@@ -512,15 +489,21 @@ def simulate_linear(model: LinearModel, n: int, seed: SeedLike) -> Series:
     return Series(x)
 
 
-def simulate_ar(model: ARModel, n: int, seed: SeedLike, burnin: int | None = None) -> Series:
-    """AR recursion from zero initial state; the first `burnin` values are dropped."""
-    if burnin is None:
-        burnin = default_burnin(model.p)
-    if burnin < 0:
-        raise ValueError("burnin must be nonnegative")
+def simulate_ar(model: ARModel, n: int, seed: SeedLike) -> Series:
+    """AR recursion from zero initial state; the first ``default_burnin(p)``
+    values are dropped."""
+    burnin = default_burnin(model.p)
     e = draw_innovations(model.innovations, n + burnin, seed)
     x = filter_rows([1.0], np.concatenate([[1.0], -np.asarray(model.a)]), e)[burnin:]
     return Series(x)
+
+
+def _path_by_path(simulate_path, model, n: int, seeds) -> np.ndarray:
+    """(len(seeds), n): row j is ``simulate_path(model, n, seeds[j])``."""
+    out = np.empty((len(seeds), n))
+    for row, s in zip(out, seeds):
+        row[:] = simulate_path(model, n, s).values
+    return out
 
 
 def ma1_model(innovations: InnovationSpec | None = None) -> LinearModel:
@@ -547,20 +530,18 @@ def ma1_example(n: int, seed: SeedLike, innovations: InnovationSpec | None = Non
     return Series(x), Series(e_full[q:]), Series(ve)
 
 
-def simulate_arch1(model: Arch1Model, n: int, seed, burnin: int | None = None):
+def simulate_arch1(model: Arch1Model, n: int, seeds) -> np.ndarray:
     """ARCH(1) recursion x_t = sqrt(omega + alpha1 x_{t-1}^2) z_t from zero
     state, z_t standard normal drawn from ``rng_from(seed)``; the first
-    ``burnin`` values are dropped.
+    ``default_burnin(1)`` values are dropped.
 
-    ``seed`` is one seed, giving one path as a ``Series``, or a list of
-    seeds, giving a time-major (n, len(seed)) array whose column j is the
-    path of seed[j]. The columns advance together one time step at a time,
-    each element through the same IEEE operations as a path of its own, so
-    a column equals the single path of its seed bit for bit.
+    Returns a C-contiguous (len(seeds), n) array whose row j is the path of
+    seeds[j]. The paths advance together one time step at a time in a
+    time-major block, each element through the same IEEE operations as a
+    path of its own, so a row equals the single path of its seed bit for
+    bit.
     """
-    if burnin is None:
-        burnin = default_burnin(1)
-    seeds = seed if isinstance(seed, list) else [seed]
+    burnin = default_burnin(1)
     x = np.empty((n + burnin, len(seeds)))
     for j, s in enumerate(seeds):
         x[:, j] = rng_from(s).standard_normal(n + burnin)
@@ -573,8 +554,7 @@ def simulate_arch1(model: Arch1Model, n: int, seed, burnin: int | None = None):
         np.sqrt(var, out=var)
         row *= var
         prev = row
-    x = x[burnin:]
-    return x if isinstance(seed, list) else Series(x[:, 0])
+    return np.ascontiguousarray(x[burnin:].T)
 
 
 def model_to_json(model) -> str:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import dgp
 from .companion import CompanionSpec, companion_distribution
-from .series import kolmogorov_distance, ks_critical_value
+from .series import Series, kolmogorov_distance, ks_critical_value
 from .sieve import OrderRule, bootstrap_distribution
 from .statistics import statistic_from_config
 
@@ -112,6 +112,8 @@ class ExperimentConfig:
         for i, check in enumerate(self.checks):
             if not isinstance(check, dict):
                 raise ConfigError(f"check #{i} must be an object, got {check!r}")
+            if not isinstance(check.get("id", ""), str):
+                raise ConfigError(f"check #{i}: id must be a string, got {check['id']!r}")
         object.__setattr__(self, "checks", tuple(dict(c) for c in self.checks))
         ids = {c.get("id") for c in self.checks}
         for cid, flag in self.expect.items():
@@ -226,8 +228,9 @@ def compute_targets(model, statistic) -> dict:
 
 def _validate_checks(checks, targets: dict) -> None:
     """Reject, naming the check, any check that could not be evaluated: an
-    unknown kind, a missing field, an unknown method or pair, or a target the
-    model and statistic do not produce."""
+    unknown kind, a missing field, an unknown method or pair, a target_id
+    that is not a string or names a target the model and statistic do not
+    produce, or a tol, lo, hi or bound that is not a number."""
     for i, check in enumerate(checks):
         cid = check.get("id")
         if cid is None:
@@ -246,6 +249,13 @@ def _validate_checks(checks, targets: dict) -> None:
         if "pair" in _CHECK_FIELDS[kind] and check["pair"] not in _DK_PAIRS:
             raise ConfigError(f"check {cid!r}: unknown pair {check['pair']!r}; "
                               f"known: {', '.join(_DK_PAIRS)}")
+        for f in ("tol", "lo", "hi", "bound"):
+            if f in _CHECK_FIELDS[kind] and (isinstance(check[f], bool)
+                                            or not isinstance(check[f], (int, float))):
+                raise ConfigError(f"check {cid!r}: {f} must be a number, got {check[f]!r}")
+        if kind == "var_close" and not isinstance(check["target_id"], str):
+            raise ConfigError(f"check {cid!r}: target_id must be a string, "
+                              f"got {check['target_id']!r}")
         if kind == "var_close" and check["target_id"] not in targets:
             raise ConfigError(f"check {cid!r}: target {check['target_id']!r} is not produced "
                               f"for this model and statistic; available: "
@@ -293,7 +303,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     _validate_checks(config.checks, targets)
     spec = timed("companion", companion_spec_for, model, seed)
 
-    data = timed("data", model.simulate, n, dgp.derive_seed(seed, dgp.KEY_DATA))
+    data = Series(timed("data", model.simulate, n, [dgp.derive_seed(seed, dgp.KEY_DATA)])[0])
     boot = timed("bootstrap", bootstrap_distribution, data, statistic, config.B, rule, seed)
     oracle = timed("oracle", companion_distribution, spec, statistic, n, config.M, seed)
     truth_law, _ = timed("truth", dgp.replicate, model, statistic, n, config.R, seed,

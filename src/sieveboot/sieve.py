@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -96,14 +96,8 @@ class SieveModel:
     def filter(self):
         return self.bootstrap_process.filter
 
-    def simulate(self, n: int, seed: dgp.SeedLike) -> Series:
-        return generate_bootstrap_series(self, n, seed)
-
-    def simulate_batch(self, n: int, seeds) -> Iterator[Series]:
-        """The paths ``simulate(n, s)`` for s in ``seeds``, filtered a block
-        of paths at a time through the bootstrap process."""
-        return dgp.batch_paths(lambda block: generate_bootstrap_series(self, n, block), seeds,
-                               n + self.bootstrap_process.burnin)
+    def simulate(self, n: int, seeds) -> np.ndarray:
+        return generate_bootstrap_series(self, n, seeds)
 
 
 def fit_sieve(s: Series, rule: OrderRule) -> SieveModel:
@@ -119,11 +113,11 @@ def fit_sieve(s: Series, rule: OrderRule) -> SieveModel:
     return SieveModel(fit=fit, residual_law=ecdf(res), n=s.n, p=p)
 
 
-def generate_bootstrap_series(m: SieveModel, n: int, seed):
-    """Bootstrap paths: i.i.d. residual draws drive the fitted recursion. One
-    seed gives one path as a ``Series``, a list of seeds a (len(seed), n)
-    array of paths, as in :func:`build_companion`."""
-    return build_companion(m.bootstrap_process, n, seed)
+def generate_bootstrap_series(m: SieveModel, n: int, seeds) -> np.ndarray:
+    """Bootstrap paths: i.i.d. residual draws drive the fitted recursion. A
+    (len(seeds), n) array whose row j is the path of seeds[j], as in
+    :func:`build_companion`."""
+    return build_companion(m.bootstrap_process, n, seeds)
 
 
 @dataclass(frozen=True)

@@ -228,7 +228,7 @@ class TestCriterion8ArAlgebra:
         # inversion convolution identity
         a = np.array([0.5, -0.3, 0.1])
         inv = invert_ar_polynomial(a, 80)
-        conv = np.convolve(np.concatenate([[1.0], -a]), inv.alpha)[:81]
+        conv = np.convolve(np.concatenate([[1.0], -a]), inv)[:81]
         want = np.zeros(81)
         want[0] = 1.0
         checks["inversion-identity"] = float(np.max(np.abs(conv - want))) <= 1e-10

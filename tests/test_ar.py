@@ -8,7 +8,6 @@ from sieveboot.ar import (
     ARFit,
     ConditioningError,
     InversionError,
-    MAInversion,
     baxter_gap,
     invert_ar_polynomial,
     levinson_durbin,
@@ -75,7 +74,7 @@ class TestInversion:
     def test_convolution_identity(self):
         a = np.array([0.4, -0.25, 0.1])
         inv = invert_ar_polynomial(a, 60)
-        conv = np.convolve(np.concatenate([[1.0], -a]), inv.alpha)[:61]
+        conv = np.convolve(np.concatenate([[1.0], -a]), inv)[:61]
         want = np.zeros(61)
         want[0] = 1.0
         assert np.max(np.abs(conv - want)) <= 1e-10
@@ -86,15 +85,11 @@ class TestInversion:
         inv = invert_ar_polynomial(-(0.5 ** np.arange(1, 51)), 30)
         want = np.zeros(31)
         want[0], want[1] = 1.0, -0.5
-        assert np.max(np.abs(inv.alpha - want)) < 1e-12
+        assert np.max(np.abs(inv - want)) < 1e-12
 
     def test_unstable_polynomial_rejected(self):
         with pytest.raises(InversionError):
             invert_ar_polynomial(np.array([2.0]), 10)
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            MAInversion(alpha=np.array([2.0, 0.0]), L=1, decay_bound=0.0)
 
 
 class TestMinModulus:

@@ -23,7 +23,7 @@ from sieveboot.dgp import (
     ma1_model,
 )
 from sieveboot.experiment import companion_spec_for
-from sieveboot.series import sample_acvf
+from sieveboot.series import Series, sample_acvf
 from sieveboot.statistics import AcvfStatistic, MeanStatistic
 
 
@@ -122,19 +122,19 @@ class TestRationalFilterProperties:
         q = num.size - 1
         innovations = InnovationSpec(family)
         spec = parametric_companion_spec(num, [1.0], innovations)
-        x = build_companion(spec, n, seed).values
+        x = build_companion(spec, n, [seed])[0]
         e = draw_innovations(innovations, n + q, seed)
         want = np.convolve(e, num)[q: n + q]
         assert x.size == n
         assert np.allclose(x, want, rtol=0.0, atol=1e-12 * max(1.0, np.abs(e).max()))
-        assert np.array_equal(build_companion(spec, n, seed).values, x)
+        assert np.array_equal(build_companion(spec, n, [seed])[0], x)
 
     def test_recursive_filter_path_keeps_its_burnin(self):
         den = np.array([1.0, -0.5, 0.2])
         spec = parametric_companion_spec([1.0], den, InnovationSpec())
         burnin = default_burnin(2)
         want = lfilter([1.0], den, draw_innovations(InnovationSpec(), 300 + burnin, 11))[burnin:]
-        assert np.array_equal(build_companion(spec, 300, 11).values, want)
+        assert np.array_equal(build_companion(spec, 300, [11])[0], want)
 
 
 @pytest.fixture(scope="module")
@@ -157,16 +157,16 @@ class TestMa1Companion:
         assert excess == pytest.approx(2.4, abs=0.3)
 
     def test_path_second_order_structure(self, spec):
-        x = build_companion(spec, 100_000, seed=4)
+        x = Series(build_companion(spec, 100_000, [4])[0])
         g = sample_acvf(x, 2, centered=True)
         assert g.gamma[0] == pytest.approx(5.0, rel=0.05)
         assert g.gamma[1] == pytest.approx(-2.0, rel=0.1)
         assert abs(g.gamma[2]) < 0.15
 
     def test_build_deterministic(self, spec):
-        x1 = build_companion(spec, 500, seed=5)
-        x2 = build_companion(spec, 500, seed=5)
-        assert np.array_equal(x1.values, x2.values)
+        x1 = build_companion(spec, 500, [5])
+        x2 = build_companion(spec, 500, [5])
+        assert x1.shape == (1, 500) and np.array_equal(x1, x2)
 
 
 class TestDistribution:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -43,6 +44,7 @@ from sieveboot.companion import (
     resampling_companion_spec,
 )
 from sieveboot.experiment import companion_spec_for
+from sieveboot.series import Series
 from sieveboot.sieve import OrderRule, fit_sieve
 from sieveboot.statistics import AcvfStatistic
 
@@ -283,10 +285,9 @@ class TestFilterRows:
 class TestArch1:
     def test_marginal_variance(self):
         model = Arch1Model(omega=1.0, alpha1=0.3)
-        x = simulate_arch1(model, 300_000, seed=9)
-        assert x.values.var() == pytest.approx(1.0 / 0.7, rel=0.03)
+        v = simulate_arch1(model, 300_000, [9])[0]
+        assert v.var() == pytest.approx(1.0 / 0.7, rel=0.03)
         # uncorrelated but dependent: squared values are correlated
-        v = x.values
         rho_sq = np.corrcoef(v[:-1] ** 2, v[1:] ** 2)[0, 1]
         assert rho_sq > 0.1
         rho = np.corrcoef(v[:-1], v[1:])[0, 1]
@@ -301,10 +302,10 @@ class TestArch1:
         seeds = [derive_seed(4, KEY_TRUTH, i) for i in range(12)]
         reference = [_arch1_reference(model, n, s) for s in seeds]
         for seed, ref in zip(seeds[:3], reference):
-            assert np.array_equal(model.simulate(n, seed).values, ref)
+            assert np.array_equal(model.simulate(n, [seed])[0], ref)
         for chunk in (1, 7, len(seeds)):
-            paths = [path.values for lo in range(0, len(seeds), chunk)
-                     for path in model.simulate_batch(n, seeds[lo:lo + chunk])]
+            paths = [path for lo in range(0, len(seeds), chunk)
+                     for path in model.simulate(n, seeds[lo:lo + chunk])]
             assert len(paths) == len(seeds)
             assert all(np.array_equal(p, r) for p, r in zip(paths, reference))
 
@@ -315,6 +316,12 @@ class TestArch1:
         assert np.unique(record).size == record.size  # no chain repeats another
         assert np.array_equal(record, companion_spec_for(model, seed=3).payload)
         assert not np.array_equal(record, companion_spec_for(model, seed=4).payload)
+
+    def test_companion_record_is_its_chains_one_after_another(self, monkeypatch):
+        monkeypatch.setattr(dgp, "COMPANION_RECORD_LENGTH", 100 * 40)
+        model, seed = Arch1Model(omega=1.0, alpha1=0.3), derive_seed(3, 5)
+        chains = [_arch1_reference(model, 40, derive_seed(seed, j)) for j in range(100)]
+        assert np.array_equal(model.companion(seed).payload, np.concatenate(chains))
 
 
 def _arch1_reference(model, n, seed, burnin=1000):
@@ -351,6 +358,7 @@ class TestJson:
 # spec and a fitted sieve.
 PROCESSES = {
     "linear": lambda: ma1_model(InnovationSpec("centered_exponential")),
+    "ar": lambda: ARModel(a=(0.6, -0.2), innovations=InnovationSpec("centered_uniform")),
     "arch1": lambda: Arch1Model(omega=1.0, alpha1=0.3),
     "companion": lambda: parametric_companion_spec([1.0, 0.5], [1.0, -0.3],
                                                    InnovationSpec("centered_uniform")),
@@ -372,7 +380,21 @@ BLOCK_PROCESSES = {
 }
 
 
+def _path(process, n, seed) -> Series:
+    """The path of one seed, simulated alone."""
+    return Series(process.simulate(n, [seed])[0])
+
+
 class TestReplicate:
+    @pytest.mark.parametrize("kind", sorted(PROCESSES))
+    def test_simulate_returns_one_contiguous_row_per_seed(self, kind):
+        process = PROCESSES[kind]()
+        seeds = [derive_seed(5, KEY_TRUTH, i) for i in range(3)]
+        block = process.simulate(40, seeds)
+        assert block.shape == (3, 40) and block.dtype == np.float64 and block.flags.c_contiguous
+        for row, seed in zip(block, seeds):
+            assert np.array_equal(row, process.simulate(40, [seed])[0])
+
     # (kind, paths per batch, base seed); arch1 at 3 takes chunks of 3, 3 and
     # 1 paths; the last two cases take a nested base and one of two words.
     @pytest.mark.parametrize("kind, rows, base", [pytest.param(kind, None, 11, id=kind)
@@ -387,29 +409,28 @@ class TestReplicate:
             monkeypatch.setattr(dgp, "BATCH_VALUES", rows * n)
         law, theta = replicate(process, statistic, n, 7, base, KEY_TRUTH)
         assert theta == statistic.model_center(*process.filter, n)
-        vals = np.array([statistic.evaluate(process.simulate(n, derive_seed(base, KEY_TRUTH, i)))
+        vals = np.array([statistic.evaluate(_path(process, n, derive_seed(base, KEY_TRUTH, i)))
                          for i in range(7)])
         assert np.array_equal(law.sample, np.sort(statistic.rate(n) * (vals - theta)))
 
     @pytest.mark.parametrize("kind", sorted(BLOCK_PROCESSES))
     def test_law_is_the_same_whatever_the_block(self, monkeypatch, kind):
         process, statistic, n, count = BLOCK_PROCESSES[kind](), AcvfStatistic(1), 120, 15
-        spec = getattr(process, "bootstrap_process", process)
         blocks = []
 
-        def recorded(block_spec, n, seed):
-            blocks.append(len(seed) if isinstance(seed, list) else None)
-            return build_companion(block_spec, n, seed)
+        def recorded(block_spec, n, seeds):
+            blocks.append(len(seeds))
+            return build_companion(block_spec, n, seeds)
 
         monkeypatch.setattr(companion, "build_companion", recorded)
         monkeypatch.setattr(sieve, "build_companion", recorded)
-        per_path = np.array([statistic.evaluate(process.simulate(n, derive_seed(11, KEY_TRUTH, i)))
+        per_path = np.array([statistic.evaluate(_path(process, n, derive_seed(11, KEY_TRUTH, i)))
                              for i in range(count)])
         theta = statistic.model_center(*process.filter, n)
         want = np.sort(statistic.rate(n) * (per_path - theta))
         for rows in (1, 7, count):
             blocks.clear()
-            monkeypatch.setattr(dgp, "BATCH_VALUES", rows * (n + spec.burnin))
+            monkeypatch.setattr(dgp, "BATCH_VALUES", rows * n)
             law, _ = replicate(process, statistic, n, count, 11, KEY_TRUTH)
             assert np.array_equal(law.sample, want)
             assert sum(blocks) == count and max(blocks) == rows
@@ -420,12 +441,28 @@ class TestReplicate:
         spec = getattr(spec, "bootstrap_process", spec)
         seeds = [derive_seed(5, KEY_TRUTH, i) for i in range(4)]
         block = build_companion(spec, 90, seeds)
-        assert block.shape == (4, 90)
+        assert block.shape == (4, 90) and block.flags.c_contiguous
         for row, seed in zip(block, seeds):
-            assert np.array_equal(row, build_companion(spec, 90, seed).values)
-        assert np.array_equal(build_companion(spec, 90, [seeds[2]])[0], block[2])
+            assert np.array_equal(row, build_companion(spec, 90, [seed])[0])
 
-    def test_paths_are_copied_out_of_their_block(self):
-        spec = BLOCK_PROCESSES["parametric-iir"]()
-        paths = list(spec.simulate_batch(50, [derive_seed(5, KEY_TRUTH, i) for i in range(3)]))
-        assert all(path.values.base is None for path in paths)
+    def test_each_block_is_freed_before_the_next_is_built(self, monkeypatch):
+        process = _OneBlockAlive()
+        monkeypatch.setattr(dgp, "BATCH_VALUES", 3 * 50)
+        law, _ = replicate(process, AcvfStatistic(1), 50, 10, 11, KEY_TRUTH)
+        assert process.calls == 4 and law.sample.size == 10
+
+
+class _OneBlockAlive:
+    """White noise whose simulate fails while the block it last returned is
+    still referenced."""
+
+    filter = (np.ones(1), np.ones(1), 1.0)
+
+    def __init__(self):
+        self.previous, self.calls = None, 0
+
+    def simulate(self, n, seeds):
+        assert self.previous is None or self.previous() is None, "the previous block is alive"
+        block = np.array([rng_from(s).standard_normal(n) for s in seeds])
+        self.previous, self.calls = weakref.ref(block), self.calls + 1
+        return block

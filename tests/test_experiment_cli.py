@@ -140,6 +140,20 @@ BAD_CHECKS = [
     ({"id": "c1", "kind": "dk_le", "pair": "truth_bootstrap", "bound": 0.1}, "unknown pair"),
     ({"kind": "dk_le", "pair": "bootstrap_truth", "bound": 0.1}, "no id"),
     (1, "check #0 must be an object"),
+    ({"id": "c1", "kind": "var_close", "method": "truth",
+      "target_id": "acvf_variance_companion", "tol": "0.15"}, "c1.*tol must be a number"),
+    ({"id": "c1", "kind": "var_close", "method": "truth",
+      "target_id": "acvf_variance_companion", "tol": True}, "c1.*tol must be a number"),
+    ({"id": "c1", "kind": "dk_le", "pair": "bootstrap_truth", "bound": None},
+     "c1.*bound must be a number"),
+    ({"id": "c1", "kind": "var_ratio", "num": "truth", "den": "oracle",
+      "lo": False, "hi": 2.0}, "c1.*lo must be a number"),
+    ({"id": "c1", "kind": "var_ratio", "num": "truth", "den": "oracle",
+      "lo": 0.5, "hi": "2"}, "c1.*hi must be a number"),
+    ({"id": "c1", "kind": "var_close", "method": "truth", "target_id": ["a"], "tol": 0.1},
+     r"c1.*target_id must be a string, got \['a'\]"),
+    ({"id": ["c"], "kind": "dk_le", "pair": "bootstrap_truth", "bound": 0.1},
+     r"check #0: id must be a string, got \['c'\]"),
 ]
 
 # Malformed model documents and the field each rejection names.
@@ -224,6 +238,15 @@ class TestFailFast:
     def test_bad_check_rejected_before_simulation(self, no_simulation, check, message):
         with pytest.raises(ConfigError, match=message):
             run_experiment(ExperimentConfig.from_json({**TINY_CONFIG, "checks": [check]}))
+
+    @pytest.mark.parametrize("check, message", BAD_CHECKS)
+    def test_cli_rejects_bad_checks_with_one_error_line(self, tmp_path, capsys, no_simulation,
+                                                        check, message):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({**TINY_CONFIG, "checks": [check]}))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and re.match(f"error: .*{message}", err[0])
 
     @pytest.mark.parametrize("override, message", BAD_VALUES)
     def test_bad_value_rejected_before_simulation(self, no_simulation, override, message):
