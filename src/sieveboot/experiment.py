@@ -27,7 +27,7 @@ from . import dgp
 from .companion import CompanionSpec, companion_distribution
 from .series import Series, kolmogorov_distance, ks_critical_value
 from .sieve import OrderRule, bootstrap_distribution
-from .statistics import statistic_from_config
+from .statistics import bootstrap_verdict, statistic_from_config
 
 __all__ = [
     "ConfigError",
@@ -50,7 +50,7 @@ _CHECK_FIELDS = {
 }
 # JSON kind of each annotated config field type, and how errors name it.
 _FIELD_KINDS = {"str": (str, "a string"), "dict": (dict, "an object"), "int": (int, "an integer"),
-                "tuple": ((list, tuple), "a list"), "bool": (bool, "true or false")}
+                "tuple": ((list, tuple), "a list")}
 _FLOORS = {"n": 100, "B": 200, "M": 200, "R": 200, "seed": 0}
 
 
@@ -80,8 +80,6 @@ class ExperimentConfig:
     order_rule: dict = field(default_factory=lambda: {"mode": "aic_capped"})
     seed: int = 20110
     checks: tuple = ()
-    expect: dict = field(default_factory=dict)
-    bootstrap_valid: bool = True
 
     def __post_init__(self):
         """Reject malformed values before anything is simulated; run_experiment
@@ -115,12 +113,6 @@ class ExperimentConfig:
             if not isinstance(check.get("id", ""), str):
                 raise ConfigError(f"check #{i}: id must be a string, got {check['id']!r}")
         object.__setattr__(self, "checks", tuple(dict(c) for c in self.checks))
-        ids = {c.get("id") for c in self.checks}
-        for cid, flag in self.expect.items():
-            if cid not in ids:
-                raise ConfigError(f"expect names no check: {cid!r}")
-            if not isinstance(flag, bool):
-                raise ConfigError(f"expect {cid!r} must be true or false, got {flag!r}")
 
     @staticmethod
     def from_json(doc, **overrides) -> "ExperimentConfig":
@@ -154,10 +146,12 @@ class Report:
 
     @property
     def all_as_expected(self) -> bool:
-        return all(c["passed"] == c["expected"] for c in self.checks)
+        """Every check passed; a predicted bootstrap failure is stated by the
+        verdict, not by a check that fails."""
+        return all(c["passed"] for c in self.checks)
 
-    def to_json_dict(self, include_runtime: bool = True) -> dict:
-        doc = {
+    def to_json_dict(self) -> dict:
+        return {
             "experiment": self.experiment,
             "statistic": self.statistic,
             "n": self.n,
@@ -169,10 +163,8 @@ class Report:
             "checks": self.checks,
             "bootstrap_verdict": self.bootstrap_verdict,
             "all_as_expected": self.all_as_expected,
+            "runtime": self.runtime,
         }
-        if include_runtime:
-            doc["runtime"] = self.runtime
-        return doc
 
     def summary_rows(self) -> list:
         """One row per method for summary.csv (no runtime metadata)."""
@@ -184,7 +176,7 @@ class Report:
             if m and c["kind"] == "var_close" and m not in method_target:
                 method_target[m] = c["target_id"]
             if m:
-                method_pass[m] = method_pass.get(m, True) and (c["passed"] == c["expected"])
+                method_pass[m] = method_pass.get(m, True) and c["passed"]
         for m in _METHODS:
             tid = method_target.get(m, "")
             rows.append({
@@ -316,20 +308,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         "bootstrap_oracle": kolmogorov_distance(laws["bootstrap"], laws["oracle"]),
         "oracle_truth": kolmogorov_distance(laws["oracle"], laws["truth"]),
     }
-    checks = []
-    expect = dict(config.expect)
-    for check in config.checks:
-        evaluated = _evaluate_check(check, variances, dk, targets)
-        evaluated["expected"] = bool(expect.get(check["id"], True))
-        checks.append(evaluated)
-
-    as_expected = all(c["passed"] == c["expected"] for c in checks)
-    if not as_expected:
-        verdict = "UNEXPECTED"
-    elif config.bootstrap_valid:
-        verdict = "PASS"
-    else:
-        verdict = "FAIL-AS-PREDICTED"
+    checks = [_evaluate_check(check, variances, dk, targets) for check in config.checks]
+    verdict = bootstrap_verdict(statistic, targets, model.kurtoses[0],
+                                all(c["passed"] for c in checks))
 
     report = Report(
         experiment=config.name,
@@ -372,9 +353,8 @@ def _ma1_dgp(family: str) -> dict:
             "innovation": {"family": family, "scale": 1.0}}
 
 
-def _preset(name, dgp_doc, stat, checks, seed, **kw):
-    return {"name": name, "dgp": dgp_doc, "statistic": stat,
-            "checks": checks, "seed": seed, **kw}
+def _preset(name, dgp_doc, stat, checks, seed):
+    return {"name": name, "dgp": dgp_doc, "statistic": stat, "checks": checks, "seed": seed}
 
 
 _PRESETS = {
@@ -416,8 +396,7 @@ _PRESETS = {
             {"id": "dk-boot-oracle-close", "kind": "dk_le",
              "pair": "bootstrap_oracle", "bound": 0.1},
         ],
-        seed=24,
-        bootstrap_valid=False),
+        seed=24),
     "acvf0-ma1-gaussian": _preset(
         "acvf0-ma1-gaussian", _ma1_dgp("gaussian"), {"name": "acvf", "lag": 0},
         [

@@ -47,6 +47,7 @@ __all__ = [
     "IntegratedPeriodogramStatistic",
     "RatioStatistic",
     "SpectralDensityStatistic",
+    "bootstrap_verdict",
     "statistic_from_config",
 ]
 
@@ -71,6 +72,24 @@ def _kurtosis_targets(variance, prefix: str, kappa_e, kappa_eps) -> dict:
             for kind, kappa in (("linear", kappa_e), ("companion", kappa_eps)) if kappa is not None}
 
 
+def bootstrap_verdict(statistic, targets: dict, kappa_e, checks_passed: bool) -> str:
+    """UNEXPECTED if a check failed; otherwise PASS where the paper's theorem
+    predicts the AR-sieve bootstrap valid and FAIL-AS-PREDICTED where it does not.
+
+    The bootstrap is valid when the statistic's limit law depends only on
+    second moments: for any process when the statistic says so (mean,
+    specdens), and for a process linear in i.i.d. noise (kappa_e known) when
+    each {prefix}_linear target equals its {prefix}_companion target, up to
+    the rounding of their quadratures. A statistic with no such pair passes.
+    """
+    if not checks_passed:
+        return "UNEXPECTED"
+    valid = statistic.second_order_limit or (kappa_e is not None and all(
+        math.isclose(value, targets[tid.removesuffix("_linear") + "_companion"], rel_tol=1e-9)
+        for tid, value in targets.items() if tid.endswith("_linear")))
+    return "PASS" if valid else "FAIL-AS-PREDICTED"
+
+
 def _target_acvf(num, den, sigma2, *target_ids):
     """``rational_acvf`` over every lag; its ValueError names the targets."""
     try:
@@ -90,9 +109,12 @@ def _centered(s: Series, maxlag: int) -> np.ndarray:
 
 
 class Statistic:
-    """Protocol base; subclasses set ``name`` and override the hooks."""
+    """Protocol base; subclasses set ``name`` and override the hooks.
+    ``second_order_limit`` is true where the limit law depends only on the
+    process's second moments, whatever the process."""
 
     name: str = ""
+    second_order_limit = False
 
     def rate(self, n: int) -> float:
         return math.sqrt(n)
@@ -115,6 +137,7 @@ class Statistic:
 @dataclass
 class MeanStatistic(Statistic):
     name: str = "mean"
+    second_order_limit = True
 
     def evaluate(self, s: Series) -> float:
         return float(np.add.reduce(s.values) / s.n)  # sample_mean's arithmetic
@@ -173,6 +196,8 @@ class AcfStatistic(Statistic):
         return gamma[self.h] / gamma[0]
 
     def targets(self, num, den, sigma2, kappa_e, kappa_eps):
+        if kappa_e is None:  # Bartlett's formula holds only for linear processes
+            return {}
         gamma = _target_acvf(num, den, sigma2, "bartlett_variance").gamma
         return {"bartlett_variance": bartlett_variance(gamma / gamma[0], self.h)}
 
@@ -219,6 +244,8 @@ class RatioStatistic(Statistic):
         return float(np.dot(weighted_quadrature(self.phi, n), fv)) / float(np.dot(w, fv))
 
     def targets(self, num, den, sigma2, kappa_e, kappa_eps):
+        if kappa_e is None:  # the formula holds only for linear processes
+            return {}
         return {"ratio_statistic_variance": ratio_statistic_variance(
             lambda lam: rational_spectral_density(num, den, sigma2, lam), self.phi)}
 
@@ -227,6 +254,7 @@ class RatioStatistic(Statistic):
 class SpectralDensityStatistic(Statistic):
     """Kernel spectral density estimate at a fixed frequency; rate sqrt(n h)."""
 
+    second_order_limit = True
     lam: float = math.pi / 2
     kernel: KernelSpec = None
 

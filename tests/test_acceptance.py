@@ -265,6 +265,14 @@ class TestCriterion8ArAlgebra:
         assert ok, {k: v for k, v in checks.items() if not v}
 
 
+class TestPresetVerdicts:
+    def test_only_the_counterexample_fails_as_predicted(self, preset_runs):
+        verdicts = {name: rep.bootstrap_verdict for name, (rep, _) in preset_runs.items()}
+        assert len(verdicts) == 9
+        assert verdicts == {name: "FAIL-AS-PREDICTED" if name == "acvf0-ma1-exponential"
+                            else "PASS" for name in verdicts}
+
+
 class TestCriterion9Determinism:
     def test_preset_reruns_are_bit_identical(self, preset_runs, tmp_path):
         mismatches = []

@@ -11,11 +11,11 @@ from sieveboot.asymptotics import (
     ratio_statistic_variance,
     spectral_estimator_variance,
 )
-from sieveboot.dgp import Arch1Model, ARModel, InnovationSpec, LinearModel
-from sieveboot.experiment import compute_targets
+from sieveboot.dgp import Arch1Model, ARModel, InnovationSpec, LinearModel, model_from_json
+from sieveboot.experiment import compute_targets, list_presets, preset_config
 from sieveboot.series import ACVF
 from sieveboot.spectral import KernelSpec, constant_weight, cosine_weight
-from sieveboot.statistics import MeanStatistic, statistic_from_config
+from sieveboot.statistics import MeanStatistic, bootstrap_verdict, statistic_from_config
 
 MA1 = ACVF(np.array([5.0, -2.0, 0.0]), kind="theoretical")
 
@@ -167,6 +167,15 @@ class TestIntegratedPeriodogramTargets:
         assert set(targets) == {"intper_variance_companion"}
         assert targets["intper_variance_companion"] == pytest.approx(1.0 / 0.49, rel=1e-6)
 
+    @pytest.mark.parametrize("stat", [{"name": "acf", "lag": 1}, {"name": "ratio-cos", "lag": 1}])
+    def test_arch1_has_no_linear_process_formula(self, stat):
+        # Bartlett's formula and the ratio variance hold only for processes
+        # linear in i.i.d. noise: for ARCH(1) (omega = 1, alpha = 0.3) the acf
+        # lag-1 limit variance is (omega E X^2 + alpha E X^4) / gamma(0)^2 =
+        # 1.822, not the white-noise Bartlett value 1
+        targets = compute_targets(Arch1Model(omega=1.0, alpha1=0.3), statistic_from_config(stat))
+        assert targets == {}
+
 
 ACVF0 = statistic_from_config({"name": "acvf", "lag": 0})
 EXPONENTIAL = InnovationSpec("centered_exponential")
@@ -265,3 +274,59 @@ class TestPersistentTargets:
     def test_mean_needs_no_expansion(self):
         got = self._targets({"name": "mean"}, phi=0.999)["mean_long_run_variance"]
         assert got == pytest.approx(1e6, rel=1e-9)
+
+
+WORKED_EXAMPLE = {"family": "linear", "coefficients": [-2.0],
+                  "innovation": {"family": "centered_exponential"}}
+ARCH1 = {"family": "arch1", "coefficients": [1.0, 0.3]}
+
+
+def _predicted_verdict(model_doc, stat_doc, checks_passed=True):
+    """The verdict of a run, with its targets."""
+    model = model_from_json(model_doc)
+    statistic = statistic_from_config(stat_doc)
+    targets = compute_targets(model, statistic)
+    return bootstrap_verdict(statistic, targets, model.kurtoses[0], checks_passed), targets
+
+
+class TestDerivedVerdict:
+    """The bootstrap is predicted valid when the statistic's limit law rests on
+    second moments only: for mean and specdens under any process, and for a
+    linear process when each linear target equals its companion target.
+    Under X = e - 2 e_{-1}, gamma = (5, -2, 0) and the lag-h targets are
+    kappa gamma(h)^2 + sum_k (gamma(k)^2 + gamma(k+h) gamma(k-h)), at kappa_e
+    = 6 (linear) and kappa_eps = 2.4 (companion)."""
+
+    @pytest.mark.parametrize("model, stat, verdict, pair", [
+        (WORKED_EXAMPLE, {"name": "acvf", "lag": 0}, "FAIL-AS-PREDICTED", (216.0, 126.0)),
+        (WORKED_EXAMPLE, {"name": "acvf", "lag": 1}, "FAIL-AS-PREDICTED", (61.0, 46.6)),
+        (WORKED_EXAMPLE, {"name": "acvf", "lag": 2}, "PASS", (33.0, 33.0)),  # gamma(2) = 0
+        (WORKED_EXAMPLE, {"name": "intper-cos", "lag": 1}, "FAIL-AS-PREDICTED", (61.0, 46.6)),
+        ({**WORKED_EXAMPLE, "coefficients": [0.5]}, {"name": "acvf", "lag": 0}, "PASS", None),
+        ({"family": "ar", "coefficients": [0.5], "innovation": {"family": "centered_exponential"}},
+         {"name": "acvf", "lag": 0}, "PASS", None),
+        (ARCH1, {"name": "acvf", "lag": 0}, "FAIL-AS-PREDICTED", None),
+        (ARCH1, {"name": "acf", "lag": 1}, "FAIL-AS-PREDICTED", None),
+        (ARCH1, {"name": "intper-cos", "lag": 1}, "FAIL-AS-PREDICTED", None),
+        (ARCH1, {"name": "ratio-cos", "lag": 1}, "FAIL-AS-PREDICTED", None),
+        (ARCH1, {"name": "mean"}, "PASS", None),
+        (ARCH1, {"name": "specdens"}, "PASS", None),
+    ])
+    def test_prediction(self, model, stat, verdict, pair):
+        got, targets = _predicted_verdict(model, stat)
+        assert got == verdict
+        if pair is not None:
+            prefix = "intper_variance" if stat["name"] == "intper-cos" else "acvf_variance"
+            assert (targets[f"{prefix}_linear"], targets[f"{prefix}_companion"]) == pytest.approx(
+                pair, rel=1e-9)
+
+    @pytest.mark.parametrize("name", list_presets())
+    def test_presets(self, name):
+        # only the paper's counterexample is predicted to fail
+        config = preset_config(name)
+        want = "FAIL-AS-PREDICTED" if name == "acvf0-ma1-exponential" else "PASS"
+        assert _predicted_verdict(config.dgp, config.statistic)[0] == want
+
+    def test_a_failed_check_is_unexpected_whatever_the_prediction(self):
+        for model, stat in ((WORKED_EXAMPLE, {"name": "acvf"}), (ARCH1, {"name": "mean"})):
+            assert _predicted_verdict(model, stat, checks_passed=False)[0] == "UNEXPECTED"

@@ -212,8 +212,9 @@ BAD_VALUES = [
     ({"seed": "5"}, "seed must be an integer"),
     ({"seed": False}, "seed must be an integer"),
     ({"checks": 1}, "checks must be a list"),
-    ({"expect": {"nonexistent-check": False}}, "expect names no check: 'nonexistent-check'"),
-    ({"expect": {"boot-var": "no"}}, "expect 'boot-var' must be true or false"),
+    # the verdict is derived from the model and statistic, never asserted
+    ({"expect": {"boot-var": False}}, r"unknown config keys: \['expect'\]"),
+    ({"bootstrap_valid": False}, r"unknown config keys: \['bootstrap_valid'\]"),
 ] + [({"dgp": doc}, f"dgp: .*{field}") for doc, field in BAD_MODELS] + [
     ({"statistic": doc}, f"statistic: .*{field}") for doc, field in BAD_STATISTICS]
 
@@ -257,7 +258,8 @@ class TestFailFast:
         ({"order_rule": {"bogus": 1}}, "order_rule"),
         ({"n": "2000"}, "n must be"),
         ({"checks": [1]}, "check #0"),
-        ({"expect": {"nonexistent-check": False}}, "nonexistent-check"),
+        ({"expect": {"boot-var": False}}, "unknown config keys: ['expect']"),
+        ({"bootstrap_valid": False}, "unknown config keys: ['bootstrap_valid']"),
         ({"statistic": {}}, "unknown statistic"),
     ] + [({"dgp": doc}, field) for doc, field in BAD_MODELS]
       + [({"statistic": doc}, field) for doc, field in BAD_STATISTICS])
@@ -440,6 +442,26 @@ def test_second_order_noninvertible_ma_oracle_matches_its_companion_target(tmp_p
     assert "check oracle-vs-companion: pass" in capsys.readouterr().out
 
 
+# The paper's counterexample with no checks: the verdict comes from the model
+# and statistic alone, so no config can report this run as a valid bootstrap.
+COUNTEREXAMPLE_CONFIG = {
+    "name": "acvf0-ma1-exponential-unchecked",
+    "dgp": {"family": "linear", "coefficients": [-2.0],
+            "innovation": {"family": "centered_exponential"}},
+    "statistic": {"name": "acvf", "lag": 0},
+    "seed": 3,
+    **SMALL,
+}
+
+
+def test_counterexample_verdict_is_derived_not_configured():
+    rep = run_experiment(ExperimentConfig.from_json(COUNTEREXAMPLE_CONFIG))
+    assert rep.targets == pytest.approx({"acvf_variance_linear": 216.0,
+                                         "acvf_variance_companion": 126.0})
+    assert rep.checks == [] and rep.all_as_expected
+    assert rep.bootstrap_verdict == "FAIL-AS-PREDICTED"
+
+
 class TestCli:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -481,6 +503,12 @@ class TestCli:
         assert main(["asymptotics", "--model", json.dumps(model), "--statistic", "acvf"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].startswith(f"acvf_variance_companion = {companion}")
+
+    @pytest.mark.parametrize("stat", ["acf", "ratio-cos"])
+    def test_asymptotics_has_no_linear_process_formula_for_arch1(self, capsys, stat):
+        assert main(["asymptotics", "--model", '{"family": "arch1", "coefficients": [1.0, 0.3]}',
+                     "--statistic", stat]) == 1
+        assert capsys.readouterr().out.startswith("no closed-form targets")
 
     def test_asymptotics_mean(self, capsys):
         code = main(["asymptotics", "--model", json.dumps(TINY_CONFIG["dgp"]),
