@@ -27,8 +27,8 @@ from .ar import (
     baxter_gap,
     invert_ar_polynomial,
     levinson_durbin,
-    min_modulus_on_disk,
     residuals,
+    root_radius,
     wold_factorization,
     yule_walker_fit,
 )
@@ -37,7 +37,6 @@ from .dgp import (
     Arch1Model,
     InnovationSpec,
     LinearModel,
-    StabilityError,
     derive_seed,
     ma1_example,
     ma1_model,

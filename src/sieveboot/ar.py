@@ -1,5 +1,6 @@
-"""Autoregressive linear algebra: Yule-Walker fits, polynomial inversion and
-root-location diagnostics.
+"""Autoregressive linear algebra: Yule-Walker fits, polynomial inversion, the
+Wold factorization of a finite MA, and the root radius, from which the
+package decides whether a polynomial has a root in the closed unit disk.
 
 Conventions: an AR model of order p is written X_t = sum_k a_k X_{t-k} + e_t,
 with characteristic polynomial A_p(z) = 1 - sum_k a_k z^k. Causality means all
@@ -21,7 +22,8 @@ __all__ = [
     "levinson_durbin",
     "yule_walker_fit",
     "invert_ar_polynomial",
-    "min_modulus_on_disk",
+    "root_radius",
+    "check_roots_outside_disk",
     "wold_factorization",
     "baxter_gap",
     "residuals",
@@ -32,7 +34,7 @@ class ConditioningError(ArithmeticError):
     """Raised when the Yule-Walker system is numerically singular."""
 
 
-class InversionError(ArithmeticError):
+class InversionError(ValueError):
     """Raised when an AR polynomial has a root in the closed unit disk."""
 
 
@@ -43,7 +45,6 @@ class ARFit:
     p: int
     a: np.ndarray
     sigma2: float
-    source: str = "empirical"
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -87,7 +88,7 @@ def yule_walker_fit(acvf: ACVF, p: int) -> ARFit:
     if acvf.maxlag < p:
         raise ValueError(f"acvf must cover lags 0..{p}")
     a, sigma2s = levinson_durbin(acvf.gamma, p)
-    return ARFit(p=p, a=a, sigma2=float(sigma2s[p]), source=acvf.kind)
+    return ARFit(p=p, a=a, sigma2=float(sigma2s[p]))
 
 
 def invert_ar_polynomial(a, L: int) -> np.ndarray:
@@ -97,8 +98,7 @@ def invert_ar_polynomial(a, L: int) -> np.ndarray:
     alpha_0 = 1 and alpha_j = sum_{k=1}^{min(j,p)} a_k alpha_{j-k}.
     """
     a = np.asarray(a, dtype=float)
-    if a.size and min_modulus_on_disk(a, 1.0) <= 0:
-        raise InversionError("AR polynomial has a root in the closed unit disk")
+    check_roots_outside_disk(a)
     p = a.size
     alpha = np.zeros(L + 1)
     alpha[0] = 1.0
@@ -120,6 +120,19 @@ def _reciprocal_roots(a: np.ndarray) -> np.ndarray:
 
 
 _ROOT_MARGIN = 1e-12  # a reciprocal root r with |r| (1 + margin) >= 1 is in the closed disk
+
+
+def root_radius(a) -> float:
+    """Largest |1/z| over the roots z of A(z) = 1 - sum a_k z^k, and 0 for
+    A = 1: A has a root in the closed unit disk iff this is at least 1."""
+    return float(np.abs(_reciprocal_roots(a)).max(initial=0.0))
+
+
+def check_roots_outside_disk(a, name: str = "AR polynomial") -> None:
+    """Raise InversionError when A(z) = 1 - sum a_k z^k has a root in the
+    closed unit disk, a root radius within _ROOT_MARGIN of 1 counting as one."""
+    if root_radius(a) * (1.0 + _ROOT_MARGIN) >= 1.0:
+        raise InversionError(f"{name} has a root in the closed unit disk")
 
 
 def wold_factorization(b, sigma2: float = 1.0):
@@ -159,44 +172,6 @@ def wold_factorization(b, sigma2: float = 1.0):
     taps = b.size + lag
     psi = np.convolve(b, invert_ar_polynomial(-num[1:], taps - 1))[:taps]
     return num, sigma2 * float(np.prod(size[inside] ** 2)), psi
-
-
-def min_modulus_on_disk(a, radius: float = 1.0) -> float:
-    """Minimum of |A_p(z)| over the closed disk |z| <= radius.
-
-    Zero iff a root lies in the closed disk; otherwise (minimum-modulus
-    principle) the minimum is attained on the boundary and is located exactly
-    through the stationary points of the boundary modulus, themselves roots of
-    a companion-matrix polynomial. No grid parameter is involved.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    a = np.trim_zeros(np.asarray(a, dtype=float), "b")
-    if a.size == 0:
-        return 1.0
-    if np.max(np.abs(_reciprocal_roots(a))) * radius * (1.0 + _ROOT_MARGIN) >= 1.0:
-        return 0.0
-    # |A(r e^{i theta})|^2 is a trigonometric polynomial; its derivative in
-    # theta vanishes where P(w) = sum_m m t_m w^{m+p} has a root on |w| = 1.
-    p = a.size
-    q = np.concatenate([[1.0], -a]) * radius ** np.arange(p + 1)
-    t = np.correlate(q, q, mode="full")  # t[m + p] = sum_k q_k q_{k+m}
-    m = np.arange(-p, p + 1)
-    deriv = m * t
-    # P is antipalindromic; dropping both end terms when they are negligible
-    # removes a root near 0 and one near infinity, keeps those on the circle,
-    # and keeps the companion matrix of P finite.
-    while deriv.size > 2 and abs(deriv[0]) <= 1e-14 * np.abs(deriv).max():
-        deriv = deriv[1:-1]
-    if np.allclose(deriv, 0.0):
-        thetas = np.array([0.0, np.pi])
-    else:
-        crit = np.polynomial.polynomial.polyroots(deriv)
-        on_circle = crit[np.abs(np.abs(crit) - 1.0) < 1e-8]
-        thetas = np.unique(np.concatenate([np.angle(on_circle).real, [0.0, np.pi]]))
-    z = radius * np.exp(1j * thetas)
-    vals = np.abs(np.polynomial.polynomial.polyval(z, np.concatenate([[1.0], -a])))
-    return float(np.min(vals))
 
 
 def baxter_gap(fit: ARFit, a_true, r: int = 0):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dgp
-from .ar import InversionError, invert_ar_polynomial, min_modulus_on_disk
+from .ar import check_roots_outside_disk, invert_ar_polynomial
 from .series import ACVF, EmpiricalLaw
 
 __all__ = [
@@ -38,8 +38,7 @@ def _filter_polynomial(c, label: str) -> np.ndarray:
     c = np.atleast_1d(np.asarray(c, dtype=float))
     if c.ndim != 1 or c[0] != 1.0:
         raise ValueError(f"companion {label} polynomial must start with 1")
-    if min_modulus_on_disk(-c[1:], 1.0) <= 0:
-        raise InversionError(f"companion {label} polynomial has a root in the closed unit disk")
+    check_roots_outside_disk(-c[1:], f"companion {label} polynomial")
     return c
 
 
@@ -138,7 +137,7 @@ def rational_acvf(num, den, sigma2: float, maxlag: int | None = None) -> ACVF:
         maxlag = psi.size - 1
     gamma = np.array([sigma2 * np.dot(psi[: psi.size - h], psi[h:]) if h < psi.size else 0.0
                       for h in range(maxlag + 1)])
-    return ACVF(gamma=gamma, kind="theoretical")
+    return ACVF(gamma=gamma)
 
 
 def _draw_companion_innovations(spec: CompanionSpec, seeds, width: int) -> np.ndarray:

@@ -50,11 +50,10 @@ from typing import Union
 
 import numpy as np
 
-from .ar import min_modulus_on_disk, wold_factorization
+from .ar import check_roots_outside_disk, wold_factorization
 from .series import Series, ecdf
 
 __all__ = [
-    "StabilityError",
     "InnovationSpec",
     "LinearModel",
     "ARModel",
@@ -106,10 +105,6 @@ KEY_BOOT, KEY_ORACLE, KEY_TRUTH, KEY_COMPANION_RECORD, KEY_DATA = 0, 1, 2, 5, 9
 # the number of independent ARCH(1) chains that make up an ARCH(1) record.
 COMPANION_RECORD_LENGTH = 10 ** 6
 _ARCH_RECORD_CHAINS = 100
-
-
-class StabilityError(ValueError):
-    """Raised when an AR polynomial has a root in the closed unit disk."""
 
 
 def _entropy_and_key(base: SeedLike, indices) -> tuple:
@@ -324,8 +319,7 @@ class ARModel:
         if not all(math.isfinite(v) for v in a):
             raise ValueError("AR coefficients must be finite")
         object.__setattr__(self, "a", a)
-        if a and min_modulus_on_disk(np.asarray(a), 1.0) <= 0:
-            raise StabilityError("AR polynomial has a root in the closed unit disk")
+        check_roots_outside_disk(a)
 
     @property
     def p(self) -> int:

@@ -94,12 +94,15 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"dgp: {exc}") from exc
         try:
-            statistic_from_config(self.statistic)
+            statistic = statistic_from_config(self.statistic)
         except ValueError as exc:
             raise ConfigError(f"statistic: {exc}") from exc
         for label, floor in _FLOORS.items():
             if getattr(self, label) < floor:
                 raise ConfigError(f"{label} must be >= {floor}, got {getattr(self, label)}")
+        if statistic.h >= self.n:
+            raise ConfigError(f"statistic: {statistic.name} needs lag {statistic.h} < n, "
+                              f"got n = {self.n}")
         extra = set(self.order_rule) - {"mode", "fixed_p"}
         if extra:
             raise ConfigError(f"order_rule: unknown keys {sorted(extra)}; known: mode, fixed_p")

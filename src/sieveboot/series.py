@@ -52,7 +52,6 @@ class ACVF:
     """An autocovariance sequence gamma(0..L), empirical or theoretical."""
 
     gamma: np.ndarray
-    kind: str = "empirical"
 
     def __post_init__(self):
         gamma = np.asarray(self.gamma, dtype=float)
@@ -60,8 +59,6 @@ class ACVF:
             raise ValueError("acvf must be a nonempty 1-d array")
         if gamma[0] < 0:
             raise ValueError("gamma(0) must be nonnegative")
-        if self.kind not in ("empirical", "theoretical"):
-            raise ValueError(f"unknown acvf kind {self.kind!r}")
         object.__setattr__(self, "gamma", gamma)
 
     @property
@@ -119,7 +116,7 @@ def sample_acvf(s: Series, maxlag: int, centered: bool = True) -> ACVF:
     gamma = np.empty(maxlag + 1)
     for h in range(maxlag + 1):
         gamma[h] = np.dot(x[: n - h], x[h:]) / n
-    return ACVF(gamma=gamma, kind="empirical")
+    return ACVF(gamma=gamma)
 
 
 def sample_acf(s: Series, maxlag: int) -> np.ndarray:

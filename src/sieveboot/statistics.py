@@ -111,10 +111,12 @@ def _centered(s: Series, maxlag: int) -> np.ndarray:
 class Statistic:
     """Protocol base; subclasses set ``name`` and override the hooks.
     ``second_order_limit`` is true where the limit law depends only on the
-    process's second moments, whatever the process."""
+    process's second moments, whatever the process. ``h`` is the largest lag
+    ``evaluate`` reads, so a path must be longer than h."""
 
     name: str = ""
     second_order_limit = False
+    h = 0
 
     def rate(self, n: int) -> float:
         return math.sqrt(n)

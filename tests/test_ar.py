@@ -9,10 +9,11 @@ from sieveboot.ar import (
     ConditioningError,
     InversionError,
     baxter_gap,
+    check_roots_outside_disk,
     invert_ar_polynomial,
     levinson_durbin,
-    min_modulus_on_disk,
     residuals,
+    root_radius,
     wold_factorization,
     yule_walker_fit,
 )
@@ -23,7 +24,7 @@ MA1_GAMMA = np.concatenate([[5.0, -2.0], np.zeros(59)])  # gamma of X_t = e_t - 
 
 
 def ma1_acvf(maxlag: int) -> ACVF:
-    return ACVF(MA1_GAMMA[: maxlag + 1], kind="theoretical")
+    return ACVF(MA1_GAMMA[: maxlag + 1])
 
 
 def random_empirical_acvf(rng, n=400, maxlag=8) -> ACVF:
@@ -67,7 +68,7 @@ class TestLevinsonDurbin:
         rng = np.random.default_rng(12)
         for trial in range(1000):
             fit = yule_walker_fit(random_empirical_acvf(rng, n=120, maxlag=4), 4)
-            assert min_modulus_on_disk(fit.a, 1.0) > 0.0
+            assert root_radius(fit.a) * (1.0 + 1e-12) < 1.0
 
 
 class TestInversion:
@@ -92,38 +93,33 @@ class TestInversion:
             invert_ar_polynomial(np.array([2.0]), 10)
 
 
-class TestMinModulus:
-    def test_ar1_boundary_minimum(self):
-        # A(z) = 1 - 0.5 z has |A| minimized at z = 1: value 0.5
-        assert min_modulus_on_disk(np.array([0.5]), 1.0) == pytest.approx(0.5)
+class TestRootRadius:
+    def test_ar1_gives_its_coefficient(self):
+        # A(z) = 1 - a z has its root at 1 / a
+        for a in (0.5, -0.9, 0.0):
+            assert root_radius(np.array([a])) == pytest.approx(abs(a))
 
-    def test_root_inside_disk_gives_zero(self):
+    def test_root_inside_disk_rejected(self):
         # A(z) = 1 - 2 z has root 0.5 inside the unit disk
-        assert min_modulus_on_disk(np.array([2.0]), 1.0) == 0.0
+        assert root_radius(np.array([2.0])) == pytest.approx(2.0)
+        with pytest.raises(InversionError, match="closed unit disk"):
+            check_roots_outside_disk(np.array([2.0]))
 
-    def test_zero_polynomial_coefficients(self):
-        assert min_modulus_on_disk(np.zeros(3), 1.0) == 1.0
-
-    def test_smaller_radius_admits_noninvertible(self):
-        # root at 0.5: positive minimum on the disk of radius 0.3
-        assert min_modulus_on_disk(np.array([2.0]), 0.3) == pytest.approx(0.4)
+    def test_trivial_polynomial_gives_zero(self):
+        assert root_radius(np.zeros(3)) == 0.0
+        assert root_radius(np.zeros(0)) == 0.0
 
     def test_tiny_trailing_coefficient_is_no_root_in_disk(self):
         # 1 - 0.5 z - c z^2 with tiny c has roots near 2 and near -1/(2c)
         for c in (1e-20, 1.7e-51, 1e-300):
-            assert min_modulus_on_disk(np.array([0.5, c]), 1.0) == pytest.approx(0.5)
+            assert root_radius(np.array([0.5, c])) == pytest.approx(0.5)
 
-    def test_matches_dense_grid(self):
+    def test_matches_roots_of_the_reversed_polynomial(self):
         rng = np.random.default_rng(21)
-        for trial in range(25):
-            a = rng.uniform(-0.4, 0.4, 4)
-            exact = min_modulus_on_disk(a, 1.0)
-            theta = np.linspace(0, np.pi, 20001)
-            z = np.exp(1j * theta)
-            grid = np.min(np.abs(np.polynomial.polynomial.polyval(
-                z, np.concatenate([[1.0], -a]))))
-            assert exact <= grid + 1e-12
-            assert exact == pytest.approx(grid, abs=1e-6)
+        for trial in range(200):
+            a = rng.uniform(-1.5, 1.5, rng.integers(1, 7))
+            z = np.roots(np.concatenate([[1.0], -a])[::-1])  # roots of A itself
+            assert root_radius(a) == pytest.approx(np.max(1.0 / np.abs(z)), rel=1e-9)
 
 
 class TestBaxterAndResiduals:
@@ -146,7 +142,7 @@ class TestBaxterAndResiduals:
         x = np.zeros(500)
         for t in range(500):
             x[t] = e[t] + a[0] * (x[t - 1] if t >= 1 else 0.0) + a[1] * (x[t - 2] if t >= 2 else 0.0)
-        fit = ARFit(p=2, a=a, sigma2=1.0, source="theoretical")
+        fit = ARFit(p=2, a=a, sigma2=1.0)
         res = residuals(Series(x), fit)
         want = e[2:] - e[2:].mean()
         assert np.max(np.abs(res - (want - want.mean()))) < 1e-10
@@ -228,7 +224,7 @@ class TestWoldFactorization:
         b = _ma_polynomial(_reciprocal_roots(reals, pairs))
         num = wold_factorization(b)[0]
         assert num[0] == 1.0
-        assert min_modulus_on_disk(-num[1:], 1.0) > 0
+        assert np.all(np.abs(np.roots(num[::-1])) > 1.0 + 1e-12)
 
     @settings(max_examples=80, deadline=None)
     @given(real_roots, complex_roots, st.floats(0.2, 3.0))

@@ -17,7 +17,7 @@ from sieveboot.series import ACVF
 from sieveboot.spectral import KernelSpec, constant_weight, cosine_weight
 from sieveboot.statistics import MeanStatistic, bootstrap_verdict, statistic_from_config
 
-MA1 = ACVF(np.array([5.0, -2.0, 0.0]), kind="theoretical")
+MA1 = ACVF(np.array([5.0, -2.0, 0.0]))
 
 
 def ma1_density(lam):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.signal import freqz, lfilter
 
 from sieveboot import dgp
-from sieveboot.ar import wold_factorization
+from sieveboot.ar import InversionError, wold_factorization
 from sieveboot.dgp import (
     KEY_TRUTH,
     Arch1Model,
@@ -23,7 +23,6 @@ from sieveboot.dgp import (
     InnovationSpec,
     LinearModel,
     PathSeed,
-    StabilityError,
     derive_seed,
     derive_seeds,
     draw_innovations,
@@ -195,7 +194,7 @@ class TestMa1Example:
 
 class TestAR:
     def test_stability_enforced(self):
-        with pytest.raises(StabilityError):
+        with pytest.raises(InversionError, match="closed unit disk"):
             ARModel(a=(1.5,))
 
     def test_ar1_acvf(self):

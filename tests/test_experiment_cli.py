@@ -171,6 +171,7 @@ BAD_MODELS = [
       "innovation": {"family": "gaussian", "scale": float("nan")}}, "scale"),
     ({"family": "linear", "coefficients": [-2.0],
       "innovation": {"family": "gaussian", "scale": 1e200}}, "scale"),
+    ({"family": "ar", "coefficients": [1.5]}, "closed unit disk"),
 ]
 
 # Models whose second moments overflow float64, a statistic, and the target
@@ -215,6 +216,10 @@ BAD_VALUES = [
     # the verdict is derived from the model and statistic, never asserted
     ({"expect": {"boot-var": False}}, r"unknown config keys: \['expect'\]"),
     ({"bootstrap_valid": False}, r"unknown config keys: \['bootstrap_valid'\]"),
+    ({"statistic": {"name": "acvf", "lag": 5000}, "n": 2000},
+     "statistic: acvf-lag-5000 needs lag 5000 < n, got n = 2000"),
+    ({"statistic": {"name": "acf", "lag": 300}, "n": 300},
+     "statistic: acf-lag-300 needs lag 300 < n, got n = 300"),
 ] + [({"dgp": doc}, f"dgp: .*{field}") for doc, field in BAD_MODELS] + [
     ({"statistic": doc}, f"statistic: .*{field}") for doc, field in BAD_STATISTICS]
 
@@ -261,6 +266,7 @@ class TestFailFast:
         ({"expect": {"boot-var": False}}, "unknown config keys: ['expect']"),
         ({"bootstrap_valid": False}, "unknown config keys: ['bootstrap_valid']"),
         ({"statistic": {}}, "unknown statistic"),
+        ({"statistic": {"name": "acvf", "lag": 5000}, "n": 2000}, "lag 5000 < n, got n = 2000"),
     ] + [({"dgp": doc}, field) for doc, field in BAD_MODELS]
       + [({"statistic": doc}, field) for doc, field in BAD_STATISTICS])
     def test_cli_rejects_malformed_values_with_one_error_line(self, tmp_path, capsys,
