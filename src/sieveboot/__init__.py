@@ -33,15 +33,14 @@ from .ar import (
     yule_walker_fit,
 )
 from .dgp import (
-    ARModel,
     Arch1Model,
     InnovationSpec,
     LinearModel,
+    ResampledRecord,
     derive_seed,
     ma1_example,
     ma1_model,
     model_from_json,
-    model_to_json,
     replicate,
     simulate_ar,
     simulate_arch1,
@@ -59,12 +58,9 @@ from .sieve import (
 )
 from .companion import (
     CompanionSpec,
-    OracleResult,
     build_companion,
     companion_distribution,
-    parametric_companion_spec,
     rational_acvf,
-    resampling_companion_spec,
 )
 from .spectral import (
     KernelSpec,

@@ -7,8 +7,10 @@ A companion process is carried as the exact rational filter
 X = [num(z) / den(z)] eps, with num and den polynomials in the backshift z
 starting at 1 and with no root in the closed unit disk; num(z) / den(z) is
 then the MA(infinity) form of the AR(infinity) process den(z) / num(z) X = eps.
-The sieve bootstrap process is itself such a companion: the fitted filter
-1 / (1 - sum a_k z^k) driven by residuals resampled i.i.d.
+The noise eps is any i.i.d. law of the noise protocol of ``dgp``: an
+``InnovationSpec`` family, or a ``ResampledRecord`` of Wold innovations. The
+sieve bootstrap process is itself such a companion: the fitted filter
+1 / (1 - sum a_k z^k) driven by a ``ResampledRecord`` of its residuals.
 """
 from __future__ import annotations
 
@@ -18,19 +20,14 @@ import numpy as np
 
 from . import dgp
 from .ar import check_roots_outside_disk, invert_ar_polynomial
-from .series import ACVF, EmpiricalLaw
+from .series import ACVF
 
 __all__ = [
     "CompanionSpec",
-    "OracleResult",
     "rational_acvf",
     "build_companion",
     "companion_distribution",
-    "resampling_companion_spec",
-    "parametric_companion_spec",
 ]
-
-_SOURCES = ("residual_resample", "parametric")
 
 
 def _filter_polynomial(c, label: str) -> np.ndarray:
@@ -44,34 +41,20 @@ def _filter_polynomial(c, label: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CompanionSpec:
-    """The rational filter num(z) / den(z) plus an i.i.d. innovation source.
-
-    For the resampling source the payload is a long record whose values are
-    drawn i.i.d. with replacement; for the parametric source it is an
-    InnovationSpec.
-    """
+    """The rational filter num(z) / den(z) driven by i.i.d. draws from
+    ``noise``, which has ``variance`` and ``draw(size, seed)``."""
 
     num: np.ndarray
     den: np.ndarray
-    innovation_source: str
-    payload: object
+    noise: object
 
     def __post_init__(self):
-        if self.innovation_source not in _SOURCES:
-            raise ValueError(f"unknown innovation source {self.innovation_source!r}")
         object.__setattr__(self, "num", _filter_polynomial(self.num, "numerator"))
         object.__setattr__(self, "den", _filter_polynomial(self.den, "denominator"))
 
     @property
-    def innovation_variance(self) -> float:
-        if self.innovation_source == "parametric":
-            return float(self.payload.scale ** 2)
-        record = np.asarray(self.payload, dtype=float)
-        return float(np.mean(record ** 2) - np.mean(record) ** 2)
-
-    @property
     def filter(self):
-        return self.num, self.den, self.innovation_variance
+        return self.num, self.den, self.noise.variance
 
     @property
     def burnin(self) -> int:
@@ -83,25 +66,6 @@ class CompanionSpec:
 
     def simulate(self, n: int, seeds) -> np.ndarray:
         return build_companion(self, n, seeds)
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    """Monte Carlo law of the scaled statistic on companion paths."""
-
-    law: EmpiricalLaw
-    M: int
-    theta_tilde: float
-    statistic: str
-
-
-def resampling_companion_spec(num, den, record) -> CompanionSpec:
-    return CompanionSpec(num=num, den=den, innovation_source="residual_resample",
-                         payload=np.asarray(record, dtype=float))
-
-
-def parametric_companion_spec(num, den, innovations: dgp.InnovationSpec) -> CompanionSpec:
-    return CompanionSpec(num=num, den=den, innovation_source="parametric", payload=innovations)
 
 
 def rational_acvf(num, den, sigma2: float, maxlag: int | None = None) -> ACVF:
@@ -140,16 +104,11 @@ def rational_acvf(num, den, sigma2: float, maxlag: int | None = None) -> ACVF:
     return ACVF(gamma=gamma)
 
 
-def _draw_companion_innovations(spec: CompanionSpec, seeds, width: int) -> np.ndarray:
-    """(len(seeds), width): row j holds i.i.d. innovations drawn from
-    ``rng_from(seeds[j])``."""
+def _draw_rows(noise, seeds, width: int) -> np.ndarray:
+    """(len(seeds), width): row j is ``noise.draw(width, seeds[j])``."""
     eps = np.empty((len(seeds), width))
     for row, s in zip(eps, seeds):
-        if spec.innovation_source == "parametric":
-            row[:] = dgp.draw_innovations(spec.payload, width, s)
-        else:
-            record = np.asarray(spec.payload, dtype=float)
-            np.take(record, dgp.rng_from(s).integers(0, record.size, width), out=row)
+        row[:] = noise.draw(width, s)
     return eps
 
 
@@ -165,12 +124,13 @@ def build_companion(spec: CompanionSpec, n: int, seeds) -> np.ndarray:
     """
     burnin = spec.burnin
     # The innovation block is a temporary, freed before the rows are copied out.
-    x = dgp.filter_rows(spec.num, spec.den, _draw_companion_innovations(spec, seeds, n + burnin))
+    x = dgp.filter_rows(spec.num, spec.den, _draw_rows(spec.noise, seeds, n + burnin))
     return np.ascontiguousarray(x[:, burnin:])
 
 
-def companion_distribution(spec: CompanionSpec, statistic, n: int, M: int, seed: dgp.SeedLike) -> OracleResult:
-    """Law of c_n (T~ - theta~) over M independent companion paths.
+def companion_distribution(spec: CompanionSpec, statistic, n: int, M: int, seed: dgp.SeedLike):
+    """(law, theta~): the law of c_n (T~ - theta~) over M independent
+    companion paths, ``dgp.replicate`` under the oracle key.
 
     ``statistic`` follows the experiment statistic protocol (evaluate /
     model_center / rate); theta~ is the exact model quantity of the companion
@@ -178,5 +138,4 @@ def companion_distribution(spec: CompanionSpec, statistic, n: int, M: int, seed:
     """
     if M < 200:
         raise ValueError("M must be at least 200")
-    law, theta = dgp.replicate(spec, statistic, n, M, seed, dgp.KEY_ORACLE)
-    return OracleResult(law=law, M=M, theta_tilde=theta, statistic=statistic.name)
+    return dgp.replicate(spec, statistic, n, M, seed, dgp.KEY_ORACLE)

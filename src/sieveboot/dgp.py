@@ -1,7 +1,11 @@
-"""Data-generating processes: linear MA/AR models, the noninvertible MA(1)
-worked example with its Wold innovations, and ARCH(1); and the one
-replication loop, ``replicate``, shared by the bootstrap, the oracle and the
-truth.
+"""Data-generating processes: the linear model [b(z) / a(z)] e, the
+noninvertible MA(1) worked example with its Wold innovations, and ARCH(1);
+the two i.i.d. noise laws; and the one replication loop, ``replicate``,
+shared by the bootstrap, the oracle and the truth.
+
+Noise protocol: an i.i.d. law -- an ``InnovationSpec`` family or a
+``ResampledRecord`` -- has ``variance`` and ``draw(size, seed)``, ``size``
+draws from ``rng_from(seed)``.
 
 Model protocol: a DGP model is a process (below) with ``companion(seed)``,
 its companion process as a ``CompanionSpec``, and ``kurtoses``, the excess
@@ -14,11 +18,12 @@ fitted ``SieveModel`` -- has ``filter``, the rational filter
 carries its second-order structure, and ``simulate(n, seeds)``, a
 C-contiguous (len(seeds), n) float array whose row j is the path of
 seeds[j]. A row does not depend on the other seeds, so a path is the same
-whatever block it is simulated in. The linear models fill the block one
-``simulate_linear`` or ``simulate_ar`` call per seed. ``Arch1Model`` steps
-all its paths one time step at a time. ``CompanionSpec`` and ``SieveModel``
-draw each path's innovations into one row of a block and filter the block
-with one ``filter_rows`` call, which is one ``lfilter`` call bit for bit.
+whatever block it is simulated in. ``LinearModel`` fills the block one
+``simulate_linear`` call per seed, or one ``simulate_ar`` call when it has a
+denominator. ``Arch1Model`` steps all its paths one time step at a time.
+``CompanionSpec`` and ``SieveModel`` draw each path's innovations from
+their noise into one row of a block and filter the block with one
+``filter_rows`` call, which is one ``lfilter`` call bit for bit.
 ``replicate`` alone decides the block size: it runs over consecutive chunks
 of ``max(1, BATCH_VALUES // n)`` paths, derives the chunk's seeds, simulates
 them in one ``simulate`` call and evaluates the statistic once per row.
@@ -55,8 +60,8 @@ from .series import Series, ecdf
 
 __all__ = [
     "InnovationSpec",
+    "ResampledRecord",
     "LinearModel",
-    "ARModel",
     "Arch1Model",
     "COMPANION_RECORD_LENGTH",
     "BATCH_VALUES",
@@ -65,7 +70,6 @@ __all__ = [
     "PathSeed",
     "replicate",
     "rng_from",
-    "draw_innovations",
     "simulate_linear",
     "simulate_ar",
     "ma1_example",
@@ -73,7 +77,6 @@ __all__ = [
     "simulate_arch1",
     "default_burnin",
     "filter_rows",
-    "model_to_json",
     "model_from_json",
 ]
 
@@ -259,89 +262,87 @@ class InnovationSpec:
         """E e^4 / (E e^2)^2 - 3."""
         return _EXCESS_KURTOSIS[self.family]
 
+    @property
+    def variance(self) -> float:
+        return float(self.scale ** 2)
+
+    def draw(self, size: int, seed: SeedLike) -> np.ndarray:
+        """size i.i.d. draws with mean 0 and variance scale^2."""
+        rng = rng_from(seed)
+        if self.family == "gaussian":
+            e = rng.standard_normal(size)
+        elif self.family == "centered_exponential":
+            e = rng.exponential(1.0, size)
+            e -= 1.0
+        else:  # centered_uniform, variance 1 on [-sqrt(3), sqrt(3)]
+            e = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size)
+        e *= self.scale
+        return e
+
+
+@dataclass(frozen=True)
+class ResampledRecord:
+    """The i.i.d. law that draws with replacement from a record of values."""
+
+    values: np.ndarray
+
+    @property
+    def variance(self) -> float:
+        """The record's population variance."""
+        return float(np.mean(self.values ** 2) - np.mean(self.values) ** 2)
+
+    def draw(self, size: int, seed: SeedLike) -> np.ndarray:
+        return self.values[rng_from(seed).integers(0, self.values.size, size)]
+
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Finite moving average X_t = e_t + sum_j b_j e_{t-j} (b_0 = 1 implicit)."""
+    """X = [b(z) / a(z)] e with b(z) = 1 + sum_j b_j z^j, a causal
+    a(z) = 1 - sum_k a_k z^k and i.i.d. e: a finite MA when ``a`` is
+    empty, an AR when ``b`` is."""
 
     b: tuple = ()
-    innovations: InnovationSpec = field(default_factory=InnovationSpec)
-
-    def __post_init__(self):
-        b = tuple(float(v) for v in self.b)
-        if not all(math.isfinite(v) for v in b):
-            raise ValueError("MA coefficients must be finite")
-        object.__setattr__(self, "b", b)
-
-    @property
-    def q(self) -> int:
-        return len(self.b)
-
-    @property
-    def filter(self):
-        return np.concatenate([[1.0], self.b]), np.ones(1), self.innovations.scale ** 2
-
-    def simulate(self, n: int, seeds) -> np.ndarray:
-        return _path_by_path(simulate_linear, self, n, seeds)
-
-    def companion(self, record_seed: SeedLike):
-        """The MA b~(z) eps of ``wold_factorization``. With no root flipped,
-        eps = e: the model is its own parametric companion. Otherwise eps =
-        [b(z) / b~(z)] e is white but not i.i.d., and is resampled from a
-        record of it filtered from fresh e, past the filter's transient."""
-        from .companion import parametric_companion_spec, resampling_companion_spec
-
-        b = self.filter[0]
-        num, _, psi = wold_factorization(b)
-        if psi.size == 1:
-            return parametric_companion_spec(b, [1.0], self.innovations)
-        e = draw_innovations(self.innovations, COMPANION_RECORD_LENGTH + psi.size - 1, record_seed)
-        return resampling_companion_spec(num, [1.0], filter_rows(b, num, e)[psi.size - 1:])
-
-    @property
-    def kurtoses(self):
-        """kappa_eps = kappa_e sum psi^4 / (sum psi^2)^2 over the all-pass
-        response psi from e to the Wold innovations."""
-        kappa = self.innovations.excess_kurtosis
-        psi = wold_factorization(self.filter[0])[2]
-        return kappa, float(kappa * np.sum(psi ** 4) / np.sum(psi ** 2) ** 2)
-
-
-@dataclass(frozen=True)
-class ARModel:
-    """Finite (or truncated infinite) autoregression driven by i.i.d. errors."""
-
     a: tuple = ()
     innovations: InnovationSpec = field(default_factory=InnovationSpec)
 
     def __post_init__(self):
-        a = tuple(float(v) for v in self.a)
-        if not all(math.isfinite(v) for v in a):
-            raise ValueError("AR coefficients must be finite")
-        object.__setattr__(self, "a", a)
-        check_roots_outside_disk(a)
-
-    @property
-    def p(self) -> int:
-        return len(self.a)
+        for name, kind in (("b", "MA"), ("a", "AR")):
+            coeffs = tuple(float(v) for v in getattr(self, name))
+            if not all(math.isfinite(v) for v in coeffs):
+                raise ValueError(f"{kind} coefficients must be finite")
+            object.__setattr__(self, name, coeffs)
+        check_roots_outside_disk(self.a)
 
     @property
     def filter(self):
-        den = np.concatenate([[1.0], -np.asarray(self.a)])
-        return np.ones(1), den, self.innovations.scale ** 2
+        return (np.concatenate([[1.0], self.b]), np.concatenate([[1.0], -np.asarray(self.a)]),
+                self.innovations.variance)
 
     def simulate(self, n: int, seeds) -> np.ndarray:
-        return _path_by_path(simulate_ar, self, n, seeds)
+        return _path_by_path(simulate_ar if self.a else simulate_linear, self, n, seeds)
 
     def companion(self, record_seed: SeedLike):
-        """The model itself: a causal AR is driven by its Wold innovations."""
-        from .companion import parametric_companion_spec
+        """[b~(z) / a(z)] eps, b~ the Wold polynomial of ``wold_factorization``.
+        With no root flipped, eps = e: the model is its own companion.
+        Otherwise eps = [b(z) / b~(z)] e is white but not i.i.d., and is
+        resampled from a record of it filtered from fresh e, past the
+        filter's transient."""
+        from .companion import CompanionSpec
 
-        return parametric_companion_spec(*self.filter[:2], self.innovations)
+        b, den, _ = self.filter
+        num, _, psi = wold_factorization(b)
+        if psi.size == 1:
+            return CompanionSpec(b, den, self.innovations)
+        e = self.innovations.draw(COMPANION_RECORD_LENGTH + psi.size - 1, record_seed)
+        return CompanionSpec(num, den, ResampledRecord(filter_rows(b, num, e)[psi.size - 1:]))
 
     @property
     def kurtoses(self):
-        return (self.innovations.excess_kurtosis,) * 2
+        """kappa_eps = kappa_e sum psi^4 / (sum psi^2)^2 over the all-pass
+        response psi from e to the Wold innovations (psi = 1 for an AR)."""
+        kappa = self.innovations.excess_kurtosis
+        psi = wold_factorization(self.filter[0])[2]
+        return kappa, float(kappa * np.sum(psi ** 4) / np.sum(psi ** 2) ** 2)
 
 
 @dataclass(frozen=True)
@@ -371,11 +372,11 @@ class Arch1Model:
         """White noise in the Wold sense: the trivial filter, innovations
         sharing the marginal law of X, resampled from a record made of
         independent chains stepped together, one after another."""
-        from .companion import resampling_companion_spec
+        from .companion import CompanionSpec
 
         seeds = [derive_seed(record_seed, j) for j in range(_ARCH_RECORD_CHAINS)]
         chains = simulate_arch1(self, COMPANION_RECORD_LENGTH // _ARCH_RECORD_CHAINS, seeds)
-        return resampling_companion_spec([1.0], [1.0], chains.ravel())
+        return CompanionSpec([1.0], [1.0], ResampledRecord(chains.ravel()))
 
     @property
     def kurtoses(self):
@@ -383,22 +384,6 @@ class Arch1Model:
         noise, and its companion is i.i.d. with the marginal law of X."""
         alpha_sq = self.alpha1 ** 2
         return None, 6.0 * alpha_sq / (1.0 - 3.0 * alpha_sq)
-
-
-def draw_innovations(spec: InnovationSpec, n: int, seed: SeedLike) -> np.ndarray:
-    """n i.i.d. draws with mean 0 and variance scale^2, deterministic in seed."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    rng = rng_from(seed)
-    if spec.family == "gaussian":
-        e = rng.standard_normal(n)
-    elif spec.family == "centered_exponential":
-        e = rng.exponential(1.0, n)
-        e -= 1.0
-    else:  # centered_uniform, variance 1 on [-sqrt(3), sqrt(3)]
-        e = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), n)
-    e *= spec.scale
-    return e
 
 
 def default_burnin(order: int) -> int:
@@ -470,25 +455,25 @@ def filter_rows(b, a, x) -> np.ndarray:
 
 
 def simulate_linear(model: LinearModel, n: int, seed: SeedLike) -> Series:
-    """Simulate the finite MA X_t = e_t + sum_j b_j e_{t-j}.
+    """Simulate the finite MA X_t = e_t + sum_j b_j e_{t-j}, ``model.a`` empty.
 
     q pre-sample innovations are drawn so that X_1 already uses a full window.
     The filter is the full convolution cut to the outputs that see all q + 1
     taps, the values ``filter_rows`` (and scipy's FIR ``lfilter``) give
     from its ``np.convolve``.
     """
-    q = model.q
-    e_full = draw_innovations(model.innovations, n + q, seed)
+    q = len(model.b)
+    e_full = model.innovations.draw(n + q, seed)
     x = np.convolve(np.concatenate([[1.0], model.b]), e_full)[q:n + q]
     return Series(x)
 
 
-def simulate_ar(model: ARModel, n: int, seed: SeedLike) -> Series:
-    """AR recursion from zero initial state; the first ``default_burnin(p)``
-    values are dropped."""
-    burnin = default_burnin(model.p)
-    e = draw_innovations(model.innovations, n + burnin, seed)
-    x = filter_rows([1.0], np.concatenate([[1.0], -np.asarray(model.a)]), e)[burnin:]
+def simulate_ar(model: LinearModel, n: int, seed: SeedLike) -> Series:
+    """The recursion [b(z) / a(z)] e from zero initial state; the first
+    ``default_burnin(max(p, q))`` values are dropped."""
+    burnin = default_burnin(max(len(model.a), len(model.b)))
+    e = model.innovations.draw(n + burnin, seed)
+    x = filter_rows(*model.filter[:2], e)[burnin:]
     return Series(x)
 
 
@@ -516,9 +501,9 @@ def ma1_example(n: int, seed: SeedLike, innovations: InnovationSpec | None = Non
     ve are burn-in and must be excluded from moment checks.
     """
     model = ma1_model(innovations)
-    q = model.q
+    q = len(model.b)
     b = model.filter[0]
-    e_full = draw_innovations(model.innovations, n + q, seed)
+    e_full = model.innovations.draw(n + q, seed)
     x = filter_rows(b, [1.0], e_full)[q:]
     ve = filter_rows(b, wold_factorization(b)[0], e_full)[q:]
     return Series(x), Series(e_full[q:]), Series(ve)
@@ -551,27 +536,13 @@ def simulate_arch1(model: Arch1Model, n: int, seeds) -> np.ndarray:
     return np.ascontiguousarray(x[burnin:].T)
 
 
-def model_to_json(model) -> str:
-    """Serialize a model spec to the canonical JSON document."""
-    if isinstance(model, LinearModel):
-        doc = {"family": "linear", "coefficients": list(model.b),
-               "innovation": {"family": model.innovations.family, "scale": model.innovations.scale}}
-    elif isinstance(model, ARModel):
-        doc = {"family": "ar", "coefficients": list(model.a),
-               "innovation": {"family": model.innovations.family, "scale": model.innovations.scale}}
-    elif isinstance(model, Arch1Model):
-        doc = {"family": "arch1", "coefficients": [model.omega, model.alpha1]}
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
-    return json.dumps(doc)
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def model_from_json(doc):
-    """Inverse of :func:`model_to_json`; accepts a JSON string or a dict.
+    """The model of a JSON document, given as a string or a dict: ``linear``
+    coefficients are b, ``ar`` coefficients a, of a ``LinearModel``.
 
     Raises ValueError, naming the field, on an unknown family or key,
     coefficients that are not a list of numbers ([omega, alpha1] for arch1),
@@ -603,5 +574,4 @@ def model_from_json(doc):
     if not _is_number(scale):
         raise ValueError(f"innovation scale must be a number, got {scale!r}")
     spec = InnovationSpec(family=innov.get("family", "gaussian"), scale=float(scale))
-    return (LinearModel(b=coeffs, innovations=spec) if family == "linear"
-            else ARModel(a=coeffs, innovations=spec))
+    return LinearModel(**{"b" if family == "linear" else "a": coeffs}, innovations=spec)

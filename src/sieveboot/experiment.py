@@ -100,9 +100,10 @@ class ExperimentConfig:
         for label, floor in _FLOORS.items():
             if getattr(self, label) < floor:
                 raise ConfigError(f"{label} must be >= {floor}, got {getattr(self, label)}")
-        if statistic.h >= self.n:
-            raise ConfigError(f"statistic: {statistic.name} needs lag {statistic.h} < n, "
-                              f"got n = {self.n}")
+        try:
+            statistic.check_n(self.n)
+        except ValueError as exc:
+            raise ConfigError(f"statistic: {exc}") from exc
         extra = set(self.order_rule) - {"mode", "fixed_p"}
         if extra:
             raise ConfigError(f"order_rule: unknown keys {sorted(extra)}; known: mode, fixed_p")
@@ -300,11 +301,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
 
     data = Series(timed("data", model.simulate, n, [dgp.derive_seed(seed, dgp.KEY_DATA)])[0])
     boot = timed("bootstrap", bootstrap_distribution, data, statistic, config.B, rule, seed)
-    oracle = timed("oracle", companion_distribution, spec, statistic, n, config.M, seed)
+    oracle_law, _ = timed("oracle", companion_distribution, spec, statistic, n, config.M, seed)
     truth_law, _ = timed("truth", dgp.replicate, model, statistic, n, config.R, seed,
                          dgp.KEY_TRUTH)
 
-    laws = {"bootstrap": boot.law, "oracle": oracle.law, "truth": truth_law}
+    laws = {"bootstrap": boot.law, "oracle": oracle_law, "truth": truth_law}
     variances = {m: laws[m].variance() for m in _METHODS}
     dk = {
         "bootstrap_truth": kolmogorov_distance(laws["bootstrap"], laws["truth"]),

@@ -3,8 +3,8 @@
 Fit a Yule-Walker autoregression of slowly growing order, resample the
 centered residuals i.i.d., regenerate series from the fitted recursion, and
 collect the law of the scaled, model-centered statistic. The bootstrap
-process is the residual-resampling companion process of the fitted filter
-1 / (1 - sum a_k z^k).
+process is the companion process of the fitted filter 1 / (1 - sum a_k z^k)
+driven by a ``ResampledRecord`` of the residuals.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dgp
 from .ar import ARFit, levinson_durbin, residuals, yule_walker_fit
-from .companion import CompanionSpec, build_companion, resampling_companion_spec
+from .companion import CompanionSpec, build_companion
 from .series import DegenerateSeriesError, EmpiricalLaw, Series, ecdf, sample_acvf
 from .statistics import statistic_from_config
 
@@ -89,8 +89,8 @@ class SieveModel:
     def bootstrap_process(self) -> CompanionSpec:
         """The fitted filter 1 / (1 - sum a_k z^k) driven by i.i.d. draws
         from the residual law."""
-        return resampling_companion_spec([1.0], np.concatenate([[1.0], -self.fit.a]),
-                                         self.residual_law.sample)
+        return CompanionSpec([1.0], np.concatenate([[1.0], -self.fit.a]),
+                             dgp.ResampledRecord(self.residual_law.sample))
 
     @property
     def filter(self):

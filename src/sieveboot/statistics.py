@@ -29,7 +29,6 @@ from .companion import rational_acvf
 from .series import DegenerateSeriesError, Series
 from .spectral import (
     KernelSpec,
-    WeightFunction,
     cosine_weight,
     fourier_quadrature,
     integrated_periodogram,
@@ -111,12 +110,17 @@ def _centered(s: Series, maxlag: int) -> np.ndarray:
 class Statistic:
     """Protocol base; subclasses set ``name`` and override the hooks.
     ``second_order_limit`` is true where the limit law depends only on the
-    process's second moments, whatever the process. ``h`` is the largest lag
-    ``evaluate`` reads, so a path must be longer than h."""
+    process's second moments, whatever the process. ``h`` is the lag the
+    statistic reads."""
 
     name: str = ""
     second_order_limit = False
     h = 0
+
+    def check_n(self, n: int) -> None:
+        """Raise ValueError unless n > h, the largest lag ``evaluate`` reads."""
+        if self.h >= n:
+            raise ValueError(f"{self.name} needs lag {self.h} < n, got n = {n}")
 
     def rate(self, n: int) -> float:
         return math.sqrt(n)
@@ -205,13 +209,27 @@ class AcfStatistic(Statistic):
 
 
 @dataclass
-class IntegratedPeriodogramStatistic(Statistic):
-    """M(I_n, phi) on the Fourier-frequency quadrature grid."""
+class _CosineStatistic(Statistic):
+    """A functional of I_n weighted by phi = 2cos(. h) on the Fourier grid
+    2 pi j / n, where lags h and n - h give the same weight."""
 
-    phi: WeightFunction = None
+    h: int = 1
 
     def __post_init__(self):
-        self.name = f"intper[{self.phi.name}]"
+        self.phi = cosine_weight(self.h)
+        self.name = f"{self.label}[{self.phi.name}]"
+
+    def check_n(self, n: int) -> None:
+        if 2 * self.h >= n:
+            raise ValueError(f"{self.name} needs 2 * lag {self.h} < n, got n = {n}: lags h and "
+                             "n - h give the same weight on the Fourier grid")
+
+
+@dataclass
+class IntegratedPeriodogramStatistic(_CosineStatistic):
+    """M(I_n, phi) on the Fourier-frequency quadrature grid."""
+
+    label = "intper"
 
     def evaluate(self, s: Series) -> float:
         return integrated_periodogram(s, self.phi)
@@ -229,13 +247,15 @@ class IntegratedPeriodogramStatistic(Statistic):
 
 
 @dataclass
-class RatioStatistic(Statistic):
+class RatioStatistic(_CosineStatistic):
     """R(I_n, phi) = M(I_n, phi) / M(I_n, 1)."""
 
-    phi: WeightFunction = None
+    label = "ratio"
 
-    def __post_init__(self):
-        self.name = f"ratio[{self.phi.name}]"
+    def check_n(self, n: int) -> None:
+        if self.h == 0:
+            raise ValueError(f"{self.name} is the constant 2 at lag 0: its lag must be >= 1")
+        super().check_n(n)
 
     def evaluate(self, s: Series) -> float:
         return ratio_statistic(s, self.phi)
@@ -304,9 +324,9 @@ def statistic_from_config(cfg) -> Statistic:
     elif name == "acf":
         stat = AcfStatistic(h=cfg.pop("lag", 1))
     elif name == "ratio-cos":
-        stat = RatioStatistic(phi=cosine_weight(_lag(cfg.pop("lag", 1), 0)))
+        stat = RatioStatistic(h=_lag(cfg.pop("lag", 1), 0))
     elif name == "intper-cos":
-        stat = IntegratedPeriodogramStatistic(phi=cosine_weight(_lag(cfg.pop("lag", 1), 0)))
+        stat = IntegratedPeriodogramStatistic(h=_lag(cfg.pop("lag", 1), 0))
     elif name == "specdens":
         lam = cfg.pop("lambda", math.pi / 2)
         bandwidth = _number(cfg.pop("bandwidth", 0.3), "bandwidth")

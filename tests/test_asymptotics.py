@@ -11,7 +11,7 @@ from sieveboot.asymptotics import (
     ratio_statistic_variance,
     spectral_estimator_variance,
 )
-from sieveboot.dgp import Arch1Model, ARModel, InnovationSpec, LinearModel, model_from_json
+from sieveboot.dgp import Arch1Model, InnovationSpec, LinearModel, model_from_json
 from sieveboot.experiment import compute_targets, list_presets, preset_config
 from sieveboot.series import ACVF
 from sieveboot.spectral import KernelSpec, constant_weight, cosine_weight
@@ -43,7 +43,7 @@ class TestKurtosisTransfer:
     def test_invertible_models_keep_the_raw_kurtosis(self):
         exponential = InnovationSpec("centered_exponential")
         assert LinearModel(b=(0.5, -0.2), innovations=exponential).kurtoses == (6.0, 6.0)
-        assert ARModel(a=(0.5,), innovations=exponential).kurtoses == (6.0, 6.0)
+        assert LinearModel(a=(0.5,), innovations=exponential).kurtoses == (6.0, 6.0)
 
     def test_kurtosis_floor(self):
         with pytest.raises(ValueError):
@@ -241,7 +241,7 @@ class TestPersistentTargets:
     PHI = 0.99
 
     def _targets(self, stat, phi=PHI):
-        return compute_targets(ARModel(a=(phi,)), statistic_from_config(stat))
+        return compute_targets(LinearModel(a=(phi,)), statistic_from_config(stat))
 
     def test_mean(self):
         want = 1.0 / (1.0 - self.PHI) ** 2

@@ -8,19 +8,17 @@ from sieveboot.companion import (
     CompanionSpec,
     build_companion,
     companion_distribution,
-    parametric_companion_spec,
     rational_acvf,
-    resampling_companion_spec,
 )
 from sieveboot.ar import InversionError
 from sieveboot.dgp import (
     COMPANION_RECORD_LENGTH,
-    ARModel,
     InnovationSpec,
     LinearModel,
+    ResampledRecord,
     default_burnin,
-    draw_innovations,
     ma1_model,
+    rng_from,
 )
 from sieveboot.experiment import companion_spec_for
 from sieveboot.series import Series, sample_acvf
@@ -30,21 +28,27 @@ from sieveboot.statistics import AcvfStatistic, MeanStatistic
 class TestSpec:
     def test_unstable_coefficients_rejected(self):
         with pytest.raises(InversionError):
-            parametric_companion_spec([1.0], [1.0, -1.5], InnovationSpec())
+            CompanionSpec([1.0], [1.0, -1.5], InnovationSpec())
         with pytest.raises(InversionError):
-            parametric_companion_spec([1.0, -2.0], [1.0], InnovationSpec())
+            CompanionSpec([1.0, -2.0], [1.0], InnovationSpec())
 
-    def test_unknown_source_rejected(self):
-        with pytest.raises(ValueError):
-            CompanionSpec(num=[1.0], den=[1.0], innovation_source="mystery", payload=None)
+    def test_filter_variance_is_the_noise_variance(self):
+        assert CompanionSpec([1.0], [1.0], InnovationSpec(scale=2.0)).filter[2] == 4.0
+        record = ResampledRecord(np.array([1.0, -1.0, 1.0, -1.0]))
+        assert CompanionSpec([1.0], [1.0], record).filter[2] == pytest.approx(1.0)
 
-    def test_innovation_variance_parametric(self):
-        spec = parametric_companion_spec([1.0], [1.0], InnovationSpec(scale=2.0))
-        assert spec.innovation_variance == 4.0
 
-    def test_innovation_variance_record(self):
-        spec = resampling_companion_spec([1.0], [1.0], np.array([1.0, -1.0, 1.0, -1.0]))
-        assert spec.innovation_variance == pytest.approx(1.0)
+class TestResampledRecord:
+    def test_variance_is_the_population_variance(self):
+        values = np.random.default_rng(1).exponential(1.0, 999)
+        want = float(np.mean(values ** 2) - np.mean(values) ** 2)
+        assert ResampledRecord(values).variance == want
+        assert want == pytest.approx(np.var(values), rel=1e-12)
+
+    def test_draws_index_the_record_with_the_seed_generator(self):
+        values = np.arange(10.0) ** 2
+        idx = rng_from(7).integers(0, 10, 500)
+        assert np.array_equal(ResampledRecord(values).draw(500, 7), values[idx])
 
 
 class TestModelAcvf:
@@ -94,7 +98,7 @@ class TestRationalFilterProperties:
     def test_invertible_ma_companion_acvf(self, roots, scale):
         b = np.poly(roots)[1:]
         spec = companion_spec_for(LinearModel(b=tuple(b), innovations=InnovationSpec(scale=scale)), 0)
-        got = rational_acvf(spec.num, spec.den, spec.innovation_variance, 6).gamma
+        got = rational_acvf(*spec.filter, 6).gamma
         c = np.concatenate([[1.0], b])
         want = scale ** 2 * np.correlate(c, c, "full")[b.size:]
         assert np.allclose(got[: want.size], want, rtol=1e-12, atol=1e-12)
@@ -104,8 +108,8 @@ class TestRationalFilterProperties:
     @given(reciprocal_roots, scales)
     def test_stable_ar_companion_acvf(self, roots, scale):
         a = -np.poly(roots)[1:]
-        spec = companion_spec_for(ARModel(a=tuple(a), innovations=InnovationSpec(scale=scale)), 0)
-        got = rational_acvf(spec.num, spec.den, spec.innovation_variance, 8).gamma
+        spec = companion_spec_for(LinearModel(a=tuple(a), innovations=InnovationSpec(scale=scale)), 0)
+        got = rational_acvf(*spec.filter, 8).gamma
         want = _ar_acvf_by_yule_walker(a, scale ** 2, 8)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * want[0])
 
@@ -121,9 +125,9 @@ class TestRationalFilterProperties:
         num = np.atleast_1d(np.poly(roots))
         q = num.size - 1
         innovations = InnovationSpec(family)
-        spec = parametric_companion_spec(num, [1.0], innovations)
+        spec = CompanionSpec(num, [1.0], innovations)
         x = build_companion(spec, n, [seed])[0]
-        e = draw_innovations(innovations, n + q, seed)
+        e = innovations.draw(n + q, seed)
         want = np.convolve(e, num)[q: n + q]
         assert x.size == n
         assert np.allclose(x, want, rtol=0.0, atol=1e-12 * max(1.0, np.abs(e).max()))
@@ -131,9 +135,9 @@ class TestRationalFilterProperties:
 
     def test_recursive_filter_path_keeps_its_burnin(self):
         den = np.array([1.0, -0.5, 0.2])
-        spec = parametric_companion_spec([1.0], den, InnovationSpec())
+        spec = CompanionSpec([1.0], den, InnovationSpec())
         burnin = default_burnin(2)
-        want = lfilter([1.0], den, draw_innovations(InnovationSpec(), 300 + burnin, 11))[burnin:]
+        want = lfilter([1.0], den, InnovationSpec().draw(300 + burnin, 11))[burnin:]
         assert np.array_equal(build_companion(spec, 300, [11])[0], want)
 
 
@@ -149,9 +153,9 @@ class TestMa1Companion:
         assert np.array_equal(spec.den, [1.0])
 
     def test_record_moments(self, spec):
-        record = np.asarray(spec.payload)
+        record = spec.noise.values
         assert record.size == COMPANION_RECORD_LENGTH
-        assert spec.innovation_variance == pytest.approx(4.0, rel=0.03)
+        assert spec.filter[2] == pytest.approx(4.0, rel=0.03)
         # exact kurtosis transfer: 0.4 * 9 - 1.2 = 2.4 excess
         excess = np.mean(record ** 4) / np.mean(record ** 2) ** 2 - 3.0
         assert excess == pytest.approx(2.4, abs=0.3)
@@ -171,17 +175,17 @@ class TestMa1Companion:
 
 class TestDistribution:
     def test_mean_statistic_centered_near_zero(self):
-        spec = parametric_companion_spec([1.0], [1.0, -0.5], InnovationSpec())
-        res = companion_distribution(spec, MeanStatistic(), n=400, M=400, seed=6)
-        assert res.theta_tilde == 0.0
-        assert abs(res.law.mean()) < 0.3
+        spec = CompanionSpec([1.0], [1.0, -0.5], InnovationSpec())
+        law, theta = companion_distribution(spec, MeanStatistic(), n=400, M=400, seed=6)
+        assert theta == 0.0
+        assert abs(law.mean()) < 0.3
 
     def test_acvf_center_is_model_value(self):
-        spec = parametric_companion_spec([1.0], [1.0, -0.5], InnovationSpec())
-        res = companion_distribution(spec, AcvfStatistic(0), n=400, M=300, seed=7)
-        assert res.theta_tilde == pytest.approx(1.0 / 0.75)
+        spec = CompanionSpec([1.0], [1.0, -0.5], InnovationSpec())
+        _, theta = companion_distribution(spec, AcvfStatistic(0), n=400, M=300, seed=7)
+        assert theta == pytest.approx(1.0 / 0.75)
 
     def test_minimum_replications(self):
-        spec = parametric_companion_spec([1.0], [1.0], InnovationSpec())
+        spec = CompanionSpec([1.0], [1.0], InnovationSpec())
         with pytest.raises(ValueError):
             companion_distribution(spec, MeanStatistic(), n=400, M=50, seed=8)

@@ -19,17 +19,16 @@ from sieveboot.ar import InversionError, wold_factorization
 from sieveboot.dgp import (
     KEY_TRUTH,
     Arch1Model,
-    ARModel,
     InnovationSpec,
     LinearModel,
     PathSeed,
+    ResampledRecord,
+    default_burnin,
     derive_seed,
     derive_seeds,
-    draw_innovations,
     ma1_example,
     ma1_model,
     model_from_json,
-    model_to_json,
     replicate,
     rng_from,
     simulate_ar,
@@ -37,11 +36,7 @@ from sieveboot.dgp import (
     simulate_linear,
 )
 from sieveboot import companion, sieve
-from sieveboot.companion import (
-    build_companion,
-    parametric_companion_spec,
-    resampling_companion_spec,
-)
+from sieveboot.companion import CompanionSpec, build_companion
 from sieveboot.experiment import companion_spec_for
 from sieveboot.series import Series
 from sieveboot.sieve import OrderRule, fit_sieve
@@ -117,7 +112,7 @@ class TestInnovations:
     ])
     def test_moments(self, family, raw4):
         spec = InnovationSpec(family=family, scale=2.0)
-        e = draw_innovations(spec, 400_000, seed=1)
+        e = spec.draw(400_000, seed=1)
         assert abs(e.mean()) < 0.02
         assert e.var() == pytest.approx(4.0, rel=0.02)
         ratio = np.mean(e ** 4) / np.mean(e ** 2) ** 2
@@ -138,7 +133,7 @@ class TestLinear:
         model = LinearModel(b=(-2.0, 0.5))
         x = simulate_linear(model, 50, seed=3)
         # reconstruct with the same innovation stream, by hand
-        e_full = draw_innovations(model.innovations, 52, seed=3)
+        e_full = model.innovations.draw(52, seed=3)
         for t in range(2, 50):
             want = e_full[t + 2] - 2.0 * e_full[t + 1] + 0.5 * e_full[t]
             assert x.values[t] == pytest.approx(want, abs=1e-12)
@@ -148,8 +143,20 @@ class TestLinear:
         b = tuple(np.random.default_rng(q).uniform(-3.0, 3.0, q))
         model = LinearModel(b=b, innovations=InnovationSpec("centered_exponential", 1.7))
         x = simulate_linear(model, 300, seed=q)
-        e_full = draw_innovations(model.innovations, 300 + q, seed=q)
+        e_full = model.innovations.draw(300 + q, seed=q)
         assert np.array_equal(x.values, lfilter(np.concatenate([[1.0], b]), [1.0], e_full)[q:])
+
+    @pytest.mark.parametrize("family", ["gaussian", "centered_exponential", "centered_uniform"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_ar_is_the_iir_lfilter_bit_for_bit(self, p, family):
+        # a causal a(z): reciprocal roots drawn inside the unit disk
+        den = np.poly(np.random.default_rng(p).uniform(-0.9, 0.9, p))
+        spec = InnovationSpec(family, 1.3)
+        model = LinearModel(a=tuple(-den[1:]), innovations=spec)
+        burnin = default_burnin(p)
+        want = lfilter([1.0], den, spec.draw(300 + burnin, p))[burnin:]
+        assert np.array_equal(_bits(simulate_ar(model, 300, seed=p).values), _bits(want))
+        assert np.array_equal(_bits(model.simulate(300, [p])[0]), _bits(want))
 
     def test_ma1_variance(self):
         x = simulate_linear(ma1_model(), 200_000, seed=4)
@@ -180,7 +187,7 @@ class TestMa1Example:
                                                                           innovations):
         monkeypatch.setattr(dgp, "COMPANION_RECORD_LENGTH", 5000)
         seed = derive_seed(3, 5)
-        record = ma1_model(innovations).companion(seed).payload
+        record = ma1_model(innovations).companion(seed).noise.values
         _, _, ve = ma1_example(5000 + 60, seed, innovations)
         assert np.array_equal(record, ve.values[60:])
 
@@ -195,10 +202,10 @@ class TestMa1Example:
 class TestAR:
     def test_stability_enforced(self):
         with pytest.raises(InversionError, match="closed unit disk"):
-            ARModel(a=(1.5,))
+            LinearModel(a=(1.5,))
 
     def test_ar1_acvf(self):
-        model = ARModel(a=(0.6,))
+        model = LinearModel(a=(0.6,))
         x = simulate_ar(model, 200_000, seed=8)
         g0 = x.values.var()
         assert g0 == pytest.approx(1.0 / (1 - 0.36), rel=0.03)
@@ -310,17 +317,17 @@ class TestArch1:
 
     def test_companion_record_depends_only_on_the_seed(self):
         model = Arch1Model(omega=1.0, alpha1=0.3)
-        record = companion_spec_for(model, seed=3).payload
+        record = companion_spec_for(model, seed=3).noise.values
         assert record.shape == (10 ** 6,) and np.all(np.isfinite(record))
         assert np.unique(record).size == record.size  # no chain repeats another
-        assert np.array_equal(record, companion_spec_for(model, seed=3).payload)
-        assert not np.array_equal(record, companion_spec_for(model, seed=4).payload)
+        assert np.array_equal(record, companion_spec_for(model, seed=3).noise.values)
+        assert not np.array_equal(record, companion_spec_for(model, seed=4).noise.values)
 
     def test_companion_record_is_its_chains_one_after_another(self, monkeypatch):
         monkeypatch.setattr(dgp, "COMPANION_RECORD_LENGTH", 100 * 40)
         model, seed = Arch1Model(omega=1.0, alpha1=0.3), derive_seed(3, 5)
         chains = [_arch1_reference(model, 40, derive_seed(seed, j)) for j in range(100)]
-        assert np.array_equal(model.companion(seed).payload, np.concatenate(chains))
+        assert np.array_equal(model.companion(seed).noise.values, np.concatenate(chains))
 
 
 def _arch1_reference(model, n, seed, burnin=1000):
@@ -334,17 +341,19 @@ def _arch1_reference(model, n, seed, burnin=1000):
 
 
 class TestJson:
-    @pytest.mark.parametrize("model", [
-        LinearModel(b=(-2.0,), innovations=InnovationSpec("centered_exponential", 1.5)),
-        ARModel(a=(0.5, -0.2)),
-        Arch1Model(omega=1.0, alpha1=0.3),
+    @pytest.mark.parametrize("doc, model", [
+        ({"family": "linear", "coefficients": [-2.0],
+          "innovation": {"family": "centered_exponential", "scale": 1.5}},
+         LinearModel(b=(-2.0,), innovations=InnovationSpec("centered_exponential", 1.5))),
+        ({"family": "ar", "coefficients": [0.5, -0.2]}, LinearModel(a=(0.5, -0.2))),
+        ({"family": "arch1", "coefficients": [1.0, 0.3]}, Arch1Model(omega=1.0, alpha1=0.3)),
     ])
-    def test_roundtrip(self, model):
-        assert model_from_json(model_to_json(model)) == model
+    def test_documents_give_their_models(self, doc, model):
+        assert model_from_json(doc) == model
+        assert model_from_json(json.dumps(doc)) == model
 
     def test_unknown_keys_rejected(self):
-        doc = json.loads(model_to_json(ma1_model()))
-        doc["extra"] = 1
+        doc = {"family": "linear", "coefficients": [-2.0], "extra": 1}
         with pytest.raises(ValueError):
             model_from_json(doc)
 
@@ -357,23 +366,22 @@ class TestJson:
 # spec and a fitted sieve.
 PROCESSES = {
     "linear": lambda: ma1_model(InnovationSpec("centered_exponential")),
-    "ar": lambda: ARModel(a=(0.6, -0.2), innovations=InnovationSpec("centered_uniform")),
+    "ar": lambda: LinearModel(a=(0.6, -0.2), innovations=InnovationSpec("centered_uniform")),
     "arch1": lambda: Arch1Model(omega=1.0, alpha1=0.3),
-    "companion": lambda: parametric_companion_spec([1.0, 0.5], [1.0, -0.3],
-                                                   InnovationSpec("centered_uniform")),
-    "sieve": lambda: fit_sieve(simulate_ar(ARModel(a=(0.6,)), 400, 3), OrderRule()),
+    "companion": lambda: CompanionSpec([1.0, 0.5], [1.0, -0.3], InnovationSpec("centered_uniform")),
+    "sieve": lambda: fit_sieve(simulate_ar(LinearModel(a=(0.6,)), 400, 3), OrderRule()),
 }
 
 
 # Processes simulated a block of paths at a time through one lfilter call:
-# each innovation source, with a finite (FIR) filter and a recursive (IIR) one.
+# each noise law, with a finite (FIR) filter and a recursive (IIR) one.
 _RECORD = np.random.default_rng(2).exponential(1.0, 5000) - 1.0
 BLOCK_PROCESSES = {
-    "parametric-fir": lambda: parametric_companion_spec(
-        [1.0, 0.5, -0.2], [1.0], InnovationSpec("centered_exponential")),
+    "parametric-fir": lambda: CompanionSpec([1.0, 0.5, -0.2], [1.0],
+                                            InnovationSpec("centered_exponential")),
     "parametric-iir": PROCESSES["companion"],
-    "resample-fir": lambda: resampling_companion_spec([1.0, 0.4], [1.0], _RECORD),
-    "resample-iir": lambda: resampling_companion_spec([1.0], [1.0, -0.5, 0.2], _RECORD),
+    "resample-fir": lambda: CompanionSpec([1.0, 0.4], [1.0], ResampledRecord(_RECORD)),
+    "resample-iir": lambda: CompanionSpec([1.0], [1.0, -0.5, 0.2], ResampledRecord(_RECORD)),
     "exact-ma1-fir": lambda: ma1_model(InnovationSpec("centered_exponential")).companion(6),
     "sieve-iir": PROCESSES["sieve"],
 }

@@ -17,7 +17,7 @@ from sieveboot.experiment import (
     preset_config,
     run_experiment,
 )
-from sieveboot.dgp import Arch1Model, ARModel, InnovationSpec, LinearModel
+from sieveboot.dgp import Arch1Model, InnovationSpec, LinearModel, ResampledRecord
 from sieveboot.sieve import SieveModel
 
 SMALL = dict(n=200, B=200, M=200, R=200)
@@ -55,6 +55,11 @@ class TestConfig:
         cfg = ExperimentConfig.from_json(TINY_CONFIG, seed=99)
         assert cfg.seed == 99
 
+    def test_cosine_lags_below_half_n_accepted(self):
+        for stat in ({"name": "ratio-cos", "lag": 99}, {"name": "intper-cos", "lag": 99},
+                     {"name": "intper-cos", "lag": 0}):
+            assert ExperimentConfig.from_json({**TINY_CONFIG, "statistic": stat}).n == 200
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset_config("nonexistent")
@@ -84,7 +89,7 @@ class TestCompanionConstruction:
         spec = companion_spec_for(LinearModel(b=(0.5,)), seed=1)
         assert np.array_equal(spec.num, [1.0, 0.5])
         assert np.array_equal(spec.den, [1.0])
-        assert spec.innovation_source == "parametric"
+        assert spec.noise == InnovationSpec()
 
     def test_worked_example_companion_resamples_its_wold_record(self):
         # X_t = e_t - 2 e_{t-1}: the invertible (1 - z/2) eps, with eps drawn
@@ -92,32 +97,33 @@ class TestCompanionConstruction:
         spec = companion_spec_for(LinearModel(b=(-2.0,)), seed=1)
         assert np.array_equal(spec.num, [1.0, -0.5])
         assert np.array_equal(spec.den, [1.0])
-        assert spec.innovation_source == "residual_resample"
-        assert spec.innovation_variance == pytest.approx(4.0, rel=0.01)
+        assert isinstance(spec.noise, ResampledRecord)
+        assert spec.noise.variance == pytest.approx(4.0, rel=0.01)
 
     def test_any_noninvertible_ma_resamples_its_wold_record(self):
         # 1 + 0.5 z - 3 z^2 = (1 - 1.5 z)(1 + 2 z): both roots flip, giving
         # (1 - 2z/3)(1 + z/2) = 1 - z/6 - z^2/3 and Var(eps) = 1.5^2 2^2 = 9
         spec = companion_spec_for(LinearModel(b=(0.5, -3.0)), seed=1)
         assert np.allclose(spec.num, [1.0, -1.0 / 6.0, -1.0 / 3.0], rtol=0.0, atol=1e-15)
-        assert spec.innovation_source == "residual_resample"
-        assert spec.innovation_variance == pytest.approx(9.0, rel=0.01)
+        assert isinstance(spec.noise, ResampledRecord)
+        assert spec.noise.variance == pytest.approx(9.0, rel=0.01)
 
     def test_ma_with_a_root_on_the_circle_rejected(self):
         with pytest.raises(ValueError, match="root on the unit circle, z = -1"):
             companion_spec_for(LinearModel(b=(1.0,)), seed=1)
 
     def test_ar_model_is_its_own_companion(self):
-        spec = companion_spec_for(ARModel(a=(0.5, -0.2)), seed=1)
+        spec = companion_spec_for(LinearModel(a=(0.5, -0.2)), seed=1)
         assert np.array_equal(spec.num, [1.0])
         assert np.array_equal(spec.den, [1.0, -0.5, 0.2])
+        assert spec.noise == InnovationSpec()
 
     def test_arch_companion_is_resampled_white_noise(self):
         spec = companion_spec_for(Arch1Model(omega=1.0, alpha1=0.3), seed=1)
         assert np.array_equal(spec.num, [1.0])
         assert np.array_equal(spec.den, [1.0])
-        assert spec.innovation_source == "residual_resample"
-        assert spec.innovation_variance == pytest.approx(1.0 / 0.7, rel=0.05)
+        assert isinstance(spec.noise, ResampledRecord)
+        assert spec.noise.variance == pytest.approx(1.0 / 0.7, rel=0.05)
 
 
 ARCH_ACVF_CONFIG = {
@@ -220,6 +226,12 @@ BAD_VALUES = [
      "statistic: acvf-lag-5000 needs lag 5000 < n, got n = 2000"),
     ({"statistic": {"name": "acf", "lag": 300}, "n": 300},
      "statistic: acf-lag-300 needs lag 300 < n, got n = 300"),
+    # on the Fourier grid lag h weighs as lag n - h: lag 150 would run as 50
+    ({"statistic": {"name": "ratio-cos", "lag": 150}},
+     r"statistic: ratio\[2cos\(150l\)\] needs 2 \* lag 150 < n, got n = 200"),
+    ({"statistic": {"name": "intper-cos", "lag": 100}},
+     r"statistic: intper\[2cos\(100l\)\] needs 2 \* lag 100 < n, got n = 200"),
+    ({"statistic": {"name": "ratio-cos", "lag": 0}}, "statistic: .* is the constant 2 at lag 0"),
 ] + [({"dgp": doc}, f"dgp: .*{field}") for doc, field in BAD_MODELS] + [
     ({"statistic": doc}, f"statistic: .*{field}") for doc, field in BAD_STATISTICS]
 
@@ -231,7 +243,7 @@ def _no_simulation(*args, **kwargs):
 @pytest.fixture
 def no_simulation(monkeypatch):
     """Fail on any DGP, companion or bootstrap path simulated meanwhile."""
-    for process in (LinearModel, ARModel, Arch1Model, CompanionSpec, SieveModel):
+    for process in (LinearModel, Arch1Model, CompanionSpec, SieveModel):
         monkeypatch.setattr(process, "simulate", _no_simulation)
 
 
@@ -267,6 +279,9 @@ class TestFailFast:
         ({"bootstrap_valid": False}, "unknown config keys: ['bootstrap_valid']"),
         ({"statistic": {}}, "unknown statistic"),
         ({"statistic": {"name": "acvf", "lag": 5000}, "n": 2000}, "lag 5000 < n, got n = 2000"),
+        ({"statistic": {"name": "ratio-cos", "lag": 150}}, "2 * lag 150 < n, got n = 200"),
+        ({"statistic": {"name": "intper-cos", "lag": 100}}, "2 * lag 100 < n, got n = 200"),
+        ({"statistic": {"name": "ratio-cos", "lag": 0}}, "constant 2 at lag 0"),
     ] + [({"dgp": doc}, field) for doc, field in BAD_MODELS]
       + [({"statistic": doc}, field) for doc, field in BAD_STATISTICS])
     def test_cli_rejects_malformed_values_with_one_error_line(self, tmp_path, capsys,

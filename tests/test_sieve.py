@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from sieveboot.dgp import (ARModel, default_burnin, ma1_model, rng_from, simulate_ar,
+from sieveboot.dgp import (LinearModel, default_burnin, ma1_model, rng_from, simulate_ar,
                            simulate_linear)
 from sieveboot.series import Series
 from sieveboot.sieve import (
@@ -18,7 +18,7 @@ from sieveboot.statistics import AcvfStatistic, MeanStatistic
 
 
 def ar1_data(n=2000, seed=1):
-    return simulate_ar(ARModel(a=(0.6,)), n, seed)
+    return simulate_ar(LinearModel(a=(0.6,)), n, seed)
 
 
 class TestOrderRule:
