@@ -13,18 +13,14 @@ from .series import (
     DegenerateSeriesError,
     EmpiricalLaw,
     Series,
-    ecdf,
     kolmogorov_distance,
     ks_critical_value,
-    sample_acf,
     sample_acvf,
-    sample_mean,
 )
 from .ar import (
     ARFit,
     ConditioningError,
     InversionError,
-    baxter_gap,
     invert_ar_polynomial,
     levinson_durbin,
     residuals,
@@ -64,13 +60,9 @@ from .companion import (
 )
 from .spectral import (
     KernelSpec,
-    Periodogram,
-    WeightFunction,
-    cosine_weight,
     fourier_quadrature,
     integrated_periodogram,
     kernel_spectral_estimate,
-    periodogram,
     ratio_statistic,
     rational_spectral_density,
 )

@@ -25,7 +25,6 @@ __all__ = [
     "root_radius",
     "check_roots_outside_disk",
     "wold_factorization",
-    "baxter_gap",
     "residuals",
 ]
 
@@ -172,24 +171,6 @@ def wold_factorization(b, sigma2: float = 1.0):
     taps = b.size + lag
     psi = np.convolve(b, invert_ar_polynomial(-num[1:], taps - 1))[:taps]
     return num, sigma2 * float(np.prod(size[inside] ** 2)), psi
-
-
-def baxter_gap(fit: ARFit, a_true, r: int = 0):
-    """Diagnostic pair (lhs, rhs) for the Baxter-type coefficient bound.
-
-    lhs = sum_{k<=p} (1+k)^r |a_k(p) - a_k|, rhs = sum_{k>p} (1+k)^r |a_k|,
-    with a_true the truncated infinite-order coefficients.
-    """
-    a_true = np.asarray(a_true, dtype=float)
-    p = fit.p
-    if a_true.size <= p:
-        raise ValueError("a_true must extend beyond the fitted order")
-    k = np.arange(1, a_true.size + 1)
-    w = (1.0 + k) ** r
-    diff = np.abs(fit.a - a_true[:p])
-    lhs = float(np.dot(w[:p], diff))
-    rhs = float(np.dot(w[p:], np.abs(a_true[p:])))
-    return lhs, rhs
 
 
 def residuals(s: Series, fit: ARFit) -> np.ndarray:

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .series import ACVF
-from .spectral import KernelSpec, WeightFunction
+from .spectral import KernelSpec
 
 __all__ = [
     "KurtosisSpec",
@@ -84,24 +84,26 @@ def bartlett_variance(acf, h: int) -> float:
     return float(total)
 
 
-def integrated_periodogram_variance(f: Callable, phi: WeightFunction, kappa: KurtosisSpec) -> float:
-    """kappa (int_0^pi phi f)^2 + 2 pi int_0^pi phi^2 f^2, fixed-grid quadrature."""
+def integrated_periodogram_variance(f: Callable, h: int, kappa: KurtosisSpec) -> float:
+    """kappa (int_0^pi phi f)^2 + 2 pi int_0^pi phi^2 f^2 with phi = 2cos(. h),
+    fixed-grid quadrature."""
     lam, dl = _quad_grid()
     fv = np.asarray(f(lam), dtype=float)
-    pv = phi(lam)
+    pv = 2.0 * np.cos(lam * h)
     first = kappa.excess * (np.sum(pv * fv) * dl) ** 2
     second = 2.0 * np.pi * np.sum(pv ** 2 * fv ** 2) * dl
     return float(first + second)
 
 
-def ratio_statistic_variance(f: Callable, phi: WeightFunction) -> float:
-    """Variance of sqrt(n)(R(I_n, phi) - R(f, phi)); kurtosis-free.
+def ratio_statistic_variance(f: Callable, h: int) -> float:
+    """Variance of sqrt(n)(R(I_n, phi) - R(f, phi)) with phi = 2cos(. h);
+    kurtosis-free.
 
     With psi = phi * int f - int phi f, returns 2 pi int psi^2 f^2 / (int f)^4.
     """
     lam, dl = _quad_grid()
     fv = np.asarray(f(lam), dtype=float)
-    pv = phi(lam)
+    pv = 2.0 * np.cos(lam * h)
     int_f = np.sum(fv) * dl
     if int_f <= 0:
         raise ValueError("spectral density must have positive mass")

@@ -56,7 +56,7 @@ from typing import Union
 import numpy as np
 
 from .ar import check_roots_outside_disk, wold_factorization
-from .series import Series, ecdf
+from .series import EmpiricalLaw, Series
 
 __all__ = [
     "InnovationSpec",
@@ -234,7 +234,7 @@ def replicate(process, statistic, n: int, count: int, seed: SeedLike, key: int):
         hi = min(lo + rows, count)
         vals[lo:hi] = [statistic.evaluate(Series(path))
                        for path in process.simulate(n, derive_seeds(seed, key, lo, hi))]
-    return ecdf(statistic.rate(n) * (vals - theta)), float(theta)
+    return EmpiricalLaw(statistic.rate(n) * (vals - theta)), float(theta)
 
 
 def rng_from(seed: SeedLike) -> np.random.Generator:

@@ -15,10 +15,7 @@ __all__ = [
     "Series",
     "ACVF",
     "EmpiricalLaw",
-    "sample_mean",
     "sample_acvf",
-    "sample_acf",
-    "ecdf",
     "kolmogorov_distance",
     "ks_critical_value",
 ]
@@ -98,41 +95,16 @@ class EmpiricalLaw:
         return float(np.mean(self.sample))
 
 
-def sample_mean(s: Series) -> float:
-    """Arithmetic mean of the sample path."""
-    return float(np.mean(s.values))
-
-
-def sample_acvf(s: Series, maxlag: int, centered: bool = True) -> ACVF:
-    """Biased sample autocovariances up to ``maxlag``.
-
-    With ``centered=False`` returns the non-centered second moments
-    c(h) = n^-1 sum_t X_t X_{t+h} instead.
-    """
+def sample_acvf(s: Series, maxlag: int) -> ACVF:
+    """Biased sample autocovariances up to ``maxlag``."""
     n = s.n
     if not 0 <= maxlag < n:
         raise ValueError(f"maxlag must satisfy 0 <= maxlag < n, got {maxlag} with n={n}")
-    x = s.values - np.mean(s.values) if centered else s.values
+    x = s.values - np.mean(s.values)
     gamma = np.empty(maxlag + 1)
     for h in range(maxlag + 1):
         gamma[h] = np.dot(x[: n - h], x[h:]) / n
     return ACVF(gamma=gamma)
-
-
-def sample_acf(s: Series, maxlag: int) -> np.ndarray:
-    """Sample autocorrelations rho(0..maxlag); requires a non-constant series."""
-    acvf = sample_acvf(s, maxlag, centered=True)
-    if acvf.gamma[0] <= 0:
-        raise DegenerateSeriesError("sample variance is zero; acf undefined")
-    return acvf.gamma / acvf.gamma[0]
-
-
-def ecdf(values) -> EmpiricalLaw:
-    """Empirical distribution of the given values."""
-    values = np.asarray(values, dtype=float)
-    if values.size < 1:
-        raise ValueError("ecdf requires a nonempty input")
-    return EmpiricalLaw(sample=values)
 
 
 def kolmogorov_distance(f: EmpiricalLaw, g: EmpiricalLaw) -> float:

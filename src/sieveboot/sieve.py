@@ -18,7 +18,7 @@ import numpy as np
 from . import dgp
 from .ar import ARFit, levinson_durbin, residuals, yule_walker_fit
 from .companion import CompanionSpec, build_companion
-from .series import DegenerateSeriesError, EmpiricalLaw, Series, ecdf, sample_acvf
+from .series import DegenerateSeriesError, EmpiricalLaw, Series, sample_acvf
 from .statistics import statistic_from_config
 
 __all__ = [
@@ -43,8 +43,11 @@ class OrderRule:
     def __post_init__(self):
         if self.mode not in ("fixed", "aic_capped"):
             raise ValueError(f"unknown order rule mode {self.mode!r}")
-        if self.mode == "fixed" and (not isinstance(self.fixed_p, int) or self.fixed_p < 1):
-            raise ValueError("fixed mode requires an integer fixed_p >= 1")
+        p = self.fixed_p
+        if self.mode == "fixed" and (isinstance(p, bool) or not isinstance(p, int) or p < 1):
+            raise ValueError(f"fixed mode requires an integer fixed_p >= 1, got {p!r}")
+        if self.mode != "fixed" and p is not None:
+            raise ValueError(f"fixed_p is read only in mode 'fixed', got it in mode {self.mode!r}")
 
 
 def order_cap(n: int) -> int:
@@ -60,8 +63,8 @@ def select_order(s: Series, rule: OrderRule) -> int:
         raise ValueError("order selection requires n >= 20")
     p_max = order_cap(n)
     if rule.mode == "fixed":
-        return min(max(rule.fixed_p, 1), p_max)
-    acvf = sample_acvf(s, p_max, centered=True)
+        return min(rule.fixed_p, p_max)
+    acvf = sample_acvf(s, p_max)
     if acvf.gamma[0] <= 0:
         raise DegenerateSeriesError("constant series")
     _, sigma2s = levinson_durbin(acvf.gamma, p_max)
@@ -76,14 +79,7 @@ class SieveModel:
 
     fit: ARFit
     residual_law: EmpiricalLaw
-    n: int
     p: int
-
-    @property
-    def residual_variance(self) -> float:
-        """Second moment of the (exactly centered) residual law, the
-        innovation variance of the bootstrap process."""
-        return float(np.mean(self.residual_law.sample ** 2))
 
     @cached_property
     def bootstrap_process(self) -> CompanionSpec:
@@ -105,12 +101,12 @@ def fit_sieve(s: Series, rule: OrderRule) -> SieveModel:
     p = select_order(s, rule)
     if s.n <= p + 10:
         raise ValueError("series too short for the selected order")
-    acvf = sample_acvf(s, p, centered=True)
+    acvf = sample_acvf(s, p)
     if acvf.gamma[0] <= 0:
         raise DegenerateSeriesError("constant series")
     fit = yule_walker_fit(acvf, p)
     res = residuals(s, fit)
-    return SieveModel(fit=fit, residual_law=ecdf(res), n=s.n, p=p)
+    return SieveModel(fit=fit, residual_law=EmpiricalLaw(res), p=p)
 
 
 def generate_bootstrap_series(m: SieveModel, n: int, seeds) -> np.ndarray:
@@ -126,8 +122,6 @@ class BootstrapResult:
 
     law: EmpiricalLaw
     theta_star: float
-    B: int
-    statistic: str
     p_used: int
 
 
@@ -144,5 +138,4 @@ def bootstrap_distribution(s: Series, d, B: int, rule: OrderRule,
     statistic = statistic_from_config(d)
     model = fit_sieve(s, rule)
     law, theta = dgp.replicate(model, statistic, s.n, B, seed, dgp.KEY_BOOT)
-    return BootstrapResult(law=law, theta_star=theta, B=B, statistic=statistic.name,
-                           p_used=model.p)
+    return BootstrapResult(law=law, theta_star=theta, p_used=model.p)

@@ -7,7 +7,7 @@ endpoint pi (present for even n) weighted by one half. The half weight is what
 makes M(I_n, 2cos(.h)) track the non-centered sample autocovariance even when
 spectral mass concentrates at pi.
 
-Every array that depends on the path length alone -- frequency grids,
+Every array that depends on the path length alone -- the frequency grid,
 quadrature weights, weighted quadrature vectors and kernel weights -- is built
 once per key in a small least-recently-used cache and returned read-only, so a
 statistic evaluated on many paths of one length pays one FFT, one squared
@@ -17,19 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
 from .series import DegenerateSeriesError, Series
 
 __all__ = [
-    "Periodogram",
-    "WeightFunction",
     "KernelSpec",
-    "cosine_weight",
-    "constant_weight",
-    "periodogram",
     "fourier_quadrature",
     "weighted_quadrature",
     "integrated_periodogram",
@@ -47,57 +41,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Periodogram:
-    """Periodogram ordinates I_n(lambda_j) at lambda_j = 2*pi*j/n, j=0..n//2."""
-
-    freqs: np.ndarray
-    values: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        if self.freqs.size != self.values.size or self.freqs.size != self.n // 2 + 1:
-            raise ValueError("inconsistent periodogram arrays")
-
-
-@dataclass(frozen=True)
-class WeightFunction:
-    """A bounded weight on [0, pi] for integrated-periodogram functionals."""
-
-    phi: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
-
-    def __call__(self, lam):
-        return self.phi(np.asarray(lam, dtype=float))
-
-
-@lru_cache(maxsize=_CACHE_SIZE, typed=True)
-def cosine_weight(h: int) -> WeightFunction:
-    """phi(lambda) = 2 cos(lambda h); M(I_n, phi) approximates c(h).
-
-    A lag gets one WeightFunction, which hashes by identity, so statistics
-    built for the same lag share their ``weighted_quadrature`` entry."""
-    return WeightFunction(phi=lambda lam: 2.0 * np.cos(lam * h), name=f"2cos({h}l)")
-
-
-def constant_weight(c: float = 1.0) -> WeightFunction:
-    return WeightFunction(phi=lambda lam: np.full_like(lam, float(c)), name=f"const({c})")
-
-
-@dataclass(frozen=True)
 class KernelSpec:
     """Smoothing kernel for spectral density estimation.
 
-    The only built-in shape is the Epanechnikov kernel rescaled to support
-    [-pi, pi] and normalized to integrate to one:
-    K(u) = (3 / 4 pi) (1 - (u/pi)^2) on [-pi, pi].
+    The Epanechnikov kernel rescaled to support [-pi, pi] and normalized to
+    integrate to one: K(u) = (3 / 4 pi) (1 - (u/pi)^2) on [-pi, pi].
     """
 
-    shape: str = "epanechnikov_pi"
     bandwidth: float = 0.3
 
     def __post_init__(self):
-        if self.shape != "epanechnikov_pi":
-            raise ValueError(f"unknown kernel shape {self.shape!r}")
         if not 0 < self.bandwidth <= np.pi:
             raise ValueError("bandwidth must lie in (0, pi]")
 
@@ -111,23 +64,13 @@ class KernelSpec:
         return 3.0 / (5.0 * np.pi)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _frequencies(n: int) -> np.ndarray:
-    """Fourier frequencies 2*pi*j/n, j = 0..n//2 (read-only)."""
-    return _read_only(2.0 * np.pi * np.arange(n // 2 + 1) / n)
-
-
 def _ordinates(s: Series) -> np.ndarray:
-    """Periodogram ordinates at the frequencies of :func:`_frequencies`."""
+    """Periodogram ordinates I_n(lambda_j) = (2 pi n)^-1 |sum_t X_t e^{-i lambda_j t}|^2
+    at the Fourier frequencies lambda_j = 2*pi*j/n, j = 0..n//2."""
     if s.n < 2:
         raise ValueError("periodogram requires n >= 2")
     dft = np.fft.rfft(s.values)
     return np.abs(dft) ** 2 / (2.0 * np.pi * s.n)
-
-
-def periodogram(s: Series) -> Periodogram:
-    """I_n(lambda) = (2 pi n)^-1 |sum_t X_t e^{-i lambda t}|^2 at Fourier frequencies."""
-    return Periodogram(freqs=_frequencies(s.n), values=_ordinates(s), n=s.n)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -143,26 +86,28 @@ def fourier_quadrature(n: int):
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def weighted_quadrature(phi: WeightFunction, n: int) -> np.ndarray:
-    """Quadrature weights times phi on the grid of :func:`fourier_quadrature`
-    (read-only): M(g, phi) is its dot product with g on that grid."""
+def weighted_quadrature(h: int, n: int) -> np.ndarray:
+    """Quadrature weights times phi = 2cos(. h) on the grid of
+    :func:`fourier_quadrature` (read-only): M(g, phi) is its dot product with
+    g on that grid."""
     freqs, w = fourier_quadrature(n)
-    return _read_only(w * phi(freqs))
+    return _read_only(w * (2.0 * np.cos(freqs * h)))
 
 
-def integrated_periodogram(s: Series, phi: WeightFunction) -> float:
-    """Quadrature approximation of M(I_n, phi) = int_0^pi phi I_n."""
-    return float(np.dot(weighted_quadrature(phi, s.n), _ordinates(s)[1:]))
+def integrated_periodogram(s: Series, h: int) -> float:
+    """Quadrature approximation of M(I_n, phi) = int_0^pi phi I_n with
+    phi = 2cos(. h), which tracks the non-centered autocovariance c(h)."""
+    return float(np.dot(weighted_quadrature(h, s.n), _ordinates(s)[1:]))
 
 
-def ratio_statistic(s: Series, phi: WeightFunction) -> float:
-    """R(I_n, phi) = M(I_n, phi) / M(I_n, 1)."""
+def ratio_statistic(s: Series, h: int) -> float:
+    """R(I_n, phi) = M(I_n, phi) / M(I_n, 1) with phi = 2cos(. h)."""
     values = _ordinates(s)[1:]
     _, w = fourier_quadrature(s.n)
     denom = float(np.dot(w, values))
     if denom <= 0:
         raise DegenerateSeriesError("total periodogram mass is zero")
-    return float(np.dot(weighted_quadrature(phi, s.n), values)) / denom
+    return float(np.dot(weighted_quadrature(h, s.n), values)) / denom
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

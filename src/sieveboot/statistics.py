@@ -29,7 +29,6 @@ from .companion import rational_acvf
 from .series import DegenerateSeriesError, Series
 from .spectral import (
     KernelSpec,
-    cosine_weight,
     fourier_quadrature,
     integrated_periodogram,
     kernel_spectral_estimate,
@@ -146,7 +145,7 @@ class MeanStatistic(Statistic):
     second_order_limit = True
 
     def evaluate(self, s: Series) -> float:
-        return float(np.add.reduce(s.values) / s.n)  # sample_mean's arithmetic
+        return float(np.add.reduce(s.values) / s.n)  # np.mean's arithmetic
 
     def model_center(self, num, den, sigma2, n):
         return 0.0
@@ -216,8 +215,7 @@ class _CosineStatistic(Statistic):
     h: int = 1
 
     def __post_init__(self):
-        self.phi = cosine_weight(self.h)
-        self.name = f"{self.label}[{self.phi.name}]"
+        self.name = f"{self.label}[2cos({self.h}l)]"
 
     def check_n(self, n: int) -> None:
         if 2 * self.h >= n:
@@ -232,17 +230,17 @@ class IntegratedPeriodogramStatistic(_CosineStatistic):
     label = "intper"
 
     def evaluate(self, s: Series) -> float:
-        return integrated_periodogram(s, self.phi)
+        return integrated_periodogram(s, self.h)
 
     def model_center(self, num, den, sigma2, n):
         fv = rational_spectral_density(num, den, sigma2, fourier_quadrature(n)[0])
-        return float(np.dot(weighted_quadrature(self.phi, n), fv))
+        return float(np.dot(weighted_quadrature(self.h, n), fv))
 
     def targets(self, num, den, sigma2, kappa_e, kappa_eps):
         def f(lam):
             return rational_spectral_density(num, den, sigma2, lam)
 
-        return _kurtosis_targets(lambda kappa: integrated_periodogram_variance(f, self.phi, kappa),
+        return _kurtosis_targets(lambda kappa: integrated_periodogram_variance(f, self.h, kappa),
                                  "intper_variance", kappa_e, kappa_eps)
 
 
@@ -258,18 +256,18 @@ class RatioStatistic(_CosineStatistic):
         super().check_n(n)
 
     def evaluate(self, s: Series) -> float:
-        return ratio_statistic(s, self.phi)
+        return ratio_statistic(s, self.h)
 
     def model_center(self, num, den, sigma2, n):
         freqs, w = fourier_quadrature(n)
         fv = rational_spectral_density(num, den, sigma2, freqs)
-        return float(np.dot(weighted_quadrature(self.phi, n), fv)) / float(np.dot(w, fv))
+        return float(np.dot(weighted_quadrature(self.h, n), fv)) / float(np.dot(w, fv))
 
     def targets(self, num, den, sigma2, kappa_e, kappa_eps):
         if kappa_e is None:  # the formula holds only for linear processes
             return {}
         return {"ratio_statistic_variance": ratio_statistic_variance(
-            lambda lam: rational_spectral_density(num, den, sigma2, lam), self.phi)}
+            lambda lam: rational_spectral_density(num, den, sigma2, lam), self.h)}
 
 
 @dataclass

@@ -14,7 +14,7 @@ from sieveboot.asymptotics import (
 from sieveboot.dgp import Arch1Model, InnovationSpec, LinearModel, model_from_json
 from sieveboot.experiment import compute_targets, list_presets, preset_config
 from sieveboot.series import ACVF
-from sieveboot.spectral import KernelSpec, constant_weight, cosine_weight
+from sieveboot.spectral import KernelSpec
 from sieveboot.statistics import MeanStatistic, bootstrap_verdict, statistic_from_config
 
 MA1 = ACVF(np.array([5.0, -2.0, 0.0]))
@@ -100,20 +100,20 @@ class TestMeanVariance:
 
 class TestFrequencyDomain:
     def test_integrated_periodogram_white_noise(self):
-        # f = sigma2/(2 pi) constant, phi = 1:
-        # kappa (sigma2/2)^2 + 2 pi * pi * (sigma2/2 pi)^2 = kappa sigma4/4 + sigma4/2
+        # f = sigma2/(2 pi) constant, phi = 2cos(0) = 2:
+        # kappa (2 pi sigma2/2 pi)^2 + 2 pi * pi * 4 (sigma2/2 pi)^2 = kappa sigma4 + 2 sigma4
         sigma2 = 3.0
         f = lambda lam: np.full_like(np.asarray(lam, dtype=float), sigma2 / (2 * np.pi))
-        v = integrated_periodogram_variance(f, constant_weight(1.0), KurtosisSpec(2.0))
-        assert v == pytest.approx(2.0 * sigma2 ** 2 / 4 + sigma2 ** 2 / 2, rel=1e-6)
+        v = integrated_periodogram_variance(f, 0, KurtosisSpec(2.0))
+        assert v == pytest.approx(2.0 * sigma2 ** 2 + 2.0 * sigma2 ** 2, rel=1e-6)
 
     def test_ratio_variance_kurtosis_free_value(self):
-        v = ratio_statistic_variance(ma1_density, cosine_weight(1))
+        v = ratio_statistic_variance(ma1_density, 1)
         # frozen quadrature value for the MA(1) worked example
         assert v == pytest.approx(2.4896, rel=1e-3)
 
     def test_ratio_variance_vanishes_for_constant_weight(self):
-        v = ratio_statistic_variance(ma1_density, constant_weight(1.0))
+        v = ratio_statistic_variance(ma1_density, 0)  # phi = 2cos(0) = 2
         assert abs(v) < 1e-12
 
     def test_spectral_variance_boundary_doubling(self):

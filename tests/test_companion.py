@@ -162,7 +162,7 @@ class TestMa1Companion:
 
     def test_path_second_order_structure(self, spec):
         x = Series(build_companion(spec, 100_000, [4])[0])
-        g = sample_acvf(x, 2, centered=True)
+        g = sample_acvf(x, 2)
         assert g.gamma[0] == pytest.approx(5.0, rel=0.05)
         assert g.gamma[1] == pytest.approx(-2.0, rel=0.1)
         assert abs(g.gamma[2]) < 0.15

@@ -210,6 +210,11 @@ BAD_STATISTICS = [
 BAD_VALUES = [
     ({"order_rule": {"bogus": 1}}, "order_rule: unknown keys"),
     ({"order_rule": {"mode": "fixed", "fixed_p": "2"}}, "order_rule: .*integer fixed_p"),
+    # True is an int to isinstance; it would run as p = 1 and report p_used true
+    ({"order_rule": {"mode": "fixed", "fixed_p": True}}, "order_rule: .*integer fixed_p"),
+    # aic_capped never reads fixed_p
+    ({"order_rule": {"mode": "aic_capped", "fixed_p": 3}},
+     "order_rule: fixed_p is read only in mode 'fixed'"),
     ({"order_rule": {"mode": "bic"}}, "order_rule: unknown order rule mode"),
     ({"n": "2000"}, "n must be an integer"),
     ({"n": 2000.0}, "n must be an integer"),
@@ -273,6 +278,8 @@ class TestFailFast:
 
     @pytest.mark.parametrize("override, field", [
         ({"order_rule": {"bogus": 1}}, "order_rule"),
+        ({"order_rule": {"mode": "fixed", "fixed_p": True}}, "integer fixed_p >= 1, got True"),
+        ({"order_rule": {"mode": "aic_capped", "fixed_p": 3}}, "fixed_p is read only"),
         ({"n": "2000"}, "n must be"),
         ({"checks": [1]}, "check #0"),
         ({"expect": {"boot-var": False}}, "unknown config keys: ['expect']"),

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import sieveboot
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(sieveboot.__path__))
+TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -17,6 +19,17 @@ def test_every_exported_name_resolves(name):
     # ``from sieveboot.<name> import *`` fails on an __all__ entry the module lacks
     module = importlib.import_module(f"sieveboot.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_every_traced_function_resolves():
+    # the benchmark's tracer rebinds each (module, attribute) of FUNCTION_SPANS
+    # by getattr, so a name deleted from the package would crash a traced run
+    spec = importlib.util.spec_from_file_location("_benchmark_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(module, attr) for module, attr, _ in tracing.FUNCTION_SPANS
+               if not hasattr(importlib.import_module(module), attr)]
+    assert tracing.FUNCTION_SPANS and missing == []
 
 
 @pytest.mark.parametrize("args", [["-c", "import sieveboot"], ["-m", "sieveboot.cli", "list"]],

@@ -7,13 +7,10 @@ from scipy.stats import kstwobign
 
 from sieveboot.series import (
     ACVF,
-    DegenerateSeriesError,
     EmpiricalLaw,
     Series,
-    ecdf,
     kolmogorov_distance,
     ks_critical_value,
-    sample_acf,
     sample_acvf,
 )
 
@@ -57,29 +54,16 @@ class TestMoments:
         # oracle: direct O(n^2)-style dot products with 1/n normalization
         s = rand_series(100, seed=3)
         x = s.values - s.values.mean()
-        g = sample_acvf(s, 5, centered=True)
+        g = sample_acvf(s, 5)
         for h in range(6):
             assert g.gamma[h] == pytest.approx(np.dot(x[: 100 - h], x[h:]) / 100, abs=1e-12)
-
-    def test_noncentered_second_moments(self):
-        s = rand_series(64, seed=4)
-        c = sample_acvf(s, 2, centered=False)
-        assert c.gamma[0] == pytest.approx(np.mean(s.values ** 2), abs=1e-12)
-
-    def test_acf_starts_at_one(self):
-        rho = sample_acf(rand_series(50, seed=5), 3)
-        assert rho[0] == 1.0
-
-    def test_acf_constant_series_raises(self):
-        with pytest.raises(DegenerateSeriesError):
-            sample_acf(Series(np.ones(30)), 2)
 
     @settings(max_examples=50, deadline=None)
     @given(arrays(float, st.integers(20, 60), elements=finite_floats))
     def test_acvf_toeplitz_is_psd(self, x):
         # biased 1/n estimator guarantees a positive semidefinite Toeplitz matrix
         s = Series(x + np.linspace(0, 1e-3, x.size))  # avoid exactly-constant input
-        g = sample_acvf(s, min(10, s.n - 1), centered=True)
+        g = sample_acvf(s, min(10, s.n - 1))
         from scipy.linalg import toeplitz
 
         eig = np.linalg.eigvalsh(toeplitz(g.gamma))
@@ -87,6 +71,10 @@ class TestMoments:
 
 
 class TestEmpiricalLaw:
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            EmpiricalLaw([])
+
     def test_cdf_right_continuous_step(self):
         law = EmpiricalLaw(np.array([0.0, 1.0]))
         assert law.cdf(-0.5) == 0.0
@@ -95,19 +83,19 @@ class TestEmpiricalLaw:
         assert law.cdf(1.0) == 1.0
 
     def test_kolmogorov_distance_hand_value(self):
-        f = ecdf([0.0, 1.0])
-        g = ecdf([0.5])
+        f = EmpiricalLaw([0.0, 1.0])
+        g = EmpiricalLaw([0.5])
         assert kolmogorov_distance(f, g) == pytest.approx(0.5)
 
     def test_kolmogorov_shift_of_point_masses(self):
         # disjoint point masses: distance 1
-        assert kolmogorov_distance(ecdf([0.0]), ecdf([1.0])) == 1.0
+        assert kolmogorov_distance(EmpiricalLaw([0.0]), EmpiricalLaw([1.0])) == 1.0
 
     @settings(max_examples=50, deadline=None)
     @given(arrays(float, st.integers(1, 40), elements=finite_floats),
            arrays(float, st.integers(1, 40), elements=finite_floats))
     def test_kolmogorov_metric_properties(self, a, b):
-        f, g = ecdf(a), ecdf(b)
+        f, g = EmpiricalLaw(a), EmpiricalLaw(b)
         d = kolmogorov_distance(f, g)
         assert 0.0 <= d <= 1.0
         assert d == kolmogorov_distance(g, f)
@@ -130,6 +118,6 @@ class TestEmpiricalLaw:
             ks_critical_value(10, 10, alpha=1.0)
 
     def test_variance_mean(self):
-        law = ecdf([1.0, 3.0])
+        law = EmpiricalLaw([1.0, 3.0])
         assert law.mean() == 2.0
         assert law.variance() == 1.0

@@ -25,8 +25,12 @@ class TestOrderRule:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             OrderRule(mode="bic")
-        with pytest.raises(ValueError):
-            OrderRule(mode="fixed")
+        # a bool is an int to isinstance; aic_capped never reads fixed_p
+        for fixed_p in (None, True, 0):
+            with pytest.raises(ValueError, match="fixed_p"):
+                OrderRule(mode="fixed", fixed_p=fixed_p)
+        with pytest.raises(ValueError, match="fixed_p"):
+            OrderRule(mode="aic_capped", fixed_p=3)
 
     def test_cap_value(self):
         # floor((2000 / ln 2000)^(1/4)) = 4
@@ -64,7 +68,7 @@ class TestFit:
         m = fit_sieve(ar1_data(5000, seed=3), OrderRule(mode="fixed", fixed_p=1))
         assert m.fit.a[0] == pytest.approx(0.6, abs=0.05)
         assert m.fit.sigma2 == pytest.approx(1.0, rel=0.1)
-        assert m.residual_variance == pytest.approx(1.0, rel=0.1)
+        assert m.filter[2] == pytest.approx(1.0, rel=0.1)
 
     def test_constant_series_rejected(self):
         from sieveboot.series import DegenerateSeriesError
@@ -96,7 +100,7 @@ class TestGeneration:
         e_star = resid[rng_from(15).integers(0, resid.size, 300 + burnin)]
         want = lfilter([1.0], np.concatenate([[1.0], -m.fit.a]), e_star)[burnin:]
         assert np.array_equal(generate_bootstrap_series(m, 300, [15])[0], want)
-        assert m.filter[2] == pytest.approx(m.residual_variance, rel=1e-14)
+        assert m.filter[2] == pytest.approx(np.mean(resid ** 2), rel=1e-14)
 
 
 class TestBootstrapDistribution:
@@ -115,7 +119,7 @@ class TestBootstrapDistribution:
         res = bootstrap_distribution(s, AcvfStatistic(0), B=200,
                                      rule=OrderRule(mode="fixed", fixed_p=1), seed=10)
         m = fit_sieve(s, OrderRule(mode="fixed", fixed_p=1))
-        want = m.residual_variance / (1.0 - m.fit.a[0] ** 2)
+        want = m.filter[2] / (1.0 - m.fit.a[0] ** 2)
         assert res.theta_star == pytest.approx(want, rel=1e-10)
 
     def test_deterministic_given_seed(self):

@@ -8,12 +8,9 @@ from sieveboot import spectral
 from sieveboot.series import Series, sample_acvf
 from sieveboot.spectral import (
     KernelSpec,
-    constant_weight,
-    cosine_weight,
     fourier_quadrature,
     integrated_periodogram,
     kernel_spectral_estimate,
-    periodogram,
     rational_spectral_density,
     ratio_statistic,
     weighted_quadrature,
@@ -26,23 +23,19 @@ def rand_series(n=512, seed=0):
 
 
 class TestPeriodogram:
-    def test_parseval(self):
-        s = rand_series(501, seed=1)
-        pg = periodogram(s)
-        n = s.n
-        full = pg.values[np.minimum(np.arange(n), n - np.arange(n))]
-        lhs = np.sum(full) * 2.0 * np.pi / n
-        rhs = np.mean(s.values ** 2)
-        assert abs(lhs - rhs) <= 1e-9
+    @pytest.mark.parametrize("n", [501, 777, 1024])
+    def test_parseval(self, n):
+        # the ordinates j = 1..n-1 carry the centered second moment; the
+        # quadrature's half weight at pi makes M(I_n, 2) that sum for even n
+        s = rand_series(n, seed=1)
+        assert integrated_periodogram(s, 0) == pytest.approx(sample_acvf(s, 0).gamma[0], rel=1e-12)
 
     def test_nonnegative(self):
-        pg = periodogram(rand_series(256, seed=2))
-        assert np.all(pg.values >= 0)
+        assert np.all(spectral._ordinates(rand_series(256, seed=2)) >= 0)
 
     def test_zero_frequency_is_mean_term(self):
         s = rand_series(100, seed=3)
-        pg = periodogram(s)
-        assert pg.values[0] == pytest.approx(
+        assert spectral._ordinates(s)[0] == pytest.approx(
             s.n * s.values.mean() ** 2 / (2 * np.pi), abs=1e-12)
 
 
@@ -57,23 +50,23 @@ class TestQuadrature:
 
     def test_cosine_functional_tracks_noncentered_acvf(self):
         s = rand_series(1024, seed=4)
-        c = sample_acvf(s, 3, centered=False)
+        x, n = s.values, s.n
         for h in range(4):
-            m = integrated_periodogram(s, cosine_weight(h))
-            assert abs(m - c.gamma[h]) <= 5.0 / s.n
+            c = np.dot(x[: n - h], x[h:]) / n  # n^-1 sum_t X_t X_{t+h}, not centered
+            assert abs(integrated_periodogram(s, h) - c) <= 5.0 / n
 
     def test_alternating_tone(self):
         # X_t = (-1)^t has all spectral mass at pi; the half weight at the
         # endpoint is exactly what keeps the quadrature consistent
         n = 64
         s = Series((-1.0) ** np.arange(1, n + 1))
-        assert integrated_periodogram(s, cosine_weight(0)) == pytest.approx(1.0)
-        assert integrated_periodogram(s, cosine_weight(1)) == pytest.approx(-1.0)
+        assert integrated_periodogram(s, 0) == pytest.approx(1.0)
+        assert integrated_periodogram(s, 1) == pytest.approx(-1.0)
 
     def test_ratio_statistic_normalization(self):
+        # at lag 0 the weight is the constant 2, so R = M(I_n, 2) / M(I_n, 1) = 2
         s = rand_series(400, seed=5)
-        r = ratio_statistic(s, constant_weight(1.0))
-        assert r == pytest.approx(1.0)
+        assert ratio_statistic(s, 0) == pytest.approx(2.0)
 
 
 class TestKernel:
@@ -131,21 +124,20 @@ def _inline_kernel_estimate(s, k, lam):
     return float(np.dot(weights, i_full) * (2.0 * np.pi / n))
 
 
-def _inline_integrated(s, phi):
+def _inline_integrated(s, h):
     freqs, w = _inline_quadrature(s.n)
-    return float(np.dot(w * phi(freqs), _inline_ordinates(s)[1:]))
+    return float(np.dot(w * (2.0 * np.cos(freqs * h)), _inline_ordinates(s)[1:]))
 
 
-def _inline_ratio(s, phi):
+def _inline_ratio(s, h):
     values = _inline_ordinates(s)[1:]
     freqs, w = _inline_quadrature(s.n)
-    return float(np.dot(w * phi(freqs), values)) / float(np.dot(w, values))
+    return float(np.dot(w * (2.0 * np.cos(freqs * h)), values)) / float(np.dot(w, values))
 
 
-def _read_only_arrays(n, k, lam, phi):
-    return [*fourier_quadrature(n), weighted_quadrature(phi, n), spectral._frequencies(n),
-            spectral._even_fold(n), spectral._kernel_weights(k, lam, n),
-            periodogram(rand_series(n)).freqs]
+def _read_only_arrays(n, k, lam, h):
+    return [*fourier_quadrature(n), weighted_quadrature(h, n),
+            spectral._even_fold(n), spectral._kernel_weights(k, lam, n)]
 
 
 class TestCachedArrays:
@@ -168,10 +160,10 @@ class TestCachedArrays:
             intper = statistic_from_config({"name": "intper-cos", "lag": lag})
             for seed in range(3):
                 s = rand_series(n, seed)
-                assert ratio.evaluate(s) == _inline_ratio(s, ratio.phi)
-                assert intper.evaluate(s) == _inline_integrated(s, intper.phi)
+                assert ratio.evaluate(s) == _inline_ratio(s, lag)
+                assert intper.evaluate(s) == _inline_integrated(s, lag)
         s = rand_series(n, 9)
-        assert periodogram(s).values.tolist() == _inline_ordinates(s).tolist()
+        assert spectral._ordinates(s).tolist() == _inline_ordinates(s).tolist()
 
     @pytest.mark.parametrize("n", [63, 64, 2000])
     def test_model_centers_are_the_inline_expressions(self, n):
@@ -181,26 +173,25 @@ class TestCachedArrays:
         for lag in (0, 1, 3):
             ratio = statistic_from_config({"name": "ratio-cos", "lag": lag})
             intper = statistic_from_config({"name": "intper-cos", "lag": lag})
-            weighted = float(np.dot(w * ratio.phi(freqs), fv))
+            weighted = float(np.dot(w * (2.0 * np.cos(freqs * lag)), fv))
             assert ratio.model_center(num, den, sigma2, n) == weighted / float(np.dot(w, fv))
-            assert intper.model_center(num, den, sigma2, n) == float(
-                np.dot(w * intper.phi(freqs), fv))
+            assert intper.model_center(num, den, sigma2, n) == weighted
 
     def test_cached_arrays_are_read_only(self):
-        arrays = _read_only_arrays(64, KernelSpec(bandwidth=0.4), np.pi / 2, cosine_weight(1))
+        arrays = _read_only_arrays(64, KernelSpec(bandwidth=0.4), np.pi / 2, 1)
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 1.0
 
     def test_repeated_keys_share_an_entry(self):
-        k, phi = KernelSpec(bandwidth=0.4), cosine_weight(2)
-        first = _read_only_arrays(128, k, np.pi / 3, phi)
-        again = _read_only_arrays(128, KernelSpec(bandwidth=0.4), np.pi / 3, phi)
+        k = KernelSpec(bandwidth=0.4)
+        first = _read_only_arrays(128, k, np.pi / 3, 2)
+        again = _read_only_arrays(128, KernelSpec(bandwidth=0.4), np.pi / 3, 2)
         # every cached array comes back as the same object; each periodogram's
         # values stay its own
         assert all(a is b for a, b in zip(first, again))
-        assert periodogram(rand_series(128)).values is not periodogram(rand_series(128)).values
+        assert spectral._ordinates(rand_series(128)) is not spectral._ordinates(rand_series(128))
 
     def test_statistics_of_one_lag_share_an_entry(self):
         weighted_quadrature.cache_clear()
@@ -209,13 +200,12 @@ class TestCachedArrays:
         for stat in stats:
             for _ in range(2):
                 stat.evaluate(s)
-        assert stats[0].phi is stats[1].phi is stats[2].phi
         info = weighted_quadrature.cache_info()
         assert (info.hits, info.misses, info.currsize) == (5, 1, 1)
 
     def test_lengths_and_bandwidths_never_share_an_entry(self):
-        k, phi = KernelSpec(bandwidth=0.4), cosine_weight(1)
-        by_length = [_read_only_arrays(n, k, np.pi / 2, phi) for n in (63, 64)]
+        k = KernelSpec(bandwidth=0.4)
+        by_length = [_read_only_arrays(n, k, np.pi / 2, 1) for n in (63, 64)]
         for a, b in zip(*by_length):
             assert a.size != b.size
         narrow = spectral._kernel_weights(KernelSpec(bandwidth=0.3), np.pi / 2, 64)
@@ -223,8 +213,7 @@ class TestCachedArrays:
         assert narrow is not wide and not np.array_equal(narrow, wide)
         other = spectral._kernel_weights(k, np.pi / 4, 64)
         assert not np.array_equal(other, wide)
-        assert not np.array_equal(weighted_quadrature(cosine_weight(2), 64),
-                                  weighted_quadrature(phi, 64))
+        assert not np.array_equal(weighted_quadrature(2, 64), weighted_quadrature(1, 64))
 
 
 class TestModelDensities:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sieveboot.series import DegenerateSeriesError, Series, sample_acf, sample_acvf, sample_mean
+from sieveboot.series import DegenerateSeriesError, Series, sample_acvf
 from sieveboot.statistics import AcfStatistic, AcvfStatistic, MeanStatistic
 
 
@@ -23,7 +23,7 @@ class TestLeanEvaluate:
     @pytest.mark.parametrize("i", PATHS)
     def test_mean_is_np_mean(self, i):
         s = _paths()[i]
-        assert MeanStatistic().evaluate(s) == np.mean(s.values) == sample_mean(s)
+        assert MeanStatistic().evaluate(s) == np.mean(s.values)
 
     @pytest.mark.parametrize("h", range(4))
     @pytest.mark.parametrize("i", PATHS)
@@ -33,17 +33,16 @@ class TestLeanEvaluate:
 
     @pytest.mark.parametrize("h", range(1, 4))
     @pytest.mark.parametrize("i", PATHS)
-    def test_acf_is_sample_acf(self, i, h):
+    def test_acf_is_the_sample_acvf_ratio(self, i, h):
         s = _paths()[i]
-        assert AcfStatistic(h).evaluate(s) == sample_acf(s, h)[h]
+        g = sample_acvf(s, h).gamma
+        assert AcfStatistic(h).evaluate(s) == g[h] / g[0]
 
     @pytest.mark.parametrize("value", [0.0, 2.0, -3.5])
     def test_constant_path_has_no_acf(self, value):
         s = Series(np.full(40, value))
         with pytest.raises(DegenerateSeriesError):
             AcfStatistic(1).evaluate(s)
-        with pytest.raises(DegenerateSeriesError):
-            sample_acf(s, 1)
 
     @pytest.mark.parametrize("statistic", [AcvfStatistic(5), AcfStatistic(5)])
     def test_lag_beyond_the_path_rejected(self, statistic):
