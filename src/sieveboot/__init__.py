@@ -9,7 +9,6 @@ bootstrap engine, the companion-process oracle, Monte Carlo truth runs,
 closed-form asymptotic targets, and a CLI harness that compares all three.
 """
 from .series import (
-    ACVF,
     DegenerateSeriesError,
     EmpiricalLaw,
     Series,
@@ -18,7 +17,6 @@ from .series import (
     sample_acvf,
 )
 from .ar import (
-    ARFit,
     ConditioningError,
     InversionError,
     invert_ar_polynomial,
@@ -26,7 +24,6 @@ from .ar import (
     residuals,
     root_radius,
     wold_factorization,
-    yule_walker_fit,
 )
 from .dgp import (
     Arch1Model,
@@ -50,7 +47,6 @@ from .sieve import (
     fit_sieve,
     generate_bootstrap_series,
     order_cap,
-    select_order,
 )
 from .companion import (
     CompanionSpec,
@@ -67,7 +63,6 @@ from .spectral import (
     rational_spectral_density,
 )
 from .asymptotics import (
-    KurtosisSpec,
     acvf_asymptotic_variance,
     bartlett_variance,
     integrated_periodogram_variance,

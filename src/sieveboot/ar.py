@@ -1,6 +1,7 @@
-"""Autoregressive linear algebra: Yule-Walker fits, polynomial inversion, the
-Wold factorization of a finite MA, and the root radius, from which the
-package decides whether a polynomial has a root in the closed unit disk.
+"""Autoregressive linear algebra: the Levinson-Durbin recursion, AR residuals,
+polynomial inversion, the Wold factorization of a finite MA, and the root
+radius, from which the package decides whether a polynomial has a root in
+the closed unit disk.
 
 Conventions: an AR model of order p is written X_t = sum_k a_k X_{t-k} + e_t,
 with characteristic polynomial A_p(z) = 1 - sum_k a_k z^k. Causality means all
@@ -9,18 +10,15 @@ roots of A_p lie strictly outside the closed unit disk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .series import ACVF, DegenerateSeriesError, Series
+from .series import DegenerateSeriesError, Series
 
 __all__ = [
     "ConditioningError",
     "InversionError",
-    "ARFit",
     "levinson_durbin",
-    "yule_walker_fit",
     "invert_ar_polynomial",
     "root_radius",
     "check_roots_outside_disk",
@@ -35,23 +33,6 @@ class ConditioningError(ArithmeticError):
 
 class InversionError(ValueError):
     """Raised when an AR polynomial has a root in the closed unit disk."""
-
-
-@dataclass(frozen=True)
-class ARFit:
-    """Order-p autoregressive coefficients with innovation variance."""
-
-    p: int
-    a: np.ndarray
-    sigma2: float
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.size != self.p:
-            raise ValueError("coefficient vector length must equal p")
-        if self.sigma2 < 0:
-            raise ValueError("innovation variance must be nonnegative")
-        object.__setattr__(self, "a", a)
 
 
 def levinson_durbin(gamma: np.ndarray, p: int):
@@ -80,14 +61,6 @@ def levinson_durbin(gamma: np.ndarray, p: int):
                 f"prediction variance collapsed at order {k}: {sigma2s[k]:.3e}"
             )
     return a, sigma2s
-
-
-def yule_walker_fit(acvf: ACVF, p: int) -> ARFit:
-    """Order-p Yule-Walker fit from an autocovariance sequence."""
-    if acvf.maxlag < p:
-        raise ValueError(f"acvf must cover lags 0..{p}")
-    a, sigma2s = levinson_durbin(acvf.gamma, p)
-    return ARFit(p=p, a=a, sigma2=float(sigma2s[p]))
 
 
 def invert_ar_polynomial(a, L: int) -> np.ndarray:
@@ -173,20 +146,22 @@ def wold_factorization(b, sigma2: float = 1.0):
     return num, sigma2 * float(np.prod(size[inside] ** 2)), psi
 
 
-def residuals(s: Series, fit: ARFit) -> np.ndarray:
-    """Centered residuals of the AR fit: X_t - sum a_j X_{t-j}, t > p.
+def residuals(s: Series, a) -> np.ndarray:
+    """Centered residuals X_t - sum_j a_j X_{t-j}, t > p, of the AR
+    coefficients a = (a_1..a_p).
 
     The output has mean zero to machine precision (the mean is removed twice
     to absorb rounding of the first pass).
     """
-    n, p = s.n, fit.p
+    a = np.asarray(a, dtype=float)
+    n, p = s.n, a.size
     if n <= p:
         raise ValueError(f"series length {n} must exceed fit order {p}")
     x = s.values
     if p == 0:
         res = x.copy()
     else:
-        res = x[p:] - np.correlate(x, fit.a[::-1], mode="valid")[:-1]
+        res = x[p:] - np.correlate(x, a[::-1], mode="valid")[:-1]
     res = res - res.mean()
     res -= res.mean()
     return res

@@ -7,16 +7,13 @@ the bootstrap delivers from what the data demand.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .series import ACVF
 from .spectral import KernelSpec
 
 __all__ = [
-    "KurtosisSpec",
     "acvf_asymptotic_variance",
     "bartlett_variance",
     "integrated_periodogram_variance",
@@ -28,37 +25,33 @@ __all__ = [
 _QUAD_POINTS = 2048
 
 
-@dataclass(frozen=True)
-class KurtosisSpec:
-    """Excess kurtosis E xi^4 / (E xi^2)^2 - 3 of a designated innovation law."""
-
-    excess: float = 0.0
-
-    def __post_init__(self):
-        if self.excess < -2.0:
-            raise ValueError("excess kurtosis cannot be below -2")
-
-
 def _quad_grid():
     lam = (np.arange(_QUAD_POINTS) + 0.5) * np.pi / _QUAD_POINTS
     return lam, np.pi / _QUAD_POINTS
 
 
-def _truncation_lags(acvf: ACVF) -> int:
-    g = np.abs(acvf.gamma)
+def _symmetric(seq: np.ndarray):
+    """k -> seq[|k|] as a float, zero past the last stored lag."""
+    return lambda k: float(seq[abs(k)]) if abs(k) < seq.size else 0.0
+
+
+def _truncation_lags(gamma: np.ndarray) -> int:
+    g = np.abs(gamma)
     keep = np.nonzero(g >= 1e-12 * g[0])[0]
     return int(keep[-1]) if keep.size else 0
 
 
-def acvf_asymptotic_variance(acvf: ACVF, h: int, kappa: KurtosisSpec) -> float:
-    """kappa * gamma(h)^2 + sum_k (gamma(k)^2 + gamma(k+h) gamma(k-h)).
+def acvf_asymptotic_variance(gamma, h: int, kappa: float) -> float:
+    """kappa * gamma(h)^2 + sum_k (gamma(k)^2 + gamma(k+h) gamma(k-h)), gamma
+    extended by gamma(-k) = gamma(k) and by zero past its last lag.
 
     With kappa the innovation excess kurtosis this is the variance of
     sqrt(n)(gamma_hat(h) - gamma(h)) for a linear or companion process.
     """
-    g = acvf.__getitem__
-    K = _truncation_lags(acvf) + abs(h)
-    total = kappa.excess * g(h) ** 2
+    gamma = np.asarray(gamma, dtype=float)
+    g = _symmetric(gamma)
+    K = _truncation_lags(gamma) + abs(h)
+    total = kappa * g(h) ** 2
     for k in range(-K, K + 1):
         total += g(k) ** 2 + g(k + h) * g(k - h)
     return float(total)
@@ -69,11 +62,7 @@ def bartlett_variance(acf, h: int) -> float:
     rho_arr = np.asarray(acf, dtype=float)
     if abs(rho_arr[0] - 1.0) > 1e-12:
         raise ValueError("acf must start with rho(0) = 1")
-
-    def rho(k: int) -> float:
-        k = abs(k)
-        return float(rho_arr[k]) if k < rho_arr.size else 0.0
-
+    rho = _symmetric(rho_arr)
     K = rho_arr.size + abs(h)
     rh = rho(h)
     total = 0.0
@@ -84,13 +73,13 @@ def bartlett_variance(acf, h: int) -> float:
     return float(total)
 
 
-def integrated_periodogram_variance(f: Callable, h: int, kappa: KurtosisSpec) -> float:
+def integrated_periodogram_variance(f: Callable, h: int, kappa: float) -> float:
     """kappa (int_0^pi phi f)^2 + 2 pi int_0^pi phi^2 f^2 with phi = 2cos(. h),
     fixed-grid quadrature."""
     lam, dl = _quad_grid()
     fv = np.asarray(f(lam), dtype=float)
     pv = 2.0 * np.cos(lam * h)
-    first = kappa.excess * (np.sum(pv * fv) * dl) ** 2
+    first = kappa * (np.sum(pv * fv) * dl) ** 2
     second = 2.0 * np.pi * np.sum(pv ** 2 * fv ** 2) * dl
     return float(first + second)
 

@@ -9,8 +9,9 @@ starting at 1 and with no root in the closed unit disk; num(z) / den(z) is
 then the MA(infinity) form of the AR(infinity) process den(z) / num(z) X = eps.
 The noise eps is any i.i.d. law of the noise protocol of ``dgp``: an
 ``InnovationSpec`` family, or a ``ResampledRecord`` of Wold innovations. The
-sieve bootstrap process is itself such a companion: the fitted filter
-1 / (1 - sum a_k z^k) driven by a ``ResampledRecord`` of its residuals.
+fitted sieve is itself such a companion: ``sieve.SieveModel`` is a
+``CompanionSpec`` holding the fitted filter 1 / (1 - sum a_k z^k) driven by a
+``ResampledRecord`` of its residuals.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ import numpy as np
 
 from . import dgp
 from .ar import check_roots_outside_disk, invert_ar_polynomial
-from .series import ACVF
 
 __all__ = [
     "CompanionSpec",
@@ -68,7 +68,7 @@ class CompanionSpec:
         return build_companion(self, n, seeds)
 
 
-def rational_acvf(num, den, sigma2: float, maxlag: int | None = None) -> ACVF:
+def rational_acvf(num, den, sigma2: float, maxlag: int | None = None) -> np.ndarray:
     """Autocovariances gamma(h) = sigma2 sum_j psi_j psi_{j+h} of the process
     [num(z) / den(z)] eps, psi being the filter's impulse response, for
     h = 0..maxlag.
@@ -99,9 +99,8 @@ def rational_acvf(num, den, sigma2: float, maxlag: int | None = None) -> ACVF:
             raise ValueError(f"the impulse response of 1 / den(z) is still {tail / head:.3g} of "
                              "its peak at lag 10^4: a root of den lies too near the unit circle")
         maxlag = psi.size - 1
-    gamma = np.array([sigma2 * np.dot(psi[: psi.size - h], psi[h:]) if h < psi.size else 0.0
-                      for h in range(maxlag + 1)])
-    return ACVF(gamma=gamma)
+    return np.array([sigma2 * np.dot(psi[: psi.size - h], psi[h:]) if h < psi.size else 0.0
+                     for h in range(maxlag + 1)])
 
 
 def _draw_rows(noise, seeds, width: int) -> np.ndarray:

@@ -12,8 +12,8 @@ its companion process as a ``CompanionSpec``, and ``kurtoses``, the excess
 kurtoses (kappa_e, kappa_eps) of its i.i.d. noise and of its Wold
 innovations, None where no closed form applies.
 
-Process protocol: a process -- a DGP model here, a ``CompanionSpec`` or a
-fitted ``SieveModel`` -- has ``filter``, the rational filter
+Process protocol: a process -- a DGP model here or a ``CompanionSpec``, the
+fitted ``SieveModel`` included -- has ``filter``, the rational filter
 (num, den, sigma2) of X = [num(z) / den(z)] eps with Var(eps) = sigma2 that
 carries its second-order structure, and ``simulate(n, seeds)``, a
 C-contiguous (len(seeds), n) float array whose row j is the path of
@@ -21,9 +21,9 @@ seeds[j]. A row does not depend on the other seeds, so a path is the same
 whatever block it is simulated in. ``LinearModel`` fills the block one
 ``simulate_linear`` call per seed, or one ``simulate_ar`` call when it has a
 denominator. ``Arch1Model`` steps all its paths one time step at a time.
-``CompanionSpec`` and ``SieveModel`` draw each path's innovations from
-their noise into one row of a block and filter the block with one
-``filter_rows`` call, which is one ``lfilter`` call bit for bit.
+A ``CompanionSpec`` draws each path's innovations from its noise into one
+row of a block and filters the block with one ``filter_rows`` call, which is
+one ``lfilter`` call bit for bit.
 ``replicate`` alone decides the block size: it runs over consecutive chunks
 of ``max(1, BATCH_VALUES // n)`` paths, derives the chunk's seeds, simulates
 them in one ``simulate`` call and evaluates the statistic once per row.

@@ -224,9 +224,10 @@ def compute_targets(model, statistic) -> dict:
 
 def _validate_checks(checks, targets: dict) -> None:
     """Reject, naming the check, any check that could not be evaluated: an
-    unknown kind, a missing field, an unknown method or pair, a target_id
-    that is not a string or names a target the model and statistic do not
-    produce, or a tol, lo, hi or bound that is not a number."""
+    unknown kind, a missing field or one its kind does not read, an unknown
+    method or pair, a target_id that is not a string or names a target the
+    model and statistic do not produce, or a tol, lo, hi or bound that is
+    not a number or is NaN."""
     for i, check in enumerate(checks):
         cid = check.get("id")
         if cid is None:
@@ -238,6 +239,10 @@ def _validate_checks(checks, targets: dict) -> None:
         missing = [f for f in _CHECK_FIELDS[kind] if f not in check]
         if missing:
             raise ConfigError(f"check {cid!r}: missing fields {missing}")
+        extra = set(check) - {"id", "kind", *_CHECK_FIELDS[kind]}
+        if extra:
+            raise ConfigError(f"check {cid!r}: unknown fields {sorted(extra, key=str)} for kind "
+                              f"{kind!r}; known: id, kind, {', '.join(_CHECK_FIELDS[kind])}")
         for f in ("method", "num", "den"):
             if f in _CHECK_FIELDS[kind] and check[f] not in _METHODS:
                 raise ConfigError(f"check {cid!r}: unknown {f} {check[f]!r}; "
@@ -247,8 +252,10 @@ def _validate_checks(checks, targets: dict) -> None:
                               f"known: {', '.join(_DK_PAIRS)}")
         for f in ("tol", "lo", "hi", "bound"):
             if f in _CHECK_FIELDS[kind] and (isinstance(check[f], bool)
-                                            or not isinstance(check[f], (int, float))):
-                raise ConfigError(f"check {cid!r}: {f} must be a number, got {check[f]!r}")
+                                            or not isinstance(check[f], (int, float))
+                                            or math.isnan(check[f])):
+                raise ConfigError(f"check {cid!r}: {f} must be a number, not NaN, "
+                                  f"got {check[f]!r}")
         if kind == "var_close" and not isinstance(check["target_id"], str):
             raise ConfigError(f"check {cid!r}: target_id must be a string, "
                               f"got {check['target_id']!r}")

@@ -13,7 +13,6 @@ import numpy as np
 __all__ = [
     "DegenerateSeriesError",
     "Series",
-    "ACVF",
     "EmpiricalLaw",
     "sample_acvf",
     "kolmogorov_distance",
@@ -45,30 +44,6 @@ class Series:
 
 
 @dataclass(frozen=True)
-class ACVF:
-    """An autocovariance sequence gamma(0..L), empirical or theoretical."""
-
-    gamma: np.ndarray
-
-    def __post_init__(self):
-        gamma = np.asarray(self.gamma, dtype=float)
-        if gamma.ndim != 1 or gamma.size < 1:
-            raise ValueError("acvf must be a nonempty 1-d array")
-        if gamma[0] < 0:
-            raise ValueError("gamma(0) must be nonnegative")
-        object.__setattr__(self, "gamma", gamma)
-
-    @property
-    def maxlag(self) -> int:
-        return self.gamma.size - 1
-
-    def __getitem__(self, h: int) -> float:
-        """gamma(h), extending with zero beyond the stored range."""
-        h = abs(int(h))
-        return float(self.gamma[h]) if h < self.gamma.size else 0.0
-
-
-@dataclass(frozen=True)
 class EmpiricalLaw:
     """A sorted sample with uniform weights, evaluated as a right-continuous cdf."""
 
@@ -95,8 +70,8 @@ class EmpiricalLaw:
         return float(np.mean(self.sample))
 
 
-def sample_acvf(s: Series, maxlag: int) -> ACVF:
-    """Biased sample autocovariances up to ``maxlag``."""
+def sample_acvf(s: Series, maxlag: int) -> np.ndarray:
+    """Biased sample autocovariances gamma(0..maxlag)."""
     n = s.n
     if not 0 <= maxlag < n:
         raise ValueError(f"maxlag must satisfy 0 <= maxlag < n, got {maxlag} with n={n}")
@@ -104,7 +79,7 @@ def sample_acvf(s: Series, maxlag: int) -> ACVF:
     gamma = np.empty(maxlag + 1)
     for h in range(maxlag + 1):
         gamma[h] = np.dot(x[: n - h], x[h:]) / n
-    return ACVF(gamma=gamma)
+    return gamma
 
 
 def kolmogorov_distance(f: EmpiricalLaw, g: EmpiricalLaw) -> float:

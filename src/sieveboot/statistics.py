@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import (
-    KurtosisSpec,
     acvf_asymptotic_variance,
     bartlett_variance,
     integrated_periodogram_variance,
@@ -64,9 +63,9 @@ def _number(value, name: str) -> float:
 
 
 def _kurtosis_targets(variance, prefix: str, kappa_e, kappa_eps) -> dict:
-    """{prefix}_linear and {prefix}_companion: variance(KurtosisSpec(kappa))
-    at the raw- and Wold-innovation kurtoses, where known."""
-    return {f"{prefix}_{kind}": variance(KurtosisSpec(kappa))
+    """{prefix}_linear and {prefix}_companion: variance(kappa) at the raw- and
+    Wold-innovation excess kurtoses, where known."""
+    return {f"{prefix}_{kind}": variance(kappa)
             for kind, kappa in (("linear", kappa_e), ("companion", kappa_eps)) if kappa is not None}
 
 
@@ -170,7 +169,7 @@ class AcvfStatistic(Statistic):
         return float(np.dot(x[: x.size - self.h], x[self.h:]) / x.size)
 
     def model_center(self, num, den, sigma2, n):
-        return rational_acvf(num, den, sigma2, self.h)[self.h]
+        return float(rational_acvf(num, den, sigma2, self.h)[self.h])
 
     def targets(self, num, den, sigma2, kappa_e, kappa_eps):
         gamma = _target_acvf(num, den, sigma2, "acvf_variance_linear", "acvf_variance_companion")
@@ -198,12 +197,12 @@ class AcfStatistic(Statistic):
 
     def model_center(self, num, den, sigma2, n):
         gamma = rational_acvf(num, den, sigma2, self.h)
-        return gamma[self.h] / gamma[0]
+        return float(gamma[self.h] / gamma[0])
 
     def targets(self, num, den, sigma2, kappa_e, kappa_eps):
         if kappa_e is None:  # Bartlett's formula holds only for linear processes
             return {}
-        gamma = _target_acvf(num, den, sigma2, "bartlett_variance").gamma
+        gamma = _target_acvf(num, den, sigma2, "bartlett_variance")
         return {"bartlett_variance": bartlett_variance(gamma / gamma[0], self.h)}
 
 
@@ -309,8 +308,6 @@ def statistic_from_config(cfg) -> Statistic:
     is not an integer (>= 1 for acf, >= 0 otherwise), or a lambda outside
     [0, pi] or a bandwidth outside (0, pi], NaN included.
     """
-    if isinstance(cfg, Statistic):
-        return cfg
     if not isinstance(cfg, dict):
         raise ValueError(f"statistic must be an object, got {cfg!r}")
     cfg = dict(cfg)

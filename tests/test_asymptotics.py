@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sieveboot.asymptotics import (
-    KurtosisSpec,
     acvf_asymptotic_variance,
     bartlett_variance,
     integrated_periodogram_variance,
@@ -13,11 +12,10 @@ from sieveboot.asymptotics import (
 )
 from sieveboot.dgp import Arch1Model, InnovationSpec, LinearModel, model_from_json
 from sieveboot.experiment import compute_targets, list_presets, preset_config
-from sieveboot.series import ACVF
 from sieveboot.spectral import KernelSpec
 from sieveboot.statistics import MeanStatistic, bootstrap_verdict, statistic_from_config
 
-MA1 = ACVF(np.array([5.0, -2.0, 0.0]))
+MA1 = np.array([5.0, -2.0, 0.0])
 
 
 def ma1_density(lam):
@@ -45,36 +43,38 @@ class TestKurtosisTransfer:
         assert LinearModel(b=(0.5, -0.2), innovations=exponential).kurtoses == (6.0, 6.0)
         assert LinearModel(a=(0.5,), innovations=exponential).kurtoses == (6.0, 6.0)
 
-    def test_kurtosis_floor(self):
-        with pytest.raises(ValueError):
-            KurtosisSpec(-2.5)
-
 
 class TestAcvfVariance:
     def test_ma1_trio(self):
         # same second-order functional, three kurtosis values: the whole
         # validity/failure story for the lag-0 autocovariance in one formula
-        assert acvf_asymptotic_variance(MA1, 0, KurtosisSpec(0.0)) == pytest.approx(66.0)
-        assert acvf_asymptotic_variance(MA1, 0, KurtosisSpec(2.4)) == pytest.approx(126.0)
-        assert acvf_asymptotic_variance(MA1, 0, KurtosisSpec(6.0)) == pytest.approx(216.0)
+        assert acvf_asymptotic_variance(MA1, 0, 0.0) == pytest.approx(66.0)
+        assert acvf_asymptotic_variance(MA1, 0, 2.4) == pytest.approx(126.0)
+        assert acvf_asymptotic_variance(MA1, 0, 6.0) == pytest.approx(216.0)
 
     def test_ma1_lag1_gaussian(self):
         # sum_k (gamma(k)^2 + gamma(k+1) gamma(k-1)) = 25 + 2*4 + 4 = 37
-        assert acvf_asymptotic_variance(MA1, 1, KurtosisSpec(0.0)) == pytest.approx(37.0)
+        assert acvf_asymptotic_variance(MA1, 1, 0.0) == pytest.approx(37.0)
+
+    def test_lags_past_the_array_are_zero(self):
+        # gamma = (5, -2) with no trailing zero: at h = 1 the sum runs to
+        # k = K = 2 and reads gamma(3), past the array, as 0
+        assert acvf_asymptotic_variance(np.array([5.0, -2.0]), 1, 0.0) == 37.0
+        assert acvf_asymptotic_variance([5.0, -2.0], 0, 2.4) == acvf_asymptotic_variance(MA1, 0, 2.4)
 
     def test_white_noise_lag0(self):
-        g = ACVF(np.array([2.0]))
+        g = np.array([2.0])
         # kappa*gamma0^2 + 2*gamma0^2
-        assert acvf_asymptotic_variance(g, 0, KurtosisSpec(1.0)) == pytest.approx(12.0)
+        assert acvf_asymptotic_variance(g, 0, 1.0) == pytest.approx(12.0)
 
     def test_lag_symmetry(self):
-        k = KurtosisSpec(2.4)
+        k = 2.4
         assert acvf_asymptotic_variance(MA1, 1, k) == acvf_asymptotic_variance(MA1, -1, k)
 
 
 class TestBartlett:
     def test_ma1_value(self):
-        rho = MA1.gamma / MA1.gamma[0]
+        rho = MA1 / MA1[0]
         # 1 - 3 rho(1)^2 + 4 rho(1)^4 at rho(1) = -0.4
         assert bartlett_variance(rho, 1) == pytest.approx(0.6224)
 
@@ -104,7 +104,7 @@ class TestFrequencyDomain:
         # kappa (2 pi sigma2/2 pi)^2 + 2 pi * pi * 4 (sigma2/2 pi)^2 = kappa sigma4 + 2 sigma4
         sigma2 = 3.0
         f = lambda lam: np.full_like(np.asarray(lam, dtype=float), sigma2 / (2 * np.pi))
-        v = integrated_periodogram_variance(f, 0, KurtosisSpec(2.0))
+        v = integrated_periodogram_variance(f, 0, 2.0)
         assert v == pytest.approx(2.0 * sigma2 ** 2 + 2.0 * sigma2 ** 2, rel=1e-6)
 
     def test_ratio_variance_kurtosis_free_value(self):

@@ -55,18 +55,18 @@ class TestModelAcvf:
     def test_ar1_closed_form(self):
         g = rational_acvf([1.0], [1.0, -0.5], 1.0, 5)
         want = 0.5 ** np.arange(6) / 0.75
-        assert np.allclose(g.gamma, want, rtol=1e-10)
+        assert np.allclose(g, want, rtol=1e-10)
 
     def test_white_noise(self):
         g = rational_acvf([1.0], [1.0], 3.0, 2)
-        assert np.allclose(g.gamma, [3.0, 0.0, 0.0])
+        assert np.allclose(g, [3.0, 0.0, 0.0])
 
     def test_ma1_companion_acvf_matches_original_process(self):
         # the companion process shares all second-order properties with the
         # noninvertible MA(1): gamma(0)=5, gamma(1)=-2, gamma(h>=2)=0
         den = np.concatenate([[1.0], 0.5 ** np.arange(1, 61)])
         g = rational_acvf([1.0], den, 4.0, 4)
-        assert np.allclose(g.gamma, [5.0, -2.0, 0.0, 0.0, 0.0], atol=1e-10)
+        assert np.allclose(g, [5.0, -2.0, 0.0, 0.0, 0.0], atol=1e-10)
 
 
 # Reciprocal roots strictly inside the unit disk: prod_i (1 - r_i z) = np.poly(r)
@@ -98,7 +98,7 @@ class TestRationalFilterProperties:
     def test_invertible_ma_companion_acvf(self, roots, scale):
         b = np.poly(roots)[1:]
         spec = companion_spec_for(LinearModel(b=tuple(b), innovations=InnovationSpec(scale=scale)), 0)
-        got = rational_acvf(*spec.filter, 6).gamma
+        got = rational_acvf(*spec.filter, 6)
         c = np.concatenate([[1.0], b])
         want = scale ** 2 * np.correlate(c, c, "full")[b.size:]
         assert np.allclose(got[: want.size], want, rtol=1e-12, atol=1e-12)
@@ -109,13 +109,13 @@ class TestRationalFilterProperties:
     def test_stable_ar_companion_acvf(self, roots, scale):
         a = -np.poly(roots)[1:]
         spec = companion_spec_for(LinearModel(a=tuple(a), innovations=InnovationSpec(scale=scale)), 0)
-        got = rational_acvf(*spec.filter, 8).gamma
+        got = rational_acvf(*spec.filter, 8)
         want = _ar_acvf_by_yule_walker(a, scale ** 2, 8)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * want[0])
 
     def test_ma1_example_companion_acvf(self):
         spec = ma1_model().companion(0)
-        got = rational_acvf(spec.num, spec.den, 4.0, 5).gamma
+        got = rational_acvf(spec.num, spec.den, 4.0, 5)
         assert np.array_equal(got, [5.0, -2.0, 0.0, 0.0, 0.0, 0.0])
 
     @settings(max_examples=60, deadline=None)
@@ -163,9 +163,9 @@ class TestMa1Companion:
     def test_path_second_order_structure(self, spec):
         x = Series(build_companion(spec, 100_000, [4])[0])
         g = sample_acvf(x, 2)
-        assert g.gamma[0] == pytest.approx(5.0, rel=0.05)
-        assert g.gamma[1] == pytest.approx(-2.0, rel=0.1)
-        assert abs(g.gamma[2]) < 0.15
+        assert g[0] == pytest.approx(5.0, rel=0.05)
+        assert g[1] == pytest.approx(-2.0, rel=0.1)
+        assert abs(g[2]) < 0.15
 
     def test_build_deterministic(self, spec):
         x1 = build_companion(spec, 500, [5])

@@ -445,7 +445,6 @@ class TestReplicate:
     @pytest.mark.parametrize("kind", sorted(BLOCK_PROCESSES))
     def test_a_row_of_a_block_is_the_path_of_its_seed(self, kind):
         spec = BLOCK_PROCESSES[kind]()
-        spec = getattr(spec, "bootstrap_process", spec)
         seeds = [derive_seed(5, KEY_TRUTH, i) for i in range(4)]
         block = build_companion(spec, 90, seeds)
         assert block.shape == (4, 90) and block.flags.c_contiguous

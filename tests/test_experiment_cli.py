@@ -160,6 +160,22 @@ BAD_CHECKS = [
      r"c1.*target_id must be a string, got \['a'\]"),
     ({"id": ["c"], "kind": "dk_le", "pair": "bootstrap_truth", "bound": 0.1},
      r"check #0: id must be a string, got \['c'\]"),
+    # a field the check's kind does not read
+    ({"id": "c1", "kind": "var_close", "method": "truth", "target_id": "acvf_variance_companion",
+      "tol": 0.1, "expected": False}, r"c1.*unknown fields \['expected'\] for kind 'var_close'"),
+    ({"id": "c1", "kind": "dk_le", "pair": "bootstrap_truth", "bound": 0.1, "tol": 0.1},
+     r"c1.*unknown fields \['tol'\] for kind 'dk_le'"),
+    ({"id": "c1", "kind": "var_ratio", "num": "truth", "den": "oracle", "lo": 0.5, "hi": 2.0,
+      "method": "truth", "bound": 1.0}, r"c1.*unknown fields \['bound', 'method'\]"),
+    # a NaN threshold, which no value passes or fails as meant
+    ({"id": "c1", "kind": "var_close", "method": "truth",
+      "target_id": "acvf_variance_companion", "tol": float("nan")}, "c1.*tol must be a number"),
+    ({"id": "c1", "kind": "var_ratio", "num": "truth", "den": "oracle",
+      "lo": float("nan"), "hi": 2.0}, "c1.*lo must be a number"),
+    ({"id": "c1", "kind": "var_ratio", "num": "truth", "den": "oracle",
+      "lo": 0.5, "hi": float("nan")}, "c1.*hi must be a number"),
+    ({"id": "c1", "kind": "dk_gt", "pair": "bootstrap_truth", "bound": float("nan")},
+     "c1.*bound must be a number, not NaN"),
 ]
 
 # Malformed model documents and the field each rejection names.

@@ -6,7 +6,6 @@ from hypothesis.extra.numpy import arrays
 from scipy.stats import kstwobign
 
 from sieveboot.series import (
-    ACVF,
     EmpiricalLaw,
     Series,
     kolmogorov_distance,
@@ -36,19 +35,6 @@ class TestSeries:
         assert s.values.dtype == float
 
 
-class TestACVF:
-    def test_extension_with_zero(self):
-        g = ACVF(np.array([5.0, -2.0]))
-        assert g[0] == 5.0
-        assert g[1] == -2.0
-        assert g[-1] == -2.0  # symmetry
-        assert g[7] == 0.0    # beyond stored range
-
-    def test_negative_gamma0_rejected(self):
-        with pytest.raises(ValueError):
-            ACVF(np.array([-1.0]))
-
-
 class TestMoments:
     def test_sample_acvf_matches_direct_sums(self):
         # oracle: direct O(n^2)-style dot products with 1/n normalization
@@ -56,7 +42,7 @@ class TestMoments:
         x = s.values - s.values.mean()
         g = sample_acvf(s, 5)
         for h in range(6):
-            assert g.gamma[h] == pytest.approx(np.dot(x[: 100 - h], x[h:]) / 100, abs=1e-12)
+            assert g[h] == pytest.approx(np.dot(x[: 100 - h], x[h:]) / 100, abs=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(arrays(float, st.integers(20, 60), elements=finite_floats))
@@ -66,8 +52,8 @@ class TestMoments:
         g = sample_acvf(s, min(10, s.n - 1))
         from scipy.linalg import toeplitz
 
-        eig = np.linalg.eigvalsh(toeplitz(g.gamma))
-        assert eig.min() >= -1e-8 * max(g.gamma[0], 1.0)
+        eig = np.linalg.eigvalsh(toeplitz(g))
+        assert eig.min() >= -1e-8 * max(g[0], 1.0)
 
 
 class TestEmpiricalLaw:
