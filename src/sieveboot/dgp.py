@@ -26,7 +26,9 @@ row of a block and filters the block with one ``filter_rows`` call, which is
 one ``lfilter`` call bit for bit.
 ``replicate`` alone decides the block size: it runs over consecutive chunks
 of ``max(1, BATCH_VALUES // n)`` paths, derives the chunk's seeds, simulates
-them in one ``simulate`` call and evaluates the statistic once per row.
+them in one ``simulate`` call, checks the whole block finite once and
+evaluates the statistic once per row, on the row array itself. A ``Series``
+is the validated type of a lone data path, not of a simulated row.
 
 Seeding: every simulator is deterministic given (model, n, seed). Distinct
 replications must use distinct derived seeds; the canonical derivation rule is
@@ -225,16 +227,25 @@ def replicate(process, statistic, n: int, count: int, seed: SeedLike, key: int):
 
     The paths are simulated in consecutive chunks of ``max(1, BATCH_VALUES
     // n)``, one ``process.simulate`` call per chunk. Each block is built and
-    consumed in one statement, so it is freed before the next is built.
+    handed to ``_evaluate_rows`` in one statement, so no name holds it and it
+    is freed before the next is built.
     """
     theta = statistic.model_center(*process.filter, n)
     vals = np.empty(count)
     rows = max(1, BATCH_VALUES // n)
     for lo in range(0, count, rows):
         hi = min(lo + rows, count)
-        vals[lo:hi] = [statistic.evaluate(Series(path))
-                       for path in process.simulate(n, derive_seeds(seed, key, lo, hi))]
+        vals[lo:hi] = _evaluate_rows(statistic,
+                                     process.simulate(n, derive_seeds(seed, key, lo, hi)))
     return EmpiricalLaw(statistic.rate(n) * (vals - theta)), float(theta)
+
+
+def _evaluate_rows(statistic, block: np.ndarray) -> list:
+    """``statistic.evaluate`` of each row of a simulated block, after one
+    finiteness check of the whole block, the check ``Series`` makes of a path."""
+    if not np.isfinite(block).all():
+        raise ValueError("series values must be finite")
+    return [statistic.evaluate(path) for path in block]
 
 
 def rng_from(seed: SeedLike) -> np.random.Generator:
@@ -454,8 +465,9 @@ def filter_rows(b, a, x) -> np.ndarray:
     return out
 
 
-def simulate_linear(model: LinearModel, n: int, seed: SeedLike) -> Series:
-    """Simulate the finite MA X_t = e_t + sum_j b_j e_{t-j}, ``model.a`` empty.
+def simulate_linear(model: LinearModel, n: int, seed: SeedLike) -> np.ndarray:
+    """The path array of the finite MA X_t = e_t + sum_j b_j e_{t-j},
+    ``model.a`` empty.
 
     q pre-sample innovations are drawn so that X_1 already uses a full window.
     The filter is the full convolution cut to the outputs that see all q + 1
@@ -464,24 +476,22 @@ def simulate_linear(model: LinearModel, n: int, seed: SeedLike) -> Series:
     """
     q = len(model.b)
     e_full = model.innovations.draw(n + q, seed)
-    x = np.convolve(np.concatenate([[1.0], model.b]), e_full)[q:n + q]
-    return Series(x)
+    return np.convolve(np.concatenate([[1.0], model.b]), e_full)[q:n + q]
 
 
-def simulate_ar(model: LinearModel, n: int, seed: SeedLike) -> Series:
-    """The recursion [b(z) / a(z)] e from zero initial state; the first
-    ``default_burnin(max(p, q))`` values are dropped."""
+def simulate_ar(model: LinearModel, n: int, seed: SeedLike) -> np.ndarray:
+    """The recursion [b(z) / a(z)] e from zero initial state, as the array of
+    the path; the first ``default_burnin(max(p, q))`` values are dropped."""
     burnin = default_burnin(max(len(model.a), len(model.b)))
     e = model.innovations.draw(n + burnin, seed)
-    x = filter_rows(*model.filter[:2], e)[burnin:]
-    return Series(x)
+    return filter_rows(*model.filter[:2], e)[burnin:]
 
 
 def _path_by_path(simulate_path, model, n: int, seeds) -> np.ndarray:
     """(len(seeds), n): row j is ``simulate_path(model, n, seeds[j])``."""
     out = np.empty((len(seeds), n))
     for row, s in zip(out, seeds):
-        row[:] = simulate_path(model, n, s).values
+        row[:] = simulate_path(model, n, s)
     return out
 
 

@@ -48,6 +48,16 @@ _CHECK_FIELDS = {
     "dk_le": ("pair", "bound"),
     "dk_gt": ("pair", "bound"),
 }
+# The numeric fields among them.
+_THRESHOLDS = ("tol", "lo", "hi", "bound")
+# Per check kind, the thresholds no value can pass and the rule they break: a
+# relative error and a Kolmogorov distance lie in [0, inf) and [0, 1].
+_UNPASSABLE = {
+    "var_close": (lambda c: c["tol"] < 0, "tol must be >= 0"),
+    "var_ratio": (lambda c: c["lo"] > c["hi"], "lo must be <= hi"),
+    "dk_le": (lambda c: c["bound"] < 0, "bound must be >= 0"),
+    "dk_gt": (lambda c: c["bound"] >= 1, "bound must be < 1"),
+}
 # JSON kind of each annotated config field type, and how errors name it.
 _FIELD_KINDS = {"str": (str, "a string"), "dict": (dict, "an object"), "int": (int, "an integer"),
                 "tuple": ((list, tuple), "a list")}
@@ -226,8 +236,10 @@ def _validate_checks(checks, targets: dict) -> None:
     """Reject, naming the check, any check that could not be evaluated: an
     unknown kind, a missing field or one its kind does not read, an unknown
     method or pair, a target_id that is not a string or names a target the
-    model and statistic do not produce, or a tol, lo, hi or bound that is
-    not a number or is NaN."""
+    model and statistic do not produce, a tol, lo, hi or bound that is
+    not a number or is NaN, or thresholds that no value can pass: a
+    negative tol or dk_le bound, a dk_gt bound of 1 or more (a Kolmogorov
+    distance lies in [0, 1]) or a var_ratio lo above its hi."""
     for i, check in enumerate(checks):
         cid = check.get("id")
         if cid is None:
@@ -250,12 +262,16 @@ def _validate_checks(checks, targets: dict) -> None:
         if "pair" in _CHECK_FIELDS[kind] and check["pair"] not in _DK_PAIRS:
             raise ConfigError(f"check {cid!r}: unknown pair {check['pair']!r}; "
                               f"known: {', '.join(_DK_PAIRS)}")
-        for f in ("tol", "lo", "hi", "bound"):
+        for f in _THRESHOLDS:
             if f in _CHECK_FIELDS[kind] and (isinstance(check[f], bool)
                                             or not isinstance(check[f], (int, float))
                                             or math.isnan(check[f])):
                 raise ConfigError(f"check {cid!r}: {f} must be a number, not NaN, "
                                   f"got {check[f]!r}")
+        unpassable, rule = _UNPASSABLE[kind]
+        if unpassable(check):
+            got = ", ".join(f"{f} = {check[f]!r}" for f in _CHECK_FIELDS[kind] if f in _THRESHOLDS)
+            raise ConfigError(f"check {cid!r}: no value can pass it: {rule}, got {got}")
         if kind == "var_close" and not isinstance(check["target_id"], str):
             raise ConfigError(f"check {cid!r}: target_id must be a string, "
                               f"got {check['target_id']!r}")
@@ -356,7 +372,9 @@ def write_report(report: Report, out_dir: str | Path) -> None:
     laws_dir = out / "laws"
     laws_dir.mkdir(exist_ok=True)
     for method, law in report.laws.items():
-        np.savetxt(laws_dir / f"{method}.csv", law.sample, fmt="%.17g")
+        # the bytes of np.savetxt(fmt="%.17g"), formatted in one pass
+        text = "".join(["%.17g\n" % v for v in law.sample.tolist()])
+        (laws_dir / f"{method}.csv").write_text(text)
 
 
 def _ma1_dgp(family: str) -> dict:

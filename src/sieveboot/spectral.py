@@ -7,6 +7,9 @@ endpoint pi (present for even n) weighted by one half. The half weight is what
 makes M(I_n, 2cos(.h)) track the non-centered sample autocovariance even when
 spectral mass concentrates at pi.
 
+Each function of a path takes it as a 1-d float array, the row of a
+simulated block as it is; the caller has already checked it finite.
+
 Every array that depends on the path length alone -- the frequency grid,
 quadrature weights, weighted quadrature vectors and kernel weights -- is built
 once per key in a small least-recently-used cache and returned read-only, so a
@@ -20,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .series import DegenerateSeriesError, Series
+from .series import DegenerateSeriesError
 
 __all__ = [
     "KernelSpec",
@@ -64,13 +67,13 @@ class KernelSpec:
         return 3.0 / (5.0 * np.pi)
 
 
-def _ordinates(s: Series) -> np.ndarray:
+def _ordinates(x: np.ndarray) -> np.ndarray:
     """Periodogram ordinates I_n(lambda_j) = (2 pi n)^-1 |sum_t X_t e^{-i lambda_j t}|^2
     at the Fourier frequencies lambda_j = 2*pi*j/n, j = 0..n//2."""
-    if s.n < 2:
+    if x.size < 2:
         raise ValueError("periodogram requires n >= 2")
-    dft = np.fft.rfft(s.values)
-    return np.abs(dft) ** 2 / (2.0 * np.pi * s.n)
+    dft = np.fft.rfft(x)
+    return np.abs(dft) ** 2 / (2.0 * np.pi * x.size)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -94,20 +97,20 @@ def weighted_quadrature(h: int, n: int) -> np.ndarray:
     return _read_only(w * (2.0 * np.cos(freqs * h)))
 
 
-def integrated_periodogram(s: Series, h: int) -> float:
+def integrated_periodogram(x: np.ndarray, h: int) -> float:
     """Quadrature approximation of M(I_n, phi) = int_0^pi phi I_n with
     phi = 2cos(. h), which tracks the non-centered autocovariance c(h)."""
-    return float(np.dot(weighted_quadrature(h, s.n), _ordinates(s)[1:]))
+    return float(np.dot(weighted_quadrature(h, x.size), _ordinates(x)[1:]))
 
 
-def ratio_statistic(s: Series, h: int) -> float:
+def ratio_statistic(x: np.ndarray, h: int) -> float:
     """R(I_n, phi) = M(I_n, phi) / M(I_n, 1) with phi = 2cos(. h)."""
-    values = _ordinates(s)[1:]
-    _, w = fourier_quadrature(s.n)
+    values = _ordinates(x)[1:]
+    _, w = fourier_quadrature(x.size)
     denom = float(np.dot(w, values))
     if denom <= 0:
         raise DegenerateSeriesError("total periodogram mass is zero")
-    return float(np.dot(weighted_quadrature(h, s.n), values)) / denom
+    return float(np.dot(weighted_quadrature(h, x.size), values)) / denom
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -128,7 +131,7 @@ def _kernel_weights(k: KernelSpec, lam: float, n: int) -> np.ndarray:
     return _read_only(k.kernel(d / h) / h)
 
 
-def kernel_spectral_estimate(s: Series, k: KernelSpec, lam: float) -> float:
+def kernel_spectral_estimate(x: np.ndarray, k: KernelSpec, lam: float) -> float:
     """Kernel-smoothed periodogram f_n(lambda) = int K_h(lambda - mu) I_n(mu) dmu.
 
     The periodogram is extended evenly across 0 and pi (equivalently, treated
@@ -139,8 +142,8 @@ def kernel_spectral_estimate(s: Series, k: KernelSpec, lam: float) -> float:
     """
     if not 0 <= lam <= np.pi:
         raise ValueError("lambda must lie in [0, pi]")
-    n = s.n
-    i_full = _ordinates(s)[_even_fold(n)]
+    n = x.size
+    i_full = _ordinates(x)[_even_fold(n)]
     return float(np.dot(_kernel_weights(k, lam, n), i_full) * (2.0 * np.pi / n))
 
 

@@ -1,13 +1,14 @@
 """Statistics shared by the bootstrap engine, the companion oracle and the
 Monte Carlo truth runs.
 
-Each statistic knows four things: how to evaluate itself on a path, the exact
-centering value implied by a rational filter X = [num(z) / den(z)] eps with
-innovation variance sigma2 -- the fitted sieve, the companion process or the
-data-generating model -- its scaling rate c_n, and the closed-form asymptotic
-variances of its law under such a filter. Frequency-domain centers are
-computed with the same Fourier-grid quadrature as the statistic itself, so
-discretization cancels.
+Each statistic knows four things: how to evaluate itself on a path, given as
+a 1-d float array (a row of a simulated block, checked finite by the caller),
+the exact centering value implied by a rational filter X = [num(z) / den(z)]
+eps with innovation variance sigma2 -- the fitted sieve, the companion process
+or the data-generating model -- its scaling rate c_n, and the closed-form
+asymptotic variances of its law under such a filter. Frequency-domain
+centers are computed with the same Fourier-grid quadrature as the statistic
+itself, so discretization cancels.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .asymptotics import (
     spectral_estimator_variance,
 )
 from .companion import rational_acvf
-from .series import DegenerateSeriesError, Series
+from .series import DegenerateSeriesError
 from .spectral import (
     KernelSpec,
     fourier_quadrature,
@@ -95,14 +96,13 @@ def _target_acvf(num, den, sigma2, *target_ids):
         raise ValueError(f"{', '.join(target_ids)}: {exc}") from None
 
 
-def _centered(s: Series, maxlag: int) -> np.ndarray:
+def _centered(x: np.ndarray, maxlag: int) -> np.ndarray:
     """The path less its mean, with the arithmetic and the check of
     ``sample_acvf``, so that a lag-h product over it divided by n is
-    ``sample_acvf(s, h)[h]`` bit for bit."""
-    v = s.values
-    if not 0 <= maxlag < v.size:
-        raise ValueError(f"maxlag must satisfy 0 <= maxlag < n, got {maxlag} with n={v.size}")
-    return v - np.add.reduce(v) / v.size
+    ``sample_acvf(Series(x), h)[h]`` bit for bit."""
+    if not 0 <= maxlag < x.size:
+        raise ValueError(f"maxlag must satisfy 0 <= maxlag < n, got {maxlag} with n={x.size}")
+    return x - np.add.reduce(x) / x.size
 
 
 class Statistic:
@@ -123,7 +123,8 @@ class Statistic:
     def rate(self, n: int) -> float:
         return math.sqrt(n)
 
-    def evaluate(self, s: Series) -> float:
+    def evaluate(self, x: np.ndarray) -> float:
+        """The statistic of the path x, a finite 1-d float array."""
         raise NotImplementedError
 
     def model_center(self, num, den, sigma2: float, n: int) -> float:
@@ -143,8 +144,8 @@ class MeanStatistic(Statistic):
     name: str = "mean"
     second_order_limit = True
 
-    def evaluate(self, s: Series) -> float:
-        return float(np.add.reduce(s.values) / s.n)  # np.mean's arithmetic
+    def evaluate(self, x: np.ndarray) -> float:
+        return float(np.add.reduce(x) / x.size)  # np.mean's arithmetic
 
     def model_center(self, num, den, sigma2, n):
         return 0.0
@@ -164,8 +165,8 @@ class AcvfStatistic(Statistic):
         self.h = _lag(self.h, 0)
         self.name = f"acvf-lag-{self.h}"
 
-    def evaluate(self, s: Series) -> float:
-        x = _centered(s, self.h)
+    def evaluate(self, x: np.ndarray) -> float:
+        x = _centered(x, self.h)
         return float(np.dot(x[: x.size - self.h], x[self.h:]) / x.size)
 
     def model_center(self, num, den, sigma2, n):
@@ -187,8 +188,8 @@ class AcfStatistic(Statistic):
         self.h = _lag(self.h, 1)
         self.name = f"acf-lag-{self.h}"
 
-    def evaluate(self, s: Series) -> float:
-        x = _centered(s, self.h)
+    def evaluate(self, x: np.ndarray) -> float:
+        x = _centered(x, self.h)
         n = x.size
         gamma0 = np.dot(x, x) / n
         if gamma0 <= 0:
@@ -228,8 +229,8 @@ class IntegratedPeriodogramStatistic(_CosineStatistic):
 
     label = "intper"
 
-    def evaluate(self, s: Series) -> float:
-        return integrated_periodogram(s, self.h)
+    def evaluate(self, x: np.ndarray) -> float:
+        return integrated_periodogram(x, self.h)
 
     def model_center(self, num, den, sigma2, n):
         fv = rational_spectral_density(num, den, sigma2, fourier_quadrature(n)[0])
@@ -254,8 +255,8 @@ class RatioStatistic(_CosineStatistic):
             raise ValueError(f"{self.name} is the constant 2 at lag 0: its lag must be >= 1")
         super().check_n(n)
 
-    def evaluate(self, s: Series) -> float:
-        return ratio_statistic(s, self.h)
+    def evaluate(self, x: np.ndarray) -> float:
+        return ratio_statistic(x, self.h)
 
     def model_center(self, num, den, sigma2, n):
         freqs, w = fourier_quadrature(n)
@@ -288,8 +289,8 @@ class SpectralDensityStatistic(Statistic):
     def rate(self, n: int) -> float:
         return math.sqrt(n * self.kernel.bandwidth)
 
-    def evaluate(self, s: Series) -> float:
-        return kernel_spectral_estimate(s, self.kernel, self.lam)
+    def evaluate(self, x: np.ndarray) -> float:
+        return kernel_spectral_estimate(x, self.kernel, self.lam)
 
     def model_center(self, num, den, sigma2, n):
         return rational_spectral_density(num, den, sigma2, self.lam)

@@ -136,7 +136,7 @@ class TestLinear:
         e_full = model.innovations.draw(52, seed=3)
         for t in range(2, 50):
             want = e_full[t + 2] - 2.0 * e_full[t + 1] + 0.5 * e_full[t]
-            assert x.values[t] == pytest.approx(want, abs=1e-12)
+            assert x[t] == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_is_the_fir_lfilter_bit_for_bit(self, q):
@@ -144,7 +144,7 @@ class TestLinear:
         model = LinearModel(b=b, innovations=InnovationSpec("centered_exponential", 1.7))
         x = simulate_linear(model, 300, seed=q)
         e_full = model.innovations.draw(300 + q, seed=q)
-        assert np.array_equal(x.values, lfilter(np.concatenate([[1.0], b]), [1.0], e_full)[q:])
+        assert np.array_equal(x, lfilter(np.concatenate([[1.0], b]), [1.0], e_full)[q:])
 
     @pytest.mark.parametrize("family", ["gaussian", "centered_exponential", "centered_uniform"])
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -155,19 +155,19 @@ class TestLinear:
         model = LinearModel(a=tuple(-den[1:]), innovations=spec)
         burnin = default_burnin(p)
         want = lfilter([1.0], den, spec.draw(300 + burnin, p))[burnin:]
-        assert np.array_equal(_bits(simulate_ar(model, 300, seed=p).values), _bits(want))
+        assert np.array_equal(_bits(simulate_ar(model, 300, seed=p)), _bits(want))
         assert np.array_equal(_bits(model.simulate(300, [p])[0]), _bits(want))
 
     def test_ma1_variance(self):
         x = simulate_linear(ma1_model(), 200_000, seed=4)
-        assert x.values.var() == pytest.approx(5.0, rel=0.03)
+        assert x.var() == pytest.approx(5.0, rel=0.03)
 
 
 class TestMa1Example:
     def test_x_matches_simulate_linear(self):
         x1 = simulate_linear(ma1_model(), 1000, seed=5)
         x2, _, _ = ma1_example(1000, seed=5)
-        assert np.array_equal(x1.values, x2.values)
+        assert np.array_equal(x1, x2.values)
 
     def test_reconstruction_identity(self):
         x, _, ve = ma1_example(5000, seed=6)
@@ -207,7 +207,7 @@ class TestAR:
     def test_ar1_acvf(self):
         model = LinearModel(a=(0.6,))
         x = simulate_ar(model, 200_000, seed=8)
-        g0 = x.values.var()
+        g0 = x.var()
         assert g0 == pytest.approx(1.0 / (1 - 0.36), rel=0.03)
 
 
@@ -369,7 +369,7 @@ PROCESSES = {
     "ar": lambda: LinearModel(a=(0.6, -0.2), innovations=InnovationSpec("centered_uniform")),
     "arch1": lambda: Arch1Model(omega=1.0, alpha1=0.3),
     "companion": lambda: CompanionSpec([1.0, 0.5], [1.0, -0.3], InnovationSpec("centered_uniform")),
-    "sieve": lambda: fit_sieve(simulate_ar(LinearModel(a=(0.6,)), 400, 3), OrderRule()),
+    "sieve": lambda: fit_sieve(Series(simulate_ar(LinearModel(a=(0.6,)), 400, 3)), OrderRule()),
 }
 
 
@@ -387,9 +387,9 @@ BLOCK_PROCESSES = {
 }
 
 
-def _path(process, n, seed) -> Series:
+def _path(process, n, seed) -> np.ndarray:
     """The path of one seed, simulated alone."""
-    return Series(process.simulate(n, [seed])[0])
+    return process.simulate(n, [seed])[0]
 
 
 class TestReplicate:
@@ -457,6 +457,16 @@ class TestReplicate:
         law, _ = replicate(process, AcvfStatistic(1), 50, 10, 11, KEY_TRUTH)
         assert process.calls == 4 and law.sample.size == 10
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_block_with_a_value_that_is_not_finite_is_never_evaluated(self, monkeypatch,
+                                                                        value):
+        process, statistic = _BadSecondBlock(value), _SeenRows()
+        monkeypatch.setattr(dgp, "BATCH_VALUES", 3 * 50)
+        with pytest.raises(ValueError, match="must be finite"):
+            replicate(process, statistic, 50, 10, 11, KEY_TRUTH)
+        assert process.calls == 2 and len(statistic.rows) == 3
+        assert all(np.isfinite(row).all() for row in statistic.rows)
+
 
 class _OneBlockAlive:
     """White noise whose simulate fails while the block it last returned is
@@ -472,3 +482,35 @@ class _OneBlockAlive:
         block = np.array([rng_from(s).standard_normal(n) for s in seeds])
         self.previous, self.calls = weakref.ref(block), self.calls + 1
         return block
+
+
+class _BadSecondBlock(_OneBlockAlive):
+    """White noise whose second block holds one value that is not finite, in
+    its middle row."""
+
+    def __init__(self, value):
+        super().__init__()
+        self.value = value
+
+    def simulate(self, n, seeds):
+        block = super().simulate(n, seeds)
+        if self.calls == 2:
+            block[1, n // 2] = self.value
+        return block
+
+
+class _SeenRows:
+    """A statistic that keeps a copy of every row it evaluates."""
+
+    def __init__(self):
+        self.rows = []
+
+    def model_center(self, num, den, sigma2, n):
+        return 0.0
+
+    def rate(self, n):
+        return 1.0
+
+    def evaluate(self, x):
+        self.rows.append(x.copy())
+        return float(x[0])

@@ -16,8 +16,10 @@ from sieveboot.experiment import (
     list_presets,
     preset_config,
     run_experiment,
+    write_report,
 )
 from sieveboot.dgp import Arch1Model, InnovationSpec, LinearModel, ResampledRecord
+from sieveboot.series import EmpiricalLaw
 from sieveboot.sieve import SieveModel
 
 SMALL = dict(n=200, B=200, M=200, R=200)
@@ -176,6 +178,19 @@ BAD_CHECKS = [
       "lo": 0.5, "hi": float("nan")}, "c1.*hi must be a number"),
     ({"id": "c1", "kind": "dk_gt", "pair": "bootstrap_truth", "bound": float("nan")},
      "c1.*bound must be a number, not NaN"),
+    # a threshold no value can pass: a relative error and a Kolmogorov
+    # distance lie in [0, inf) and [0, 1]
+    ({"id": "c1", "kind": "var_close", "method": "truth",
+      "target_id": "acvf_variance_companion", "tol": -0.1},
+     r"c1.*no value can pass it: tol must be >= 0, got tol = -0.1"),
+    ({"id": "c1", "kind": "var_ratio", "num": "truth", "den": "oracle", "lo": 2.0, "hi": 0.5},
+     r"c1.*no value can pass it: lo must be <= hi, got lo = 2.0, hi = 0.5"),
+    ({"id": "c1", "kind": "dk_le", "pair": "bootstrap_truth", "bound": -0.01},
+     r"c1.*no value can pass it: bound must be >= 0, got bound = -0.01"),
+    ({"id": "c1", "kind": "dk_gt", "pair": "bootstrap_truth", "bound": 1},
+     r"c1.*no value can pass it: bound must be < 1, got bound = 1"),
+    ({"id": "c1", "kind": "dk_gt", "pair": "bootstrap_truth", "bound": float("inf")},
+     r"c1.*no value can pass it: bound must be < 1, got bound = inf"),
 ]
 
 # Malformed model documents and the field each rejection names.
@@ -409,6 +424,19 @@ class TestRunExperiment:
         for method, count in (("bootstrap", 200), ("oracle", 200), ("truth", 200)):
             law = np.loadtxt(out / "laws" / f"{method}.csv")
             assert law.size == count
+
+    def test_law_files_are_the_bytes_of_savetxt(self, report, tmp_path):
+        rep, _ = report
+        edge = EmpiricalLaw(np.array([-0.0, 0.0, 5e-324, 1e308, -1e308, 1 / 3, 7.0, -42.0,
+                                      2.0 ** 53, 0.1]))
+        laws = {**rep.laws, "truth": edge}
+        write_report(dataclasses.replace(rep, laws=laws), tmp_path)
+        for method, law in laws.items():
+            np.savetxt(tmp_path / "want.csv", law.sample, fmt="%.17g")
+            got = (tmp_path / "laws" / f"{method}.csv").read_bytes()
+            assert got == (tmp_path / "want.csv").read_bytes()
+        assert {b"-0", b"0", b"4.9406564584124654e-324", b"-42", b"9007199254740992",
+                b"0.33333333333333331"} <= set(got.splitlines())
 
     def test_runtime_has_stage_timings_within_the_total(self, report):
         _, out = report

@@ -21,7 +21,7 @@ from sieveboot.statistics import AcvfStatistic, MeanStatistic
 
 
 def ar1_data(n=2000, seed=1):
-    return simulate_ar(LinearModel(a=(0.6,)), n, seed)
+    return Series(simulate_ar(LinearModel(a=(0.6,)), n, seed))
 
 
 # Fixed data paths for the reference checks: AR(1), the noninvertible MA(1)
@@ -29,8 +29,8 @@ def ar1_data(n=2000, seed=1):
 # white noise, at a few lengths.
 REFERENCE_PATHS = {
     "ar1": lambda: ar1_data(2000, seed=21),
-    "ma1-example": lambda: simulate_linear(ma1_model(), 2000, seed=22),
-    "ar2": lambda: simulate_ar(LinearModel(a=(0.5, -0.3)), 800, 23),
+    "ma1-example": lambda: Series(simulate_linear(ma1_model(), 2000, seed=22)),
+    "ar2": lambda: Series(simulate_ar(LinearModel(a=(0.5, -0.3)), 800, 23)),
     "white": lambda: Series(np.random.default_rng(24).standard_normal(300)),
 }
 
@@ -176,7 +176,7 @@ class TestBootstrapDistribution:
         assert res.theta_star == pytest.approx(want, rel=1e-10)
 
     def test_deterministic_given_seed(self):
-        x = simulate_linear(ma1_model(), 600, seed=11)
+        x = Series(simulate_linear(ma1_model(), 600, seed=11))
         r1 = bootstrap_distribution(x, MeanStatistic(), B=150, rule=OrderRule(), seed=12)
         r2 = bootstrap_distribution(x, MeanStatistic(), B=150, rule=OrderRule(), seed=12)
         assert np.array_equal(r1.law.sample, r2.law.sample)

@@ -28,14 +28,14 @@ class TestPeriodogram:
         # the ordinates j = 1..n-1 carry the centered second moment; the
         # quadrature's half weight at pi makes M(I_n, 2) that sum for even n
         s = rand_series(n, seed=1)
-        assert integrated_periodogram(s, 0) == pytest.approx(sample_acvf(s, 0)[0], rel=1e-12)
+        assert integrated_periodogram(s.values, 0) == pytest.approx(sample_acvf(s, 0)[0], rel=1e-12)
 
     def test_nonnegative(self):
-        assert np.all(spectral._ordinates(rand_series(256, seed=2)) >= 0)
+        assert np.all(spectral._ordinates(rand_series(256, seed=2).values) >= 0)
 
     def test_zero_frequency_is_mean_term(self):
         s = rand_series(100, seed=3)
-        assert spectral._ordinates(s)[0] == pytest.approx(
+        assert spectral._ordinates(s.values)[0] == pytest.approx(
             s.n * s.values.mean() ** 2 / (2 * np.pi), abs=1e-12)
 
 
@@ -53,20 +53,20 @@ class TestQuadrature:
         x, n = s.values, s.n
         for h in range(4):
             c = np.dot(x[: n - h], x[h:]) / n  # n^-1 sum_t X_t X_{t+h}, not centered
-            assert abs(integrated_periodogram(s, h) - c) <= 5.0 / n
+            assert abs(integrated_periodogram(s.values, h) - c) <= 5.0 / n
 
     def test_alternating_tone(self):
         # X_t = (-1)^t has all spectral mass at pi; the half weight at the
         # endpoint is exactly what keeps the quadrature consistent
         n = 64
         s = Series((-1.0) ** np.arange(1, n + 1))
-        assert integrated_periodogram(s, 0) == pytest.approx(1.0)
-        assert integrated_periodogram(s, 1) == pytest.approx(-1.0)
+        assert integrated_periodogram(s.values, 0) == pytest.approx(1.0)
+        assert integrated_periodogram(s.values, 1) == pytest.approx(-1.0)
 
     def test_ratio_statistic_normalization(self):
         # at lag 0 the weight is the constant 2, so R = M(I_n, 2) / M(I_n, 1) = 2
         s = rand_series(400, seed=5)
-        assert ratio_statistic(s, 0) == pytest.approx(2.0)
+        assert ratio_statistic(s.values, 0) == pytest.approx(2.0)
 
 
 class TestKernel:
@@ -94,7 +94,7 @@ class TestKernel:
 
     def test_frequency_range_enforced(self):
         with pytest.raises(ValueError):
-            kernel_spectral_estimate(rand_series(64), KernelSpec(), 3.5)
+            kernel_spectral_estimate(rand_series(64).values, KernelSpec(), 3.5)
 
 
 # The per-path expressions the cached arrays replaced, kept verbatim as the
@@ -150,8 +150,8 @@ class TestCachedArrays:
             for seed in range(3):
                 s = rand_series(n, seed)
                 want = _inline_kernel_estimate(s, stat.kernel, lam)
-                assert kernel_spectral_estimate(s, stat.kernel, lam) == want
-                assert stat.evaluate(s) == want
+                assert kernel_spectral_estimate(s.values, stat.kernel, lam) == want
+                assert stat.evaluate(s.values) == want
 
     @pytest.mark.parametrize("n", [63, 64, 2000])
     def test_frequency_statistics_are_the_inline_expressions(self, n):
@@ -160,10 +160,10 @@ class TestCachedArrays:
             intper = statistic_from_config({"name": "intper-cos", "lag": lag})
             for seed in range(3):
                 s = rand_series(n, seed)
-                assert ratio.evaluate(s) == _inline_ratio(s, lag)
-                assert intper.evaluate(s) == _inline_integrated(s, lag)
+                assert ratio.evaluate(s.values) == _inline_ratio(s, lag)
+                assert intper.evaluate(s.values) == _inline_integrated(s, lag)
         s = rand_series(n, 9)
-        assert spectral._ordinates(s).tolist() == _inline_ordinates(s).tolist()
+        assert spectral._ordinates(s.values).tolist() == _inline_ordinates(s).tolist()
 
     @pytest.mark.parametrize("n", [63, 64, 2000])
     def test_model_centers_are_the_inline_expressions(self, n):
@@ -191,7 +191,8 @@ class TestCachedArrays:
         # every cached array comes back as the same object; each periodogram's
         # values stay its own
         assert all(a is b for a, b in zip(first, again))
-        assert spectral._ordinates(rand_series(128)) is not spectral._ordinates(rand_series(128))
+        assert (spectral._ordinates(rand_series(128).values)
+                is not spectral._ordinates(rand_series(128).values))
 
     def test_statistics_of_one_lag_share_an_entry(self):
         weighted_quadrature.cache_clear()
@@ -199,7 +200,7 @@ class TestCachedArrays:
         s = rand_series(96, seed=4)
         for stat in stats:
             for _ in range(2):
-                stat.evaluate(s)
+                stat.evaluate(s.values)
         info = weighted_quadrature.cache_info()
         assert (info.hits, info.misses, info.currsize) == (5, 1, 1)
 
