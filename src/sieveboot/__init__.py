@@ -65,8 +65,6 @@ from .spectral import (
 from .asymptotics import (
     acvf_asymptotic_variance,
     bartlett_variance,
-    integrated_periodogram_variance,
-    ratio_statistic_variance,
     spectral_estimator_variance,
 )
 from .statistics import (

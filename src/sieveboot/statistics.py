@@ -8,7 +8,9 @@ eps with innovation variance sigma2 -- the fitted sieve, the companion process
 or the data-generating model -- its scaling rate c_n, and the closed-form
 asymptotic variances of its law under such a filter. Frequency-domain
 centers are computed with the same Fourier-grid quadrature as the statistic
-itself, so discretization cancels.
+itself, so discretization cancels. The cosine statistics' limit variances
+are those of the lag-h autocovariance and autocorrelation, from the same ACVF
+expansion and the same functions.
 """
 from __future__ import annotations
 
@@ -21,8 +23,6 @@ import numpy as np
 from .asymptotics import (
     acvf_asymptotic_variance,
     bartlett_variance,
-    integrated_periodogram_variance,
-    ratio_statistic_variance,
     spectral_estimator_variance,
 )
 from .companion import rational_acvf
@@ -63,13 +63,6 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
-def _kurtosis_targets(variance, prefix: str, kappa_e, kappa_eps) -> dict:
-    """{prefix}_linear and {prefix}_companion: variance(kappa) at the raw- and
-    Wold-innovation excess kurtoses, where known."""
-    return {f"{prefix}_{kind}": variance(kappa)
-            for kind, kappa in (("linear", kappa_e), ("companion", kappa_eps)) if kappa is not None}
-
-
 def bootstrap_verdict(statistic, targets: dict, kappa_e, checks_passed: bool) -> str:
     """UNEXPECTED if a check failed; otherwise PASS where the paper's theorem
     predicts the AR-sieve bootstrap valid and FAIL-AS-PREDICTED where it does not.
@@ -78,7 +71,7 @@ def bootstrap_verdict(statistic, targets: dict, kappa_e, checks_passed: bool) ->
     second moments: for any process when the statistic says so (mean,
     specdens), and for a process linear in i.i.d. noise (kappa_e known) when
     each {prefix}_linear target equals its {prefix}_companion target, up to
-    the rounding of their quadratures. A statistic with no such pair passes.
+    rounding. A statistic with no such pair passes.
     """
     if not checks_passed:
         return "UNEXPECTED"
@@ -94,6 +87,24 @@ def _target_acvf(num, den, sigma2, *target_ids):
         return rational_acvf(num, den, sigma2)
     except ValueError as exc:
         raise ValueError(f"{', '.join(target_ids)}: {exc}") from None
+
+
+def _acvf_targets(prefix: str, h: int, num, den, sigma2, kappa_e, kappa_eps) -> dict:
+    """{prefix}_linear and {prefix}_companion: the lag-h sample autocovariance's
+    limit variance at the raw- and Wold-innovation excess kurtoses, where known."""
+    ids = f"{prefix}_linear", f"{prefix}_companion"
+    gamma = _target_acvf(num, den, sigma2, *ids)
+    return {tid: acvf_asymptotic_variance(gamma, h, kappa)
+            for tid, kappa in zip(ids, (kappa_e, kappa_eps)) if kappa is not None}
+
+
+def _bartlett_target(target_id: str, scale: float, h: int, num, den, sigma2, kappa_e) -> dict:
+    """{target_id}: scale times Bartlett's lag-h variance, for a process
+    linear in i.i.d. noise (kappa_e known) only."""
+    if kappa_e is None:
+        return {}
+    gamma = _target_acvf(num, den, sigma2, target_id)
+    return {target_id: scale * bartlett_variance(gamma / gamma[0], h)}
 
 
 def _centered(x: np.ndarray, maxlag: int) -> np.ndarray:
@@ -173,9 +184,7 @@ class AcvfStatistic(Statistic):
         return float(rational_acvf(num, den, sigma2, self.h)[self.h])
 
     def targets(self, num, den, sigma2, kappa_e, kappa_eps):
-        gamma = _target_acvf(num, den, sigma2, "acvf_variance_linear", "acvf_variance_companion")
-        return _kurtosis_targets(lambda kappa: acvf_asymptotic_variance(gamma, self.h, kappa),
-                                 "acvf_variance", kappa_e, kappa_eps)
+        return _acvf_targets("acvf_variance", self.h, num, den, sigma2, kappa_e, kappa_eps)
 
 
 @dataclass
@@ -201,10 +210,7 @@ class AcfStatistic(Statistic):
         return float(gamma[self.h] / gamma[0])
 
     def targets(self, num, den, sigma2, kappa_e, kappa_eps):
-        if kappa_e is None:  # Bartlett's formula holds only for linear processes
-            return {}
-        gamma = _target_acvf(num, den, sigma2, "bartlett_variance")
-        return {"bartlett_variance": bartlett_variance(gamma / gamma[0], self.h)}
+        return _bartlett_target("bartlett_variance", 1.0, self.h, num, den, sigma2, kappa_e)
 
 
 @dataclass
@@ -237,11 +243,8 @@ class IntegratedPeriodogramStatistic(_CosineStatistic):
         return float(np.dot(weighted_quadrature(self.h, n), fv))
 
     def targets(self, num, den, sigma2, kappa_e, kappa_eps):
-        def f(lam):
-            return rational_spectral_density(num, den, sigma2, lam)
-
-        return _kurtosis_targets(lambda kappa: integrated_periodogram_variance(f, self.h, kappa),
-                                 "intper_variance", kappa_e, kappa_eps)
+        # M(I_n, 2cos(. h)) has the limit law of the lag-h sample autocovariance
+        return _acvf_targets("intper_variance", self.h, num, den, sigma2, kappa_e, kappa_eps)
 
 
 @dataclass
@@ -264,10 +267,8 @@ class RatioStatistic(_CosineStatistic):
         return float(np.dot(weighted_quadrature(self.h, n), fv)) / float(np.dot(w, fv))
 
     def targets(self, num, den, sigma2, kappa_e, kappa_eps):
-        if kappa_e is None:  # the formula holds only for linear processes
-            return {}
-        return {"ratio_statistic_variance": ratio_statistic_variance(
-            lambda lam: rational_spectral_density(num, den, sigma2, lam), self.h)}
+        # R(I_n, 2cos(. h)) is 2 rho_hat(h) up to O(1/n)
+        return _bartlett_target("ratio_statistic_variance", 4.0, self.h, num, den, sigma2, kappa_e)
 
 
 @dataclass

@@ -6,16 +6,21 @@ import pytest
 from sieveboot.asymptotics import (
     acvf_asymptotic_variance,
     bartlett_variance,
-    integrated_periodogram_variance,
-    ratio_statistic_variance,
     spectral_estimator_variance,
 )
 from sieveboot.dgp import Arch1Model, InnovationSpec, LinearModel, model_from_json
 from sieveboot.experiment import compute_targets, list_presets, preset_config
 from sieveboot.spectral import KernelSpec
-from sieveboot.statistics import MeanStatistic, bootstrap_verdict, statistic_from_config
+from sieveboot.statistics import (
+    IntegratedPeriodogramStatistic,
+    MeanStatistic,
+    RatioStatistic,
+    bootstrap_verdict,
+    statistic_from_config,
+)
 
 MA1 = np.array([5.0, -2.0, 0.0])
+EXPONENTIAL = InnovationSpec("centered_exponential")
 
 
 def ma1_density(lam):
@@ -103,18 +108,20 @@ class TestFrequencyDomain:
         # f = sigma2/(2 pi) constant, phi = 2cos(0) = 2:
         # kappa (2 pi sigma2/2 pi)^2 + 2 pi * pi * 4 (sigma2/2 pi)^2 = kappa sigma4 + 2 sigma4
         sigma2 = 3.0
-        f = lambda lam: np.full_like(np.asarray(lam, dtype=float), sigma2 / (2 * np.pi))
-        v = integrated_periodogram_variance(f, 0, 2.0)
-        assert v == pytest.approx(2.0 * sigma2 ** 2 + 2.0 * sigma2 ** 2, rel=1e-6)
+        v = IntegratedPeriodogramStatistic(h=0).targets([1.0], [1.0], sigma2, 2.0, 2.0)
+        assert v == {"intper_variance_linear": 4.0 * sigma2 ** 2,
+                     "intper_variance_companion": 4.0 * sigma2 ** 2}
 
     def test_ratio_variance_kurtosis_free_value(self):
-        v = ratio_statistic_variance(ma1_density, 1)
-        # frozen quadrature value for the MA(1) worked example
-        assert v == pytest.approx(2.4896, rel=1e-3)
+        # R(I_n, 2cos(.)) is 2 rho_hat(1): four times Bartlett's 0.6224
+        v = RatioStatistic(h=1).targets([1.0, -2.0], [1.0], 1.0, 6.0, 2.4)
+        assert v["ratio_statistic_variance"] == pytest.approx(4.0 * 0.6224, rel=1e-12)
+        assert v["ratio_statistic_variance"] == pytest.approx(2.4896, rel=1e-12)
 
     def test_ratio_variance_vanishes_for_constant_weight(self):
-        v = ratio_statistic_variance(ma1_density, 0)  # phi = 2cos(0) = 2
-        assert abs(v) < 1e-12
+        # phi = 2cos(0) = 2 makes R the constant 2
+        v = RatioStatistic(h=0).targets([1.0, -2.0], [1.0], 1.0, 6.0, 2.4)
+        assert v["ratio_statistic_variance"] == pytest.approx(0.0, abs=1e-12)
 
     def test_spectral_variance_boundary_doubling(self):
         k = KernelSpec(bandwidth=0.4)
@@ -126,6 +133,56 @@ class TestFrequencyDomain:
         boundary = spectral_estimator_variance(9.0 / (2 * np.pi), True, k)
         assert interior == pytest.approx(0.760, abs=5e-4)
         assert boundary == pytest.approx(4.924, abs=5e-4)
+
+
+# Midpoint rule on [0, pi]: exact for the trigonometric polynomials of an MA
+# and geometrically convergent for an AR, at the lags tested here.
+QUAD_POINTS = 2048
+QUAD_LAM = (np.arange(QUAD_POINTS) + 0.5) * np.pi / QUAD_POINTS
+QUAD_STEP = np.pi / QUAD_POINTS
+
+
+def _quadrature_density(model):
+    num, den, sigma2 = model.filter
+    z = np.exp(-1j * QUAD_LAM)
+    gain = np.abs(np.polyval(num[::-1], z) / np.polyval(den[::-1], z)) ** 2
+    return sigma2 * gain / (2 * np.pi)
+
+
+class TestFrequencyDomainIdentity:
+    """The cosine targets against their frequency-domain forms, computed here
+    by quadrature of the spectral density f apart from the ACVF sums: with
+    phi = 2cos(. h), kappa (int phi f)^2 + 2 pi int phi^2 f^2 for M(I_n, phi),
+    and 2 pi int psi^2 f^2 / (int f)^4, psi = phi int f - int phi f, for
+    R(I_n, phi), every integral over [0, pi]."""
+
+    MODELS = {"ma2-noninvertible": LinearModel(b=(0.5, -3.0), innovations=EXPONENTIAL),
+              "ar2": LinearModel(a=(0.5, -0.2), innovations=EXPONENTIAL),
+              "ar1-persistent": LinearModel(a=(0.9,), innovations=EXPONENTIAL)}
+
+    @pytest.mark.parametrize("lag", range(6))
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_integrated_periodogram(self, name, lag):
+        model = self.MODELS[name]
+        f = _quadrature_density(model)
+        phi = 2.0 * np.cos(QUAD_LAM * lag)
+        targets = compute_targets(model, statistic_from_config({"name": "intper-cos", "lag": lag}))
+        for kind, kappa in zip(("linear", "companion"), model.kurtoses):
+            want = (kappa * (np.sum(phi * f) * QUAD_STEP) ** 2
+                    + 2.0 * np.pi * np.sum(phi ** 2 * f ** 2) * QUAD_STEP)
+            assert targets[f"intper_variance_{kind}"] == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("lag", range(6))
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_ratio(self, name, lag):
+        model = self.MODELS[name]
+        f = _quadrature_density(model)
+        phi = 2.0 * np.cos(QUAD_LAM * lag)
+        int_f = np.sum(f) * QUAD_STEP
+        psi = phi * int_f - np.sum(phi * f) * QUAD_STEP
+        want = 2.0 * np.pi * np.sum(psi ** 2 * f ** 2) * QUAD_STEP / int_f ** 4
+        targets = compute_targets(model, statistic_from_config({"name": "ratio-cos", "lag": lag}))
+        assert targets["ratio_statistic_variance"] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 class TestIntegratedPeriodogramTargets:
@@ -147,15 +204,43 @@ class TestIntegratedPeriodogramTargets:
         assert normal["intper_variance_linear"] == pytest.approx(gaussian, rel=1e-6)
         assert normal["intper_variance_companion"] == pytest.approx(gaussian, rel=1e-6)
 
-    def test_equal_the_acvf_targets(self):
-        # M(I_n, 2cos(.h)) and the lag-h sample autocovariance share their limit law
-        model = LinearModel(b=(0.5, -0.3), innovations=InnovationSpec("centered_exponential"))
-        for lag in (0, 1, 2):
-            intper = compute_targets(model, statistic_from_config({"name": "intper-cos", "lag": lag}))
-            acvf = compute_targets(model, statistic_from_config({"name": "acvf", "lag": lag}))
-            for kind in ("linear", "companion"):
-                assert intper[f"intper_variance_{kind}"] == pytest.approx(
-                    acvf[f"acvf_variance_{kind}"], rel=1e-6)
+    @pytest.mark.parametrize("model", [
+        LinearModel(b=(0.5, -0.3), innovations=InnovationSpec("centered_exponential")),
+        LinearModel(a=(0.9,), innovations=InnovationSpec("centered_exponential")),
+    ])
+    def test_equal_the_acvf_and_bartlett_targets_bit_for_bit(self, model):
+        # M(I_n, 2cos(.h)) and the lag-h sample autocovariance share their limit
+        # law; R(I_n, 2cos(.h)) is 2 rho_hat(h) up to O(1/n)
+        for lag in (1, 2, 3, 17, 2048):
+            intper, acvf, ratio, acf = (
+                compute_targets(model, statistic_from_config({"name": name, "lag": lag}))
+                for name in ("intper-cos", "acvf", "ratio-cos", "acf"))
+            assert intper == {f"intper_variance_{kind}": acvf[f"acvf_variance_{kind}"]
+                              for kind in ("linear", "companion")}
+            assert ratio == {"ratio_statistic_variance": 4.0 * acf["bartlett_variance"]}
+
+    @pytest.mark.parametrize("lag", [2047, 2048, 4096])
+    def test_past_any_fixed_frequency_grid(self, lag):
+        # gamma(h) = 0 past lag 1 of the worked example, so both targets are
+        # sum_k gamma(k)^2 = 25 + 2 * 4 = 33 and the ratio's is 4 sum_k rho(k)^2
+        # = 4 * 1.32; a 2048-point grid of [0, pi] folds cos(2 h l) onto
+        # frequency 2h mod 4096 and gives about 0 at lag 2048
+        model = LinearModel(b=(-2.0,), innovations=EXPONENTIAL)
+        intper = compute_targets(model, statistic_from_config({"name": "intper-cos", "lag": lag}))
+        assert intper == {"intper_variance_linear": 33.0, "intper_variance_companion": 33.0}
+        ratio = compute_targets(model, statistic_from_config({"name": "ratio-cos", "lag": lag}))
+        assert ratio["ratio_statistic_variance"] == pytest.approx(5.28, rel=1e-12)
+
+    @pytest.mark.parametrize("stat, target_id, want", [
+        ({"name": "acvf", "lag": 10 ** 8}, "acvf_variance_linear", 33.0),
+        ({"name": "acvf", "lag": 10 ** 8}, "acvf_variance_companion", 33.0),
+        ({"name": "acf", "lag": 10 ** 8}, "bartlett_variance", 1.32),
+    ])
+    def test_far_lags_cost_no_more_than_near_ones(self, stat, target_id, want):
+        # a sum over lags up to h would run 10^8 steps here
+        targets = compute_targets(LinearModel(b=(-2.0,), innovations=EXPONENTIAL),
+                                  statistic_from_config(stat))
+        assert targets[target_id] == pytest.approx(want, rel=1e-12)
 
     def test_arch1_has_only_the_companion_target(self):
         # ARCH(1) is not linear in i.i.d. noise, so it has no linear target; its
@@ -178,7 +263,6 @@ class TestIntegratedPeriodogramTargets:
 
 
 ACVF0 = statistic_from_config({"name": "acvf", "lag": 0})
-EXPONENTIAL = InnovationSpec("centered_exponential")
 
 
 class TestNoninvertibleMaTargets:
@@ -265,6 +349,8 @@ class TestPersistentTargets:
     @pytest.mark.parametrize("stat, names", [
         ({"name": "acvf", "lag": 0}, "acvf_variance_linear, acvf_variance_companion"),
         ({"name": "acf", "lag": 1}, "bartlett_variance"),
+        ({"name": "intper-cos", "lag": 0}, "intper_variance_linear, intper_variance_companion"),
+        ({"name": "ratio-cos", "lag": 1}, "ratio_statistic_variance"),
     ])
     def test_unsettled_expansion_rejected_naming_the_targets(self, stat, names):
         # 0.999^(10^4) = 4.5e-5: the expansion stops at its cap unsettled
