@@ -59,6 +59,7 @@ from .spectral import (
     fourier_quadrature,
     integrated_periodogram,
     kernel_spectral_estimate,
+    periodogram,
     ratio_statistic,
     rational_spectral_density,
 )

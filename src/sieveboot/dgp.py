@@ -26,9 +26,11 @@ row of a block and filters the block with one ``filter_rows`` call, which is
 one ``lfilter`` call bit for bit.
 ``replicate`` alone decides the block size: it runs over consecutive chunks
 of ``max(1, BATCH_VALUES // n)`` paths, derives the chunk's seeds, simulates
-them in one ``simulate`` call, checks the whole block finite once and
-evaluates the statistic once per row, on the row array itself. A ``Series``
-is the validated type of a lone data path, not of a simulated row.
+them in one ``simulate`` call, checks the whole block finite once, hands it
+to the statistic's ``transform`` once -- the block itself, or one FFT of it
+for a spectral statistic -- and evaluates the statistic once per row of
+what that returns. A ``Series`` is the validated type of a lone data path,
+not of a simulated row.
 
 Seeding: every simulator is deterministic given (model, n, seed). Distinct
 replications must use distinct derived seeds; the canonical derivation rule is
@@ -241,11 +243,12 @@ def replicate(process, statistic, n: int, count: int, seed: SeedLike, key: int):
 
 
 def _evaluate_rows(statistic, block: np.ndarray) -> list:
-    """``statistic.evaluate`` of each row of a simulated block, after one
-    finiteness check of the whole block, the check ``Series`` makes of a path."""
+    """``statistic.evaluate`` of each row of ``statistic.transform`` of a
+    simulated block, after one finiteness check of the whole block, the
+    check ``Series`` makes of a path."""
     if not np.isfinite(block).all():
         raise ValueError("series values must be finite")
-    return [statistic.evaluate(path) for path in block]
+    return [statistic.evaluate(row) for row in statistic.transform(block)]
 
 
 def rng_from(seed: SeedLike) -> np.random.Generator:
@@ -528,7 +531,8 @@ def simulate_arch1(model: Arch1Model, n: int, seeds) -> np.ndarray:
     seeds[j]. The paths advance together one time step at a time in a
     time-major block, each element through the same IEEE operations as a
     path of its own, so a row equals the single path of its seed bit for
-    bit.
+    bit. A path that overflows float64 holds inf or NaN, with no warning;
+    the finiteness check of its block rejects it.
     """
     burnin = default_burnin(1)
     x = np.empty((n + burnin, len(seeds)))
@@ -536,13 +540,14 @@ def simulate_arch1(model: Arch1Model, n: int, seeds) -> np.ndarray:
         x[:, j] = rng_from(s).standard_normal(n + burnin)
     var = np.empty(len(seeds))
     prev = np.zeros(len(seeds))
-    for row in x:  # z_t is overwritten by x_t
-        np.multiply(prev, prev, out=var)
-        var *= model.alpha1
-        var += model.omega
-        np.sqrt(var, out=var)
-        row *= var
-        prev = row
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in x:  # z_t is overwritten by x_t
+            np.multiply(prev, prev, out=var)
+            var *= model.alpha1
+            var += model.omega
+            np.sqrt(var, out=var)
+            row *= var
+            prev = row
     return np.ascontiguousarray(x[burnin:].T)
 
 

@@ -245,7 +245,7 @@ def _validate_checks(checks, targets: dict) -> None:
         if cid is None:
             raise ConfigError(f"check #{i} has no id")
         kind = check.get("kind")
-        if kind not in _CHECK_FIELDS:
+        if not isinstance(kind, str) or kind not in _CHECK_FIELDS:
             raise ConfigError(f"check {cid!r}: unknown kind {kind!r}; "
                               f"known: {', '.join(_CHECK_FIELDS)}")
         missing = [f for f in _CHECK_FIELDS[kind] if f not in check]

@@ -7,14 +7,16 @@ endpoint pi (present for even n) weighted by one half. The half weight is what
 makes M(I_n, 2cos(.h)) track the non-centered sample autocovariance even when
 spectral mass concentrates at pi.
 
-Each function of a path takes it as a 1-d float array, the row of a
-simulated block as it is; the caller has already checked it finite.
+``periodogram`` takes a block of paths, one per row along its last axis,
+already checked finite, and returns its periodogram row by row from one FFT
+of the whole block. Each statistic of a path reads one row of that
+periodogram, a 1-d float array, with n its size.
 
 Every array that depends on the path length alone -- the frequency grid,
-quadrature weights, weighted quadrature vectors and kernel weights -- is built
-once per key in a small least-recently-used cache and returned read-only, so a
-statistic evaluated on many paths of one length pays one FFT, one squared
-modulus and one or two dot products per path.
+quadrature weights, the fold index, weighted quadrature vectors and kernel
+weights -- is built once per key in a small least-recently-used cache and
+returned read-only, so a statistic evaluated on a block of paths of one
+length pays one FFT per block and one or two dot products per path.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from .series import DegenerateSeriesError
 
 __all__ = [
     "KernelSpec",
+    "periodogram",
     "fourier_quadrature",
     "weighted_quadrature",
     "integrated_periodogram",
@@ -67,13 +70,25 @@ class KernelSpec:
         return 3.0 / (5.0 * np.pi)
 
 
-def _ordinates(x: np.ndarray) -> np.ndarray:
-    """Periodogram ordinates I_n(lambda_j) = (2 pi n)^-1 |sum_t X_t e^{-i lambda_j t}|^2
-    at the Fourier frequencies lambda_j = 2*pi*j/n, j = 0..n//2."""
-    if x.size < 2:
+def periodogram(x: np.ndarray) -> np.ndarray:
+    """I_n(2 pi j / n) = (2 pi n)^-1 |sum_t X_t e^{-i 2 pi j t / n}|^2 for
+    j = 0..n-1 along the last axis of x, n its length: a new C-contiguous
+    array of the shape of x.
+
+    One ``rfft`` of the whole array gives the ordinates j = 0..n//2, and the
+    even symmetry I(-l) = I(l) the rest, so row k of the result is the
+    periodogram of row k of x bit for bit, whatever the other rows. The
+    ordinates j = 1..n//2, the quadrature grid, are the slice [1 : n//2 + 1].
+    """
+    n = x.shape[-1]
+    if n < 2:
         raise ValueError("periodogram requires n >= 2")
-    dft = np.fft.rfft(x)
-    return np.abs(dft) ** 2 / (2.0 * np.pi * x.size)
+    ordinates = np.abs(np.fft.rfft(x, axis=-1))
+    ordinates *= ordinates
+    ordinates /= 2.0 * np.pi * n
+    # take, not fancy indexing: o[:, fold] of a 2-d array comes back
+    # F-ordered, and np.dot over its strided rows rounds differently
+    return np.take(ordinates, _even_fold(n), axis=-1)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -97,20 +112,24 @@ def weighted_quadrature(h: int, n: int) -> np.ndarray:
     return _read_only(w * (2.0 * np.cos(freqs * h)))
 
 
-def integrated_periodogram(x: np.ndarray, h: int) -> float:
+def integrated_periodogram(row: np.ndarray, h: int) -> float:
     """Quadrature approximation of M(I_n, phi) = int_0^pi phi I_n with
-    phi = 2cos(. h), which tracks the non-centered autocovariance c(h)."""
-    return float(np.dot(weighted_quadrature(h, x.size), _ordinates(x)[1:]))
+    phi = 2cos(. h), which tracks the non-centered autocovariance c(h);
+    ``row`` is one path's ``periodogram``."""
+    n = row.size
+    return float(np.dot(weighted_quadrature(h, n), row[1: n // 2 + 1]))
 
 
-def ratio_statistic(x: np.ndarray, h: int) -> float:
-    """R(I_n, phi) = M(I_n, phi) / M(I_n, 1) with phi = 2cos(. h)."""
-    values = _ordinates(x)[1:]
-    _, w = fourier_quadrature(x.size)
+def ratio_statistic(row: np.ndarray, h: int) -> float:
+    """R(I_n, phi) = M(I_n, phi) / M(I_n, 1) with phi = 2cos(. h); ``row``
+    is one path's ``periodogram``."""
+    n = row.size
+    values = row[1: n // 2 + 1]
+    _, w = fourier_quadrature(n)
     denom = float(np.dot(w, values))
     if denom <= 0:
         raise DegenerateSeriesError("total periodogram mass is zero")
-    return float(np.dot(weighted_quadrature(h, x.size), values)) / denom
+    return float(np.dot(weighted_quadrature(h, n), values)) / denom
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -131,20 +150,20 @@ def _kernel_weights(k: KernelSpec, lam: float, n: int) -> np.ndarray:
     return _read_only(k.kernel(d / h) / h)
 
 
-def kernel_spectral_estimate(x: np.ndarray, k: KernelSpec, lam: float) -> float:
-    """Kernel-smoothed periodogram f_n(lambda) = int K_h(lambda - mu) I_n(mu) dmu.
+def kernel_spectral_estimate(row: np.ndarray, k: KernelSpec, lam: float) -> float:
+    """Kernel-smoothed periodogram f_n(lambda) = int K_h(lambda - mu) I_n(mu) dmu,
+    ``row`` one path's ``periodogram``.
 
-    The periodogram is extended evenly across 0 and pi (equivalently, treated
-    as the 2*pi-periodic even function it is), so mass leaking past the
-    boundaries folds back; this produces the boundary variance doubling.
-    The kernel weights are built once per (kernel, lambda, n) and the fold
-    index once per n, so each path costs one FFT, one gather and one dot.
+    The periodogram runs over all n Fourier frequencies, extended evenly
+    across 0 and pi (equivalently, treated as the 2*pi-periodic even function
+    it is), so mass leaking past the boundaries folds back; this produces the
+    boundary variance doubling. The kernel weights are built once per
+    (kernel, lambda, n), so each path costs one dot.
     """
     if not 0 <= lam <= np.pi:
         raise ValueError("lambda must lie in [0, pi]")
-    n = x.size
-    i_full = _ordinates(x)[_even_fold(n)]
-    return float(np.dot(_kernel_weights(k, lam, n), i_full) * (2.0 * np.pi / n))
+    n = row.size
+    return float(np.dot(_kernel_weights(k, lam, n), row) * (2.0 * np.pi / n))
 
 
 def _transfer(c: np.ndarray, lam: np.ndarray) -> np.ndarray:

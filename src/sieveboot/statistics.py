@@ -2,15 +2,15 @@
 Monte Carlo truth runs.
 
 Each statistic knows four things: how to evaluate itself on a path, given as
-a 1-d float array (a row of a simulated block, checked finite by the caller),
-the exact centering value implied by a rational filter X = [num(z) / den(z)]
-eps with innovation variance sigma2 -- the fitted sieve, the companion process
-or the data-generating model -- its scaling rate c_n, and the closed-form
-asymptotic variances of its law under such a filter. Frequency-domain
-centers are computed with the same Fourier-grid quadrature as the statistic
-itself, so discretization cancels. The cosine statistics' limit variances
-are those of the lag-h autocovariance and autocorrelation, from the same ACVF
-expansion and the same functions.
+its row of ``transform(block)`` for a block of simulated paths, one per row,
+checked finite by the caller; the exact centering value implied by a rational
+filter X = [num(z) / den(z)] eps with innovation variance sigma2 -- the fitted
+sieve, the companion process or the data-generating model; its scaling rate
+c_n; and the closed-form asymptotic variances of its law under such a filter.
+Frequency-domain centers are computed with the same Fourier-grid quadrature
+as the statistic itself, so discretization cancels. The cosine statistics'
+limit variances are those of the lag-h autocovariance and autocorrelation,
+from the same ACVF expansion and the same functions.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ from .spectral import (
     fourier_quadrature,
     integrated_periodogram,
     kernel_spectral_estimate,
+    periodogram,
     rational_spectral_density,
     ratio_statistic,
     weighted_quadrature,
@@ -120,7 +121,10 @@ class Statistic:
     """Protocol base; subclasses set ``name`` and override the hooks.
     ``second_order_limit`` is true where the limit law depends only on the
     process's second moments, whatever the process. ``h`` is the lag the
-    statistic reads."""
+    statistic reads. ``transform`` turns a block of paths, one per row, into
+    the rows ``evaluate`` reads, one per path: the paths themselves, or the
+    frequency-domain statistics' periodogram of each, from one FFT per
+    block."""
 
     name: str = ""
     second_order_limit = False
@@ -134,8 +138,12 @@ class Statistic:
     def rate(self, n: int) -> float:
         return math.sqrt(n)
 
+    def transform(self, block: np.ndarray) -> np.ndarray:
+        """The rows ``evaluate`` reads, one per row of a finite block of paths."""
+        return block
+
     def evaluate(self, x: np.ndarray) -> float:
-        """The statistic of the path x, a finite 1-d float array."""
+        """The statistic of one path, given as its row of ``transform``."""
         raise NotImplementedError
 
     def model_center(self, num, den, sigma2: float, n: int) -> float:
@@ -219,6 +227,7 @@ class _CosineStatistic(Statistic):
     2 pi j / n, where lags h and n - h give the same weight."""
 
     h: int = 1
+    transform = staticmethod(periodogram)
 
     def __post_init__(self):
         self.name = f"{self.label}[2cos({self.h}l)]"
@@ -278,6 +287,7 @@ class SpectralDensityStatistic(Statistic):
     second_order_limit = True
     lam: float = math.pi / 2
     kernel: KernelSpec = None
+    transform = staticmethod(periodogram)
 
     def __post_init__(self):
         self.lam = _number(self.lam, "lambda")

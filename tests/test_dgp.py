@@ -511,6 +511,9 @@ class _SeenRows:
     def rate(self, n):
         return 1.0
 
+    def transform(self, block):
+        return block
+
     def evaluate(self, x):
         self.rows.append(x.copy())
         return float(x[0])

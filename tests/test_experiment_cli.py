@@ -1,11 +1,18 @@
+import copy
 import dataclasses
 import json
+import os
+import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sieveboot
+from sieveboot import experiment
 from sieveboot.ar import ConditioningError
 from sieveboot.cli import main
 from sieveboot.companion import CompanionSpec
@@ -191,6 +198,9 @@ BAD_CHECKS = [
      r"c1.*no value can pass it: bound must be < 1, got bound = 1"),
     ({"id": "c1", "kind": "dk_gt", "pair": "bootstrap_truth", "bound": float("inf")},
      r"c1.*no value can pass it: bound must be < 1, got bound = inf"),
+    # a kind that is not a string, which no lookup of the known kinds may hash
+    ({"id": "c1", "kind": ["var_close"], "method": "truth"}, r"c1.*unknown kind \['var_close'\]"),
+    ({"id": "c1", "kind": {"var_close": 1}}, r"c1.*unknown kind \{'var_close': 1\}"),
 ]
 
 # Malformed model documents and the field each rejection names.
@@ -395,6 +405,93 @@ class TestFailFast:
         monkeypatch.setattr("sieveboot.cli.run_experiment", ill_conditioned)
         assert main(["preset", "mean-ma1-exponential"]) == 2
         assert "prediction variance collapsed" in capsys.readouterr().err
+
+    def test_cli_rejects_an_overflowing_arch1_path_with_one_error_line(self):
+        # sigma_t^2 = omega + alpha1 x_{t-1}^2 overflows at omega = 1e308; the
+        # finiteness check names it, and no numpy warning reaches stderr (a
+        # child process, since pytest turns warnings into errors)
+        config = {**TINY_CONFIG, "dgp": {"family": "arch1", "coefficients": [1e308, 0.3]},
+                  "statistic": {"name": "mean"}, "checks": []}
+        src = str(Path(sieveboot.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "sieveboot.cli", "run", "--config",
+                               json.dumps(config)], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.splitlines() == ["error: series values must be finite"]
+
+
+class _Accepted(Exception):
+    """A config that passed every check, stopped where its Monte Carlo would begin."""
+
+
+def _accept(*args, **kwargs):
+    raise _Accepted
+
+
+# Values a mutant puts in place of a config value, a list or an object among
+# them, besides the values of the other fields.
+FUZZ_VALUES = [None, True, False, 0, 1, -1, 2.5, -0.5, 10 ** 20, 1e308, -1e308, float("nan"),
+               float("inf"), "", "x", "mean", "var_close", [], [1.0], ["truth"], {}, {"a": 1}]
+
+
+def _nodes(doc, path=()):
+    """(path, value) of every value inside a config document, depth first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _nodes(value, path + (key,))
+
+
+def _mutant(rng: random.Random, docs: list) -> dict:
+    """One to three mutations of a copy of one of docs: a value replaced by a
+    fuzz value or by the value of another field, a key deleted or a key
+    added."""
+    doc = copy.deepcopy(rng.choice(docs))
+    for _ in range(rng.randint(1, 3)):
+        nodes = list(_nodes(doc))
+        path, _ = rng.choice(nodes)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        op = rng.random()
+        value = copy.deepcopy(rng.choice(nodes)[1] if op < 0.3 else rng.choice(FUZZ_VALUES))
+        if op >= 0.9 and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif op >= 0.8 and isinstance(parent, dict):
+            parent[rng.choice(["bogus", "lag", "kind", "tol", "mode", "scale"])] = value
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+def test_config_fuzz_either_exits_2_with_one_error_line_or_is_accepted(monkeypatch, capsys,
+                                                                       no_simulation):
+    # A seeded mutation loop over every preset and TINY_CONFIG: each mutant
+    # exits 2 with one error line before any path, or passes validation and
+    # reaches the companion build, stubbed here; any other exception fails.
+    monkeypatch.setattr(experiment, "companion_spec_for", _accept)
+    docs = [json.loads(json.dumps(dataclasses.asdict(preset_config(name))))
+            for name in list_presets()] + [TINY_CONFIG]
+    rng = random.Random(20110)
+    outcomes, kinds = {"accepted": 0, "rejected": 0}, set()
+    for _ in range(1000):
+        doc = _mutant(rng, docs)
+        if isinstance(doc.get("checks"), list):
+            kinds.update(type(c.get("kind")).__name__ for c in doc["checks"]
+                         if isinstance(c, dict))
+        try:
+            code = main(["run", "--config", json.dumps(doc)])
+        except _Accepted:
+            outcomes["accepted"] += 1
+            continue
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", doc
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (doc, err)
+        outcomes["rejected"] += 1
+    # the loop reached both outcomes, and check kinds of each JSON type
+    assert all(outcomes.values()), outcomes
+    assert {"list", "dict", "str", "NoneType"} <= kinds, kinds
 
 
 @pytest.fixture(scope="module")

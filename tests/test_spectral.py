@@ -3,14 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from sieveboot.dgp import ma1_model, simulate_linear
-from sieveboot import spectral
+from sieveboot import dgp, spectral
+from sieveboot.dgp import (
+    KEY_TRUTH,
+    InnovationSpec,
+    LinearModel,
+    derive_seed,
+    ma1_model,
+    replicate,
+    simulate_linear,
+)
 from sieveboot.series import Series, sample_acvf
 from sieveboot.spectral import (
     KernelSpec,
     fourier_quadrature,
     integrated_periodogram,
     kernel_spectral_estimate,
+    periodogram,
     rational_spectral_density,
     ratio_statistic,
     weighted_quadrature,
@@ -28,15 +37,30 @@ class TestPeriodogram:
         # the ordinates j = 1..n-1 carry the centered second moment; the
         # quadrature's half weight at pi makes M(I_n, 2) that sum for even n
         s = rand_series(n, seed=1)
-        assert integrated_periodogram(s.values, 0) == pytest.approx(sample_acvf(s, 0)[0], rel=1e-12)
+        assert integrated_periodogram(periodogram(s.values), 0) == pytest.approx(
+            sample_acvf(s, 0)[0], rel=1e-12)
 
     def test_nonnegative(self):
-        assert np.all(spectral._ordinates(rand_series(256, seed=2).values) >= 0)
+        assert np.all(periodogram(rand_series(256, seed=2).values) >= 0)
 
     def test_zero_frequency_is_mean_term(self):
         s = rand_series(100, seed=3)
-        assert spectral._ordinates(s.values)[0] == pytest.approx(
+        assert periodogram(s.values)[0] == pytest.approx(
             s.n * s.values.mean() ** 2 / (2 * np.pi), abs=1e-12)
+
+    def test_a_block_is_its_rows_periodograms(self):
+        # one FFT of the block, each row bit for bit the periodogram of its path
+        for n in (63, 64, 999, 2000):
+            block = np.random.default_rng(n).standard_normal((7, n))
+            out = periodogram(block)
+            assert out.shape == block.shape and out.flags.c_contiguous
+            for row, path in zip(out, block):
+                assert np.array_equal(row, periodogram(path))
+                assert np.array_equal(row, _inline_ordinates(Series(path))[_inline_fold(n)])
+
+    def test_short_paths_rejected(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            periodogram(np.ones((3, 1)))
 
 
 class TestQuadrature:
@@ -53,20 +77,20 @@ class TestQuadrature:
         x, n = s.values, s.n
         for h in range(4):
             c = np.dot(x[: n - h], x[h:]) / n  # n^-1 sum_t X_t X_{t+h}, not centered
-            assert abs(integrated_periodogram(s.values, h) - c) <= 5.0 / n
+            assert abs(integrated_periodogram(periodogram(x), h) - c) <= 5.0 / n
 
     def test_alternating_tone(self):
         # X_t = (-1)^t has all spectral mass at pi; the half weight at the
         # endpoint is exactly what keeps the quadrature consistent
         n = 64
-        s = Series((-1.0) ** np.arange(1, n + 1))
-        assert integrated_periodogram(s.values, 0) == pytest.approx(1.0)
-        assert integrated_periodogram(s.values, 1) == pytest.approx(-1.0)
+        row = periodogram((-1.0) ** np.arange(1, n + 1))
+        assert integrated_periodogram(row, 0) == pytest.approx(1.0)
+        assert integrated_periodogram(row, 1) == pytest.approx(-1.0)
 
     def test_ratio_statistic_normalization(self):
         # at lag 0 the weight is the constant 2, so R = M(I_n, 2) / M(I_n, 1) = 2
         s = rand_series(400, seed=5)
-        assert ratio_statistic(s.values, 0) == pytest.approx(2.0)
+        assert ratio_statistic(periodogram(s.values), 0) == pytest.approx(2.0)
 
 
 class TestKernel:
@@ -85,23 +109,29 @@ class TestKernel:
             KernelSpec(bandwidth=4.0)
 
     def test_estimate_recovers_ma1_density(self):
-        x = simulate_linear(ma1_model(), 40_000, seed=6)
+        row = periodogram(simulate_linear(ma1_model(), 40_000, seed=6))
         k = KernelSpec(bandwidth=0.15)
         for lam in (np.pi / 3, np.pi / 2, 2.4):
             f_true = rational_spectral_density([1.0, -2.0], [1.0], 1.0, lam)
-            f_hat = kernel_spectral_estimate(x, k, lam)
+            f_hat = kernel_spectral_estimate(row, k, lam)
             assert f_hat == pytest.approx(f_true, rel=0.1)
 
     def test_frequency_range_enforced(self):
         with pytest.raises(ValueError):
-            kernel_spectral_estimate(rand_series(64).values, KernelSpec(), 3.5)
+            kernel_spectral_estimate(periodogram(rand_series(64).values), KernelSpec(), 3.5)
 
 
-# The per-path expressions the cached arrays replaced, kept verbatim as the
-# reference every cached statistic must reproduce bit for bit.
+# The per-path expressions the cached arrays and the periodogram of a block
+# replaced, kept verbatim as the reference every statistic must reproduce bit
+# for bit.
 def _inline_ordinates(s):
     dft = np.fft.rfft(s.values)
     return np.abs(dft) ** 2 / (2.0 * np.pi * s.n)
+
+
+def _inline_fold(n):
+    j = np.arange(n)
+    return np.minimum(j, n - j)
 
 
 def _inline_quadrature(n):
@@ -115,8 +145,7 @@ def _inline_quadrature(n):
 
 def _inline_kernel_estimate(s, k, lam):
     n = s.n
-    j = np.arange(n)
-    i_full = _inline_ordinates(s)[np.minimum(j, n - j)]
+    i_full = _inline_ordinates(s)[_inline_fold(n)]
     mu = 2.0 * np.pi * np.arange(n) / n
     d = np.angle(np.exp(1j * (lam - mu)))
     h = k.bandwidth
@@ -150,8 +179,9 @@ class TestCachedArrays:
             for seed in range(3):
                 s = rand_series(n, seed)
                 want = _inline_kernel_estimate(s, stat.kernel, lam)
-                assert kernel_spectral_estimate(s.values, stat.kernel, lam) == want
-                assert stat.evaluate(s.values) == want
+                row = periodogram(s.values)
+                assert kernel_spectral_estimate(row, stat.kernel, lam) == want
+                assert stat.evaluate(stat.transform(s.values)) == want
 
     @pytest.mark.parametrize("n", [63, 64, 2000])
     def test_frequency_statistics_are_the_inline_expressions(self, n):
@@ -160,10 +190,11 @@ class TestCachedArrays:
             intper = statistic_from_config({"name": "intper-cos", "lag": lag})
             for seed in range(3):
                 s = rand_series(n, seed)
-                assert ratio.evaluate(s.values) == _inline_ratio(s, lag)
-                assert intper.evaluate(s.values) == _inline_integrated(s, lag)
+                assert ratio.evaluate(ratio.transform(s.values)) == _inline_ratio(s, lag)
+                assert intper.evaluate(intper.transform(s.values)) == _inline_integrated(s, lag)
         s = rand_series(n, 9)
-        assert spectral._ordinates(s.values).tolist() == _inline_ordinates(s).tolist()
+        assert (periodogram(s.values)[: n // 2 + 1].tolist()
+                == _inline_ordinates(s).tolist())
 
     @pytest.mark.parametrize("n", [63, 64, 2000])
     def test_model_centers_are_the_inline_expressions(self, n):
@@ -191,16 +222,16 @@ class TestCachedArrays:
         # every cached array comes back as the same object; each periodogram's
         # values stay its own
         assert all(a is b for a, b in zip(first, again))
-        assert (spectral._ordinates(rand_series(128).values)
-                is not spectral._ordinates(rand_series(128).values))
+        assert (periodogram(rand_series(128).values)
+                is not periodogram(rand_series(128).values))
 
     def test_statistics_of_one_lag_share_an_entry(self):
         weighted_quadrature.cache_clear()
         stats = [statistic_from_config({"name": "ratio-cos", "lag": 1}) for _ in range(3)]
-        s = rand_series(96, seed=4)
+        row = periodogram(rand_series(96, seed=4).values)
         for stat in stats:
             for _ in range(2):
-                stat.evaluate(s.values)
+                stat.evaluate(row)
         info = weighted_quadrature.cache_info()
         assert (info.hits, info.misses, info.currsize) == (5, 1, 1)
 
@@ -215,6 +246,39 @@ class TestCachedArrays:
         other = spectral._kernel_weights(k, np.pi / 4, 64)
         assert not np.array_equal(other, wide)
         assert not np.array_equal(weighted_quadrature(2, 64), weighted_quadrature(1, 64))
+
+
+# (statistic, inline reference of a path) for each spectral statistic: the
+# cosine statistics at lags 1 and 3, the kernel estimate at both boundaries
+# and inside.
+_SPECTRAL = [
+    pytest.param({"name": name, "lag": lag}, lambda s, inline=inline, lag=lag: inline(s, lag),
+                 id=f"{name}-{lag}")
+    for name, inline in (("intper-cos", _inline_integrated), ("ratio-cos", _inline_ratio))
+    for lag in (1, 3)
+] + [
+    pytest.param({"name": "specdens", "lambda": lam, "bandwidth": 0.3},
+                 lambda s, lam=lam: _inline_kernel_estimate(s, KernelSpec(0.3), lam),
+                 id=f"specdens-{name}")
+    for name, lam in (("0", 0.0), ("pi/2", np.pi / 2), ("pi", np.pi))
+]
+
+
+class TestBlockPeriodogram:
+    @pytest.mark.parametrize("n", [99, 100])
+    @pytest.mark.parametrize("doc, inline", _SPECTRAL)
+    def test_law_is_the_per_path_inline_loop(self, monkeypatch, doc, inline, n):
+        # replicate takes one periodogram per block; the law is still that of
+        # each path's own FFT, whatever the number of paths in a block
+        statistic, count = statistic_from_config(doc), 15
+        process = LinearModel(a=(0.5, -0.2), innovations=InnovationSpec("centered_uniform"))
+        paths = [process.simulate(n, [derive_seed(11, KEY_TRUTH, i)])[0] for i in range(count)]
+        theta = statistic.model_center(*process.filter, n)
+        want = np.sort(statistic.rate(n) * (np.array([inline(Series(x)) for x in paths]) - theta))
+        for rows in (1, 7, count):
+            monkeypatch.setattr(dgp, "BATCH_VALUES", rows * n)
+            law, _ = replicate(process, statistic, n, count, 11, KEY_TRUTH)
+            assert np.array_equal(law.sample, want)
 
 
 class TestModelDensities:
