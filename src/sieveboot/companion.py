@@ -115,16 +115,25 @@ def build_companion(spec: CompanionSpec, n: int, seeds) -> np.ndarray:
     """Companion paths of length n, deterministic given their seeds: a
     C-contiguous (len(seeds), n) array whose row j is the path of seeds[j].
 
-    Each row of innovations is drawn from its own seed, ``spec.burnin``
-    leading values included, and the whole block goes through one
-    ``dgp.filter_rows`` call (``lfilter`` bit for bit) along its rows. That
-    call filters each row exactly as it filters a lone path, so a row equals
-    the single path of its seed bit for bit.
+    The output is allocated once and filled a tile of
+    ``max(1, dgp.TILE_VALUES // (n + spec.burnin))`` rows at a time: each
+    row of the tile's innovations is drawn from its own seed,
+    ``spec.burnin`` leading values included, the tile goes through one
+    ``dgp.filter_rows`` call (``lfilter`` bit for bit) along its rows, and
+    its outputs past the burn-in are written into their rows. That call
+    filters each row exactly as it filters a lone path, so a row equals the
+    single path of its seed bit for bit, whatever the tile.
     """
     burnin = spec.burnin
-    # The innovation block is a temporary, freed before the rows are copied out.
-    x = dgp.filter_rows(spec.num, spec.den, _draw_rows(spec.noise, seeds, n + burnin))
-    return np.ascontiguousarray(x[:, burnin:])
+    out = np.empty((len(seeds), n))
+    rows = max(1, dgp.TILE_VALUES // (n + burnin))
+    for lo in range(0, len(seeds), rows):
+        # no name holds a tile's innovations or filtered copy, so both are
+        # freed before the next tile is drawn
+        out[lo:lo + rows] = dgp.filter_rows(
+            spec.num, spec.den, _draw_rows(spec.noise, seeds[lo:lo + rows], n + burnin)
+        )[:, burnin:]
+    return out
 
 
 def companion_distribution(spec: CompanionSpec, statistic, n: int, M: int, seed: dgp.SeedLike):

@@ -20,11 +20,18 @@ C-contiguous (len(seeds), n) float array whose row j is the path of
 seeds[j]. A row does not depend on the other seeds, so a path is the same
 whatever block it is simulated in. ``LinearModel`` fills the block one
 ``simulate_linear`` call per seed, or one ``simulate_ar`` call when it has a
-denominator. ``Arch1Model`` steps all its paths one time step at a time.
-A ``CompanionSpec`` draws each path's innovations from its noise into one
-row of a block and filters the block with one ``filter_rows`` call, which is
-one ``lfilter`` call bit for bit.
-``replicate`` alone decides the block size: it runs over consecutive chunks
+denominator. ``Arch1Model`` draws each path's burn-in into a (k, burn-in)
+buffer and its kept values straight into its output row, then steps all its
+paths one time step at a time, a column of the buffer and then of the
+output, in place. A ``CompanionSpec`` fills its output in tiles of
+``max(1, TILE_VALUES // (n + burn-in))`` rows: it draws each path's
+innovations from its noise into one row of a tile, filters the tile with one
+``filter_rows`` call, which is one ``lfilter`` call bit for bit, and writes
+the outputs past the burn-in into their rows.
+A chunk is what one ``simulate`` call returns and a statistic transforms; a
+tile is what one filter call sees while a chunk is built. Neither changes a
+bit of any path.
+``replicate`` alone decides the chunk size: it runs over consecutive chunks
 of ``max(1, BATCH_VALUES // n)`` paths, derives the chunk's seeds, simulates
 them in one ``simulate`` call, checks the whole block finite once, hands it
 to the statistic's ``transform`` once -- the block itself, or one FFT of it
@@ -69,6 +76,7 @@ __all__ = [
     "Arch1Model",
     "COMPANION_RECORD_LENGTH",
     "BATCH_VALUES",
+    "TILE_VALUES",
     "derive_seed",
     "derive_seeds",
     "PathSeed",
@@ -102,6 +110,13 @@ SeedLike = Union[int, np.random.SeedSequence]
 # it bounds the memory of a chunk while spreading each call's and each time
 # step's overhead over many paths.
 BATCH_VALUES = 1 << 19
+
+# Values drawn and filtered at a time while a companion block is filled: a
+# tile of max(1, TILE_VALUES // (n + burn-in)) rows goes through one
+# ``filter_rows`` call and is written past its burn-in into the block, so
+# only the block and one tile's innovations and outputs are alive at once.
+# Smaller tiles pay the filter call's overhead more often.
+TILE_VALUES = 1 << 18
 
 # Spawn-key namespaces of derived seeds: bootstrap replications, oracle
 # replications, truth replications, the companion's innovation record and the
@@ -286,7 +301,7 @@ class InnovationSpec:
         if self.family == "gaussian":
             e = rng.standard_normal(size)
         elif self.family == "centered_exponential":
-            e = rng.exponential(1.0, size)
+            e = rng.standard_exponential(size)
             e -= 1.0
         else:  # centered_uniform, variance 1 on [-sqrt(3), sqrt(3)]
             e = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size)
@@ -528,27 +543,35 @@ def simulate_arch1(model: Arch1Model, n: int, seeds) -> np.ndarray:
     ``default_burnin(1)`` values are dropped.
 
     Returns a C-contiguous (len(seeds), n) array whose row j is the path of
-    seeds[j]. The paths advance together one time step at a time in a
-    time-major block, each element through the same IEEE operations as a
-    path of its own, so a row equals the single path of its seed bit for
-    bit. A path that overflows float64 holds inf or NaN, with no warning;
-    the finiteness check of its block rejects it.
+    seeds[j]. Each path draws its burn-in multipliers into its row of a
+    (len(seeds), burn-in) buffer, then its n kept ones straight into its
+    output row: two consecutive draws from one generator, the stream of a
+    single draw of n + burn-in. The paths then advance together one time step
+    at a time, a column of the buffer and then a column of the output
+    overwritten in place, each element through the same IEEE operations as a
+    path of its own, so a row equals the single path of its seed bit for bit.
+    A path that overflows float64 holds inf or NaN, with no warning; the
+    finiteness check of its block rejects it.
     """
     burnin = default_burnin(1)
-    x = np.empty((n + burnin, len(seeds)))
+    head = np.empty((len(seeds), burnin))
+    out = np.empty((len(seeds), n))
     for j, s in enumerate(seeds):
-        x[:, j] = rng_from(s).standard_normal(n + burnin)
+        rng = rng_from(s)
+        rng.standard_normal(out=head[j])
+        rng.standard_normal(out=out[j])
     var = np.empty(len(seeds))
     prev = np.zeros(len(seeds))
     with np.errstate(over="ignore", invalid="ignore"):
-        for row in x:  # z_t is overwritten by x_t
-            np.multiply(prev, prev, out=var)
-            var *= model.alpha1
-            var += model.omega
-            np.sqrt(var, out=var)
-            row *= var
-            prev = row
-    return np.ascontiguousarray(x[burnin:].T)
+        for block in (head, out):
+            for col in block.T:  # z_t is overwritten by x_t
+                np.multiply(prev, prev, out=var)
+                var *= model.alpha1
+                var += model.omega
+                np.sqrt(var, out=var)
+                col *= var
+                prev = col
+    return out
 
 
 def _is_number(value) -> bool:

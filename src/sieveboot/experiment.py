@@ -62,10 +62,40 @@ _UNPASSABLE = {
 _FIELD_KINDS = {"str": (str, "a string"), "dict": (dict, "an object"), "int": (int, "an integer"),
                 "tuple": ((list, tuple), "a list")}
 _FLOORS = {"n": 100, "B": 200, "M": 200, "R": 200, "seed": 0}
+# Bytes that a run's arrays may take at once, by ``_memory_estimate``: far
+# past the paper's sizes (n up to about 1.5 * 10^7, B + M + R up to about
+# 6 * 10^6) and well inside a 7 GB machine.
+_MEMORY_BOUND = 1 << 30
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration, with field diagnostics."""
+
+
+def _memory_estimate(n: int, B: int, M: int, R: int, burnin: int) -> int:
+    """Upper estimate of the bytes a run's arrays take at once, for paths of
+    n values past a burn-in of ``burnin``.
+
+    - A chunk of paths is a block of max(BATCH_VALUES, n) values (one path
+      when n is larger). While it is simulated and evaluated, seven float64
+      per block value are alive: the block, the FFT and fold a spectral
+      statistic makes of it, the data path and its residual record, and a
+      truth path's draws and filter output.
+    - A companion block is filled a tile of max(TILE_VALUES, n + burnin)
+      values at a time, drawn and then filtered into a copy: two more.
+    - A companion record of COMPANION_RECORD_LENGTH values is drawn and
+      filtered into a copy: two per record value.
+    - A replication costs 160 bytes: its value in the law and in the
+      temporaries that centre and sort it, and its law written out as text
+      through a list of floats and a list of strings.
+
+    Traced with tracemalloc, a run of a ratio statistic at n = 10^6 peaked
+    at 8.5 float64 per value, and one at B = 5 * 10^5, n = 100, at 66.8 MB,
+    134 bytes per replication with nothing else counted.
+    """
+    values = (7 * max(dgp.BATCH_VALUES, n) + 2 * max(dgp.TILE_VALUES, n + burnin)
+              + 2 * dgp.COMPANION_RECORD_LENGTH)
+    return 8 * values + 160 * (B + M + R)
 
 
 def load_json(doc):
@@ -100,7 +130,7 @@ class ExperimentConfig:
             if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
                 raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
         try:
-            dgp.model_from_json(self.dgp)
+            model = dgp.model_from_json(self.dgp)
         except ValueError as exc:
             raise ConfigError(f"dgp: {exc}") from exc
         try:
@@ -110,6 +140,12 @@ class ExperimentConfig:
         for label, floor in _FLOORS.items():
             if getattr(self, label) < floor:
                 raise ConfigError(f"{label} must be >= {floor}, got {getattr(self, label)}")
+        order = max(c.size for c in model.filter[:2]) - 1
+        need = _memory_estimate(self.n, self.B, self.M, self.R, dgp.default_burnin(order))
+        if need > _MEMORY_BOUND:
+            raise ConfigError(f"n, B, M, R = {self.n}, {self.B}, {self.M}, {self.R} would hold "
+                              f"about {need / 2 ** 30:.3g} GiB of arrays at once, above the "
+                              f"bound of {_MEMORY_BOUND / 2 ** 30:g} GiB")
         try:
             statistic.check_n(self.n)
         except ValueError as exc:

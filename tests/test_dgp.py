@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -26,6 +27,7 @@ from sieveboot.dgp import (
     default_burnin,
     derive_seed,
     derive_seeds,
+    filter_rows,
     ma1_example,
     ma1_model,
     model_from_json,
@@ -118,6 +120,12 @@ class TestInnovations:
         ratio = np.mean(e ** 4) / np.mean(e ** 2) ** 2
         assert ratio == pytest.approx(raw4, rel=0.05)
         assert spec.excess_kurtosis == raw4 - 3.0
+
+    def test_centered_exponential_draws_are_numpys_exponential_less_one(self):
+        spec = InnovationSpec("centered_exponential", scale=1.5)
+        for seed in range(50):
+            want = (rng_from(seed).exponential(1.0, 1001) - 1.0) * 1.5
+            assert np.array_equal(spec.draw(1001, seed), want)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
@@ -315,6 +323,23 @@ class TestArch1:
             assert len(paths) == len(seeds)
             assert all(np.array_equal(p, r) for p, r in zip(paths, reference))
 
+    @pytest.mark.parametrize("k", [1, 3, 100])
+    @pytest.mark.parametrize("n", [149, 150])
+    def test_rows_are_the_time_major_one_draw_recursion(self, k, n):
+        # the block simulate_arch1 stepped before it filled its output rows:
+        # one draw of n + burn-in per path into a column of a time-major
+        # block, stepped a row (a time step) at a time, kept rows transposed
+        model, burnin = Arch1Model(omega=1.0, alpha1=0.3), default_burnin(1)
+        seeds = [derive_seed(8, KEY_TRUTH, i) for i in range(k)]
+        x = np.stack([rng_from(s).standard_normal(n + burnin) for s in seeds], axis=1)
+        prev = np.zeros(k)
+        for row in x:
+            row *= np.sqrt(model.omega + model.alpha1 * (prev * prev))
+            prev = row
+        block = simulate_arch1(model, n, seeds)
+        assert block.shape == (k, n) and block.flags.c_contiguous
+        assert np.array_equal(block, x[burnin:].T)
+
     def test_companion_record_depends_only_on_the_seed(self):
         model = Arch1Model(omega=1.0, alpha1=0.3)
         record = companion_spec_for(model, seed=3).noise.values
@@ -442,6 +467,24 @@ class TestReplicate:
             assert np.array_equal(law.sample, want)
             assert sum(blocks) == count and max(blocks) == rows
 
+    # the tile as one row, 7 rows and the whole chunk of 15 rows
+    @pytest.mark.parametrize("kind", sorted(BLOCK_PROCESSES))
+    @pytest.mark.parametrize("tile_rows", [1, 7, 15])
+    def test_law_is_the_same_whatever_the_tile(self, monkeypatch, kind, tile_rows):
+        process, statistic, n, count = BLOCK_PROCESSES[kind](), AcvfStatistic(1), 120, 15
+        want, _ = replicate(process, statistic, n, count, 11, KEY_TRUTH)
+        filtered = []
+
+        def recorded(b, a, x):
+            filtered.append(x.shape[0])
+            return filter_rows(b, a, x)
+
+        monkeypatch.setattr(dgp, "filter_rows", recorded)
+        monkeypatch.setattr(dgp, "TILE_VALUES", tile_rows * (n + process.burnin))
+        law, _ = replicate(process, statistic, n, count, 11, KEY_TRUTH)
+        assert np.array_equal(law.sample, want.sample)
+        assert sum(filtered) == count and max(filtered) == tile_rows
+
     @pytest.mark.parametrize("kind", sorted(BLOCK_PROCESSES))
     def test_a_row_of_a_block_is_the_path_of_its_seed(self, kind):
         spec = BLOCK_PROCESSES[kind]()
@@ -466,6 +509,43 @@ class TestReplicate:
             replicate(process, statistic, 50, 10, 11, KEY_TRUTH)
         assert process.calls == 2 and len(statistic.rows) == 3
         assert all(np.isfinite(row).all() for row in statistic.rows)
+
+
+class TestBlockMemory:
+    # A block of 262 paths at n = 2000, a chunk of BATCH_VALUES at paper
+    # scale. Building it may hold, besides the block itself, one tile's
+    # innovations and the filtered copy that filter_rows returns for them
+    # (build_companion) or the (262, burn-in) buffer of burn-in values
+    # (simulate_arch1), plus 64 kB of row-sized temporaries and small arrays.
+    SLACK = 1 << 16
+    SEEDS = derive_seeds(3, KEY_TRUTH, 0, 262)
+
+    @staticmethod
+    def _peak(simulate) -> int:
+        simulate()  # leave one-off allocations (caches, imports) out of the trace
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            block = simulate()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (262, 2000) and block.flags.c_contiguous
+        return peak
+
+    def test_build_companion_holds_the_block_and_one_filtered_tile(self):
+        spec = CompanionSpec([1.0], [1.0, -0.5], ResampledRecord(_RECORD))
+        assert spec.burnin == 1000
+        rows = dgp.TILE_VALUES // (2000 + spec.burnin)
+        tile = 2 * rows * (2000 + spec.burnin) * 8
+        peak = self._peak(lambda: build_companion(spec, 2000, self.SEEDS))
+        assert peak <= 262 * 2000 * 8 + tile + self.SLACK
+
+    def test_simulate_arch1_holds_the_block_and_its_burnin(self):
+        model = Arch1Model(omega=1.0, alpha1=0.3)
+        peak = self._peak(lambda: simulate_arch1(model, 2000, self.SEEDS))
+        assert peak <= 262 * (2000 + default_burnin(1)) * 8 + self.SLACK
 
 
 class _OneBlockAlive:

@@ -265,6 +265,12 @@ BAD_VALUES = [
     ({"seed": "5"}, "seed must be an integer"),
     ({"seed": False}, "seed must be an integer"),
     ({"checks": 1}, "checks must be a list"),
+    # past the memory bound: one path of n = 10^9 values is 7.45 GiB, and a
+    # law of B = 10^9 values 8 GB
+    ({"n": 10 ** 9}, r"n, B, M, R = 1000000000, 200, 200, 200 would hold about 67.1 GiB"),
+    ({"B": 10 ** 9}, r"n, B, M, R = 200, 1000000000, 200, 200 would hold about 149 GiB"),
+    ({"M": 10 ** 8}, "above the bound of 1 GiB"),
+    ({"R": 10 ** 8}, "above the bound of 1 GiB"),
     # the verdict is derived from the model and statistic, never asserted
     ({"expect": {"boot-var": False}}, r"unknown config keys: \['expect'\]"),
     ({"bootstrap_valid": False}, r"unknown config keys: \['bootstrap_valid'\]"),
@@ -317,12 +323,26 @@ class TestFailFast:
         with pytest.raises(ConfigError, match=message):
             run_experiment(ExperimentConfig.from_json({**TINY_CONFIG, **override}))
 
+    def test_largest_admissible_n_meets_the_memory_bound(self, monkeypatch, no_simulation):
+        # past n = BATCH_VALUES the estimate is 8 bytes times 7 n (block and
+        # evaluation) + 2 (n + 1000) (a tile of one MA(1) path and its burn-in)
+        # + 2 * 10^6 (the companion record), plus 160 bytes per replication
+        monkeypatch.setattr(experiment, "companion_spec_for", _accept)
+        fixed = 8 * (2 * 1000 + 2 * 10 ** 6) + 160 * 3 * 200
+        largest = (2 ** 30 - fixed) // (8 * 9)
+        with pytest.raises(_Accepted):
+            run_experiment(ExperimentConfig.from_json({**TINY_CONFIG, "n": largest}))
+        with pytest.raises(ConfigError, match="above the bound of 1 GiB"):
+            ExperimentConfig.from_json({**TINY_CONFIG, "n": largest + 1})
+
     @pytest.mark.parametrize("override, field", [
         ({"order_rule": {"bogus": 1}}, "order_rule"),
         ({"order_rule": {"mode": "fixed", "fixed_p": True}}, "integer fixed_p >= 1, got True"),
         ({"order_rule": {"mode": "aic_capped", "fixed_p": 3}}, "fixed_p is read only"),
         ({"n": "2000"}, "n must be"),
         ({"checks": [1]}, "check #0"),
+        ({"n": 10 ** 9}, "above the bound of 1 GiB"),
+        ({"B": 10 ** 9}, "above the bound of 1 GiB"),
         ({"expect": {"boot-var": False}}, "unknown config keys: ['expect']"),
         ({"bootstrap_valid": False}, "unknown config keys: ['bootstrap_valid']"),
         ({"statistic": {}}, "unknown statistic"),
@@ -431,8 +451,9 @@ def _accept(*args, **kwargs):
 
 # Values a mutant puts in place of a config value, a list or an object among
 # them, besides the values of the other fields.
-FUZZ_VALUES = [None, True, False, 0, 1, -1, 2.5, -0.5, 10 ** 20, 1e308, -1e308, float("nan"),
-               float("inf"), "", "x", "mean", "var_close", [], [1.0], ["truth"], {}, {"a": 1}]
+FUZZ_VALUES = [None, True, False, 0, 1, -1, 2.5, -0.5, 10 ** 9, 10 ** 20, 1e308, -1e308,
+               float("nan"), float("inf"), "", "x", "mean", "var_close", [], [1.0], ["truth"],
+               {}, {"a": 1}]
 
 
 def _nodes(doc, path=()):
@@ -470,26 +491,32 @@ def test_config_fuzz_either_exits_2_with_one_error_line_or_is_accepted(monkeypat
     # A seeded mutation loop over every preset and TINY_CONFIG: each mutant
     # exits 2 with one error line before any path, or passes validation and
     # reaches the companion build, stubbed here; any other exception fails.
+    # A mutant with n, B, M or R of 10^9 or more is past the memory bound and
+    # must be rejected.
     monkeypatch.setattr(experiment, "companion_spec_for", _accept)
     docs = [json.loads(json.dumps(dataclasses.asdict(preset_config(name))))
             for name in list_presets()] + [TINY_CONFIG]
     rng = random.Random(20110)
-    outcomes, kinds = {"accepted": 0, "rejected": 0}, set()
+    outcomes, kinds = {"accepted": 0, "rejected": 0, "oversized": 0}, set()
     for _ in range(1000):
         doc = _mutant(rng, docs)
+        oversized = any(type(doc.get(f)) is int and doc[f] >= 10 ** 9 for f in "nBMR")
         if isinstance(doc.get("checks"), list):
             kinds.update(type(c.get("kind")).__name__ for c in doc["checks"]
                          if isinstance(c, dict))
         try:
             code = main(["run", "--config", json.dumps(doc)])
         except _Accepted:
+            assert not oversized, doc
             outcomes["accepted"] += 1
             continue
         out, err = capsys.readouterr()
         assert code == 2 and out == "", doc
         assert len(err.splitlines()) == 1 and err.startswith("error: "), (doc, err)
         outcomes["rejected"] += 1
-    # the loop reached both outcomes, and check kinds of each JSON type
+        outcomes["oversized"] += oversized
+    # the loop reached both outcomes and oversized mutants, and check kinds of
+    # each JSON type
     assert all(outcomes.values()), outcomes
     assert {"list", "dict", "str", "NoneType"} <= kinds, kinds
 
