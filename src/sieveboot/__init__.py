@@ -11,7 +11,6 @@ closed-form asymptotic targets, and a CLI harness that compares all three.
 from .series import (
     DegenerateSeriesError,
     EmpiricalLaw,
-    Series,
     kolmogorov_distance,
     ks_critical_value,
     sample_acvf,

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .series import DegenerateSeriesError, Series
+from .series import DegenerateSeriesError
 
 __all__ = [
     "ConditioningError",
@@ -146,18 +146,17 @@ def wold_factorization(b, sigma2: float = 1.0):
     return num, sigma2 * float(np.prod(size[inside] ** 2)), psi
 
 
-def residuals(s: Series, a) -> np.ndarray:
+def residuals(x: np.ndarray, a) -> np.ndarray:
     """Centered residuals X_t - sum_j a_j X_{t-j}, t > p, of the AR
-    coefficients a = (a_1..a_p).
+    coefficients a = (a_1..a_p) on the path x.
 
     The output has mean zero to machine precision (the mean is removed twice
     to absorb rounding of the first pass).
     """
     a = np.asarray(a, dtype=float)
-    n, p = s.n, a.size
+    n, p = x.size, a.size
     if n <= p:
         raise ValueError(f"series length {n} must exceed fit order {p}")
-    x = s.values
     if p == 0:
         res = x.copy()
     else:

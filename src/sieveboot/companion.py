@@ -68,14 +68,15 @@ class CompanionSpec:
         return build_companion(self, n, seeds)
 
 
-def rational_acvf(num, den, sigma2: float, maxlag: int | None = None) -> np.ndarray:
+def rational_acvf(num, den, sigma2: float, lags=None) -> np.ndarray:
     """Autocovariances gamma(h) = sigma2 sum_j psi_j psi_{j+h} of the process
-    [num(z) / den(z)] eps, psi being the filter's impulse response, for
-    h = 0..maxlag.
+    [num(z) / den(z)] eps, psi being the filter's impulse response, for each
+    h in ``lags``: one lagged dot product per lag asked for.
 
     A trivial denominator gives the finite response psi = num exactly;
     otherwise 1 / den(z) is expanded until its tail contributes less than
-    1e-12 of its largest coefficient, capped at lag 10^4. With maxlag None
+    1e-12 of its largest coefficient, starting max(max(lags) + 50, 200) lags
+    out and capped at lag 10^4 (or at the start, past it). With lags None
     gamma runs over every lag of psi, and an expansion that reaches the cap
     with its tail still above 1e-12 raises ValueError.
     """
@@ -84,7 +85,7 @@ def rational_acvf(num, den, sigma2: float, maxlag: int | None = None) -> np.ndar
     if a.size == 0:
         psi, settled = num, True
     else:
-        L = max((maxlag or 0) + 50, 200)
+        L = max(max(lags or [0]) + 50, 200)
         while True:
             alpha = invert_ar_polynomial(a, L)
             tail = np.abs(alpha[-50:]).max()
@@ -94,13 +95,13 @@ def rational_acvf(num, den, sigma2: float, maxlag: int | None = None) -> np.ndar
                 break
             L = min(2 * L, 10 ** 4)
         psi = np.convolve(num, alpha)[: L + 1]
-    if maxlag is None:
+    if lags is None:
         if not settled:
             raise ValueError(f"the impulse response of 1 / den(z) is still {tail / head:.3g} of "
                              "its peak at lag 10^4: a root of den lies too near the unit circle")
-        maxlag = psi.size - 1
+        lags = range(psi.size)
     return np.array([sigma2 * np.dot(psi[: psi.size - h], psi[h:]) if h < psi.size else 0.0
-                     for h in range(maxlag + 1)])
+                     for h in lags])
 
 
 def _draw_rows(noise, seeds, width: int) -> np.ndarray:

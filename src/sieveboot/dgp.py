@@ -36,8 +36,8 @@ of ``max(1, BATCH_VALUES // n)`` paths, derives the chunk's seeds, simulates
 them in one ``simulate`` call, checks the whole block finite once, hands it
 to the statistic's ``transform`` once -- the block itself, or one FFT of it
 for a spectral statistic -- and evaluates the statistic once per row of
-what that returns. A ``Series`` is the validated type of a lone data path,
-not of a simulated row.
+what that returns. A path is a plain 1-d float array, a row of a block; an
+experiment's data path passes the same ``check_finite`` as every block.
 
 Seeding: every simulator is deterministic given (model, n, seed). Distinct
 replications must use distinct derived seeds; the canonical derivation rule is
@@ -67,7 +67,7 @@ from typing import Union
 import numpy as np
 
 from .ar import check_roots_outside_disk, wold_factorization
-from .series import EmpiricalLaw, Series
+from .series import EmpiricalLaw
 
 __all__ = [
     "InnovationSpec",
@@ -81,6 +81,7 @@ __all__ = [
     "derive_seeds",
     "PathSeed",
     "replicate",
+    "check_finite",
     "rng_from",
     "simulate_linear",
     "simulate_ar",
@@ -259,11 +260,16 @@ def replicate(process, statistic, n: int, count: int, seed: SeedLike, key: int):
 
 def _evaluate_rows(statistic, block: np.ndarray) -> list:
     """``statistic.evaluate`` of each row of ``statistic.transform`` of a
-    simulated block, after one finiteness check of the whole block, the
-    check ``Series`` makes of a path."""
+    simulated block, after one ``check_finite`` of the whole block."""
+    return [statistic.evaluate(row) for row in statistic.transform(check_finite(block))]
+
+
+def check_finite(block: np.ndarray) -> np.ndarray:
+    """``block`` itself, once every value of it is checked finite: the one
+    check of every simulated array, a block of paths or the data path."""
     if not np.isfinite(block).all():
         raise ValueError("series values must be finite")
-    return [statistic.evaluate(row) for row in statistic.transform(block)]
+    return block
 
 
 def rng_from(seed: SeedLike) -> np.random.Generator:
@@ -521,9 +527,10 @@ def ma1_model(innovations: InnovationSpec | None = None) -> LinearModel:
 def ma1_example(n: int, seed: SeedLike, innovations: InnovationSpec | None = None):
     """The noninvertible MA(1) worked example.
 
-    Returns (X, e, ve) where ve_t = e_t - (3/2) sum_{j>=1} (1/2)^{j-1} e_{t-j}
-    is the Wold innovation of X, computed with the exact recursive all-pass
-    filter (1 - 2z) / (1 - z/2) of ``wold_factorization``, of constant gain 2.
+    Returns three arrays (X, e, ve), where
+    ve_t = e_t - (3/2) sum_{j>=1} (1/2)^{j-1} e_{t-j} is the Wold innovation
+    of X, computed with the exact recursive all-pass filter
+    (1 - 2z) / (1 - z/2) of ``wold_factorization``, of constant gain 2.
     Because only one pre-sample innovation is drawn (so that X matches
     ``simulate_linear`` with b = (-2) seed-for-seed), the first 60 values of
     ve are burn-in and must be excluded from moment checks.
@@ -534,7 +541,7 @@ def ma1_example(n: int, seed: SeedLike, innovations: InnovationSpec | None = Non
     e_full = model.innovations.draw(n + q, seed)
     x = filter_rows(b, [1.0], e_full)[q:]
     ve = filter_rows(b, wold_factorization(b)[0], e_full)[q:]
-    return Series(x), Series(e_full[q:]), Series(ve)
+    return x, e_full[q:], ve
 
 
 def simulate_arch1(model: Arch1Model, n: int, seeds) -> np.ndarray:

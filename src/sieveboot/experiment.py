@@ -25,7 +25,7 @@ import numpy as np
 
 from . import dgp
 from .companion import CompanionSpec, companion_distribution
-from .series import Series, kolmogorov_distance, ks_critical_value
+from .series import kolmogorov_distance, ks_critical_value
 from .sieve import OrderRule, bootstrap_distribution
 from .statistics import bootstrap_verdict, statistic_from_config
 
@@ -358,7 +358,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     _validate_checks(config.checks, targets)
     spec = timed("companion", companion_spec_for, model, seed)
 
-    data = Series(timed("data", model.simulate, n, [dgp.derive_seed(seed, dgp.KEY_DATA)])[0])
+    data = dgp.check_finite(timed("data", model.simulate, n,
+                                  [dgp.derive_seed(seed, dgp.KEY_DATA)])[0])
     boot = timed("bootstrap", bootstrap_distribution, data, statistic, config.B, rule, seed)
     oracle_law, _ = timed("oracle", companion_distribution, spec, statistic, n, config.M, seed)
     truth_law, _ = timed("truth", dgp.replicate, model, statistic, n, config.R, seed,

@@ -1,5 +1,6 @@
-"""Sample paths, moment statistics and empirical distributions.
+"""Data paths, moment statistics and empirical distributions.
 
+A path is a 1-d float array, the row that a process's ``simulate`` returns.
 All estimators use the biased 1/n normalization, which keeps empirical
 autocovariance (Toeplitz) matrices positive semidefinite.
 """
@@ -12,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "DegenerateSeriesError",
-    "Series",
     "EmpiricalLaw",
     "sample_acvf",
     "kolmogorov_distance",
@@ -22,25 +22,6 @@ __all__ = [
 
 class DegenerateSeriesError(ValueError):
     """Raised when a computation requires a non-constant series."""
-
-
-@dataclass(frozen=True)
-class Series:
-    """A finite real-valued sample path."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size < 1:
-            raise ValueError("series must be a nonempty 1-d array")
-        if not np.isfinite(values).all():
-            raise ValueError("series values must be finite")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -70,12 +51,20 @@ class EmpiricalLaw:
         return float(np.mean(self.sample))
 
 
-def sample_acvf(s: Series, maxlag: int) -> np.ndarray:
-    """Biased sample autocovariances gamma(0..maxlag)."""
-    n = s.n
-    if not 0 <= maxlag < n:
-        raise ValueError(f"maxlag must satisfy 0 <= maxlag < n, got {maxlag} with n={n}")
-    x = s.values - np.mean(s.values)
+def _centered(x: np.ndarray, maxlag: int) -> np.ndarray:
+    """The path less its mean, ``np.mean``'s arithmetic, after checking that
+    lag ``maxlag`` lies within it: the one centring step of the sample
+    autocovariance, shared by ``sample_acvf`` and the acvf and acf
+    statistics."""
+    if not 0 <= maxlag < x.size:
+        raise ValueError(f"maxlag must satisfy 0 <= maxlag < n, got {maxlag} with n={x.size}")
+    return x - np.add.reduce(x) / x.size
+
+
+def sample_acvf(x: np.ndarray, maxlag: int) -> np.ndarray:
+    """Biased sample autocovariances gamma(0..maxlag) of the path x."""
+    x = _centered(x, maxlag)
+    n = x.size
     gamma = np.empty(maxlag + 1)
     for h in range(maxlag + 1):
         gamma[h] = np.dot(x[: n - h], x[h:]) / n

@@ -18,7 +18,7 @@ import numpy as np
 from . import dgp
 from .ar import levinson_durbin, residuals
 from .companion import CompanionSpec, build_companion
-from .series import EmpiricalLaw, Series, sample_acvf
+from .series import EmpiricalLaw, sample_acvf
 
 __all__ = [
     "OrderRule",
@@ -67,23 +67,24 @@ class SieveModel(CompanionSpec):
         return generate_bootstrap_series(self, n, seeds)
 
 
-def fit_sieve(s: Series, rule: OrderRule) -> SieveModel:
-    """Steps 1-2: one sample ACVF and one Levinson-Durbin run up to the order
-    cap, or to the fixed order clamped to it, give the prediction variances
-    from which AIC picks p; the order-p Yule-Walker coefficients a give the
-    filter, and the centered residuals of a its noise."""
-    n = s.n
+def fit_sieve(x: np.ndarray, rule: OrderRule) -> SieveModel:
+    """Steps 1-2 on the path x: one sample ACVF and one Levinson-Durbin run
+    up to the order cap, or to the fixed order clamped to it, give the
+    prediction variances from which AIC picks p; the order-p Yule-Walker
+    coefficients a give the filter, and the centered residuals of a its
+    noise."""
+    n = x.size
     if n < 20:
         raise ValueError("order selection requires n >= 20")
     fixed = rule.mode == "fixed"
     top = min(rule.fixed_p, order_cap(n)) if fixed else order_cap(n)
-    gamma = sample_acvf(s, top)
+    gamma = sample_acvf(x, top)
     _, sigma2s = levinson_durbin(gamma, top)
     orders = np.arange(1, top + 1)
     p = top if fixed else int(orders[np.argmin(n * np.log(sigma2s[1:]) + 2.0 * orders)])
     a, _ = levinson_durbin(gamma, p)
     return SieveModel([1.0], np.concatenate([[1.0], -a]),
-                      dgp.ResampledRecord(np.sort(residuals(s, a))))
+                      dgp.ResampledRecord(np.sort(residuals(x, a))))
 
 
 def generate_bootstrap_series(m: SieveModel, n: int, seeds) -> np.ndarray:
@@ -102,9 +103,10 @@ class BootstrapResult:
     p_used: int
 
 
-def bootstrap_distribution(s: Series, statistic, B: int, rule: OrderRule,
+def bootstrap_distribution(x: np.ndarray, statistic, B: int, rule: OrderRule,
                            seed: dgp.SeedLike) -> BootstrapResult:
-    """Step 3: the AR-sieve bootstrap law of the scaled statistic.
+    """Step 3: the AR-sieve bootstrap law of the scaled statistic, from the
+    data path x.
 
     theta* is the exact model quantity of the bootstrap process: the filter
     1 / (1 - sum a_k z^k) of the fitted coefficients, driven by the residual
@@ -112,6 +114,6 @@ def bootstrap_distribution(s: Series, statistic, B: int, rule: OrderRule,
     """
     if B < 100:
         raise ValueError("B must be at least 100")
-    model = fit_sieve(s, rule)
-    law, theta = dgp.replicate(model, statistic, s.n, B, seed, dgp.KEY_BOOT)
+    model = fit_sieve(x, rule)
+    law, theta = dgp.replicate(model, statistic, x.size, B, seed, dgp.KEY_BOOT)
     return BootstrapResult(law=law, theta_star=theta, p_used=model.p)

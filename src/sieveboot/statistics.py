@@ -26,7 +26,7 @@ from .asymptotics import (
     spectral_estimator_variance,
 )
 from .companion import rational_acvf
-from .series import DegenerateSeriesError
+from .series import DegenerateSeriesError, _centered
 from .spectral import (
     KernelSpec,
     fourier_quadrature,
@@ -108,15 +108,6 @@ def _bartlett_target(target_id: str, scale: float, h: int, num, den, sigma2, kap
     return {target_id: scale * bartlett_variance(gamma / gamma[0], h)}
 
 
-def _centered(x: np.ndarray, maxlag: int) -> np.ndarray:
-    """The path less its mean, with the arithmetic and the check of
-    ``sample_acvf``, so that a lag-h product over it divided by n is
-    ``sample_acvf(Series(x), h)[h]`` bit for bit."""
-    if not 0 <= maxlag < x.size:
-        raise ValueError(f"maxlag must satisfy 0 <= maxlag < n, got {maxlag} with n={x.size}")
-    return x - np.add.reduce(x) / x.size
-
-
 class Statistic:
     """Protocol base; subclasses set ``name`` and override the hooks.
     ``second_order_limit`` is true where the limit law depends only on the
@@ -189,7 +180,7 @@ class AcvfStatistic(Statistic):
         return float(np.dot(x[: x.size - self.h], x[self.h:]) / x.size)
 
     def model_center(self, num, den, sigma2, n):
-        return float(rational_acvf(num, den, sigma2, self.h)[self.h])
+        return float(rational_acvf(num, den, sigma2, [self.h])[0])
 
     def targets(self, num, den, sigma2, kappa_e, kappa_eps):
         return _acvf_targets("acvf_variance", self.h, num, den, sigma2, kappa_e, kappa_eps)
@@ -214,8 +205,8 @@ class AcfStatistic(Statistic):
         return float(np.dot(x[: n - self.h], x[self.h:]) / n / gamma0)
 
     def model_center(self, num, den, sigma2, n):
-        gamma = rational_acvf(num, den, sigma2, self.h)
-        return float(gamma[self.h] / gamma[0])
+        gamma0, gamma_h = rational_acvf(num, den, sigma2, [0, self.h])
+        return float(gamma_h / gamma0)
 
     def targets(self, num, den, sigma2, kappa_e, kappa_eps):
         return _bartlett_target("bartlett_variance", 1.0, self.h, num, den, sigma2, kappa_e)

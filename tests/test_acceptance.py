@@ -12,7 +12,7 @@ from scipy.stats import norm
 from sieveboot.ar import invert_ar_polynomial, levinson_durbin, root_radius
 from sieveboot.dgp import InnovationSpec, ma1_example
 from sieveboot.experiment import preset_config, run_experiment
-from sieveboot.series import Series, ks_critical_value, sample_acvf
+from sieveboot.series import ks_critical_value, sample_acvf
 from sieveboot.spectral import integrated_periodogram, periodogram
 
 MA1_GAMMA = np.concatenate([[5.0, -2.0], np.zeros(40)])
@@ -59,18 +59,18 @@ class TestCriterion1WorkedExample:
         _, _, ve_exp = ma1_example(n, seed=101,
                                    innovations=InnovationSpec("centered_exponential"))
         lag = 60  # ve's transient from zero state: (1/2)^t < 1e-18 from t = 60
-        v = ve_exp.values[lag:]
+        v = ve_exp[lag:]
         var_ok = abs(v.var() / 4.0 - 1.0) <= 0.025
         kurt_exp = np.mean(v ** 4) / np.mean(v ** 2) ** 2 - 3.0
         kurt_exp_ok = abs(kurt_exp - 2.4) <= 0.2
         checks += [var_ok, kurt_exp_ok]
 
         x, _, ve_g = ma1_example(n, seed=102, innovations=InnovationSpec("gaussian"))
-        g = ve_g.values[lag:]
+        g = ve_g[lag:]
         kurt_g = np.mean(g ** 4) / np.mean(g ** 2) ** 2 - 3.0
         kurt_g_ok = abs(kurt_g) <= 0.05
-        recon = ve_g.values[1:] - 0.5 * ve_g.values[:-1]
-        recon_ok = np.max(np.abs(x.values[1:] - recon)) <= 1e-8
+        recon = ve_g[1:] - 0.5 * ve_g[:-1]
+        recon_ok = np.max(np.abs(x[1:] - recon)) <= 1e-8
         checks += [kurt_g_ok, recon_ok]
 
         ok = all(checks)
@@ -206,7 +206,7 @@ class TestCriterion8ArAlgebra:
         # Levinson-Durbin vs dense solve
         worst = 0.0
         for _ in range(50):
-            g = sample_acvf(Series(rng.standard_normal(300)), 6)
+            g = sample_acvf(rng.standard_normal(300), 6)
             a, _ = levinson_durbin(g, 6)
             dense = np.linalg.solve(toeplitz(g[:6]), g[1:7])
             worst = max(worst, float(np.max(np.abs(a - dense))))
@@ -214,7 +214,7 @@ class TestCriterion8ArAlgebra:
 
         # Yule-Walker root exclusion on 10^3 random empirical ACVFs
         checks["root-exclusion"] = all(
-            root_radius(levinson_durbin(sample_acvf(Series(rng.standard_normal(150)), 4),
+            root_radius(levinson_durbin(sample_acvf(rng.standard_normal(150), 4),
                                         4)[0]) * (1.0 + 1e-12) < 1.0
             for _ in range(1000))
 
@@ -241,14 +241,14 @@ class TestCriterion8ArAlgebra:
         checks["baxter-bounded"] = max(ratios) < 10.0
 
         # periodogram Parseval: M(I_n, 2) is the centered second moment
-        s = Series(rng.standard_normal(777))
-        gamma0 = sample_acvf(s, 0)[0]
-        intper = integrated_periodogram(periodogram(s.values), 0)
+        x = rng.standard_normal(777)
+        gamma0 = sample_acvf(x, 0)[0]
+        intper = integrated_periodogram(periodogram(x), 0)
         checks["parseval"] = abs(intper - gamma0) <= 1e-12 * gamma0
 
         # M(I_n, 2cos(.h)) vs noncentered c(h) = n^-1 sum_t X_t X_{t+h}
-        s2 = Series(rng.standard_normal(2048))
-        x, n = s2.values, s2.n
+        x = rng.standard_normal(2048)
+        n = x.size
         row = periodogram(x)
         gap = max(abs(integrated_periodogram(row, h) - np.dot(x[: n - h], x[h:]) / n)
                   for h in range(4))

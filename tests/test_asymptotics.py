@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -360,6 +361,49 @@ class TestPersistentTargets:
     def test_mean_needs_no_expansion(self):
         got = self._targets({"name": "mean"}, phi=0.999)["mean_long_run_variance"]
         assert got == pytest.approx(1e6, rel=1e-9)
+
+
+class TestTargetsAgainstExactRationalForms:
+    """AR(rho) with centred exponential noise (kappa = 6, sigma2 = 1), in
+    exact rational arithmetic at the double rho itself: with
+    gamma_0 = sigma2 / (1 - rho^2) and
+    S(d) = sum_k rho^(|k| + |k + d|) = rho^d (2 / (1 - rho^2) + d - 1),
+    the lag-h acvf target is gamma_0^2 [kappa rho^2h + S(0) + S(2h)] and
+    Bartlett's is (1 + rho^2)(1 - rho^2h) / (1 - rho^2) - 2h rho^2h. The
+    expansion of 1 / den(z) holds both to its stated accuracy up to
+    rho = 0.997."""
+
+    @staticmethod
+    def _model(rho):
+        return LinearModel(a=(rho,), innovations=EXPONENTIAL)
+
+    @staticmethod
+    def _relative_error(got, want):
+        return abs(Fraction(got) - want) / want
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9, 0.99, 0.997])
+    def test_acvf_targets(self, rho):
+        r = Fraction(rho)
+        gamma0 = 1 / (1 - r * r)
+
+        def s(d):
+            return r ** d * (2 / (1 - r * r) + d - 1)
+
+        for h in (0, 1, 2, 5):
+            want = gamma0 ** 2 * (6 * r ** (2 * h) + s(0) + s(2 * h))
+            statistic = statistic_from_config({"name": "acvf", "lag": h})
+            got = compute_targets(self._model(rho), statistic)
+            assert set(got) == {"acvf_variance_linear", "acvf_variance_companion"}
+            assert max(self._relative_error(v, want) for v in got.values()) <= 1e-14
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9, 0.99, 0.997])
+    def test_bartlett_targets(self, rho):
+        r = Fraction(rho)
+        for h in (1, 2, 5):
+            want = (1 + r * r) * (1 - r ** (2 * h)) / (1 - r * r) - 2 * h * r ** (2 * h)
+            statistic = statistic_from_config({"name": "acf", "lag": h})
+            got = compute_targets(self._model(rho), statistic)
+            assert self._relative_error(got["bartlett_variance"], want) <= 1e-10
 
 
 WORKED_EXAMPLE = {"family": "linear", "coefficients": [-2.0],

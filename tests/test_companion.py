@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,8 @@ from sieveboot.dgp import (
     rng_from,
 )
 from sieveboot.experiment import companion_spec_for
-from sieveboot.series import Series, sample_acvf
-from sieveboot.statistics import AcvfStatistic, MeanStatistic
+from sieveboot.series import sample_acvf
+from sieveboot.statistics import AcfStatistic, AcvfStatistic, MeanStatistic
 
 
 class TestSpec:
@@ -53,20 +55,45 @@ class TestResampledRecord:
 
 class TestModelAcvf:
     def test_ar1_closed_form(self):
-        g = rational_acvf([1.0], [1.0, -0.5], 1.0, 5)
+        g = rational_acvf([1.0], [1.0, -0.5], 1.0, range(6))
         want = 0.5 ** np.arange(6) / 0.75
         assert np.allclose(g, want, rtol=1e-10)
 
     def test_white_noise(self):
-        g = rational_acvf([1.0], [1.0], 3.0, 2)
+        g = rational_acvf([1.0], [1.0], 3.0, range(3))
         assert np.allclose(g, [3.0, 0.0, 0.0])
 
     def test_ma1_companion_acvf_matches_original_process(self):
         # the companion process shares all second-order properties with the
         # noninvertible MA(1): gamma(0)=5, gamma(1)=-2, gamma(h>=2)=0
         den = np.concatenate([[1.0], 0.5 ** np.arange(1, 61)])
-        g = rational_acvf([1.0], den, 4.0, 4)
+        g = rational_acvf([1.0], den, 4.0, range(5))
         assert np.allclose(g, [5.0, -2.0, 0.0, 0.0, 0.0], atol=1e-10)
+
+
+    @pytest.mark.parametrize("num, den", [([1.0], [1.0, -0.5]), ([1.0], [1.0, -0.5, 0.2]),
+                                          ([1.0, 0.4], [1.0, -0.7])],
+                             ids=["ar1", "ar2", "arma11"])
+    @pytest.mark.parametrize("h", [0, 1, 5, 50])
+    def test_model_centers_read_the_full_array_bit_for_bit(self, num, den, h):
+        # the statistics ask only for the lags they read; each lag keeps the
+        # value it has in the array over every lag up to h
+        full = rational_acvf(num, den, 2.5, range(h + 1))
+        assert np.array_equal(rational_acvf(num, den, 2.5, [h]), full[[h]])
+        assert AcvfStatistic(h).model_center(num, den, 2.5, 2000) == full[h]
+        if h:
+            assert AcfStatistic(h).model_center(num, den, 2.5, 2000) == full[h] / full[0]
+
+    def test_model_centers_at_the_last_lag_cost_no_quadratic_time(self):
+        # every lag up to h = n - 1 = 199 999 would cost O(h^2), about 8 s of
+        # CPU on a 2-vCPU machine; the one or two lags a centre reads cost
+        # one expansion and two dot products
+        n = 200_000
+        start = time.process_time()
+        acvf = AcvfStatistic(n - 1).model_center([1.0], [1.0, -0.5], 1.0, n)
+        acf = AcfStatistic(n - 1).model_center([1.0], [1.0, -0.5], 1.0, n)
+        assert time.process_time() - start < 4.0
+        assert acvf == acf == 0.0  # 0.5^199999 underflows
 
 
 # Reciprocal roots strictly inside the unit disk: prod_i (1 - r_i z) = np.poly(r)
@@ -98,7 +125,7 @@ class TestRationalFilterProperties:
     def test_invertible_ma_companion_acvf(self, roots, scale):
         b = np.poly(roots)[1:]
         spec = companion_spec_for(LinearModel(b=tuple(b), innovations=InnovationSpec(scale=scale)), 0)
-        got = rational_acvf(*spec.filter, 6)
+        got = rational_acvf(*spec.filter, range(7))
         c = np.concatenate([[1.0], b])
         want = scale ** 2 * np.correlate(c, c, "full")[b.size:]
         assert np.allclose(got[: want.size], want, rtol=1e-12, atol=1e-12)
@@ -109,13 +136,13 @@ class TestRationalFilterProperties:
     def test_stable_ar_companion_acvf(self, roots, scale):
         a = -np.poly(roots)[1:]
         spec = companion_spec_for(LinearModel(a=tuple(a), innovations=InnovationSpec(scale=scale)), 0)
-        got = rational_acvf(*spec.filter, 8)
+        got = rational_acvf(*spec.filter, range(9))
         want = _ar_acvf_by_yule_walker(a, scale ** 2, 8)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * want[0])
 
     def test_ma1_example_companion_acvf(self):
         spec = ma1_model().companion(0)
-        got = rational_acvf(spec.num, spec.den, 4.0, 5)
+        got = rational_acvf(spec.num, spec.den, 4.0, range(6))
         assert np.array_equal(got, [5.0, -2.0, 0.0, 0.0, 0.0, 0.0])
 
     @settings(max_examples=60, deadline=None)
@@ -161,7 +188,7 @@ class TestMa1Companion:
         assert excess == pytest.approx(2.4, abs=0.3)
 
     def test_path_second_order_structure(self, spec):
-        x = Series(build_companion(spec, 100_000, [4])[0])
+        x = build_companion(spec, 100_000, [4])[0]
         g = sample_acvf(x, 2)
         assert g[0] == pytest.approx(5.0, rel=0.05)
         assert g[1] == pytest.approx(-2.0, rel=0.1)

@@ -40,7 +40,6 @@ from sieveboot.dgp import (
 from sieveboot import companion, sieve
 from sieveboot.companion import CompanionSpec, build_companion
 from sieveboot.experiment import companion_spec_for
-from sieveboot.series import Series
 from sieveboot.sieve import OrderRule, fit_sieve
 from sieveboot.statistics import AcvfStatistic
 
@@ -175,12 +174,12 @@ class TestMa1Example:
     def test_x_matches_simulate_linear(self):
         x1 = simulate_linear(ma1_model(), 1000, seed=5)
         x2, _, _ = ma1_example(1000, seed=5)
-        assert np.array_equal(x1, x2.values)
+        assert np.array_equal(x1, x2)
 
     def test_reconstruction_identity(self):
         x, _, ve = ma1_example(5000, seed=6)
-        recon = ve.values[1:] - 0.5 * ve.values[:-1]
-        assert np.max(np.abs(x.values[1:] - recon)) < 1e-10
+        recon = ve[1:] - 0.5 * ve[:-1]
+        assert np.max(np.abs(x[1:] - recon)) < 1e-10
 
     def test_wold_filter_is_all_pass_with_gain_two(self):
         lam = np.linspace(0.0, np.pi, 257)
@@ -197,11 +196,11 @@ class TestMa1Example:
         seed = derive_seed(3, 5)
         record = ma1_model(innovations).companion(seed).noise.values
         _, _, ve = ma1_example(5000 + 60, seed, innovations)
-        assert np.array_equal(record, ve.values[60:])
+        assert np.array_equal(record, ve[60:])
 
     def test_ve_is_white_with_variance_four(self):
         _, _, ve = ma1_example(300_000, seed=7)
-        v = ve.values[60:]
+        v = ve[60:]
         assert v.var() == pytest.approx(4.0, rel=0.02)
         lag1 = np.mean(v[:-1] * v[1:]) - v.mean() ** 2
         assert abs(lag1) / v.var() < 0.01
@@ -394,7 +393,7 @@ PROCESSES = {
     "ar": lambda: LinearModel(a=(0.6, -0.2), innovations=InnovationSpec("centered_uniform")),
     "arch1": lambda: Arch1Model(omega=1.0, alpha1=0.3),
     "companion": lambda: CompanionSpec([1.0, 0.5], [1.0, -0.3], InnovationSpec("centered_uniform")),
-    "sieve": lambda: fit_sieve(Series(simulate_ar(LinearModel(a=(0.6,)), 400, 3)), OrderRule()),
+    "sieve": lambda: fit_sieve(simulate_ar(LinearModel(a=(0.6,)), 400, 3), OrderRule()),
 }
 
 

@@ -7,7 +7,6 @@ from scipy.stats import kstwobign
 
 from sieveboot.series import (
     EmpiricalLaw,
-    Series,
     kolmogorov_distance,
     ks_critical_value,
     sample_acvf,
@@ -16,40 +15,30 @@ from sieveboot.series import (
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
-def rand_series(n=200, seed=0):
-    return Series(np.random.default_rng(seed).standard_normal(n))
-
-
-class TestSeries:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Series(np.array([]))
-        with pytest.raises(ValueError):
-            Series(np.array([1.0, np.nan]))
-        with pytest.raises(ValueError):
-            Series(np.ones((2, 2)))
-
-    def test_basic(self):
-        s = Series([1, 2, 3])
-        assert s.n == 3
-        assert s.values.dtype == float
+def rand_path(n=200, seed=0):
+    return np.random.default_rng(seed).standard_normal(n)
 
 
 class TestMoments:
     def test_sample_acvf_matches_direct_sums(self):
         # oracle: direct O(n^2)-style dot products with 1/n normalization
-        s = rand_series(100, seed=3)
-        x = s.values - s.values.mean()
-        g = sample_acvf(s, 5)
+        x = rand_path(100, seed=3)
+        g = sample_acvf(x, 5)
+        x = x - x.mean()
         for h in range(6):
             assert g[h] == pytest.approx(np.dot(x[: 100 - h], x[h:]) / 100, abs=1e-12)
+
+    @pytest.mark.parametrize("maxlag", [-1, 100])
+    def test_sample_acvf_lag_outside_the_path_rejected(self, maxlag):
+        with pytest.raises(ValueError, match="maxlag must satisfy"):
+            sample_acvf(rand_path(100), maxlag)
 
     @settings(max_examples=50, deadline=None)
     @given(arrays(float, st.integers(20, 60), elements=finite_floats))
     def test_acvf_toeplitz_is_psd(self, x):
         # biased 1/n estimator guarantees a positive semidefinite Toeplitz matrix
-        s = Series(x + np.linspace(0, 1e-3, x.size))  # avoid exactly-constant input
-        g = sample_acvf(s, min(10, s.n - 1))
+        x = x + np.linspace(0, 1e-3, x.size)  # avoid exactly-constant input
+        g = sample_acvf(x, min(10, x.size - 1))
         from scipy.linalg import toeplitz
 
         eig = np.linalg.eigvalsh(toeplitz(g))

@@ -7,7 +7,7 @@ from sieveboot.ar import residuals
 from sieveboot.companion import CompanionSpec
 from sieveboot.dgp import (LinearModel, default_burnin, ma1_model, rng_from, simulate_ar,
                            simulate_linear)
-from sieveboot.series import Series, sample_acvf
+from sieveboot.series import sample_acvf
 from sieveboot.sieve import (
     BootstrapResult,
     OrderRule,
@@ -21,7 +21,7 @@ from sieveboot.statistics import AcvfStatistic, MeanStatistic
 
 
 def ar1_data(n=2000, seed=1):
-    return Series(simulate_ar(LinearModel(a=(0.6,)), n, seed))
+    return simulate_ar(LinearModel(a=(0.6,)), n, seed)
 
 
 # Fixed data paths for the reference checks: AR(1), the noninvertible MA(1)
@@ -29,9 +29,9 @@ def ar1_data(n=2000, seed=1):
 # white noise, at a few lengths.
 REFERENCE_PATHS = {
     "ar1": lambda: ar1_data(2000, seed=21),
-    "ma1-example": lambda: Series(simulate_linear(ma1_model(), 2000, seed=22)),
-    "ar2": lambda: Series(simulate_ar(LinearModel(a=(0.5, -0.3)), 800, 23)),
-    "white": lambda: Series(np.random.default_rng(24).standard_normal(300)),
+    "ma1-example": lambda: simulate_linear(ma1_model(), 2000, seed=22),
+    "ar2": lambda: simulate_ar(LinearModel(a=(0.5, -0.3)), 800, 23),
+    "white": lambda: np.random.default_rng(24).standard_normal(300),
 }
 
 
@@ -65,19 +65,19 @@ class TestOrderRule:
         assert caps[-1] <= 10
 
     def test_fixed_clamped_to_cap(self):
-        s = ar1_data(2000)
-        assert fit_sieve(s, OrderRule(mode="fixed", fixed_p=2)).p == 2
-        assert fit_sieve(s, OrderRule(mode="fixed", fixed_p=99)).p == order_cap(2000)
+        x = ar1_data(2000)
+        assert fit_sieve(x, OrderRule(mode="fixed", fixed_p=2)).p == 2
+        assert fit_sieve(x, OrderRule(mode="fixed", fixed_p=99)).p == order_cap(2000)
 
     def test_aic_finds_short_memory(self):
         # AR(1) data: AIC should not saturate the cap
-        s = ar1_data(2000, seed=2)
-        p = fit_sieve(s, OrderRule(mode="aic_capped")).p
+        x = ar1_data(2000, seed=2)
+        p = fit_sieve(x, OrderRule(mode="aic_capped")).p
         assert 1 <= p <= order_cap(2000)
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="n >= 20"):
-            fit_sieve(Series(np.arange(10.0)), OrderRule())
+            fit_sieve(np.arange(10.0), OrderRule())
 
 
 class TestFit:
@@ -92,9 +92,9 @@ class TestFit:
         assert abs(m.noise.values.mean()) < 1e-14
 
     def test_record_is_the_sorted_residuals_of_the_fit(self):
-        s = ar1_data(700, seed=4)
-        m = fit_sieve(s, OrderRule())
-        assert np.array_equal(m.noise.values, np.sort(residuals(s, -m.den[1:])))
+        x = ar1_data(700, seed=4)
+        m = fit_sieve(x, OrderRule())
+        assert np.array_equal(m.noise.values, np.sort(residuals(x, -m.den[1:])))
 
     def test_recovers_ar1_coefficient(self):
         m = fit_sieve(ar1_data(5000, seed=3), OrderRule(mode="fixed", fixed_p=1))
@@ -105,24 +105,24 @@ class TestFit:
         from sieveboot.series import DegenerateSeriesError
 
         with pytest.raises(DegenerateSeriesError):
-            fit_sieve(Series(np.ones(200)), OrderRule(mode="fixed", fixed_p=1))
+            fit_sieve(np.ones(200), OrderRule(mode="fixed", fixed_p=1))
 
     @pytest.mark.parametrize("path", sorted(REFERENCE_PATHS))
     def test_coefficients_solve_the_toeplitz_system(self, path):
-        s = REFERENCE_PATHS[path]()
-        for rule in (OrderRule(), OrderRule(mode="fixed", fixed_p=order_cap(s.n))):
-            m = fit_sieve(s, rule)
-            want, _ = _yule_walker_by_dense_solve(sample_acvf(s, m.p), m.p)
+        x = REFERENCE_PATHS[path]()
+        for rule in (OrderRule(), OrderRule(mode="fixed", fixed_p=order_cap(x.size))):
+            m = fit_sieve(x, rule)
+            want, _ = _yule_walker_by_dense_solve(sample_acvf(x, m.p), m.p)
             assert np.allclose(-m.den[1:], want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("path", sorted(REFERENCE_PATHS))
     def test_order_is_the_aic_argmin_of_per_order_solves(self, path):
-        s = REFERENCE_PATHS[path]()
-        cap = order_cap(s.n)
-        gamma = sample_acvf(s, cap)
-        aic = [s.n * np.log(_yule_walker_by_dense_solve(gamma, k)[1]) + 2.0 * k
+        x = REFERENCE_PATHS[path]()
+        cap = order_cap(x.size)
+        gamma = sample_acvf(x, cap)
+        aic = [x.size * np.log(_yule_walker_by_dense_solve(gamma, k)[1]) + 2.0 * k
                for k in range(1, cap + 1)]
-        assert fit_sieve(s, OrderRule()).p == 1 + int(np.argmin(aic))
+        assert fit_sieve(x, OrderRule()).p == 1 + int(np.argmin(aic))
 
     def test_reference_paths_select_several_orders(self):
         # so the AIC reference is not met by a constant order
@@ -158,8 +158,8 @@ class TestGeneration:
 
 class TestBootstrapDistribution:
     def test_mean_statistic_ar1(self):
-        s = ar1_data(2000, seed=7)
-        res = bootstrap_distribution(s, MeanStatistic(), B=400,
+        x = ar1_data(2000, seed=7)
+        res = bootstrap_distribution(x, MeanStatistic(), B=400,
                                      rule=OrderRule(mode="fixed", fixed_p=1), seed=8)
         assert isinstance(res, BootstrapResult)
         assert res.theta_star == 0.0
@@ -168,15 +168,15 @@ class TestBootstrapDistribution:
         assert res.law.variance() == pytest.approx(6.25, rel=0.35)
 
     def test_acvf_statistic_center_uses_fitted_model(self):
-        s = ar1_data(2000, seed=9)
-        res = bootstrap_distribution(s, AcvfStatistic(0), B=200,
+        x = ar1_data(2000, seed=9)
+        res = bootstrap_distribution(x, AcvfStatistic(0), B=200,
                                      rule=OrderRule(mode="fixed", fixed_p=1), seed=10)
-        m = fit_sieve(s, OrderRule(mode="fixed", fixed_p=1))
+        m = fit_sieve(x, OrderRule(mode="fixed", fixed_p=1))
         want = m.filter[2] / (1.0 - m.den[1] ** 2)
         assert res.theta_star == pytest.approx(want, rel=1e-10)
 
     def test_deterministic_given_seed(self):
-        x = Series(simulate_linear(ma1_model(), 600, seed=11))
+        x = simulate_linear(ma1_model(), 600, seed=11)
         r1 = bootstrap_distribution(x, MeanStatistic(), B=150, rule=OrderRule(), seed=12)
         r2 = bootstrap_distribution(x, MeanStatistic(), B=150, rule=OrderRule(), seed=12)
         assert np.array_equal(r1.law.sample, r2.law.sample)

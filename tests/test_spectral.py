@@ -13,7 +13,7 @@ from sieveboot.dgp import (
     replicate,
     simulate_linear,
 )
-from sieveboot.series import Series, sample_acvf
+from sieveboot.series import sample_acvf
 from sieveboot.spectral import (
     KernelSpec,
     fourier_quadrature,
@@ -28,7 +28,7 @@ from sieveboot.statistics import statistic_from_config
 
 
 def rand_series(n=512, seed=0):
-    return Series(np.random.default_rng(seed).standard_normal(n))
+    return np.random.default_rng(seed).standard_normal(n)
 
 
 class TestPeriodogram:
@@ -37,16 +37,16 @@ class TestPeriodogram:
         # the ordinates j = 1..n-1 carry the centered second moment; the
         # quadrature's half weight at pi makes M(I_n, 2) that sum for even n
         s = rand_series(n, seed=1)
-        assert integrated_periodogram(periodogram(s.values), 0) == pytest.approx(
+        assert integrated_periodogram(periodogram(s), 0) == pytest.approx(
             sample_acvf(s, 0)[0], rel=1e-12)
 
     def test_nonnegative(self):
-        assert np.all(periodogram(rand_series(256, seed=2).values) >= 0)
+        assert np.all(periodogram(rand_series(256, seed=2)) >= 0)
 
     def test_zero_frequency_is_mean_term(self):
         s = rand_series(100, seed=3)
-        assert periodogram(s.values)[0] == pytest.approx(
-            s.n * s.values.mean() ** 2 / (2 * np.pi), abs=1e-12)
+        assert periodogram(s)[0] == pytest.approx(
+            s.size * s.mean() ** 2 / (2 * np.pi), abs=1e-12)
 
     def test_a_block_is_its_rows_periodograms(self):
         # one FFT of the block, each row bit for bit the periodogram of its path
@@ -56,7 +56,7 @@ class TestPeriodogram:
             assert out.shape == block.shape and out.flags.c_contiguous
             for row, path in zip(out, block):
                 assert np.array_equal(row, periodogram(path))
-                assert np.array_equal(row, _inline_ordinates(Series(path))[_inline_fold(n)])
+                assert np.array_equal(row, _inline_ordinates(path)[_inline_fold(n)])
 
     def test_short_paths_rejected(self):
         with pytest.raises(ValueError, match="n >= 2"):
@@ -73,8 +73,8 @@ class TestQuadrature:
         assert np.sum(w) == pytest.approx(np.pi - np.pi / 10)
 
     def test_cosine_functional_tracks_noncentered_acvf(self):
-        s = rand_series(1024, seed=4)
-        x, n = s.values, s.n
+        x = rand_series(1024, seed=4)
+        n = x.size
         for h in range(4):
             c = np.dot(x[: n - h], x[h:]) / n  # n^-1 sum_t X_t X_{t+h}, not centered
             assert abs(integrated_periodogram(periodogram(x), h) - c) <= 5.0 / n
@@ -90,7 +90,7 @@ class TestQuadrature:
     def test_ratio_statistic_normalization(self):
         # at lag 0 the weight is the constant 2, so R = M(I_n, 2) / M(I_n, 1) = 2
         s = rand_series(400, seed=5)
-        assert ratio_statistic(periodogram(s.values), 0) == pytest.approx(2.0)
+        assert ratio_statistic(periodogram(s), 0) == pytest.approx(2.0)
 
 
 class TestKernel:
@@ -118,15 +118,15 @@ class TestKernel:
 
     def test_frequency_range_enforced(self):
         with pytest.raises(ValueError):
-            kernel_spectral_estimate(periodogram(rand_series(64).values), KernelSpec(), 3.5)
+            kernel_spectral_estimate(periodogram(rand_series(64)), KernelSpec(), 3.5)
 
 
 # The per-path expressions the cached arrays and the periodogram of a block
 # replaced, kept verbatim as the reference every statistic must reproduce bit
 # for bit.
 def _inline_ordinates(s):
-    dft = np.fft.rfft(s.values)
-    return np.abs(dft) ** 2 / (2.0 * np.pi * s.n)
+    dft = np.fft.rfft(s)
+    return np.abs(dft) ** 2 / (2.0 * np.pi * s.size)
 
 
 def _inline_fold(n):
@@ -144,7 +144,7 @@ def _inline_quadrature(n):
 
 
 def _inline_kernel_estimate(s, k, lam):
-    n = s.n
+    n = s.size
     i_full = _inline_ordinates(s)[_inline_fold(n)]
     mu = 2.0 * np.pi * np.arange(n) / n
     d = np.angle(np.exp(1j * (lam - mu)))
@@ -154,13 +154,13 @@ def _inline_kernel_estimate(s, k, lam):
 
 
 def _inline_integrated(s, h):
-    freqs, w = _inline_quadrature(s.n)
+    freqs, w = _inline_quadrature(s.size)
     return float(np.dot(w * (2.0 * np.cos(freqs * h)), _inline_ordinates(s)[1:]))
 
 
 def _inline_ratio(s, h):
     values = _inline_ordinates(s)[1:]
-    freqs, w = _inline_quadrature(s.n)
+    freqs, w = _inline_quadrature(s.size)
     return float(np.dot(w * (2.0 * np.cos(freqs * h)), values)) / float(np.dot(w, values))
 
 
@@ -179,9 +179,9 @@ class TestCachedArrays:
             for seed in range(3):
                 s = rand_series(n, seed)
                 want = _inline_kernel_estimate(s, stat.kernel, lam)
-                row = periodogram(s.values)
+                row = periodogram(s)
                 assert kernel_spectral_estimate(row, stat.kernel, lam) == want
-                assert stat.evaluate(stat.transform(s.values)) == want
+                assert stat.evaluate(stat.transform(s)) == want
 
     @pytest.mark.parametrize("n", [63, 64, 2000])
     def test_frequency_statistics_are_the_inline_expressions(self, n):
@@ -190,10 +190,10 @@ class TestCachedArrays:
             intper = statistic_from_config({"name": "intper-cos", "lag": lag})
             for seed in range(3):
                 s = rand_series(n, seed)
-                assert ratio.evaluate(ratio.transform(s.values)) == _inline_ratio(s, lag)
-                assert intper.evaluate(intper.transform(s.values)) == _inline_integrated(s, lag)
+                assert ratio.evaluate(ratio.transform(s)) == _inline_ratio(s, lag)
+                assert intper.evaluate(intper.transform(s)) == _inline_integrated(s, lag)
         s = rand_series(n, 9)
-        assert (periodogram(s.values)[: n // 2 + 1].tolist()
+        assert (periodogram(s)[: n // 2 + 1].tolist()
                 == _inline_ordinates(s).tolist())
 
     @pytest.mark.parametrize("n", [63, 64, 2000])
@@ -222,13 +222,13 @@ class TestCachedArrays:
         # every cached array comes back as the same object; each periodogram's
         # values stay its own
         assert all(a is b for a, b in zip(first, again))
-        assert (periodogram(rand_series(128).values)
-                is not periodogram(rand_series(128).values))
+        assert (periodogram(rand_series(128))
+                is not periodogram(rand_series(128)))
 
     def test_statistics_of_one_lag_share_an_entry(self):
         weighted_quadrature.cache_clear()
         stats = [statistic_from_config({"name": "ratio-cos", "lag": 1}) for _ in range(3)]
-        row = periodogram(rand_series(96, seed=4).values)
+        row = periodogram(rand_series(96, seed=4))
         for stat in stats:
             for _ in range(2):
                 stat.evaluate(row)
@@ -274,7 +274,7 @@ class TestBlockPeriodogram:
         process = LinearModel(a=(0.5, -0.2), innovations=InnovationSpec("centered_uniform"))
         paths = [process.simulate(n, [derive_seed(11, KEY_TRUTH, i)])[0] for i in range(count)]
         theta = statistic.model_center(*process.filter, n)
-        want = np.sort(statistic.rate(n) * (np.array([inline(Series(x)) for x in paths]) - theta))
+        want = np.sort(statistic.rate(n) * (np.array([inline(x) for x in paths]) - theta))
         for rows in (1, 7, count):
             monkeypatch.setattr(dgp, "BATCH_VALUES", rows * n)
             law, _ = replicate(process, statistic, n, count, 11, KEY_TRUTH)
