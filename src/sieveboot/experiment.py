@@ -11,6 +11,12 @@ sieve, the companion spec and the DGP model -- so every replication consumes
 a seed derived from (base seed, method key, replication index), and results
 are independent of execution order or batching and bit-identical across
 re-runs.
+
+A config is validated when it loads: ``ExperimentConfig`` rejects every
+malformed value and check. The one rule that needs the targets -- a
+``var_close`` check's target must be among those the model and statistic
+produce -- is checked by ``run_experiment`` once it has computed them,
+before the companion is built or any path is simulated.
 """
 from __future__ import annotations
 
@@ -41,15 +47,15 @@ __all__ = [
 
 _METHODS = ("bootstrap", "oracle", "truth")
 _DK_PAIRS = ("bootstrap_truth", "bootstrap_oracle", "oracle_truth")
-# Fields each check kind requires besides "id" and "kind".
+# Fields each check kind requires besides "id" and "kind", and what each may
+# hold: one of a tuple of names, a string (str), or a number that is not NaN
+# (float).
 _CHECK_FIELDS = {
-    "var_close": ("method", "target_id", "tol"),
-    "var_ratio": ("num", "den", "lo", "hi"),
-    "dk_le": ("pair", "bound"),
-    "dk_gt": ("pair", "bound"),
+    "var_close": {"method": _METHODS, "target_id": str, "tol": float},
+    "var_ratio": {"num": _METHODS, "den": _METHODS, "lo": float, "hi": float},
+    "dk_le": {"pair": _DK_PAIRS, "bound": float},
+    "dk_gt": {"pair": _DK_PAIRS, "bound": float},
 }
-# The numeric fields among them.
-_THRESHOLDS = ("tol", "lo", "hi", "bound")
 # Per check kind, the thresholds no value can pass and the rule they break: a
 # relative error and a Kolmogorov distance lie in [0, inf) and [0, 1].
 _UNPASSABLE = {
@@ -108,6 +114,48 @@ def load_json(doc):
     return doc
 
 
+def _validate_check(i: int, check) -> None:
+    """Reject, naming the check, a check #i that could not be evaluated: one
+    that is not an object, has no id or an id that is not a string, an
+    unknown kind, a missing field or one its kind does not read, an unknown
+    method or pair, a target_id that is not a string, a tol, lo, hi or bound
+    that is not a number or is NaN, or thresholds that no value can pass: a
+    negative tol or dk_le bound, a dk_gt bound of 1 or more (a Kolmogorov
+    distance lies in [0, 1]) or a var_ratio lo above its hi."""
+    if not isinstance(check, dict):
+        raise ConfigError(f"check #{i} must be an object, got {check!r}")
+    if "id" not in check:
+        raise ConfigError(f"check #{i} has no id")
+    cid, kind = check["id"], check.get("kind")
+    if not isinstance(cid, str):
+        raise ConfigError(f"check #{i}: id must be a string, got {cid!r}")
+    if not isinstance(kind, str) or kind not in _CHECK_FIELDS:
+        raise ConfigError(f"check {cid!r}: unknown kind {kind!r}; "
+                          f"known: {', '.join(_CHECK_FIELDS)}")
+    allowed = _CHECK_FIELDS[kind]
+    missing = [f for f in allowed if f not in check]
+    if missing:
+        raise ConfigError(f"check {cid!r}: missing fields {missing}")
+    extra = set(check) - {"id", "kind", *allowed}
+    if extra:
+        raise ConfigError(f"check {cid!r}: unknown fields {sorted(extra, key=str)} for kind "
+                          f"{kind!r}; known: id, kind, {', '.join(allowed)}")
+    for f, values in allowed.items():
+        value = check[f]
+        if values is str and not isinstance(value, str):
+            raise ConfigError(f"check {cid!r}: {f} must be a string, got {value!r}")
+        if values is float and (isinstance(value, bool) or not isinstance(value, (int, float))
+                                or math.isnan(value)):
+            raise ConfigError(f"check {cid!r}: {f} must be a number, not NaN, got {value!r}")
+        if isinstance(values, tuple) and value not in values:
+            raise ConfigError(f"check {cid!r}: unknown {f} {value!r}; "
+                              f"known: {', '.join(values)}")
+    unpassable, rule = _UNPASSABLE[kind]
+    if unpassable(check):
+        got = ", ".join(f"{f} = {check[f]!r}" for f, values in allowed.items() if values is float)
+        raise ConfigError(f"check {cid!r}: no value can pass it: {rule}, got {got}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
@@ -122,8 +170,8 @@ class ExperimentConfig:
     checks: tuple = ()
 
     def __post_init__(self):
-        """Reject malformed values before anything is simulated; run_experiment
-        validates the checks themselves against the targets."""
+        """Reject malformed values, each check included, before anything is
+        simulated; run_experiment checks var_close targets once it has them."""
         for f in fields(self):
             kind, noun = _FIELD_KINDS[f.type]
             value = getattr(self, f.name)
@@ -158,10 +206,7 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"order_rule: {exc}") from exc
         for i, check in enumerate(self.checks):
-            if not isinstance(check, dict):
-                raise ConfigError(f"check #{i} must be an object, got {check!r}")
-            if not isinstance(check.get("id", ""), str):
-                raise ConfigError(f"check #{i}: id must be a string, got {check['id']!r}")
+            _validate_check(i, check)
         object.__setattr__(self, "checks", tuple(dict(c) for c in self.checks))
 
     @staticmethod
@@ -201,47 +246,32 @@ class Report:
         return all(c["passed"] for c in self.checks)
 
     def to_json_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "statistic": self.statistic,
-            "n": self.n,
-            "counts": self.counts,
-            "seed": self.seed,
-            "variances": self.variances,
-            "dk": self.dk,
-            "targets": self.targets,
-            "checks": self.checks,
-            "bootstrap_verdict": self.bootstrap_verdict,
-            "all_as_expected": self.all_as_expected,
-            "runtime": self.runtime,
-        }
+        """report.json: every field but the laws, all_as_expected before runtime."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("laws", "runtime")}
+        return {**doc, "all_as_expected": self.all_as_expected, "runtime": self.runtime}
 
     def summary_rows(self) -> list:
-        """One row per method for summary.csv (no runtime metadata)."""
-        rows = []
-        method_target = {}
-        method_pass = {}
+        """One row per method for summary.csv (no runtime metadata): the
+        target of its first var_close check, and whether all of them passed."""
+        target, passed = {}, {}
         for c in self.checks:
-            m = c.get("method")
-            if m and c["kind"] == "var_close" and m not in method_target:
-                method_target[m] = c["target_id"]
-            if m:
-                method_pass[m] = method_pass.get(m, True) and c["passed"]
-        for m in _METHODS:
-            tid = method_target.get(m, "")
-            rows.append({
-                "experiment": self.experiment,
-                "method": m,
-                "statistic": self.statistic,
-                "n": self.n,
-                "variance": repr(self.variances[m]),
-                "dk_vs_truth": repr(self.dk[f"{m}_truth"]) if m != "truth" else "0.0",
-                "dk_vs_oracle": repr(self.dk[f"{'bootstrap_oracle' if m == 'bootstrap' else 'oracle_truth'}"]) if m != "oracle" else "0.0",
-                "target": repr(self.targets[tid]) if tid else "",
-                "target_id": tid,
-                "pass": str(method_pass.get(m, True)),
-            })
-        return rows
+            if c["kind"] == "var_close":
+                target.setdefault(c["method"], c["target_id"])
+                passed[c["method"]] = passed.get(c["method"], True) and c["passed"]
+        vs_oracle = {"bootstrap": "bootstrap_oracle", "truth": "oracle_truth"}
+        return [{
+            "experiment": self.experiment,
+            "method": m,
+            "statistic": self.statistic,
+            "n": self.n,
+            "variance": repr(self.variances[m]),
+            "dk_vs_truth": repr(self.dk[f"{m}_truth"]) if m != "truth" else "0.0",
+            "dk_vs_oracle": repr(self.dk[vs_oracle[m]]) if m in vs_oracle else "0.0",
+            "target": repr(self.targets[target[m]]) if m in target else "",
+            "target_id": target.get(m, ""),
+            "pass": str(passed.get(m, True)),
+        } for m in _METHODS]
 
 
 def companion_spec_for(model, seed) -> CompanionSpec:
@@ -268,55 +298,6 @@ def compute_targets(model, statistic) -> dict:
     return targets
 
 
-def _validate_checks(checks, targets: dict) -> None:
-    """Reject, naming the check, any check that could not be evaluated: an
-    unknown kind, a missing field or one its kind does not read, an unknown
-    method or pair, a target_id that is not a string or names a target the
-    model and statistic do not produce, a tol, lo, hi or bound that is
-    not a number or is NaN, or thresholds that no value can pass: a
-    negative tol or dk_le bound, a dk_gt bound of 1 or more (a Kolmogorov
-    distance lies in [0, 1]) or a var_ratio lo above its hi."""
-    for i, check in enumerate(checks):
-        cid = check.get("id")
-        if cid is None:
-            raise ConfigError(f"check #{i} has no id")
-        kind = check.get("kind")
-        if not isinstance(kind, str) or kind not in _CHECK_FIELDS:
-            raise ConfigError(f"check {cid!r}: unknown kind {kind!r}; "
-                              f"known: {', '.join(_CHECK_FIELDS)}")
-        missing = [f for f in _CHECK_FIELDS[kind] if f not in check]
-        if missing:
-            raise ConfigError(f"check {cid!r}: missing fields {missing}")
-        extra = set(check) - {"id", "kind", *_CHECK_FIELDS[kind]}
-        if extra:
-            raise ConfigError(f"check {cid!r}: unknown fields {sorted(extra, key=str)} for kind "
-                              f"{kind!r}; known: id, kind, {', '.join(_CHECK_FIELDS[kind])}")
-        for f in ("method", "num", "den"):
-            if f in _CHECK_FIELDS[kind] and check[f] not in _METHODS:
-                raise ConfigError(f"check {cid!r}: unknown {f} {check[f]!r}; "
-                                  f"known: {', '.join(_METHODS)}")
-        if "pair" in _CHECK_FIELDS[kind] and check["pair"] not in _DK_PAIRS:
-            raise ConfigError(f"check {cid!r}: unknown pair {check['pair']!r}; "
-                              f"known: {', '.join(_DK_PAIRS)}")
-        for f in _THRESHOLDS:
-            if f in _CHECK_FIELDS[kind] and (isinstance(check[f], bool)
-                                            or not isinstance(check[f], (int, float))
-                                            or math.isnan(check[f])):
-                raise ConfigError(f"check {cid!r}: {f} must be a number, not NaN, "
-                                  f"got {check[f]!r}")
-        unpassable, rule = _UNPASSABLE[kind]
-        if unpassable(check):
-            got = ", ".join(f"{f} = {check[f]!r}" for f in _CHECK_FIELDS[kind] if f in _THRESHOLDS)
-            raise ConfigError(f"check {cid!r}: no value can pass it: {rule}, got {got}")
-        if kind == "var_close" and not isinstance(check["target_id"], str):
-            raise ConfigError(f"check {cid!r}: target_id must be a string, "
-                              f"got {check['target_id']!r}")
-        if kind == "var_close" and check["target_id"] not in targets:
-            raise ConfigError(f"check {cid!r}: target {check['target_id']!r} is not produced "
-                              f"for this model and statistic; available: "
-                              f"{', '.join(targets) or 'none'}")
-
-
 def _evaluate_check(check: dict, variances: dict, dk: dict, targets: dict) -> dict:
     out = dict(check)
     kind = check["kind"]
@@ -329,12 +310,10 @@ def _evaluate_check(check: dict, variances: dict, dk: dict, targets: dict) -> di
     elif kind == "var_ratio":
         ratio = variances[check["num"]] / variances[check["den"]]
         out.update(value=ratio, passed=bool(check["lo"] <= ratio <= check["hi"]))
-    elif kind == "dk_le":
+    else:  # dk_le or dk_gt
         value = dk[check["pair"]]
-        out.update(value=value, passed=bool(value <= check["bound"]))
-    else:  # dk_gt
-        value = dk[check["pair"]]
-        out.update(value=value, passed=bool(value > check["bound"]))
+        passed = value <= check["bound"] if kind == "dk_le" else value > check["bound"]
+        out.update(value=value, passed=bool(passed))
     return out
 
 
@@ -355,7 +334,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     seed = config.seed
     n = config.n
     targets = timed("targets", compute_targets, model, statistic)
-    _validate_checks(config.checks, targets)
+    for check in config.checks:
+        if check["kind"] == "var_close" and check["target_id"] not in targets:
+            raise ConfigError(f"check {check['id']!r}: target {check['target_id']!r} is not "
+                              f"produced for this model and statistic; available: "
+                              f"{', '.join(targets) or 'none'}")
     spec = timed("companion", companion_spec_for, model, seed)
 
     data = dgp.check_finite(timed("data", model.simulate, n,
@@ -367,11 +350,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
 
     laws = {"bootstrap": boot.law, "oracle": oracle_law, "truth": truth_law}
     variances = {m: laws[m].variance() for m in _METHODS}
-    dk = {
-        "bootstrap_truth": kolmogorov_distance(laws["bootstrap"], laws["truth"]),
-        "bootstrap_oracle": kolmogorov_distance(laws["bootstrap"], laws["oracle"]),
-        "oracle_truth": kolmogorov_distance(laws["oracle"], laws["truth"]),
-    }
+    dk = {pair: kolmogorov_distance(*(laws[m] for m in pair.split("_"))) for pair in _DK_PAIRS}
     checks = [_evaluate_check(check, variances, dk, targets) for check in config.checks]
     verdict = bootstrap_verdict(statistic, targets, model.kurtoses[0],
                                 all(c["passed"] for c in checks))
@@ -399,13 +378,11 @@ def write_report(report: Report, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
+    rows = report.summary_rows()
     with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=[
-            "experiment", "method", "statistic", "n", "variance",
-            "dk_vs_truth", "dk_vs_oracle", "target", "target_id", "pass"])
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in report.summary_rows():
-            writer.writerow(row)
+        writer.writerows(rows)
     laws_dir = out / "laws"
     laws_dir.mkdir(exist_ok=True)
     for method, law in report.laws.items():

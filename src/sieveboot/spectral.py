@@ -143,11 +143,12 @@ def _even_fold(n: int) -> np.ndarray:
 @lru_cache(maxsize=_CACHE_SIZE)
 def _kernel_weights(k: KernelSpec, lam: float, n: int) -> np.ndarray:
     """K_h(lambda - mu_j) at all n Fourier frequencies mu_j, the difference
-    wrapped to (-pi, pi] (read-only)."""
+    wrapped to (-pi, pi] (read-only); inf where a weight overflows float64."""
     mu = 2.0 * np.pi * np.arange(n) / n
     d = np.angle(np.exp(1j * (lam - mu)))
     h = k.bandwidth
-    return _read_only(k.kernel(d / h) / h)
+    with np.errstate(over="ignore"):
+        return _read_only(k.kernel(d / h) / h)
 
 
 def kernel_spectral_estimate(row: np.ndarray, k: KernelSpec, lam: float) -> float:

@@ -29,6 +29,7 @@ from .companion import rational_acvf
 from .series import DegenerateSeriesError, _centered
 from .spectral import (
     KernelSpec,
+    _kernel_weights,
     fourier_quadrature,
     integrated_periodogram,
     kernel_spectral_estimate,
@@ -221,6 +222,7 @@ class _CosineStatistic(Statistic):
     transform = staticmethod(periodogram)
 
     def __post_init__(self):
+        self.h = _lag(self.h, 0)
         self.name = f"{self.label}[2cos({self.h}l)]"
 
     def check_n(self, n: int) -> None:
@@ -288,6 +290,17 @@ class SpectralDensityStatistic(Statistic):
             self.kernel = KernelSpec()
         self.name = f"specdens[{self.lam:.4f},h={self.kernel.bandwidth}]"
 
+    def check_n(self, n: int) -> None:
+        """Raise ValueError unless the kernel weights ``evaluate`` reads at n
+        are finite and not all zero."""
+        weights = _kernel_weights(self.kernel, self.lam, n)
+        if not np.isfinite(weights).all():
+            raise ValueError(f"{self.name}: its kernel weights overflow float64, "
+                             "the bandwidth is too small")
+        if not weights.any():
+            raise ValueError(f"{self.name} needs a Fourier frequency 2 pi j / n within "
+                             f"pi * bandwidth of lambda, got none at n = {n}")
+
     def rate(self, n: int) -> float:
         return math.sqrt(n * self.kernel.bandwidth)
 
@@ -322,9 +335,9 @@ def statistic_from_config(cfg) -> Statistic:
     elif name == "acf":
         stat = AcfStatistic(h=cfg.pop("lag", 1))
     elif name == "ratio-cos":
-        stat = RatioStatistic(h=_lag(cfg.pop("lag", 1), 0))
+        stat = RatioStatistic(h=cfg.pop("lag", 1))
     elif name == "intper-cos":
-        stat = IntegratedPeriodogramStatistic(h=_lag(cfg.pop("lag", 1), 0))
+        stat = IntegratedPeriodogramStatistic(h=cfg.pop("lag", 1))
     elif name == "specdens":
         lam = cfg.pop("lambda", math.pi / 2)
         bandwidth = _number(cfg.pop("bandwidth", 0.3), "bandwidth")

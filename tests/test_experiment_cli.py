@@ -246,6 +246,16 @@ BAD_STATISTICS = [
     ({"name": "intper-cos", "lag": 2.0}, "lag"),
 ]
 
+# Kernel windows that estimate nothing at n = 200, and their messages: no
+# Fourier frequency 2 pi j / 200 lies within pi * 0.001 of 1.0, and at a
+# bandwidth of 1e-310 the weight at lambda overflows float64.
+BAD_WINDOWS = [
+    ({"name": "specdens", "lambda": 1.0, "bandwidth": 0.001},
+     "needs a Fourier frequency 2 pi j / n within pi * bandwidth of lambda, got none at n = 200"),
+    ({"name": "specdens", "lambda": 1.5707963267948966, "bandwidth": 1e-310},
+     "its kernel weights overflow float64"),
+]
+
 # Malformed config values, as overrides of TINY_CONFIG, and the field each
 # rejection names.
 BAD_VALUES = [
@@ -285,7 +295,8 @@ BAD_VALUES = [
      r"statistic: intper\[2cos\(100l\)\] needs 2 \* lag 100 < n, got n = 200"),
     ({"statistic": {"name": "ratio-cos", "lag": 0}}, "statistic: .* is the constant 2 at lag 0"),
 ] + [({"dgp": doc}, f"dgp: .*{field}") for doc, field in BAD_MODELS] + [
-    ({"statistic": doc}, f"statistic: .*{field}") for doc, field in BAD_STATISTICS]
+    ({"statistic": doc}, f"statistic: .*{field}") for doc, field in BAD_STATISTICS] + [
+    ({"statistic": doc}, f"statistic: .*{re.escape(message)}") for doc, message in BAD_WINDOWS]
 
 
 def _no_simulation(*args, **kwargs):
@@ -307,7 +318,7 @@ class TestFailFast:
     @pytest.mark.parametrize("check, message", BAD_CHECKS)
     def test_bad_check_rejected_before_simulation(self, no_simulation, check, message):
         with pytest.raises(ConfigError, match=message):
-            run_experiment(ExperimentConfig.from_json({**TINY_CONFIG, "checks": [check]}))
+            ExperimentConfig.from_json({**TINY_CONFIG, "checks": [check]})
 
     @pytest.mark.parametrize("check, message", BAD_CHECKS)
     def test_cli_rejects_bad_checks_with_one_error_line(self, tmp_path, capsys, no_simulation,
@@ -351,7 +362,7 @@ class TestFailFast:
         ({"statistic": {"name": "intper-cos", "lag": 100}}, "2 * lag 100 < n, got n = 200"),
         ({"statistic": {"name": "ratio-cos", "lag": 0}}, "constant 2 at lag 0"),
     ] + [({"dgp": doc}, field) for doc, field in BAD_MODELS]
-      + [({"statistic": doc}, field) for doc, field in BAD_STATISTICS])
+      + [({"statistic": doc}, field) for doc, field in BAD_STATISTICS + BAD_WINDOWS])
     def test_cli_rejects_malformed_values_with_one_error_line(self, tmp_path, capsys,
                                                               no_simulation, override, field):
         cfg_path = tmp_path / "bad.json"
@@ -561,6 +572,15 @@ class TestRunExperiment:
             assert got == (tmp_path / "want.csv").read_bytes()
         assert {b"-0", b"0", b"4.9406564584124654e-324", b"-42", b"9007199254740992",
                 b"0.33333333333333331"} <= set(got.splitlines())
+
+    def test_report_json_layout(self, report):
+        _, out = report
+        doc = json.loads((out / "report.json").read_text())
+        assert list(doc) == ["experiment", "statistic", "n", "counts", "seed", "variances", "dk",
+                             "targets", "checks", "bootstrap_verdict", "all_as_expected",
+                             "runtime"]
+        assert list(doc["checks"][0]) == ["id", "kind", "method", "target_id", "tol", "value",
+                                          "target", "rel_error", "passed"]
 
     def test_runtime_has_stage_timings_within_the_total(self, report):
         _, out = report

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from sieveboot.series import DegenerateSeriesError, sample_acvf
-from sieveboot.statistics import AcfStatistic, AcvfStatistic, MeanStatistic
+from sieveboot.statistics import (
+    AcfStatistic,
+    AcvfStatistic,
+    IntegratedPeriodogramStatistic,
+    MeanStatistic,
+    RatioStatistic,
+)
 
 
 # Paths of several lengths and scales: enough that an evaluation rounding
@@ -47,3 +53,13 @@ class TestLeanEvaluate:
     def test_lag_beyond_the_path_rejected(self, statistic):
         with pytest.raises(ValueError):
             statistic.evaluate(np.arange(5.0))
+
+
+# A lag that is negative, a bool or not an integer is rejected by the
+# constructor itself, not only by statistic_from_config; RatioStatistic(h=-1)
+# would otherwise evaluate as lag 1.
+@pytest.mark.parametrize("cls", [RatioStatistic, IntegratedPeriodogramStatistic])
+@pytest.mark.parametrize("h", [-1, True, 2.5])
+def test_cosine_statistics_reject_a_bad_lag_when_built(cls, h):
+    with pytest.raises(ValueError, match=f"lag must be an integer >= 0, got {h!r}"):
+        cls(h=h)
