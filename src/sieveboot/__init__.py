@@ -18,7 +18,7 @@ from .series import (
 from .ar import (
     ConditioningError,
     InversionError,
-    invert_ar_polynomial,
+    impulse_response,
     levinson_durbin,
     residuals,
     root_radius,

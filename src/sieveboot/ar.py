@@ -1,7 +1,8 @@
 """Autoregressive linear algebra: the Levinson-Durbin recursion, AR residuals,
-polynomial inversion, the Wold factorization of a finite MA, and the root
-radius, from which the package decides whether a polynomial has a root in
-the closed unit disk.
+the rational filter [b(z) / a(z)] x and its impulse response, the Wold
+factorization of a finite MA, and the root radius, from which the package
+decides whether a polynomial has a root in the closed unit disk and how many
+lags an impulse response takes to settle.
 
 Conventions: an AR model of order p is written X_t = sum_k a_k X_{t-k} + e_t,
 with characteristic polynomial A_p(z) = 1 - sum_k a_k z^k. Causality means all
@@ -9,7 +10,12 @@ roots of A_p lie strictly outside the closed unit disk.
 """
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -19,7 +25,8 @@ __all__ = [
     "ConditioningError",
     "InversionError",
     "levinson_durbin",
-    "invert_ar_polynomial",
+    "filter_rows",
+    "impulse_response",
     "root_radius",
     "check_roots_outside_disk",
     "wold_factorization",
@@ -63,21 +70,68 @@ def levinson_durbin(gamma: np.ndarray, p: int):
     return a, sigma2s
 
 
-def invert_ar_polynomial(a, L: int) -> np.ndarray:
-    """alpha_0..alpha_L of the power-series inverse
-    (1 - sum a_k z^k)^-1 = sum alpha_j z^j.
+# scipy's compiled filter kernel lives in this extension module. Loading it
+# from its file spares ``import scipy.signal``, which would load the whole
+# signal-processing package (and scipy.stats) for this one function.
+_SIGTOOLS = "scipy.signal._sigtools"
 
-    alpha_0 = 1 and alpha_j = sum_{k=1}^{min(j,p)} a_k alpha_{j-k}.
+
+def _sigtools_path() -> Path:
+    """The file of scipy's ``_sigtools`` extension, found without importing scipy."""
+    folder = Path(importlib.util.find_spec("scipy").origin).parent / "signal"
+    candidates = [folder / f"_sigtools{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    return next((path for path in candidates if path.is_file()), candidates[0])
+
+
+def _load_linear_filter(path: Path):
+    """``_linear_filter`` of the ``_sigtools`` extension at ``path``, or that
+    of ``scipy.signal`` itself when the file cannot be loaded."""
+    loader = importlib.machinery.ExtensionFileLoader(_SIGTOOLS, str(path))
+    previous = sys.modules.get(_SIGTOOLS)
+    try:
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_SIGTOOLS, loader))
+        loader.exec_module(module)
+    except ImportError:
+        module = None
+    finally:
+        # An extension module enters sys.modules as it loads; leave sys.modules
+        # as it was, so that a later ``import scipy.signal`` runs as usual.
+        if previous is None:
+            sys.modules.pop(_SIGTOOLS, None)
+        else:
+            sys.modules[_SIGTOOLS] = previous
+    if module is None:
+        from scipy.signal import _sigtools as module
+    return module._linear_filter
+
+
+@functools.cache
+def _linear_filter():
+    loaded = sys.modules.get(_SIGTOOLS)
+    return loaded._linear_filter if loaded is not None else _load_linear_filter(_sigtools_path())
+
+
+def filter_rows(b, a, x) -> np.ndarray:
+    """The rational filter [b(z) / a(z)] x along the last axis of x, from zero
+    state, with a[0] == 1: bit for bit ``scipy.signal.lfilter(b, a, x,
+    axis=-1)`` on float64 input, through the code that lfilter runs.
+
+    A finite filter (a == [1]) is lfilter's FIR branch, ``np.convolve(b, row)``
+    cut to the row's length, row by row. A recursive one is lfilter's IIR
+    branch, the compiled ``_linear_filter`` of scipy's ``_sigtools``.
     """
-    a = np.asarray(a, dtype=float)
-    check_roots_outside_disk(a)
-    p = a.size
-    alpha = np.zeros(L + 1)
-    alpha[0] = 1.0
-    for j in range(1, L + 1):
-        k = min(j, p)
-        alpha[j] = np.dot(a[:k], alpha[j - 1 :: -1][:k])
-    return alpha
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if a[0] != 1.0:
+        raise ValueError(f"the filter denominator must start with 1, got {a[0]!r}")
+    if a.size > 1:
+        return _linear_filter()(b, a, x, -1)
+    out = np.empty(x.shape)
+    width = x.shape[-1]
+    for dst, row in zip(out.reshape(-1, width), x.reshape(-1, width)):
+        dst[:] = np.convolve(b, row)[:width]
+    return out
 
 
 def _reciprocal_roots(a: np.ndarray) -> np.ndarray:
@@ -100,11 +154,29 @@ def root_radius(a) -> float:
     return float(np.abs(_reciprocal_roots(a)).max(initial=0.0))
 
 
-def check_roots_outside_disk(a, name: str = "AR polynomial") -> None:
-    """Raise InversionError when A(z) = 1 - sum a_k z^k has a root in the
-    closed unit disk, a root radius within _ROOT_MARGIN of 1 counting as one."""
-    if root_radius(a) * (1.0 + _ROOT_MARGIN) >= 1.0:
+def check_roots_outside_disk(a, name: str = "AR polynomial") -> float:
+    """The root radius of A(z) = 1 - sum a_k z^k; raise InversionError when
+    A has a root in the closed unit disk, a root radius within _ROOT_MARGIN
+    of 1 counting as one."""
+    radius = root_radius(a)
+    if radius * (1.0 + _ROOT_MARGIN) >= 1.0:
         raise InversionError(f"{name} has a root in the closed unit disk")
+    return radius
+
+
+def _settle_lag(rho: float, tol: float) -> int:
+    """The first t >= 1 with rho^t < tol, for 0 <= rho < 1 and 0 < tol < 1."""
+    return int(math.log(tol) / math.log(rho)) + 1 if rho > 0 else 1
+
+
+def impulse_response(num, den, length: int) -> np.ndarray:
+    """psi_0..psi_{length - 1} of num(z) / den(z) = sum_j psi_j z^j, den[0]
+    == 1: one ``filter_rows`` call on a unit impulse. Raises InversionError
+    when den has a root in the closed unit disk."""
+    check_roots_outside_disk(-np.asarray(den, dtype=float)[1:], "filter denominator")
+    impulse = np.zeros(length)
+    impulse[0] = 1.0
+    return filter_rows(num, den, impulse)
 
 
 def wold_factorization(b, sigma2: float = 1.0):
@@ -136,13 +208,12 @@ def wold_factorization(b, sigma2: float = 1.0):
     if not inside.any():
         return b, sigma2, np.ones(1)
     rho = 1.0 / size[inside].min()
-    lag = int(math.log(1e-18) / math.log(rho)) + 1
+    lag = _settle_lag(rho, 1e-18)
     if lag > 10 ** 4:  # rho above 1e-18^(1 / 10^4), about 0.9959
         raise ValueError(f"MA polynomial has a root of modulus {rho:.12g}, too close to the unit "
                          f"circle: its Wold filter would take {lag} lags to settle")
     num = np.poly(np.where(inside, 1.0 / np.conj(r), r)).real
-    taps = b.size + lag
-    psi = np.convolve(b, invert_ar_polynomial(-num[1:], taps - 1))[:taps]
+    psi = impulse_response(b, num, b.size + lag)
     return num, sigma2 * float(np.prod(size[inside] ** 2)), psi
 
 

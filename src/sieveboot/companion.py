@@ -11,7 +11,8 @@ The noise eps is any i.i.d. law of the noise protocol of ``dgp``: an
 ``InnovationSpec`` family, or a ``ResampledRecord`` of Wold innovations. The
 fitted sieve is itself such a companion: ``sieve.SieveModel`` is a
 ``CompanionSpec`` holding the fitted filter 1 / (1 - sum a_k z^k) driven by a
-``ResampledRecord`` of its residuals.
+``ResampledRecord`` of its residuals. ``rational_acvf`` reads the ACVF off
+the filter's impulse response, carried as far as den's root radius says.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dgp
-from .ar import check_roots_outside_disk, invert_ar_polynomial
+from .ar import _settle_lag, check_roots_outside_disk, impulse_response
 
 __all__ = [
     "CompanionSpec",
@@ -70,35 +71,23 @@ class CompanionSpec:
 
 def rational_acvf(num, den, sigma2: float, lags=None) -> np.ndarray:
     """Autocovariances gamma(h) = sigma2 sum_j psi_j psi_{j+h} of the process
-    [num(z) / den(z)] eps, psi being the filter's impulse response, for each
-    h in ``lags``: one lagged dot product per lag asked for.
-
-    A trivial denominator gives the finite response psi = num exactly;
-    otherwise 1 / den(z) is expanded until its tail contributes less than
-    1e-12 of its largest coefficient, starting max(max(lags) + 50, 200) lags
-    out and capped at lag 10^4 (or at the start, past it). With lags None
-    gamma runs over every lag of psi, and an expansion that reaches the cap
-    with its tail still above 1e-12 raises ValueError.
+    [num(z) / den(z)] eps, for each h in ``lags``: one lagged dot product per
+    lag asked for. psi is num itself when den = 1, else the filter's impulse
+    response carried max(lags) + t terms past num, t the first lag with
+    rho^t < 1e-12 for rho the root radius of den, capped at 10^4. With lags
+    None gamma runs over every lag of psi, and t past the cap raises ValueError.
     """
     num = np.atleast_1d(np.asarray(num, dtype=float))
-    a = -np.atleast_1d(np.asarray(den, dtype=float))[1:]
-    if a.size == 0:
-        psi, settled = num, True
-    else:
-        L = max(max(lags or [0]) + 50, 200)
-        while True:
-            alpha = invert_ar_polynomial(a, L)
-            tail = np.abs(alpha[-50:]).max()
-            head = np.abs(alpha).max()
-            settled = tail <= 1e-12 * head
-            if settled or L >= 10 ** 4:
-                break
-            L = min(2 * L, 10 ** 4)
-        psi = np.convolve(num, alpha)[: L + 1]
+    den = np.atleast_1d(np.asarray(den, dtype=float))
+    rho = check_roots_outside_disk(-den[1:], "companion denominator")
+    settle = _settle_lag(rho, 1e-12)
+    psi = num if den.size == 1 else impulse_response(
+        num, den, num.size + max(lags or [0]) + min(settle, 10 ** 4))
     if lags is None:
-        if not settled:
-            raise ValueError(f"the impulse response of 1 / den(z) is still {tail / head:.3g} of "
-                             "its peak at lag 10^4: a root of den lies too near the unit circle")
+        if settle > 10 ** 4:  # rho at or above 1e-12^(1 / 10^4), about 0.9972407
+            raise ValueError(f"the impulse response of 1 / den(z) takes {settle} lags to fall "
+                             f"below 1e-12, past the cap of 10^4: a root of den lies too near "
+                             f"the unit circle, root radius {rho:.12g}")
         lags = range(psi.size)
     return np.array([sigma2 * np.dot(psi[: psi.size - h], psi[h:]) if h < psi.size else 0.0
                      for h in lags])

@@ -27,7 +27,8 @@ output, in place. A ``CompanionSpec`` fills its output in tiles of
 ``max(1, TILE_VALUES // (n + burn-in))`` rows: it draws each path's
 innovations from its noise into one row of a tile, filters the tile with one
 ``filter_rows`` call, which is one ``lfilter`` call bit for bit, and writes
-the outputs past the burn-in into their rows.
+the outputs past the burn-in into their rows. ``filter_rows`` is
+``ar.filter_rows``, imported here, the one rational filter of the package.
 A chunk is what one ``simulate`` call returns and a statistic transforms; a
 tile is what one filter call sees while a chunk is built. Neither changes a
 bit of any path.
@@ -54,19 +55,15 @@ a SeedSequence per path.
 """
 from __future__ import annotations
 
-import functools
-import importlib.machinery
-import importlib.util
 import json
 import math
-import sys
+import numbers
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from .ar import check_roots_outside_disk, wold_factorization
+from .ar import check_roots_outside_disk, filter_rows, wold_factorization
 from .series import EmpiricalLaw
 
 __all__ = [
@@ -425,70 +422,6 @@ def default_burnin(order: int) -> int:
     return max(1000, 50 * order)
 
 
-# scipy's compiled filter kernel lives in this extension module. Loading it
-# from its file spares ``import scipy.signal``, which would load the whole
-# signal-processing package (and scipy.stats) for this one function.
-_SIGTOOLS = "scipy.signal._sigtools"
-
-
-def _sigtools_path() -> Path:
-    """The file of scipy's ``_sigtools`` extension, found without importing scipy."""
-    folder = Path(importlib.util.find_spec("scipy").origin).parent / "signal"
-    candidates = [folder / f"_sigtools{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-    return next((path for path in candidates if path.is_file()), candidates[0])
-
-
-def _load_linear_filter(path: Path):
-    """``_linear_filter`` of the ``_sigtools`` extension at ``path``, or that
-    of ``scipy.signal`` itself when the file cannot be loaded."""
-    loader = importlib.machinery.ExtensionFileLoader(_SIGTOOLS, str(path))
-    previous = sys.modules.get(_SIGTOOLS)
-    try:
-        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_SIGTOOLS, loader))
-        loader.exec_module(module)
-    except ImportError:
-        module = None
-    finally:
-        # An extension module enters sys.modules as it loads; leave sys.modules
-        # as it was, so that a later ``import scipy.signal`` runs as usual.
-        if previous is None:
-            sys.modules.pop(_SIGTOOLS, None)
-        else:
-            sys.modules[_SIGTOOLS] = previous
-    if module is None:
-        from scipy.signal import _sigtools as module
-    return module._linear_filter
-
-
-@functools.cache
-def _linear_filter():
-    loaded = sys.modules.get(_SIGTOOLS)
-    return loaded._linear_filter if loaded is not None else _load_linear_filter(_sigtools_path())
-
-
-def filter_rows(b, a, x) -> np.ndarray:
-    """The rational filter [b(z) / a(z)] x along the last axis of x, from zero
-    state, with a[0] == 1: bit for bit ``scipy.signal.lfilter(b, a, x,
-    axis=-1)`` on float64 input, through the code that lfilter runs.
-
-    A finite filter (a == [1]) is lfilter's FIR branch, ``np.convolve(b, row)``
-    cut to the row's length, row by row. A recursive one is lfilter's IIR
-    branch, the compiled ``_linear_filter`` of scipy's ``_sigtools``.
-    """
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    x = np.asarray(x, dtype=float)
-    if a[0] != 1.0:
-        raise ValueError(f"the filter denominator must start with 1, got {a[0]!r}")
-    if a.size > 1:
-        return _linear_filter()(b, a, x, -1)
-    out = np.empty(x.shape)
-    width = x.shape[-1]
-    for dst, row in zip(out.reshape(-1, width), x.reshape(-1, width)):
-        dst[:] = np.convolve(b, row)[:width]
-    return out
-
-
 def simulate_linear(model: LinearModel, n: int, seed: SeedLike) -> np.ndarray:
     """The path array of the finite MA X_t = e_t + sum_j b_j e_{t-j},
     ``model.a`` empty.
@@ -581,8 +514,15 @@ def simulate_arch1(model: Arch1Model, n: int, seeds) -> np.ndarray:
     return out
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _number(value, name: str) -> float:
+    """value as a float, rejected naming ``name`` unless it is a real number,
+    not a bool, that a float can hold: a JSON integer past 1.8e308 is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a number, got an integer too large for a float") from None
 
 
 def model_from_json(doc):
@@ -591,8 +531,8 @@ def model_from_json(doc):
 
     Raises ValueError, naming the field, on an unknown family or key,
     coefficients that are not a list of numbers ([omega, alpha1] for arch1),
-    an innovation that is not an object of family and scale, or a value the
-    model's constructor rejects.
+    an innovation that is not an object of family and scale, a number too
+    large for a float, or a value the model's constructor rejects.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -605,9 +545,9 @@ def model_from_json(doc):
     if extra:
         raise ValueError(f"unknown keys for model family {family!r}: {sorted(extra)}")
     coeffs = doc.get("coefficients", [])
-    if not isinstance(coeffs, list) or not all(_is_number(v) for v in coeffs):
+    if not isinstance(coeffs, list):
         raise ValueError(f"coefficients must be a list of numbers, got {coeffs!r}")
-    coeffs = tuple(float(v) for v in coeffs)
+    coeffs = tuple(_number(v, f"coefficients[{i}]") for i, v in enumerate(coeffs))
     if family == "arch1":
         if len(coeffs) != 2:
             raise ValueError(f"arch1 coefficients must be [omega, alpha1], got {list(coeffs)}")
@@ -615,8 +555,6 @@ def model_from_json(doc):
     innov = doc.get("innovation", {})
     if not isinstance(innov, dict) or set(innov) - {"family", "scale"}:
         raise ValueError(f"innovation must be an object with keys family, scale; got {innov!r}")
-    scale = innov.get("scale", 1.0)
-    if not _is_number(scale):
-        raise ValueError(f"innovation scale must be a number, got {scale!r}")
-    spec = InnovationSpec(family=innov.get("family", "gaussian"), scale=float(scale))
+    scale = _number(innov.get("scale", 1.0), "innovation scale")
+    spec = InnovationSpec(family=innov.get("family", "gaussian"), scale=scale)
     return LinearModel(**{"b" if family == "linear" else "a": coeffs}, innovations=spec)

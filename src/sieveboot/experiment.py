@@ -119,9 +119,10 @@ def _validate_check(i: int, check) -> None:
     that is not an object, has no id or an id that is not a string, an
     unknown kind, a missing field or one its kind does not read, an unknown
     method or pair, a target_id that is not a string, a tol, lo, hi or bound
-    that is not a number or is NaN, or thresholds that no value can pass: a
-    negative tol or dk_le bound, a dk_gt bound of 1 or more (a Kolmogorov
-    distance lies in [0, 1]) or a var_ratio lo above its hi."""
+    that is not a number, is NaN or is an integer too large for a float, or
+    thresholds that no value can pass: a negative tol or dk_le bound, a dk_gt
+    bound of 1 or more (a Kolmogorov distance lies in [0, 1]) or a var_ratio
+    lo above its hi."""
     if not isinstance(check, dict):
         raise ConfigError(f"check #{i} must be an object, got {check!r}")
     if "id" not in check:
@@ -144,9 +145,13 @@ def _validate_check(i: int, check) -> None:
         value = check[f]
         if values is str and not isinstance(value, str):
             raise ConfigError(f"check {cid!r}: {f} must be a string, got {value!r}")
-        if values is float and (isinstance(value, bool) or not isinstance(value, (int, float))
-                                or math.isnan(value)):
-            raise ConfigError(f"check {cid!r}: {f} must be a number, not NaN, got {value!r}")
+        if values is float:
+            try:
+                number = dgp._number(value, f)
+            except ValueError as exc:
+                raise ConfigError(f"check {cid!r}: {exc}") from None
+            if math.isnan(number):
+                raise ConfigError(f"check {cid!r}: {f} must be a number, not NaN, got {value!r}")
         if isinstance(values, tuple) and value not in values:
             raise ConfigError(f"check {cid!r}: unknown {f} {value!r}; "
                               f"known: {', '.join(values)}")

@@ -26,6 +26,7 @@ from .asymptotics import (
     spectral_estimator_variance,
 )
 from .companion import rational_acvf
+from .dgp import _number
 from .series import DegenerateSeriesError, _centered
 from .spectral import (
     KernelSpec,
@@ -57,12 +58,6 @@ def _lag(h, floor: int) -> int:
     if isinstance(h, bool) or not isinstance(h, numbers.Integral) or h < floor:
         raise ValueError(f"lag must be an integer >= {floor}, got {h!r}")
     return int(h)
-
-
-def _number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
 
 
 def bootstrap_verdict(statistic, targets: dict, kappa_e, checks_passed: bool) -> str:

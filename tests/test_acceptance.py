@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import toeplitz
 from scipy.stats import norm
 
-from sieveboot.ar import invert_ar_polynomial, levinson_durbin, root_radius
+from sieveboot.ar import impulse_response, levinson_durbin, root_radius
 from sieveboot.dgp import InnovationSpec, ma1_example
 from sieveboot.experiment import preset_config, run_experiment
 from sieveboot.series import ks_critical_value, sample_acvf
@@ -220,7 +220,7 @@ class TestCriterion8ArAlgebra:
 
         # inversion convolution identity
         a = np.array([0.5, -0.3, 0.1])
-        inv = invert_ar_polynomial(a, 80)
+        inv = impulse_response([1.0], np.concatenate([[1.0], -a]), 81)
         conv = np.convolve(np.concatenate([[1.0], -a]), inv)[:81]
         want = np.zeros(81)
         want[0] = 1.0

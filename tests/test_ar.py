@@ -8,7 +8,7 @@ from sieveboot.ar import (
     ConditioningError,
     InversionError,
     check_roots_outside_disk,
-    invert_ar_polynomial,
+    impulse_response,
     levinson_durbin,
     residuals,
     root_radius,
@@ -66,7 +66,7 @@ class TestLevinsonDurbin:
 class TestInversion:
     def test_convolution_identity(self):
         a = np.array([0.4, -0.25, 0.1])
-        inv = invert_ar_polynomial(a, 60)
+        inv = impulse_response([1.0], np.concatenate([[1.0], -a]), 61)
         conv = np.convolve(np.concatenate([[1.0], -a]), inv)[:61]
         want = np.zeros(61)
         want[0] = 1.0
@@ -75,14 +75,14 @@ class TestInversion:
     def test_ma1_example_inverse_is_short(self):
         # the AR(infinity) coefficients -(1/2)^j invert to the MA(1) filter
         # in the Wold innovations: alpha = (1, -1/2, 0, 0, ...)
-        inv = invert_ar_polynomial(-(0.5 ** np.arange(1, 51)), 30)
+        inv = impulse_response([1.0], np.concatenate([[1.0], 0.5 ** np.arange(1, 51)]), 31)
         want = np.zeros(31)
         want[0], want[1] = 1.0, -0.5
         assert np.max(np.abs(inv - want)) < 1e-12
 
     def test_unstable_polynomial_rejected(self):
         with pytest.raises(InversionError):
-            invert_ar_polynomial(np.array([2.0]), 10)
+            impulse_response([1.0], [1.0, -2.0], 11)
 
 
 class TestRootRadius:

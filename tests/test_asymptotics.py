@@ -358,6 +358,21 @@ class TestPersistentTargets:
         with pytest.raises(ValueError, match=f"^{names}: the impulse response"):
             self._targets(stat, phi=0.999)
 
+    def test_admission_boundary_follows_the_settle_rule(self):
+        # every-lag targets need rho^t < 1e-12 by t = 10^4 lags, so an AR(rho)
+        # is admitted iff rho < rho* = 10^(-12 / 10^4); within 10^-6 of rho*
+        # the settle lag is within 4 of 10^4
+        rho_star = 10 ** (-12 / 10 ** 4)
+        assert rho_star == pytest.approx(0.9972407, abs=1e-7)
+        stat = {"name": "acvf", "lag": 0}
+        below = rho_star - 1e-6
+        phi_sq = below ** 2
+        got = self._targets(stat, phi=below)["acvf_variance_linear"]
+        assert got == pytest.approx(2.0 * (1.0 + phi_sq) / (1.0 - phi_sq) ** 3, rel=1e-9)
+        with pytest.raises(ValueError, match="^acvf_variance_linear, acvf_variance_companion: "
+                                             "the impulse response"):
+            self._targets(stat, phi=rho_star + 1e-6)
+
     def test_mean_needs_no_expansion(self):
         got = self._targets({"name": "mean"}, phi=0.999)["mean_long_run_variance"]
         assert got == pytest.approx(1e6, rel=1e-9)

@@ -1,4 +1,5 @@
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,10 +55,23 @@ class TestResampledRecord:
 
 
 class TestModelAcvf:
-    def test_ar1_closed_form(self):
-        g = rational_acvf([1.0], [1.0, -0.5], 1.0, range(6))
-        want = 0.5 ** np.arange(6) / 0.75
-        assert np.allclose(g, want, rtol=1e-10)
+    # Exact gamma(h) at the double rho, sigma2 = 1: rho^h / (1 - rho^2) for
+    # the AR(1) den 1 - rho z, and
+    # rho^h [(1 + rho^2) / (1 - rho^2)^3 + h / (1 - rho^2)^2] for the double
+    # root of (1 - rho z)^2, whose psi_j = (j + 1) rho^j decays slowest
+    # against the root radius that sets the expansion's length.
+    @pytest.mark.parametrize("rho, double, lags", [(0.5, False, range(6)), (0.9, True, range(2)),
+                                                   (0.99, True, range(2))],
+                             ids=["ar1-0.5", "double-root-0.9", "double-root-0.99"])
+    def test_closed_forms(self, rho, double, lags):
+        r = Fraction(rho)
+        den = [1.0, -2.0 * rho, rho * rho] if double else [1.0, -rho]
+        for h, got in zip(lags, rational_acvf([1.0], den, 1.0, lags)):
+            if double:
+                want = r ** h * ((1 + r * r) / (1 - r * r) ** 3 + h / (1 - r * r) ** 2)
+            else:
+                want = r ** h / (1 - r * r)
+            assert abs(Fraction(got) - want) / want <= 1e-12
 
     def test_white_noise(self):
         g = rational_acvf([1.0], [1.0], 3.0, range(3))
@@ -84,16 +98,17 @@ class TestModelAcvf:
         if h:
             assert AcfStatistic(h).model_center(num, den, 2.5, 2000) == full[h] / full[0]
 
-    def test_model_centers_at_the_last_lag_cost_no_quadratic_time(self):
-        # every lag up to h = n - 1 = 199 999 would cost O(h^2), about 8 s of
-        # CPU on a 2-vCPU machine; the one or two lags a centre reads cost
-        # one expansion and two dot products
-        n = 200_000
+    # every lag up to h = n - 1 = 199 999 would cost O(h^2), about 8 s of CPU
+    # on a 2-vCPU machine; the one or two lags a centre reads cost one
+    # compiled expansion and two dot products. At h = 1 999 999 an expansion
+    # in Python steps took 3.5 s for the acvf centre alone.
+    @pytest.mark.parametrize("n, seconds", [(200_000, 4.0), (2_000_000, 1.0)])
+    def test_model_centers_at_the_last_lag_cost_no_quadratic_time(self, n, seconds):
         start = time.process_time()
         acvf = AcvfStatistic(n - 1).model_center([1.0], [1.0, -0.5], 1.0, n)
         acf = AcfStatistic(n - 1).model_center([1.0], [1.0, -0.5], 1.0, n)
-        assert time.process_time() - start < 4.0
-        assert acvf == acf == 0.0  # 0.5^199999 underflows
+        assert time.process_time() - start < seconds
+        assert acvf == acf == 0.0  # 0.5^(n - 1) underflows
 
 
 # Reciprocal roots strictly inside the unit disk: prod_i (1 - r_i z) = np.poly(r)

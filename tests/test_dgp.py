@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import freqz, lfilter
 
-from sieveboot import dgp
+from sieveboot import ar, dgp
 from sieveboot.ar import InversionError, wold_factorization
 from sieveboot.dgp import (
     KEY_TRUTH,
@@ -227,10 +227,10 @@ def _bits(x):
 # extension file, taken from an already imported scipy.signal, and the
 # fallback to scipy.signal when the file is missing.
 KERNEL_ROUTES = {
-    "extension-file": lambda: dgp._load_linear_filter(dgp._sigtools_path()),
-    "scipy-signal-loaded": lambda: (dgp._linear_filter.cache_clear(), dgp._linear_filter())[1],
-    "missing-file-fallback": lambda: dgp._load_linear_filter(
-        dgp._sigtools_path().with_name("_sigtools_missing.so")),
+    "extension-file": lambda: ar._load_linear_filter(ar._sigtools_path()),
+    "scipy-signal-loaded": lambda: (ar._linear_filter.cache_clear(), ar._linear_filter())[1],
+    "missing-file-fallback": lambda: ar._load_linear_filter(
+        ar._sigtools_path().with_name("_sigtools_missing.so")),
 }
 
 
@@ -247,8 +247,8 @@ class TestFilterRows:
         den = np.poly(roots) if roots else np.ones(1)
         x = np.random.default_rng(seed).standard_normal(shape)
         kernel = KERNEL_ROUTES[route]()
-        with mock.patch.object(dgp, "_linear_filter", lambda: kernel):
-            got = dgp.filter_rows(taps, den, x)
+        with mock.patch.object(ar, "_linear_filter", lambda: kernel):
+            got = ar.filter_rows(taps, den, x)
         assert got.shape == x.shape
         assert np.array_equal(_bits(got), _bits(lfilter(taps, den, x, axis=-1)))
 
@@ -258,7 +258,7 @@ class TestFilterRows:
         assert KERNEL_ROUTES["scipy-signal-loaded"]() is sigtools._linear_filter
         assert KERNEL_ROUTES["missing-file-fallback"]() is sigtools._linear_filter
         assert callable(KERNEL_ROUTES["extension-file"]())
-        assert sys.modules[dgp._SIGTOOLS] is sigtools
+        assert sys.modules[ar._SIGTOOLS] is sigtools
 
     def test_a_block_filters_each_row_as_a_lone_path(self):
         x = np.random.default_rng(4).standard_normal((5, 300))

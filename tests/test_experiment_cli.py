@@ -201,6 +201,9 @@ BAD_CHECKS = [
     # a kind that is not a string, which no lookup of the known kinds may hash
     ({"id": "c1", "kind": ["var_close"], "method": "truth"}, r"c1.*unknown kind \['var_close'\]"),
     ({"id": "c1", "kind": {"var_close": 1}}, r"c1.*unknown kind \{'var_close': 1\}"),
+    # a JSON integer too large for a float
+    ({"id": "c1", "kind": "dk_le", "pair": "bootstrap_truth", "bound": 10 ** 400},
+     "c1.*bound must be a number, got an integer too large for a float"),
 ]
 
 # Malformed model documents and the field each rejection names.
@@ -219,6 +222,11 @@ BAD_MODELS = [
     ({"family": "linear", "coefficients": [-2.0],
       "innovation": {"family": "gaussian", "scale": 1e200}}, "scale"),
     ({"family": "ar", "coefficients": [1.5]}, "closed unit disk"),
+    # JSON integers too large for a float
+    ({"family": "linear", "coefficients": [-2.0],
+      "innovation": {"family": "gaussian", "scale": 10 ** 400}}, "scale"),
+    ({"family": "linear", "coefficients": [0.5, 10 ** 400]}, "coefficients"),
+    ({"family": "arch1", "coefficients": [10 ** 400, 0.3]}, "coefficients"),
 ]
 
 # Models whose second moments overflow float64, a statistic, and the target
@@ -244,6 +252,9 @@ BAD_STATISTICS = [
     ({"name": "acf", "lag": 0}, "lag"),
     ({"name": "ratio-cos", "lag": -1}, "lag"),
     ({"name": "intper-cos", "lag": 2.0}, "lag"),
+    # JSON integers too large for a float
+    ({"name": "specdens", "lambda": 10 ** 400}, "lambda"),
+    ({"name": "specdens", "bandwidth": 10 ** 400}, "bandwidth"),
 ]
 
 # Kernel windows that estimate nothing at n = 200, and their messages: no
