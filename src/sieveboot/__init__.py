@@ -40,7 +40,6 @@ from .dgp import (
 )
 from .sieve import (
     BootstrapResult,
-    OrderRule,
     SieveModel,
     bootstrap_distribution,
     fit_sieve,

@@ -75,7 +75,8 @@ def rational_acvf(num, den, sigma2: float, lags=None) -> np.ndarray:
     lag asked for. psi is num itself when den = 1, else the filter's impulse
     response carried max(lags) + t terms past num, t the first lag with
     rho^t < 1e-12 for rho the root radius of den, capped at 10^4. With lags
-    None gamma runs over every lag of psi, and t past the cap raises ValueError.
+    None gamma runs over every lag of psi, from one ``np.correlate`` of psi
+    with itself, and t past the cap raises ValueError.
     """
     num = np.atleast_1d(np.asarray(num, dtype=float))
     den = np.atleast_1d(np.asarray(den, dtype=float))
@@ -88,7 +89,7 @@ def rational_acvf(num, den, sigma2: float, lags=None) -> np.ndarray:
             raise ValueError(f"the impulse response of 1 / den(z) takes {settle} lags to fall "
                              f"below 1e-12, past the cap of 10^4: a root of den lies too near "
                              f"the unit circle, root radius {rho:.12g}")
-        lags = range(psi.size)
+        return sigma2 * np.correlate(psi, psi, "full")[psi.size - 1:]
     return np.array([sigma2 * np.dot(psi[: psi.size - h], psi[h:]) if h < psi.size else 0.0
                      for h in lags])
 

@@ -413,9 +413,10 @@ class Arch1Model:
     @property
     def kurtoses(self):
         """(None, 6 alpha1^2 / (1 - 3 alpha1^2)): X is not linear in i.i.d.
-        noise, and its companion is i.i.d. with the marginal law of X."""
+        noise, and its companion is i.i.d. with the marginal law of X. At
+        alpha1 = 0, X is i.i.d. N(0, omega), linear in itself: (0, 0)."""
         alpha_sq = self.alpha1 ** 2
-        return None, 6.0 * alpha_sq / (1.0 - 3.0 * alpha_sq)
+        return (None if alpha_sq else 0.0), 6.0 * alpha_sq / (1.0 - 3.0 * alpha_sq)
 
 
 def default_burnin(order: int) -> int:

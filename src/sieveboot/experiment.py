@@ -24,7 +24,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ import numpy as np
 from . import dgp
 from .companion import CompanionSpec, companion_distribution
 from .series import kolmogorov_distance, ks_critical_value
-from .sieve import OrderRule, bootstrap_distribution
+from .sieve import bootstrap_distribution
 from .statistics import bootstrap_verdict, statistic_from_config
 
 __all__ = [
@@ -170,7 +170,6 @@ class ExperimentConfig:
     B: int = 2000
     M: int = 2000
     R: int = 2000
-    order_rule: dict = field(default_factory=lambda: {"mode": "aic_capped"})
     seed: int = 20110
     checks: tuple = ()
 
@@ -203,13 +202,6 @@ class ExperimentConfig:
             statistic.check_n(self.n)
         except ValueError as exc:
             raise ConfigError(f"statistic: {exc}") from exc
-        extra = set(self.order_rule) - {"mode", "fixed_p"}
-        if extra:
-            raise ConfigError(f"order_rule: unknown keys {sorted(extra)}; known: mode, fixed_p")
-        try:
-            OrderRule(**self.order_rule)
-        except ValueError as exc:
-            raise ConfigError(f"order_rule: {exc}") from exc
         for i, check in enumerate(self.checks):
             _validate_check(i, check)
         object.__setattr__(self, "checks", tuple(dict(c) for c in self.checks))
@@ -335,7 +327,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
 
     model = dgp.model_from_json(config.dgp)
     statistic = statistic_from_config(config.statistic)
-    rule = OrderRule(**config.order_rule)
     seed = config.seed
     n = config.n
     targets = timed("targets", compute_targets, model, statistic)
@@ -348,7 +339,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
 
     data = dgp.check_finite(timed("data", model.simulate, n,
                                   [dgp.derive_seed(seed, dgp.KEY_DATA)])[0])
-    boot = timed("bootstrap", bootstrap_distribution, data, statistic, config.B, rule, seed)
+    boot = timed("bootstrap", bootstrap_distribution, data, statistic, config.B, seed)
     oracle_law, _ = timed("oracle", companion_distribution, spec, statistic, n, config.M, seed)
     truth_law, _ = timed("truth", dgp.replicate, model, statistic, n, config.R, seed,
                          dgp.KEY_TRUTH)
@@ -357,8 +348,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     variances = {m: laws[m].variance() for m in _METHODS}
     dk = {pair: kolmogorov_distance(*(laws[m] for m in pair.split("_"))) for pair in _DK_PAIRS}
     checks = [_evaluate_check(check, variances, dk, targets) for check in config.checks]
-    verdict = bootstrap_verdict(statistic, targets, model.kurtoses[0],
-                                all(c["passed"] for c in checks))
+    verdict = bootstrap_verdict(targets, all(c["passed"] for c in checks))
 
     report = Report(
         experiment=config.name,

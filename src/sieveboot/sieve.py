@@ -1,17 +1,16 @@
 """The AR-sieve bootstrap engine.
 
-Fit a Yule-Walker autoregression of slowly growing order, resample the
-centered residuals i.i.d., regenerate series from the fitted recursion, and
-collect the law of the scaled, model-centered statistic. The fitted sieve is
-its own bootstrap process: a ``SieveModel`` is the ``CompanionSpec`` of the
-fitted filter 1 / (1 - sum a_k z^k) driven by a ``ResampledRecord`` of the
-residuals.
+Fit a Yule-Walker autoregression whose order AIC picks under the cap
+(n / ln n)^(1/4), which grows slowly with n; resample the centered residuals
+i.i.d., regenerate series from the fitted recursion, and collect the law of
+the scaled, model-centered statistic. The fitted sieve is its own bootstrap
+process: a ``SieveModel`` is the ``CompanionSpec`` of the fitted filter
+1 / (1 - sum a_k z^k) driven by a ``ResampledRecord`` of the residuals.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .companion import CompanionSpec, build_companion
 from .series import EmpiricalLaw, sample_acvf
 
 __all__ = [
-    "OrderRule",
     "SieveModel",
     "BootstrapResult",
     "order_cap",
@@ -29,23 +27,6 @@ __all__ = [
     "generate_bootstrap_series",
     "bootstrap_distribution",
 ]
-
-
-@dataclass(frozen=True)
-class OrderRule:
-    """Order selection: a fixed order or AIC, both capped at (n/ln n)^(1/4)."""
-
-    mode: str = "aic_capped"
-    fixed_p: Optional[int] = None
-
-    def __post_init__(self):
-        if self.mode not in ("fixed", "aic_capped"):
-            raise ValueError(f"unknown order rule mode {self.mode!r}")
-        p = self.fixed_p
-        if self.mode == "fixed" and (isinstance(p, bool) or not isinstance(p, int) or p < 1):
-            raise ValueError(f"fixed mode requires an integer fixed_p >= 1, got {p!r}")
-        if self.mode != "fixed" and p is not None:
-            raise ValueError(f"fixed_p is read only in mode 'fixed', got it in mode {self.mode!r}")
 
 
 def order_cap(n: int) -> int:
@@ -67,21 +48,19 @@ class SieveModel(CompanionSpec):
         return generate_bootstrap_series(self, n, seeds)
 
 
-def fit_sieve(x: np.ndarray, rule: OrderRule) -> SieveModel:
+def fit_sieve(x: np.ndarray) -> SieveModel:
     """Steps 1-2 on the path x: one sample ACVF and one Levinson-Durbin run
-    up to the order cap, or to the fixed order clamped to it, give the
-    prediction variances from which AIC picks p; the order-p Yule-Walker
-    coefficients a give the filter, and the centered residuals of a its
-    noise."""
+    up to the order cap give the prediction variances from which AIC picks
+    p; the order-p Yule-Walker coefficients a give the filter, and the
+    centered residuals of a its noise."""
     n = x.size
     if n < 20:
         raise ValueError("order selection requires n >= 20")
-    fixed = rule.mode == "fixed"
-    top = min(rule.fixed_p, order_cap(n)) if fixed else order_cap(n)
+    top = order_cap(n)
     gamma = sample_acvf(x, top)
     _, sigma2s = levinson_durbin(gamma, top)
     orders = np.arange(1, top + 1)
-    p = top if fixed else int(orders[np.argmin(n * np.log(sigma2s[1:]) + 2.0 * orders)])
+    p = int(orders[np.argmin(n * np.log(sigma2s[1:]) + 2.0 * orders)])
     a, _ = levinson_durbin(gamma, p)
     return SieveModel([1.0], np.concatenate([[1.0], -a]),
                       dgp.ResampledRecord(np.sort(residuals(x, a))))
@@ -103,7 +82,7 @@ class BootstrapResult:
     p_used: int
 
 
-def bootstrap_distribution(x: np.ndarray, statistic, B: int, rule: OrderRule,
+def bootstrap_distribution(x: np.ndarray, statistic, B: int,
                            seed: dgp.SeedLike) -> BootstrapResult:
     """Step 3: the AR-sieve bootstrap law of the scaled statistic, from the
     data path x.
@@ -114,6 +93,6 @@ def bootstrap_distribution(x: np.ndarray, statistic, B: int, rule: OrderRule,
     """
     if B < 100:
         raise ValueError("B must be at least 100")
-    model = fit_sieve(x, rule)
+    model = fit_sieve(x)
     law, theta = dgp.replicate(model, statistic, x.size, B, seed, dgp.KEY_BOOT)
     return BootstrapResult(law=law, theta_star=theta, p_used=model.p)

@@ -60,21 +60,22 @@ def _lag(h, floor: int) -> int:
     return int(h)
 
 
-def bootstrap_verdict(statistic, targets: dict, kappa_e, checks_passed: bool) -> str:
+def bootstrap_verdict(targets: dict, checks_passed: bool) -> str:
     """UNEXPECTED if a check failed; otherwise PASS where the paper's theorem
     predicts the AR-sieve bootstrap valid and FAIL-AS-PREDICTED where it does not.
 
-    The bootstrap is valid when the statistic's limit law depends only on
-    second moments: for any process when the statistic says so (mean,
-    specdens), and for a process linear in i.i.d. noise (kappa_e known) when
-    each {prefix}_linear target equals its {prefix}_companion target, up to
-    rounding. A statistic with no such pair passes.
+    The bootstrap is valid when the statistic's limit law under the process
+    is its limit law under the companion, which the targets state: there is
+    at least one, and each {prefix}_companion target has a {prefix}_linear
+    target equal to it, up to rounding. A target with neither suffix holds
+    for both processes.
     """
     if not checks_passed:
         return "UNEXPECTED"
-    valid = statistic.second_order_limit or (kappa_e is not None and all(
-        math.isclose(value, targets[tid.removesuffix("_linear") + "_companion"], rel_tol=1e-9)
-        for tid, value in targets.items() if tid.endswith("_linear")))
+    valid = bool(targets) and all(
+        math.isclose(value, targets.get(tid.removesuffix("_companion") + "_linear", math.nan),
+                     rel_tol=1e-9)
+        for tid, value in targets.items() if tid.endswith("_companion"))
     return "PASS" if valid else "FAIL-AS-PREDICTED"
 
 
@@ -105,16 +106,13 @@ def _bartlett_target(target_id: str, scale: float, h: int, num, den, sigma2, kap
 
 
 class Statistic:
-    """Protocol base; subclasses set ``name`` and override the hooks.
-    ``second_order_limit`` is true where the limit law depends only on the
-    process's second moments, whatever the process. ``h`` is the lag the
-    statistic reads. ``transform`` turns a block of paths, one per row, into
-    the rows ``evaluate`` reads, one per path: the paths themselves, or the
-    frequency-domain statistics' periodogram of each, from one FFT per
-    block."""
+    """Protocol base; subclasses set ``name`` and override the hooks. ``h``
+    is the lag the statistic reads. ``transform`` turns a block of paths, one
+    per row, into the rows ``evaluate`` reads, one per path: the paths
+    themselves, or the frequency-domain statistics' periodogram of each, from
+    one FFT per block."""
 
     name: str = ""
-    second_order_limit = False
     h = 0
 
     def check_n(self, n: int) -> None:
@@ -148,7 +146,6 @@ class Statistic:
 @dataclass
 class MeanStatistic(Statistic):
     name: str = "mean"
-    second_order_limit = True
 
     def evaluate(self, x: np.ndarray) -> float:
         return float(np.add.reduce(x) / x.size)  # np.mean's arithmetic
@@ -272,7 +269,6 @@ class RatioStatistic(_CosineStatistic):
 class SpectralDensityStatistic(Statistic):
     """Kernel spectral density estimate at a fixed frequency; rate sqrt(n h)."""
 
-    second_order_limit = True
     lam: float = math.pi / 2
     kernel: KernelSpec = None
     transform = staticmethod(periodogram)

@@ -314,6 +314,15 @@ class TestArch1CompanionTarget:
         assert set(targets) == {"acvf_variance_companion"}
         assert targets["acvf_variance_companion"] == pytest.approx(want, rel=1e-12)
 
+    def test_iid_arch1_has_the_linear_targets_of_white_noise(self):
+        # at alpha1 = 0, X is i.i.d. N(0, omega): kappa_e = kappa_eps = 0
+        model = Arch1Model(omega=1.0, alpha1=0.0)
+        assert model.kurtoses == (0.0, 0.0)
+        assert compute_targets(model, ACVF0) == {"acvf_variance_linear": 2.0,
+                                                 "acvf_variance_companion": 2.0}
+        acf = statistic_from_config({"name": "acf", "lag": 1})
+        assert compute_targets(model, acf) == {"bartlett_variance": 1.0}
+
     def test_mean_target_is_the_stationary_variance(self):
         targets = compute_targets(Arch1Model(omega=1.0, alpha1=0.3), MeanStatistic())
         assert targets == {"mean_long_run_variance": 1.0 / 0.7}
@@ -424,6 +433,8 @@ class TestTargetsAgainstExactRationalForms:
 WORKED_EXAMPLE = {"family": "linear", "coefficients": [-2.0],
                   "innovation": {"family": "centered_exponential"}}
 ARCH1 = {"family": "arch1", "coefficients": [1.0, 0.3]}
+# ARCH(1) at alpha1 = 0 is i.i.d. N(0, omega), a linear process
+IID_ARCH1 = {"family": "arch1", "coefficients": [1.0, 0.0]}
 
 
 def _predicted_verdict(model_doc, stat_doc, checks_passed=True):
@@ -431,14 +442,14 @@ def _predicted_verdict(model_doc, stat_doc, checks_passed=True):
     model = model_from_json(model_doc)
     statistic = statistic_from_config(stat_doc)
     targets = compute_targets(model, statistic)
-    return bootstrap_verdict(statistic, targets, model.kurtoses[0], checks_passed), targets
+    return bootstrap_verdict(targets, checks_passed), targets
 
 
 class TestDerivedVerdict:
-    """The bootstrap is predicted valid when the statistic's limit law rests on
-    second moments only: for mean and specdens under any process, and for a
-    linear process when each linear target equals its companion target.
-    Under X = e - 2 e_{-1}, gamma = (5, -2, 0) and the lag-h targets are
+    """The bootstrap is predicted valid when the targets say its limit law is
+    the same under the process and under its companion: there is a target,
+    and each companion target has a linear target equal to it. Under
+    X = e - 2 e_{-1}, gamma = (5, -2, 0) and the lag-h targets are
     kappa gamma(h)^2 + sum_k (gamma(k)^2 + gamma(k+h) gamma(k-h)), at kappa_e
     = 6 (linear) and kappa_eps = 2.4 (companion)."""
 
@@ -456,6 +467,14 @@ class TestDerivedVerdict:
         (ARCH1, {"name": "ratio-cos", "lag": 1}, "FAIL-AS-PREDICTED", None),
         (ARCH1, {"name": "mean"}, "PASS", None),
         (ARCH1, {"name": "specdens"}, "PASS", None),
+        # white noise: gamma = (1), so acvf lag 0 gives (kappa + 2) gamma(0)^2 = 2
+        # and lag 1 gives gamma(0)^2 = 1 at kappa_e = kappa_eps = 0
+        (IID_ARCH1, {"name": "acvf", "lag": 0}, "PASS", (2.0, 2.0)),
+        (IID_ARCH1, {"name": "acf", "lag": 1}, "PASS", None),
+        (IID_ARCH1, {"name": "intper-cos", "lag": 1}, "PASS", (1.0, 1.0)),
+        (IID_ARCH1, {"name": "ratio-cos", "lag": 1}, "PASS", None),
+        (IID_ARCH1, {"name": "mean"}, "PASS", None),
+        (IID_ARCH1, {"name": "specdens"}, "PASS", None),
     ])
     def test_prediction(self, model, stat, verdict, pair):
         got, targets = _predicted_verdict(model, stat)
@@ -471,6 +490,17 @@ class TestDerivedVerdict:
         config = preset_config(name)
         want = "FAIL-AS-PREDICTED" if name == "acvf0-ma1-exponential" else "PASS"
         assert _predicted_verdict(config.dgp, config.statistic)[0] == want
+
+    @pytest.mark.parametrize("targets, verdict", [
+        ({}, "FAIL-AS-PREDICTED"),  # nothing is known of the limit law
+        ({"acvf_variance_companion": 2.0}, "FAIL-AS-PREDICTED"),  # no linear target
+        ({"acvf_variance_linear": 3.0, "acvf_variance_companion": 2.0}, "FAIL-AS-PREDICTED"),
+        ({"acvf_variance_linear": 2.0 * (1 + 1e-12), "acvf_variance_companion": 2.0}, "PASS"),
+        ({"bartlett_variance": 1.0}, "PASS"),  # a target with no suffix holds for both
+        ({"mean_long_run_variance": 1.0, "intper_variance_companion": 1.0}, "FAIL-AS-PREDICTED"),
+    ])
+    def test_verdict_is_read_from_the_targets(self, targets, verdict):
+        assert bootstrap_verdict(targets, True) == verdict
 
     def test_a_failed_check_is_unexpected_whatever_the_prediction(self):
         for model, stat in ((WORKED_EXAMPLE, {"name": "acvf"}), (ARCH1, {"name": "mean"})):

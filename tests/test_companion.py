@@ -13,7 +13,7 @@ from sieveboot.companion import (
     companion_distribution,
     rational_acvf,
 )
-from sieveboot.ar import InversionError
+from sieveboot.ar import InversionError, impulse_response
 from sieveboot.dgp import (
     COMPANION_RECORD_LENGTH,
     InnovationSpec,
@@ -84,6 +84,18 @@ class TestModelAcvf:
         g = rational_acvf([1.0], den, 4.0, range(5))
         assert np.allclose(g, [5.0, -2.0, 0.0, 0.0, 0.0], atol=1e-10)
 
+
+    @pytest.mark.parametrize("num, den", [
+        ([1.0, -2.0], [1.0]), ([1.0, 0.5, -3.0], [1.0]), ([1.0], [1.0, -0.5]),
+        ([1.0], [1.0, -0.997]), ([1.0, 0.4], [1.0, -1.3, 0.42]),
+        ([1.0], [1.0, -1.99, 0.990025])],
+        ids=["ma1", "ma2", "ar1", "ar1-0.997", "arma21", "double-root-0.995"])
+    def test_every_lag_is_the_lagged_dot_product_of_psi_bit_for_bit(self, num, den):
+        # the one np.correlate over every lag gives the bits of one np.dot per lag
+        gamma = rational_acvf(num, den, 1.7)
+        psi = impulse_response(num, den, gamma.size)
+        want = [1.7 * np.dot(psi[: psi.size - h], psi[h:]) for h in range(psi.size)]
+        assert np.array_equal(gamma, want)
 
     @pytest.mark.parametrize("num, den", [([1.0], [1.0, -0.5]), ([1.0], [1.0, -0.5, 0.2]),
                                           ([1.0, 0.4], [1.0, -0.7])],

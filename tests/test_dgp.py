@@ -40,7 +40,7 @@ from sieveboot.dgp import (
 from sieveboot import companion, sieve
 from sieveboot.companion import CompanionSpec, build_companion
 from sieveboot.experiment import companion_spec_for
-from sieveboot.sieve import OrderRule, fit_sieve
+from sieveboot.sieve import fit_sieve
 from sieveboot.statistics import AcvfStatistic
 
 
@@ -393,7 +393,7 @@ PROCESSES = {
     "ar": lambda: LinearModel(a=(0.6, -0.2), innovations=InnovationSpec("centered_uniform")),
     "arch1": lambda: Arch1Model(omega=1.0, alpha1=0.3),
     "companion": lambda: CompanionSpec([1.0, 0.5], [1.0, -0.3], InnovationSpec("centered_uniform")),
-    "sieve": lambda: fit_sieve(simulate_ar(LinearModel(a=(0.6,)), 400, 3), OrderRule()),
+    "sieve": lambda: fit_sieve(simulate_ar(LinearModel(a=(0.6,)), 400, 3)),
 }
 
 

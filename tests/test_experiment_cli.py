@@ -270,14 +270,8 @@ BAD_WINDOWS = [
 # Malformed config values, as overrides of TINY_CONFIG, and the field each
 # rejection names.
 BAD_VALUES = [
-    ({"order_rule": {"bogus": 1}}, "order_rule: unknown keys"),
-    ({"order_rule": {"mode": "fixed", "fixed_p": "2"}}, "order_rule: .*integer fixed_p"),
-    # True is an int to isinstance; it would run as p = 1 and report p_used true
-    ({"order_rule": {"mode": "fixed", "fixed_p": True}}, "order_rule: .*integer fixed_p"),
-    # aic_capped never reads fixed_p
-    ({"order_rule": {"mode": "aic_capped", "fixed_p": 3}},
-     "order_rule: fixed_p is read only in mode 'fixed'"),
-    ({"order_rule": {"mode": "bic"}}, "order_rule: unknown order rule mode"),
+    # the sieve order is always AIC's under the cap; no config chooses it
+    ({"order_rule": {"mode": "aic_capped"}}, r"unknown config keys: \['order_rule'\]"),
     ({"n": "2000"}, "n must be an integer"),
     ({"n": 2000.0}, "n must be an integer"),
     ({"B": True}, "B must be an integer"),
@@ -358,9 +352,7 @@ class TestFailFast:
             ExperimentConfig.from_json({**TINY_CONFIG, "n": largest + 1})
 
     @pytest.mark.parametrize("override, field", [
-        ({"order_rule": {"bogus": 1}}, "order_rule"),
-        ({"order_rule": {"mode": "fixed", "fixed_p": True}}, "integer fixed_p >= 1, got True"),
-        ({"order_rule": {"mode": "aic_capped", "fixed_p": 3}}, "fixed_p is read only"),
+        ({"order_rule": {"mode": "fixed", "fixed_p": 2}}, "unknown config keys: ['order_rule']"),
         ({"n": "2000"}, "n must be"),
         ({"checks": [1]}, "check #0"),
         ({"n": 10 ** 9}, "above the bound of 1 GiB"),
@@ -736,6 +728,14 @@ class TestCli:
         assert main(["asymptotics", "--model", '{"family": "arch1", "coefficients": [1.0, 0.3]}',
                      "--statistic", stat]) == 1
         assert capsys.readouterr().out.startswith("no closed-form targets")
+
+    def test_asymptotics_of_iid_arch1(self, capsys):
+        model = '{"family": "arch1", "coefficients": [1.0, 0.0]}'
+        assert main(["asymptotics", "--model", model, "--statistic", "acvf"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["acvf_variance_linear = 2",
+                                                        "acvf_variance_companion = 2"]
+        assert main(["asymptotics", "--model", model, "--statistic", "acf"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["bartlett_variance = 1"]
 
     def test_asymptotics_mean(self, capsys):
         code = main(["asymptotics", "--model", json.dumps(TINY_CONFIG["dgp"]),

@@ -3,14 +3,13 @@ import pytest
 from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
-from sieveboot.ar import residuals
+from sieveboot.ar import levinson_durbin, residuals
 from sieveboot.companion import CompanionSpec
 from sieveboot.dgp import (LinearModel, default_burnin, ma1_model, rng_from, simulate_ar,
                            simulate_linear)
 from sieveboot.series import sample_acvf
 from sieveboot.sieve import (
     BootstrapResult,
-    OrderRule,
     SieveModel,
     bootstrap_distribution,
     fit_sieve,
@@ -43,16 +42,6 @@ def _yule_walker_by_dense_solve(gamma, p):
 
 
 class TestOrderRule:
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            OrderRule(mode="bic")
-        # a bool is an int to isinstance; aic_capped never reads fixed_p
-        for fixed_p in (None, True, 0):
-            with pytest.raises(ValueError, match="fixed_p"):
-                OrderRule(mode="fixed", fixed_p=fixed_p)
-        with pytest.raises(ValueError, match="fixed_p"):
-            OrderRule(mode="aic_capped", fixed_p=3)
-
     def test_cap_value(self):
         # floor((2000 / ln 2000)^(1/4)) = 4
         assert order_cap(2000) == 4
@@ -64,56 +53,58 @@ class TestOrderRule:
         assert caps == sorted(caps)
         assert caps[-1] <= 10
 
-    def test_fixed_clamped_to_cap(self):
-        x = ar1_data(2000)
-        assert fit_sieve(x, OrderRule(mode="fixed", fixed_p=2)).p == 2
-        assert fit_sieve(x, OrderRule(mode="fixed", fixed_p=99)).p == order_cap(2000)
-
     def test_aic_finds_short_memory(self):
         # AR(1) data: AIC should not saturate the cap
         x = ar1_data(2000, seed=2)
-        p = fit_sieve(x, OrderRule(mode="aic_capped")).p
+        p = fit_sieve(x).p
         assert 1 <= p <= order_cap(2000)
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="n >= 20"):
-            fit_sieve(np.arange(10.0), OrderRule())
+            fit_sieve(np.arange(10.0))
 
 
 class TestFit:
     def test_is_the_companion_of_the_fitted_filter(self):
-        m = fit_sieve(ar1_data(), OrderRule())
+        m = fit_sieve(ar1_data())
         assert isinstance(m, SieveModel) and isinstance(m, CompanionSpec)
         assert np.array_equal(m.num, [1.0])
         assert m.p == m.den.size - 1 and m.den[0] == 1.0
 
     def test_residual_record_mean_zero(self):
-        m = fit_sieve(ar1_data(), OrderRule(mode="fixed", fixed_p=1))
+        m = fit_sieve(ar1_data())
         assert abs(m.noise.values.mean()) < 1e-14
 
     def test_record_is_the_sorted_residuals_of_the_fit(self):
         x = ar1_data(700, seed=4)
-        m = fit_sieve(x, OrderRule())
+        m = fit_sieve(x)
         assert np.array_equal(m.noise.values, np.sort(residuals(x, -m.den[1:])))
 
     def test_recovers_ar1_coefficient(self):
-        m = fit_sieve(ar1_data(5000, seed=3), OrderRule(mode="fixed", fixed_p=1))
+        m = fit_sieve(ar1_data(5000, seed=3))
         assert -m.den[1] == pytest.approx(0.6, abs=0.05)
+        assert np.all(np.abs(m.den[2:]) < 0.05)
         assert m.filter[2] == pytest.approx(1.0, rel=0.1)
 
     def test_constant_series_rejected(self):
         from sieveboot.series import DegenerateSeriesError
 
         with pytest.raises(DegenerateSeriesError):
-            fit_sieve(np.ones(200), OrderRule(mode="fixed", fixed_p=1))
+            fit_sieve(np.ones(200))
 
     @pytest.mark.parametrize("path", sorted(REFERENCE_PATHS))
     def test_coefficients_solve_the_toeplitz_system(self, path):
         x = REFERENCE_PATHS[path]()
-        for rule in (OrderRule(), OrderRule(mode="fixed", fixed_p=order_cap(x.size))):
-            m = fit_sieve(x, rule)
-            want, _ = _yule_walker_by_dense_solve(sample_acvf(x, m.p), m.p)
-            assert np.allclose(-m.den[1:], want, rtol=1e-12, atol=0.0)
+        m = fit_sieve(x)
+        want, _ = _yule_walker_by_dense_solve(sample_acvf(x, m.p), m.p)
+        assert np.allclose(-m.den[1:], want, rtol=1e-12, atol=0.0)
+        # and at the cap order, whatever order AIC picks
+        cap = order_cap(x.size)
+        gamma = sample_acvf(x, cap)
+        a, sigma2s = levinson_durbin(gamma, cap)
+        want, want_sigma2 = _yule_walker_by_dense_solve(gamma, cap)
+        assert np.allclose(a, want, rtol=1e-12, atol=0.0)
+        assert sigma2s[cap] == pytest.approx(want_sigma2, rel=1e-12)
 
     @pytest.mark.parametrize("path", sorted(REFERENCE_PATHS))
     def test_order_is_the_aic_argmin_of_per_order_solves(self, path):
@@ -122,32 +113,32 @@ class TestFit:
         gamma = sample_acvf(x, cap)
         aic = [x.size * np.log(_yule_walker_by_dense_solve(gamma, k)[1]) + 2.0 * k
                for k in range(1, cap + 1)]
-        assert fit_sieve(x, OrderRule()).p == 1 + int(np.argmin(aic))
+        assert fit_sieve(x).p == 1 + int(np.argmin(aic))
 
     def test_reference_paths_select_several_orders(self):
         # so the AIC reference is not met by a constant order
-        orders = {fit_sieve(make(), OrderRule()).p for make in REFERENCE_PATHS.values()}
+        orders = {fit_sieve(make()).p for make in REFERENCE_PATHS.values()}
         assert {1, 2, 3} <= orders
 
 
 class TestGeneration:
     def test_deterministic_and_length(self):
-        m = fit_sieve(ar1_data(), OrderRule(mode="fixed", fixed_p=1))
+        m = fit_sieve(ar1_data())
         x1 = generate_bootstrap_series(m, 300, [4])
         x2 = generate_bootstrap_series(m, 300, [4])
         assert x1.shape == (1, 300)
         assert np.array_equal(x1, x2)
 
     def test_values_drawn_from_residual_support(self):
-        m = fit_sieve(ar1_data(500, seed=5), OrderRule(mode="fixed", fixed_p=1))
+        m = fit_sieve(ar1_data(500, seed=5))
         x = generate_bootstrap_series(m, 200, [6])[0]
-        # inverting the fitted AR(1) recursion recovers the resampled residuals
-        e = x[1:] + m.den[1] * x[:-1]
+        # inverting the fitted AR(p) recursion recovers the resampled residuals
+        e = np.convolve(m.den, x)[m.p: x.size]
         gap = np.abs(e[:, None] - m.noise.values[None, :]).min(axis=1)
         assert gap.max() < 1e-12
 
     def test_path_is_the_fitted_recursion_on_resampled_residuals(self):
-        m = fit_sieve(ar1_data(600, seed=14), OrderRule())
+        m = fit_sieve(ar1_data(600, seed=14))
         burnin = default_burnin(m.p)
         resid = m.noise.values
         e_star = resid[rng_from(15).integers(0, resid.size, 300 + burnin)]
@@ -159,29 +150,29 @@ class TestGeneration:
 class TestBootstrapDistribution:
     def test_mean_statistic_ar1(self):
         x = ar1_data(2000, seed=7)
-        res = bootstrap_distribution(x, MeanStatistic(), B=400,
-                                     rule=OrderRule(mode="fixed", fixed_p=1), seed=8)
+        res = bootstrap_distribution(x, MeanStatistic(), B=400, seed=8)
         assert isinstance(res, BootstrapResult)
         assert res.theta_star == 0.0
-        assert res.p_used == 1
+        assert res.p_used == fit_sieve(x).p
         # long-run variance of AR(1): sigma2/(1-a)^2 = 1/0.16 = 6.25
         assert res.law.variance() == pytest.approx(6.25, rel=0.35)
 
     def test_acvf_statistic_center_uses_fitted_model(self):
         x = ar1_data(2000, seed=9)
-        res = bootstrap_distribution(x, AcvfStatistic(0), B=200,
-                                     rule=OrderRule(mode="fixed", fixed_p=1), seed=10)
-        m = fit_sieve(x, OrderRule(mode="fixed", fixed_p=1))
-        want = m.filter[2] / (1.0 - m.den[1] ** 2)
+        res = bootstrap_distribution(x, AcvfStatistic(0), B=200, seed=10)
+        m = fit_sieve(x)
+        # a Yule-Walker AR(p) fit has the sample ACF at lags 1..p, so its
+        # gamma(0) = sigma2 / (1 - sum_k a_k rho_hat(k))
+        gamma = sample_acvf(x, m.p)
+        want = m.filter[2] / (1.0 + np.dot(m.den[1:], gamma[1:] / gamma[0]))
         assert res.theta_star == pytest.approx(want, rel=1e-10)
 
     def test_deterministic_given_seed(self):
         x = simulate_linear(ma1_model(), 600, seed=11)
-        r1 = bootstrap_distribution(x, MeanStatistic(), B=150, rule=OrderRule(), seed=12)
-        r2 = bootstrap_distribution(x, MeanStatistic(), B=150, rule=OrderRule(), seed=12)
+        r1 = bootstrap_distribution(x, MeanStatistic(), B=150, seed=12)
+        r2 = bootstrap_distribution(x, MeanStatistic(), B=150, seed=12)
         assert np.array_equal(r1.law.sample, r2.law.sample)
 
     def test_minimum_replications(self):
         with pytest.raises(ValueError):
-            bootstrap_distribution(ar1_data(500), MeanStatistic(), B=50,
-                                   rule=OrderRule(), seed=13)
+            bootstrap_distribution(ar1_data(500), MeanStatistic(), B=50, seed=13)
