@@ -29,6 +29,7 @@ __all__ = [
     "impulse_response",
     "root_radius",
     "check_roots_outside_disk",
+    "burnin",
     "wold_factorization",
     "residuals",
 ]
@@ -146,6 +147,7 @@ def _reciprocal_roots(a: np.ndarray) -> np.ndarray:
 
 
 _ROOT_MARGIN = 1e-12  # a reciprocal root r with |r| (1 + margin) >= 1 is in the closed disk
+SETTLE_TOL = 1e-18  # share of its start at which a zero-state transient counts as over
 
 
 def root_radius(a) -> float:
@@ -169,6 +171,13 @@ def _settle_lag(rho: float, tol: float) -> int:
     return int(math.log(tol) / math.log(rho)) + 1 if rho > 0 else 1
 
 
+def burnin(num, den) -> int:
+    """The leading outputs a zero-state path of num(z) / den(z) drops: q pre-sample draws,
+    plus, when den != 1, the first t with rho^t < SETTLE_TOL, rho the root radius of den."""
+    lag = _settle_lag(root_radius(-np.asarray(den, dtype=float)[1:]), SETTLE_TOL)
+    return np.size(num) - 1 + (lag if np.size(den) > 1 else 0)
+
+
 def impulse_response(num, den, length: int) -> np.ndarray:
     """psi_0..psi_{length - 1} of num(z) / den(z) = sum_j psi_j z^j, den[0]
     == 1: one ``filter_rows`` call on a unit impulse. Raises InversionError
@@ -188,7 +197,7 @@ def wold_factorization(b, sigma2: float = 1.0):
     all-pass with gain prod |z_i|^-1, so eps is white, not i.i.d. unless no
     root flips, with variance sigma2_eps = sigma2 prod |z_i|^-2. psi is the
     response of b / b~ over q + lag + 1 taps, lag the first t with
-    rho^t < 1e-18 for rho the largest flipped-root modulus: past psi.size - 1
+    rho^t < SETTLE_TOL for rho the largest flipped-root modulus: past psi.size - 1
     outputs from zero state, b / b~ misses earlier inputs by weights below
     that. With no root flipped, b comes back as it is, with psi = (1,).
     Raises ValueError naming a root on the unit circle, where the spectral
@@ -208,8 +217,8 @@ def wold_factorization(b, sigma2: float = 1.0):
     if not inside.any():
         return b, sigma2, np.ones(1)
     rho = 1.0 / size[inside].min()
-    lag = _settle_lag(rho, 1e-18)
-    if lag > 10 ** 4:  # rho above 1e-18^(1 / 10^4), about 0.9959
+    lag = _settle_lag(rho, SETTLE_TOL)
+    if lag > 10 ** 4:  # rho above SETTLE_TOL^(1 / 10^4), about 0.9959
         raise ValueError(f"MA polynomial has a root of modulus {rho:.12g}, too close to the unit "
                          f"circle: its Wold filter would take {lag} lags to settle")
     num = np.poly(np.where(inside, 1.0 / np.conj(r), r)).real

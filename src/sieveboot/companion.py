@@ -11,8 +11,8 @@ The noise eps is any i.i.d. law of the noise protocol of ``dgp``: an
 ``InnovationSpec`` family, or a ``ResampledRecord`` of Wold innovations. The
 fitted sieve is itself such a companion: ``sieve.SieveModel`` is a
 ``CompanionSpec`` holding the fitted filter 1 / (1 - sum a_k z^k) driven by a
-``ResampledRecord`` of its residuals. ``rational_acvf`` reads the ACVF off
-the filter's impulse response, carried as far as den's root radius says.
+``ResampledRecord`` of its residuals. den's root radius sets a path's burn-in
+and how far ``rational_acvf`` carries the impulse response behind its ACVF.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dgp
-from .ar import _settle_lag, check_roots_outside_disk, impulse_response
+from .ar import _settle_lag, burnin, check_roots_outside_disk, impulse_response
 
 __all__ = [
     "CompanionSpec",
@@ -59,11 +59,9 @@ class CompanionSpec:
 
     @property
     def burnin(self) -> int:
-        """Leading outputs dropped from each path: q pre-sample innovations
-        make a finite filter of order q exact; a recursive filter starts from
-        zero state and drops ``dgp.default_burnin(p)``."""
-        p, q = self.den.size - 1, self.num.size - 1
-        return dgp.default_burnin(p) if p else q
+        """Leading outputs dropped from each path, ``ar.burnin`` of the filter:
+        q for a finite one, plus the lags den's root radius takes to settle."""
+        return burnin(self.num, self.den)
 
     def simulate(self, n: int, seeds) -> np.ndarray:
         return build_companion(self, n, seeds)

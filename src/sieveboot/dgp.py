@@ -17,18 +17,16 @@ fitted ``SieveModel`` included -- has ``filter``, the rational filter
 (num, den, sigma2) of X = [num(z) / den(z)] eps with Var(eps) = sigma2 that
 carries its second-order structure, and ``simulate(n, seeds)``, a
 C-contiguous (len(seeds), n) float array whose row j is the path of
-seeds[j]. A row does not depend on the other seeds, so a path is the same
-whatever block it is simulated in. ``LinearModel`` fills the block one
-``simulate_linear`` call per seed, or one ``simulate_ar`` call when it has a
-denominator. ``Arch1Model`` draws each path's burn-in into a (k, burn-in)
-buffer and its kept values straight into its output row, then steps all its
-paths one time step at a time, a column of the buffer and then of the
-output, in place. A ``CompanionSpec`` fills its output in tiles of
-``max(1, TILE_VALUES // (n + burn-in))`` rows: it draws each path's
-innovations from its noise into one row of a tile, filters the tile with one
-``filter_rows`` call, which is one ``lfilter`` call bit for bit, and writes
-the outputs past the burn-in into their rows. ``filter_rows`` is
-``ar.filter_rows``, imported here, the one rational filter of the package.
+seeds[j], the same whatever block it is simulated in. ``LinearModel`` fills
+the block one ``simulate_linear`` call per seed, or one ``simulate_ar`` call
+when it has a denominator; ``Arch1Model`` steps all its paths together, one
+time step at a time, in place; a ``CompanionSpec`` filters tiles of
+``max(1, TILE_VALUES // (n + burn-in))`` paths, one ``filter_rows`` call
+(``lfilter`` bit for bit) per tile. A linear path starts from zero state and
+drops ``ar.burnin(num, den)`` leading values: q for a finite filter, plus the
+lags the root radius of den takes to fall below ``ar.SETTLE_TOL``. An
+ARCH(1) path drops ``ARCH1_BURNIN``. ``filter_rows`` is ``ar.filter_rows``,
+imported here, the one rational filter of the package.
 A chunk is what one ``simulate`` call returns and a statistic transforms; a
 tile is what one filter call sees while a chunk is built. Neither changes a
 bit of any path.
@@ -63,7 +61,7 @@ from typing import Union
 
 import numpy as np
 
-from .ar import check_roots_outside_disk, filter_rows, wold_factorization
+from .ar import burnin, check_roots_outside_disk, filter_rows, wold_factorization
 from .series import EmpiricalLaw
 
 __all__ = [
@@ -85,7 +83,7 @@ __all__ = [
     "ma1_example",
     "ma1_model",
     "simulate_arch1",
-    "default_burnin",
+    "ARCH1_BURNIN",
     "filter_rows",
     "model_from_json",
 ]
@@ -109,11 +107,9 @@ SeedLike = Union[int, np.random.SeedSequence]
 # step's overhead over many paths.
 BATCH_VALUES = 1 << 19
 
-# Values drawn and filtered at a time while a companion block is filled: a
-# tile of max(1, TILE_VALUES // (n + burn-in)) rows goes through one
-# ``filter_rows`` call and is written past its burn-in into the block, so
-# only the block and one tile's innovations and outputs are alive at once.
-# Smaller tiles pay the filter call's overhead more often.
+# Values drawn and filtered at a time while a companion block is filled
+# (``companion.build_companion``): a larger tile holds more memory at once, a
+# smaller one pays the filter call's overhead more often.
 TILE_VALUES = 1 << 18
 
 # Spawn-key namespaces of derived seeds: bootstrap replications, oracle
@@ -125,6 +121,8 @@ KEY_BOOT, KEY_ORACLE, KEY_TRUTH, KEY_COMPANION_RECORD, KEY_DATA = 0, 1, 2, 5, 9
 # the number of independent ARCH(1) chains that make up an ARCH(1) record.
 COMPANION_RECORD_LENGTH = 10 ** 6
 _ARCH_RECORD_CHAINS = 100
+
+ARCH1_BURNIN = 1000  # ARCH(1) is no rational filter, so no root radius sets its burn-in
 
 
 def _entropy_and_key(base: SeedLike, indices) -> tuple:
@@ -419,10 +417,6 @@ class Arch1Model:
         return (None if alpha_sq else 0.0), 6.0 * alpha_sq / (1.0 - 3.0 * alpha_sq)
 
 
-def default_burnin(order: int) -> int:
-    return max(1000, 50 * order)
-
-
 def simulate_linear(model: LinearModel, n: int, seed: SeedLike) -> np.ndarray:
     """The path array of the finite MA X_t = e_t + sum_j b_j e_{t-j},
     ``model.a`` empty.
@@ -439,10 +433,10 @@ def simulate_linear(model: LinearModel, n: int, seed: SeedLike) -> np.ndarray:
 
 def simulate_ar(model: LinearModel, n: int, seed: SeedLike) -> np.ndarray:
     """The recursion [b(z) / a(z)] e from zero initial state, as the array of
-    the path; the first ``default_burnin(max(p, q))`` values are dropped."""
-    burnin = default_burnin(max(len(model.a), len(model.b)))
-    e = model.innovations.draw(n + burnin, seed)
-    return filter_rows(*model.filter[:2], e)[burnin:]
+    the path; its first ``ar.burnin(b, a)`` values, the transient, are dropped."""
+    b, a, _ = model.filter
+    drop = burnin(b, a)
+    return filter_rows(b, a, model.innovations.draw(n + drop, seed))[drop:]
 
 
 def _path_by_path(simulate_path, model, n: int, seeds) -> np.ndarray:
@@ -481,7 +475,7 @@ def ma1_example(n: int, seed: SeedLike, innovations: InnovationSpec | None = Non
 def simulate_arch1(model: Arch1Model, n: int, seeds) -> np.ndarray:
     """ARCH(1) recursion x_t = sqrt(omega + alpha1 x_{t-1}^2) z_t from zero
     state, z_t standard normal drawn from ``rng_from(seed)``; the first
-    ``default_burnin(1)`` values are dropped.
+    ``ARCH1_BURNIN`` values are dropped.
 
     Returns a C-contiguous (len(seeds), n) array whose row j is the path of
     seeds[j]. Each path draws its burn-in multipliers into its row of a
@@ -494,8 +488,7 @@ def simulate_arch1(model: Arch1Model, n: int, seeds) -> np.ndarray:
     A path that overflows float64 holds inf or NaN, with no warning; the
     finiteness check of its block rejects it.
     """
-    burnin = default_burnin(1)
-    head = np.empty((len(seeds), burnin))
+    head = np.empty((len(seeds), ARCH1_BURNIN))
     out = np.empty((len(seeds), n))
     for j, s in enumerate(seeds):
         rng = rng_from(s)

@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dgp
+from .ar import burnin
 from .companion import CompanionSpec, companion_distribution
 from .series import kolmogorov_distance, ks_critical_value
 from .sieve import bootstrap_distribution
@@ -192,8 +193,7 @@ class ExperimentConfig:
         for label, floor in _FLOORS.items():
             if getattr(self, label) < floor:
                 raise ConfigError(f"{label} must be >= {floor}, got {getattr(self, label)}")
-        order = max(c.size for c in model.filter[:2]) - 1
-        need = _memory_estimate(self.n, self.B, self.M, self.R, dgp.default_burnin(order))
+        need = _memory_estimate(self.n, self.B, self.M, self.R, burnin(*model.filter[:2]))
         if need > _MEMORY_BOUND:
             raise ConfigError(f"n, B, M, R = {self.n}, {self.B}, {self.M}, {self.R} would hold "
                               f"about {need / 2 ** 30:.3g} GiB of arrays at once, above the "

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 from sieveboot.ar import (
+    SETTLE_TOL,
     ConditioningError,
     InversionError,
+    burnin,
     check_roots_outside_disk,
     impulse_response,
     levinson_durbin,
@@ -14,8 +16,10 @@ from sieveboot.ar import (
     root_radius,
     wold_factorization,
 )
-from sieveboot.companion import rational_acvf
+from sieveboot.companion import build_companion, rational_acvf
+from sieveboot.dgp import InnovationSpec, ma1_model, simulate_linear
 from sieveboot.series import sample_acvf
+from sieveboot.sieve import fit_sieve
 
 MA1_GAMMA = np.concatenate([[5.0, -2.0], np.zeros(59)])  # gamma of X_t = e_t - 2 e_{t-1}
 
@@ -230,3 +234,47 @@ class TestWoldFactorization:
         assert np.allclose(np.abs(response), gain, rtol=1e-9, atol=0.0)
         assert sigma2_eps == pytest.approx(sigma2 * gain ** 2, rel=1e-9)
         assert np.sum(psi ** 2) == pytest.approx(gain ** 2, rel=1e-9)
+
+
+# A path kept from output t = burnin of a zero-state start misses the
+# response terms psi_j, j > t, of the stationary path: an error whose RMS,
+# against the path's, is at most ||psi[burnin:]|| / ||psi||, held below this.
+TAIL_SHARE = 1e-16
+
+
+def _worked_example_sieve():
+    x = simulate_linear(ma1_model(InnovationSpec("centered_exponential")), 2000, seed=7)
+    model = fit_sieve(x)
+    return model.num, model.den
+
+
+class TestBurnin:
+    FILTERS = {
+        "ar1-0.5": lambda: ([1.0], [1.0, -0.5]),
+        "ar1-0.9": lambda: ([1.0], [1.0, -0.9]),
+        "ar1-0.999": lambda: ([1.0], [1.0, -0.999]),
+        "ar2-complex-pair": lambda: ([1.0], np.poly(0.8 * np.exp([1j, -1j])).real),
+        "arma21": lambda: ([1.0, 0.4], np.poly([0.7, -0.5])),
+        "fitted-sieve": _worked_example_sieve,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FILTERS))
+    def test_the_transient_past_the_burnin_is_negligible(self, kind):
+        num, den = self.FILTERS[kind]()
+        drop, q = burnin(num, den), len(num) - 1
+        rho = root_radius(-np.asarray(den)[1:])
+        assert rho ** (drop - q) < SETTLE_TOL <= rho ** (drop - q - 1)
+        # psi past 2 * drop is below rho^drop of the tail itself
+        psi = impulse_response(num, den, 2 * drop + 100)
+        assert np.linalg.norm(psi[drop:]) <= TAIL_SHARE * np.linalg.norm(psi)
+
+    @pytest.mark.parametrize("q", [0, 1, 3, 8])
+    def test_a_finite_filter_drops_its_q_presample_draws(self, q):
+        num = np.concatenate([[1.0], np.random.default_rng(q).uniform(-2.0, 2.0, q)])
+        assert burnin(num, [1.0]) == q
+
+    def test_the_worked_example_oracle_keeps_one_presample_draw(self):
+        spec = ma1_model(InnovationSpec("centered_exponential")).companion(7)
+        assert spec.den.size == 1 and spec.burnin == 1
+        e = spec.noise.draw(301, 11)
+        assert np.array_equal(build_companion(spec, 300, [11])[0], np.convolve(spec.num, e)[1:301])

