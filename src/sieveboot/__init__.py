@@ -55,10 +55,7 @@ from .companion import (
 from .spectral import (
     KernelSpec,
     fourier_quadrature,
-    integrated_periodogram,
-    kernel_spectral_estimate,
     periodogram,
-    ratio_statistic,
     rational_spectral_density,
 )
 from .asymptotics import (

@@ -57,6 +57,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -343,10 +344,17 @@ class LinearModel:
             object.__setattr__(self, name, coeffs)
         check_roots_outside_disk(self.a)
 
-    @property
+    @cached_property
     def filter(self):
-        return (np.concatenate([[1.0], self.b]), np.concatenate([[1.0], -np.asarray(self.a)]),
-                self.innovations.variance)
+        """(num, den, sigma2), built once per model, num and den read-only."""
+        num, den = np.concatenate([[1.0], self.b]), np.concatenate([[1.0], -np.asarray(self.a)])
+        num.flags.writeable = den.flags.writeable = False
+        return num, den, self.innovations.variance
+
+    @cached_property
+    def burnin(self) -> int:
+        """``ar.burnin`` of the filter, found once per model."""
+        return burnin(*self.filter[:2])
 
     def simulate(self, n: int, seeds) -> np.ndarray:
         return _path_by_path(simulate_ar if self.a else simulate_linear, self, n, seeds)
@@ -433,9 +441,9 @@ def simulate_linear(model: LinearModel, n: int, seed: SeedLike) -> np.ndarray:
 
 def simulate_ar(model: LinearModel, n: int, seed: SeedLike) -> np.ndarray:
     """The recursion [b(z) / a(z)] e from zero initial state, as the array of
-    the path; its first ``ar.burnin(b, a)`` values, the transient, are dropped."""
+    the path; its first ``model.burnin`` values, the transient, are dropped."""
     b, a, _ = model.filter
-    drop = burnin(b, a)
+    drop = model.burnin
     return filter_rows(b, a, model.innovations.draw(n + drop, seed))[drop:]
 
 

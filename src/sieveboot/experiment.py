@@ -93,12 +93,12 @@ def _memory_estimate(n: int, B: int, M: int, R: int, burnin: int) -> int:
     - A companion record of COMPANION_RECORD_LENGTH values is drawn and
       filtered into a copy: two per record value.
     - A replication costs 160 bytes: its value in the law and in the
-      temporaries that centre and sort it, and its law written out as text
-      through a list of floats and a list of strings.
+      temporaries that centre and sort it. This over-counts, as a law is
+      written one value at a time; a lower figure would admit larger runs.
 
     Traced with tracemalloc, a run of a ratio statistic at n = 10^6 peaked
-    at 8.5 float64 per value, and one at B = 5 * 10^5, n = 100, at 66.8 MB,
-    134 bytes per replication with nothing else counted.
+    at 8.5 float64 per value, and one at B = 5 * 10^5, n = 100, at 28.2 MB,
+    56 bytes per replication with nothing else counted.
     """
     values = (7 * max(dgp.BATCH_VALUES, n) + 2 * max(dgp.TILE_VALUES, n + burnin)
               + 2 * dgp.COMPANION_RECORD_LENGTH)
@@ -381,9 +381,10 @@ def write_report(report: Report, out_dir: str | Path) -> None:
     laws_dir = out / "laws"
     laws_dir.mkdir(exist_ok=True)
     for method, law in report.laws.items():
-        # the bytes of np.savetxt(fmt="%.17g"), formatted in one pass
-        text = "".join(["%.17g\n" % v for v in law.sample.tolist()])
-        (laws_dir / f"{method}.csv").write_text(text)
+        # the bytes of np.savetxt(fmt="%.17g"), formatted one value at a time
+        with open(laws_dir / f"{method}.csv", "w") as fh:
+            law.sample.tofile(fh, sep="\n", format="%.17g")
+            fh.write("\n")
 
 
 def _ma1_dgp(family: str) -> dict:

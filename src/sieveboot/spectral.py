@@ -1,5 +1,5 @@
-"""Frequency-domain statistics: periodogram, integrated periodogram, ratio
-statistics, kernel spectral density estimation and model spectral densities.
+"""The frequency domain: the periodogram of the spectral statistics, the
+path-independent arrays that weight it, and model spectral densities.
 
 Quadrature convention: all integrals over [0, pi] are Riemann sums on the
 Fourier frequencies 2*pi*j/n, j = 1..floor(n/2), with spacing 2*pi/n and the
@@ -9,8 +9,8 @@ spectral mass concentrates at pi.
 
 ``periodogram`` takes a block of paths, one per row along its last axis,
 already checked finite, and returns its periodogram row by row from one FFT
-of the whole block. Each statistic of a path reads one row of that
-periodogram, a 1-d float array, with n its size.
+of the whole block. Each frequency-domain statistic of ``statistics`` reads
+one row of that periodogram, a 1-d float array with n its size.
 
 Every array that depends on the path length alone -- the frequency grid,
 quadrature weights, the fold index, weighted quadrature vectors and kernel
@@ -25,16 +25,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .series import DegenerateSeriesError
-
 __all__ = [
     "KernelSpec",
     "periodogram",
     "fourier_quadrature",
     "weighted_quadrature",
-    "integrated_periodogram",
-    "ratio_statistic",
-    "kernel_spectral_estimate",
     "rational_spectral_density",
 ]
 
@@ -112,26 +107,6 @@ def weighted_quadrature(h: int, n: int) -> np.ndarray:
     return _read_only(w * (2.0 * np.cos(freqs * h)))
 
 
-def integrated_periodogram(row: np.ndarray, h: int) -> float:
-    """Quadrature approximation of M(I_n, phi) = int_0^pi phi I_n with
-    phi = 2cos(. h), which tracks the non-centered autocovariance c(h);
-    ``row`` is one path's ``periodogram``."""
-    n = row.size
-    return float(np.dot(weighted_quadrature(h, n), row[1: n // 2 + 1]))
-
-
-def ratio_statistic(row: np.ndarray, h: int) -> float:
-    """R(I_n, phi) = M(I_n, phi) / M(I_n, 1) with phi = 2cos(. h); ``row``
-    is one path's ``periodogram``."""
-    n = row.size
-    values = row[1: n // 2 + 1]
-    _, w = fourier_quadrature(n)
-    denom = float(np.dot(w, values))
-    if denom <= 0:
-        raise DegenerateSeriesError("total periodogram mass is zero")
-    return float(np.dot(weighted_quadrature(h, n), values)) / denom
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def _even_fold(n: int) -> np.ndarray:
     """Index of I_n(2 pi j / n) among the ordinates j = 0..n//2, for j = 0..n-1,
@@ -149,22 +124,6 @@ def _kernel_weights(k: KernelSpec, lam: float, n: int) -> np.ndarray:
     h = k.bandwidth
     with np.errstate(over="ignore"):
         return _read_only(k.kernel(d / h) / h)
-
-
-def kernel_spectral_estimate(row: np.ndarray, k: KernelSpec, lam: float) -> float:
-    """Kernel-smoothed periodogram f_n(lambda) = int K_h(lambda - mu) I_n(mu) dmu,
-    ``row`` one path's ``periodogram``.
-
-    The periodogram runs over all n Fourier frequencies, extended evenly
-    across 0 and pi (equivalently, treated as the 2*pi-periodic even function
-    it is), so mass leaking past the boundaries folds back; this produces the
-    boundary variance doubling. The kernel weights are built once per
-    (kernel, lambda, n), so each path costs one dot.
-    """
-    if not 0 <= lam <= np.pi:
-        raise ValueError("lambda must lie in [0, pi]")
-    n = row.size
-    return float(np.dot(_kernel_weights(k, lam, n), row) * (2.0 * np.pi / n))
 
 
 def _transfer(c: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -7,10 +7,10 @@ checked finite by the caller; the exact centering value implied by a rational
 filter X = [num(z) / den(z)] eps with innovation variance sigma2 -- the fitted
 sieve, the companion process or the data-generating model; its scaling rate
 c_n; and the closed-form asymptotic variances of its law under such a filter.
-Frequency-domain centers are computed with the same Fourier-grid quadrature
-as the statistic itself, so discretization cancels. The cosine statistics'
-limit variances are those of the lag-h autocovariance and autocorrelation,
-from the same ACVF expansion and the same functions.
+A frequency-domain statistic dots a path's periodogram row with weights
+``spectral`` caches per n; a cosine statistic's center dots the model's
+spectral density with the same weights, so discretization cancels. Their
+limit variances are the lag-h autocovariance's and autocorrelation's.
 """
 from __future__ import annotations
 
@@ -32,11 +32,8 @@ from .spectral import (
     KernelSpec,
     _kernel_weights,
     fourier_quadrature,
-    integrated_periodogram,
-    kernel_spectral_estimate,
     periodogram,
     rational_spectral_density,
-    ratio_statistic,
     weighted_quadrature,
 )
 
@@ -225,12 +222,13 @@ class _CosineStatistic(Statistic):
 
 @dataclass
 class IntegratedPeriodogramStatistic(_CosineStatistic):
-    """M(I_n, phi) on the Fourier-frequency quadrature grid."""
+    """M(I_n, phi) = int_0^pi phi I_n on the Fourier-frequency quadrature grid."""
 
     label = "intper"
 
     def evaluate(self, x: np.ndarray) -> float:
-        return integrated_periodogram(x, self.h)
+        n = x.size
+        return float(np.dot(weighted_quadrature(self.h, n), x[1: n // 2 + 1]))
 
     def model_center(self, num, den, sigma2, n):
         fv = rational_spectral_density(num, den, sigma2, fourier_quadrature(n)[0])
@@ -253,7 +251,12 @@ class RatioStatistic(_CosineStatistic):
         super().check_n(n)
 
     def evaluate(self, x: np.ndarray) -> float:
-        return ratio_statistic(x, self.h)
+        n = x.size
+        values = x[1: n // 2 + 1]
+        denom = float(np.dot(fourier_quadrature(n)[1], values))
+        if denom <= 0:
+            raise DegenerateSeriesError("total periodogram mass is zero")
+        return float(np.dot(weighted_quadrature(self.h, n), values)) / denom
 
     def model_center(self, num, den, sigma2, n):
         freqs, w = fourier_quadrature(n)
@@ -267,7 +270,8 @@ class RatioStatistic(_CosineStatistic):
 
 @dataclass
 class SpectralDensityStatistic(Statistic):
-    """Kernel spectral density estimate at a fixed frequency; rate sqrt(n h)."""
+    """Kernel spectral density estimate int K_h(lambda - mu) I_n(mu) dmu over I_n extended
+    evenly across 0 and pi, where mass folds back to double the variance; rate sqrt(n h)."""
 
     lam: float = math.pi / 2
     kernel: KernelSpec = None
@@ -296,7 +300,8 @@ class SpectralDensityStatistic(Statistic):
         return math.sqrt(n * self.kernel.bandwidth)
 
     def evaluate(self, x: np.ndarray) -> float:
-        return kernel_spectral_estimate(x, self.kernel, self.lam)
+        n = x.size
+        return float(np.dot(_kernel_weights(self.kernel, self.lam, n), x) * (2.0 * np.pi / n))
 
     def model_center(self, num, den, sigma2, n):
         return rational_spectral_density(num, den, sigma2, self.lam)

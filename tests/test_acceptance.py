@@ -13,7 +13,8 @@ from sieveboot.ar import impulse_response, levinson_durbin, root_radius
 from sieveboot.dgp import InnovationSpec, ma1_example
 from sieveboot.experiment import preset_config, run_experiment
 from sieveboot.series import ks_critical_value, sample_acvf
-from sieveboot.spectral import integrated_periodogram, periodogram
+from sieveboot.spectral import periodogram
+from sieveboot.statistics import IntegratedPeriodogramStatistic
 
 MA1_GAMMA = np.concatenate([[5.0, -2.0], np.zeros(40)])
 
@@ -243,15 +244,15 @@ class TestCriterion8ArAlgebra:
         # periodogram Parseval: M(I_n, 2) is the centered second moment
         x = rng.standard_normal(777)
         gamma0 = sample_acvf(x, 0)[0]
-        intper = integrated_periodogram(periodogram(x), 0)
+        intper = IntegratedPeriodogramStatistic(0).evaluate(periodogram(x))
         checks["parseval"] = abs(intper - gamma0) <= 1e-12 * gamma0
 
         # M(I_n, 2cos(.h)) vs noncentered c(h) = n^-1 sum_t X_t X_{t+h}
         x = rng.standard_normal(2048)
         n = x.size
         row = periodogram(x)
-        gap = max(abs(integrated_periodogram(row, h) - np.dot(x[: n - h], x[h:]) / n)
-                  for h in range(4))
+        gap = max(abs(IntegratedPeriodogramStatistic(h).evaluate(row)
+                      - np.dot(x[: n - h], x[h:]) / n) for h in range(4))
         checks["quadrature-vs-acvf"] = gap <= 5.0 / n
 
         ok = all(checks.values())

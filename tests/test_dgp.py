@@ -225,6 +225,16 @@ class TestAR:
         ratio = np.mean(x ** 2) * (1.0 - rho ** 2)
         assert abs(ratio - 1.0) / math.sqrt(2.0 / k) < 3.0, ratio
 
+    def test_a_block_finds_its_filter_and_burnin_once(self, monkeypatch):
+        # the filter and its root radius belong to the model, not to each path
+        calls = []
+        monkeypatch.setattr(dgp, "burnin", lambda num, den: calls.append(1) or burnin(num, den))
+        model = LinearModel(a=(0.5, -0.2))
+        block = model.simulate(2000, derive_seeds(3, KEY_TRUTH, 0, 262))
+        assert block.shape == (262, 2000) and len(calls) <= 1
+        num, den, _ = model.filter
+        assert model.filter[0] is num and not (num.flags.writeable or den.flags.writeable)
+
 
 
 def _bits(x):

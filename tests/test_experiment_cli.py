@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -587,6 +588,21 @@ class TestRunExperiment:
             assert got == (tmp_path / "want.csv").read_bytes()
         assert {b"-0", b"0", b"4.9406564584124654e-324", b"-42", b"9007199254740992",
                 b"0.33333333333333331"} <= set(got.splitlines())
+
+    def test_writing_a_law_holds_less_than_the_law(self, report, tmp_path):
+        # a law's text is formatted one value at a time, so writing it holds
+        # less than the law's own 8 bytes a value
+        rep, _ = report
+        law = EmpiricalLaw(np.random.default_rng(0).standard_normal(10 ** 5))
+        big = dataclasses.replace(rep, laws={**rep.laws, "truth": law})
+        write_report(big, tmp_path)  # leave one-off allocations out of the trace
+        tracemalloc.start()
+        try:
+            write_report(big, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < law.sample.nbytes
 
     def test_report_json_layout(self, report):
         _, out = report

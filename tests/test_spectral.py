@@ -17,14 +17,16 @@ from sieveboot.series import sample_acvf
 from sieveboot.spectral import (
     KernelSpec,
     fourier_quadrature,
-    integrated_periodogram,
-    kernel_spectral_estimate,
     periodogram,
     rational_spectral_density,
-    ratio_statistic,
     weighted_quadrature,
 )
-from sieveboot.statistics import statistic_from_config
+from sieveboot.statistics import (
+    IntegratedPeriodogramStatistic,
+    RatioStatistic,
+    SpectralDensityStatistic,
+    statistic_from_config,
+)
 
 
 def rand_series(n=512, seed=0):
@@ -37,7 +39,7 @@ class TestPeriodogram:
         # the ordinates j = 1..n-1 carry the centered second moment; the
         # quadrature's half weight at pi makes M(I_n, 2) that sum for even n
         s = rand_series(n, seed=1)
-        assert integrated_periodogram(periodogram(s), 0) == pytest.approx(
+        assert IntegratedPeriodogramStatistic(0).evaluate(periodogram(s)) == pytest.approx(
             sample_acvf(s, 0)[0], rel=1e-12)
 
     def test_nonnegative(self):
@@ -77,20 +79,20 @@ class TestQuadrature:
         n = x.size
         for h in range(4):
             c = np.dot(x[: n - h], x[h:]) / n  # n^-1 sum_t X_t X_{t+h}, not centered
-            assert abs(integrated_periodogram(periodogram(x), h) - c) <= 5.0 / n
+            assert abs(IntegratedPeriodogramStatistic(h).evaluate(periodogram(x)) - c) <= 5.0 / n
 
     def test_alternating_tone(self):
         # X_t = (-1)^t has all spectral mass at pi; the half weight at the
         # endpoint is exactly what keeps the quadrature consistent
         n = 64
         row = periodogram((-1.0) ** np.arange(1, n + 1))
-        assert integrated_periodogram(row, 0) == pytest.approx(1.0)
-        assert integrated_periodogram(row, 1) == pytest.approx(-1.0)
+        assert IntegratedPeriodogramStatistic(0).evaluate(row) == pytest.approx(1.0)
+        assert IntegratedPeriodogramStatistic(1).evaluate(row) == pytest.approx(-1.0)
 
     def test_ratio_statistic_normalization(self):
         # at lag 0 the weight is the constant 2, so R = M(I_n, 2) / M(I_n, 1) = 2
         s = rand_series(400, seed=5)
-        assert ratio_statistic(periodogram(s), 0) == pytest.approx(2.0)
+        assert RatioStatistic(0).evaluate(periodogram(s)) == pytest.approx(2.0)
 
 
 class TestKernel:
@@ -113,12 +115,8 @@ class TestKernel:
         k = KernelSpec(bandwidth=0.15)
         for lam in (np.pi / 3, np.pi / 2, 2.4):
             f_true = rational_spectral_density([1.0, -2.0], [1.0], 1.0, lam)
-            f_hat = kernel_spectral_estimate(row, k, lam)
+            f_hat = SpectralDensityStatistic(lam, k).evaluate(row)
             assert f_hat == pytest.approx(f_true, rel=0.1)
-
-    def test_frequency_range_enforced(self):
-        with pytest.raises(ValueError):
-            kernel_spectral_estimate(periodogram(rand_series(64)), KernelSpec(), 3.5)
 
 
 # The per-path expressions the cached arrays and the periodogram of a block
@@ -180,7 +178,7 @@ class TestCachedArrays:
                 s = rand_series(n, seed)
                 want = _inline_kernel_estimate(s, stat.kernel, lam)
                 row = periodogram(s)
-                assert kernel_spectral_estimate(row, stat.kernel, lam) == want
+                assert SpectralDensityStatistic(lam, stat.kernel).evaluate(row) == want
                 assert stat.evaluate(stat.transform(s)) == want
 
     @pytest.mark.parametrize("n", [63, 64, 2000])
