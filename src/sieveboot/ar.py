@@ -1,8 +1,8 @@
 """Autoregressive linear algebra: the Levinson-Durbin recursion, AR residuals,
-the rational filter [b(z) / a(z)] x and its impulse response, the Wold
-factorization of a finite MA, and the root radius, from which the package
-decides whether a polynomial has a root in the closed unit disk and how many
-lags an impulse response takes to settle.
+the rational filter [b(z) / a(z)] x, into a new array or in place, and its
+impulse response, the Wold factorization of a finite MA, and the root radius,
+from which the package decides whether a polynomial has a root in the closed
+unit disk and how many lags an impulse response takes to settle.
 
 Conventions: an AR model of order p is written X_t = sum_k a_k X_{t-k} + e_t,
 with characteristic polynomial A_p(z) = 1 - sum_k a_k z^k. Causality means all
@@ -26,6 +26,7 @@ __all__ = [
     "InversionError",
     "levinson_durbin",
     "filter_rows",
+    "filter_in_place",
     "impulse_response",
     "root_radius",
     "check_roots_outside_disk",
@@ -133,6 +134,26 @@ def filter_rows(b, a, x) -> np.ndarray:
     for dst, row in zip(out.reshape(-1, width), x.reshape(-1, width)):
         dst[:] = np.convolve(b, row)[:width]
     return out
+
+
+def filter_in_place(b, a, x: np.ndarray, piece: int) -> np.ndarray:
+    """The 1-d float64 array x itself, overwritten with the recursive filter
+    [b(z) / a(z)] x from zero state, a[0] == 1 and a.size > 1: bit for bit
+    ``filter_rows(b, a, x)``, with one piece of output held at a time in
+    place of a copy of x.
+
+    x goes through scipy's ``_linear_filter`` ``piece`` values at a time,
+    each piece starting from the filter state the one before it left.
+    """
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if a[0] != 1.0 or a.size == 1:
+        raise ValueError(f"the filter denominator must start with 1 and have degree >= 1, "
+                         f"got {a!r}")
+    kernel, state = _linear_filter(), np.zeros(max(a.size, b.size) - 1)
+    for lo in range(0, x.size, piece):
+        x[lo:lo + piece], state = kernel(b, a, x[lo:lo + piece], -1, state)
+    return x
 
 
 def _reciprocal_roots(a: np.ndarray) -> np.ndarray:

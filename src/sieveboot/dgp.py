@@ -26,7 +26,9 @@ time step at a time, in place; a ``CompanionSpec`` filters tiles of
 drops ``ar.burnin(num, den)`` leading values: q for a finite filter, plus the
 lags the root radius of den takes to fall below ``ar.SETTLE_TOL``. An
 ARCH(1) path drops ``ARCH1_BURNIN``. ``filter_rows`` is ``ar.filter_rows``,
-imported here, the one rational filter of the package.
+imported here; a record of Wold innovations (``LinearModel.companion`` with a
+root flipped) goes through its in-place form ``ar.filter_in_place``, the same
+bits ``TILE_VALUES`` values at a time, so the record is held once.
 A chunk is what one ``simulate`` call returns and a statistic transforms; a
 tile is what one filter call sees while a chunk is built. Neither changes a
 bit of any path.
@@ -62,7 +64,7 @@ from typing import Union
 
 import numpy as np
 
-from .ar import burnin, check_roots_outside_disk, filter_rows, wold_factorization
+from .ar import burnin, check_roots_outside_disk, filter_in_place, filter_rows, wold_factorization
 from .series import EmpiricalLaw
 
 __all__ = [
@@ -109,9 +111,10 @@ SeedLike = Union[int, np.random.SeedSequence]
 BATCH_VALUES = 1 << 19
 
 # Values drawn and filtered at a time while a companion block is filled
-# (``companion.build_companion``): a larger tile holds more memory at once, a
+# (``companion.build_companion``), and filtered at a time while a companion
+# record is built in place: a larger tile holds more memory at once, a
 # smaller one pays the filter call's overhead more often.
-TILE_VALUES = 1 << 18
+TILE_VALUES = 1 << 16
 
 # Spawn-key namespaces of derived seeds: bootstrap replications, oracle
 # replications, truth replications, the companion's innovation record and the
@@ -311,6 +314,26 @@ class InnovationSpec:
         return e
 
 
+# Values whose squares one leaf of ``_sum_of_squares`` holds at once.
+_SQUARES_LEAF = 1 << 14
+
+
+def _sum_of_squares(v: np.ndarray) -> np.float64:
+    """``np.add.reduce(v * v)`` of a 1-d float64 v, bit for bit, holding at
+    most _SQUARES_LEAF squares at once: it splits v where numpy's pairwise
+    sum splits it, n // 2 less its remainder mod 8, down to leaves that one
+    ``np.add.reduce`` sums exactly as it would inside the whole.
+
+    Written at module level: a recursive closure would form a reference cycle
+    that keeps each record alive until the cyclic collector runs.
+    """
+    if v.size <= _SQUARES_LEAF:
+        return np.add.reduce(v * v)
+    half = v.size // 2
+    half -= half % 8
+    return _sum_of_squares(v[:half]) + _sum_of_squares(v[half:])
+
+
 @dataclass(frozen=True)
 class ResampledRecord:
     """The i.i.d. law that draws with replacement from a record of values."""
@@ -319,8 +342,11 @@ class ResampledRecord:
 
     @property
     def variance(self) -> float:
-        """The record's population variance."""
-        return float(np.mean(self.values ** 2) - np.mean(self.values) ** 2)
+        """The record's population variance, ``np.mean(v ** 2) - np.mean(v) ** 2``
+        bit for bit, with no record-sized square: ``_sum_of_squares`` adds the
+        squares in numpy's pairwise order, a leaf at a time."""
+        v = self.values
+        return float(_sum_of_squares(v) / v.size - np.mean(v) ** 2)
 
     def draw(self, size: int, seed: SeedLike) -> np.ndarray:
         return self.values[rng_from(seed).integers(0, self.values.size, size)]
@@ -363,8 +389,10 @@ class LinearModel:
         """[b~(z) / a(z)] eps, b~ the Wold polynomial of ``wold_factorization``.
         With no root flipped, eps = e: the model is its own companion.
         Otherwise eps = [b(z) / b~(z)] e is white but not i.i.d., and is
-        resampled from a record of it filtered from fresh e, past the
-        filter's transient."""
+        resampled from a record of it past the filter's transient: fresh e,
+        overwritten in place with its filtered values ``TILE_VALUES`` at a
+        time (``filter_in_place``, ``filter_rows`` bit for bit), so the
+        record is the one array held."""
         from .companion import CompanionSpec
 
         b, den, _ = self.filter
@@ -372,7 +400,8 @@ class LinearModel:
         if psi.size == 1:
             return CompanionSpec(b, den, self.innovations)
         e = self.innovations.draw(COMPANION_RECORD_LENGTH + psi.size - 1, record_seed)
-        return CompanionSpec(num, den, ResampledRecord(filter_rows(b, num, e)[psi.size - 1:]))
+        filter_in_place(b, num, e, TILE_VALUES)
+        return CompanionSpec(num, den, ResampledRecord(e[psi.size - 1:]))
 
     @property
     def kurtoses(self):

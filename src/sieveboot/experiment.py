@@ -91,7 +91,7 @@ def _memory_estimate(n: int, B: int, M: int, R: int, burnin: int) -> int:
     - A companion block is filled a tile of max(TILE_VALUES, n + burnin)
       values at a time, drawn and then filtered into a copy: two more.
     - A companion record of COMPANION_RECORD_LENGTH values is drawn and
-      filtered into a copy: two per record value.
+      then filtered in place, a tile at a time: one per record value.
     - A replication costs 160 bytes: its value in the law and in the
       temporaries that centre and sort it. This over-counts, as a law is
       written one value at a time; a lower figure would admit larger runs.
@@ -101,7 +101,7 @@ def _memory_estimate(n: int, B: int, M: int, R: int, burnin: int) -> int:
     56 bytes per replication with nothing else counted.
     """
     values = (7 * max(dgp.BATCH_VALUES, n) + 2 * max(dgp.TILE_VALUES, n + burnin)
-              + 2 * dgp.COMPANION_RECORD_LENGTH)
+              + dgp.COMPANION_RECORD_LENGTH)
     return 8 * values + 160 * (B + M + R)
 
 

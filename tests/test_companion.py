@@ -41,11 +41,15 @@ class TestSpec:
 
 
 class TestResampledRecord:
-    def test_variance_is_the_population_variance(self):
-        values = np.random.default_rng(1).exponential(1.0, 999)
+    # sizes on both sides of a leaf of 2^14 squares, and a view of a
+    # companion record's size at an offset, as the worked example's record is
+    @pytest.mark.parametrize("size, offset", [(1, 0), (7, 0), (999, 0), (1999, 0), (2 ** 14, 0),
+                                              (2 ** 14 + 1, 0), (10 ** 6 + 60, 60)])
+    def test_variance_is_the_population_variance(self, size, offset):
+        values = np.random.default_rng(size).exponential(1.0, size + offset)[offset:]
         want = float(np.mean(values ** 2) - np.mean(values) ** 2)
         assert ResampledRecord(values).variance == want
-        assert want == pytest.approx(np.var(values), rel=1e-12)
+        assert want == pytest.approx(np.var(values), rel=1e-12, abs=1e-15)
 
     def test_draws_index_the_record_with_the_seed_generator(self):
         values = np.arange(10.0) ** 2

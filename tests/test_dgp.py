@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -313,6 +314,37 @@ class TestFilterRows:
         assert json.loads(done.stdout) == {"loaded": [], "same": [True, True, True]}
 
 
+# Filters the chunked in-place filter must reproduce: an AR(1) at rho = 0.9,
+# an ARMA(2,1), and the Wold all-pass filters b / b~ of the worked example
+# (one flipped root) and of an MA(2) whose two roots both flip, so two state
+# values cross each piece boundary.
+IN_PLACE_FILTERS = {
+    "ar1-0.9": lambda: ([1.0], [1.0, -0.9]),
+    "arma21": lambda: ([1.0, 0.4], [1.0, -0.5, 0.2]),
+    "wold-ma1": lambda: ([1.0, -2.0], wold_factorization([1.0, -2.0])[0]),
+    "wold-ma2": lambda: ([1.0, 0.5, -3.0], wold_factorization([1.0, 0.5, -3.0])[0]),
+}
+
+
+class TestFilterInPlace:
+    PIECE = dgp.TILE_VALUES
+
+    @pytest.mark.parametrize("kind", IN_PLACE_FILTERS)
+    @pytest.mark.parametrize("size", [1, PIECE - 1, PIECE, PIECE + 1, 10 ** 6 + 60])
+    def test_is_filter_rows_bit_for_bit(self, kind, size):
+        b, a = IN_PLACE_FILTERS[kind]()
+        x = np.random.default_rng(size).standard_exponential(size) - 1.0
+        want = filter_rows(b, a, x)
+        got = ar.filter_in_place(b, a, x, self.PIECE)
+        assert got is x
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_rejects_a_finite_or_unnormalised_denominator(self):
+        for a in ([1.0], [2.0, -0.5]):
+            with pytest.raises(ValueError, match="start with 1 and have degree >= 1"):
+                ar.filter_in_place([1.0], a, np.ones(10), 4)
+
+
 class TestArch1:
     def test_marginal_variance(self):
         model = Arch1Model(omega=1.0, alpha1=0.3)
@@ -528,6 +560,21 @@ class TestReplicate:
         assert all(np.isfinite(row).all() for row in statistic.rows)
 
 
+def _traced_peak(build):
+    """(build(), the bytes tracemalloc saw it hold at its peak), traced on a
+    second call so that one-off allocations (caches, imports) stay out."""
+    build()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = build()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
 class TestBlockMemory:
     # A block of 262 paths at n = 2000, a chunk of BATCH_VALUES at paper
     # scale. Building it may hold, besides the block itself, one tile's
@@ -539,15 +586,7 @@ class TestBlockMemory:
 
     @staticmethod
     def _peak(simulate) -> int:
-        simulate()  # leave one-off allocations (caches, imports) out of the trace
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            block = simulate()
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        block, peak = _traced_peak(simulate)
         assert block.shape == (262, 2000) and block.flags.c_contiguous
         return peak
 
@@ -563,6 +602,46 @@ class TestBlockMemory:
         model = Arch1Model(omega=1.0, alpha1=0.3)
         peak = self._peak(lambda: simulate_arch1(model, 2000, self.SEEDS))
         assert peak <= 262 * (2000 + ARCH1_BURNIN) * 8 + self.SLACK
+
+
+class TestRecordMemory:
+    # The worked example's companion record, 10^6 Wold innovations past the
+    # transient of b / b~, and the variance of such a record.
+    MODEL = ma1_model(InnovationSpec("centered_exponential"))
+    SLACK = 1 << 16
+
+    def test_the_record_is_filtered_in_place(self):
+        # the draws themselves become the record: one record-sized array,
+        # plus one piece of filtered output at a time
+        spec, peak = _traced_peak(lambda: self.MODEL.companion(7))
+        record = spec.noise.values
+        assert record.size == dgp.COMPANION_RECORD_LENGTH
+        assert peak <= record.base.nbytes + 8 * dgp.TILE_VALUES + self.SLACK
+
+    def test_the_record_variance_holds_no_square_of_the_record(self):
+        record = self.MODEL.companion(7).noise
+        _, peak = _traced_peak(lambda: record.variance)
+        assert peak < 1 << 19
+
+    @pytest.mark.parametrize("build", [
+        lambda: ResampledRecord(np.random.default_rng(2).standard_normal(10 ** 6)),
+        lambda: TestRecordMemory.MODEL.companion(7).noise,
+    ], ids=["record", "companion-record"])
+    def test_a_dropped_record_is_freed_at_once(self, build):
+        # no reference cycle holds a record whose variance was taken: it is
+        # freed when its last name goes, without the cyclic collector
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            record = build()
+            assert record.variance > 0
+            values = record.values if record.values.base is None else record.values.base
+            alive = weakref.ref(values)
+            del record, values
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class _OneBlockAlive:

@@ -343,9 +343,10 @@ class TestFailFast:
     def test_largest_admissible_n_meets_the_memory_bound(self, monkeypatch, no_simulation):
         # past n = BATCH_VALUES the estimate is 8 bytes times 7 n (block and
         # evaluation) + 2 (n + 1) (a tile of one MA(1) path and its burn-in,
-        # q = 1) + 2 * 10^6 (the companion record), plus 160 bytes per replication
+        # q = 1) + 10^6 (the companion record, filtered in place), plus 160
+        # bytes per replication
         monkeypatch.setattr(experiment, "companion_spec_for", _accept)
-        fixed = 8 * (2 * 1 + 2 * 10 ** 6) + 160 * 3 * 200
+        fixed = 8 * (2 * 1 + 10 ** 6) + 160 * 3 * 200
         largest = (2 ** 30 - fixed) // (8 * 9)
         with pytest.raises(_Accepted):
             run_experiment(ExperimentConfig.from_json({**TINY_CONFIG, "n": largest}))
