@@ -53,7 +53,6 @@ from .companion import (
     rational_acvf,
 )
 from .spectral import (
-    KernelSpec,
     fourier_quadrature,
     periodogram,
     rational_spectral_density,

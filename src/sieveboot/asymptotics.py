@@ -10,13 +10,15 @@ theoretical ACVF, taken as lagged dot products of the two-sided sequence
 gamma(-L..L), zero past its ends; their cost is O(L) whatever the lag h. The
 cosine functionals of the periodogram reuse them: M(I_n, 2cos(. h)) has the
 limit law of the lag-h sample autocovariance, and R(I_n, 2cos(. h)) is
-2 rho_hat(h) up to O(1/n).
+2 rho_hat(h) up to O(1/n). The kernel spectral estimate's variance needs only
+f(lambda) and whether lambda is 0 or pi: the package has one kernel, so its
+int K^2 is a constant of ``spectral``.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .spectral import KernelSpec
+from .spectral import KERNEL_L2_NORM_SQ
 
 __all__ = [
     "acvf_asymptotic_variance",
@@ -60,13 +62,14 @@ def bartlett_variance(acf, h: int) -> float:
     return float((1.0 + 2.0 * rh ** 2) * squares + cross - 4.0 * rh * lagged)
 
 
-def spectral_estimator_variance(f_lambda: float, at_boundary: bool, kernel: KernelSpec) -> float:
+def spectral_estimator_variance(f_lambda: float, at_boundary: bool) -> float:
     """Limit of n h Var(f_n(lambda)) as h -> 0: (1 + boundary) 2 pi f^2 int K^2.
 
     The estimate integrates the periodogram against K_h over the full circle,
-    with this package's unit-mass kernel; the variance doubles at 0 and pi.
+    with this package's one unit-mass kernel, whatever the bandwidth h; the
+    variance doubles at 0 and pi.
     """
     if f_lambda < 0:
         raise ValueError("spectral density value must be nonnegative")
     factor = 2.0 if at_boundary else 1.0
-    return float(factor * 2.0 * np.pi * f_lambda ** 2 * kernel.l2_norm_sq)
+    return float(factor * 2.0 * np.pi * f_lambda ** 2 * KERNEL_L2_NORM_SQ)

@@ -10,7 +10,9 @@ spectral mass concentrates at pi.
 ``periodogram`` takes a block of paths, one per row along its last axis,
 already checked finite, and returns its periodogram row by row from one FFT
 of the whole block. Each frequency-domain statistic of ``statistics`` reads
-one row of that periodogram, a 1-d float array with n its size.
+one row of that periodogram, a 1-d float array with n its size. The kernel
+spectral density estimate smooths it with the one kernel here, ``epanechnikov``,
+scaled by a bandwidth h: K_h(u) = K(u / h) / h.
 
 Every array that depends on the path length alone -- the frequency grid,
 quadrature weights, the fold index, weighted quadrature vectors and kernel
@@ -20,13 +22,11 @@ length pays one FFT per block and one or two dot products per path.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "KernelSpec",
     "periodogram",
     "fourier_quadrature",
     "weighted_quadrature",
@@ -41,28 +41,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Smoothing kernel for spectral density estimation.
+KERNEL_L2_NORM_SQ = 3.0 / (5.0 * np.pi)  # int K^2 of ``epanechnikov``
 
-    The Epanechnikov kernel rescaled to support [-pi, pi] and normalized to
-    integrate to one: K(u) = (3 / 4 pi) (1 - (u/pi)^2) on [-pi, pi].
-    """
 
-    bandwidth: float = 0.3
-
-    def __post_init__(self):
-        if not 0 < self.bandwidth <= np.pi:
-            raise ValueError("bandwidth must lie in (0, pi]")
-
-    def kernel(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return np.where(np.abs(u) <= np.pi, 3.0 / (4.0 * np.pi) * (1.0 - (u / np.pi) ** 2), 0.0)
-
-    @property
-    def l2_norm_sq(self) -> float:
-        """Integral of K^2 over the support: 3 / (5 pi)."""
-        return 3.0 / (5.0 * np.pi)
+def epanechnikov(u) -> np.ndarray:
+    """The package's one smoothing kernel, Epanechnikov's rescaled to [-pi, pi]
+    with unit mass: K(u) = (3 / 4 pi) (1 - (u/pi)^2) there, zero outside."""
+    u = np.asarray(u, dtype=float)
+    return np.where(np.abs(u) <= np.pi, 3.0 / (4.0 * np.pi) * (1.0 - (u / np.pi) ** 2), 0.0)
 
 
 def periodogram(x: np.ndarray) -> np.ndarray:
@@ -116,14 +102,14 @@ def _even_fold(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _kernel_weights(k: KernelSpec, lam: float, n: int) -> np.ndarray:
-    """K_h(lambda - mu_j) at all n Fourier frequencies mu_j, the difference
-    wrapped to (-pi, pi] (read-only); inf where a weight overflows float64."""
+def _kernel_weights(bandwidth: float, lam: float, n: int) -> np.ndarray:
+    """K_h(lambda - mu_j) = K((lambda - mu_j) / h) / h at all n Fourier
+    frequencies mu_j, h the bandwidth and the difference wrapped to (-pi, pi]
+    (read-only); inf where a weight overflows float64."""
     mu = 2.0 * np.pi * np.arange(n) / n
     d = np.angle(np.exp(1j * (lam - mu)))
-    h = k.bandwidth
     with np.errstate(over="ignore"):
-        return _read_only(k.kernel(d / h) / h)
+        return _read_only(epanechnikov(d / bandwidth) / bandwidth)
 
 
 def _transfer(c: np.ndarray, lam: np.ndarray) -> np.ndarray:

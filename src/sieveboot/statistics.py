@@ -10,7 +10,9 @@ c_n; and the closed-form asymptotic variances of its law under such a filter.
 A frequency-domain statistic dots a path's periodogram row with weights
 ``spectral`` caches per n; a cosine statistic's center dots the model's
 spectral density with the same weights, so discretization cancels. Their
-limit variances are the lag-h autocovariance's and autocorrelation's.
+limit variances are the lag-h autocovariance's and autocorrelation's. A config
+names a statistic in ``_STATISTICS``, whose keys map to constructor fields: a
+key it leaves out takes the class's own default.
 """
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ from .companion import rational_acvf
 from .dgp import _number
 from .series import DegenerateSeriesError, _centered
 from .spectral import (
-    KernelSpec,
     _kernel_weights,
     fourier_quadrature,
     periodogram,
@@ -142,7 +143,7 @@ class Statistic:
 
 @dataclass
 class MeanStatistic(Statistic):
-    name: str = "mean"
+    name = "mean"
 
     def evaluate(self, x: np.ndarray) -> float:
         return float(np.add.reduce(x) / x.size)  # np.mean's arithmetic
@@ -271,24 +272,26 @@ class RatioStatistic(_CosineStatistic):
 @dataclass
 class SpectralDensityStatistic(Statistic):
     """Kernel spectral density estimate int K_h(lambda - mu) I_n(mu) dmu over I_n extended
-    evenly across 0 and pi, where mass folds back to double the variance; rate sqrt(n h)."""
+    evenly across 0 and pi, where mass folds back to double the variance; rate sqrt(n h).
+    K is ``spectral.epanechnikov`` and h the bandwidth, in (0, pi]."""
 
     lam: float = math.pi / 2
-    kernel: KernelSpec = None
+    bandwidth: float = 0.3
     transform = staticmethod(periodogram)
 
     def __post_init__(self):
         self.lam = _number(self.lam, "lambda")
         if not 0 <= self.lam <= math.pi:
             raise ValueError(f"lambda must lie in [0, pi], got {self.lam!r}")
-        if self.kernel is None:
-            self.kernel = KernelSpec()
-        self.name = f"specdens[{self.lam:.4f},h={self.kernel.bandwidth}]"
+        self.bandwidth = _number(self.bandwidth, "bandwidth")
+        if not 0 < self.bandwidth <= math.pi:
+            raise ValueError(f"bandwidth must lie in (0, pi], got {self.bandwidth!r}")
+        self.name = f"specdens[{self.lam:.4f},h={self.bandwidth}]"
 
     def check_n(self, n: int) -> None:
         """Raise ValueError unless the kernel weights ``evaluate`` reads at n
         are finite and not all zero."""
-        weights = _kernel_weights(self.kernel, self.lam, n)
+        weights = _kernel_weights(self.bandwidth, self.lam, n)
         if not np.isfinite(weights).all():
             raise ValueError(f"{self.name}: its kernel weights overflow float64, "
                              "the bandwidth is too small")
@@ -297,11 +300,11 @@ class SpectralDensityStatistic(Statistic):
                              f"pi * bandwidth of lambda, got none at n = {n}")
 
     def rate(self, n: int) -> float:
-        return math.sqrt(n * self.kernel.bandwidth)
+        return math.sqrt(n * self.bandwidth)
 
     def evaluate(self, x: np.ndarray) -> float:
         n = x.size
-        return float(np.dot(_kernel_weights(self.kernel, self.lam, n), x) * (2.0 * np.pi / n))
+        return float(np.dot(_kernel_weights(self.bandwidth, self.lam, n), x) * (2.0 * np.pi / n))
 
     def model_center(self, num, den, sigma2, n):
         return rational_spectral_density(num, den, sigma2, self.lam)
@@ -309,37 +312,34 @@ class SpectralDensityStatistic(Statistic):
     def targets(self, num, den, sigma2, kappa_e, kappa_eps):
         f = float(rational_spectral_density(num, den, sigma2, self.lam))
         boundary = self.lam < 1e-9 or abs(self.lam - math.pi) < 1e-9
-        return {"specdens_nh_variance": spectral_estimator_variance(f, boundary, self.kernel),
+        return {"specdens_nh_variance": spectral_estimator_variance(f, boundary),
                 "spectral_density_value": f}
+
+
+_STATISTICS = {  # config name: (class, {config key: constructor field})
+    "mean": (MeanStatistic, {}),
+    "acvf": (AcvfStatistic, {"lag": "h"}),
+    "acf": (AcfStatistic, {"lag": "h"}),
+    "ratio-cos": (RatioStatistic, {"lag": "h"}),
+    "intper-cos": (IntegratedPeriodogramStatistic, {"lag": "h"}),
+    "specdens": (SpectralDensityStatistic, {"lambda": "lam", "bandwidth": "bandwidth"}),
+}
 
 
 def statistic_from_config(cfg) -> Statistic:
     """Build a statistic from a config mapping {name, lag?, lambda?, bandwidth?}.
 
-    Raises ValueError, naming the field, on an unknown name or key, a lag that
-    is not an integer (>= 1 for acf, >= 0 otherwise), or a lambda outside
-    [0, pi] or a bandwidth outside (0, pi], NaN included.
+    Raises ValueError, naming the field, on an unknown name or key, or on a
+    lag, lambda or bandwidth its class rejects, NaN included.
     """
     if not isinstance(cfg, dict):
         raise ValueError(f"statistic must be an object, got {cfg!r}")
     cfg = dict(cfg)
     name = cfg.pop("name", None)
-    if name == "mean":
-        stat = MeanStatistic()
-    elif name == "acvf":
-        stat = AcvfStatistic(h=cfg.pop("lag", 0))
-    elif name == "acf":
-        stat = AcfStatistic(h=cfg.pop("lag", 1))
-    elif name == "ratio-cos":
-        stat = RatioStatistic(h=cfg.pop("lag", 1))
-    elif name == "intper-cos":
-        stat = IntegratedPeriodogramStatistic(h=cfg.pop("lag", 1))
-    elif name == "specdens":
-        lam = cfg.pop("lambda", math.pi / 2)
-        bandwidth = _number(cfg.pop("bandwidth", 0.3), "bandwidth")
-        stat = SpectralDensityStatistic(lam=lam, kernel=KernelSpec(bandwidth=bandwidth))
-    else:
+    if not isinstance(name, str) or name not in _STATISTICS:
         raise ValueError(f"unknown statistic {name!r}")
+    cls, fields = _STATISTICS[name]
+    stat = cls(**{field: cfg.pop(key) for key, field in fields.items() if key in cfg})
     if cfg:
         raise ValueError(f"unknown statistic keys: {sorted(cfg)}")
     return stat

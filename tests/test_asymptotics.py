@@ -11,7 +11,6 @@ from sieveboot.asymptotics import (
 )
 from sieveboot.dgp import Arch1Model, InnovationSpec, LinearModel, model_from_json
 from sieveboot.experiment import compute_targets, list_presets, preset_config
-from sieveboot.spectral import KernelSpec
 from sieveboot.statistics import (
     IntegratedPeriodogramStatistic,
     MeanStatistic,
@@ -125,13 +124,12 @@ class TestFrequencyDomain:
         assert v["ratio_statistic_variance"] == pytest.approx(0.0, abs=1e-12)
 
     def test_spectral_variance_boundary_doubling(self):
-        k = KernelSpec(bandwidth=0.4)
-        assert spectral_estimator_variance(1.7, True, k) == pytest.approx(
-            2.0 * spectral_estimator_variance(1.7, False, k))
+        assert spectral_estimator_variance(1.7, True) == pytest.approx(
+            2.0 * spectral_estimator_variance(1.7, False))
         # MA(1) worked example, f = (5 - 4 cos l) / (2 pi): 2 pi f^2 int K^2 with
         # int K^2 = 3 / (5 pi) is 7.5 / pi^2 at pi/2 and, doubled, 48.6 / pi^2 at pi
-        interior = spectral_estimator_variance(5.0 / (2 * np.pi), False, k)
-        boundary = spectral_estimator_variance(9.0 / (2 * np.pi), True, k)
+        interior = spectral_estimator_variance(5.0 / (2 * np.pi), False)
+        boundary = spectral_estimator_variance(9.0 / (2 * np.pi), True)
         assert interior == pytest.approx(0.760, abs=5e-4)
         assert boundary == pytest.approx(4.924, abs=5e-4)
 

@@ -253,6 +253,11 @@ BAD_STATISTICS = [
     ({"name": "acf", "lag": 0}, "lag"),
     ({"name": "ratio-cos", "lag": -1}, "lag"),
     ({"name": "intper-cos", "lag": 2.0}, "lag"),
+    # names that are not strings, unhashable ones included
+    ({"name": []}, "unknown statistic"),
+    ({"name": {}}, "unknown statistic"),
+    ({"name": None}, "unknown statistic"),
+    ({"name": 1}, "unknown statistic"),
     # JSON integers too large for a float
     ({"name": "specdens", "lambda": 10 ** 400}, "lambda"),
     ({"name": "specdens", "bandwidth": 10 ** 400}, "bandwidth"),

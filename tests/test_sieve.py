@@ -5,7 +5,15 @@ from scipy.signal import lfilter
 
 from sieveboot.ar import burnin, levinson_durbin, residuals
 from sieveboot.companion import CompanionSpec
-from sieveboot.dgp import LinearModel, ma1_model, rng_from, simulate_ar, simulate_linear
+from sieveboot.dgp import (
+    InnovationSpec,
+    LinearModel,
+    ma1_model,
+    rng_from,
+    simulate_ar,
+    simulate_linear,
+)
+from sieveboot.experiment import compute_targets
 from sieveboot.series import sample_acvf
 from sieveboot.sieve import (
     BootstrapResult,
@@ -175,3 +183,51 @@ class TestBootstrapDistribution:
     def test_minimum_replications(self):
         with pytest.raises(ValueError):
             bootstrap_distribution(ar1_data(500), MeanStatistic(), B=50, seed=13)
+
+
+class TestPopulationSieve:
+    """The AR(4) sieve that the order cap allows at n = 2000, fitted to the
+    exact ACVF of X = e + 0.5 e_{-1} - 3 e_{-2} with centred exponential e
+    (variance 1, excess kurtosis 6): its bootstrap law is the companion law
+    of 1/A(z) driven by i.i.d. residuals, whose acvf lag-0 variance lies
+    within 1.1 % of the model's companion target, so truncation at p = 4
+    does not explain a bootstrap variance far below it."""
+
+    B = np.array([1.0, 0.5, -3.0])
+
+    def _sieve(self):
+        p = order_cap(2000)
+        gamma = np.array([np.dot(self.B[: self.B.size - k], self.B[k:]) if k < self.B.size
+                          else 0.0 for k in range(p + 1)])
+        a, prediction_variance = _yule_walker_by_dense_solve(gamma, p)
+        # the population residual A(z) X = [A(z) b(z)] e, a finite MA in e
+        phi = np.convolve(np.concatenate([[1.0], -a]), self.B)
+        sigma2 = float(np.sum(phi ** 2))
+        kappa = 6.0 * float(np.sum(phi ** 4)) / sigma2 ** 2
+        return a, prediction_variance, sigma2, kappa
+
+    def test_coefficients_and_residual_moments(self):
+        a, prediction_variance, sigma2, kappa = self._sieve()
+        assert a.size == 4
+        assert a == pytest.approx([-0.1584, -0.3496, -0.0913, -0.1112], abs=5e-5)
+        assert sigma2 == pytest.approx(9.0428, abs=5e-5)
+        assert prediction_variance == pytest.approx(sigma2, rel=1e-12)
+        assert kappa == pytest.approx(3.3417, abs=5e-5)
+
+    def test_limit_variance_two_ways_near_the_companion_target(self):
+        a, _, sigma2, kappa = self._sieve()
+        den = np.concatenate([[1.0], -a])
+        # the package's closed form over the sieve's exact ACVF
+        closed = AcvfStatistic(0).targets([1.0], den, sigma2, kappa, kappa)
+        # kappa gamma(0)^2 + 2 sum_k gamma(k)^2 = kappa gamma(0)^2 + 4 pi int f^2,
+        # gamma(0) = int f, by the rectangle rule over a period of f
+        lam = 2.0 * np.pi * np.arange(2 ** 14) / 2 ** 14
+        f = sigma2 / (2.0 * np.pi) / np.abs(np.polyval(den[::-1], np.exp(-1j * lam))) ** 2
+        gamma0 = 2.0 * np.pi * np.mean(f)
+        spectral = kappa * gamma0 ** 2 + 8.0 * np.pi ** 2 * np.mean(f ** 2)
+        assert closed["acvf_variance_companion"] == pytest.approx(602.28, abs=5e-3)
+        assert spectral == pytest.approx(closed["acvf_variance_companion"], rel=1e-12)
+        model = LinearModel(b=tuple(self.B[1:]), innovations=InnovationSpec("centered_exponential"))
+        target = compute_targets(model, AcvfStatistic(0))["acvf_variance_companion"]
+        assert target == pytest.approx(596.30, abs=5e-3)
+        assert abs(spectral / target - 1.0) < 0.011

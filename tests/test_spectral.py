@@ -15,7 +15,8 @@ from sieveboot.dgp import (
 )
 from sieveboot.series import sample_acvf
 from sieveboot.spectral import (
-    KernelSpec,
+    KERNEL_L2_NORM_SQ,
+    epanechnikov,
     fourier_quadrature,
     periodogram,
     rational_spectral_density,
@@ -97,25 +98,30 @@ class TestQuadrature:
 
 class TestKernel:
     def test_epanechnikov_normalization(self):
-        k = KernelSpec(bandwidth=0.4)
         u = np.linspace(-np.pi, np.pi, 200_001)
-        mass = np.trapezoid(k.kernel(u), u)
+        mass = np.trapezoid(epanechnikov(u), u)
         assert mass == pytest.approx(1.0, abs=1e-6)
-        assert np.trapezoid(k.kernel(u) ** 2, u) == pytest.approx(k.l2_norm_sq, abs=1e-6)
-        assert np.trapezoid(u ** 2 * k.kernel(u), u) == pytest.approx(np.pi ** 2 / 5.0, abs=1e-5)
+        assert np.trapezoid(epanechnikov(u) ** 2, u) == pytest.approx(KERNEL_L2_NORM_SQ, abs=1e-6)
+        assert np.trapezoid(u ** 2 * epanechnikov(u), u) == pytest.approx(np.pi ** 2 / 5.0,
+                                                                          abs=1e-5)
+        assert epanechnikov([-np.pi - 1e-9, np.pi + 1e-9]).tolist() == [0.0, 0.0]
 
-    def test_bandwidth_validation(self):
-        with pytest.raises(ValueError):
-            KernelSpec(bandwidth=0.0)
-        with pytest.raises(ValueError):
-            KernelSpec(bandwidth=4.0)
+    # the constructor validates its bandwidth as it does lambda: a number first,
+    # then the range (0, pi], whose upper end is admitted
+    @pytest.mark.parametrize("bandwidth, message", [
+        *[(v, r"bandwidth must lie in \(0, pi\]") for v in (0.0, -0.1, 4.0, math.nan)],
+        *[(v, "bandwidth must be a number") for v in ("0.3", True, None, 10 ** 400)],
+    ])
+    def test_bandwidth_validation(self, bandwidth, message):
+        with pytest.raises(ValueError, match=message):
+            SpectralDensityStatistic(bandwidth=bandwidth)
+        assert SpectralDensityStatistic(bandwidth=math.pi).bandwidth == math.pi
 
     def test_estimate_recovers_ma1_density(self):
         row = periodogram(simulate_linear(ma1_model(), 40_000, seed=6))
-        k = KernelSpec(bandwidth=0.15)
         for lam in (np.pi / 3, np.pi / 2, 2.4):
             f_true = rational_spectral_density([1.0, -2.0], [1.0], 1.0, lam)
-            f_hat = SpectralDensityStatistic(lam, k).evaluate(row)
+            f_hat = SpectralDensityStatistic(lam, 0.15).evaluate(row)
             assert f_hat == pytest.approx(f_true, rel=0.1)
 
 
@@ -141,13 +147,13 @@ def _inline_quadrature(n):
     return freqs, w
 
 
-def _inline_kernel_estimate(s, k, lam):
+def _inline_kernel_estimate(s, h, lam):
     n = s.size
     i_full = _inline_ordinates(s)[_inline_fold(n)]
     mu = 2.0 * np.pi * np.arange(n) / n
     d = np.angle(np.exp(1j * (lam - mu)))
-    h = k.bandwidth
-    weights = k.kernel(d / h) / h
+    u = d / h
+    weights = np.where(np.abs(u) <= np.pi, 3.0 / (4.0 * np.pi) * (1.0 - (u / np.pi) ** 2), 0.0) / h
     return float(np.dot(weights, i_full) * (2.0 * np.pi / n))
 
 
@@ -162,9 +168,9 @@ def _inline_ratio(s, h):
     return float(np.dot(w * (2.0 * np.cos(freqs * h)), values)) / float(np.dot(w, values))
 
 
-def _read_only_arrays(n, k, lam, h):
+def _read_only_arrays(n, bandwidth, lam, h):
     return [*fourier_quadrature(n), weighted_quadrature(h, n),
-            spectral._even_fold(n), spectral._kernel_weights(k, lam, n)]
+            spectral._even_fold(n), spectral._kernel_weights(bandwidth, lam, n)]
 
 
 class TestCachedArrays:
@@ -176,9 +182,9 @@ class TestCachedArrays:
                                           "bandwidth": bandwidth})
             for seed in range(3):
                 s = rand_series(n, seed)
-                want = _inline_kernel_estimate(s, stat.kernel, lam)
+                want = _inline_kernel_estimate(s, bandwidth, lam)
                 row = periodogram(s)
-                assert SpectralDensityStatistic(lam, stat.kernel).evaluate(row) == want
+                assert SpectralDensityStatistic(lam, bandwidth).evaluate(row) == want
                 assert stat.evaluate(stat.transform(s)) == want
 
     @pytest.mark.parametrize("n", [63, 64, 2000])
@@ -207,16 +213,15 @@ class TestCachedArrays:
             assert intper.model_center(num, den, sigma2, n) == weighted
 
     def test_cached_arrays_are_read_only(self):
-        arrays = _read_only_arrays(64, KernelSpec(bandwidth=0.4), np.pi / 2, 1)
+        arrays = _read_only_arrays(64, 0.4, np.pi / 2, 1)
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 1.0
 
     def test_repeated_keys_share_an_entry(self):
-        k = KernelSpec(bandwidth=0.4)
-        first = _read_only_arrays(128, k, np.pi / 3, 2)
-        again = _read_only_arrays(128, KernelSpec(bandwidth=0.4), np.pi / 3, 2)
+        first = _read_only_arrays(128, 0.4, np.pi / 3, 2)
+        again = _read_only_arrays(128, 0.4, np.pi / 3, 2)
         # every cached array comes back as the same object; each periodogram's
         # values stay its own
         assert all(a is b for a, b in zip(first, again))
@@ -234,14 +239,13 @@ class TestCachedArrays:
         assert (info.hits, info.misses, info.currsize) == (5, 1, 1)
 
     def test_lengths_and_bandwidths_never_share_an_entry(self):
-        k = KernelSpec(bandwidth=0.4)
-        by_length = [_read_only_arrays(n, k, np.pi / 2, 1) for n in (63, 64)]
+        by_length = [_read_only_arrays(n, 0.4, np.pi / 2, 1) for n in (63, 64)]
         for a, b in zip(*by_length):
             assert a.size != b.size
-        narrow = spectral._kernel_weights(KernelSpec(bandwidth=0.3), np.pi / 2, 64)
-        wide = spectral._kernel_weights(KernelSpec(bandwidth=0.4), np.pi / 2, 64)
+        narrow = spectral._kernel_weights(0.3, np.pi / 2, 64)
+        wide = spectral._kernel_weights(0.4, np.pi / 2, 64)
         assert narrow is not wide and not np.array_equal(narrow, wide)
-        other = spectral._kernel_weights(k, np.pi / 4, 64)
+        other = spectral._kernel_weights(0.4, np.pi / 4, 64)
         assert not np.array_equal(other, wide)
         assert not np.array_equal(weighted_quadrature(2, 64), weighted_quadrature(1, 64))
 
@@ -256,7 +260,7 @@ _SPECTRAL = [
     for lag in (1, 3)
 ] + [
     pytest.param({"name": "specdens", "lambda": lam, "bandwidth": 0.3},
-                 lambda s, lam=lam: _inline_kernel_estimate(s, KernelSpec(0.3), lam),
+                 lambda s, lam=lam: _inline_kernel_estimate(s, 0.3, lam),
                  id=f"specdens-{name}")
     for name, lam in (("0", 0.0), ("pi/2", np.pi / 2), ("pi", np.pi))
 ]

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from sieveboot import statistics
 from sieveboot.series import DegenerateSeriesError, sample_acvf
 from sieveboot.statistics import (
     AcfStatistic,
@@ -8,6 +11,8 @@ from sieveboot.statistics import (
     IntegratedPeriodogramStatistic,
     MeanStatistic,
     RatioStatistic,
+    SpectralDensityStatistic,
+    statistic_from_config,
 )
 
 
@@ -63,3 +68,30 @@ class TestLeanEvaluate:
 def test_cosine_statistics_reject_a_bad_lag_when_built(cls, h):
     with pytest.raises(ValueError, match=f"lag must be an integer >= 0, got {h!r}"):
         cls(h=h)
+
+
+# Each config name, the class it builds and the name that class reports when
+# built with no arguments.
+DEFAULTS = [
+    ("mean", MeanStatistic, "mean"),
+    ("acvf", AcvfStatistic, "acvf-lag-0"),
+    ("acf", AcfStatistic, "acf-lag-1"),
+    ("ratio-cos", RatioStatistic, "ratio[2cos(1l)]"),
+    ("intper-cos", IntegratedPeriodogramStatistic, "intper[2cos(1l)]"),
+    ("specdens", SpectralDensityStatistic, "specdens[1.5708,h=0.3]"),
+]
+
+
+class TestConfigTable:
+    def test_every_table_name_is_covered(self):
+        assert sorted(statistics._STATISTICS) == sorted(name for name, _, _ in DEFAULTS)
+
+    @pytest.mark.parametrize("name, cls, label", DEFAULTS)
+    def test_a_name_alone_takes_the_class_defaults(self, name, cls, label):
+        stat = statistic_from_config({"name": name})
+        assert type(stat) is cls and stat == cls() and stat.name == label
+
+    def test_mean_has_no_constructor_option(self):
+        assert dataclasses.fields(MeanStatistic) == ()
+        with pytest.raises(TypeError):
+            MeanStatistic(name="x")
