@@ -58,8 +58,7 @@ from .spectral import (
     rational_spectral_density,
 )
 from .asymptotics import (
-    acvf_asymptotic_variance,
-    bartlett_variance,
+    linear_limit_variance,
     spectral_estimator_variance,
 )
 from .statistics import (

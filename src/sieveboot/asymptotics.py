@@ -1,18 +1,15 @@
 """Closed-form asymptotic variances for the statistics under study.
 
-Fourth-order structure enters only through a scalar excess kurtosis, which is
-exact for linear processes and for companion autoregressive processes; the
-same second-order functional with different kurtosis values distinguishes what
-the bootstrap delivers from what the data demand.
-
-The autocovariance and Bartlett variances are sums over every lag of a
-theoretical ACVF, taken as lagged dot products of the two-sided sequence
-gamma(-L..L), zero past its ends; their cost is O(L) whatever the lag h. The
-cosine functionals of the periodogram reuse them: M(I_n, 2cos(. h)) has the
-limit law of the lag-h sample autocovariance, and R(I_n, 2cos(. h)) is
-2 rho_hat(h) up to O(1/n). The kernel spectral estimate's variance needs only
-f(lambda) and whether lambda is 0 or pi: the package has one kernel, so its
-int K^2 is a constant of ``spectral``.
+Every statistic but the mean and the kernel spectral estimate is, to first
+order, sum_j c_j gamma_hat(j), and under a process linear in i.i.d. noise its
+limit variance is Bartlett's covariance, where the noise excess kurtosis kappa
+enters only as kappa (sum_j c_j gamma(j))^2. The bootstrap swaps the raw
+innovations' kappa for the Wold innovations', so it is valid exactly when that
+sum is 0: for the autocorrelation's weights {h: 1, 0: -rho(h)}, not for the
+autocovariance's {h: 1}. Each lag shift costs one dot product of the two-sided
+ACVF gamma(-L..L), zero past its ends: O(L) whatever the lags. The kernel
+spectral estimate's variance needs only f(lambda) and whether lambda is 0 or
+pi: the package has one kernel, so its int K^2 is a constant of ``spectral``.
 """
 from __future__ import annotations
 
@@ -21,8 +18,7 @@ import numpy as np
 from .spectral import KERNEL_L2_NORM_SQ
 
 __all__ = [
-    "acvf_asymptotic_variance",
-    "bartlett_variance",
+    "linear_limit_variance",
     "spectral_estimator_variance",
 ]
 
@@ -41,25 +37,23 @@ def _at(seq, h: int) -> float:
     return float(seq[abs(h)]) if abs(h) < len(seq) else 0.0
 
 
-def acvf_asymptotic_variance(gamma, h: int, kappa: float) -> float:
-    """kappa * gamma(h)^2 + sum_k (gamma(k)^2 + gamma(k+h) gamma(k-h)), gamma
-    extended by gamma(-k) = gamma(k) and by zero past its last lag.
-
-    With kappa the innovation excess kurtosis this is the variance of
-    sqrt(n)(gamma_hat(h) - gamma(h)) for a linear or companion process.
-    """
-    squares, cross = _lagged_dots(gamma, 0, 2 * h)
-    return float(kappa * _at(gamma, h) ** 2 + squares + cross)
-
-
-def bartlett_variance(acf, h: int) -> float:
-    """Bartlett's formula for the variance of sqrt(n)(rho_hat(h) - rho(h)):
-    sum_k ((1 + 2 rho(h)^2) rho(k)^2 + rho(k-h) rho(k+h) - 4 rho(h) rho(k) rho(k+h))."""
-    if abs(_at(acf, 0) - 1.0) > 1e-12:
-        raise ValueError("acf must start with rho(0) = 1")
-    squares, cross, lagged = _lagged_dots(acf, 0, 2 * h, h)
-    rh = _at(acf, h)
-    return float((1.0 + 2.0 * rh ** 2) * squares + cross - 4.0 * rh * lagged)
+def linear_limit_variance(gamma, weights: dict, kappa: float) -> float:
+    """Limit of n Var(sum_j c_j gamma_hat(j)), weights = {j: c_j}, for a
+    process linear in i.i.d. noise of excess kurtosis kappa: kappa (sum_j c_j
+    gamma(j))^2 + sum_{j,l} c_j c_l sum_k (gamma(k) gamma(k+l-j) + gamma(k+l)
+    gamma(k-j)), gamma extended by gamma(-k) = gamma(k) and by zero past its
+    last lag. The products c_j c_l are summed by shift |l - j| and |l + j|
+    before the lagged dots, one per shift."""
+    shifts = {}
+    for j, cj in weights.items():
+        for l, cl in weights.items():
+            for d in (abs(l - j), abs(l + j)):
+                shifts[d] = shifts.get(d, 0.0) + cj * cl
+    total = kappa * sum(c * _at(gamma, j) for j, c in weights.items()) ** 2
+    lags = sorted(shifts)
+    for d, dot in zip(lags, _lagged_dots(gamma, *lags)):
+        total += shifts[d] * dot
+    return float(total)
 
 
 def spectral_estimator_variance(f_lambda: float, at_boundary: bool) -> float:

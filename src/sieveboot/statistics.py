@@ -9,10 +9,12 @@ sieve, the companion process or the data-generating model; its scaling rate
 c_n; and the closed-form asymptotic variances of its law under such a filter.
 A frequency-domain statistic dots a path's periodogram row with weights
 ``spectral`` caches per n; a cosine statistic's center dots the model's
-spectral density with the same weights, so discretization cancels. Their
-limit variances are the lag-h autocovariance's and autocorrelation's. A config
-names a statistic in ``_STATISTICS``, whose keys map to constructor fields: a
-key it leaves out takes the class's own default.
+spectral density with the same weights, so discretization cancels. Every
+statistic but the mean and the kernel estimate is sum_j c_j gamma_hat(j) to
+first order: it declares its weights c_j and target ids, and the base class
+takes each target from ``asymptotics.linear_limit_variance``. A config names
+a statistic in ``_STATISTICS``, whose keys map to constructor fields: a key
+it leaves out takes the class's own default.
 """
 from __future__ import annotations
 
@@ -22,11 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import (
-    acvf_asymptotic_variance,
-    bartlett_variance,
-    spectral_estimator_variance,
-)
+from .asymptotics import _at, linear_limit_variance, spectral_estimator_variance
 from .companion import rational_acvf
 from .dgp import _number
 from .series import DegenerateSeriesError, _centered
@@ -77,30 +75,12 @@ def bootstrap_verdict(targets: dict, checks_passed: bool) -> str:
     return "PASS" if valid else "FAIL-AS-PREDICTED"
 
 
-def _target_acvf(num, den, sigma2, *target_ids):
-    """``rational_acvf`` over every lag; its ValueError names the targets."""
-    try:
-        return rational_acvf(num, den, sigma2)
-    except ValueError as exc:
-        raise ValueError(f"{', '.join(target_ids)}: {exc}") from None
-
-
-def _acvf_targets(prefix: str, h: int, num, den, sigma2, kappa_e, kappa_eps) -> dict:
-    """{prefix}_linear and {prefix}_companion: the lag-h sample autocovariance's
-    limit variance at the raw- and Wold-innovation excess kurtoses, where known."""
-    ids = f"{prefix}_linear", f"{prefix}_companion"
-    gamma = _target_acvf(num, den, sigma2, *ids)
-    return {tid: acvf_asymptotic_variance(gamma, h, kappa)
-            for tid, kappa in zip(ids, (kappa_e, kappa_eps)) if kappa is not None}
-
-
-def _bartlett_target(target_id: str, scale: float, h: int, num, den, sigma2, kappa_e) -> dict:
-    """{target_id}: scale times Bartlett's lag-h variance, for a process
-    linear in i.i.d. noise (kappa_e known) only."""
-    if kappa_e is None:
-        return {}
-    gamma = _target_acvf(num, den, sigma2, target_id)
-    return {target_id: scale * bartlett_variance(gamma / gamma[0], h)}
+def _correlation_weights(gamma, h: int, scale: float):
+    """scale rho_hat(h) to first order: {h: scale, 0: -scale rho(h)} on rho = gamma / gamma(0)."""
+    rho = gamma / gamma[0]
+    weights = {h: scale}
+    weights[0] = weights.get(0, 0.0) - scale * _at(rho, h)
+    return rho, weights
 
 
 class Statistic:
@@ -112,6 +92,7 @@ class Statistic:
 
     name: str = ""
     h = 0
+    target_ids = ()
 
     def check_n(self, n: int) -> None:
         """Raise ValueError unless n > h, the largest lag ``evaluate`` reads."""
@@ -137,8 +118,21 @@ class Statistic:
     def targets(self, num, den, sigma2: float, kappa_e, kappa_eps) -> dict:
         """Closed-form asymptotic variances of the scaled statistic under the
         process [num(z) / den(z)] eps, by target id. kappa_e and kappa_eps are
-        the raw- and Wold-innovation excess kurtoses, None where unknown."""
-        return {}
+        the raw- and Wold-innovation excess kurtoses, None where unknown, and
+        pair with ``target_ids`` in order. Each known pair's target is
+        ``linear_limit_variance`` of ``self.weights(gamma)``, the sequence
+        (gamma or a multiple) and the {j: c_j} with the statistic
+        sum_j c_j seq_hat(j) to first order."""
+        known = {tid: kappa for tid, kappa in zip(self.target_ids, (kappa_e, kappa_eps))
+                 if kappa is not None}
+        if not known:
+            return {}
+        try:
+            gamma = rational_acvf(num, den, sigma2)
+        except ValueError as exc:
+            raise ValueError(f"{', '.join(known)}: {exc}") from None
+        seq, weights = self.weights(gamma)
+        return {tid: linear_limit_variance(seq, weights, kappa) for tid, kappa in known.items()}
 
 
 @dataclass
@@ -161,6 +155,7 @@ class AcvfStatistic(Statistic):
     """Centered sample autocovariance at a fixed lag."""
 
     h: int = 0
+    target_ids = ("acvf_variance_linear", "acvf_variance_companion")
 
     def __post_init__(self):
         self.h = _lag(self.h, 0)
@@ -173,8 +168,8 @@ class AcvfStatistic(Statistic):
     def model_center(self, num, den, sigma2, n):
         return float(rational_acvf(num, den, sigma2, [self.h])[0])
 
-    def targets(self, num, den, sigma2, kappa_e, kappa_eps):
-        return _acvf_targets("acvf_variance", self.h, num, den, sigma2, kappa_e, kappa_eps)
+    def weights(self, gamma):
+        return gamma, {self.h: 1.0}
 
 
 @dataclass
@@ -182,6 +177,7 @@ class AcfStatistic(Statistic):
     """Sample autocorrelation at a fixed lag."""
 
     h: int = 1
+    target_ids = ("bartlett_variance",)  # linear processes only: kappa_e
 
     def __post_init__(self):
         self.h = _lag(self.h, 1)
@@ -199,8 +195,8 @@ class AcfStatistic(Statistic):
         gamma0, gamma_h = rational_acvf(num, den, sigma2, [0, self.h])
         return float(gamma_h / gamma0)
 
-    def targets(self, num, den, sigma2, kappa_e, kappa_eps):
-        return _bartlett_target("bartlett_variance", 1.0, self.h, num, den, sigma2, kappa_e)
+    def weights(self, gamma):
+        return _correlation_weights(gamma, self.h, 1.0)
 
 
 @dataclass
@@ -226,6 +222,7 @@ class IntegratedPeriodogramStatistic(_CosineStatistic):
     """M(I_n, phi) = int_0^pi phi I_n on the Fourier-frequency quadrature grid."""
 
     label = "intper"
+    target_ids = ("intper_variance_linear", "intper_variance_companion")
 
     def evaluate(self, x: np.ndarray) -> float:
         n = x.size
@@ -235,9 +232,9 @@ class IntegratedPeriodogramStatistic(_CosineStatistic):
         fv = rational_spectral_density(num, den, sigma2, fourier_quadrature(n)[0])
         return float(np.dot(weighted_quadrature(self.h, n), fv))
 
-    def targets(self, num, den, sigma2, kappa_e, kappa_eps):
+    def weights(self, gamma):
         # M(I_n, 2cos(. h)) has the limit law of the lag-h sample autocovariance
-        return _acvf_targets("intper_variance", self.h, num, den, sigma2, kappa_e, kappa_eps)
+        return gamma, {self.h: 1.0}
 
 
 @dataclass
@@ -245,6 +242,7 @@ class RatioStatistic(_CosineStatistic):
     """R(I_n, phi) = M(I_n, phi) / M(I_n, 1)."""
 
     label = "ratio"
+    target_ids = ("ratio_statistic_variance",)  # linear processes only: kappa_e
 
     def check_n(self, n: int) -> None:
         if self.h == 0:
@@ -264,9 +262,9 @@ class RatioStatistic(_CosineStatistic):
         fv = rational_spectral_density(num, den, sigma2, freqs)
         return float(np.dot(weighted_quadrature(self.h, n), fv)) / float(np.dot(w, fv))
 
-    def targets(self, num, den, sigma2, kappa_e, kappa_eps):
+    def weights(self, gamma):
         # R(I_n, 2cos(. h)) is 2 rho_hat(h) up to O(1/n)
-        return _bartlett_target("ratio_statistic_variance", 4.0, self.h, num, den, sigma2, kappa_e)
+        return _correlation_weights(gamma, self.h, 2.0)
 
 
 @dataclass

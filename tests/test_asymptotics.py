@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sieveboot.asymptotics import (
-    acvf_asymptotic_variance,
-    bartlett_variance,
-    spectral_estimator_variance,
-)
+from sieveboot.asymptotics import linear_limit_variance, spectral_estimator_variance
+from sieveboot.companion import rational_acvf
 from sieveboot.dgp import Arch1Model, InnovationSpec, LinearModel, model_from_json
 from sieveboot.experiment import compute_targets, list_presets, preset_config
 from sieveboot.statistics import (
@@ -18,6 +17,7 @@ from sieveboot.statistics import (
     bootstrap_verdict,
     statistic_from_config,
 )
+from test_ar import _ma_polynomial, _reciprocal_roots, complex_roots, real_roots
 
 MA1 = np.array([5.0, -2.0, 0.0])
 EXPONENTIAL = InnovationSpec("centered_exponential")
@@ -50,45 +50,93 @@ class TestKurtosisTransfer:
 
 
 class TestAcvfVariance:
+    """Weights {h: 1}: the lag-h sample autocovariance's limit variance."""
+
     def test_ma1_trio(self):
         # same second-order functional, three kurtosis values: the whole
         # validity/failure story for the lag-0 autocovariance in one formula
-        assert acvf_asymptotic_variance(MA1, 0, 0.0) == pytest.approx(66.0)
-        assert acvf_asymptotic_variance(MA1, 0, 2.4) == pytest.approx(126.0)
-        assert acvf_asymptotic_variance(MA1, 0, 6.0) == pytest.approx(216.0)
+        assert linear_limit_variance(MA1, {0: 1.0}, 0.0) == pytest.approx(66.0)
+        assert linear_limit_variance(MA1, {0: 1.0}, 2.4) == pytest.approx(126.0)
+        assert linear_limit_variance(MA1, {0: 1.0}, 6.0) == pytest.approx(216.0)
 
     def test_ma1_lag1_gaussian(self):
         # sum_k (gamma(k)^2 + gamma(k+1) gamma(k-1)) = 25 + 2*4 + 4 = 37
-        assert acvf_asymptotic_variance(MA1, 1, 0.0) == pytest.approx(37.0)
+        assert linear_limit_variance(MA1, {1: 1.0}, 0.0) == pytest.approx(37.0)
 
     def test_lags_past_the_array_are_zero(self):
         # gamma = (5, -2) with no trailing zero: at h = 1 the sum runs to
         # k = K = 2 and reads gamma(3), past the array, as 0
-        assert acvf_asymptotic_variance(np.array([5.0, -2.0]), 1, 0.0) == 37.0
-        assert acvf_asymptotic_variance([5.0, -2.0], 0, 2.4) == acvf_asymptotic_variance(MA1, 0, 2.4)
+        assert linear_limit_variance(np.array([5.0, -2.0]), {1: 1.0}, 0.0) == 37.0
+        assert (linear_limit_variance([5.0, -2.0], {0: 1.0}, 2.4)
+                == linear_limit_variance(MA1, {0: 1.0}, 2.4))
 
     def test_white_noise_lag0(self):
         g = np.array([2.0])
         # kappa*gamma0^2 + 2*gamma0^2
-        assert acvf_asymptotic_variance(g, 0, 1.0) == pytest.approx(12.0)
+        assert linear_limit_variance(g, {0: 1.0}, 1.0) == pytest.approx(12.0)
 
     def test_lag_symmetry(self):
         k = 2.4
-        assert acvf_asymptotic_variance(MA1, 1, k) == acvf_asymptotic_variance(MA1, -1, k)
+        assert linear_limit_variance(MA1, {1: 1.0}, k) == linear_limit_variance(MA1, {-1: 1.0}, k)
 
 
 class TestBartlett:
+    """Weights {h: 1, 0: -rho(h)} on the ACF rho: Bartlett's formula, at any
+    kurtosis, since sum_j c_j rho(j) = 0."""
+
     def test_ma1_value(self):
         rho = MA1 / MA1[0]
         # 1 - 3 rho(1)^2 + 4 rho(1)^4 at rho(1) = -0.4
-        assert bartlett_variance(rho, 1) == pytest.approx(0.6224)
+        for kappa in (0.0, 6.0):
+            assert linear_limit_variance(rho, {1: 1.0, 0: 0.4}, kappa) == pytest.approx(0.6224)
 
     def test_white_noise(self):
-        assert bartlett_variance(np.array([1.0]), 1) == pytest.approx(1.0)
+        assert linear_limit_variance(np.array([1.0]), {1: 1.0, 0: 0.0}, 0.0) == pytest.approx(1.0)
 
-    def test_requires_unit_leading_value(self):
-        with pytest.raises(ValueError):
-            bartlett_variance(np.array([0.9, 0.1]), 1)
+
+def _stable_polynomial(reals, pairs):
+    """An AR polynomial: the reciprocal roots r, each folded into the disk as
+    1 / conj(r) where |r| > 1, so its root radius is at most 1 / 1.05."""
+    r = _reciprocal_roots(reals, pairs)
+    return _ma_polynomial(np.where(np.abs(r) > 1.0, r / np.abs(r) ** 2, r))
+
+
+class TestKurtosisEntersOnlyThroughTheMean:
+    """The paper's theorem in the formula: kappa enters the limit variance of
+    sum_j c_j gamma_hat(j) only as kappa (sum_j c_j gamma(j))^2. The
+    autocorrelation weights sum to 0 against rho, so acf and ratio-cos hold
+    at any kurtosis, and the acvf targets differ by (kappa_e - kappa_eps)
+    gamma(h)^2, on ARMA filters drawn from their roots."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(real_roots, complex_roots, real_roots, complex_roots, st.floats(0.2, 3.0),
+           st.sampled_from(["acf", "ratio-cos"]), st.integers(1, 6))
+    def test_autocorrelation_targets_ignore_the_kurtosis(self, num_reals, num_pairs, den_reals,
+                                                          den_pairs, sigma2, name, lag):
+        num = _ma_polynomial(_reciprocal_roots(num_reals, num_pairs))
+        den = _stable_polynomial(den_reals, den_pairs)
+        statistic = statistic_from_config({"name": name, "lag": lag})
+        gaussian = statistic.targets(num, den, sigma2, 0.0, 0.0)
+        exponential = statistic.targets(num, den, sigma2, 6.0, 6.0)
+        assert gaussian.keys() == exponential.keys() and len(gaussian) == 1
+        for tid, value in gaussian.items():
+            assert exponential[tid] == pytest.approx(value, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(real_roots, complex_roots, real_roots, complex_roots, st.floats(0.2, 3.0),
+           st.floats(-2.0, 10.0), st.floats(-2.0, 10.0), st.integers(0, 6))
+    def test_acvf_targets_differ_by_the_kurtosis_term(self, num_reals, num_pairs, den_reals,
+                                                      den_pairs, sigma2, kappa_e, kappa_eps, lag):
+        num = _ma_polynomial(_reciprocal_roots(num_reals, num_pairs))
+        den = _stable_polynomial(den_reals, den_pairs)
+        gamma = rational_acvf(num, den, sigma2)
+        gamma_h = gamma[lag] if lag < gamma.size else 0.0
+        targets = statistic_from_config({"name": "acvf", "lag": lag}).targets(
+            num, den, sigma2, kappa_e, kappa_eps)
+        linear, companion = targets["acvf_variance_linear"], targets["acvf_variance_companion"]
+        # relative to the targets: the difference cancels their common part
+        assert linear - companion == pytest.approx(
+            (kappa_e - kappa_eps) * gamma_h ** 2, rel=1e-12, abs=1e-12 * max(linear, companion))
 
 
 class TestMeanVariance:
