@@ -17,6 +17,7 @@ and how far ``rational_acvf`` carries the impulse response behind its ACVF.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,11 +58,15 @@ class CompanionSpec:
     def filter(self):
         return self.num, self.den, self.noise.variance
 
-    @property
+    @cached_property
     def burnin(self) -> int:
-        """Leading outputs dropped from each path, ``ar.burnin`` of the filter:
-        q for a finite one, plus the lags den's root radius takes to settle."""
+        """Leading outputs dropped from each path, ``ar.burnin`` of the filter,
+        found once per spec: q for a finite one, plus the lags den's root
+        radius takes to settle."""
         return burnin(self.num, self.den)
+
+    def tile_rows(self, n: int) -> int:
+        return max(1, dgp.TILE_VALUES // (n + self.burnin))
 
     def simulate(self, n: int, seeds) -> np.ndarray:
         return build_companion(self, n, seeds)
@@ -104,18 +109,19 @@ def build_companion(spec: CompanionSpec, n: int, seeds) -> np.ndarray:
     """Companion paths of length n, deterministic given their seeds: a
     C-contiguous (len(seeds), n) array whose row j is the path of seeds[j].
 
-    The output is allocated once and filled a tile of
-    ``max(1, dgp.TILE_VALUES // (n + spec.burnin))`` rows at a time: each
+    The output is allocated once and filled a tile of ``spec.tile_rows(n)``,
+    ``max(1, dgp.TILE_VALUES // (n + spec.burnin))``, rows at a time: each
     row of the tile's innovations is drawn from its own seed,
     ``spec.burnin`` leading values included, the tile goes through one
     ``dgp.filter_rows`` call (``lfilter`` bit for bit) along its rows, and
     its outputs past the burn-in are written into their rows. That call
     filters each row exactly as it filters a lone path, so a row equals the
-    single path of its seed bit for bit, whatever the tile.
+    single path of its seed bit for bit, whatever the tile. ``dgp.replicate``
+    hands it one tile per call.
     """
     burnin = spec.burnin
     out = np.empty((len(seeds), n))
-    rows = max(1, dgp.TILE_VALUES // (n + burnin))
+    rows = spec.tile_rows(n)
     for lo in range(0, len(seeds), rows):
         # no name holds a tile's innovations or filtered copy, so both are
         # freed before the next tile is drawn

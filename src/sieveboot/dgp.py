@@ -15,30 +15,33 @@ innovations, None where no closed form applies.
 Process protocol: a process -- a DGP model here or a ``CompanionSpec``, the
 fitted ``SieveModel`` included -- has ``filter``, the rational filter
 (num, den, sigma2) of X = [num(z) / den(z)] eps with Var(eps) = sigma2 that
-carries its second-order structure, and ``simulate(n, seeds)``, a
-C-contiguous (len(seeds), n) float array whose row j is the path of
-seeds[j], the same whatever block it is simulated in. ``LinearModel`` fills
-the block one ``simulate_linear`` call per seed, or one ``simulate_ar`` call
-when it has a denominator; ``Arch1Model`` steps all its paths together, one
-time step at a time, in place; a ``CompanionSpec`` filters tiles of
-``max(1, TILE_VALUES // (n + burn-in))`` paths, one ``filter_rows`` call
-(``lfilter`` bit for bit) per tile. A linear path starts from zero state and
-drops ``ar.burnin(num, den)`` leading values: q for a finite filter, plus the
-lags the root radius of den takes to fall below ``ar.SETTLE_TOL``. An
-ARCH(1) path drops ``ARCH1_BURNIN``. ``filter_rows`` is ``ar.filter_rows``,
-imported here; a record of Wold innovations (``LinearModel.companion`` with a
-root flipped) goes through its in-place form ``ar.filter_in_place``, the same
+carries its second-order structure; ``simulate(n, seeds)``, a C-contiguous
+(len(seeds), n) float array whose row j is the path of seeds[j], the same
+whatever block it is simulated in; and ``tile_rows(n)``, the number of paths
+``replicate`` hands one ``simulate`` call. A rational filter -- a
+``LinearModel`` or a ``CompanionSpec`` -- takes tiles of
+``max(1, TILE_VALUES // (n + burn-in))`` paths: ``LinearModel`` fills its
+block one ``simulate_linear`` call per seed, or one ``simulate_ar`` call
+when it has a denominator, and a ``CompanionSpec`` filters its tile in one
+``filter_rows`` call (``lfilter`` bit for bit). ``Arch1Model`` takes the
+whole chunk, since it steps all the paths of a call together, one time step
+at a time, in place. A linear path starts from zero state and drops
+``ar.burnin(num, den)`` leading values: q for a finite filter, plus the lags
+the root radius of den takes to fall below ``ar.SETTLE_TOL``. An ARCH(1)
+path drops ``ARCH1_BURNIN``. ``filter_rows`` is ``ar.filter_rows``, imported
+here; a record of Wold innovations (``LinearModel.companion`` with a root
+flipped) goes through its in-place form ``ar.filter_in_place``, the same
 bits ``TILE_VALUES`` values at a time, so the record is held once.
-A chunk is what one ``simulate`` call returns and a statistic transforms; a
-tile is what one filter call sees while a chunk is built. Neither changes a
-bit of any path.
-``replicate`` alone decides the chunk size: it runs over consecutive chunks
-of ``max(1, BATCH_VALUES // n)`` paths, derives the chunk's seeds, simulates
-them in one ``simulate`` call, checks the whole block finite once, hands it
-to the statistic's ``transform`` once -- the block itself, or one FFT of it
-for a spectral statistic -- and evaluates the statistic once per row of
-what that returns. A path is a plain 1-d float array, a row of a block; an
-experiment's data path passes the same ``check_finite`` as every block.
+``replicate`` alone decides how paths are grouped. It hashes the seeds of
+consecutive chunks of ``max(1, BATCH_VALUES // n)`` paths in one
+``derive_seeds`` call each, then hands the process a tile of ``tile_rows(n)``
+of those seeds per ``simulate`` call; it checks that tile's block finite
+once, hands it to the statistic's ``transform`` once -- the block itself, or
+one FFT of it for a spectral statistic -- and evaluates the statistic once
+per row of what that returns, before it simulates the next tile. Neither the
+chunk nor the tile changes a bit of any path. A path is a plain 1-d float
+array, a row of a block; an experiment's data path passes the same
+``check_finite`` as every block.
 
 Seeding: every simulator is deterministic given (model, n, seed). Distinct
 replications must use distinct derived seeds; the canonical derivation rule is
@@ -105,15 +108,16 @@ _MODEL_KEYS = {
 
 SeedLike = Union[int, np.random.SeedSequence]
 
-# Values in the block of paths that one simulate call of replicate returns;
-# it bounds the memory of a chunk while spreading each call's and each time
-# step's overhead over many paths.
+# Values in a chunk of paths: ``replicate`` hashes the seeds of a chunk
+# together, and an ARCH(1) block is a whole chunk, stepped one time step at a
+# time, so each hash and each time step's overhead is spread over many paths.
 BATCH_VALUES = 1 << 19
 
-# Values drawn and filtered at a time while a companion block is filled
-# (``companion.build_companion``), and filtered at a time while a companion
-# record is built in place: a larger tile holds more memory at once, a
-# smaller one pays the filter call's overhead more often.
+# Values, burn-in included, in a tile of a rational filter's paths: what one
+# simulate call of ``replicate`` draws, filters, transforms and evaluates
+# before the next, and what is filtered at a time while a companion record is
+# built in place. A larger tile holds more memory at once, a smaller one pays
+# each call's overhead more often.
 TILE_VALUES = 1 << 16
 
 # Spawn-key namespaces of derived seeds: bootstrap replications, oracle
@@ -242,19 +246,28 @@ def replicate(process, statistic, n: int, count: int, seed: SeedLike, key: int):
     ``process``, path i simulated from ``derive_seed(seed, key, i)``, where
     theta is the statistic's exact value under ``process.filter``.
 
-    The paths are simulated in consecutive chunks of ``max(1, BATCH_VALUES
-    // n)``, one ``process.simulate`` call per chunk. Each block is built and
-    handed to ``_evaluate_rows`` in one statement, so no name holds it and it
-    is freed before the next is built.
+    The seeds are derived in consecutive chunks of ``max(1, BATCH_VALUES //
+    n)`` and simulated ``process.tile_rows(n)`` at a time, one
+    ``process.simulate`` call per tile. Each block is built and handed to
+    ``_evaluate_rows`` in one statement, so no name holds it and it is freed
+    before the next is built.
     """
     theta = statistic.model_center(*process.filter, n)
     vals = np.empty(count)
-    rows = max(1, BATCH_VALUES // n)
-    for lo in range(0, count, rows):
-        hi = min(lo + rows, count)
-        vals[lo:hi] = _evaluate_rows(statistic,
-                                     process.simulate(n, derive_seeds(seed, key, lo, hi)))
+    for lo, seeds in _tiles(seed, key, count, n, process.tile_rows(n)):
+        vals[lo:lo + len(seeds)] = _evaluate_rows(statistic, process.simulate(n, seeds))
     return EmpiricalLaw(statistic.rate(n) * (vals - theta)), float(theta)
+
+
+def _tiles(seed: SeedLike, key: int, count: int, n: int, rows: int):
+    """(lo, seeds) per tile of at most ``rows`` of the ``count`` paths, lo the
+    index of its first path: the seeds of each chunk of ``max(1,
+    BATCH_VALUES // n)`` paths come from one ``derive_seeds`` call."""
+    chunk = max(1, BATCH_VALUES // n)
+    for lo in range(0, count, chunk):
+        seeds = derive_seeds(seed, key, lo, min(lo + chunk, count))
+        for t in range(0, len(seeds), rows):
+            yield lo + t, seeds[t:t + rows]
 
 
 def _evaluate_rows(statistic, block: np.ndarray) -> list:
@@ -382,6 +395,9 @@ class LinearModel:
         """``ar.burnin`` of the filter, found once per model."""
         return burnin(*self.filter[:2])
 
+    def tile_rows(self, n: int) -> int:
+        return max(1, TILE_VALUES // (n + self.burnin))
+
     def simulate(self, n: int, seeds) -> np.ndarray:
         return _path_by_path(simulate_ar if self.a else simulate_linear, self, n, seeds)
 
@@ -432,6 +448,10 @@ class Arch1Model:
         """White noise in the second-order sense, with the stationary variance."""
         return np.ones(1), np.ones(1), self.omega / (1.0 - self.alpha1)
 
+    def tile_rows(self, n: int) -> int:
+        """The whole chunk: the recursion steps all the paths of a call together."""
+        return max(1, BATCH_VALUES // n)
+
     def simulate(self, n: int, seeds) -> np.ndarray:
         return simulate_arch1(self, n, seeds)
 
@@ -465,7 +485,7 @@ def simulate_linear(model: LinearModel, n: int, seed: SeedLike) -> np.ndarray:
     """
     q = len(model.b)
     e_full = model.innovations.draw(n + q, seed)
-    return np.convolve(np.concatenate([[1.0], model.b]), e_full)[q:n + q]
+    return np.convolve(model.filter[0], e_full)[q:n + q]
 
 
 def simulate_ar(model: LinearModel, n: int, seed: SeedLike) -> np.ndarray:

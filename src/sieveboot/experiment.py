@@ -87,7 +87,9 @@ def _memory_estimate(n: int, B: int, M: int, R: int, burnin: int) -> int:
       when n is larger). While it is simulated and evaluated, seven float64
       per block value are alive: the block, the FFT and fold a spectral
       statistic makes of it, the data path and its residual record, and a
-      truth path's draws and filter output.
+      truth path's draws and filter output. ``replicate`` holds only one
+      tile of a rational filter's paths at a time, so this over-counts a
+      run of any model but ARCH(1) whose n is below BATCH_VALUES.
     - A companion block is filled a tile of max(TILE_VALUES, n + burnin)
       values at a time, drawn and then filtered into a copy: two more.
     - A companion record of COMPANION_RECORD_LENGTH values is drawn and

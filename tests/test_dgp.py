@@ -20,6 +20,8 @@ from sieveboot import ar, dgp
 from sieveboot.ar import InversionError, burnin, wold_factorization
 from sieveboot.dgp import (
     ARCH1_BURNIN,
+    KEY_BOOT,
+    KEY_ORACLE,
     KEY_TRUTH,
     Arch1Model,
     InnovationSpec,
@@ -42,7 +44,7 @@ from sieveboot import companion, sieve
 from sieveboot.companion import CompanionSpec, build_companion
 from sieveboot.experiment import companion_spec_for
 from sieveboot.sieve import fit_sieve
-from sieveboot.statistics import AcvfStatistic
+from sieveboot.statistics import AcvfStatistic, statistic_from_config
 
 
 class TestSeeding:
@@ -604,6 +606,62 @@ class TestBlockMemory:
         assert peak <= 262 * (2000 + ARCH1_BURNIN) * 8 + self.SLACK
 
 
+# The worked example's three laws: the truth of the model, the oracle of its
+# companion (a resampled record of Wold innovations) and the bootstrap of the
+# sieve fitted on one data path.
+_WORKED_EXAMPLE = ma1_model(InnovationSpec("centered_exponential"))
+_SPECTRAL_DOCS = [{"name": "specdens"}, {"name": "ratio-cos", "lag": 1},
+                  {"name": "intper-cos", "lag": 3}]
+
+
+@pytest.fixture(scope="module")
+def worked_example_laws():
+    """{key: the process of that law's paths}, the sieve fitted on a data
+    path of 2000 values."""
+    data = _WORKED_EXAMPLE.simulate(2000, [derive_seed(4, dgp.KEY_DATA)])[0]
+    return {KEY_TRUTH: _WORKED_EXAMPLE, KEY_ORACLE: _WORKED_EXAMPLE.companion(4),
+            KEY_BOOT: fit_sieve(data)}
+
+
+class TestTiles:
+    # 300 paths: a chunk of 262 and one of 38 at n = 1999 and n = 2000
+    COUNT = 300
+
+    @pytest.mark.parametrize("n", [1999, 2000])
+    @pytest.mark.parametrize("doc", _SPECTRAL_DOCS, ids=lambda doc: doc["name"])
+    def test_every_law_is_the_same_whatever_the_tile(self, monkeypatch, worked_example_laws,
+                                                     doc, n):
+        statistic, tiles = statistic_from_config(doc), []
+
+        def recorded(block):
+            tiles.append(block.shape[0])
+            return type(statistic).transform(block)
+
+        for key, process in worked_example_laws.items():
+            want = replicate(process, statistic, n, self.COUNT, 11, key)
+            width = n + process.burnin
+            # one row, 7 rows, and 100 rows from a value count that is no
+            # multiple of a path's: tiles that do not divide the chunk
+            for rows, tile_values in ((1, width), (7, 7 * width), (100, 100 * width + n // 2)):
+                tiles.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(statistic, "transform", recorded, raising=False)
+                    patch.setattr(dgp, "TILE_VALUES", tile_values)
+                    law, theta = replicate(process, statistic, n, self.COUNT, 11, key)
+                assert np.array_equal(law.sample, want[0].sample) and theta == want[1]
+                assert sum(tiles) == self.COUNT and max(tiles) == rows
+
+    def test_a_spectral_law_holds_one_tile_at_a_time(self, worked_example_laws):
+        # the oracle of specdens at paper scale, its record built beforehand:
+        # a tile's innovations, filtered copy and block, then the block, its
+        # FFT and its periodogram, with never a whole chunk of 262 paths
+        spec = worked_example_laws[KEY_ORACLE]
+        statistic = statistic_from_config({"name": "specdens"})
+        assert spec.tile_rows(2000) == 32
+        _, peak = _traced_peak(lambda: replicate(spec, statistic, 2000, 262, 5, KEY_ORACLE))
+        assert peak <= 4 * 8 * dgp.TILE_VALUES + TestBlockMemory.SLACK
+
+
 class TestRecordMemory:
     # The worked example's companion record, 10^6 Wold innovations past the
     # transient of b / b~, and the variance of such a record.
@@ -652,6 +710,9 @@ class _OneBlockAlive:
 
     def __init__(self):
         self.previous, self.calls = None, 0
+
+    def tile_rows(self, n):
+        return max(1, dgp.BATCH_VALUES // n)
 
     def simulate(self, n, seeds):
         assert self.previous is None or self.previous() is None, "the previous block is alive"
