@@ -97,38 +97,22 @@ def rational_acvf(num, den, sigma2: float, lags=None) -> np.ndarray:
                      for h in lags])
 
 
-def _draw_rows(noise, seeds, width: int) -> np.ndarray:
-    """(len(seeds), width): row j is ``noise.draw(width, seeds[j])``."""
-    eps = np.empty((len(seeds), width))
-    for row, s in zip(eps, seeds):
-        row[:] = noise.draw(width, s)
-    return eps
-
-
 def build_companion(spec: CompanionSpec, n: int, seeds) -> np.ndarray:
     """Companion paths of length n, deterministic given their seeds: a
     C-contiguous (len(seeds), n) array whose row j is the path of seeds[j].
 
-    The output is allocated once and filled a tile of ``spec.tile_rows(n)``,
-    ``max(1, dgp.TILE_VALUES // (n + spec.burnin))``, rows at a time: each
-    row of the tile's innovations is drawn from its own seed,
-    ``spec.burnin`` leading values included, the tile goes through one
-    ``dgp.filter_rows`` call (``lfilter`` bit for bit) along its rows, and
-    its outputs past the burn-in are written into their rows. That call
-    filters each row exactly as it filters a lone path, so a row equals the
-    single path of its seed bit for bit, whatever the tile. ``dgp.replicate``
-    hands it one tile per call.
+    It simulates exactly the seeds it is handed; ``dgp.replicate`` alone
+    splits a law's seeds into tiles. Each row's innovations, ``spec.burnin``
+    leading values included, are drawn from its own seed, and the rows go
+    through one ``dgp.filter_rows`` call (``lfilter`` bit for bit), which
+    filters each row exactly as it filters a lone path. The outputs past the
+    burn-in come back through ``np.ascontiguousarray``: one copy, none when
+    the burn-in is 0. No name holds the draws, so at most two arrays of the
+    call's size are alive at once.
     """
-    burnin = spec.burnin
-    out = np.empty((len(seeds), n))
-    rows = spec.tile_rows(n)
-    for lo in range(0, len(seeds), rows):
-        # no name holds a tile's innovations or filtered copy, so both are
-        # freed before the next tile is drawn
-        out[lo:lo + rows] = dgp.filter_rows(
-            spec.num, spec.den, _draw_rows(spec.noise, seeds[lo:lo + rows], n + burnin)
-        )[:, burnin:]
-    return out
+    return np.ascontiguousarray(dgp.filter_rows(
+        spec.num, spec.den, dgp._seeded_rows(spec.noise.draw, n + spec.burnin, seeds)
+    )[:, spec.burnin:])
 
 
 def companion_distribution(spec: CompanionSpec, statistic, n: int, M: int, seed: dgp.SeedLike):

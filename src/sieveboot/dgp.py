@@ -18,21 +18,23 @@ fitted ``SieveModel`` included -- has ``filter``, the rational filter
 carries its second-order structure; ``simulate(n, seeds)``, a C-contiguous
 (len(seeds), n) float array whose row j is the path of seeds[j], the same
 whatever block it is simulated in; and ``tile_rows(n)``, the number of paths
-``replicate`` hands one ``simulate`` call. A rational filter -- a
-``LinearModel`` or a ``CompanionSpec`` -- takes tiles of
-``max(1, TILE_VALUES // (n + burn-in))`` paths: ``LinearModel`` fills its
-block one ``simulate_linear`` call per seed, or one ``simulate_ar`` call
-when it has a denominator, and a ``CompanionSpec`` filters its tile in one
-``filter_rows`` call (``lfilter`` bit for bit). ``Arch1Model`` takes the
-whole chunk, since it steps all the paths of a call together, one time step
-at a time, in place. A linear path starts from zero state and drops
-``ar.burnin(num, den)`` leading values: q for a finite filter, plus the lags
-the root radius of den takes to fall below ``ar.SETTLE_TOL``. An ARCH(1)
-path drops ``ARCH1_BURNIN``. ``filter_rows`` is ``ar.filter_rows``, imported
-here; a record of Wold innovations (``LinearModel.companion`` with a root
-flipped) goes through its in-place form ``ar.filter_in_place``, the same
-bits ``TILE_VALUES`` values at a time, so the record is held once.
-``replicate`` alone decides how paths are grouped. It hashes the seeds of
+``replicate`` hands one ``simulate`` call. One rule groups paths:
+``replicate`` splits a law's seeds into tiles, and a process simulates
+exactly the seeds it is handed, in one piece, with no grouping of its own. A
+rational filter -- a ``LinearModel`` or a ``CompanionSpec`` -- asks for
+tiles of ``max(1, TILE_VALUES // (n + burn-in))`` paths: ``LinearModel``
+fills its block one ``simulate_linear`` call per seed, or one
+``simulate_ar`` call when it has a denominator, and a ``CompanionSpec``
+draws its rows and filters them in one ``filter_rows`` call (``lfilter``
+bit for bit). ``Arch1Model`` asks for the whole chunk, since it steps all
+the paths of a call together, one time step at a time, in place. A linear
+path starts from zero state and drops ``ar.burnin(num, den)`` leading
+values: q for a finite filter, plus the lags the root radius of den takes to
+fall below ``ar.SETTLE_TOL``. An ARCH(1) path drops ``ARCH1_BURNIN``.
+``filter_rows`` is ``ar.filter_rows``, imported here; a record of Wold
+innovations (``LinearModel.companion`` with a root flipped) goes through its
+in-place form ``ar.filter_in_place``, the same bits ``TILE_VALUES`` values
+at a time, so the record is held once. ``replicate`` hashes the seeds of
 consecutive chunks of ``max(1, BATCH_VALUES // n)`` paths in one
 ``derive_seeds`` call each, then hands the process a tile of ``tile_rows(n)``
 of those seeds per ``simulate`` call; it checks that tile's block finite
@@ -62,7 +64,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Union
 
 import numpy as np
@@ -113,11 +115,11 @@ SeedLike = Union[int, np.random.SeedSequence]
 # time, so each hash and each time step's overhead is spread over many paths.
 BATCH_VALUES = 1 << 19
 
-# Values, burn-in included, in a tile of a rational filter's paths: what one
-# simulate call of ``replicate`` draws, filters, transforms and evaluates
-# before the next, and what is filtered at a time while a companion record is
-# built in place. A larger tile holds more memory at once, a smaller one pays
-# each call's overhead more often.
+# Values, burn-in included, in a tile of a rational filter's paths: the seeds
+# ``replicate`` hands one simulate call, whose paths it draws, filters,
+# transforms and evaluates before the next, and what is filtered at a time
+# while a companion record is built in place. A larger tile holds more memory
+# at once, a smaller one pays each call's overhead more often.
 TILE_VALUES = 1 << 16
 
 # Spawn-key namespaces of derived seeds: bootstrap replications, oracle
@@ -399,7 +401,7 @@ class LinearModel:
         return max(1, TILE_VALUES // (n + self.burnin))
 
     def simulate(self, n: int, seeds) -> np.ndarray:
-        return _path_by_path(simulate_ar if self.a else simulate_linear, self, n, seeds)
+        return _seeded_rows(partial(simulate_ar if self.a else simulate_linear, self), n, seeds)
 
     def companion(self, record_seed: SeedLike):
         """[b~(z) / a(z)] eps, b~ the Wold polynomial of ``wold_factorization``.
@@ -496,11 +498,12 @@ def simulate_ar(model: LinearModel, n: int, seed: SeedLike) -> np.ndarray:
     return filter_rows(b, a, model.innovations.draw(n + drop, seed))[drop:]
 
 
-def _path_by_path(simulate_path, model, n: int, seeds) -> np.ndarray:
-    """(len(seeds), n): row j is ``simulate_path(model, n, seeds[j])``."""
-    out = np.empty((len(seeds), n))
+def _seeded_rows(path, width: int, seeds) -> np.ndarray:
+    """(len(seeds), width): row j is ``path(width, seeds[j])``, the path of a
+    model or the draws of a noise law."""
+    out = np.empty((len(seeds), width))
     for row, s in zip(out, seeds):
-        row[:] = simulate_path(model, n, s)
+        row[:] = path(width, s)
     return out
 
 

@@ -90,8 +90,9 @@ def _memory_estimate(n: int, B: int, M: int, R: int, burnin: int) -> int:
       truth path's draws and filter output. ``replicate`` holds only one
       tile of a rational filter's paths at a time, so this over-counts a
       run of any model but ARCH(1) whose n is below BATCH_VALUES.
-    - A companion block is filled a tile of max(TILE_VALUES, n + burnin)
-      values at a time, drawn and then filtered into a copy: two more.
+    - A companion block is one tile of max(TILE_VALUES, n + burnin) values,
+      all that ``replicate`` hands ``build_companion`` at once, drawn and
+      then filtered into a copy: two more.
     - A companion record of COMPANION_RECORD_LENGTH values is drawn and
       then filtered in place, a tile at a time: one per record value.
     - A replication costs 160 bytes: its value in the law and in the

@@ -450,9 +450,12 @@ PROCESSES = {
 
 
 # Processes simulated a block of paths at a time through one lfilter call:
-# each noise law, with a finite (FIR) filter and a recursive (IIR) one.
+# each noise law, with a finite (FIR) filter and a recursive (IIR) one, and
+# the burn-in-0 white filter of an ARCH(1) companion, whose block is the
+# filter's own output, not a copy of it.
 _RECORD = np.random.default_rng(2).exponential(1.0, 5000) - 1.0
 BLOCK_PROCESSES = {
+    "resample-white": lambda: CompanionSpec([1.0], [1.0], ResampledRecord(_RECORD)),
     "parametric-fir": lambda: CompanionSpec([1.0, 0.5, -0.2], [1.0],
                                             InnovationSpec("centered_exponential")),
     "parametric-iir": PROCESSES["companion"],
@@ -578,31 +581,33 @@ def _traced_peak(build):
 
 
 class TestBlockMemory:
-    # A block of 262 paths at n = 2000, a chunk of BATCH_VALUES at paper
-    # scale. Building it may hold, besides the block itself, one tile's
-    # innovations and the filtered copy that filter_rows returns for them
-    # (build_companion) or the (262, burn-in) buffer of burn-in values
-    # (simulate_arch1), plus 64 kB of row-sized temporaries and small arrays.
+    # Blocks at n = 2000, besides which a call may hold 64 kB of row-sized
+    # temporaries and small arrays.
     SLACK = 1 << 16
     SEEDS = derive_seeds(3, KEY_TRUTH, 0, 262)
 
     @staticmethod
-    def _peak(simulate) -> int:
+    def _peak(simulate, rows) -> int:
         block, peak = _traced_peak(simulate)
-        assert block.shape == (262, 2000) and block.flags.c_contiguous
+        assert block.shape == (rows, 2000) and block.flags.c_contiguous
         return peak
 
     def test_build_companion_holds_the_block_and_one_filtered_tile(self):
+        # one call on the seeds of one tile, which is all that replicate hands
+        # it: the draws and their filtered copy, burn-in included, and then
+        # the filtered copy and the block past the burn-in
         spec = CompanionSpec([1.0], [1.0, -0.5], ResampledRecord(_RECORD))
         assert spec.burnin == 60  # the first t with 0.5^t < 1e-18
-        rows = dgp.TILE_VALUES // (2000 + spec.burnin)
-        tile = 2 * rows * (2000 + spec.burnin) * 8
-        peak = self._peak(lambda: build_companion(spec, 2000, self.SEEDS))
-        assert peak <= 262 * 2000 * 8 + tile + self.SLACK
+        rows = spec.tile_rows(2000)
+        assert rows == 31
+        peak = self._peak(lambda: build_companion(spec, 2000, self.SEEDS[:rows]), rows)
+        assert peak <= 2 * rows * (2000 + spec.burnin) * 8 + self.SLACK
 
     def test_simulate_arch1_holds_the_block_and_its_burnin(self):
+        # a block of 262 paths, a chunk of BATCH_VALUES at paper scale, and
+        # its (262, burn-in) buffer of burn-in values
         model = Arch1Model(omega=1.0, alpha1=0.3)
-        peak = self._peak(lambda: simulate_arch1(model, 2000, self.SEEDS))
+        peak = self._peak(lambda: simulate_arch1(model, 2000, self.SEEDS), 262)
         assert peak <= 262 * (2000 + ARCH1_BURNIN) * 8 + self.SLACK
 
 
@@ -651,14 +656,18 @@ class TestTiles:
                 assert np.array_equal(law.sample, want[0].sample) and theta == want[1]
                 assert sum(tiles) == self.COUNT and max(tiles) == rows
 
-    def test_a_spectral_law_holds_one_tile_at_a_time(self, worked_example_laws):
-        # the oracle of specdens at paper scale, its record built beforehand:
-        # a tile's innovations, filtered copy and block, then the block, its
-        # FFT and its periodogram, with never a whole chunk of 262 paths
-        spec = worked_example_laws[KEY_ORACLE]
+    # the oracle, a finite filter of burn-in 1, and the fitted sieve, a
+    # recursive AR(4) of burn-in 56
+    @pytest.mark.parametrize("key, rows", [(KEY_ORACLE, 32), (KEY_BOOT, 31)],
+                             ids=["oracle", "sieve"])
+    def test_a_spectral_law_holds_one_tile_at_a_time(self, worked_example_laws, key, rows):
+        # specdens at paper scale, the record built beforehand: a tile's
+        # innovations and filtered copy, then its block, the block's FFT and
+        # its periodogram, with never a whole chunk of 262 paths
+        spec = worked_example_laws[key]
         statistic = statistic_from_config({"name": "specdens"})
-        assert spec.tile_rows(2000) == 32
-        _, peak = _traced_peak(lambda: replicate(spec, statistic, 2000, 262, 5, KEY_ORACLE))
+        assert spec.tile_rows(2000) == rows
+        _, peak = _traced_peak(lambda: replicate(spec, statistic, 2000, 262, 5, key))
         assert peak <= 4 * 8 * dgp.TILE_VALUES + TestBlockMemory.SLACK
 
 
