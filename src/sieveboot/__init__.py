@@ -31,7 +31,6 @@ from .dgp import (
     ResampledRecord,
     derive_seed,
     ma1_example,
-    ma1_model,
     model_from_json,
     replicate,
     simulate_ar,

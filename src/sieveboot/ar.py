@@ -6,7 +6,9 @@ unit disk and how many lags an impulse response takes to settle.
 
 Conventions: an AR model of order p is written X_t = sum_k a_k X_{t-k} + e_t,
 with characteristic polynomial A_p(z) = 1 - sum_k a_k z^k. Causality means all
-roots of A_p lie strictly outside the closed unit disk.
+roots of A_p lie strictly outside the closed unit disk. ``levinson_durbin`` and
+``residuals`` take the a_k; every other function takes a polynomial
+1 + c_1 z + ... + c_p z^p as the array (1, c_1, .., c_p) a filter holds.
 """
 from __future__ import annotations
 
@@ -156,32 +158,28 @@ def filter_in_place(b, a, x: np.ndarray, piece: int) -> np.ndarray:
     return x
 
 
-def _reciprocal_roots(a: np.ndarray) -> np.ndarray:
-    """Reciprocals 1/z of the roots of A(z) = 1 - sum a_k z^k.
-
-    They are the roots of the monic z^p - sum a_k z^(p-k), whose companion
-    matrix holds the a_k themselves; the roots of A would come from one
-    scaled by 1/a_p, whose rounding swamps roots near the circle when a_p is
-    small.
-    """
-    return np.roots(np.concatenate([[1.0], -np.asarray(a, dtype=float)]))
-
-
 _ROOT_MARGIN = 1e-12  # a reciprocal root r with |r| (1 + margin) >= 1 is in the closed disk
 SETTLE_TOL = 1e-18  # share of its start at which a zero-state transient counts as over
 
 
-def root_radius(a) -> float:
-    """Largest |1/z| over the roots z of A(z) = 1 - sum a_k z^k, and 0 for
-    A = 1: A has a root in the closed unit disk iff this is at least 1."""
-    return float(np.abs(_reciprocal_roots(a)).max(initial=0.0))
+def root_radius(poly) -> float:
+    """Largest |1/z| over the roots z of the polynomial 1 + c_1 z + ... + c_p z^p,
+    given as (1, c_1, .., c_p), and 0 for p = 0: it has a root in the closed
+    unit disk iff this is at least 1.
+
+    The 1/z are the roots of the monic z^p + c_1 z^(p-1) + ... + c_p, which
+    ``np.roots`` reads from the same array: its companion matrix holds the c_k
+    themselves, where one for the roots z would be scaled by 1/c_p, whose
+    rounding swamps roots near the circle when c_p is small.
+    """
+    return float(np.abs(np.roots(np.asarray(poly, dtype=float))).max(initial=0.0))
 
 
-def check_roots_outside_disk(a, name: str = "AR polynomial") -> float:
-    """The root radius of A(z) = 1 - sum a_k z^k; raise InversionError when
-    A has a root in the closed unit disk, a root radius within _ROOT_MARGIN
-    of 1 counting as one."""
-    radius = root_radius(a)
+def check_roots_outside_disk(poly, name: str = "AR polynomial") -> float:
+    """The root radius of the polynomial (1, c_1, .., c_p); raise
+    InversionError when it has a root in the closed unit disk, a root radius
+    within _ROOT_MARGIN of 1 counting as one."""
+    radius = root_radius(poly)
     if radius * (1.0 + _ROOT_MARGIN) >= 1.0:
         raise InversionError(f"{name} has a root in the closed unit disk")
     return radius
@@ -195,7 +193,7 @@ def _settle_lag(rho: float, tol: float) -> int:
 def burnin(num, den) -> int:
     """The leading outputs a zero-state path of num(z) / den(z) drops: q pre-sample draws,
     plus, when den != 1, the first t with rho^t < SETTLE_TOL, rho the root radius of den."""
-    lag = _settle_lag(root_radius(-np.asarray(den, dtype=float)[1:]), SETTLE_TOL)
+    lag = _settle_lag(root_radius(den), SETTLE_TOL)
     return np.size(num) - 1 + (lag if np.size(den) > 1 else 0)
 
 
@@ -203,7 +201,7 @@ def impulse_response(num, den, length: int) -> np.ndarray:
     """psi_0..psi_{length - 1} of num(z) / den(z) = sum_j psi_j z^j, den[0]
     == 1: one ``filter_rows`` call on a unit impulse. Raises InversionError
     when den has a root in the closed unit disk."""
-    check_roots_outside_disk(-np.asarray(den, dtype=float)[1:], "filter denominator")
+    check_roots_outside_disk(den, "filter denominator")
     impulse = np.zeros(length)
     impulse[0] = 1.0
     return filter_rows(num, den, impulse)
@@ -227,7 +225,7 @@ def wold_factorization(b, sigma2: float = 1.0):
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if b[0] != 1.0:
         raise ValueError(f"an MA polynomial must start with 1, got {b[0]!r}")
-    r = _reciprocal_roots(-b[1:])  # b(z) = prod_i (1 - r_i z), roots z_i = 1 / r_i
+    r = np.roots(b)  # b(z) = prod_i (1 - r_i z), roots z_i = 1 / r_i
     size = np.abs(r)
     on_circle = (size * (1.0 + _ROOT_MARGIN) >= 1.0) & (size <= 1.0 + _ROOT_MARGIN)
     if on_circle.any():

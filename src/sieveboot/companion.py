@@ -11,8 +11,9 @@ The noise eps is any i.i.d. law of the noise protocol of ``dgp``: an
 ``InnovationSpec`` family, or a ``ResampledRecord`` of Wold innovations. The
 fitted sieve is itself such a companion: ``sieve.SieveModel`` is a
 ``CompanionSpec`` holding the fitted filter 1 / (1 - sum a_k z^k) driven by a
-``ResampledRecord`` of its residuals. den's root radius sets a path's burn-in
-and how far ``rational_acvf`` carries the impulse response behind its ACVF.
+``ResampledRecord`` of its residuals. As a ``dgp.RationalProcess`` it takes
+its burn-in and tile from den's root radius, which also sets how far
+``rational_acvf`` carries the impulse response behind its ACVF.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import dgp
-from .ar import _settle_lag, burnin, check_roots_outside_disk, impulse_response
+from .ar import _settle_lag, check_roots_outside_disk, impulse_response
 
 __all__ = [
     "CompanionSpec",
@@ -37,12 +38,12 @@ def _filter_polynomial(c, label: str) -> np.ndarray:
     c = np.atleast_1d(np.asarray(c, dtype=float))
     if c.ndim != 1 or c[0] != 1.0:
         raise ValueError(f"companion {label} polynomial must start with 1")
-    check_roots_outside_disk(-c[1:], f"companion {label} polynomial")
+    check_roots_outside_disk(c, f"companion {label} polynomial")
     return c
 
 
 @dataclass(frozen=True)
-class CompanionSpec:
+class CompanionSpec(dgp.RationalProcess):
     """The rational filter num(z) / den(z) driven by i.i.d. draws from
     ``noise``, which has ``variance`` and ``draw(size, seed)``."""
 
@@ -54,19 +55,9 @@ class CompanionSpec:
         object.__setattr__(self, "num", _filter_polynomial(self.num, "numerator"))
         object.__setattr__(self, "den", _filter_polynomial(self.den, "denominator"))
 
-    @property
+    @cached_property
     def filter(self):
         return self.num, self.den, self.noise.variance
-
-    @cached_property
-    def burnin(self) -> int:
-        """Leading outputs dropped from each path, ``ar.burnin`` of the filter,
-        found once per spec: q for a finite one, plus the lags den's root
-        radius takes to settle."""
-        return burnin(self.num, self.den)
-
-    def tile_rows(self, n: int) -> int:
-        return max(1, dgp.TILE_VALUES // (n + self.burnin))
 
     def simulate(self, n: int, seeds) -> np.ndarray:
         return build_companion(self, n, seeds)
@@ -83,7 +74,7 @@ def rational_acvf(num, den, sigma2: float, lags=None) -> np.ndarray:
     """
     num = np.atleast_1d(np.asarray(num, dtype=float))
     den = np.atleast_1d(np.asarray(den, dtype=float))
-    rho = check_roots_outside_disk(-den[1:], "companion denominator")
+    rho = check_roots_outside_disk(den, "companion denominator")
     settle = _settle_lag(rho, 1e-12)
     psi = num if den.size == 1 else impulse_response(
         num, den, num.size + max(lags or [0]) + min(settle, 10 ** 4))

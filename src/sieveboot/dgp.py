@@ -20,17 +20,18 @@ carries its second-order structure; ``simulate(n, seeds)``, a C-contiguous
 whatever block it is simulated in; and ``tile_rows(n)``, the number of paths
 ``replicate`` hands one ``simulate`` call. One rule groups paths:
 ``replicate`` splits a law's seeds into tiles, and a process simulates
-exactly the seeds it is handed, in one piece, with no grouping of its own. A
-rational filter -- a ``LinearModel`` or a ``CompanionSpec`` -- asks for
-tiles of ``max(1, TILE_VALUES // (n + burn-in))`` paths: ``LinearModel``
-fills its block one ``simulate_linear`` call per seed, or one
-``simulate_ar`` call when it has a denominator, and a ``CompanionSpec``
-draws its rows and filters them in one ``filter_rows`` call (``lfilter``
-bit for bit). ``Arch1Model`` asks for the whole chunk, since it steps all
-the paths of a call together, one time step at a time, in place. A linear
-path starts from zero state and drops ``ar.burnin(num, den)`` leading
-values: q for a finite filter, plus the lags the root radius of den takes to
-fall below ``ar.SETTLE_TOL``. An ARCH(1) path drops ``ARCH1_BURNIN``.
+exactly the seeds it is handed, in one piece, with no grouping of its own.
+A rational filter -- a ``LinearModel`` or a ``CompanionSpec`` -- is a
+``RationalProcess``, the one base that gives it ``burnin``, found once: the
+``ar.burnin(num, den)`` leading values a zero-state path drops, q for a
+finite filter plus the lags den's root radius takes to fall below
+``ar.SETTLE_TOL``; and ``tile_rows(n) = max(1, TILE_VALUES // (n + burnin))``.
+Each keeps its own ``simulate``: ``LinearModel`` fills its block one
+``simulate_linear`` call per seed, or one ``simulate_ar`` call when it has a
+denominator, and a ``CompanionSpec`` draws its rows and filters them in one
+``filter_rows`` call (``lfilter`` bit for bit). ``Arch1Model`` asks for the
+whole chunk, since it steps all the paths of a call together, one time step
+at a time, in place; an ARCH(1) path drops ``ARCH1_BURNIN``.
 ``filter_rows`` is ``ar.filter_rows``, imported here; a record of Wold
 innovations (``LinearModel.companion`` with a root flipped) goes through its
 in-place form ``ar.filter_in_place``, the same bits ``TILE_VALUES`` values
@@ -75,6 +76,7 @@ from .series import EmpiricalLaw
 __all__ = [
     "InnovationSpec",
     "ResampledRecord",
+    "RationalProcess",
     "LinearModel",
     "Arch1Model",
     "COMPANION_RECORD_LENGTH",
@@ -89,7 +91,6 @@ __all__ = [
     "simulate_linear",
     "simulate_ar",
     "ma1_example",
-    "ma1_model",
     "simulate_arch1",
     "ARCH1_BURNIN",
     "filter_rows",
@@ -367,8 +368,21 @@ class ResampledRecord:
         return self.values[rng_from(seed).integers(0, self.values.size, size)]
 
 
+class RationalProcess:
+    """A rational filter X = [num(z) / den(z)] eps: the base of ``LinearModel``
+    and ``CompanionSpec``, which give its ``filter`` and ``simulate``."""
+
+    @cached_property
+    def burnin(self) -> int:
+        """``ar.burnin`` of the filter, found once per process."""
+        return burnin(*self.filter[:2])
+
+    def tile_rows(self, n: int) -> int:
+        return max(1, TILE_VALUES // (n + self.burnin))
+
+
 @dataclass(frozen=True)
-class LinearModel:
+class LinearModel(RationalProcess):
     """X = [b(z) / a(z)] e with b(z) = 1 + sum_j b_j z^j, a causal
     a(z) = 1 - sum_k a_k z^k and i.i.d. e: a finite MA when ``a`` is
     empty, an AR when ``b`` is."""
@@ -383,7 +397,7 @@ class LinearModel:
             if not all(math.isfinite(v) for v in coeffs):
                 raise ValueError(f"{kind} coefficients must be finite")
             object.__setattr__(self, name, coeffs)
-        check_roots_outside_disk(self.a)
+        check_roots_outside_disk(self.filter[1])
 
     @cached_property
     def filter(self):
@@ -391,14 +405,6 @@ class LinearModel:
         num, den = np.concatenate([[1.0], self.b]), np.concatenate([[1.0], -np.asarray(self.a)])
         num.flags.writeable = den.flags.writeable = False
         return num, den, self.innovations.variance
-
-    @cached_property
-    def burnin(self) -> int:
-        """``ar.burnin`` of the filter, found once per model."""
-        return burnin(*self.filter[:2])
-
-    def tile_rows(self, n: int) -> int:
-        return max(1, TILE_VALUES // (n + self.burnin))
 
     def simulate(self, n: int, seeds) -> np.ndarray:
         return _seeded_rows(partial(simulate_ar if self.a else simulate_linear, self), n, seeds)
@@ -507,11 +513,6 @@ def _seeded_rows(path, width: int, seeds) -> np.ndarray:
     return out
 
 
-def ma1_model(innovations: InnovationSpec | None = None) -> LinearModel:
-    """The noninvertible MA(1) worked example: X_t = e_t - 2 e_{t-1}."""
-    return LinearModel(b=(-2.0,), innovations=innovations or InnovationSpec())
-
-
 def ma1_example(n: int, seed: SeedLike, innovations: InnovationSpec | None = None):
     """The noninvertible MA(1) worked example.
 
@@ -523,13 +524,11 @@ def ma1_example(n: int, seed: SeedLike, innovations: InnovationSpec | None = Non
     ``simulate_linear`` with b = (-2) seed-for-seed), the first 60 values of
     ve are burn-in and must be excluded from moment checks.
     """
-    model = ma1_model(innovations)
-    q = len(model.b)
-    b = model.filter[0]
-    e_full = model.innovations.draw(n + q, seed)
-    x = filter_rows(b, [1.0], e_full)[q:]
-    ve = filter_rows(b, wold_factorization(b)[0], e_full)[q:]
-    return x, e_full[q:], ve
+    b = np.array([1.0, -2.0])
+    e_full = (innovations or InnovationSpec()).draw(n + 1, seed)
+    x = filter_rows(b, [1.0], e_full)[1:]
+    ve = filter_rows(b, wold_factorization(b)[0], e_full)[1:]
+    return x, e_full[1:], ve
 
 
 def simulate_arch1(model: Arch1Model, n: int, seeds) -> np.ndarray:

@@ -215,8 +215,8 @@ class TestCriterion8ArAlgebra:
 
         # Yule-Walker root exclusion on 10^3 random empirical ACVFs
         checks["root-exclusion"] = all(
-            root_radius(levinson_durbin(sample_acvf(rng.standard_normal(150), 4),
-                                        4)[0]) * (1.0 + 1e-12) < 1.0
+            root_radius(np.concatenate([[1.0], -levinson_durbin(
+                sample_acvf(rng.standard_normal(150), 4), 4)[0]])) * (1.0 + 1e-12) < 1.0
             for _ in range(1000))
 
         # inversion convolution identity

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
@@ -17,7 +17,7 @@ from sieveboot.ar import (
     wold_factorization,
 )
 from sieveboot.companion import build_companion, rational_acvf
-from sieveboot.dgp import InnovationSpec, ma1_model, simulate_linear
+from sieveboot.dgp import InnovationSpec, LinearModel, simulate_linear
 from sieveboot.series import sample_acvf
 from sieveboot.sieve import fit_sieve
 
@@ -64,7 +64,7 @@ class TestLevinsonDurbin:
         rng = np.random.default_rng(12)
         for trial in range(1000):
             a, _ = levinson_durbin(random_empirical_acvf(rng, n=120, maxlag=4), 4)
-            assert root_radius(a) * (1.0 + 1e-12) < 1.0
+            assert root_radius(np.concatenate([[1.0], -a])) * (1.0 + 1e-12) < 1.0
 
 
 class TestInversion:
@@ -89,33 +89,68 @@ class TestInversion:
             impulse_response([1.0], [1.0, -2.0], 11)
 
 
+# Reciprocal roots r of b(z) = prod (1 - r z), kept 0.05 away from the unit
+# circle in modulus: real ones, and complex ones with their conjugates. A
+# modulus above 1 is a root 1/r inside the disk, which the factorization flips.
+moduli = st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 3.0))
+real_roots = st.lists(st.tuples(moduli, st.sampled_from([-1.0, 1.0])), max_size=3)
+complex_roots = st.lists(st.tuples(moduli, st.floats(0.1, np.pi - 0.1)), max_size=2)
+# The same, with moduli as near the circle as 1e-3.
+near_moduli = st.one_of(st.floats(0.05, 1.0 - 1e-3), st.floats(1.0 + 1e-3, 3.0))
+near_real_roots = st.lists(st.tuples(near_moduli, st.sampled_from([-1.0, 1.0])), max_size=3)
+near_complex_roots = st.lists(st.tuples(near_moduli, st.floats(0.1, np.pi - 0.1)), max_size=2)
+
+
+def _reciprocal_roots(reals, pairs):
+    roots = [s * m for m, s in reals]
+    for m, angle in pairs:
+        roots += [m * np.exp(1j * angle), m * np.exp(-1j * angle)]
+    return np.array(roots, dtype=complex)
+
+
+def _ma_polynomial(r):
+    return np.atleast_1d(np.poly(r).real)
+
+
 class TestRootRadius:
     def test_ar1_gives_its_coefficient(self):
         # A(z) = 1 - a z has its root at 1 / a
         for a in (0.5, -0.9, 0.0):
-            assert root_radius(np.array([a])) == pytest.approx(abs(a))
+            assert root_radius(np.array([1.0, -a])) == pytest.approx(abs(a))
 
     def test_root_inside_disk_rejected(self):
         # A(z) = 1 - 2 z has root 0.5 inside the unit disk
-        assert root_radius(np.array([2.0])) == pytest.approx(2.0)
+        assert root_radius(np.array([1.0, -2.0])) == pytest.approx(2.0)
         with pytest.raises(InversionError, match="closed unit disk"):
-            check_roots_outside_disk(np.array([2.0]))
+            check_roots_outside_disk(np.array([1.0, -2.0]))
 
     def test_trivial_polynomial_gives_zero(self):
-        assert root_radius(np.zeros(3)) == 0.0
-        assert root_radius(np.zeros(0)) == 0.0
+        assert root_radius(np.concatenate([[1.0], np.zeros(3)])) == 0.0
+        assert root_radius(np.ones(1)) == 0.0
 
     def test_tiny_trailing_coefficient_is_no_root_in_disk(self):
         # 1 - 0.5 z - c z^2 with tiny c has roots near 2 and near -1/(2c)
         for c in (1e-20, 1.7e-51, 1e-300):
-            assert root_radius(np.array([0.5, c])) == pytest.approx(0.5)
+            assert root_radius(np.array([1.0, -0.5, -c])) == pytest.approx(0.5)
 
     def test_matches_roots_of_the_reversed_polynomial(self):
         rng = np.random.default_rng(21)
         for trial in range(200):
             a = rng.uniform(-1.5, 1.5, rng.integers(1, 7))
-            z = np.roots(np.concatenate([[1.0], -a])[::-1])  # roots of A itself
-            assert root_radius(a) == pytest.approx(np.max(1.0 / np.abs(z)), rel=1e-9)
+            poly = np.concatenate([[1.0], -a])
+            z = np.roots(poly[::-1])  # roots of A itself
+            assert root_radius(poly) == pytest.approx(np.max(1.0 / np.abs(z)), rel=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_real_roots, near_complex_roots)
+    def test_matches_an_independent_root_finder(self, reals, pairs):
+        # polyroots finds the roots z themselves, from the ascending
+        # coefficients; two finders agree to 1e-9 only on roots kept apart
+        r = _reciprocal_roots(reals, pairs)
+        assume(np.all(np.abs(np.subtract.outer(r, r))[~np.eye(r.size, dtype=bool)] >= 1e-2))
+        poly = _ma_polynomial(r)
+        z = np.polynomial.polynomial.polyroots(poly)
+        assert root_radius(poly) == pytest.approx(np.max(1.0 / np.abs(z), initial=0.0), rel=1e-9)
 
 
 class TestBaxterAndResiduals:
@@ -155,25 +190,6 @@ class TestBaxterAndResiduals:
         v = gamma[0] - np.dot(-(0.5 ** np.arange(1, 41)), gamma[1:])
         # gamma(0) - sum a_k gamma(k) = 5 - (1/2)*2 = 4
         assert v == pytest.approx(4.0)
-
-
-# Reciprocal roots r of b(z) = prod (1 - r z), kept 0.05 away from the unit
-# circle in modulus: real ones, and complex ones with their conjugates. A
-# modulus above 1 is a root 1/r inside the disk, which the factorization flips.
-moduli = st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 3.0))
-real_roots = st.lists(st.tuples(moduli, st.sampled_from([-1.0, 1.0])), max_size=3)
-complex_roots = st.lists(st.tuples(moduli, st.floats(0.1, np.pi - 0.1)), max_size=2)
-
-
-def _reciprocal_roots(reals, pairs):
-    roots = [s * m for m, s in reals]
-    for m, angle in pairs:
-        roots += [m * np.exp(1j * angle), m * np.exp(-1j * angle)]
-    return np.array(roots, dtype=complex)
-
-
-def _ma_polynomial(r):
-    return np.atleast_1d(np.poly(r).real)
 
 
 class TestWoldFactorization:
@@ -243,8 +259,8 @@ TAIL_SHARE = 1e-16
 
 
 def _worked_example_sieve():
-    x = simulate_linear(ma1_model(InnovationSpec("centered_exponential")), 2000, seed=7)
-    model = fit_sieve(x)
+    worked_example = LinearModel(b=(-2.0,), innovations=InnovationSpec("centered_exponential"))
+    model = fit_sieve(simulate_linear(worked_example, 2000, seed=7))
     return model.num, model.den
 
 
@@ -262,7 +278,7 @@ class TestBurnin:
     def test_the_transient_past_the_burnin_is_negligible(self, kind):
         num, den = self.FILTERS[kind]()
         drop, q = burnin(num, den), len(num) - 1
-        rho = root_radius(-np.asarray(den)[1:])
+        rho = root_radius(den)
         assert rho ** (drop - q) < SETTLE_TOL <= rho ** (drop - q - 1)
         # psi past 2 * drop is below rho^drop of the tail itself
         psi = impulse_response(num, den, 2 * drop + 100)
@@ -274,7 +290,8 @@ class TestBurnin:
         assert burnin(num, [1.0]) == q
 
     def test_the_worked_example_oracle_keeps_one_presample_draw(self):
-        spec = ma1_model(InnovationSpec("centered_exponential")).companion(7)
+        model = LinearModel(b=(-2.0,), innovations=InnovationSpec("centered_exponential"))
+        spec = model.companion(7)
         assert spec.den.size == 1 and spec.burnin == 1
         e = spec.noise.draw(301, 11)
         assert np.array_equal(build_companion(spec, 300, [11])[0], np.convolve(spec.num, e)[1:301])

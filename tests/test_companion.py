@@ -19,7 +19,6 @@ from sieveboot.dgp import (
     InnovationSpec,
     LinearModel,
     ResampledRecord,
-    ma1_model,
     rng_from,
 )
 from sieveboot.experiment import companion_spec_for
@@ -171,7 +170,7 @@ class TestRationalFilterProperties:
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * want[0])
 
     def test_ma1_example_companion_acvf(self):
-        spec = ma1_model().companion(0)
+        spec = LinearModel(b=(-2.0,)).companion(0)
         got = rational_acvf(spec.num, spec.den, 4.0, range(6))
         assert np.array_equal(got, [5.0, -2.0, 0.0, 0.0, 0.0, 0.0])
 
@@ -200,7 +199,7 @@ class TestRationalFilterProperties:
 
 @pytest.fixture(scope="module")
 def spec():
-    return ma1_model(InnovationSpec("centered_exponential")).companion(3)
+    return LinearModel(b=(-2.0,), innovations=InnovationSpec("centered_exponential")).companion(3)
 
 
 class TestMa1Companion:

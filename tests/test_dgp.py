@@ -27,12 +27,12 @@ from sieveboot.dgp import (
     InnovationSpec,
     LinearModel,
     PathSeed,
+    RationalProcess,
     ResampledRecord,
     derive_seed,
     derive_seeds,
     filter_rows,
     ma1_example,
-    ma1_model,
     model_from_json,
     replicate,
     rng_from,
@@ -169,13 +169,13 @@ class TestLinear:
         assert np.array_equal(_bits(model.simulate(300, [p])[0]), _bits(want))
 
     def test_ma1_variance(self):
-        x = simulate_linear(ma1_model(), 200_000, seed=4)
+        x = simulate_linear(LinearModel(b=(-2.0,)), 200_000, seed=4)
         assert x.var() == pytest.approx(5.0, rel=0.03)
 
 
 class TestMa1Example:
     def test_x_matches_simulate_linear(self):
-        x1 = simulate_linear(ma1_model(), 1000, seed=5)
+        x1 = simulate_linear(LinearModel(b=(-2.0,)), 1000, seed=5)
         x2, _, _ = ma1_example(1000, seed=5)
         assert np.array_equal(x1, x2)
 
@@ -197,7 +197,7 @@ class TestMa1Example:
                                                                           innovations):
         monkeypatch.setattr(dgp, "COMPANION_RECORD_LENGTH", 5000)
         seed = derive_seed(3, 5)
-        record = ma1_model(innovations).companion(seed).noise.values
+        record = LinearModel(b=(-2.0,), innovations=innovations).companion(seed).noise.values
         _, _, ve = ma1_example(5000 + 60, seed, innovations)
         assert np.array_equal(record, ve[60:])
 
@@ -237,6 +237,17 @@ class TestAR:
         assert block.shape == (262, 2000) and len(calls) <= 1
         num, den, _ = model.filter
         assert model.filter[0] is num and not (num.flags.writeable or den.flags.writeable)
+
+    @pytest.mark.parametrize("n", [100, 1999, 16000, 72000])
+    def test_a_model_and_the_spec_of_its_filter_share_burnin_and_tile(self, n):
+        # AR(0.99) with an MA(1) numerator: a burn-in of 1 + 4124, past n = 1999
+        model = LinearModel(b=(0.4,), a=(0.99,))
+        spec = CompanionSpec(*model.filter[:2], model.innovations)
+        for process in (model, spec):
+            assert type(process).burnin is RationalProcess.burnin
+            assert type(process).tile_rows is RationalProcess.tile_rows
+        assert spec.burnin == model.burnin == 4125
+        assert spec.tile_rows(n) == model.tile_rows(n) == max(1, dgp.TILE_VALUES // (n + 4125))
 
 
 
@@ -441,7 +452,7 @@ class TestJson:
 # One process of each kind in the process protocol: DGP models, a companion
 # spec and a fitted sieve.
 PROCESSES = {
-    "linear": lambda: ma1_model(InnovationSpec("centered_exponential")),
+    "linear": lambda: LinearModel(b=(-2.0,), innovations=InnovationSpec("centered_exponential")),
     "ar": lambda: LinearModel(a=(0.6, -0.2), innovations=InnovationSpec("centered_uniform")),
     "arch1": lambda: Arch1Model(omega=1.0, alpha1=0.3),
     "companion": lambda: CompanionSpec([1.0, 0.5], [1.0, -0.3], InnovationSpec("centered_uniform")),
@@ -461,7 +472,8 @@ BLOCK_PROCESSES = {
     "parametric-iir": PROCESSES["companion"],
     "resample-fir": lambda: CompanionSpec([1.0, 0.4], [1.0], ResampledRecord(_RECORD)),
     "resample-iir": lambda: CompanionSpec([1.0], [1.0, -0.5, 0.2], ResampledRecord(_RECORD)),
-    "exact-ma1-fir": lambda: ma1_model(InnovationSpec("centered_exponential")).companion(6),
+    "exact-ma1-fir": lambda: LinearModel(
+        b=(-2.0,), innovations=InnovationSpec("centered_exponential")).companion(6),
     "sieve-iir": PROCESSES["sieve"],
 }
 
@@ -614,7 +626,7 @@ class TestBlockMemory:
 # The worked example's three laws: the truth of the model, the oracle of its
 # companion (a resampled record of Wold innovations) and the bootstrap of the
 # sieve fitted on one data path.
-_WORKED_EXAMPLE = ma1_model(InnovationSpec("centered_exponential"))
+_WORKED_EXAMPLE = LinearModel(b=(-2.0,), innovations=InnovationSpec("centered_exponential"))
 _SPECTRAL_DOCS = [{"name": "specdens"}, {"name": "ratio-cos", "lag": 1},
                   {"name": "intper-cos", "lag": 3}]
 
@@ -674,7 +686,7 @@ class TestTiles:
 class TestRecordMemory:
     # The worked example's companion record, 10^6 Wold innovations past the
     # transient of b / b~, and the variance of such a record.
-    MODEL = ma1_model(InnovationSpec("centered_exponential"))
+    MODEL = LinearModel(b=(-2.0,), innovations=InnovationSpec("centered_exponential"))
     SLACK = 1 << 16
 
     def test_the_record_is_filtered_in_place(self):

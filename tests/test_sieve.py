@@ -8,7 +8,6 @@ from sieveboot.companion import CompanionSpec
 from sieveboot.dgp import (
     InnovationSpec,
     LinearModel,
-    ma1_model,
     rng_from,
     simulate_ar,
     simulate_linear,
@@ -35,7 +34,7 @@ def ar1_data(n=2000, seed=1):
 # white noise, at a few lengths.
 REFERENCE_PATHS = {
     "ar1": lambda: ar1_data(2000, seed=21),
-    "ma1-example": lambda: simulate_linear(ma1_model(), 2000, seed=22),
+    "ma1-example": lambda: simulate_linear(LinearModel(b=(-2.0,)), 2000, seed=22),
     "ar2": lambda: simulate_ar(LinearModel(a=(0.5, -0.3)), 800, 23),
     "white": lambda: np.random.default_rng(24).standard_normal(300),
 }
@@ -175,7 +174,7 @@ class TestBootstrapDistribution:
         assert res.theta_star == pytest.approx(want, rel=1e-10)
 
     def test_deterministic_given_seed(self):
-        x = simulate_linear(ma1_model(), 600, seed=11)
+        x = simulate_linear(LinearModel(b=(-2.0,)), 600, seed=11)
         r1 = bootstrap_distribution(x, MeanStatistic(), B=150, seed=12)
         r2 = bootstrap_distribution(x, MeanStatistic(), B=150, seed=12)
         assert np.array_equal(r1.law.sample, r2.law.sample)
