@@ -56,10 +56,6 @@ from .spectral import (
     periodogram,
     rational_spectral_density,
 )
-from .asymptotics import (
-    linear_limit_variance,
-    spectral_estimator_variance,
-)
 from .statistics import (
     AcfStatistic,
     AcvfStatistic,
@@ -68,6 +64,7 @@ from .statistics import (
     RatioStatistic,
     SpectralDensityStatistic,
     Statistic,
+    linear_limit_variance,
     statistic_from_config,
 )
 from .experiment import (

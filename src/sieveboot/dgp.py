@@ -118,9 +118,10 @@ BATCH_VALUES = 1 << 19
 
 # Values, burn-in included, in a tile of a rational filter's paths: the seeds
 # ``replicate`` hands one simulate call, whose paths it draws, filters,
-# transforms and evaluates before the next, and what is filtered at a time
-# while a companion record is built in place. A larger tile holds more memory
-# at once, a smaller one pays each call's overhead more often.
+# transforms and evaluates before the next, and what is filtered, and then
+# squared for its variance, at a time while a companion record is built in
+# place. A larger tile holds more memory at once, a smaller one pays each
+# call's overhead more often.
 TILE_VALUES = 1 << 16
 
 # Spawn-key namespaces of derived seeds: bootstrap replications, oracle
@@ -330,20 +331,16 @@ class InnovationSpec:
         return e
 
 
-# Values whose squares one leaf of ``_sum_of_squares`` holds at once.
-_SQUARES_LEAF = 1 << 14
-
-
 def _sum_of_squares(v: np.ndarray) -> np.float64:
     """``np.add.reduce(v * v)`` of a 1-d float64 v, bit for bit, holding at
-    most _SQUARES_LEAF squares at once: it splits v where numpy's pairwise
+    most TILE_VALUES squares at once: it splits v where numpy's pairwise
     sum splits it, n // 2 less its remainder mod 8, down to leaves that one
     ``np.add.reduce`` sums exactly as it would inside the whole.
 
     Written at module level: a recursive closure would form a reference cycle
     that keeps each record alive until the cyclic collector runs.
     """
-    if v.size <= _SQUARES_LEAF:
+    if v.size <= TILE_VALUES:
         return np.add.reduce(v * v)
     half = v.size // 2
     half -= half % 8
@@ -537,33 +534,34 @@ def simulate_arch1(model: Arch1Model, n: int, seeds) -> np.ndarray:
     ``ARCH1_BURNIN`` values are dropped.
 
     Returns a C-contiguous (len(seeds), n) array whose row j is the path of
-    seeds[j]. Each path draws its burn-in multipliers into its row of a
-    (len(seeds), burn-in) buffer, then its n kept ones straight into its
-    output row: two consecutive draws from one generator, the stream of a
-    single draw of n + burn-in. The paths then advance together one time step
-    at a time, a column of the buffer and then a column of the output
-    overwritten in place, each element through the same IEEE operations as a
-    path of its own, so a row equals the single path of its seed bit for bit.
+    seeds[j]. Each path keeps one generator and draws its burn-in multipliers
+    into its own output row, at most n at a time, then its n kept ones: the
+    stream of a single draw of n + burn-in. After each piece is drawn, the
+    paths advance together one time step at a time, a column overwritten in
+    place, each element through the same IEEE operations as a path of its
+    own, so a row equals the single path of its seed bit for bit. The state
+    goes into the next piece as a copy, as its draws overwrite its column.
     A path that overflows float64 holds inf or NaN, with no warning; the
     finiteness check of its block rejects it.
     """
-    head = np.empty((len(seeds), ARCH1_BURNIN))
     out = np.empty((len(seeds), n))
-    for j, s in enumerate(seeds):
-        rng = rng_from(s)
-        rng.standard_normal(out=head[j])
-        rng.standard_normal(out=out[j])
+    rngs = [rng_from(s) for s in seeds]
     var = np.empty(len(seeds))
     prev = np.zeros(len(seeds))
+    widths = [min(n, ARCH1_BURNIN - t) for t in range(0, ARCH1_BURNIN, n)] + [n]
     with np.errstate(over="ignore", invalid="ignore"):
-        for block in (head, out):
-            for col in block.T:  # z_t is overwritten by x_t
+        for width in widths:
+            piece = out[:, :width]
+            for rng, row in zip(rngs, piece):
+                rng.standard_normal(out=row)
+            for col in piece.T:  # z_t is overwritten by x_t
                 np.multiply(prev, prev, out=var)
                 var *= model.alpha1
                 var += model.omega
                 np.sqrt(var, out=var)
                 col *= var
                 prev = col
+            prev = prev.copy()
     return out
 
 

@@ -1,5 +1,6 @@
 """Statistics shared by the bootstrap engine, the companion oracle and the
-Monte Carlo truth runs.
+Monte Carlo truth runs: how each is centred, its limit variances, and whether
+the AR-sieve bootstrap is valid for it.
 
 Each statistic knows four things: how to evaluate itself on a path, given as
 its row of ``transform(block)`` for a block of simulated paths, one per row,
@@ -7,14 +8,17 @@ checked finite by the caller; the exact centering value implied by a rational
 filter X = [num(z) / den(z)] eps with innovation variance sigma2 -- the fitted
 sieve, the companion process or the data-generating model; its scaling rate
 c_n; and the closed-form asymptotic variances of its law under such a filter.
-A frequency-domain statistic dots a path's periodogram row with weights
-``spectral`` caches per n; a cosine statistic's center dots the model's
-spectral density with the same weights, so discretization cancels. Every
-statistic but the mean and the kernel estimate is sum_j c_j gamma_hat(j) to
-first order: it declares its weights c_j and target ids, and the base class
-takes each target from ``asymptotics.linear_limit_variance``. A config names
-a statistic in ``_STATISTICS``, whose keys map to constructor fields: a key
-it leaves out takes the class's own default.
+Every statistic but the mean and the kernel estimate is sum_j c_j
+gamma_hat(j) to first order: it declares its weights c_j and target ids, and
+the base class takes each target from ``linear_limit_variance``, Bartlett's
+covariance under a process linear in i.i.d. noise, where the noise excess
+kurtosis kappa enters only as kappa (sum_j c_j gamma(j))^2. The bootstrap
+swaps the raw innovations' kappa for the Wold innovations', so it is valid
+exactly when that sum is 0: for the autocorrelation's weights
+{h: 1, 0: -rho(h)}, not for the autocovariance's {h: 1}. The kernel
+estimate's variance needs only f(lambda) and whether lambda is 0 or pi. A
+config names a statistic in ``_STATISTICS``, whose keys map to constructor
+fields: a key it leaves out takes the class's own default.
 """
 from __future__ import annotations
 
@@ -24,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _at, linear_limit_variance, spectral_estimator_variance
 from .companion import rational_acvf
 from .dgp import _number
 from .series import DegenerateSeriesError, _centered
 from .spectral import (
+    KERNEL_L2_NORM_SQ,
     _kernel_weights,
     fourier_quadrature,
     periodogram,
@@ -45,6 +49,7 @@ __all__ = [
     "RatioStatistic",
     "SpectralDensityStatistic",
     "bootstrap_verdict",
+    "linear_limit_variance",
     "statistic_from_config",
 ]
 
@@ -73,6 +78,39 @@ def bootstrap_verdict(targets: dict, checks_passed: bool) -> str:
                      rel_tol=1e-9)
         for tid, value in targets.items() if tid.endswith("_companion"))
     return "PASS" if valid else "FAIL-AS-PREDICTED"
+
+
+def _lagged_dots(seq, *shifts):
+    """sum_k s(k) s(k + shift) for each shift, s being seq extended by
+    s(-k) = s(k) and by zero past its last lag."""
+    seq = np.asarray(seq, dtype=float)
+    s = np.concatenate([seq[:0:-1], seq])
+    return [float(np.dot(s[: s.size - abs(d)], s[abs(d):])) if abs(d) < s.size else 0.0
+            for d in shifts]
+
+
+def _at(seq, h: int) -> float:
+    """seq(|h|), zero past the last stored lag."""
+    return float(seq[abs(h)]) if abs(h) < len(seq) else 0.0
+
+
+def linear_limit_variance(gamma, weights: dict, kappa: float) -> float:
+    """Limit of n Var(sum_j c_j gamma_hat(j)), weights = {j: c_j}, for a
+    process linear in i.i.d. noise of excess kurtosis kappa: kappa (sum_j c_j
+    gamma(j))^2 + sum_{j,l} c_j c_l sum_k (gamma(k) gamma(k+l-j) + gamma(k+l)
+    gamma(k-j)), gamma extended by gamma(-k) = gamma(k) and by zero past its
+    last lag. The products c_j c_l are summed by shift |l - j| and |l + j|
+    before the lagged dots, one per shift."""
+    shifts = {}
+    for j, cj in weights.items():
+        for l, cl in weights.items():
+            for d in (abs(l - j), abs(l + j)):
+                shifts[d] = shifts.get(d, 0.0) + cj * cl
+    total = kappa * sum(c * _at(gamma, j) for j, c in weights.items()) ** 2
+    lags = sorted(shifts)
+    for d, dot in zip(lags, _lagged_dots(gamma, *lags)):
+        total += shifts[d] * dot
+    return float(total)
 
 
 def _correlation_weights(gamma, h: int, scale: float):
@@ -202,7 +240,11 @@ class AcfStatistic(Statistic):
 @dataclass
 class _CosineStatistic(Statistic):
     """A functional of I_n weighted by phi = 2cos(. h) on the Fourier grid
-    2 pi j / n, where lags h and n - h give the same weight."""
+    2 pi j / n, where lags h and n - h give the same weight. A subclass gives
+    it as ``_functional(values, n)`` of a spectrum at the frequencies of
+    ``fourier_quadrature(n)``: ``evaluate`` applies it to a path's
+    periodogram there, ``model_center`` to the model's spectral density, so
+    discretization cancels and a center cannot drift from its estimator."""
 
     h: int = 1
     transform = staticmethod(periodogram)
@@ -216,6 +258,14 @@ class _CosineStatistic(Statistic):
             raise ValueError(f"{self.name} needs 2 * lag {self.h} < n, got n = {n}: lags h and "
                              "n - h give the same weight on the Fourier grid")
 
+    def evaluate(self, x: np.ndarray) -> float:
+        n = x.size
+        return self._functional(x[1: n // 2 + 1], n)
+
+    def model_center(self, num, den, sigma2, n):
+        freqs = fourier_quadrature(n)[0]
+        return self._functional(rational_spectral_density(num, den, sigma2, freqs), n)
+
 
 @dataclass
 class IntegratedPeriodogramStatistic(_CosineStatistic):
@@ -224,13 +274,8 @@ class IntegratedPeriodogramStatistic(_CosineStatistic):
     label = "intper"
     target_ids = ("intper_variance_linear", "intper_variance_companion")
 
-    def evaluate(self, x: np.ndarray) -> float:
-        n = x.size
-        return float(np.dot(weighted_quadrature(self.h, n), x[1: n // 2 + 1]))
-
-    def model_center(self, num, den, sigma2, n):
-        fv = rational_spectral_density(num, den, sigma2, fourier_quadrature(n)[0])
-        return float(np.dot(weighted_quadrature(self.h, n), fv))
+    def _functional(self, values, n):
+        return float(np.dot(weighted_quadrature(self.h, n), values))
 
     def weights(self, gamma):
         # M(I_n, 2cos(. h)) has the limit law of the lag-h sample autocovariance
@@ -249,18 +294,11 @@ class RatioStatistic(_CosineStatistic):
             raise ValueError(f"{self.name} is the constant 2 at lag 0: its lag must be >= 1")
         super().check_n(n)
 
-    def evaluate(self, x: np.ndarray) -> float:
-        n = x.size
-        values = x[1: n // 2 + 1]
+    def _functional(self, values, n):
         denom = float(np.dot(fourier_quadrature(n)[1], values))
         if denom <= 0:
             raise DegenerateSeriesError("total periodogram mass is zero")
         return float(np.dot(weighted_quadrature(self.h, n), values)) / denom
-
-    def model_center(self, num, den, sigma2, n):
-        freqs, w = fourier_quadrature(n)
-        fv = rational_spectral_density(num, den, sigma2, freqs)
-        return float(np.dot(weighted_quadrature(self.h, n), fv)) / float(np.dot(w, fv))
 
     def weights(self, gamma):
         # R(I_n, 2cos(. h)) is 2 rho_hat(h) up to O(1/n)
@@ -309,8 +347,10 @@ class SpectralDensityStatistic(Statistic):
 
     def targets(self, num, den, sigma2, kappa_e, kappa_eps):
         f = float(rational_spectral_density(num, den, sigma2, self.lam))
-        boundary = self.lam < 1e-9 or abs(self.lam - math.pi) < 1e-9
-        return {"specdens_nh_variance": spectral_estimator_variance(f, boundary),
+        # n h Var -> 2 pi f^2 int K^2 as h -> 0: K_h integrates I_n over the
+        # full circle, so the variance doubles at 0 and pi
+        factor = 2.0 if self.lam < 1e-9 or abs(self.lam - math.pi) < 1e-9 else 1.0
+        return {"specdens_nh_variance": float(factor * 2.0 * np.pi * f ** 2 * KERNEL_L2_NORM_SQ),
                 "spectral_density_value": f}
 
 

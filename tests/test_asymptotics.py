@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sieveboot.asymptotics import linear_limit_variance, spectral_estimator_variance
 from sieveboot.companion import rational_acvf
 from sieveboot.dgp import Arch1Model, InnovationSpec, LinearModel, model_from_json
 from sieveboot.experiment import compute_targets, list_presets, preset_config
@@ -14,7 +13,9 @@ from sieveboot.statistics import (
     IntegratedPeriodogramStatistic,
     MeanStatistic,
     RatioStatistic,
+    SpectralDensityStatistic,
     bootstrap_verdict,
+    linear_limit_variance,
     statistic_from_config,
 )
 from test_ar import _ma_polynomial, _reciprocal_roots, complex_roots, real_roots
@@ -172,14 +173,18 @@ class TestFrequencyDomain:
         assert v["ratio_statistic_variance"] == pytest.approx(0.0, abs=1e-12)
 
     def test_spectral_variance_boundary_doubling(self):
-        assert spectral_estimator_variance(1.7, True) == pytest.approx(
-            2.0 * spectral_estimator_variance(1.7, False))
+        def variance(num, sigma2, lam):
+            stat = SpectralDensityStatistic(lam=lam, bandwidth=0.3)
+            return stat.targets(num, [1.0], sigma2, None, None)["specdens_nh_variance"]
+
+        # white noise has f = sigma2 / 2 pi at every lambda
+        interior = variance([1.0], 1.7, math.pi / 2)
+        assert variance([1.0], 1.7, math.pi) == pytest.approx(2.0 * interior)
+        assert variance([1.0], 1.7, 0.0) == pytest.approx(2.0 * interior)
         # MA(1) worked example, f = (5 - 4 cos l) / (2 pi): 2 pi f^2 int K^2 with
         # int K^2 = 3 / (5 pi) is 7.5 / pi^2 at pi/2 and, doubled, 48.6 / pi^2 at pi
-        interior = spectral_estimator_variance(5.0 / (2 * np.pi), False)
-        boundary = spectral_estimator_variance(9.0 / (2 * np.pi), True)
-        assert interior == pytest.approx(0.760, abs=5e-4)
-        assert boundary == pytest.approx(4.924, abs=5e-4)
+        assert variance([1.0, -2.0], 1.0, math.pi / 2) == pytest.approx(0.760, abs=5e-4)
+        assert variance([1.0, -2.0], 1.0, math.pi) == pytest.approx(4.924, abs=5e-4)
 
 
 # Midpoint rule on [0, pi]: exact for the trigonometric polynomials of an MA

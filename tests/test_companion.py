@@ -40,10 +40,11 @@ class TestSpec:
 
 
 class TestResampledRecord:
-    # sizes on both sides of a leaf of 2^14 squares, and a view of a
-    # companion record's size at an offset, as the worked example's record is
+    # sizes on both sides of a leaf of TILE_VALUES = 2^16 squares, and a view
+    # of a companion record's size at an offset, as the worked example's is
     @pytest.mark.parametrize("size, offset", [(1, 0), (7, 0), (999, 0), (1999, 0), (2 ** 14, 0),
-                                              (2 ** 14 + 1, 0), (10 ** 6 + 60, 60)])
+                                              (2 ** 14 + 1, 0), (2 ** 16, 0), (2 ** 16 + 1, 0),
+                                              (10 ** 6 + 60, 60)])
     def test_variance_is_the_population_variance(self, size, offset):
         values = np.random.default_rng(size).exponential(1.0, size + offset)[offset:]
         want = float(np.mean(values ** 2) - np.mean(values) ** 2)

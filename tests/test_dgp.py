@@ -617,10 +617,11 @@ class TestBlockMemory:
 
     def test_simulate_arch1_holds_the_block_and_its_burnin(self):
         # a block of 262 paths, a chunk of BATCH_VALUES at paper scale, and
-        # its (262, burn-in) buffer of burn-in values
+        # one generator a path, under 1 kB each: the burn-in is drawn into
+        # the block's own rows, so no buffer of ARCH1_BURNIN values a path
         model = Arch1Model(omega=1.0, alpha1=0.3)
         peak = self._peak(lambda: simulate_arch1(model, 2000, self.SEEDS), 262)
-        assert peak <= 262 * (2000 + ARCH1_BURNIN) * 8 + self.SLACK
+        assert peak <= 262 * (2000 * 8 + 1024) + self.SLACK
 
 
 # The worked example's three laws: the truth of the model, the oracle of its

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 import os
 import random
 import re
@@ -370,6 +371,22 @@ class TestFailFast:
             ExperimentConfig.from_json(
                 {**persistent, "dgp": {"family": "ar", "coefficients": [1 - 1e-7]}})
 
+    def test_arch1_run_stays_within_the_memory_estimate(self):
+        # an ARCH(1) block is a whole chunk of BATCH_VALUES // n paths, which
+        # draw their burn-in into their own rows, so it holds no burn-in array
+        # of ARCH1_BURNIN values a path beside the block
+        config = ExperimentConfig.from_json(
+            {"name": "arch1-peak", "dgp": {"family": "arch1", "coefficients": [1.0, 0.3]},
+             "statistic": {"name": "mean"}, "checks": [], "n": 100, "B": 200, "M": 200,
+             "R": 6000, "seed": 3})
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= experiment._memory_estimate(100, 200, 200, 6000, 0)
+
     @pytest.mark.parametrize("override, field", [
         ({"order_rule": {"mode": "fixed", "fixed_p": 2}}, "unknown config keys: ['order_rule']"),
         ({"n": "2000"}, "n must be"),
@@ -472,6 +489,47 @@ class TestFailFast:
                               timeout=120)
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.splitlines() == ["error: series values must be finite"]
+
+
+def _ar(coefficient, family=None):
+    model = {"family": "ar", "coefficients": [coefficient]}
+    return {**model, "innovation": {"family": family}} if family else model
+
+
+_WORKED = {"family": "linear", "coefficients": [-2.0],
+           "innovation": {"family": "centered_exponential"}}
+_WORKED_GAUSSIAN = {**_WORKED, "innovation": {"family": "gaussian"}}
+# (model, statistic, exit code, the lines ``sieveboot asymptotics`` prints,
+# or for exit 2 the start of its error line)
+CLOSED_FORM_LINES = [
+    pytest.param(_ar(0.5, "centered_exponential"), {"name": "acvf", "lag": 0}, 0,
+                 ["acvf_variance_linear = 16.59259259", "acvf_variance_companion = 16.59259259"],
+                 id="ar1-exponential"),
+    pytest.param(_ar(0.997, "gaussian"), {"name": "acvf", "lag": 0}, 0,
+                 ["acvf_variance_linear = 18546379.88"], id="ar997-closed-form"),
+    pytest.param(_ar(0.997), {"name": "acf", "lag": 1}, 0,
+                 ["bartlett_variance = 0.005991"], id="ar997-bartlett"),
+    pytest.param(_ar(0.998, "gaussian"), {"name": "acvf", "lag": 0}, 2,
+                 ["error: acvf_variance_linear, acvf_variance_companion: "], id="ar998-unsettled"),
+    pytest.param(_WORKED, {"name": "acf", "lag": 1}, 0,
+                 ["bartlett_variance = 0.6224"], id="worked-bartlett"),
+    pytest.param(_WORKED, {"name": "intper-cos", "lag": 1}, 0,
+                 ["intper_variance_linear = 61", "intper_variance_companion = 46.6"],
+                 id="worked-intper1"),
+    pytest.param(_WORKED, {"name": "ratio-cos", "lag": 1}, 0,
+                 ["ratio_statistic_variance = 2.4896"], id="worked-ratio1"),
+    pytest.param(_WORKED, {"name": "intper-cos", "lag": 2048}, 0,
+                 ["intper_variance_linear = 33", "intper_variance_companion = 33"],
+                 id="worked-intper2048"),
+    pytest.param(_WORKED, {"name": "ratio-cos", "lag": 2048}, 0,
+                 ["ratio_statistic_variance = 5.28"], id="worked-ratio2048"),
+] + [
+    pytest.param(_WORKED_GAUSSIAN, {"name": "specdens", "lambda": lam, "bandwidth": h}, 0,
+                 [f"specdens_nh_variance = {value}"], id=f"worked-specdens-{where}-h{h}")
+    for h in (0.2, 0.4)
+    for lam, where, value in ((math.pi / 2, "interior", "0.7599088773"),
+                              (math.pi, "boundary", "4.924209525"))
+]
 
 
 class _Accepted(Exception):
@@ -772,6 +830,18 @@ class TestCli:
                                                         "acvf_variance_companion = 2"]
         assert main(["asymptotics", "--model", model, "--statistic", "acf"]) == 0
         assert capsys.readouterr().out.splitlines() == ["bartlett_variance = 1"]
+
+    @pytest.mark.parametrize("model, stat, code, lines", CLOSED_FORM_LINES)
+    def test_asymptotics_prints_the_closed_forms(self, capsys, model, stat, code, lines):
+        # the lines the workflow's closed-form steps match whole, or for exit 2
+        # the start of the one error line
+        assert main(["asymptotics", "--model", json.dumps(model),
+                     "--statistic", json.dumps(stat)]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert set(lines) <= set(out.splitlines()), out
+        else:
+            assert out == "" and err.startswith(lines[0]), err
 
     def test_asymptotics_mean(self, capsys):
         code = main(["asymptotics", "--model", json.dumps(TINY_CONFIG["dgp"]),
