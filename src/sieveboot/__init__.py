@@ -26,9 +26,11 @@ from .ar import (
 )
 from .dgp import (
     Arch1Model,
+    CompanionSpec,
     InnovationSpec,
     LinearModel,
     ResampledRecord,
+    build_companion,
     derive_seed,
     ma1_example,
     model_from_json,
@@ -38,19 +40,13 @@ from .dgp import (
     simulate_linear,
 )
 from .sieve import (
-    BootstrapResult,
     SieveModel,
     bootstrap_distribution,
     fit_sieve,
     generate_bootstrap_series,
     order_cap,
 )
-from .companion import (
-    CompanionSpec,
-    build_companion,
-    companion_distribution,
-    rational_acvf,
-)
+from .companion import companion_distribution
 from .spectral import (
     fourier_quadrature,
     periodogram,
@@ -65,6 +61,7 @@ from .statistics import (
     SpectralDensityStatistic,
     Statistic,
     linear_limit_variance,
+    rational_acvf,
     statistic_from_config,
 )
 from .experiment import (

@@ -1,7 +1,10 @@
 """Data-generating processes: the linear model [b(z) / a(z)] e, the
 noninvertible MA(1) worked example with its Wold innovations, and ARCH(1);
-the two i.i.d. noise laws; and the one replication loop, ``replicate``,
-shared by the bootstrap, the oracle and the truth.
+``CompanionSpec``, the rational filter [num(z) / den(z)] eps with num and den
+free of roots in the closed unit disk, which is each model's companion and,
+as ``sieve.SieveModel``, the fitted sieve, and ``build_companion``, which
+simulates it; the two i.i.d. noise laws; and the one replication loop,
+``replicate``, shared by the bootstrap, the oracle and the truth.
 
 Noise protocol: an i.i.d. law -- an ``InnovationSpec`` family or a
 ``ResampledRecord`` -- has ``variance`` and ``draw(size, seed)``, ``size``
@@ -77,6 +80,8 @@ __all__ = [
     "InnovationSpec",
     "ResampledRecord",
     "RationalProcess",
+    "CompanionSpec",
+    "build_companion",
     "LinearModel",
     "Arch1Model",
     "COMPANION_RECORD_LENGTH",
@@ -379,6 +384,50 @@ class RationalProcess:
 
 
 @dataclass(frozen=True)
+class CompanionSpec(RationalProcess):
+    """The rational filter num(z) / den(z) driven by i.i.d. draws from
+    ``noise``, which has ``variance`` and ``draw(size, seed)``; num and den
+    are polynomials 1 + c_1 z + ... with no root in |z| <= 1."""
+
+    num: np.ndarray
+    den: np.ndarray
+    noise: object
+
+    def __post_init__(self):
+        for name, label in (("num", "numerator"), ("den", "denominator")):
+            c = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            if c.ndim != 1 or c[0] != 1.0:
+                raise ValueError(f"companion {label} polynomial must start with 1")
+            check_roots_outside_disk(c, f"companion {label} polynomial")
+            object.__setattr__(self, name, c)
+
+    @cached_property
+    def filter(self):
+        return self.num, self.den, self.noise.variance
+
+    def simulate(self, n: int, seeds) -> np.ndarray:
+        return build_companion(self, n, seeds)
+
+
+def build_companion(spec: CompanionSpec, n: int, seeds) -> np.ndarray:
+    """Companion paths of length n, deterministic given their seeds: a
+    C-contiguous (len(seeds), n) array whose row j is the path of seeds[j].
+
+    It simulates exactly the seeds it is handed; ``replicate`` alone splits a
+    law's seeds into tiles. Each row's innovations, ``spec.burnin`` leading
+    values included, are drawn from its own seed, and the rows go through one
+    ``filter_rows`` call (``lfilter`` bit for bit), which filters each row
+    exactly as it filters a lone path. The outputs past the burn-in come back
+    through ``np.ascontiguousarray``: one copy, none when the burn-in is 0.
+    No name holds the draws, so at most two arrays of the call's size are
+    alive at once.
+    """
+    return np.ascontiguousarray(filter_rows(
+        spec.num, spec.den, _seeded_rows(spec.noise.draw, n + spec.burnin, seeds)
+    )[:, spec.burnin:])
+
+
+@dataclass(frozen=True)
 class LinearModel(RationalProcess):
     """X = [b(z) / a(z)] e with b(z) = 1 + sum_j b_j z^j, a causal
     a(z) = 1 - sum_k a_k z^k and i.i.d. e: a finite MA when ``a`` is
@@ -414,8 +463,6 @@ class LinearModel(RationalProcess):
         overwritten in place with its filtered values ``TILE_VALUES`` at a
         time (``filter_in_place``, ``filter_rows`` bit for bit), so the
         record is the one array held."""
-        from .companion import CompanionSpec
-
         b, den, _ = self.filter
         num, _, psi = wold_factorization(b)
         if psi.size == 1:
@@ -464,8 +511,6 @@ class Arch1Model:
         """White noise in the Wold sense: the trivial filter, innovations
         sharing the marginal law of X, resampled from a record made of
         independent chains stepped together, one after another."""
-        from .companion import CompanionSpec
-
         seeds = [derive_seed(record_seed, j) for j in range(_ARCH_RECORD_CHAINS)]
         chains = simulate_arch1(self, COMPANION_RECORD_LENGTH // _ARCH_RECORD_CHAINS, seeds)
         return CompanionSpec([1.0], [1.0], ResampledRecord(chains.ravel()))

@@ -6,17 +6,19 @@ law over fresh companion paths, and the truth law over fresh DGP paths --
 plus the closed-form asymptotic targets, then reports variances, pairwise
 Kolmogorov distances and pass/fail flags.
 
-All three laws come from ``dgp.replicate`` over a process -- the fitted
-sieve, the companion spec and the DGP model -- so every replication consumes
-a seed derived from (base seed, method key, replication index), and results
-are independent of execution order or batching and bit-identical across
-re-runs.
+All three laws come from ``dgp.replicate`` over a process -- the sieve that
+``run_experiment`` fits to the data path, the companion spec and the DGP
+model -- so every replication consumes a seed derived from (base seed,
+method key, replication index), and results are independent of execution
+order or batching and bit-identical across re-runs.
 
 A config is validated when it loads: ``ExperimentConfig`` rejects every
-malformed value and check. The one rule that needs the targets -- a
-``var_close`` check's target must be among those the model and statistic
-produce -- is checked by ``run_experiment`` once it has computed them,
-before the companion is built or any path is simulated.
+malformed value and check, and sizes whose arrays would outgrow the memory
+bound or whose paths would outgrow the work bound. Two rules wait for what
+only a run knows. A ``var_close`` check's target must be among those the
+model and statistic produce, checked once the targets are computed, before
+the companion is built or any path is simulated; and the work bound counts
+the fitted sieve's burn-in once the sieve is fitted, before its first path.
 """
 from __future__ import annotations
 
@@ -31,9 +33,9 @@ import numpy as np
 
 from . import dgp
 from .ar import burnin
-from .companion import CompanionSpec, companion_distribution
+from .companion import companion_distribution
 from .series import kolmogorov_distance, ks_critical_value
-from .sieve import bootstrap_distribution
+from .sieve import bootstrap_distribution, fit_sieve
 from .statistics import bootstrap_verdict, statistic_from_config
 
 __all__ = [
@@ -73,6 +75,14 @@ _FLOORS = {"n": 100, "B": 200, "M": 200, "R": 200, "seed": 0}
 # past the paper's sizes (n up to about 1.5 * 10^7, B + M + R up to about
 # 6 * 10^6) and well inside a 7 GB machine.
 _MEMORY_BOUND = 1 << 30
+# Values a run may draw and filter, by ``_work_estimate``: half an hour of CPU
+# at 4e7 values a second, the rate at which AR(0.9999) truth paths (burn-in
+# 414 445) were drawn and filtered, 3.5-4.1e7 on 2 shared vCPUs. A preset at
+# n = B = M = R = 2000 draws about 1.3e7 values; an AR(0.999999) at that scale
+# would draw 1.7e11, its paths dropping a burn-in of 4.1e7 values each.
+_WORK_RATE = 4e7
+_WORK_BUDGET_S = 1800
+_WORK_BOUND = int(_WORK_RATE * _WORK_BUDGET_S)
 
 
 class ConfigError(ValueError):
@@ -108,6 +118,31 @@ def _memory_estimate(n: int, B: int, M: int, R: int, burnin: int) -> int:
     values = (7 * max(dgp.BATCH_VALUES, n) + 2 * max(dgp.TILE_VALUES, n + burnin)
               + dgp.COMPANION_RECORD_LENGTH)
     return 8 * values + 160 * (B + M + R)
+
+
+def _work_estimate(n: int, B: int, M: int, R: int, burnin: int, sieve_burnin: int) -> int:
+    """Values a run draws and filters: the data path, the M oracle and R
+    truth paths at n + ``burnin`` (a linear model's companion keeps its
+    denominator, so its burn-in), the companion record, and the B bootstrap
+    paths at n + ``sieve_burnin``, known only once the sieve is fitted.
+    ARCH(1)'s truth paths drop ``dgp.ARCH1_BURNIN`` values more, uncounted:
+    under the memory bound that is below 10^10 values."""
+    return ((1 + M + R) * (n + burnin) + B * (n + sieve_burnin)
+            + dgp.COMPANION_RECORD_LENGTH)
+
+
+def _check_work(config, burnin: int, sieve_burnin: int | None = None) -> None:
+    """Raise ConfigError, naming the estimate, if a run of ``config`` would
+    draw and filter more than ``_WORK_BOUND`` values; before the fit, with
+    ``sieve_burnin`` None, the bootstrap paths are counted with no burn-in."""
+    work = _work_estimate(config.n, config.B, config.M, config.R, burnin, sieve_burnin or 0)
+    if work > _WORK_BOUND:
+        sieve = "" if sieve_burnin is None else f" and the fitted sieve's {sieve_burnin}"
+        raise ConfigError(f"n, B, M, R = {config.n}, {config.B}, {config.M}, {config.R} with a "
+                          f"burn-in of {burnin} values a path{sieve} would draw and filter about "
+                          f"{work:.3g} values, above the bound of {_WORK_BOUND:.3g} "
+                          f"({_WORK_BUDGET_S // 60} minutes of CPU at {_WORK_RATE:.3g} values "
+                          f"a second)")
 
 
 def load_json(doc):
@@ -198,11 +233,13 @@ class ExperimentConfig:
         for label, floor in _FLOORS.items():
             if getattr(self, label) < floor:
                 raise ConfigError(f"{label} must be >= {floor}, got {getattr(self, label)}")
-        need = _memory_estimate(self.n, self.B, self.M, self.R, burnin(*model.filter[:2]))
+        lag = burnin(*model.filter[:2])
+        need = _memory_estimate(self.n, self.B, self.M, self.R, lag)
         if need > _MEMORY_BOUND:
             raise ConfigError(f"n, B, M, R = {self.n}, {self.B}, {self.M}, {self.R} would hold "
                               f"about {need / 2 ** 30:.3g} GiB of arrays at once, above the "
                               f"bound of {_MEMORY_BOUND / 2 ** 30:g} GiB")
+        _check_work(self, lag)
         try:
             statistic.check_n(self.n)
         except ValueError as exc:
@@ -276,7 +313,7 @@ class Report:
         } for m in _METHODS]
 
 
-def companion_spec_for(model, seed) -> CompanionSpec:
+def companion_spec_for(model, seed) -> dgp.CompanionSpec:
     """The model's companion, its record drawn from the companion-record key."""
     return model.companion(dgp.derive_seed(seed, dgp.KEY_COMPANION_RECORD))
 
@@ -344,12 +381,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
 
     data = dgp.check_finite(timed("data", model.simulate, n,
                                   [dgp.derive_seed(seed, dgp.KEY_DATA)])[0])
-    boot = timed("bootstrap", bootstrap_distribution, data, statistic, config.B, seed)
+    sieve = timed("sieve", fit_sieve, data)
+    _check_work(config, burnin(*model.filter[:2]), sieve.burnin)
+    boot_law, _ = timed("bootstrap", bootstrap_distribution, sieve, statistic, n, config.B, seed)
     oracle_law, _ = timed("oracle", companion_distribution, spec, statistic, n, config.M, seed)
     truth_law, _ = timed("truth", dgp.replicate, model, statistic, n, config.R, seed,
                          dgp.KEY_TRUTH)
 
-    laws = {"bootstrap": boot.law, "oracle": oracle_law, "truth": truth_law}
+    laws = {"bootstrap": boot_law, "oracle": oracle_law, "truth": truth_law}
     variances = {m: laws[m].variance() for m in _METHODS}
     dk = {pair: kolmogorov_distance(*(laws[m] for m in pair.split("_"))) for pair in _DK_PAIRS}
     checks = [_evaluate_check(check, variances, dk, targets) for check in config.checks]
@@ -359,7 +398,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         experiment=config.name,
         statistic=statistic.name,
         n=n,
-        counts={"B": config.B, "M": config.M, "R": config.R, "p_used": boot.p_used},
+        counts={"B": config.B, "M": config.M, "R": config.R, "p_used": sieve.p},
         seed=seed,
         variances=variances,
         dk=dk,

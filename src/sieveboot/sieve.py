@@ -4,24 +4,21 @@ Fit a Yule-Walker autoregression whose order AIC picks under the cap
 (n / ln n)^(1/4), which grows slowly with n; resample the centered residuals
 i.i.d., regenerate series from the fitted recursion, and collect the law of
 the scaled, model-centered statistic. The fitted sieve is its own bootstrap
-process: a ``SieveModel`` is the ``CompanionSpec`` of the fitted filter
+process: a ``SieveModel`` is the ``dgp.CompanionSpec`` of the fitted filter
 1 / (1 - sum a_k z^k) driven by a ``ResampledRecord`` of the residuals.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import dgp
 from .ar import levinson_durbin, residuals
-from .companion import CompanionSpec, build_companion
-from .series import EmpiricalLaw, sample_acvf
+from .series import sample_acvf
 
 __all__ = [
     "SieveModel",
-    "BootstrapResult",
     "order_cap",
     "fit_sieve",
     "generate_bootstrap_series",
@@ -35,7 +32,7 @@ def order_cap(n: int) -> int:
     return max(1, min(cap, n // 2 - 1))
 
 
-class SieveModel(CompanionSpec):
+class SieveModel(dgp.CompanionSpec):
     """The fitted sieve: the Yule-Walker AR(p) filter 1 / (1 - sum a_k z^k),
     den = (1, -a_1, .., -a_p), driven by i.i.d. draws from the sorted record
     of its centered residuals."""
@@ -69,23 +66,15 @@ def fit_sieve(x: np.ndarray) -> SieveModel:
 def generate_bootstrap_series(m: SieveModel, n: int, seeds) -> np.ndarray:
     """Bootstrap paths: i.i.d. residual draws drive the fitted recursion. A
     (len(seeds), n) array whose row j is the path of seeds[j], as in
-    :func:`build_companion`."""
-    return build_companion(m, n, seeds)
+    :func:`dgp.build_companion`."""
+    return dgp.build_companion(m, n, seeds)
 
 
-@dataclass(frozen=True)
-class BootstrapResult:
-    """The bootstrap law of c_n (T*_n - theta*)."""
-
-    law: EmpiricalLaw
-    theta_star: float
-    p_used: int
-
-
-def bootstrap_distribution(x: np.ndarray, statistic, B: int,
-                           seed: dgp.SeedLike) -> BootstrapResult:
-    """Step 3: the AR-sieve bootstrap law of the scaled statistic, from the
-    data path x.
+def bootstrap_distribution(sieve: SieveModel, statistic, n: int, B: int,
+                           seed: dgp.SeedLike):
+    """(law, theta*): step 3, the AR-sieve bootstrap law of c_n (T* - theta*)
+    over B paths of the fitted sieve, ``dgp.replicate`` under the bootstrap
+    key.
 
     theta* is the exact model quantity of the bootstrap process: the filter
     1 / (1 - sum a_k z^k) of the fitted coefficients, driven by the residual
@@ -93,6 +82,4 @@ def bootstrap_distribution(x: np.ndarray, statistic, B: int,
     """
     if B < 100:
         raise ValueError("B must be at least 100")
-    model = fit_sieve(x)
-    law, theta = dgp.replicate(model, statistic, x.size, B, seed, dgp.KEY_BOOT)
-    return BootstrapResult(law=law, theta_star=theta, p_used=model.p)
+    return dgp.replicate(sieve, statistic, n, B, seed, dgp.KEY_BOOT)

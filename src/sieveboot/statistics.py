@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .companion import rational_acvf
+from .ar import _settle_lag, check_roots_outside_disk, impulse_response
 from .dgp import _number
 from .series import DegenerateSeriesError, _centered
 from .spectral import (
@@ -50,6 +50,7 @@ __all__ = [
     "SpectralDensityStatistic",
     "bootstrap_verdict",
     "linear_limit_variance",
+    "rational_acvf",
     "statistic_from_config",
 ]
 
@@ -78,6 +79,31 @@ def bootstrap_verdict(targets: dict, checks_passed: bool) -> str:
                      rel_tol=1e-9)
         for tid, value in targets.items() if tid.endswith("_companion"))
     return "PASS" if valid else "FAIL-AS-PREDICTED"
+
+
+def rational_acvf(num, den, sigma2: float, lags=None) -> np.ndarray:
+    """Autocovariances gamma(h) = sigma2 sum_j psi_j psi_{j+h} of the process
+    [num(z) / den(z)] eps, for each h in ``lags``: one lagged dot product per
+    lag asked for. psi is num itself when den = 1, else the filter's impulse
+    response carried max(lags) + t terms past num, t the first lag with
+    rho^t < 1e-12 for rho the root radius of den, capped at 10^4. With lags
+    None gamma runs over every lag of psi, from one ``np.correlate`` of psi
+    with itself, and t past the cap raises ValueError.
+    """
+    num = np.atleast_1d(np.asarray(num, dtype=float))
+    den = np.atleast_1d(np.asarray(den, dtype=float))
+    rho = check_roots_outside_disk(den, "companion denominator")
+    settle = _settle_lag(rho, 1e-12)
+    psi = num if den.size == 1 else impulse_response(
+        num, den, num.size + max(lags or [0]) + min(settle, 10 ** 4))
+    if lags is None:
+        if settle > 10 ** 4:  # rho at or above 1e-12^(1 / 10^4), about 0.9972407
+            raise ValueError(f"the impulse response of 1 / den(z) takes {settle} lags to fall "
+                             f"below 1e-12, past the cap of 10^4: a root of den lies too near "
+                             f"the unit circle, root radius {rho:.12g}")
+        return sigma2 * np.correlate(psi, psi, "full")[psi.size - 1:]
+    return np.array([sigma2 * np.dot(psi[: psi.size - h], psi[h:]) if h < psi.size else 0.0
+                     for h in lags])
 
 
 def _lagged_dots(seq, *shifts):

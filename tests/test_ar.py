@@ -16,10 +16,10 @@ from sieveboot.ar import (
     root_radius,
     wold_factorization,
 )
-from sieveboot.companion import build_companion, rational_acvf
-from sieveboot.dgp import InnovationSpec, LinearModel, simulate_linear
+from sieveboot.dgp import InnovationSpec, LinearModel, build_companion, simulate_linear
 from sieveboot.series import sample_acvf
 from sieveboot.sieve import fit_sieve
+from sieveboot.statistics import rational_acvf
 
 MA1_GAMMA = np.concatenate([[5.0, -2.0], np.zeros(59)])  # gamma of X_t = e_t - 2 e_{t-1}
 

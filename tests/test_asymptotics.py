@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sieveboot.companion import rational_acvf
 from sieveboot.dgp import Arch1Model, InnovationSpec, LinearModel, model_from_json
 from sieveboot.experiment import compute_targets, list_presets, preset_config
 from sieveboot.statistics import (
@@ -16,6 +15,7 @@ from sieveboot.statistics import (
     SpectralDensityStatistic,
     bootstrap_verdict,
     linear_limit_variance,
+    rational_acvf,
     statistic_from_config,
 )
 from test_ar import _ma_polynomial, _reciprocal_roots, complex_roots, real_roots

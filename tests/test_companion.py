@@ -7,23 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
-from sieveboot.companion import (
-    CompanionSpec,
-    build_companion,
-    companion_distribution,
-    rational_acvf,
-)
+from sieveboot.companion import companion_distribution
 from sieveboot.ar import InversionError, burnin, impulse_response
 from sieveboot.dgp import (
     COMPANION_RECORD_LENGTH,
+    CompanionSpec,
     InnovationSpec,
     LinearModel,
     ResampledRecord,
+    build_companion,
     rng_from,
 )
 from sieveboot.experiment import companion_spec_for
 from sieveboot.series import sample_acvf
-from sieveboot.statistics import AcfStatistic, AcvfStatistic, MeanStatistic
+from sieveboot.statistics import AcfStatistic, AcvfStatistic, MeanStatistic, rational_acvf
 
 
 class TestSpec:

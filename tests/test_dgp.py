@@ -24,11 +24,13 @@ from sieveboot.dgp import (
     KEY_ORACLE,
     KEY_TRUTH,
     Arch1Model,
+    CompanionSpec,
     InnovationSpec,
     LinearModel,
     PathSeed,
     RationalProcess,
     ResampledRecord,
+    build_companion,
     derive_seed,
     derive_seeds,
     filter_rows,
@@ -40,8 +42,6 @@ from sieveboot.dgp import (
     simulate_arch1,
     simulate_linear,
 )
-from sieveboot import companion, sieve
-from sieveboot.companion import CompanionSpec, build_companion
 from sieveboot.experiment import companion_spec_for
 from sieveboot.sieve import fit_sieve
 from sieveboot.statistics import AcvfStatistic, statistic_from_config
@@ -520,8 +520,7 @@ class TestReplicate:
             blocks.append(len(seeds))
             return build_companion(block_spec, n, seeds)
 
-        monkeypatch.setattr(companion, "build_companion", recorded)
-        monkeypatch.setattr(sieve, "build_companion", recorded)
+        monkeypatch.setattr(dgp, "build_companion", recorded)
         per_path = np.array([statistic.evaluate(_path(process, n, derive_seed(11, KEY_TRUTH, i)))
                              for i in range(count)])
         theta = statistic.model_center(*process.filter, n)

@@ -17,7 +17,6 @@ import sieveboot
 from sieveboot import experiment
 from sieveboot.ar import ConditioningError
 from sieveboot.cli import main
-from sieveboot.companion import CompanionSpec
 from sieveboot.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -27,9 +26,17 @@ from sieveboot.experiment import (
     run_experiment,
     write_report,
 )
-from sieveboot.dgp import Arch1Model, InnovationSpec, LinearModel, ResampledRecord
+from sieveboot.dgp import (
+    KEY_DATA,
+    Arch1Model,
+    CompanionSpec,
+    InnovationSpec,
+    LinearModel,
+    ResampledRecord,
+    derive_seed,
+)
 from sieveboot.series import EmpiricalLaw
-from sieveboot.sieve import SieveModel
+from sieveboot.sieve import SieveModel, fit_sieve
 
 SMALL = dict(n=200, B=200, M=200, R=200)
 
@@ -371,6 +378,39 @@ class TestFailFast:
             ExperimentConfig.from_json(
                 {**persistent, "dgp": {"family": "ar", "coefficients": [1 - 1e-7]}})
 
+    def test_work_bound_admits_its_boundary(self, monkeypatch, no_simulation):
+        # TINY_CONFIG's MA(1) paths drop q = 1 value: 401 data, oracle and truth
+        # paths of 201 values, 200 bootstrap paths of 200 before the fit, and
+        # the 10^6-value companion record
+        monkeypatch.setattr(experiment, "companion_spec_for", _accept)
+        work = 401 * 201 + 200 * 200 + 10 ** 6
+        assert experiment._work_estimate(200, 200, 200, 200, 1, 0) == work
+        monkeypatch.setattr(experiment, "_WORK_BOUND", work)
+        with pytest.raises(_Accepted):
+            run_experiment(ExperimentConfig.from_json(TINY_CONFIG))
+        monkeypatch.setattr(experiment, "_WORK_BOUND", work - 1)
+        with pytest.raises(ConfigError, match=r"about 1\.12e\+06 values, above the bound"):
+            ExperimentConfig.from_json(TINY_CONFIG)
+
+    def test_work_bound_counts_the_fitted_sieve_before_its_first_path(self, monkeypatch):
+        monkeypatch.setattr(SieveModel, "simulate", _no_simulation)
+        monkeypatch.setattr(experiment, "_WORK_BOUND", 401 * 201 + 200 * 200 + 10 ** 6)
+        config = ExperimentConfig.from_json(TINY_CONFIG)
+        data = LinearModel(b=(-2.0,)).simulate(200, [derive_seed(5, KEY_DATA)])[0]
+        with pytest.raises(ConfigError, match=f"the fitted sieve's {fit_sieve(data).burnin} "):
+            run_experiment(config)
+
+    def test_cli_rejects_a_run_past_the_work_bound(self, capsys, no_simulation):
+        # AR(0.999999) drops 41 446 511 values a path: 4001 such paths at n = 2000
+        # are 1.66e11 values, past half an hour of CPU at 4e7 values a second
+        assert experiment._WORK_BOUND == 4e7 * 1800
+        doc = {"name": "persistent", "dgp": {"family": "ar", "coefficients": [0.999999]},
+               "statistic": {"name": "mean"}}
+        assert main(["run", "--config", json.dumps(doc)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "burn-in of 41446511 values a path would draw and filter " \
+            "about 1.66e+11 values, above the bound of 7.2e+10" in err[0]
+
     def test_arch1_run_stays_within_the_memory_estimate(self):
         # an ARCH(1) block is a whole chunk of BATCH_VALUES // n paths, which
         # draw their burn-in into their own rows, so it holds no burn-in array
@@ -627,6 +667,9 @@ class TestRunExperiment:
         assert set(rep.dk) == {"bootstrap_truth", "bootstrap_oracle", "oracle_truth"}
         assert all(0 <= v <= 1 for v in rep.dk.values())
         assert rep.targets["acvf_variance_companion"] == pytest.approx(66.0)
+        # the order of the sieve fitted to the data path
+        data = LinearModel(b=(-2.0,)).simulate(200, [derive_seed(5, KEY_DATA)])[0]
+        assert rep.counts["p_used"] == fit_sieve(data).p
 
     def test_output_files(self, report):
         _, out = report
@@ -682,7 +725,8 @@ class TestRunExperiment:
         runtime = json.loads((out / "report.json").read_text())["runtime"]
         assert set(runtime) == {"seconds", "stages"}
         stages = runtime["stages"]
-        assert set(stages) == {"companion", "data", "bootstrap", "oracle", "truth", "targets"}
+        assert set(stages) == {"companion", "data", "sieve", "bootstrap", "oracle", "truth",
+                               "targets"}
         assert all(t >= 0 for t in stages.values())
         assert sum(stages.values()) <= runtime["seconds"]
 

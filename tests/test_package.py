@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import os
@@ -19,6 +20,31 @@ def test_every_exported_name_resolves(name):
     # ``from sieveboot.<name> import *`` fails on an __all__ entry the module lacks
     module = importlib.import_module(f"sieveboot.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def _relative_imports(path: Path) -> set:
+    """Names of the modules a source file imports relatively, at any depth,
+    function bodies included."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module.split(".")[0]] if node.module else
+                         [alias.name for alias in node.names])
+    return names
+
+
+def test_import_graph_is_acyclic():
+    # a cycle hidden in a function body still ties two modules into one
+    package = Path(sieveboot.__file__).parent
+    graph = {name: _relative_imports(package / f"{name}.py") & set(MODULES) for name in MODULES}
+
+    def cycle_from(name, path):
+        if name in path:
+            return path[path.index(name):] + [name]
+        return next(filter(None, (cycle_from(m, path + [name]) for m in sorted(graph[name]))),
+                    None)
+
+    assert [c for c in (cycle_from(name, []) for name in MODULES) if c] == []
 
 
 def test_every_traced_function_resolves():

@@ -4,8 +4,8 @@ from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
 from sieveboot.ar import burnin, levinson_durbin, residuals
-from sieveboot.companion import CompanionSpec
 from sieveboot.dgp import (
+    CompanionSpec,
     InnovationSpec,
     LinearModel,
     rng_from,
@@ -15,7 +15,6 @@ from sieveboot.dgp import (
 from sieveboot.experiment import compute_targets
 from sieveboot.series import sample_acvf
 from sieveboot.sieve import (
-    BootstrapResult,
     SieveModel,
     bootstrap_distribution,
     fit_sieve,
@@ -156,32 +155,30 @@ class TestGeneration:
 class TestBootstrapDistribution:
     def test_mean_statistic_ar1(self):
         x = ar1_data(2000, seed=7)
-        res = bootstrap_distribution(x, MeanStatistic(), B=400, seed=8)
-        assert isinstance(res, BootstrapResult)
-        assert res.theta_star == 0.0
-        assert res.p_used == fit_sieve(x).p
+        law, theta = bootstrap_distribution(fit_sieve(x), MeanStatistic(), 2000, B=400, seed=8)
+        assert theta == 0.0
         # long-run variance of AR(1): sigma2/(1-a)^2 = 1/0.16 = 6.25
-        assert res.law.variance() == pytest.approx(6.25, rel=0.35)
+        assert law.variance() == pytest.approx(6.25, rel=0.35)
 
     def test_acvf_statistic_center_uses_fitted_model(self):
         x = ar1_data(2000, seed=9)
-        res = bootstrap_distribution(x, AcvfStatistic(0), B=200, seed=10)
         m = fit_sieve(x)
+        _, theta = bootstrap_distribution(m, AcvfStatistic(0), 2000, B=200, seed=10)
         # a Yule-Walker AR(p) fit has the sample ACF at lags 1..p, so its
         # gamma(0) = sigma2 / (1 - sum_k a_k rho_hat(k))
         gamma = sample_acvf(x, m.p)
         want = m.filter[2] / (1.0 + np.dot(m.den[1:], gamma[1:] / gamma[0]))
-        assert res.theta_star == pytest.approx(want, rel=1e-10)
+        assert theta == pytest.approx(want, rel=1e-10)
 
     def test_deterministic_given_seed(self):
-        x = simulate_linear(LinearModel(b=(-2.0,)), 600, seed=11)
-        r1 = bootstrap_distribution(x, MeanStatistic(), B=150, seed=12)
-        r2 = bootstrap_distribution(x, MeanStatistic(), B=150, seed=12)
-        assert np.array_equal(r1.law.sample, r2.law.sample)
+        m = fit_sieve(simulate_linear(LinearModel(b=(-2.0,)), 600, seed=11))
+        law1, _ = bootstrap_distribution(m, MeanStatistic(), 600, B=150, seed=12)
+        law2, _ = bootstrap_distribution(m, MeanStatistic(), 600, B=150, seed=12)
+        assert np.array_equal(law1.sample, law2.sample)
 
     def test_minimum_replications(self):
         with pytest.raises(ValueError):
-            bootstrap_distribution(ar1_data(500), MeanStatistic(), B=50, seed=13)
+            bootstrap_distribution(fit_sieve(ar1_data(500)), MeanStatistic(), 500, B=50, seed=13)
 
 
 class TestPopulationSieve:
