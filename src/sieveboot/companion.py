@@ -24,6 +24,4 @@ def companion_distribution(spec: dgp.CompanionSpec, statistic, n: int, M: int,
     model_center / rate); theta~ is the exact model quantity of the companion
     process.
     """
-    if M < 200:
-        raise ValueError("M must be at least 200")
     return dgp.replicate(spec, statistic, n, M, seed, dgp.KEY_ORACLE)

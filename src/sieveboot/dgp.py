@@ -18,23 +18,24 @@ innovations, None where no closed form applies.
 Process protocol: a process -- a DGP model here or a ``CompanionSpec``, the
 fitted ``SieveModel`` included -- has ``filter``, the rational filter
 (num, den, sigma2) of X = [num(z) / den(z)] eps with Var(eps) = sigma2 that
-carries its second-order structure; ``simulate(n, seeds)``, a C-contiguous
-(len(seeds), n) float array whose row j is the path of seeds[j], the same
-whatever block it is simulated in; and ``tile_rows(n)``, the number of paths
-``replicate`` hands one ``simulate`` call. One rule groups paths:
-``replicate`` splits a law's seeds into tiles, and a process simulates
-exactly the seeds it is handed, in one piece, with no grouping of its own.
-A rational filter -- a ``LinearModel`` or a ``CompanionSpec`` -- is a
-``RationalProcess``, the one base that gives it ``burnin``, found once: the
-``ar.burnin(num, den)`` leading values a zero-state path drops, q for a
-finite filter plus the lags den's root radius takes to fall below
-``ar.SETTLE_TOL``; and ``tile_rows(n) = max(1, TILE_VALUES // (n + burnin))``.
-Each keeps its own ``simulate``: ``LinearModel`` fills its block one
-``simulate_linear`` call per seed, or one ``simulate_ar`` call when it has a
-denominator, and a ``CompanionSpec`` draws its rows and filters them in one
-``filter_rows`` call (``lfilter`` bit for bit). ``Arch1Model`` asks for the
-whole chunk, since it steps all the paths of a call together, one time step
-at a time, in place; an ARCH(1) path drops ``ARCH1_BURNIN``.
+carries its second-order structure; ``burnin``, the leading values each of
+its paths drops, which the experiment's memory and work bounds read;
+``simulate(n, seeds)``, a C-contiguous (len(seeds), n) float array whose row
+j is the path of seeds[j], the same whatever block it is simulated in; and
+``tile_rows(n)``, the number of paths ``replicate`` hands one ``simulate``
+call. One rule groups paths: ``replicate`` splits a law's seeds into tiles,
+and a process simulates exactly the seeds it is handed, in one piece, with
+no grouping of its own. A rational filter -- a ``LinearModel`` or a
+``CompanionSpec`` -- is a ``RationalProcess``, the one base that gives it
+``burnin``, found once: the ``ar.burnin(num, den)`` leading values a
+zero-state path drops, q for a finite filter plus the lags den's root radius
+takes to fall below ``ar.SETTLE_TOL``; and ``tile_rows(n) = max(1,
+TILE_VALUES // (n + burnin))``. Each keeps its own ``simulate``:
+``LinearModel`` fills its block one ``simulate_linear`` call per seed, and a
+``CompanionSpec`` draws its rows and filters them in one ``filter_rows``
+call (``lfilter`` bit for bit). ``Arch1Model``, whose ``burnin`` is
+``ARCH1_BURNIN``, asks for the whole chunk, since it steps all the paths of
+a call together, one time step at a time, in place.
 ``filter_rows`` is ``ar.filter_rows``, imported here; a record of Wold
 innovations (``LinearModel.companion`` with a root flipped) goes through its
 in-place form ``ar.filter_in_place``, the same bits ``TILE_VALUES`` values
@@ -453,7 +454,7 @@ class LinearModel(RationalProcess):
         return num, den, self.innovations.variance
 
     def simulate(self, n: int, seeds) -> np.ndarray:
-        return _seeded_rows(partial(simulate_ar if self.a else simulate_linear, self), n, seeds)
+        return _seeded_rows(partial(simulate_linear, self), n, seeds)
 
     def companion(self, record_seed: SeedLike):
         """[b~(z) / a(z)] eps, b~ the Wold polynomial of ``wold_factorization``.
@@ -486,6 +487,7 @@ class Arch1Model:
 
     omega: float = 1.0
     alpha1: float = 0.0
+    burnin = ARCH1_BURNIN
 
     def __post_init__(self):
         if not (math.isfinite(self.omega) and self.omega > 0):
@@ -525,25 +527,24 @@ class Arch1Model:
 
 
 def simulate_linear(model: LinearModel, n: int, seed: SeedLike) -> np.ndarray:
-    """The path array of the finite MA X_t = e_t + sum_j b_j e_{t-j},
-    ``model.a`` empty.
+    """The path array of X = [b(z) / a(z)] e: n + ``model.burnin``
+    innovations filtered from zero state, the first ``model.burnin`` outputs,
+    the transient, dropped.
 
-    q pre-sample innovations are drawn so that X_1 already uses a full window.
-    The filter is the full convolution cut to the outputs that see all q + 1
-    taps, the values ``filter_rows`` (and scipy's FIR ``lfilter``) give
-    from its ``np.convolve``.
+    A finite MA goes through one ``np.convolve``, cut to the outputs that see
+    all q + 1 taps, the values ``filter_rows`` (and scipy's FIR ``lfilter``)
+    give; a model with a denominator goes through ``filter_rows``.
     """
-    q = len(model.b)
-    e_full = model.innovations.draw(n + q, seed)
-    return np.convolve(model.filter[0], e_full)[q:n + q]
-
-
-def simulate_ar(model: LinearModel, n: int, seed: SeedLike) -> np.ndarray:
-    """The recursion [b(z) / a(z)] e from zero initial state, as the array of
-    the path; its first ``model.burnin`` values, the transient, are dropped."""
-    b, a, _ = model.filter
+    num, den, _ = model.filter
     drop = model.burnin
-    return filter_rows(b, a, model.innovations.draw(n + drop, seed))[drop:]
+    e = model.innovations.draw(n + drop, seed)
+    if den.size == 1:
+        return np.convolve(num, e)[drop:n + drop]
+    return filter_rows(num, den, e)[drop:]
+
+
+# A second name that ``benchmarks/tracing.py``'s FUNCTION_SPANS looks up.
+simulate_ar = simulate_linear
 
 
 def _seeded_rows(path, width: int, seeds) -> np.ndarray:
@@ -576,7 +577,7 @@ def ma1_example(n: int, seed: SeedLike, innovations: InnovationSpec | None = Non
 def simulate_arch1(model: Arch1Model, n: int, seeds) -> np.ndarray:
     """ARCH(1) recursion x_t = sqrt(omega + alpha1 x_{t-1}^2) z_t from zero
     state, z_t standard normal drawn from ``rng_from(seed)``; the first
-    ``ARCH1_BURNIN`` values are dropped.
+    ``model.burnin`` values are dropped.
 
     Returns a C-contiguous (len(seeds), n) array whose row j is the path of
     seeds[j]. Each path keeps one generator and draws its burn-in multipliers
@@ -593,7 +594,7 @@ def simulate_arch1(model: Arch1Model, n: int, seeds) -> np.ndarray:
     rngs = [rng_from(s) for s in seeds]
     var = np.empty(len(seeds))
     prev = np.zeros(len(seeds))
-    widths = [min(n, ARCH1_BURNIN - t) for t in range(0, ARCH1_BURNIN, n)] + [n]
+    widths = [min(n, model.burnin - t) for t in range(0, model.burnin, n)] + [n]
     with np.errstate(over="ignore", invalid="ignore"):
         for width in widths:
             piece = out[:, :width]

@@ -32,7 +32,6 @@ from pathlib import Path
 import numpy as np
 
 from . import dgp
-from .ar import burnin
 from .companion import companion_distribution
 from .series import kolmogorov_distance, ks_critical_value
 from .sieve import bootstrap_distribution, fit_sieve
@@ -103,7 +102,8 @@ def _memory_estimate(n: int, B: int, M: int, R: int, burnin: int) -> int:
       ARCH(1) block, the whole chunk, draws its burn-in into its own rows.
     - A companion block is one tile of max(TILE_VALUES, n + burnin) values,
       all that ``replicate`` hands ``build_companion`` at once, drawn and
-      then filtered into a copy: two more.
+      then filtered into a copy: two more (fewer for ARCH(1)'s companion,
+      which drops no burn-in).
     - A companion record of COMPANION_RECORD_LENGTH values is drawn and
       then filtered in place, a tile at a time: one per record value.
     - A replication costs 160 bytes: its value in the law and in the
@@ -122,11 +122,11 @@ def _memory_estimate(n: int, B: int, M: int, R: int, burnin: int) -> int:
 
 def _work_estimate(n: int, B: int, M: int, R: int, burnin: int, sieve_burnin: int) -> int:
     """Values a run draws and filters: the data path, the M oracle and R
-    truth paths at n + ``burnin`` (a linear model's companion keeps its
-    denominator, so its burn-in), the companion record, and the B bootstrap
-    paths at n + ``sieve_burnin``, known only once the sieve is fitted.
-    ARCH(1)'s truth paths drop ``dgp.ARCH1_BURNIN`` values more, uncounted:
-    under the memory bound that is below 10^10 values."""
+    truth paths at n + ``burnin``, the model's (a linear model's companion
+    keeps its denominator, so its burn-in; ARCH(1)'s drops none, so its
+    oracle paths are over-counted), the companion record, and the B
+    bootstrap paths at n + ``sieve_burnin``, known only once the sieve is
+    fitted."""
     return ((1 + M + R) * (n + burnin) + B * (n + sieve_burnin)
             + dgp.COMPANION_RECORD_LENGTH)
 
@@ -216,7 +216,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Reject malformed values, each check included, before anything is
-        simulated; run_experiment checks var_close targets once it has them."""
+        simulated; run_experiment checks var_close targets once it has them,
+        and runs the model and statistic parsed here."""
         for f in fields(self):
             kind, noun = _FIELD_KINDS[f.type]
             value = getattr(self, f.name)
@@ -233,13 +234,12 @@ class ExperimentConfig:
         for label, floor in _FLOORS.items():
             if getattr(self, label) < floor:
                 raise ConfigError(f"{label} must be >= {floor}, got {getattr(self, label)}")
-        lag = burnin(*model.filter[:2])
-        need = _memory_estimate(self.n, self.B, self.M, self.R, lag)
+        need = _memory_estimate(self.n, self.B, self.M, self.R, model.burnin)
         if need > _MEMORY_BOUND:
             raise ConfigError(f"n, B, M, R = {self.n}, {self.B}, {self.M}, {self.R} would hold "
                               f"about {need / 2 ** 30:.3g} GiB of arrays at once, above the "
                               f"bound of {_MEMORY_BOUND / 2 ** 30:g} GiB")
-        _check_work(self, lag)
+        _check_work(self, model.burnin)
         try:
             statistic.check_n(self.n)
         except ValueError as exc:
@@ -247,6 +247,8 @@ class ExperimentConfig:
         for i, check in enumerate(self.checks):
             _validate_check(i, check)
         object.__setattr__(self, "checks", tuple(dict(c) for c in self.checks))
+        object.__setattr__(self, "_model", model)
+        object.__setattr__(self, "_statistic", statistic)
 
     @staticmethod
     def from_json(doc, **overrides) -> "ExperimentConfig":
@@ -367,8 +369,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         stages[stage] = time.perf_counter() - start
         return out
 
-    model = dgp.model_from_json(config.dgp)
-    statistic = statistic_from_config(config.statistic)
+    model, statistic = config._model, config._statistic
     seed = config.seed
     n = config.n
     targets = timed("targets", compute_targets, model, statistic)
@@ -382,7 +383,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     data = dgp.check_finite(timed("data", model.simulate, n,
                                   [dgp.derive_seed(seed, dgp.KEY_DATA)])[0])
     sieve = timed("sieve", fit_sieve, data)
-    _check_work(config, burnin(*model.filter[:2]), sieve.burnin)
+    _check_work(config, model.burnin, sieve.burnin)
     boot_law, _ = timed("bootstrap", bootstrap_distribution, sieve, statistic, n, config.B, seed)
     oracle_law, _ = timed("oracle", companion_distribution, spec, statistic, n, config.M, seed)
     truth_law, _ = timed("truth", dgp.replicate, model, statistic, n, config.R, seed,

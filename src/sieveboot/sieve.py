@@ -80,6 +80,4 @@ def bootstrap_distribution(sieve: SieveModel, statistic, n: int, B: int,
     1 / (1 - sum a_k z^k) of the fitted coefficients, driven by the residual
     law.
     """
-    if B < 100:
-        raise ValueError("B must be at least 100")
     return dgp.replicate(sieve, statistic, n, B, seed, dgp.KEY_BOOT)

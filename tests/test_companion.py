@@ -238,8 +238,3 @@ class TestDistribution:
         spec = CompanionSpec([1.0], [1.0, -0.5], InnovationSpec())
         _, theta = companion_distribution(spec, AcvfStatistic(0), n=400, M=300, seed=7)
         assert theta == pytest.approx(1.0 / 0.75)
-
-    def test_minimum_replications(self):
-        spec = CompanionSpec([1.0], [1.0], InnovationSpec())
-        with pytest.raises(ValueError):
-            companion_distribution(spec, MeanStatistic(), n=400, M=50, seed=8)

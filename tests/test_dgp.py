@@ -157,16 +157,21 @@ class TestLinear:
         assert np.array_equal(x, lfilter(np.concatenate([[1.0], b]), [1.0], e_full)[q:])
 
     @pytest.mark.parametrize("family", ["gaussian", "centered_exponential", "centered_uniform"])
-    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, "arma11"])
     def test_ar_is_the_iir_lfilter_bit_for_bit(self, p, family):
-        # a causal a(z): reciprocal roots drawn inside the unit disk
-        den = np.poly(np.random.default_rng(p).uniform(-0.9, 0.9, p))
+        # a causal a(z): reciprocal roots drawn inside the unit disk; or an ARMA(1, 1)
         spec = InnovationSpec(family, 1.3)
-        model = LinearModel(a=tuple(-den[1:]), innovations=spec)
-        drop = burnin([1.0], den)
-        want = lfilter([1.0], den, spec.draw(300 + drop, p))[drop:]
-        assert np.array_equal(_bits(simulate_ar(model, 300, seed=p)), _bits(want))
-        assert np.array_equal(_bits(model.simulate(300, [p])[0]), _bits(want))
+        if p == "arma11":
+            model, seed = LinearModel(b=(0.5,), a=(0.3,), innovations=spec), 5
+        else:
+            den = np.poly(np.random.default_rng(p).uniform(-0.9, 0.9, p))
+            model, seed = LinearModel(a=tuple(-den[1:]), innovations=spec), p
+        num, den, _ = model.filter
+        drop = burnin(num, den)
+        want = lfilter(num, den, spec.draw(300 + drop, seed))[drop:]
+        for simulate in (simulate_ar, simulate_linear):
+            assert np.array_equal(_bits(simulate(model, 300, seed=seed)), _bits(want))
+        assert np.array_equal(_bits(model.simulate(300, [seed])[0]), _bits(want))
 
     def test_ma1_variance(self):
         x = simulate_linear(LinearModel(b=(-2.0,)), 200_000, seed=4)

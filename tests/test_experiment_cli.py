@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import sieveboot
-from sieveboot import experiment
+from sieveboot import dgp, experiment
 from sieveboot.ar import ConditioningError
 from sieveboot.cli import main
 from sieveboot.experiment import (
@@ -64,10 +64,10 @@ class TestConfig:
             ExperimentConfig.from_json({"name": "x"})
 
     def test_scale_floors(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_json({**TINY_CONFIG, "n": 50})
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_json({**TINY_CONFIG, "B": 100})
+        # experiment._FLOORS: each size and the seed one below its floor is rejected
+        for label, floor in (("n", 100), ("B", 200), ("M", 200), ("R", 200), ("seed", 0)):
+            with pytest.raises(ConfigError, match=f"{label} must be >= {floor}, got {floor - 1}"):
+                ExperimentConfig.from_json({**TINY_CONFIG, label: floor - 1})
 
     def test_overrides(self):
         cfg = ExperimentConfig.from_json(TINY_CONFIG, seed=99)
@@ -378,19 +378,24 @@ class TestFailFast:
             ExperimentConfig.from_json(
                 {**persistent, "dgp": {"family": "ar", "coefficients": [1 - 1e-7]}})
 
-    def test_work_bound_admits_its_boundary(self, monkeypatch, no_simulation):
-        # TINY_CONFIG's MA(1) paths drop q = 1 value: 401 data, oracle and truth
-        # paths of 201 values, 200 bootstrap paths of 200 before the fit, and
-        # the 10^6-value companion record
+    # TINY_CONFIG's MA(1) paths drop q = 1 value and ARCH(1)'s drop 1000: 401
+    # data, oracle and truth paths of 201 or 1200 values, 200 bootstrap paths of
+    # 200 before the fit, and the 10^6-value companion record
+    @pytest.mark.parametrize("dgp_doc, burnin, work", [
+        (TINY_CONFIG["dgp"], 1, 401 * 201 + 200 * 200 + 10 ** 6),
+        ({"family": "arch1", "coefficients": [1.0, 0.3]}, 1000, 401 * 1200 + 200 * 200 + 10 ** 6),
+    ], ids=["ma1", "arch1"])
+    def test_work_bound_admits_its_boundary(self, monkeypatch, no_simulation, dgp_doc, burnin,
+                                            work):
         monkeypatch.setattr(experiment, "companion_spec_for", _accept)
-        work = 401 * 201 + 200 * 200 + 10 ** 6
-        assert experiment._work_estimate(200, 200, 200, 200, 1, 0) == work
+        config = {**TINY_CONFIG, "dgp": dgp_doc}
+        assert experiment._work_estimate(200, 200, 200, 200, burnin, 0) == work
         monkeypatch.setattr(experiment, "_WORK_BOUND", work)
         with pytest.raises(_Accepted):
-            run_experiment(ExperimentConfig.from_json(TINY_CONFIG))
+            run_experiment(ExperimentConfig.from_json(config))
         monkeypatch.setattr(experiment, "_WORK_BOUND", work - 1)
-        with pytest.raises(ConfigError, match=r"about 1\.12e\+06 values, above the bound"):
-            ExperimentConfig.from_json(TINY_CONFIG)
+        with pytest.raises(ConfigError, match=re.escape(f"about {work:.3g} values, above")):
+            ExperimentConfig.from_json(config)
 
     def test_work_bound_counts_the_fitted_sieve_before_its_first_path(self, monkeypatch):
         monkeypatch.setattr(SieveModel, "simulate", _no_simulation)
@@ -660,6 +665,23 @@ def report(tmp_path_factory):
 
 
 class TestRunExperiment:
+    def test_a_run_parses_its_model_and_statistic_once(self, monkeypatch):
+        calls = {"model": 0, "statistic": 0}
+
+        def counted(name, parse):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return parse(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(dgp, "model_from_json", counted("model", dgp.model_from_json))
+        monkeypatch.setattr(experiment, "statistic_from_config",
+                            counted("statistic", experiment.statistic_from_config))
+        monkeypatch.setattr(experiment, "companion_spec_for", _accept)
+        with pytest.raises(_Accepted):
+            run_experiment(ExperimentConfig.from_json(TINY_CONFIG))
+        assert calls == {"model": 1, "statistic": 1}
+
     def test_report_contents(self, report):
         rep, _ = report
         assert set(rep.variances) == {"bootstrap", "oracle", "truth"}

@@ -176,10 +176,6 @@ class TestBootstrapDistribution:
         law2, _ = bootstrap_distribution(m, MeanStatistic(), 600, B=150, seed=12)
         assert np.array_equal(law1.sample, law2.sample)
 
-    def test_minimum_replications(self):
-        with pytest.raises(ValueError):
-            bootstrap_distribution(fit_sieve(ar1_data(500)), MeanStatistic(), 500, B=50, seed=13)
-
 
 class TestPopulationSieve:
     """The AR(4) sieve that the order cap allows at n = 2000, fitted to the
