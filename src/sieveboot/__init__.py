@@ -47,11 +47,6 @@ from .sieve import (
     order_cap,
 )
 from .companion import companion_distribution
-from .spectral import (
-    fourier_quadrature,
-    periodogram,
-    rational_spectral_density,
-)
 from .statistics import (
     AcfStatistic,
     AcvfStatistic,
@@ -60,8 +55,11 @@ from .statistics import (
     RatioStatistic,
     SpectralDensityStatistic,
     Statistic,
+    fourier_quadrature,
     linear_limit_variance,
+    periodogram,
     rational_acvf,
+    rational_spectral_density,
     statistic_from_config,
 )
 from .experiment import (

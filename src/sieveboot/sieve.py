@@ -27,9 +27,9 @@ __all__ = [
 
 
 def order_cap(n: int) -> int:
-    """Largest admissible sieve order: floor((n / ln n)^(1/4)), at least 1."""
-    cap = int(math.floor((n / math.log(n)) ** 0.25))
-    return max(1, min(cap, n // 2 - 1))
+    """Largest admissible sieve order: floor((n / ln n)^(1/4)), at least 1 for
+    n >= 2, where n / ln n >= e."""
+    return int(math.floor((n / math.log(n)) ** 0.25))
 
 
 class SieveModel(dgp.CompanionSpec):

@@ -13,8 +13,7 @@ from sieveboot.ar import impulse_response, levinson_durbin, root_radius
 from sieveboot.dgp import InnovationSpec, ma1_example
 from sieveboot.experiment import preset_config, run_experiment
 from sieveboot.series import ks_critical_value, sample_acvf
-from sieveboot.spectral import periodogram
-from sieveboot.statistics import IntegratedPeriodogramStatistic
+from sieveboot.statistics import IntegratedPeriodogramStatistic, periodogram
 
 MA1_GAMMA = np.concatenate([[5.0, -2.0], np.zeros(40)])
 

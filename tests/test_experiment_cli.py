@@ -545,8 +545,13 @@ _WORKED = {"family": "linear", "coefficients": [-2.0],
            "innovation": {"family": "centered_exponential"}}
 _WORKED_GAUSSIAN = {**_WORKED, "innovation": {"family": "gaussian"}}
 # (model, statistic, exit code, the lines ``sieveboot asymptotics`` prints,
-# or for exit 2 the start of its error line)
+# each matched whole, or for exit 2 the start of its error line)
 CLOSED_FORM_LINES = [
+    pytest.param(_WORKED, {"name": "acvf", "lag": 0}, 0,
+                 ["acvf_variance_linear = 216", "acvf_variance_companion = 126"], id="worked-acvf"),
+    pytest.param({**_WORKED, "coefficients": [-2.0, 0.0]}, {"name": "acvf", "lag": 0}, 0,
+                 ["acvf_variance_linear = 216", "acvf_variance_companion = 126"],
+                 id="worked-acvf-trailing-zero"),
     pytest.param(_ar(0.5, "centered_exponential"), {"name": "acvf", "lag": 0}, 0,
                  ["acvf_variance_linear = 16.59259259", "acvf_variance_companion = 16.59259259"],
                  id="ar1-exponential"),
@@ -899,8 +904,7 @@ class TestCli:
 
     @pytest.mark.parametrize("model, stat, code, lines", CLOSED_FORM_LINES)
     def test_asymptotics_prints_the_closed_forms(self, capsys, model, stat, code, lines):
-        # the lines the workflow's closed-form steps match whole, or for exit 2
-        # the start of the one error line
+        # each line matched whole, or for exit 2 the start of the one error line
         assert main(["asymptotics", "--model", json.dumps(model),
                      "--statistic", json.dumps(stat)]) == code
         out, err = capsys.readouterr()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sieveboot import dgp, spectral
+from sieveboot import dgp, statistics
 from sieveboot.dgp import (
     KEY_TRUTH,
     InnovationSpec,
@@ -13,19 +13,17 @@ from sieveboot.dgp import (
     simulate_linear,
 )
 from sieveboot.series import sample_acvf
-from sieveboot.spectral import (
+from sieveboot.statistics import (
     KERNEL_L2_NORM_SQ,
+    IntegratedPeriodogramStatistic,
+    RatioStatistic,
+    SpectralDensityStatistic,
     epanechnikov,
     fourier_quadrature,
     periodogram,
     rational_spectral_density,
-    weighted_quadrature,
-)
-from sieveboot.statistics import (
-    IntegratedPeriodogramStatistic,
-    RatioStatistic,
-    SpectralDensityStatistic,
     statistic_from_config,
+    weighted_quadrature,
 )
 
 
@@ -169,7 +167,7 @@ def _inline_ratio(s, h):
 
 def _read_only_arrays(n, bandwidth, lam, h):
     return [*fourier_quadrature(n), weighted_quadrature(h, n),
-            spectral._even_fold(n), spectral._kernel_weights(bandwidth, lam, n)]
+            statistics._even_fold(n), statistics._kernel_weights(bandwidth, lam, n)]
 
 
 class TestCachedArrays:
@@ -241,10 +239,10 @@ class TestCachedArrays:
         by_length = [_read_only_arrays(n, 0.4, np.pi / 2, 1) for n in (63, 64)]
         for a, b in zip(*by_length):
             assert a.size != b.size
-        narrow = spectral._kernel_weights(0.3, np.pi / 2, 64)
-        wide = spectral._kernel_weights(0.4, np.pi / 2, 64)
+        narrow = statistics._kernel_weights(0.3, np.pi / 2, 64)
+        wide = statistics._kernel_weights(0.4, np.pi / 2, 64)
         assert narrow is not wide and not np.array_equal(narrow, wide)
-        other = spectral._kernel_weights(0.4, np.pi / 4, 64)
+        other = statistics._kernel_weights(0.4, np.pi / 4, 64)
         assert not np.array_equal(other, wide)
         assert not np.array_equal(weighted_quadrature(2, 64), weighted_quadrature(1, 64))
 
