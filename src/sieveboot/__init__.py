@@ -15,36 +15,34 @@ from .series import (
     ks_critical_value,
     sample_acvf,
 )
-from .ar import (
-    ConditioningError,
-    InversionError,
-    impulse_response,
-    levinson_durbin,
-    residuals,
-    root_radius,
-    wold_factorization,
-)
 from .dgp import (
     Arch1Model,
     CompanionSpec,
     InnovationSpec,
+    InversionError,
     LinearModel,
     ResampledRecord,
     build_companion,
     derive_seed,
+    impulse_response,
     ma1_example,
     model_from_json,
     replicate,
+    root_radius,
     simulate_ar,
     simulate_arch1,
     simulate_linear,
+    wold_factorization,
 )
 from .sieve import (
+    ConditioningError,
     SieveModel,
     bootstrap_distribution,
     fit_sieve,
     generate_bootstrap_series,
+    levinson_durbin,
     order_cap,
+    residuals,
 )
 from .companion import companion_distribution
 from .statistics import (

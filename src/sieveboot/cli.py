@@ -13,7 +13,6 @@ statistic, so a predicted bootstrap failure that does occur still exits 0.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .dgp import model_from_json
@@ -78,7 +77,7 @@ def _print_report(report) -> None:
 def _cmd_asymptotics(args) -> int:
     model = model_from_json(load_json(args.model))
     stat_doc = args.statistic.strip()
-    stat_cfg = json.loads(stat_doc) if stat_doc.startswith(("{", "[")) else {"name": stat_doc}
+    stat_cfg = load_json(stat_doc) if stat_doc.startswith(("{", "[")) else {"name": stat_doc}
     statistic = statistic_from_config(stat_cfg)
     targets = compute_targets(model, statistic)
     if not targets:

@@ -3,8 +3,18 @@ noninvertible MA(1) worked example with its Wold innovations, and ARCH(1);
 ``CompanionSpec``, the rational filter [num(z) / den(z)] eps with num and den
 free of roots in the closed unit disk, which is each model's companion and,
 as ``sieve.SieveModel``, the fitted sieve, and ``build_companion``, which
-simulates it; the two i.i.d. noise laws; and the one replication loop,
-``replicate``, shared by the bootstrap, the oracle and the truth.
+simulates it; the two i.i.d. noise laws; the one replication loop,
+``replicate``, shared by the bootstrap, the oracle and the truth; and their
+filter algebra: [b(z) / a(z)] x, into a new array or in place, its impulse
+response, the Wold factorization of a finite MA, and the root radius, which
+decides whether a polynomial has a root in the closed unit disk and how many
+lags an impulse response takes to settle.
+
+Conventions: an AR model of order p, X_t = sum_k a_k X_{t-k} + e_t, is causal
+when A_p(z) = 1 - sum_k a_k z^k has all its roots outside the closed unit
+disk. ``sieve``'s ``levinson_durbin`` and ``residuals`` take the a_k; every
+function here takes a polynomial 1 + c_1 z + ... + c_p z^p as the array
+(1, c_1, .., c_p) a filter holds.
 
 Noise protocol: an i.i.d. law -- an ``InnovationSpec`` family or a
 ``ResampledRecord`` -- has ``variance`` and ``draw(size, seed)``, ``size``
@@ -27,28 +37,27 @@ call. One rule groups paths: ``replicate`` splits a law's seeds into tiles,
 and a process simulates exactly the seeds it is handed, in one piece, with
 no grouping of its own. A rational filter -- a ``LinearModel`` or a
 ``CompanionSpec`` -- is a ``RationalProcess``, the one base that gives it
-``burnin``, found once: the ``ar.burnin(num, den)`` leading values a
+``burnin``, found once: the ``burnin(num, den)`` leading values a
 zero-state path drops, q for a finite filter plus the lags den's root radius
-takes to fall below ``ar.SETTLE_TOL``; and ``tile_rows(n) = max(1,
+takes to fall below ``SETTLE_TOL``; and ``tile_rows(n) = max(1,
 TILE_VALUES // (n + burnin))``. Each keeps its own ``simulate``:
 ``LinearModel`` fills its block one ``simulate_linear`` call per seed, and a
 ``CompanionSpec`` draws its rows and filters them in one ``filter_rows``
 call (``lfilter`` bit for bit). ``Arch1Model``, whose ``burnin`` is
 ``ARCH1_BURNIN``, asks for the whole chunk, since it steps all the paths of
-a call together, one time step at a time, in place.
-``filter_rows`` is ``ar.filter_rows``, imported here; a record of Wold
-innovations (``LinearModel.companion`` with a root flipped) goes through its
-in-place form ``ar.filter_in_place``, the same bits ``TILE_VALUES`` values
-at a time, so the record is held once. ``replicate`` hashes the seeds of
-consecutive chunks of ``max(1, BATCH_VALUES // n)`` paths in one
-``derive_seeds`` call each, then hands the process a tile of ``tile_rows(n)``
-of those seeds per ``simulate`` call; it checks that tile's block finite
-once, hands it to the statistic's ``transform`` once -- the block itself, or
-one FFT of it for a spectral statistic -- and evaluates the statistic once
-per row of what that returns, before it simulates the next tile. Neither the
-chunk nor the tile changes a bit of any path. A path is a plain 1-d float
-array, a row of a block; an experiment's data path passes the same
-``check_finite`` as every block.
+a call together, one time step at a time, in place. A record of Wold
+innovations (``LinearModel.companion`` with a root flipped) goes through the
+in-place form of ``filter_rows``, ``filter_in_place``, the same bits
+``TILE_VALUES`` values at a time, so the record is held once. ``replicate``
+hashes the seeds of consecutive chunks of ``max(1, BATCH_VALUES // n)``
+paths in one ``derive_seeds`` call each, then hands the process a tile of
+``tile_rows(n)`` of those seeds per ``simulate`` call; it checks that tile's
+block finite once, hands it to the statistic's ``transform`` once -- the
+block itself, or one FFT of it for a spectral statistic -- and evaluates the
+statistic once per row of what that returns, before it simulates the next
+tile. Neither the chunk nor the tile changes a bit of any path. A path is a
+plain 1-d float array, a row of a block; an experiment's data path passes
+the same ``check_finite`` as every block.
 
 Seeding: every simulator is deterministic given (model, n, seed). Distinct
 replications must use distinct derived seeds; the canonical derivation rule is
@@ -65,16 +74,18 @@ a SeedSequence per path.
 """
 from __future__ import annotations
 
-import json
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
+from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from .ar import burnin, check_roots_outside_disk, filter_in_place, filter_rows, wold_factorization
 from .series import EmpiricalLaw
 
 __all__ = [
@@ -99,7 +110,14 @@ __all__ = [
     "ma1_example",
     "simulate_arch1",
     "ARCH1_BURNIN",
+    "InversionError",
     "filter_rows",
+    "filter_in_place",
+    "impulse_response",
+    "root_radius",
+    "check_roots_outside_disk",
+    "burnin",
+    "wold_factorization",
     "model_from_json",
 ]
 
@@ -371,13 +389,188 @@ class ResampledRecord:
         return self.values[rng_from(seed).integers(0, self.values.size, size)]
 
 
+class InversionError(ValueError):
+    """Raised when an AR polynomial has a root in the closed unit disk."""
+
+
+# scipy's compiled filter kernel lives in this extension module. Loading it
+# from its file spares ``import scipy.signal``, which would load the whole
+# signal-processing package (and scipy.stats) for this one function.
+_SIGTOOLS = "scipy.signal._sigtools"
+
+
+def _sigtools_path() -> Path:
+    """The file of scipy's ``_sigtools`` extension, found without importing scipy."""
+    folder = Path(importlib.util.find_spec("scipy").origin).parent / "signal"
+    candidates = [folder / f"_sigtools{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    return next((path for path in candidates if path.is_file()), candidates[0])
+
+
+def _load_linear_filter(path: Path):
+    """``_linear_filter`` of the ``_sigtools`` extension at ``path``, or that
+    of ``scipy.signal`` itself when the file cannot be loaded."""
+    loader = importlib.machinery.ExtensionFileLoader(_SIGTOOLS, str(path))
+    previous = sys.modules.get(_SIGTOOLS)
+    try:
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_SIGTOOLS, loader))
+        loader.exec_module(module)
+    except ImportError:
+        module = None
+    finally:
+        # An extension module enters sys.modules as it loads; leave sys.modules
+        # as it was, so that a later ``import scipy.signal`` runs as usual.
+        if previous is None:
+            sys.modules.pop(_SIGTOOLS, None)
+        else:
+            sys.modules[_SIGTOOLS] = previous
+    if module is None:
+        from scipy.signal import _sigtools as module
+    return module._linear_filter
+
+
+@cache
+def _linear_filter():
+    loaded = sys.modules.get(_SIGTOOLS)
+    return loaded._linear_filter if loaded is not None else _load_linear_filter(_sigtools_path())
+
+
+def filter_rows(b, a, x) -> np.ndarray:
+    """The rational filter [b(z) / a(z)] x along the last axis of x, from zero
+    state, with a[0] == 1: bit for bit ``scipy.signal.lfilter(b, a, x,
+    axis=-1)`` on float64 input, through the code that lfilter runs.
+
+    A finite filter (a == [1]) is lfilter's FIR branch, ``np.convolve(b, row)``
+    cut to the row's length, row by row. A recursive one is lfilter's IIR
+    branch, the compiled ``_linear_filter`` of scipy's ``_sigtools``.
+    """
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if a[0] != 1.0:
+        raise ValueError(f"the filter denominator must start with 1, got {a[0]!r}")
+    if a.size > 1:
+        return _linear_filter()(b, a, x, -1)
+    out = np.empty(x.shape)
+    width = x.shape[-1]
+    for dst, row in zip(out.reshape(-1, width), x.reshape(-1, width)):
+        dst[:] = np.convolve(b, row)[:width]
+    return out
+
+
+def filter_in_place(b, a, x: np.ndarray, piece: int) -> np.ndarray:
+    """The 1-d float64 array x itself, overwritten with the recursive filter
+    [b(z) / a(z)] x from zero state, a[0] == 1 and a.size > 1: bit for bit
+    ``filter_rows(b, a, x)``, with one piece of output held at a time in
+    place of a copy of x.
+
+    x goes through scipy's ``_linear_filter`` ``piece`` values at a time,
+    each piece starting from the filter state the one before it left.
+    """
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if a[0] != 1.0 or a.size == 1:
+        raise ValueError(f"the filter denominator must start with 1 and have degree >= 1, "
+                         f"got {a!r}")
+    kernel, state = _linear_filter(), np.zeros(max(a.size, b.size) - 1)
+    for lo in range(0, x.size, piece):
+        x[lo:lo + piece], state = kernel(b, a, x[lo:lo + piece], -1, state)
+    return x
+
+
+_ROOT_MARGIN = 1e-12  # a reciprocal root r with |r| (1 + margin) >= 1 is in the closed disk
+SETTLE_TOL = 1e-18  # share of its start at which a zero-state transient counts as over
+
+
+def root_radius(poly) -> float:
+    """Largest |1/z| over the roots z of the polynomial 1 + c_1 z + ... + c_p z^p,
+    given as (1, c_1, .., c_p), and 0 for p = 0: it has a root in the closed
+    unit disk iff this is at least 1.
+
+    The 1/z are the roots of the monic z^p + c_1 z^(p-1) + ... + c_p, which
+    ``np.roots`` reads from the same array: its companion matrix holds the c_k
+    themselves, where one for the roots z would be scaled by 1/c_p, whose
+    rounding swamps roots near the circle when c_p is small.
+    """
+    return float(np.abs(np.roots(np.asarray(poly, dtype=float))).max(initial=0.0))
+
+
+def check_roots_outside_disk(poly, name: str = "AR polynomial") -> float:
+    """The root radius of the polynomial (1, c_1, .., c_p); raise
+    InversionError when it has a root in the closed unit disk, a root radius
+    within _ROOT_MARGIN of 1 counting as one."""
+    radius = root_radius(poly)
+    if radius * (1.0 + _ROOT_MARGIN) >= 1.0:
+        raise InversionError(f"{name} has a root in the closed unit disk")
+    return radius
+
+
+def _settle_lag(rho: float, tol: float) -> int:
+    """The first t >= 1 with rho^t < tol, for 0 <= rho < 1 and 0 < tol < 1."""
+    return int(math.log(tol) / math.log(rho)) + 1 if rho > 0 else 1
+
+
+def burnin(num, den) -> int:
+    """The leading outputs a zero-state path of num(z) / den(z) drops: q pre-sample draws,
+    plus, when den != 1, the first t with rho^t < SETTLE_TOL, rho the root radius of den."""
+    lag = _settle_lag(root_radius(den), SETTLE_TOL)
+    return np.size(num) - 1 + (lag if np.size(den) > 1 else 0)
+
+
+def impulse_response(num, den, length: int) -> np.ndarray:
+    """psi_0..psi_{length - 1} of num(z) / den(z) = sum_j psi_j z^j, den[0]
+    == 1: one ``filter_rows`` call on a unit impulse. Raises InversionError
+    when den has a root in the closed unit disk."""
+    check_roots_outside_disk(den, "filter denominator")
+    impulse = np.zeros(length)
+    impulse[0] = 1.0
+    return filter_rows(num, den, impulse)
+
+
+def wold_factorization(b, sigma2: float = 1.0):
+    """(b~, sigma2_eps, psi): reflect every root z_i of the MA polynomial
+    b(z) = 1 + b_1 z + ... + b_q z^q inside the unit disk to 1 / conj(z_i).
+
+    X = b(z) e, Var(e) = sigma2, is then b~(z) eps with b~ the Wold
+    polynomial and eps = [b(z) / b~(z)] e the Wold innovations: b / b~ is
+    all-pass with gain prod |z_i|^-1, so eps is white, not i.i.d. unless no
+    root flips, with variance sigma2_eps = sigma2 prod |z_i|^-2. psi is the
+    response of b / b~ over q + lag + 1 taps, lag the first t with
+    rho^t < SETTLE_TOL for rho the largest flipped-root modulus: past psi.size - 1
+    outputs from zero state, b / b~ misses earlier inputs by weights below
+    that. With no root flipped, b comes back as it is, with psi = (1,).
+    Raises ValueError naming a root on the unit circle, where the spectral
+    density vanishes, or a flipped root so near it that lag > 10^4.
+    """
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if b[0] != 1.0:
+        raise ValueError(f"an MA polynomial must start with 1, got {b[0]!r}")
+    r = np.roots(b)  # b(z) = prod_i (1 - r_i z), roots z_i = 1 / r_i
+    size = np.abs(r)
+    on_circle = (size * (1.0 + _ROOT_MARGIN) >= 1.0) & (size <= 1.0 + _ROOT_MARGIN)
+    if on_circle.any():
+        raise ValueError(f"MA polynomial has a root on the unit circle, z = "
+                         f"{1.0 / r[on_circle][0]:.6g}; its spectral density vanishes there, "
+                         "so it has no AR(infinity) form")
+    inside = size > 1.0
+    if not inside.any():
+        return b, sigma2, np.ones(1)
+    rho = 1.0 / size[inside].min()
+    lag = _settle_lag(rho, SETTLE_TOL)
+    if lag > 10 ** 4:  # rho above SETTLE_TOL^(1 / 10^4), about 0.9959
+        raise ValueError(f"MA polynomial has a root of modulus {rho:.12g}, too close to the unit "
+                         f"circle: its Wold filter would take {lag} lags to settle")
+    num = np.poly(np.where(inside, 1.0 / np.conj(r), r)).real
+    psi = impulse_response(b, num, b.size + lag)
+    return num, sigma2 * float(np.prod(size[inside] ** 2)), psi
+
+
 class RationalProcess:
     """A rational filter X = [num(z) / den(z)] eps: the base of ``LinearModel``
     and ``CompanionSpec``, which give its ``filter`` and ``simulate``."""
 
     @cached_property
     def burnin(self) -> int:
-        """``ar.burnin`` of the filter, found once per process."""
+        """``burnin`` of the filter, found once per process."""
         return burnin(*self.filter[:2])
 
     def tile_rows(self, n: int) -> int:
@@ -623,16 +816,14 @@ def _number(value, name: str) -> float:
 
 
 def model_from_json(doc):
-    """The model of a JSON document, given as a string or a dict: ``linear``
-    coefficients are b, ``ar`` coefficients a, of a ``LinearModel``.
+    """The model of a decoded JSON document: ``linear`` coefficients are b,
+    ``ar`` coefficients a, of a ``LinearModel``.
 
     Raises ValueError, naming the field, on an unknown family or key,
     coefficients that are not a list of numbers ([omega, alpha1] for arch1),
     an innovation that is not an object of family and scale, a number too
     large for a float, or a value the model's constructor rejects.
     """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
     if not isinstance(doc, dict):
         raise ValueError(f"model must be an object, got {doc!r}")
     family = doc.get("family")

@@ -147,12 +147,17 @@ def _check_work(config, burnin: int, sieve_burnin: int | None = None) -> None:
 
 def load_json(doc):
     """A JSON document given as text starting with '{' or '[', or the path of
-    a file holding one; anything else (a mapping) is returned as it is."""
-    if isinstance(doc, str) and doc.lstrip().startswith(("{", "[")):
-        return json.loads(doc)
-    if isinstance(doc, (str, Path)):
-        return json.loads(Path(doc).read_text())
-    return doc
+    a file holding one; anything else (a mapping) is returned as it is. The
+    one decoder of outside JSON text: it raises ConfigError on text nested
+    too deeply to decode."""
+    if not isinstance(doc, (str, Path)):
+        return doc
+    is_text = isinstance(doc, str) and doc.lstrip().startswith(("{", "["))
+    text = doc if is_text else Path(doc).read_text()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ConfigError("JSON document is nested too deeply to decode") from None
 
 
 def _validate_check(i: int, check) -> None:
@@ -359,7 +364,10 @@ def _evaluate_check(check: dict, variances: dict, dk: dict, targets: dict) -> di
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) -> Report:
-    """Run one full three-way comparison and (optionally) persist the report."""
+    """Run one full three-way comparison and (optionally) persist the report.
+    ``out_dir`` is made first, so an unusable one fails before any path."""
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     stages = {}
 

@@ -6,6 +6,12 @@ i.i.d., regenerate series from the fitted recursion, and collect the law of
 the scaled, model-centered statistic. The fitted sieve is its own bootstrap
 process: a ``SieveModel`` is the ``dgp.CompanionSpec`` of the fitted filter
 1 / (1 - sum a_k z^k) driven by a ``ResampledRecord`` of the residuals.
+
+Conventions: an AR model of order p, X_t = sum_k a_k X_{t-k} + e_t, is causal
+when A_p(z) = 1 - sum_k a_k z^k has all its roots outside the closed unit
+disk. ``levinson_durbin`` and ``residuals`` take the a_k; every function of
+``dgp`` takes a polynomial 1 + c_1 z + ... + c_p z^p as the array
+(1, c_1, .., c_p) a filter holds.
 """
 from __future__ import annotations
 
@@ -14,16 +20,70 @@ import math
 import numpy as np
 
 from . import dgp
-from .ar import levinson_durbin, residuals
-from .series import sample_acvf
+from .series import DegenerateSeriesError, sample_acvf
 
 __all__ = [
+    "ConditioningError",
     "SieveModel",
+    "levinson_durbin",
+    "residuals",
     "order_cap",
     "fit_sieve",
     "generate_bootstrap_series",
     "bootstrap_distribution",
 ]
+
+
+class ConditioningError(ArithmeticError):
+    """Raised when the Yule-Walker system is numerically singular."""
+
+
+def levinson_durbin(gamma: np.ndarray, p: int):
+    """Levinson-Durbin recursion on gamma(0..p).
+
+    Returns (a, sigma2s) where ``a`` are the order-p coefficients and
+    ``sigma2s[k]`` is the prediction variance of the order-k fit, k = 0..p.
+    Aborts when a prediction-variance iterate drops below 1e-12 * gamma(0).
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.size < p + 1:
+        raise ValueError("need gamma(0..p) to fit order p")
+    if gamma[0] <= 0:
+        raise DegenerateSeriesError("gamma(0) must be positive")
+    floor = 1e-12 * gamma[0]
+    sigma2s = np.empty(p + 1)
+    sigma2s[0] = gamma[0]
+    a = np.zeros(0)
+    for k in range(1, p + 1):
+        acc = gamma[k] - np.dot(a, gamma[k - 1 : 0 : -1]) if k > 1 else gamma[1]
+        phi = acc / sigma2s[k - 1]
+        a = np.concatenate([a - phi * a[::-1], [phi]])
+        sigma2s[k] = sigma2s[k - 1] * (1.0 - phi * phi)
+        if sigma2s[k] < floor:
+            raise ConditioningError(
+                f"prediction variance collapsed at order {k}: {sigma2s[k]:.3e}"
+            )
+    return a, sigma2s
+
+
+def residuals(x: np.ndarray, a) -> np.ndarray:
+    """Centered residuals X_t - sum_j a_j X_{t-j}, t > p, of the AR
+    coefficients a = (a_1..a_p) on the path x.
+
+    The output has mean zero to machine precision (the mean is removed twice
+    to absorb rounding of the first pass).
+    """
+    a = np.asarray(a, dtype=float)
+    n, p = x.size, a.size
+    if n <= p:
+        raise ValueError(f"series length {n} must exceed fit order {p}")
+    if p == 0:
+        res = x.copy()
+    else:
+        res = x[p:] - np.correlate(x, a[::-1], mode="valid")[:-1]
+    res = res - res.mean()
+    res -= res.mean()
+    return res
 
 
 def order_cap(n: int) -> int:

@@ -35,8 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ar import _settle_lag, check_roots_outside_disk, impulse_response
-from .dgp import _number
+from .dgp import _number, _settle_lag, check_roots_outside_disk, impulse_response
 from .series import DegenerateSeriesError, _centered
 
 __all__ = [

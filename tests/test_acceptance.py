@@ -9,10 +9,10 @@ import pytest
 from scipy.linalg import toeplitz
 from scipy.stats import norm
 
-from sieveboot.ar import impulse_response, levinson_durbin, root_radius
-from sieveboot.dgp import InnovationSpec, ma1_example
+from sieveboot.dgp import InnovationSpec, impulse_response, ma1_example, root_radius
 from sieveboot.experiment import preset_config, run_experiment
 from sieveboot.series import ks_critical_value, sample_acvf
+from sieveboot.sieve import levinson_durbin
 from sieveboot.statistics import IntegratedPeriodogramStatistic, periodogram
 
 MA1_GAMMA = np.concatenate([[5.0, -2.0], np.zeros(40)])

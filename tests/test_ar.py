@@ -4,21 +4,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
-from sieveboot.ar import (
+from sieveboot.dgp import (
     SETTLE_TOL,
-    ConditioningError,
+    InnovationSpec,
     InversionError,
+    LinearModel,
+    build_companion,
     burnin,
     check_roots_outside_disk,
     impulse_response,
-    levinson_durbin,
-    residuals,
     root_radius,
+    simulate_linear,
     wold_factorization,
 )
-from sieveboot.dgp import InnovationSpec, LinearModel, build_companion, simulate_linear
 from sieveboot.series import sample_acvf
-from sieveboot.sieve import fit_sieve
+from sieveboot.sieve import ConditioningError, fit_sieve, levinson_durbin, residuals
 from sieveboot.statistics import rational_acvf
 
 MA1_GAMMA = np.concatenate([[5.0, -2.0], np.zeros(59)])  # gamma of X_t = e_t - 2 e_{t-1}

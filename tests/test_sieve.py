@@ -3,11 +3,11 @@ import pytest
 from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
-from sieveboot.ar import burnin, levinson_durbin, residuals
 from sieveboot.dgp import (
     CompanionSpec,
     InnovationSpec,
     LinearModel,
+    burnin,
     rng_from,
     simulate_ar,
     simulate_linear,
@@ -19,7 +19,9 @@ from sieveboot.sieve import (
     bootstrap_distribution,
     fit_sieve,
     generate_bootstrap_series,
+    levinson_durbin,
     order_cap,
+    residuals,
 )
 from sieveboot.statistics import AcvfStatistic, MeanStatistic
 
