@@ -39,13 +39,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment from a JSON config")
     p_run.add_argument("--config", required=True, help="path to a JSON experiment config")
-    p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--out", default=None, help="output directory for report/summary/laws")
 
     p_preset = sub.add_parser("preset", help="run a built-in experiment")
     p_preset.add_argument("name", help="preset name (see `sieveboot list`)")
-    p_preset.add_argument("--seed", type=int, default=None, help="override the preset seed")
-    p_preset.add_argument("--out", default=None, help="output directory for report/summary/laws")
+
+    for p, source in ((p_run, "config"), (p_preset, "preset")):
+        p.add_argument("--seed", type=int, default=None, help=f"override the {source} seed")
+        p.add_argument("--out", default=None, help="output directory for report/summary/laws")
 
     sub.add_parser("list", help="list built-in presets")
 
@@ -102,12 +102,10 @@ def main(argv=None) -> int:
             report = run_experiment(config, args.out)
             _print_report(report)
             return 0 if report.all_as_expected else 1
-        if args.command == "asymptotics":
-            return _cmd_asymptotics(args)
+        return _cmd_asymptotics(args)  # the one command left
     except (ConfigError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

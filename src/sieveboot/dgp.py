@@ -18,7 +18,7 @@ function here takes a polynomial 1 + c_1 z + ... + c_p z^p as the array
 
 Noise protocol: an i.i.d. law -- an ``InnovationSpec`` family or a
 ``ResampledRecord`` -- has ``variance`` and ``draw(size, seed)``, ``size``
-draws from ``rng_from(seed)``.
+draws from ``np.random.default_rng(seed)``.
 
 Model protocol: a DGP model is a process (below) with ``companion(seed)``,
 its companion process as a ``CompanionSpec``, and ``kurtoses``, the excess
@@ -68,9 +68,9 @@ in, so a law does not depend on the chunk size. ``replicate`` gets those
 seeds from ``derive_seeds(seed, key, lo, hi)``, which runs numpy's
 SeedSequence hash over a whole chunk of indices at once, as uint32 array
 arithmetic, and returns one ``PathSeed`` per path: the four uint64 words that
-path's SeedSequence gives PCG64. ``rng_from`` of a ``PathSeed`` is therefore
-the generator of ``derive_seed(seed, key, i)`` bit for bit, built without
-a SeedSequence per path.
+path's SeedSequence gives PCG64. ``np.random.default_rng`` of a ``PathSeed``
+is therefore the generator of ``derive_seed(seed, key, i)`` bit for bit,
+built without a SeedSequence per path.
 """
 from __future__ import annotations
 
@@ -104,7 +104,6 @@ __all__ = [
     "PathSeed",
     "replicate",
     "check_finite",
-    "rng_from",
     "simulate_linear",
     "simulate_ar",
     "ma1_example",
@@ -278,13 +277,14 @@ def replicate(process, statistic, n: int, count: int, seed: SeedLike, key: int):
     n)`` and simulated ``process.tile_rows(n)`` at a time, one
     ``process.simulate`` call per tile. Each block is built and handed to
     ``_evaluate_rows`` in one statement, so no name holds it and it is freed
-    before the next is built.
+    before the next is built. ``EmpiricalLaw`` refuses a statistic that overflows.
     """
     theta = statistic.model_center(*process.filter, n)
     vals = np.empty(count)
-    for lo, seeds in _tiles(seed, key, count, n, process.tile_rows(n)):
-        vals[lo:lo + len(seeds)] = _evaluate_rows(statistic, process.simulate(n, seeds))
-    return EmpiricalLaw(statistic.rate(n) * (vals - theta)), float(theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, seeds in _tiles(seed, key, count, n, process.tile_rows(n)):
+            vals[lo:lo + len(seeds)] = _evaluate_rows(statistic, process.simulate(n, seeds))
+        return EmpiricalLaw(statistic.rate(n) * (vals - theta)), float(theta)
 
 
 def _tiles(seed: SeedLike, key: int, count: int, n: int, rows: int):
@@ -312,13 +312,6 @@ def check_finite(block: np.ndarray) -> np.ndarray:
     return block
 
 
-def rng_from(seed: SeedLike) -> np.random.Generator:
-    """The PCG64 generator of a SeedSequence, a PathSeed or an int."""
-    if not isinstance(seed, np.random.bit_generator.ISeedSequence):
-        seed = np.random.SeedSequence(int(seed))
-    return np.random.default_rng(seed)
-
-
 @dataclass(frozen=True)
 class InnovationSpec:
     """An i.i.d. innovation family with mean 0 and standard deviation `scale`."""
@@ -329,8 +322,9 @@ class InnovationSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown innovation family {self.family!r}")
-        if not (self.scale > 0 and math.isfinite(self.scale * self.scale)):
-            raise ValueError(f"scale must be positive with a finite square, got {self.scale!r}")
+        if not (self.scale > 0 and 0 < self.scale * self.scale < math.inf):
+            raise ValueError(f"scale must be positive, its square positive and finite, got "
+                             f"{self.scale!r}")
 
     @property
     def excess_kurtosis(self) -> float:
@@ -343,7 +337,7 @@ class InnovationSpec:
 
     def draw(self, size: int, seed: SeedLike) -> np.ndarray:
         """size i.i.d. draws with mean 0 and variance scale^2."""
-        rng = rng_from(seed)
+        rng = np.random.default_rng(seed)
         if self.family == "gaussian":
             e = rng.standard_normal(size)
         elif self.family == "centered_exponential":
@@ -386,7 +380,7 @@ class ResampledRecord:
         return float(_sum_of_squares(v) / v.size - np.mean(v) ** 2)
 
     def draw(self, size: int, seed: SeedLike) -> np.ndarray:
-        return self.values[rng_from(seed).integers(0, self.values.size, size)]
+        return self.values[np.random.default_rng(seed).integers(0, self.values.size, size)]
 
 
 class InversionError(ValueError):
@@ -581,7 +575,8 @@ class RationalProcess:
 class CompanionSpec(RationalProcess):
     """The rational filter num(z) / den(z) driven by i.i.d. draws from
     ``noise``, which has ``variance`` and ``draw(size, seed)``; num and den
-    are polynomials 1 + c_1 z + ... with no root in |z| <= 1."""
+    are polynomials 1 + c_1 z + ... with no root in |z| <= 1, and the noise
+    variance, read here, before any path, is a positive finite float."""
 
     num: np.ndarray
     den: np.ndarray
@@ -594,6 +589,11 @@ class CompanionSpec(RationalProcess):
                 raise ValueError(f"companion {label} polynomial must start with 1")
             check_roots_outside_disk(c, f"companion {label} polynomial")
             object.__setattr__(self, name, c)
+        with np.errstate(over="ignore"):
+            sigma2 = self.filter[2]
+        if not 0 < sigma2 < math.inf:
+            raise ValueError("companion noise variance must be a positive finite float: the "
+                             "second moment of its noise overflows or underflows float64")
 
     @cached_property
     def filter(self):
@@ -708,7 +708,7 @@ class Arch1Model:
         independent chains stepped together, one after another."""
         seeds = [derive_seed(record_seed, j) for j in range(_ARCH_RECORD_CHAINS)]
         chains = simulate_arch1(self, COMPANION_RECORD_LENGTH // _ARCH_RECORD_CHAINS, seeds)
-        return CompanionSpec([1.0], [1.0], ResampledRecord(chains.ravel()))
+        return CompanionSpec([1.0], [1.0], ResampledRecord(check_finite(chains).ravel()))
 
     @property
     def kurtoses(self):
@@ -769,8 +769,8 @@ def ma1_example(n: int, seed: SeedLike, innovations: InnovationSpec | None = Non
 
 def simulate_arch1(model: Arch1Model, n: int, seeds) -> np.ndarray:
     """ARCH(1) recursion x_t = sqrt(omega + alpha1 x_{t-1}^2) z_t from zero
-    state, z_t standard normal drawn from ``rng_from(seed)``; the first
-    ``model.burnin`` values are dropped.
+    state, z_t standard normal drawn from ``np.random.default_rng(seed)``;
+    the first ``model.burnin`` values are dropped.
 
     Returns a C-contiguous (len(seeds), n) array whose row j is the path of
     seeds[j]. Each path keeps one generator and draws its burn-in multipliers
@@ -784,7 +784,7 @@ def simulate_arch1(model: Arch1Model, n: int, seeds) -> np.ndarray:
     finiteness check of its block rejects it.
     """
     out = np.empty((len(seeds), n))
-    rngs = [rng_from(s) for s in seeds]
+    rngs = [np.random.default_rng(s) for s in seeds]
     var = np.empty(len(seeds))
     prev = np.zeros(len(seeds))
     widths = [min(n, model.burnin - t) for t in range(0, model.burnin, n)] + [n]

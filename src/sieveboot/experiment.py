@@ -49,22 +49,17 @@ __all__ = [
 
 _METHODS = ("bootstrap", "oracle", "truth")
 _DK_PAIRS = ("bootstrap_truth", "bootstrap_oracle", "oracle_truth")
-# Fields each check kind requires besides "id" and "kind", and what each may
-# hold: one of a tuple of names, a string (str), or a number that is not NaN
-# (float).
-_CHECK_FIELDS = {
-    "var_close": {"method": _METHODS, "target_id": str, "tol": float},
-    "var_ratio": {"num": _METHODS, "den": _METHODS, "lo": float, "hi": float},
-    "dk_le": {"pair": _DK_PAIRS, "bound": float},
-    "dk_gt": {"pair": _DK_PAIRS, "bound": float},
-}
-# Per check kind, the thresholds no value can pass and the rule they break: a
-# relative error and a Kolmogorov distance lie in [0, inf) and [0, 1].
-_UNPASSABLE = {
-    "var_close": (lambda c: c["tol"] < 0, "tol must be >= 0"),
-    "var_ratio": (lambda c: c["lo"] > c["hi"], "lo must be <= hi"),
-    "dk_le": (lambda c: c["bound"] < 0, "bound must be >= 0"),
-    "dk_gt": (lambda c: c["bound"] >= 1, "bound must be < 1"),
+# Per check kind: the fields it requires besides "id" and "kind", each one of a
+# tuple of names, a string (str) or a number not NaN (float); the thresholds no
+# value can pass, as a relative error and a Kolmogorov distance lie in [0, inf)
+# and [0, 1]; and the rule they break.
+_CHECK_KINDS = {
+    "var_close": ({"method": _METHODS, "target_id": str, "tol": float},
+                  lambda c: c["tol"] < 0, "tol must be >= 0"),
+    "var_ratio": ({"num": _METHODS, "den": _METHODS, "lo": float, "hi": float},
+                  lambda c: c["lo"] > c["hi"], "lo must be <= hi"),
+    "dk_le": ({"pair": _DK_PAIRS, "bound": float}, lambda c: c["bound"] < 0, "bound must be >= 0"),
+    "dk_gt": ({"pair": _DK_PAIRS, "bound": float}, lambda c: c["bound"] >= 1, "bound must be < 1"),
 }
 # JSON kind of each annotated config field type, and how errors name it.
 _FIELD_KINDS = {"str": (str, "a string"), "dict": (dict, "an object"), "int": (int, "an integer"),
@@ -176,10 +171,10 @@ def _validate_check(i: int, check) -> None:
     cid, kind = check["id"], check.get("kind")
     if not isinstance(cid, str):
         raise ConfigError(f"check #{i}: id must be a string, got {cid!r}")
-    if not isinstance(kind, str) or kind not in _CHECK_FIELDS:
+    if not isinstance(kind, str) or kind not in _CHECK_KINDS:
         raise ConfigError(f"check {cid!r}: unknown kind {kind!r}; "
-                          f"known: {', '.join(_CHECK_FIELDS)}")
-    allowed = _CHECK_FIELDS[kind]
+                          f"known: {', '.join(_CHECK_KINDS)}")
+    allowed, unpassable, rule = _CHECK_KINDS[kind]
     missing = [f for f in allowed if f not in check]
     if missing:
         raise ConfigError(f"check {cid!r}: missing fields {missing}")
@@ -201,7 +196,6 @@ def _validate_check(i: int, check) -> None:
         if isinstance(values, tuple) and value not in values:
             raise ConfigError(f"check {cid!r}: unknown {f} {value!r}; "
                               f"known: {', '.join(values)}")
-    unpassable, rule = _UNPASSABLE[kind]
     if unpassable(check):
         got = ", ".join(f"{f} = {check[f]!r}" for f, values in allowed.items() if values is float)
         raise ConfigError(f"check {cid!r}: no value can pass it: {rule}, got {got}")
@@ -328,19 +322,24 @@ def companion_spec_for(model, seed) -> dgp.CompanionSpec:
 def compute_targets(model, statistic) -> dict:
     """Analytic targets, recomputed from ``Statistic.targets`` at run time.
 
-    Raises ValueError naming each target that is not finite, or the
-    statistic, as when the model's second moments overflow float64; an MA
-    root on the unit circle; or the targets whose ACVF has not decayed."""
+    Raises ValueError naming each target that is not a positive finite
+    float, or the statistic, as when the model's second moments overflow or
+    underflow float64; an MA root on the unit circle; or the targets whose
+    ACVF has not decayed. A target of 0 underflowed unless it is 0 under unit
+    noise variance too, as for ratio-cos at lag 0, a constant statistic."""
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            targets = statistic.targets(*model.filter, *model.kurtoses)
+            num, den, sigma2 = model.filter
+            kurtoses = model.kurtoses
+            targets = statistic.targets(num, den, sigma2, *kurtoses)
+            unit = statistic.targets(num, den, 1.0, *kurtoses) if 0 in targets.values() else {}
     except OverflowError:
         raise ValueError(f"targets of statistic {statistic.name!r} overflow float64 "
                          "under this model") from None
-    bad = [tid for tid, value in targets.items() if not math.isfinite(value)]
+    bad = [tid for tid, v in targets.items() if not (0 < v < math.inf or v == 0 == unit[tid])]
     if bad:
-        raise ValueError(f"targets not finite under this model (its second moments overflow "
-                         f"float64): {', '.join(bad)}")
+        raise ValueError(f"targets not positive and finite under this model (its second "
+                         f"moments overflow or underflow float64): {', '.join(bad)}")
     return targets
 
 

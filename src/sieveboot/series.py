@@ -34,11 +34,9 @@ class EmpiricalLaw:
         sample = np.sort(np.asarray(self.sample, dtype=float))
         if sample.size < 1:
             raise ValueError("empirical law requires a nonempty sample")
+        if not np.isfinite(sample).all():
+            raise ValueError("empirical law requires a finite sample")
         object.__setattr__(self, "sample", sample)
-
-    @property
-    def size(self) -> int:
-        return self.sample.size
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -55,7 +55,7 @@ def levinson_durbin(gamma: np.ndarray, p: int):
     sigma2s[0] = gamma[0]
     a = np.zeros(0)
     for k in range(1, p + 1):
-        acc = gamma[k] - np.dot(a, gamma[k - 1 : 0 : -1]) if k > 1 else gamma[1]
+        acc = gamma[k] - np.dot(a, gamma[k - 1 : 0 : -1])
         phi = acc / sigma2s[k - 1]
         a = np.concatenate([a - phi * a[::-1], [phi]])
         sigma2s[k] = sigma2s[k - 1] * (1.0 - phi * phi)
@@ -75,12 +75,9 @@ def residuals(x: np.ndarray, a) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     n, p = x.size, a.size
-    if n <= p:
-        raise ValueError(f"series length {n} must exceed fit order {p}")
-    if p == 0:
-        res = x.copy()
-    else:
-        res = x[p:] - np.correlate(x, a[::-1], mode="valid")[:-1]
+    if not 0 < p < n:
+        raise ValueError(f"fit order p must satisfy 0 < p < n, got p = {p} with n = {n}")
+    res = x[p:] - np.correlate(x, a[::-1], mode="valid")[:-1]
     res = res - res.mean()
     res -= res.mean()
     return res
@@ -114,7 +111,10 @@ def fit_sieve(x: np.ndarray) -> SieveModel:
     if n < 20:
         raise ValueError("order selection requires n >= 20")
     top = order_cap(n)
-    gamma = sample_acvf(x, top)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = sample_acvf(x, top)
+    if not np.isfinite(gamma).all():
+        raise ValueError("the sample autocovariances of the data path overflow float64")
     _, sigma2s = levinson_durbin(gamma, top)
     orders = np.arange(1, top + 1)
     p = int(orders[np.argmin(n * np.log(sigma2s[1:]) + 2.0 * orders)])

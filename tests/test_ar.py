@@ -33,6 +33,9 @@ class TestLevinsonDurbin:
         a, sigma2s = levinson_durbin(MA1_GAMMA, 1)
         assert a == pytest.approx([-0.4])
         assert sigma2s[1] == pytest.approx(4.2)
+        # the first step is the general one, bit for bit gamma(1) / gamma(0)
+        assert a[0] == MA1_GAMMA[1] / MA1_GAMMA[0]
+        assert sigma2s[1] == MA1_GAMMA[0] * (1.0 - a[0] * a[0])
 
     def test_order_two_exact(self):
         a, _ = levinson_durbin(MA1_GAMMA, 2)
@@ -184,6 +187,11 @@ class TestBaxterAndResiduals:
         a, _ = levinson_durbin(sample_acvf(x, 2), 2)
         res = residuals(x, a)
         assert abs(res.mean()) < 1e-14
+
+    @pytest.mark.parametrize("n, p", [(300, 0), (3, 3), (2, 5)])
+    def test_residuals_need_an_order_between_zero_and_n(self, n, p):
+        with pytest.raises(ValueError, match=f"0 < p < n, got p = {p} with n = {n}"):
+            residuals(np.ones(n), np.full(p, 0.1))
 
     def test_innovation_variance_limit(self):
         gamma = rational_acvf([1.0, -2.0], [1.0], 1.0, range(41))

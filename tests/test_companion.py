@@ -18,7 +18,6 @@ from sieveboot.dgp import (
     build_companion,
     burnin,
     impulse_response,
-    rng_from,
 )
 from sieveboot.experiment import companion_spec_for
 from sieveboot.series import sample_acvf
@@ -37,6 +36,13 @@ class TestSpec:
         record = ResampledRecord(np.array([1.0, -1.0, 1.0, -1.0]))
         assert CompanionSpec([1.0], [1.0], record).filter[2] == pytest.approx(1.0)
 
+    def test_record_whose_squares_overflow_rejected(self):
+        # 10^6 squares of 1e152 sum past float64's largest value; no numpy
+        # warning escapes (pytest would raise it)
+        record = ResampledRecord(np.full(10 ** 6, 1e152))
+        with pytest.raises(ValueError, match="companion noise variance must be a positive finite"):
+            CompanionSpec([1.0], [1.0, -0.5], record)
+
 
 class TestResampledRecord:
     # sizes on both sides of a leaf of TILE_VALUES = 2^16 squares, and a view
@@ -52,7 +58,7 @@ class TestResampledRecord:
 
     def test_draws_index_the_record_with_the_seed_generator(self):
         values = np.arange(10.0) ** 2
-        idx = rng_from(7).integers(0, 10, 500)
+        idx = np.random.default_rng(7).integers(0, 10, 500)
         assert np.array_equal(ResampledRecord(values).draw(500, 7), values[idx])
 
 

@@ -38,7 +38,6 @@ from sieveboot.dgp import (
     ma1_example,
     model_from_json,
     replicate,
-    rng_from,
     simulate_ar,
     simulate_arch1,
     simulate_linear,
@@ -53,10 +52,11 @@ class TestSeeding:
     def test_derive_seed_deterministic(self):
         s1 = derive_seed(42, 0, 7)
         s2 = derive_seed(42, 0, 7)
-        assert rng_from(s1).integers(0, 1 << 30) == rng_from(s2).integers(0, 1 << 30)
+        draw = [np.random.default_rng(s).integers(0, 1 << 30) for s in (s1, s2)]
+        assert draw[0] == draw[1]
 
     def test_derive_seed_distinct_indices(self):
-        draws = {rng_from(derive_seed(42, k)).integers(0, 1 << 62) for k in range(50)}
+        draws = {np.random.default_rng(derive_seed(42, k)).integers(0, 1 << 62) for k in range(50)}
         assert len(draws) == 50
 
     def test_derive_seed_nests(self):
@@ -86,9 +86,9 @@ class TestDeriveSeeds:
             sequence = derive_seed(base, key, i)
             assert np.array_equal(path_seed.generate_state(4, np.uint64),
                                   sequence.generate_state(4, np.uint64))
-            assert np.array_equal(rng_from(path_seed).standard_normal(3),
-                                  rng_from(sequence).standard_normal(3))
-            assert np.array_equal(rng_from(path_seed).integers(0, 1 << 62, 3),
+            assert np.array_equal(np.random.default_rng(path_seed).standard_normal(3),
+                                  np.random.default_rng(sequence).standard_normal(3))
+            assert np.array_equal(np.random.default_rng(path_seed).integers(0, 1 << 62, 3),
                                   np.random.default_rng(sequence).integers(0, 1 << 62, 3))
 
     def test_a_range_past_zero_is_the_tail_of_the_range_from_zero(self):
@@ -126,9 +126,11 @@ class TestInnovations:
         assert spec.excess_kurtosis == raw4 - 3.0
 
     def test_centered_exponential_draws_are_numpys_exponential_less_one(self):
+        # an int seed draws from the generator of the SeedSequence of that int
         spec = InnovationSpec("centered_exponential", scale=1.5)
         for seed in range(50):
-            want = (rng_from(seed).exponential(1.0, 1001) - 1.0) * 1.5
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            want = (rng.exponential(1.0, 1001) - 1.0) * 1.5
             assert np.array_equal(spec.draw(1001, seed), want)
 
     def test_unknown_family_rejected(self):
@@ -400,7 +402,8 @@ class TestArch1:
         # block, stepped a row (a time step) at a time, kept rows transposed
         model = Arch1Model(omega=1.0, alpha1=0.3)
         seeds = [derive_seed(8, KEY_TRUTH, i) for i in range(k)]
-        x = np.stack([rng_from(s).standard_normal(n + ARCH1_BURNIN) for s in seeds], axis=1)
+        x = np.stack([np.random.default_rng(s).standard_normal(n + ARCH1_BURNIN) for s in seeds],
+                     axis=1)
         prev = np.zeros(k)
         for row in x:
             row *= np.sqrt(model.omega + model.alpha1 * (prev * prev))
@@ -426,7 +429,7 @@ class TestArch1:
 
 def _arch1_reference(model, n, seed, drop=ARCH1_BURNIN):
     """The ARCH(1) recursion one path at a time, in Python floats."""
-    z = rng_from(seed).standard_normal(n + drop)
+    z = np.random.default_rng(seed).standard_normal(n + drop)
     x, prev_sq = np.empty(n + drop), 0.0
     for t in range(n + drop):
         x[t] = math.sqrt(model.omega + model.alpha1 * prev_sq) * z[t]
@@ -744,7 +747,7 @@ class _OneBlockAlive:
 
     def simulate(self, n, seeds):
         assert self.previous is None or self.previous() is None, "the previous block is alive"
-        block = np.array([rng_from(s).standard_normal(n) for s in seeds])
+        block = np.array([np.random.default_rng(s).standard_normal(n) for s in seeds])
         self.previous, self.calls = weakref.ref(block), self.calls + 1
         return block
 

@@ -232,6 +232,9 @@ BAD_MODELS = [
       "innovation": {"family": "gaussian", "scale": float("nan")}}, "scale"),
     ({"family": "linear", "coefficients": [-2.0],
       "innovation": {"family": "gaussian", "scale": 1e200}}, "scale"),
+    # a square that underflows to 0, a zero noise variance
+    ({"family": "linear", "coefficients": [-2.0],
+      "innovation": {"family": "gaussian", "scale": 1e-170}}, "scale"),
     ({"family": "ar", "coefficients": [1.5]}, "closed unit disk"),
     # JSON integers too large for a float
     ({"family": "linear", "coefficients": [-2.0],
@@ -240,16 +243,33 @@ BAD_MODELS = [
     ({"family": "arch1", "coefficients": [10 ** 400, 0.3]}, "coefficients"),
 ]
 
-# Models whose second moments overflow float64, a statistic, and the target
-# (or, where the overflow stops the computation, the statistic) each
-# rejection names.
+# Models whose second moments overflow or underflow float64, a statistic, and
+# the target (or, where the overflow stops the computation, the statistic)
+# each rejection names.
 OVERFLOWING_TARGETS = [
     ({"family": "linear", "coefficients": [1e308]}, {"name": "mean"}, "mean_long_run_variance"),
     ({"family": "linear", "coefficients": [1e200]}, {"name": "acf", "lag": 1}, "bartlett_variance"),
     ({"family": "linear", "coefficients": [1e200]}, {"name": "acvf", "lag": 0},
      "acvf_variance_linear, acvf_variance_companion"),
     ({"family": "linear", "coefficients": [1e200]}, {"name": "acvf", "lag": 1}, "'acvf-lag-1'"),
+    # sigma^4 = 1e-400 underflows to 0
+    ({**TINY_CONFIG["dgp"], "innovation": {"family": "gaussian", "scale": 1e-100}},
+     {"name": "acvf", "lag": 0}, "acvf_variance_linear, acvf_variance_companion"),
 ]
+
+# Models whose finite second moments pass every target, and whose companion
+# record still overflows float64 (its sum of squares, or an ARCH(1) chain),
+# with a statistic and the message of each rejection.
+OVERFLOWING_RECORDS = [
+    ({**TINY_CONFIG["dgp"], "innovation": {"family": "centered_exponential", "scale": 8e150}},
+     {"name": "acf", "lag": 1}, "companion noise variance must be a positive finite float"),
+    ({"family": "arch1", "coefficients": [1e308, 0.3]}, {"name": "mean"},
+     "series values must be finite"),
+]
+
+# An AR whose data path is finite and whose sample autocovariances overflow.
+OVERFLOWING_DATA = {"family": "ar", "coefficients": [0.5],
+                    "innovation": {"family": "gaussian", "scale": 2e153}}
 
 # Malformed statistic documents and the field each rejection names.
 BAD_STATISTICS = [
@@ -500,6 +520,21 @@ class TestFailFast:
         with pytest.raises(ValueError, match=name):
             run_experiment(config)
 
+    @pytest.mark.parametrize("model, stat, message", OVERFLOWING_RECORDS)
+    def test_overflowing_companion_record_rejected_before_simulation(self, no_simulation, model,
+                                                                     stat, message):
+        config = ExperimentConfig.from_json({**TINY_CONFIG, "dgp": model, "statistic": stat,
+                                             "checks": []})
+        with pytest.raises(ValueError, match=message):
+            run_experiment(config)
+
+    def test_overflowing_sample_acvf_rejected_before_any_law(self, monkeypatch):
+        monkeypatch.setattr(dgp, "replicate", _no_simulation)
+        config = ExperimentConfig.from_json({**TINY_CONFIG, "dgp": OVERFLOWING_DATA,
+                                             "statistic": {"name": "mean"}, "checks": []})
+        with pytest.raises(ValueError, match="sample autocovariances of the data path overflow"):
+            run_experiment(config)
+
     @pytest.mark.parametrize("model, stat, name", OVERFLOWING_TARGETS)
     def test_cli_asymptotics_rejects_overflowing_targets(self, capsys, model, stat, name):
         assert main(["asymptotics", "--model", json.dumps(model),
@@ -559,6 +594,23 @@ class TestFailFast:
                               timeout=120)
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.splitlines() == ["error: series values must be finite"]
+
+    @pytest.mark.parametrize("model, stat", [OVERFLOWING_RECORDS[0][:2],
+                                             (OVERFLOWING_DATA, {"name": "mean"})],
+                             ids=["companion-record", "data-acvf"])
+    def test_cli_rejects_an_overflowing_record_or_acvf_with_one_error_line(self, model, stat):
+        # neither a law of NaN nor a numpy warning reaches the user (a child
+        # process, since pytest turns warnings into errors)
+        config = {**TINY_CONFIG, "dgp": model, "statistic": stat, "checks": []}
+        src = str(Path(sieveboot.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "sieveboot.cli", "run", "--config",
+                               json.dumps(config)], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert (done.returncode, done.stdout) == (2, "")
+        err = done.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not re.search(r"\b(inf|nan)\b", err[0], re.IGNORECASE)
 
 
 def _ar(coefficient, family=None):

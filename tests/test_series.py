@@ -50,6 +50,11 @@ class TestEmpiricalLaw:
         with pytest.raises(ValueError, match="nonempty"):
             EmpiricalLaw([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_sample_that_is_not_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite sample"):
+            EmpiricalLaw([0.0, bad, 1.0])
+
     def test_cdf_right_continuous_step(self):
         law = EmpiricalLaw(np.array([0.0, 1.0]))
         assert law.cdf(-0.5) == 0.0

@@ -8,7 +8,6 @@ from sieveboot.dgp import (
     InnovationSpec,
     LinearModel,
     burnin,
-    rng_from,
     simulate_ar,
     simulate_linear,
 )
@@ -148,7 +147,7 @@ class TestGeneration:
         m = fit_sieve(ar1_data(600, seed=14))
         drop = burnin([1.0], m.den)
         resid = m.noise.values
-        e_star = resid[rng_from(15).integers(0, resid.size, 300 + drop)]
+        e_star = resid[np.random.default_rng(15).integers(0, resid.size, 300 + drop)]
         want = lfilter([1.0], m.den, e_star)[drop:]
         assert np.array_equal(generate_bootstrap_series(m, 300, [15])[0], want)
         assert m.filter[2] == pytest.approx(np.mean(resid ** 2), rel=1e-14)
